@@ -92,11 +92,13 @@ fn external_sort_bench(c: &mut Criterion) {
                     .map(|t| Tuple::full(vec![Value::fuzzy(t)]).encode(64))
                     .collect();
                 file.load(tuples.iter()).unwrap();
-                let (sorted, _) = external_sort(&disk, &file, 32, |a, b| {
-                    let va = Tuple::decode_value_at(a, 0).unwrap();
-                    let vb = Tuple::decode_value_at(b, 0).unwrap();
-                    interval_order::cmp_values(&va, &vb)
-                })
+                let (sorted, _) = external_sort(
+                    &disk,
+                    &file,
+                    32,
+                    |r| Tuple::decode_value_at(r, 0),
+                    interval_order::cmp_values,
+                )
                 .unwrap();
                 sorted.num_records()
             })

@@ -424,6 +424,27 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_sort_attribute_is_a_typed_error() {
+        // A record whose sort attribute does not decode fails the sort with
+        // a storage error instead of panicking, serial and parallel alike.
+        let disk = SimDisk::with_default_page_size();
+        let r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0), (20.0, 21.0)]);
+        r.table.file().load([[0u8; 3]]).unwrap();
+        for threads in [1, 2] {
+            let mut ex = Executor::new(&disk, ExecConfig { threads, ..ExecConfig::default() });
+            let err = ex.sort_table(&r.table, 1, Degree::ZERO, "sort R by #1".to_string());
+            assert!(
+                matches!(
+                    err,
+                    Err(crate::EngineError::Storage(fuzzy_storage::StorageError::Corrupt(_)))
+                ),
+                "threads={threads}: {:?}",
+                err.map(|t| t.num_tuples())
+            );
+        }
+    }
+
+    #[test]
     fn merge_window_keeps_wide_inner_tuples_across_outers() {
         // A very wide inner tuple stays in every window it can touch.
         let disk = SimDisk::with_default_page_size();

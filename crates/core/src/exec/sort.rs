@@ -112,8 +112,11 @@ impl Executor {
     /// Sorts a table by the interval order `⪯` of the α-cut intervals on
     /// attribute `attr` (α = 0 is the paper's support order), attributing
     /// run counts, comparisons, and spill I/O to a registered sort operator.
-    /// Run generation parallelizes across `ExecConfig::threads` with
-    /// bit-identical batch cuts and counters (see `external_sort_parallel`).
+    /// The sort key is the attribute's decoded `Value`, extracted once per
+    /// record read; a record whose attribute does not decode fails the sort
+    /// with `StorageError::Corrupt`. Run generation parallelizes across
+    /// `ExecConfig::threads` with bit-identical batch cuts and counters (see
+    /// `external_sort_parallel`).
     pub(crate) fn sort_table(
         &mut self,
         table: &StoredTable,
@@ -127,11 +130,8 @@ impl Executor {
             table.file(),
             self.config.sort_pages,
             self.config.threads,
-            move |a, b| {
-                let va = Tuple::decode_value_at(a, attr).expect("sortable record");
-                let vb = Tuple::decode_value_at(b, attr).expect("sortable record");
-                interval_order::cmp_values_at(&va, &vb, alpha)
-            },
+            |r| Tuple::decode_value_at(r, attr),
+            |a, b| interval_order::cmp_values_at(a, b, alpha),
         )?;
         let m = self.metrics.op_mut(g.id);
         m.tuples_in = table.num_tuples();
@@ -166,11 +166,8 @@ impl Executor {
             &self.disk,
             rows.into_iter().map(|t| t.encode(0)),
             self.config.sort_pages,
-            move |a, b| {
-                let va = Tuple::decode_value_at(a, attr).expect("sortable record");
-                let vb = Tuple::decode_value_at(b, attr).expect("sortable record");
-                interval_order::cmp_values_at(&va, &vb, alpha)
-            },
+            |r| Tuple::decode_value_at(r, attr),
+            |a, b| interval_order::cmp_values_at(a, b, alpha),
         )?;
         let m = self.metrics.op_mut(g.id);
         m.tuples_in = n;

@@ -474,10 +474,13 @@ mod file_backing_tests {
         let disk = SimDisk::open_file(&path, 256).unwrap();
         let f = crate::file::HeapFile::create(&disk);
         f.load((0..200u32).rev().map(|i| i.to_le_bytes())).unwrap();
-        let (sorted, _) = crate::sort::external_sort(&disk, &f, 2, |a, b| {
-            u32::from_le_bytes(a[..4].try_into().unwrap())
-                .cmp(&u32::from_le_bytes(b[..4].try_into().unwrap()))
-        })
+        let (sorted, _) = crate::sort::external_sort(
+            &disk,
+            &f,
+            2,
+            |rec| Ok(u32::from_le_bytes(rec[..4].try_into().unwrap())),
+            u32::cmp,
+        )
         .unwrap();
         let pool = crate::buffer::BufferPool::new(&disk, 4);
         let first = pool.scan(&sorted).next().unwrap().unwrap();

@@ -11,7 +11,8 @@
 //! * [`HeapFile`] — record files with streaming bulk load;
 //! * [`BufferPool`] — bounded LRU page cache (the buffer-allocation policies
 //!   of both join algorithms in the paper are expressed through it);
-//! * [`sort::external_sort`] — bounded-memory external merge sort;
+//! * [`sort::external_sort`] — bounded-memory external merge sort on a key
+//!   extracted once per record read;
 //! * [`CostModel`] — converts I/O counts + CPU time into response time;
 //! * [`codec`] — byte-level record encoding helpers.
 //!

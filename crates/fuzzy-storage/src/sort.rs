@@ -10,10 +10,18 @@
 //! \[37\], \[9\]), sorting takes exactly two passes: one read+write to form runs
 //! and one read(+write) to merge.
 //!
+//! The sort is keyed: callers pass a `key` function that extracts a sort key
+//! from a record's bytes and a `cmp` that orders keys. The sort calls `key`
+//! exactly once per record it reads — once on input and once per merge-pass
+//! read — and keeps the key beside its record (in the run-generation batch,
+//! and as each run's head in the merge), so comparisons never re-decode a
+//! record. A key that fails to extract (a corrupt record) ends the sort with
+//! that error.
+//!
 //! All run files live on the same simulated disk as the input, so every spill
 //! is charged to the I/O counters.
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, RecordScan};
 use crate::disk::SimDisk;
 use crate::error::Result;
 use crate::file::HeapFile;
@@ -33,23 +41,27 @@ pub struct SortStats {
     pub comparisons: u64,
 }
 
-/// Sorts `input` by `cmp` using at most `memory_pages` pages of working
-/// memory, returning a new sorted heap file and statistics.
+/// Sorts `input` by the order `cmp` places on the keys `key` extracts from
+/// its records, using at most `memory_pages` pages of working memory, and
+/// returns a new sorted heap file and statistics.
 ///
-/// `cmp` receives raw record bytes; callers typically decode a sort key.
-/// The sort is not stable (quicksort runs), which matches the paper's setup —
-/// ties in the interval order `⪯` carry no semantic weight.
-pub fn external_sort<F>(
+/// The memory budget counts record bytes only; the keys held beside the
+/// records are not charged to it, so run boundaries depend on the records
+/// alone. The sort is not stable (quicksort runs), which matches the paper's
+/// setup — ties in the interval order `⪯` carry no semantic weight.
+pub fn external_sort<K, KF, CF>(
     disk: &SimDisk,
     input: &HeapFile,
     memory_pages: usize,
-    cmp: F,
+    key: KF,
+    cmp: CF,
 ) -> Result<(HeapFile, SortStats)>
 where
-    F: FnMut(&[u8], &[u8]) -> Ordering,
+    KF: Fn(&[u8]) -> Result<K>,
+    CF: Fn(&K, &K) -> Ordering,
 {
     let pool = BufferPool::new(disk, 1); // sequential scan needs one frame
-    sort_stream(disk, pool.scan(input), memory_pages, cmp)
+    sort_stream(disk, pool.scan(input), memory_pages, &key, &cmp)
 }
 
 /// Sorts a stream of already-decoded records with the same run-generation
@@ -60,28 +72,32 @@ where
 /// run-file I/O are exactly what [`external_sort`] would have produced had
 /// the records been materialized and re-scanned — minus that materialization
 /// and re-scan).
-pub fn external_sort_records<I, F>(
+pub fn external_sort_records<I, K, KF, CF>(
     disk: &SimDisk,
     records: I,
     memory_pages: usize,
-    cmp: F,
+    key: KF,
+    cmp: CF,
 ) -> Result<(HeapFile, SortStats)>
 where
     I: IntoIterator<Item = Vec<u8>>,
-    F: FnMut(&[u8], &[u8]) -> Ordering,
+    KF: Fn(&[u8]) -> Result<K>,
+    CF: Fn(&K, &K) -> Ordering,
 {
-    sort_stream(disk, records.into_iter().map(Ok), memory_pages, cmp)
+    sort_stream(disk, records.into_iter().map(Ok), memory_pages, &key, &cmp)
 }
 
-fn sort_stream<I, F>(
+fn sort_stream<I, K, KF, CF>(
     disk: &SimDisk,
     records: I,
     memory_pages: usize,
-    mut cmp: F,
+    key: &KF,
+    cmp: &CF,
 ) -> Result<(HeapFile, SortStats)>
 where
     I: Iterator<Item = Result<Vec<u8>>>,
-    F: FnMut(&[u8], &[u8]) -> Ordering,
+    KF: Fn(&[u8]) -> Result<K>,
+    CF: Fn(&K, &K) -> Ordering,
 {
     let memory_pages = memory_pages.max(2);
     let budget_bytes = memory_pages * disk.page_size();
@@ -89,88 +105,60 @@ where
 
     // --- Run generation ----------------------------------------------------
     let mut runs: Vec<HeapFile> = Vec::new();
-    let mut batch: Vec<Vec<u8>> = Vec::new();
+    let mut batch: Vec<(K, Vec<u8>)> = Vec::new();
     let mut batch_bytes = 0usize;
-    let mut flush = |batch: &mut Vec<Vec<u8>>, comparisons: &mut u64| -> Result<HeapFile> {
-        batch.sort_by(|a, b| {
-            *comparisons += 1;
-            cmp(a, b)
-        });
-        let run = HeapFile::create(disk);
-        run.load(batch.iter())?;
-        batch.clear();
-        Ok(run)
-    };
     for rec in records {
         let rec = rec?;
         batch_bytes += rec.len();
-        batch.push(rec);
+        batch.push((key(&rec)?, rec));
         if batch_bytes >= budget_bytes {
-            runs.push(flush(&mut batch, &mut comparisons)?);
+            runs.push(write_run(disk, &mut batch, cmp, &mut comparisons)?);
             batch_bytes = 0;
         }
     }
     if !batch.is_empty() {
-        runs.push(flush(&mut batch, &mut comparisons)?);
+        runs.push(write_run(disk, &mut batch, cmp, &mut comparisons)?);
     }
-    let initial_runs = runs.len();
-    if runs.is_empty() {
-        // Empty input: an empty sorted file.
-        return Ok((
-            HeapFile::create(disk),
-            SortStats { initial_runs: 0, merge_passes: 0, comparisons },
-        ));
-    }
-
-    // --- Merge passes -------------------------------------------------------
-    let fan_in = (memory_pages - 1).max(2);
-    let mut merge_passes = 0usize;
-    while runs.len() > 1 {
-        merge_passes += 1;
-        let mut next: Vec<HeapFile> = Vec::new();
-        for group in runs.chunks(fan_in) {
-            next.push(merge_group(disk, group, memory_pages, &mut cmp, &mut comparisons)?);
-        }
-        runs = next;
-    }
-    let sorted = runs.pop().expect("at least one run");
-    Ok((sorted, SortStats { initial_runs, merge_passes, comparisons }))
+    merge_runs(disk, runs, memory_pages, key, cmp, comparisons)
 }
 
-/// Multi-threaded variant of [`external_sort`]: `threads` workers sort and
-/// spill runs concurrently while this thread scans the input and cuts
-/// batches. With `threads <= 1` this is exactly [`external_sort`].
+/// Multi-threaded variant of [`external_sort`]: `threads` workers extract
+/// keys, sort, and spill runs concurrently while this thread scans the input
+/// and cuts batches. With `threads <= 1` this is exactly [`external_sort`].
 ///
 /// Equality guarantee: batch boundaries, run contents, comparison counts,
 /// and physical I/O counts are identical to the serial sort for any thread
 /// count — only wall-clock time changes. The input scan cuts batches at the
 /// full memory budget exactly like the serial path (quicksorting identical
-/// batches performs identical comparisons), workers only sort and write
-/// whole runs (same page counts, merged in batch order), and the k-way merge
-/// stays serial. The price is working memory: up to `threads + 1` batches
-/// (each `memory_pages` big) are in flight at once, a deliberate trade so
-/// parallel results and accounting stay bit-identical to serial (see
-/// DESIGN.md).
-pub fn external_sort_parallel<F>(
+/// batches performs identical comparisons), workers only key, sort, and
+/// write whole runs (same page counts, merged in batch order), and the k-way
+/// merge stays serial. The price is working memory: up to `threads + 1`
+/// batches (each `memory_pages` big) are in flight at once, a deliberate
+/// trade so parallel results and accounting stay bit-identical to serial
+/// (see DESIGN.md).
+pub fn external_sort_parallel<K, KF, CF>(
     disk: &SimDisk,
     input: &HeapFile,
     memory_pages: usize,
     threads: usize,
-    cmp: F,
+    key: KF,
+    cmp: CF,
 ) -> Result<(HeapFile, SortStats)>
 where
-    F: Fn(&[u8], &[u8]) -> Ordering + Sync,
+    K: Send,
+    KF: Fn(&[u8]) -> Result<K> + Sync,
+    CF: Fn(&K, &K) -> Ordering + Sync,
 {
     if threads <= 1 {
-        return external_sort(disk, input, memory_pages, cmp);
+        return external_sort(disk, input, memory_pages, key, cmp);
     }
     let memory_pages = memory_pages.max(2);
     let budget_bytes = memory_pages * disk.page_size();
 
     // --- Parallel run generation -------------------------------------------
-    // Rendezvous channel: the producer hands a full batch straight to an idle
-    // worker, so at most `threads` batches are being sorted while one more is
-    // being accumulated.
+    // Rendezvous channel: the producer hands a full batch of raw records
+    // straight to an idle worker, so at most `threads` batches are being
+    // keyed and sorted while one more is being accumulated.
     let comparisons = AtomicU64::new(0);
     let finished: Mutex<Vec<(usize, Result<HeapFile>)>> = Mutex::new(Vec::new());
     let (tx, rx) = mpsc::sync_channel::<(usize, Vec<Vec<u8>>)>(0);
@@ -180,14 +168,13 @@ where
         for _ in 0..threads {
             scope.spawn(|| loop {
                 let msg = rx.lock().expect("sort channel lock").recv();
-                let Ok((index, mut batch)) = msg else { break };
+                let Ok((index, batch)) = msg else { break };
                 let mut local: u64 = 0;
-                batch.sort_by(|a, b| {
-                    local += 1;
-                    cmp(a, b)
-                });
-                let run = HeapFile::create(disk);
-                let res = run.load(batch.iter()).map(|()| run);
+                let res = batch
+                    .into_iter()
+                    .map(|rec| Ok((key(&rec)?, rec)))
+                    .collect::<Result<Vec<_>>>()
+                    .and_then(|mut keyed| write_run(disk, &mut keyed, &cmp, &mut local));
                 comparisons.fetch_add(local, atomic::Ordering::Relaxed);
                 finished.lock().expect("sort slot lock").push((index, res));
             });
@@ -222,83 +209,119 @@ where
 
     let mut slots = finished.into_inner().expect("sort slot lock");
     slots.sort_by_key(|(index, _)| *index);
-    let mut runs: Vec<HeapFile> = Vec::with_capacity(slots.len());
-    for (_, res) in slots {
-        runs.push(res?);
-    }
-    let mut comparisons = comparisons.into_inner();
-
-    let initial_runs = runs.len();
-    if runs.is_empty() {
-        return Ok((
-            HeapFile::create(disk),
-            SortStats { initial_runs: 0, merge_passes: 0, comparisons },
-        ));
-    }
-
+    let runs = slots.into_iter().map(|(_, res)| res).collect::<Result<Vec<_>>>()?;
     // --- Merge passes: identical to the serial path ------------------------
+    merge_runs(disk, runs, memory_pages, &key, &cmp, comparisons.into_inner())
+}
+
+/// Quicksorts one batch on its keys and spills it as a run, leaving the
+/// batch empty.
+fn write_run<K, CF>(
+    disk: &SimDisk,
+    batch: &mut Vec<(K, Vec<u8>)>,
+    cmp: &CF,
+    comparisons: &mut u64,
+) -> Result<HeapFile>
+where
+    CF: Fn(&K, &K) -> Ordering,
+{
+    batch.sort_by(|a, b| {
+        *comparisons += 1;
+        cmp(&a.0, &b.0)
+    });
+    let run = HeapFile::create(disk);
+    run.load(batch.iter().map(|(_, rec)| rec))?;
+    batch.clear();
+    Ok(run)
+}
+
+/// Merges the initial runs, `memory_pages − 1` at a time, until one sorted
+/// run remains (an empty sorted file when there were no runs).
+fn merge_runs<K, KF, CF>(
+    disk: &SimDisk,
+    mut runs: Vec<HeapFile>,
+    memory_pages: usize,
+    key: &KF,
+    cmp: &CF,
+    mut comparisons: u64,
+) -> Result<(HeapFile, SortStats)>
+where
+    KF: Fn(&[u8]) -> Result<K>,
+    CF: Fn(&K, &K) -> Ordering,
+{
+    let initial_runs = runs.len();
     let fan_in = (memory_pages - 1).max(2);
     let mut merge_passes = 0usize;
-    let mut cmp_mut = |a: &[u8], b: &[u8]| cmp(a, b);
     while runs.len() > 1 {
         merge_passes += 1;
         let mut next: Vec<HeapFile> = Vec::new();
         for group in runs.chunks(fan_in) {
-            next.push(merge_group(disk, group, memory_pages, &mut cmp_mut, &mut comparisons)?);
+            next.push(merge_group(disk, group, memory_pages, key, cmp, &mut comparisons)?);
         }
         runs = next;
     }
-    let sorted = runs.pop().expect("at least one run");
+    let sorted = runs.pop().unwrap_or_else(|| HeapFile::create(disk));
     Ok((sorted, SortStats { initial_runs, merge_passes, comparisons }))
 }
 
-fn merge_group<F>(
+fn merge_group<K, KF, CF>(
     disk: &SimDisk,
     group: &[HeapFile],
     memory_pages: usize,
-    cmp: &mut F,
+    key: &KF,
+    cmp: &CF,
     comparisons: &mut u64,
 ) -> Result<HeapFile>
 where
-    F: FnMut(&[u8], &[u8]) -> Ordering,
+    KF: Fn(&[u8]) -> Result<K>,
+    CF: Fn(&K, &K) -> Ordering,
 {
     if group.len() == 1 {
         return Ok(group[0].clone());
     }
+    // The next record of a run, keyed as it is read.
+    let read_head = |cur: &mut RecordScan<'_>| -> Result<Option<(K, Vec<u8>)>> {
+        match cur.next() {
+            None => Ok(None),
+            Some(rec) => {
+                let rec = rec?;
+                Ok(Some((key(&rec)?, rec)))
+            }
+        }
+    };
     // One frame per input run plus one output page held by the bulk writer.
     let pool = BufferPool::new(disk, memory_pages.max(group.len() + 1));
-    let mut cursors: Vec<crate::buffer::RecordScan<'_>> =
-        group.iter().map(|r| pool.scan(r)).collect();
-    // Owned head record per run; linear min scan per output record. Fan-in is
-    // small enough that a tournament tree is not worth its complexity here.
-    let mut heads: Vec<Option<Vec<u8>>> = Vec::with_capacity(cursors.len());
+    let mut cursors: Vec<RecordScan<'_>> = group.iter().map(|r| pool.scan(r)).collect();
+    // Owned head record and its key per run; linear min scan per output
+    // record. Fan-in is small enough that a tournament tree is not worth its
+    // complexity here.
+    let mut heads: Vec<Option<(K, Vec<u8>)>> = Vec::with_capacity(cursors.len());
     for cur in &mut cursors {
-        heads.push(cur.next().transpose()?);
+        heads.push(read_head(cur)?);
     }
     let out = HeapFile::create(disk);
     let mut w = out.bulk_writer();
     loop {
-        let mut min_idx: Option<usize> = None;
+        let mut min: Option<(usize, &K)> = None;
         for (i, head) in heads.iter().enumerate() {
-            let Some(h) = head else { continue };
-            match min_idx {
-                None => min_idx = Some(i),
-                Some(m) => {
+            let Some((k, _)) = head else { continue };
+            min = match min {
+                None => Some((i, k)),
+                Some((m, mk)) => {
                     *comparisons += 1;
-                    if cmp(h, heads[m].as_deref().expect("min head present")) == Ordering::Less {
-                        min_idx = Some(i);
+                    if cmp(k, mk) == Ordering::Less {
+                        Some((i, k))
+                    } else {
+                        Some((m, mk))
                     }
                 }
-            }
+            };
         }
-        match min_idx {
-            None => break,
-            Some(i) => {
-                let rec = heads[i].take().expect("selected head present");
-                w.append(&rec)?;
-                heads[i] = cursors[i].next().transpose()?;
-            }
+        let Some((i, _)) = min else { break };
+        if let Some((_, rec)) = heads[i].take() {
+            w.append(&rec)?;
         }
+        heads[i] = read_head(&mut cursors[i])?;
     }
     w.finish()?;
     Ok(out)
@@ -307,13 +330,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
+    use std::sync::atomic::AtomicUsize;
 
-    fn key(rec: &[u8]) -> u32 {
-        u32::from_le_bytes(rec[..4].try_into().unwrap())
+    type Sorted = Result<(HeapFile, SortStats)>;
+
+    fn key(rec: &[u8]) -> Result<u32> {
+        Ok(u32::from_le_bytes(rec[..4].try_into().unwrap()))
     }
 
-    fn by_key(a: &[u8], b: &[u8]) -> Ordering {
-        key(a).cmp(&key(b))
+    fn by_key(a: &u32, b: &u32) -> Ordering {
+        a.cmp(b)
     }
 
     fn load_numbers(disk: &SimDisk, nums: &[u32]) -> HeapFile {
@@ -322,16 +349,266 @@ mod tests {
         f
     }
 
-    fn read_all(disk: &SimDisk, f: &HeapFile) -> Vec<u32> {
+    fn read_records(disk: &SimDisk, f: &HeapFile) -> Vec<Vec<u8>> {
         let pool = BufferPool::new(disk, 4);
-        pool.scan(f).map(|r| key(&r.unwrap())).collect()
+        pool.scan(f).map(|r| r.unwrap()).collect()
+    }
+
+    fn read_all(disk: &SimDisk, f: &HeapFile) -> Vec<u32> {
+        read_records(disk, f).iter().map(|r| key(r).unwrap()).collect()
+    }
+
+    /// The sort as it was before keyed extraction: a comparator over raw
+    /// record bytes that decodes both records on every comparison. Kept only
+    /// as the reference the keyed sort must reproduce bit for bit.
+    mod reference {
+        use super::super::*;
+
+        pub(super) fn sort_stream<I, F>(
+            disk: &SimDisk,
+            records: I,
+            memory_pages: usize,
+            mut cmp: F,
+        ) -> Result<(HeapFile, SortStats)>
+        where
+            I: Iterator<Item = Result<Vec<u8>>>,
+            F: FnMut(&[u8], &[u8]) -> Ordering,
+        {
+            let memory_pages = memory_pages.max(2);
+            let budget_bytes = memory_pages * disk.page_size();
+            let mut comparisons: u64 = 0;
+            let mut runs: Vec<HeapFile> = Vec::new();
+            let mut batch: Vec<Vec<u8>> = Vec::new();
+            let mut batch_bytes = 0usize;
+            let mut flush = |batch: &mut Vec<Vec<u8>>, comparisons: &mut u64| -> Result<HeapFile> {
+                batch.sort_by(|a, b| {
+                    *comparisons += 1;
+                    cmp(a, b)
+                });
+                let run = HeapFile::create(disk);
+                run.load(batch.iter())?;
+                batch.clear();
+                Ok(run)
+            };
+            for rec in records {
+                let rec = rec?;
+                batch_bytes += rec.len();
+                batch.push(rec);
+                if batch_bytes >= budget_bytes {
+                    runs.push(flush(&mut batch, &mut comparisons)?);
+                    batch_bytes = 0;
+                }
+            }
+            if !batch.is_empty() {
+                runs.push(flush(&mut batch, &mut comparisons)?);
+            }
+            let initial_runs = runs.len();
+            if runs.is_empty() {
+                return Ok((
+                    HeapFile::create(disk),
+                    SortStats { initial_runs: 0, merge_passes: 0, comparisons },
+                ));
+            }
+            let fan_in = (memory_pages - 1).max(2);
+            let mut merge_passes = 0usize;
+            while runs.len() > 1 {
+                merge_passes += 1;
+                let mut next: Vec<HeapFile> = Vec::new();
+                for group in runs.chunks(fan_in) {
+                    next.push(merge_group(disk, group, memory_pages, &mut cmp, &mut comparisons)?);
+                }
+                runs = next;
+            }
+            let sorted = runs.pop().unwrap();
+            Ok((sorted, SortStats { initial_runs, merge_passes, comparisons }))
+        }
+
+        fn merge_group<F>(
+            disk: &SimDisk,
+            group: &[HeapFile],
+            memory_pages: usize,
+            cmp: &mut F,
+            comparisons: &mut u64,
+        ) -> Result<HeapFile>
+        where
+            F: FnMut(&[u8], &[u8]) -> Ordering,
+        {
+            if group.len() == 1 {
+                return Ok(group[0].clone());
+            }
+            let pool = BufferPool::new(disk, memory_pages.max(group.len() + 1));
+            let mut cursors: Vec<RecordScan<'_>> = group.iter().map(|r| pool.scan(r)).collect();
+            let mut heads: Vec<Option<Vec<u8>>> = Vec::with_capacity(cursors.len());
+            for cur in &mut cursors {
+                heads.push(cur.next().transpose()?);
+            }
+            let out = HeapFile::create(disk);
+            let mut w = out.bulk_writer();
+            loop {
+                let mut min_idx: Option<usize> = None;
+                for (i, head) in heads.iter().enumerate() {
+                    let Some(h) = head else { continue };
+                    match min_idx {
+                        None => min_idx = Some(i),
+                        Some(m) => {
+                            *comparisons += 1;
+                            if cmp(h, heads[m].as_deref().unwrap()) == Ordering::Less {
+                                min_idx = Some(i);
+                            }
+                        }
+                    }
+                }
+                let Some(i) = min_idx else { break };
+                w.append(&heads[i].take().unwrap())?;
+                heads[i] = cursors[i].next().transpose()?;
+            }
+            w.finish()?;
+            Ok(out)
+        }
+    }
+
+    /// The reference's comparator: decodes both keys on every call.
+    fn by_bytes(a: &[u8], b: &[u8]) -> Ordering {
+        by_key(&key(a).unwrap(), &key(b).unwrap())
+    }
+
+    /// Variable-length records with heavily duplicated keys: the payload
+    /// after the key is unique, so any difference in how ties land (run
+    /// contents, merge picks) shows in the output bytes.
+    fn tie_heavy_records(n: u32) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                let mut rec = ((i * 7919) % 97).to_le_bytes().to_vec();
+                rec.extend_from_slice(&i.to_le_bytes());
+                rec.resize(rec.len() + (i % 13) as usize, 0xAB);
+                rec
+            })
+            .collect()
+    }
+
+    #[test]
+    fn keyed_sort_is_bit_identical_to_byte_comparator_reference() {
+        // (records, memory pages, expected merge passes): one run, one merge
+        // pass (memory above the square root of the file), and many passes.
+        for (n, mem, passes) in [(300, 64, 0..=0), (2000, 16, 1..=1), (2000, 2, 2..=usize::MAX)] {
+            let records = tie_heavy_records(n);
+
+            // Table-fed: reference vs serial and parallel keyed sorts.
+            let run_table = |sort: &dyn Fn(&SimDisk, &HeapFile) -> Sorted| {
+                let disk = SimDisk::new(128);
+                let f = HeapFile::create(&disk);
+                f.load(records.iter()).unwrap();
+                disk.reset_io();
+                let (sorted, stats) = sort(&disk, &f).unwrap();
+                let io = disk.io();
+                (read_records(&disk, &sorted), stats, io)
+            };
+            let want = run_table(&|disk, f| {
+                reference::sort_stream(disk, BufferPool::new(disk, 1).scan(f), mem, by_bytes)
+            });
+            assert!(passes.contains(&want.1.merge_passes), "case n={n} mem={mem}: {:?}", want.1);
+            let mut sorted_keys: Vec<u32> = want.0.iter().map(|r| key(r).unwrap()).collect();
+            let before = sorted_keys.clone();
+            sorted_keys.sort();
+            assert_eq!(before, sorted_keys, "reference output is sorted");
+
+            let got = run_table(&|disk, f| external_sort(disk, f, mem, key, by_key));
+            assert_eq!(got, want, "serial keyed sort diverges: n={n} mem={mem}");
+            for threads in [2usize, 4] {
+                let got = run_table(&|disk, f| {
+                    external_sort_parallel(disk, f, mem, threads, key, by_key)
+                });
+                assert_eq!(got, want, "parallel keyed sort diverges: n={n} threads={threads}");
+            }
+
+            // Record-fed: reference vs keyed, both fed the same stream.
+            let run_records = |sort: &dyn Fn(&SimDisk) -> Sorted| {
+                let disk = SimDisk::new(128);
+                let (sorted, stats) = sort(&disk).unwrap();
+                let io = disk.io();
+                (read_records(&disk, &sorted), stats, io)
+            };
+            let want_rec = run_records(&|disk| {
+                reference::sort_stream(disk, records.iter().cloned().map(Ok), mem, by_bytes)
+            });
+            let got_rec = run_records(&|disk| {
+                external_sort_records(disk, records.iter().cloned(), mem, key, by_key)
+            });
+            assert_eq!(got_rec, want_rec, "record-fed keyed sort diverges: n={n} mem={mem}");
+            assert_eq!((&got_rec.0, got_rec.1), (&want.0, want.1), "same output as table-fed");
+        }
+    }
+
+    #[test]
+    fn corrupt_sort_key_is_a_typed_error_on_every_path() {
+        // One record's key fails to decode: every entry point returns that
+        // error instead of panicking, wherever the record falls.
+        let nums: Vec<u32> = (0..1000).map(|i| (i * 7919) % 1000).collect();
+        let strict = |rec: &[u8]| -> Result<u32> {
+            match key(rec)? {
+                13 => Err(StorageError::Corrupt("undecodable sort key".into())),
+                k => Ok(k),
+            }
+        };
+        let is_key_error =
+            |r: Sorted| matches!(r, Err(StorageError::Corrupt(m)) if m == "undecodable sort key");
+        for mem in [2usize, 64] {
+            let disk = SimDisk::new(128);
+            let f = load_numbers(&disk, &nums);
+            assert!(is_key_error(external_sort(&disk, &f, mem, strict, by_key)), "serial");
+            for threads in [2usize, 4] {
+                let r = external_sort_parallel(&disk, &f, mem, threads, strict, by_key);
+                assert!(is_key_error(r), "parallel, threads={threads}");
+            }
+            let records = nums.iter().map(|n| n.to_le_bytes().to_vec());
+            assert!(is_key_error(external_sort_records(&disk, records, mem, strict, by_key)));
+        }
+
+        // A key that decodes on input but not when a merge pass re-reads
+        // the record (a run page corrupted after it was written).
+        let disk = SimDisk::new(128);
+        let f = load_numbers(&disk, &nums);
+        let reads = AtomicUsize::new(0);
+        let fails_on_reread = |rec: &[u8]| {
+            if reads.fetch_add(1, atomic::Ordering::Relaxed) >= nums.len() {
+                return Err(StorageError::Corrupt("undecodable sort key".into()));
+            }
+            key(rec)
+        };
+        assert!(is_key_error(external_sort(&disk, &f, 2, fails_on_reread, by_key)), "merge");
+    }
+
+    #[test]
+    fn key_is_extracted_once_per_record_read() {
+        let nums: Vec<u32> = (0..1000).map(|i| (i * 7919) % 1000).collect();
+        let n = nums.len();
+        let calls = AtomicUsize::new(0);
+        let counting = |rec: &[u8]| {
+            calls.fetch_add(1, atomic::Ordering::Relaxed);
+            key(rec)
+        };
+        let disk = SimDisk::new(128);
+        let f = load_numbers(&disk, &nums);
+
+        // One run: each record is keyed once, on input.
+        let (_, stats) = external_sort(&disk, &f, 64, counting, by_key).unwrap();
+        assert_eq!(stats.merge_passes, 0);
+        assert_eq!(calls.swap(0, atomic::Ordering::Relaxed), n);
+
+        // Many passes: once on input, then at most once per merge pass (a
+        // run left alone in its merge group is carried over unread).
+        let (sorted, stats) = external_sort(&disk, &f, 3, counting, by_key).unwrap();
+        assert_eq!(read_all(&disk, &sorted).len(), n);
+        assert!(stats.merge_passes >= 2, "{stats:?}");
+        let got = calls.load(atomic::Ordering::Relaxed);
+        assert!(got > n && got <= n * (1 + stats.merge_passes), "{got} key calls");
     }
 
     #[test]
     fn sorts_small_input_in_memory() {
         let disk = SimDisk::new(128);
         let f = load_numbers(&disk, &[5, 3, 9, 1, 4]);
-        let (sorted, stats) = external_sort(&disk, &f, 8, by_key).unwrap();
+        let (sorted, stats) = external_sort(&disk, &f, 8, key, by_key).unwrap();
         assert_eq!(read_all(&disk, &sorted), vec![1, 3, 4, 5, 9]);
         assert_eq!(stats.initial_runs, 1);
         assert_eq!(stats.merge_passes, 0);
@@ -344,7 +621,7 @@ mod tests {
         // budget (~256 bytes, 64 records), 1000 records need many runs.
         let nums: Vec<u32> = (0..1000).map(|i| (i * 7919) % 1000).collect();
         let f = load_numbers(&disk, &nums);
-        let (sorted, stats) = external_sort(&disk, &f, 2, by_key).unwrap();
+        let (sorted, stats) = external_sort(&disk, &f, 2, key, by_key).unwrap();
         let mut expect = nums.clone();
         expect.sort();
         assert_eq!(read_all(&disk, &sorted), expect);
@@ -358,7 +635,7 @@ mod tests {
         let nums: Vec<u32> = (0..2000).rev().collect();
         let f = load_numbers(&disk, &nums);
         // Budget comfortably above sqrt of file size: a single merge pass.
-        let (sorted, stats) = external_sort(&disk, &f, 16, by_key).unwrap();
+        let (sorted, stats) = external_sort(&disk, &f, 16, key, by_key).unwrap();
         assert_eq!(read_all(&disk, &sorted)[..5], [0, 1, 2, 3, 4]);
         assert_eq!(stats.merge_passes, 1);
     }
@@ -367,12 +644,12 @@ mod tests {
     fn empty_and_singleton_inputs() {
         let disk = SimDisk::new(128);
         let empty = HeapFile::create(&disk);
-        let (sorted, stats) = external_sort(&disk, &empty, 4, by_key).unwrap();
+        let (sorted, stats) = external_sort(&disk, &empty, 4, key, by_key).unwrap();
         assert_eq!(sorted.num_records(), 0);
         assert_eq!(stats.initial_runs, 0);
 
         let single = load_numbers(&disk, &[42]);
-        let (sorted, _) = external_sort(&disk, &single, 4, by_key).unwrap();
+        let (sorted, _) = external_sort(&disk, &single, 4, key, by_key).unwrap();
         assert_eq!(read_all(&disk, &sorted), vec![42]);
     }
 
@@ -380,7 +657,7 @@ mod tests {
     fn duplicate_keys_survive() {
         let disk = SimDisk::new(128);
         let f = load_numbers(&disk, &[3, 1, 3, 1, 3]);
-        let (sorted, _) = external_sort(&disk, &f, 2, by_key).unwrap();
+        let (sorted, _) = external_sort(&disk, &f, 2, key, by_key).unwrap();
         assert_eq!(read_all(&disk, &sorted), vec![1, 1, 3, 3, 3]);
     }
 
@@ -392,7 +669,8 @@ mod tests {
         let serial_disk = SimDisk::new(128);
         let f = load_numbers(&serial_disk, &nums);
         serial_disk.reset_io();
-        let (serial_sorted, serial_stats) = external_sort(&serial_disk, &f, 4, by_key).unwrap();
+        let (serial_sorted, serial_stats) =
+            external_sort(&serial_disk, &f, 4, key, by_key).unwrap();
         let serial_io = serial_disk.io();
         let serial_out = read_all(&serial_disk, &serial_sorted);
 
@@ -400,7 +678,8 @@ mod tests {
             let disk = SimDisk::new(128);
             let f = load_numbers(&disk, &nums);
             disk.reset_io();
-            let (sorted, stats) = external_sort_parallel(&disk, &f, 4, threads, by_key).unwrap();
+            let (sorted, stats) =
+                external_sort_parallel(&disk, &f, 4, threads, key, by_key).unwrap();
             let io = disk.io();
             assert_eq!(stats, serial_stats, "stats diverge at threads={threads}");
             assert_eq!(io, serial_io, "I/O counters diverge at threads={threads}");
@@ -416,12 +695,12 @@ mod tests {
     fn parallel_sort_handles_empty_and_tiny_inputs() {
         let disk = SimDisk::new(128);
         let empty = HeapFile::create(&disk);
-        let (sorted, stats) = external_sort_parallel(&disk, &empty, 4, 4, by_key).unwrap();
+        let (sorted, stats) = external_sort_parallel(&disk, &empty, 4, 4, key, by_key).unwrap();
         assert_eq!(sorted.num_records(), 0);
         assert_eq!(stats.initial_runs, 0);
 
         let single = load_numbers(&disk, &[9, 4]);
-        let (sorted, _) = external_sort_parallel(&disk, &single, 4, 8, by_key).unwrap();
+        let (sorted, _) = external_sort_parallel(&disk, &single, 4, 8, key, by_key).unwrap();
         assert_eq!(read_all(&disk, &sorted), vec![4, 9]);
     }
 
@@ -435,13 +714,14 @@ mod tests {
         let f = load_numbers(&table_disk, &nums);
         let input_pages = f.num_pages();
         table_disk.reset_io();
-        let (table_sorted, table_stats) = external_sort(&table_disk, &f, 3, by_key).unwrap();
+        let (table_sorted, table_stats) = external_sort(&table_disk, &f, 3, key, by_key).unwrap();
         let table_io = table_disk.io();
 
         let rec_disk = SimDisk::new(128);
         rec_disk.reset_io();
         let records: Vec<Vec<u8>> = nums.iter().map(|n| n.to_le_bytes().to_vec()).collect();
-        let (rec_sorted, rec_stats) = external_sort_records(&rec_disk, records, 3, by_key).unwrap();
+        let (rec_sorted, rec_stats) =
+            external_sort_records(&rec_disk, records, 3, key, by_key).unwrap();
         let rec_io = rec_disk.io();
 
         assert_eq!(rec_stats, table_stats, "same batches, same runs, same comparisons");
@@ -457,7 +737,7 @@ mod tests {
         let f = load_numbers(&disk, &nums);
         let input_pages = f.num_pages();
         disk.reset_io();
-        let (_, stats) = external_sort(&disk, &f, 16, by_key).unwrap();
+        let (_, stats) = external_sort(&disk, &f, 16, key, by_key).unwrap();
         let io = disk.io();
         // Each pass reads and writes roughly the whole file.
         let passes = 1 + stats.merge_passes as u64;

@@ -4,9 +4,11 @@
 //! vendors the subset of criterion 0.5 its benches use: `Criterion`,
 //! `BenchmarkGroup`, `BenchmarkId`, `Bencher::iter`, `black_box`, and the
 //! `criterion_group!`/`criterion_main!` macros. Instead of criterion's
-//! statistical machinery it times a fixed number of iterations per benchmark
-//! and prints mean wall-clock time — enough to compare runs by eye and to
-//! keep `cargo bench` working offline.
+//! statistical machinery it times a fixed number of samples per benchmark
+//! (each a batch of calls long enough to dwarf the clock's overhead) and
+//! prints the median time per call with the fastest and slowest sample —
+//! enough to compare runs, spread included, and to keep `cargo bench`
+//! working offline.
 
 #![forbid(unsafe_code)]
 
@@ -34,19 +36,46 @@ impl BenchmarkId {
 /// Per-benchmark timing driver.
 pub struct Bencher {
     samples: usize,
-    mean: Duration,
+    /// Calls per sample.
+    iters: u32,
+    /// Time per call of each sample, sorted ascending.
+    per_iter: Vec<Duration>,
 }
 
+/// A sample is at least this long, so `Instant` overhead stays negligible
+/// even for nanosecond routines.
+const MIN_SAMPLE: Duration = Duration::from_millis(1);
+
 impl Bencher {
-    /// Times `samples` calls of `routine` and records the mean.
+    /// Times `samples` batches of calls of `routine` and records the time
+    /// per call of each batch.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // One untimed warm-up call.
-        black_box(routine());
+        // Untimed warm-up for one sample's length, which also sizes the
+        // batches: a sample makes as many calls as the warm-up managed.
         let start = Instant::now();
-        for _ in 0..self.samples {
+        self.iters = 0;
+        while self.iters == 0 || start.elapsed() < MIN_SAMPLE {
             black_box(routine());
+            self.iters += 1;
         }
-        self.mean = start.elapsed() / self.samples as u32;
+        self.per_iter = (0..self.samples)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..self.iters {
+                    black_box(routine());
+                }
+                start.elapsed() / self.iters
+            })
+            .collect();
+        self.per_iter.sort();
+    }
+
+    /// Median, fastest and slowest time per call (zero before `iter` ran).
+    fn summary(&self) -> (Duration, Duration, Duration) {
+        match (self.per_iter.first(), self.per_iter.last()) {
+            (Some(&min), Some(&max)) => (self.per_iter[self.per_iter.len() / 2], min, max),
+            _ => (Duration::ZERO, Duration::ZERO, Duration::ZERO),
+        }
     }
 }
 
@@ -58,9 +87,13 @@ pub struct Criterion {
 }
 
 fn run_one(label: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
-    let mut b = Bencher { samples: samples.max(1), mean: Duration::ZERO };
+    let mut b = Bencher { samples: samples.max(1), iters: 0, per_iter: Vec::new() };
     f(&mut b);
-    println!("bench {label:<40} {:>12.3?} /iter ({} iters)", b.mean, b.samples);
+    let (median, min, max) = b.summary();
+    println!(
+        "bench {label:<40} {median:>12.3?} /iter median (min {min:.3?}, max {max:.3?}; {} samples x {} iters)",
+        b.samples, b.iters
+    );
 }
 
 impl Criterion {
@@ -110,7 +143,7 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Sets the iteration count per benchmark.
+    /// Sets the sample count per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n;
         self
@@ -180,6 +213,18 @@ mod tests {
     }
 
     criterion_group!(benches, squares);
+
+    #[test]
+    fn summary_is_median_min_max_per_call() {
+        let mut b = Bencher { samples: 5, iters: 0, per_iter: Vec::new() };
+        assert_eq!(b.summary(), (Duration::ZERO, Duration::ZERO, Duration::ZERO));
+        b.iter(|| std::thread::sleep(Duration::from_micros(50)));
+        assert_eq!(b.per_iter.len(), 5);
+        assert!(b.iters >= 1);
+        let (median, min, max) = b.summary();
+        assert!(min <= median && median <= max);
+        assert!(min >= Duration::from_micros(50), "per-call, not per-batch: {min:?}");
+    }
 
     #[test]
     fn group_and_macros_run() {
