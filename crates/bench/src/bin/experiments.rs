@@ -675,7 +675,7 @@ fn ablation_dangling(args: &Args) {
 
 fn ablation_agg_degree(args: &Args) {
     use fuzzy_engine::plan::{AggDegree, UnnestPlan};
-    use fuzzy_engine::{build_plan, Executor};
+    use fuzzy_engine::{build_plan, verify_plan, Executor};
     println!("## Ablation — aggregate-result degree D(A(r)) (Section 6 notes the");
     println!("   alternative of average membership degrees; Fuzzy SQL fixes 1)\n");
     let n = 4000 / args.scale.max(1);
@@ -689,6 +689,12 @@ fn ablation_agg_degree(args: &Args) {
     let mut run_with = |deg: AggDegree| {
         if let UnnestPlan::Agg(p) = &mut plan {
             p.agg_degree = deg;
+        }
+        // The edited plan never passes through `Engine::plan_for`, so it
+        // is verified here before the executor runs it.
+        let report = verify_plan(&plan, &paper_config(), None);
+        if let Some(v) = report.violations.first() {
+            panic!("edited plan {} fails verification: {v}", report.plan_label);
         }
         let mut ex = Executor::new(&disk, paper_config());
         let answer = ex.run(&plan).unwrap();
@@ -768,7 +774,7 @@ fn ablation_join_order(args: &Args) {
             reorder,
             out.measurement.io.reads,
             out.measurement.io.writes,
-            out.exec_stats.pairs_examined,
+            out.metrics.totals().pairs_examined,
             out.answer.len()
         );
     }
@@ -810,8 +816,8 @@ fn ablation_threshold(args: &Args) {
                 "{:>6} {:>10} {:>12} {:>12} {:>8}",
                 z,
                 pushdown,
-                out.exec_stats.pairs_examined,
-                out.exec_stats.sort_comparisons,
+                out.metrics.totals().pairs_examined,
+                out.metrics.totals().sort_comparisons,
                 out.answer.len()
             );
         }
@@ -863,7 +869,7 @@ fn ablation_join_method(args: &Args) {
                 out.measurement.io.reads,
                 out.measurement.io.writes,
                 out.measurement.cpu.as_secs_f64() * 1e3,
-                out.exec_stats.pairs_examined,
+                out.metrics.totals().pairs_examined,
                 out.answer.len()
             );
         }
@@ -902,7 +908,7 @@ fn ablation_materialized(args: &Args, model: &CostModel) {
             label,
             out.measurement.io.reads,
             out.measurement.io.writes,
-            out.exec_stats.pairs_examined,
+            out.metrics.totals().pairs_examined,
             out.response_time(model).as_secs_f64()
         );
     }

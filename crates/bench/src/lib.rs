@@ -10,7 +10,7 @@
 #![warn(missing_docs)]
 
 use fuzzy_engine::exec::ExecConfig;
-use fuzzy_engine::{Engine, Strategy};
+use fuzzy_engine::{Engine, OpKind, Strategy};
 use fuzzy_rel::Catalog;
 use fuzzy_storage::{CostModel, IoSnapshot, SimDisk};
 use fuzzy_workload::{generate, WorkloadSpec};
@@ -97,14 +97,16 @@ pub fn run_leg_sql(
     disk.reset_io();
     let engine = Engine::over(catalog.clone().into(), disk).with_config(config);
     let out = engine.run_sql(sql, strategy).expect("experiment query");
+    let sorts = out.metrics.ops().iter().filter(|n| n.kind == OpKind::Sort);
+    let totals = out.metrics.totals();
     Leg {
         io: out.measurement.io,
         cpu: out.measurement.cpu,
-        sort_cpu: out.exec_stats.sort_cpu,
-        sort_io: out.exec_stats.sort_reads + out.exec_stats.sort_writes,
-        pairs: out.exec_stats.pairs_examined,
+        sort_cpu: sorts.clone().map(|n| n.wall).sum(),
+        sort_io: sorts.map(|n| n.metrics.page_reads + n.metrics.page_writes).sum(),
+        pairs: totals.pairs_examined,
         answer_rows: out.answer.len() as u64,
-        max_window: out.exec_stats.max_window,
+        max_window: totals.max_window,
     }
 }
 

@@ -8,7 +8,7 @@
 //! snapshot and bumps the catalog version, which invalidates cached plans.
 
 use crate::error::{EngineError, Result};
-use crate::exec::{ExecConfig, ExecStats, Executor};
+use crate::exec::{ExecConfig, Executor};
 use crate::metrics::{OpKind, QueryMetrics, ServingCounters, ServingInfo};
 use crate::naive::NaiveEvaluator;
 use crate::plan_cache::{PlanCache, Planned};
@@ -45,9 +45,6 @@ pub struct QueryOutcome {
     pub answer: Relation,
     /// I/O counters and CPU time of the execution.
     pub measurement: Measurement,
-    /// Executor counters (pair examinations, sort comparisons) where
-    /// applicable — a summary derived from [`QueryOutcome::metrics`].
-    pub exec_stats: ExecStats,
     /// The per-operator metrics registry of the run (tuples in/out, fuzzy
     /// comparisons, buffer and I/O counters, wall time per operator).
     pub metrics: QueryMetrics,
@@ -91,15 +88,6 @@ impl Engine {
             serving: None,
             lock_wait: std::time::Duration::ZERO,
         }
-    }
-
-    /// Creates an engine from a borrowed catalog by cloning it into an
-    /// owned snapshot. Shim for pre-serving code paths; new code should take
-    /// an engine from `Database::engine()`/`Session::engine()` or call
-    /// [`Engine::over`] with a shared snapshot.
-    #[deprecated(note = "use Database::engine()/Session::engine() or Engine::over")]
-    pub fn new(catalog: &Catalog, disk: &SimDisk) -> Engine {
-        Engine::over(Arc::new(catalog.clone()), disk)
     }
 
     /// Attaches a shared statistics registry; histograms are built lazily
@@ -162,53 +150,33 @@ impl Engine {
     }
 
     /// Runs a parsed query with the given strategy.
-    ///
-    /// Every page allocated while the statement runs is a temporary — sort
-    /// runs, partition scratch, materialized intermediates; base tables are
-    /// loaded outside statement execution — so all of them are returned to
-    /// the disk's free list at statement end (on the error path too).
-    /// Repeated statements therefore cannot grow the simulated disk. When
-    /// statements from concurrent sessions overlap, the disk's scoped log
-    /// defers reclamation to the last statement to finish, so one session
-    /// never frees a temporary another is still reading.
     pub fn run(&self, q: &fuzzy_sql::Query, strategy: Strategy) -> Result<QueryOutcome> {
-        self.disk.begin_alloc_log();
-        let result = self.run_query(q, strategy);
-        for page in self.disk.take_alloc_log() {
-            self.disk.free_page(page);
-        }
-        result
+        self.reclaiming_temps(|| self.run_query(q, strategy))
     }
 
-    /// Consults the plan cache (when attached) for the unnested plan of `q`,
-    /// building, verifying, and inserting on a miss. Returns the planned
-    /// form plus the cache annotation for the outcome's [`ServingInfo`].
+    /// Plans `q` for [`Strategy::Unnest`]: consults the plan cache (when
+    /// attached), and otherwise builds the plan, verifies it, and records it
+    /// in the cache. This is the engine's single verification site — every
+    /// plan it builds is statically verified, in every build profile,
+    /// before anything runs it; cache hits and prepared replays run the
+    /// plan with zero re-verification. Returns the planned form plus the
+    /// cache annotation for the outcome's [`ServingInfo`] (`cache_hit` stays
+    /// `None` without a cache).
     pub fn plan_for(&self, q: &fuzzy_sql::Query) -> Result<(Planned, ServingInfo)> {
-        let mut info = ServingInfo { lock_wait: self.lock_wait, ..ServingInfo::default() };
-        let cache = match &self.plan_cache {
-            Some(c) => c,
-            None => {
-                // No cache: plan from scratch; the executor's debug gate
-                // still verifies before running.
-                let planned = match build_plan(q, &self.catalog) {
-                    Ok(plan) => Planned::Plan(Arc::new(plan)),
-                    Err(EngineError::Unsupported(_)) => Planned::NaiveFallback,
-                    Err(e) => return Err(e),
-                };
+        let mut info = ServingInfo::default();
+        let cached = self
+            .plan_cache
+            .as_ref()
+            .map(|c| (c, PlanCache::key(q, &self.config), self.catalog.version()));
+        if let Some((cache, key, version)) = &cached {
+            if let Some(planned) = cache.lookup(key, *version) {
+                info.cache_hit = Some(true);
+                info.cache = cache.stats();
                 return Ok((planned, info));
             }
-        };
-        let key = PlanCache::key(q, &self.config);
-        let version = self.catalog.version();
-        if let Some((planned, _verified)) = cache.lookup(&key, version) {
-            info.cache_hit = Some(true);
-            info.cache = cache.stats();
-            return Ok((planned, info));
         }
         let planned = match build_plan(q, &self.catalog) {
             Ok(plan) => {
-                // Verify once at build time (in every build profile): cache
-                // hits then run the plan with zero re-verification.
                 info.plan_verifications = 1;
                 let report =
                     crate::verify::verify_plan(&plan, &self.config, self.statistics.as_deref());
@@ -224,9 +192,11 @@ impl Engine {
             Err(EngineError::Unsupported(_)) => Planned::NaiveFallback,
             Err(e) => return Err(e),
         };
-        cache.insert(key, version, planned.clone(), true);
-        info.cache_hit = Some(false);
-        info.cache = cache.stats();
+        if let Some((cache, key, version)) = cached {
+            cache.insert(key, version, planned.clone());
+            info.cache_hit = Some(false);
+            info.cache = cache.stats();
+        }
         Ok((planned, info))
     }
 
@@ -236,11 +206,27 @@ impl Engine {
         &self,
         q: &fuzzy_sql::Query,
         planned: &Planned,
-        mut info: ServingInfo,
+        info: ServingInfo,
+    ) -> Result<QueryOutcome> {
+        self.reclaiming_temps(|| self.run_unnest_planned(q, planned, info))
+    }
+
+    /// Runs one statement inside the disk's alloc-log scope.
+    ///
+    /// Every page allocated while the statement runs is a temporary — sort
+    /// runs, partition scratch, materialized intermediates; base tables are
+    /// loaded outside statement execution — so all of them are returned to
+    /// the disk's free list at statement end (on the error path too).
+    /// Repeated statements therefore cannot grow the simulated disk. When
+    /// statements from concurrent sessions overlap, the disk's scoped log
+    /// defers reclamation to the last statement to finish, so one session
+    /// never frees a temporary another is still reading.
+    fn reclaiming_temps(
+        &self,
+        body: impl FnOnce() -> Result<QueryOutcome>,
     ) -> Result<QueryOutcome> {
         self.disk.begin_alloc_log();
-        info.lock_wait = self.lock_wait;
-        let result = self.run_unnest_planned(q, planned, info);
+        let result = body();
         for page in self.disk.take_alloc_log() {
             self.disk.free_page(page);
         }
@@ -253,57 +239,22 @@ impl Engine {
                 let (planned, info) = self.plan_for(q)?;
                 self.run_unnest_planned(q, &planned, info)
             }
-            Strategy::Naive => {
-                let io_before = self.disk.io();
-                let start = Instant::now();
+            Strategy::Naive => self.measured(q, ServingInfo::default(), || {
                 let (answer, metrics) = self.run_naive_metered(q)?;
-                self.finish_outcome(
-                    q,
-                    answer,
-                    ExecStats::default(),
-                    metrics,
-                    "naive".to_string(),
-                    ServingInfo::default(),
-                    start,
-                    io_before,
-                )
-            }
-            Strategy::NestedLoop => {
-                let io_before = self.disk.io();
-                let start = Instant::now();
+                Ok((answer, metrics, "naive".to_string()))
+            }),
+            Strategy::NestedLoop => self.measured(q, ServingInfo::default(), || {
                 let plan = build_plan(q, &self.catalog)?;
                 let mut ex = Executor::new(&self.disk, self.config);
                 let answer = ex.run_baseline(&plan)?;
-                let (stats, metrics) = (ex.stats(), ex.take_metrics());
-                self.finish_outcome(
-                    q,
-                    answer,
-                    stats,
-                    metrics,
-                    format!("nested-loop:{}", plan.label()),
-                    ServingInfo::default(),
-                    start,
-                    io_before,
-                )
-            }
-            Strategy::MaterializedNestedLoop => {
-                let io_before = self.disk.io();
-                let start = Instant::now();
+                Ok((answer, ex.take_metrics(), format!("nested-loop:{}", plan.label())))
+            }),
+            Strategy::MaterializedNestedLoop => self.measured(q, ServingInfo::default(), || {
                 let plan = build_plan(q, &self.catalog)?;
                 let mut ex = Executor::new(&self.disk, self.config);
                 let answer = ex.run_baseline_materialized(&plan)?;
-                let (stats, metrics) = (ex.stats(), ex.take_metrics());
-                self.finish_outcome(
-                    q,
-                    answer,
-                    stats,
-                    metrics,
-                    format!("materialized-nl:{}", plan.label()),
-                    ServingInfo::default(),
-                    start,
-                    io_before,
-                )
-            }
+                Ok((answer, ex.take_metrics(), format!("materialized-nl:{}", plan.label())))
+            }),
         }
     }
 
@@ -314,46 +265,34 @@ impl Engine {
         planned: &Planned,
         info: ServingInfo,
     ) -> Result<QueryOutcome> {
-        let io_before = self.disk.io();
-        let start = Instant::now();
-        let (answer, exec_stats, metrics, plan_label) = match planned {
+        self.measured(q, info, || match planned {
             Planned::Plan(plan) => {
                 let mut ex = Executor::new(&self.disk, self.config);
                 if let Some(stats) = &self.statistics {
                     ex = ex.with_statistics(stats.clone());
                 }
-                // A cached or freshly cached plan was verified when built;
-                // an uncached plan keeps the executor's own debug gate.
-                let answer = if info.cache_hit.is_some() {
-                    ex.run_preverified(plan)?
-                } else {
-                    ex.run(plan)?
-                };
-                (answer, ex.stats(), ex.take_metrics(), format!("unnest:{}", plan.label()))
+                let answer = ex.run(plan)?;
+                Ok((answer, ex.take_metrics(), format!("unnest:{}", plan.label())))
             }
             Planned::NaiveFallback => {
                 let (answer, metrics) = self.run_naive_metered(q)?;
-                (answer, ExecStats::default(), metrics, "naive-fallback".to_string())
+                Ok((answer, metrics, "naive-fallback".to_string()))
             }
-        };
-        self.finish_outcome(q, answer, exec_stats, metrics, plan_label, info, start, io_before)
+        })
     }
 
-    /// Applies the presentation steps (session default threshold, ORDER BY,
-    /// LIMIT) and assembles the outcome.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_outcome(
+    /// Measures `evaluate` (wall time and disk I/O), applies the
+    /// presentation steps (session default threshold, ORDER BY, LIMIT) to
+    /// the answer it returns, and assembles the outcome.
+    fn measured(
         &self,
         q: &fuzzy_sql::Query,
-        answer: Relation,
-        exec_stats: ExecStats,
-        metrics: QueryMetrics,
-        plan_label: String,
         mut serving: ServingInfo,
-        start: Instant,
-        io_before: IoSnapshot,
+        evaluate: impl FnOnce() -> Result<(Relation, QueryMetrics, String)>,
     ) -> Result<QueryOutcome> {
-        let mut answer = answer;
+        let io_before = self.disk.io();
+        let start = Instant::now();
+        let (mut answer, metrics, plan_label) = evaluate()?;
         // The session-level `WITH D > z` default applies only when the
         // statement carries no explicit threshold, and before presentation
         // (ORDER BY / LIMIT see the thresholded answer). It is a pure filter
@@ -386,7 +325,6 @@ impl Engine {
         Ok(QueryOutcome {
             answer,
             measurement: Measurement { io, cpu },
-            exec_stats,
             metrics,
             serving,
             plan_label,

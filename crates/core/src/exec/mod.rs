@@ -1,4 +1,4 @@
-//! Physical execution of unnested plans: a streaming operator pipeline.
+//! Physical execution of unnested plans: an operator-at-a-time tree.
 //!
 //! A logical [`UnnestPlan`] is first *lowered* (`lower`) into an explicit
 //! tree of physical operators — one module per operator:
@@ -19,19 +19,19 @@
 //!   evaluation to a method and an output sink;
 //! * `output` — fuzzy-OR dedup plus the final `WITH D > z` threshold.
 //!
-//! Each operator implements the `op::PhysicalOp` contract
-//! (`open`/`next_batch`/`close`) and *carries* the physical-property
-//! declaration ([`crate::verify::PhysOp`]) the static verifier checks — the
-//! tree that is verified is the tree that runs. Chain joins pipeline
-//! left-deep: intermediate join output feeds the next sort boundary as
-//! in-memory rows (`op::Slot::Rows`) instead of a temp-table round trip,
-//! so simulated writes drop while answers and counters stay bit-identical
-//! (see DESIGN.md §11).
+//! Each operator implements the `op::PhysicalOp` contract — `open` runs the
+//! operator to completion and publishes its output slot — and *carries* the
+//! physical-property declaration ([`crate::verify::PhysOp`]) the static
+//! verifier checks, so the tree that is verified is the tree that runs.
+//! Chain joins pipeline left-deep: intermediate join output feeds the next
+//! sort boundary as in-memory rows (`op::Slot::Rows`) instead of a
+//! temp-table round trip, so simulated writes drop while answers and
+//! counters stay bit-identical (see DESIGN.md §11).
 //!
 //! Every operator registers itself in the executor's [`QueryMetrics`]
 //! registry and accumulates exact counters there (see [`crate::metrics`] for
-//! the determinism contract). The legacy [`ExecStats`] summary is *derived*
-//! from the registry by [`Executor::stats`].
+//! the determinism contract); the registry is the executor's only counter
+//! surface.
 
 use crate::error::Result;
 use crate::metrics::{OpKind, OperatorMetrics, QueryMetrics};
@@ -128,30 +128,6 @@ impl Default for ExecConfig {
     }
 }
 
-/// CPU-side counter summary, derived from the per-operator registry (I/O
-/// counts live on the simulated disk). Kept for experiment harnesses that
-/// need the paper's Table 3 breakdown without walking operators.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecStats {
-    /// Tuple pairs examined by join windows or nested loops.
-    pub pairs_examined: u64,
-    /// Comparisons performed by external sorting.
-    pub sort_comparisons: u64,
-    /// Initial runs generated across all sorts.
-    pub sort_runs: u64,
-    /// Wall-clock CPU time spent inside external sorts (Table 3's
-    /// sorting-share breakdown).
-    pub sort_cpu: std::time::Duration,
-    /// Physical reads issued by external sorts.
-    pub sort_reads: u64,
-    /// Physical writes issued by external sorts.
-    pub sort_writes: u64,
-    /// Largest merge window (`Rng(r)`) observed, in tuples. Section 3's
-    /// buffer-size assumption is that one outer page plus the pages of the
-    /// largest range fit in memory; this counter makes that checkable.
-    pub max_window: u64,
-}
-
 /// The outcome of evaluating one candidate join pair: its contribution degree
 /// (or `None`), how many value-level comparisons the evaluation cost, and
 /// whether a positive pair was discarded by a pushed-down threshold. Both the
@@ -225,25 +201,6 @@ impl Executor {
         std::mem::take(&mut self.metrics)
     }
 
-    /// The legacy counter summary, derived from the registry: pair counts and
-    /// the window maximum aggregate over every operator; sort comparisons,
-    /// runs, I/O, and CPU over the sort operators.
-    pub fn stats(&self) -> ExecStats {
-        let mut s = ExecStats::default();
-        for n in self.metrics.ops() {
-            s.pairs_examined += n.metrics.pairs_examined;
-            s.max_window = s.max_window.max(n.metrics.max_window);
-            if n.kind == OpKind::Sort {
-                s.sort_comparisons += n.metrics.sort_comparisons;
-                s.sort_runs += n.metrics.sort_runs;
-                s.sort_reads += n.metrics.page_reads;
-                s.sort_writes += n.metrics.page_writes;
-                s.sort_cpu += n.wall;
-            }
-        }
-        s
-    }
-
     /// Clears the registry for a fresh run.
     pub(crate) fn metrics_reset(&mut self) {
         self.metrics.reset();
@@ -289,29 +246,10 @@ impl Executor {
     /// plan to its physical operator tree and drives the tree to completion
     /// (see `op::drive`).
     ///
-    /// In debug builds the plan is statically verified first (see
-    /// [`crate::verify`]): a violation means a transformer or optimizer bug,
-    /// and refusing to run beats silently corrupting degrees. The verifier
-    /// checks the very operator declarations the instantiated tree carries.
+    /// The plan is not verified here: `Engine::plan_for` statically verifies
+    /// every plan it builds (see [`crate::verify`]), so a caller that builds
+    /// or edits a plan itself must run [`crate::verify::verify_plan`] first.
     pub fn run(&mut self, plan: &UnnestPlan) -> Result<Relation> {
-        #[cfg(debug_assertions)]
-        {
-            let report = crate::verify::verify_plan(plan, &self.config, self.statistics.as_deref());
-            if let Some(v) = report.violations.first() {
-                return Err(crate::error::EngineError::Verify(format!(
-                    "{v} ({} violation(s) in plan {})",
-                    report.violations.len(),
-                    report.plan_label
-                )));
-            }
-        }
-        self.run_preverified(plan)
-    }
-
-    /// [`Executor::run`] for a plan whose static verification is already
-    /// trusted — the plan-cache path: a hit replays a plan that was verified
-    /// when it was built, so even debug builds skip re-verification here.
-    pub fn run_preverified(&mut self, plan: &UnnestPlan) -> Result<Relation> {
         self.metrics_reset();
         let lowered = lower::lower(plan, &self.config, self.statistics.as_deref());
         let mut ops = lowered.instantiate();
@@ -420,7 +358,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(windows, vec![(0.0, vec![0.0]), (10.0, vec![9.0]), (20.0, vec![15.0]),]);
-        assert_eq!(ex.stats().pairs_examined, 3);
+        assert_eq!(ex.metrics().totals().pairs_examined, 3);
     }
 
     #[test]
@@ -522,7 +460,7 @@ mod tests {
         assert_eq!(ops[0].kind, OpKind::Sort);
         assert_eq!(ops[0].label, "sort R by #1");
         assert_eq!(ops[0].metrics.tuples_in, 2);
-        assert_eq!(ex.stats().sort_runs, ops[0].metrics.sort_runs);
+        assert_eq!(ex.metrics().totals().sort_runs, ops[0].metrics.sort_runs);
     }
 
     #[test]

@@ -1,21 +1,20 @@
-//! The physical-operator contract: `open` / `next_batch` / `close`.
+//! The physical-operator contract: `open`, in outline order.
 //!
 //! Every physical operator of a lowered plan implements [`PhysicalOp`]. The
 //! tree executes *operator-at-a-time*: `drive` opens the operators in
-//! topological order, and each `open` performs the operator's effectful work
-//! — scanning, sorting, joining — publishing its output into the operator's
-//! [`TreeState`] slot, where its consumers (whose indices come from the
-//! lowered [`crate::verify::Outline`]) pick it up. `next_batch` then streams
-//! the published output in bounded batches for consumers that pull tuples
-//! rather than whole slots; `close` releases the slot.
+//! topological (outline) order, and each `open` performs the operator's
+//! whole effectful work — scanning, sorting, joining — publishing its output
+//! into the operator's [`TreeState`] slot, where its consumers (whose indices
+//! come from the lowered [`crate::verify::Outline`]) pick it up. The root's
+//! slot holds the answer relation once the last `open` returns.
 //!
-//! Why not a pull-based (volcano) loop? Per-operator metric attribution: an
-//! operator's I/O and wall-time deltas are charged between its
-//! `Executor::begin_op` and `end_op` (see [`crate::metrics`] for the
-//! determinism contract), and interleaved pulls would charge one operator's
-//! page transfers to another. Sequencing the `open`s keeps every counter
-//! bit-identical to the pre-pipeline executor. Streaming *between* operators
-//! still happens where it matters — a pipelined join step publishes
+//! Why sequence the `open`s rather than interleave pulls (a volcano loop)?
+//! Per-operator metric attribution: an operator's I/O and wall-time deltas
+//! are charged between its `Executor::begin_op` and `end_op` (see
+//! [`crate::metrics`] for the determinism contract), and interleaved pulls
+//! would charge one operator's page transfers to another. Running each
+//! operator to completion keeps every counter exact. Intermediate results
+//! still skip the disk where it matters — a pipelined join step publishes
 //! [`Slot::Rows`] that the next sort boundary consumes without any temp-table
 //! round trip (see DESIGN.md §11).
 
@@ -25,12 +24,9 @@ use crate::verify::PhysOp;
 use fuzzy_core::{Degree, Value};
 use fuzzy_rel::{Relation, StoredTable, Tuple};
 
-/// Rows per [`PhysicalOp::next_batch`] batch — roughly a page of tuples.
-pub const BATCH_ROWS: usize = 256;
-
 /// What an operator has published into its [`TreeState`] slot.
 pub enum Slot {
-    /// Nothing yet (before `open`) or already consumed/closed.
+    /// Nothing yet (before `open`) or already consumed.
     Empty,
     /// A stored relation on the simulated disk (base table, filter output,
     /// sort output, or a materialized join intermediate).
@@ -49,24 +45,17 @@ pub enum Slot {
 /// lowered outline (operator `i` publishes into slot `i`).
 pub struct TreeState {
     slots: Vec<Slot>,
-    cursors: Vec<usize>,
 }
 
 impl TreeState {
     /// Empty state for a tree of `n` operators.
     pub fn new(n: usize) -> TreeState {
-        TreeState { slots: (0..n).map(|_| Slot::Empty).collect(), cursors: vec![0; n] }
+        TreeState { slots: (0..n).map(|_| Slot::Empty).collect() }
     }
 
     /// Publishes an operator's output.
     pub fn set(&mut self, i: usize, slot: Slot) {
         self.slots[i] = slot;
-    }
-
-    /// Clears a slot (the `close` default).
-    pub fn clear(&mut self, i: usize) {
-        self.slots[i] = Slot::Empty;
-        self.cursors[i] = 0;
     }
 
     /// Takes a slot wholesale, leaving it empty.
@@ -103,40 +92,15 @@ impl TreeState {
             ))),
         }
     }
-
-    /// Drains up to [`BATCH_ROWS`] tuples from slot `i`'s published output.
-    /// `None` once exhausted, or when the slot's output is handed over
-    /// by-slot instead (a [`Slot::Table`] is consumed zero-copy by its
-    /// single consumer, not re-streamed).
-    pub fn drain_batch(&mut self, i: usize) -> Option<Vec<Tuple>> {
-        let start = self.cursors[i];
-        let batch: Vec<Tuple> = match &self.slots[i] {
-            Slot::Rows(rows) => rows.iter().skip(start).take(BATCH_ROWS).cloned().collect(),
-            Slot::Answer(rows) => rows
-                .iter()
-                .skip(start)
-                .take(BATCH_ROWS)
-                .map(|(values, d)| Tuple::new(values.clone(), *d))
-                .collect(),
-            Slot::Done(rel) => rel.tuples().iter().skip(start).take(BATCH_ROWS).cloned().collect(),
-            Slot::Table(_) | Slot::Empty => return None,
-        };
-        if batch.is_empty() {
-            return None;
-        }
-        self.cursors[i] = start + batch.len();
-        Some(batch)
-    }
 }
 
 /// One physical operator of a lowered plan.
 ///
 /// The contract: `open` does the operator's effectful work and publishes its
-/// output into slot [`PhysicalOp::out_slot`]; `next_batch` streams that
-/// output in [`BATCH_ROWS`]-sized batches; `close` releases it. An operator
-/// must be able to report [`PhysicalOp::declared_properties`] — the verifier
-/// rejects trees containing undeclared operators (`V-OP-DECL`), and the
-/// declaration it checks is the very one the running operator carries.
+/// output into slot [`PhysicalOp::out_slot`]. An operator must be able to
+/// report [`PhysicalOp::declared_properties`] — the verifier rejects trees
+/// containing undeclared operators (`V-OP-DECL`), and the declaration it
+/// checks is the very one the running operator carries.
 pub trait PhysicalOp {
     /// The operator's property declaration (⪯-sort order, degree bound,
     /// binding provenance, dup-elimination), as verified by
@@ -150,23 +114,10 @@ pub trait PhysicalOp {
     /// output slot. Inputs are guaranteed open: `drive` opens in
     /// topological order.
     fn open(&mut self, ex: &mut Executor, state: &mut TreeState) -> Result<()>;
-
-    /// Streams the published output in bounded batches after `open`;
-    /// `None` when exhausted (or handed over by-slot, see
-    /// [`TreeState::drain_batch`]).
-    fn next_batch(&mut self, state: &mut TreeState) -> Option<Vec<Tuple>> {
-        state.drain_batch(self.out_slot())
-    }
-
-    /// Releases the operator's published output.
-    fn close(&mut self, state: &mut TreeState) {
-        state.clear(self.out_slot());
-    }
 }
 
 /// Drives an operator tree to completion: opens every operator in
-/// topological (outline) order, takes the root's answer relation, and closes
-/// the tree in reverse order.
+/// topological (outline) order and takes the root's answer relation.
 pub(crate) fn drive(
     ex: &mut Executor,
     ops: &mut [Box<dyn PhysicalOp>],
@@ -175,13 +126,8 @@ pub(crate) fn drive(
     for op in ops.iter_mut() {
         op.open(ex, state)?;
     }
-    let root = match ops.last() {
-        Some(root) => root.out_slot(),
-        None => return Err(EngineError::Unsupported("empty FROM".into())),
-    };
-    let result = state.take_done(root);
-    for op in ops.iter_mut().rev() {
-        op.close(state);
+    match ops.last() {
+        Some(root) => state.take_done(root.out_slot()),
+        None => Err(EngineError::Unsupported("empty FROM".into())),
     }
-    result
 }

@@ -52,7 +52,7 @@ pub mod verify;
 
 pub use engine::{Engine, QueryOutcome, Strategy};
 pub use error::{EngineError, Result};
-pub use exec::{ExecConfig, ExecStats, Executor, JoinMethod};
+pub use exec::{ExecConfig, Executor, JoinMethod};
 pub use metrics::{
     OpKind, OperatorMetrics, OperatorNode, QueryMetrics, ServingCounters, ServingInfo,
 };

@@ -42,10 +42,6 @@ struct Entry {
     /// Catalog version the plan was built against.
     version: u64,
     planned: Planned,
-    /// The static verifier accepted the plan when it was built (fallback
-    /// entries are vacuously verified — the naive evaluator *is* the
-    /// semantics).
-    verified: bool,
     /// Logical clock of the last hit (for least-recently-used eviction).
     last_used: u64,
 }
@@ -64,19 +60,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Live entries right now.
     pub entries: usize,
-}
-
-/// The outcome of one cache consultation.
-#[derive(Debug, Clone)]
-pub struct CacheOutcome {
-    /// The plan (cached or freshly built).
-    pub planned: Planned,
-    /// Whether the lookup hit a live entry.
-    pub hit: bool,
-    /// Whether the plan's static verification can be trusted without
-    /// re-running it (true for hits on verified entries and for fresh
-    /// inserts, which verify as part of building).
-    pub verified: bool,
 }
 
 /// A bounded, internally synchronized map from
@@ -134,13 +117,13 @@ impl PlanCache {
     /// Looks up a live entry for `key` at `version`. A version mismatch
     /// drops the entry and counts an invalidation; both that case and a
     /// plain absence count a miss.
-    pub fn lookup(&self, key: &str, version: u64) -> Option<(Planned, bool)> {
+    pub fn lookup(&self, key: &str, version: u64) -> Option<Planned> {
         let mut map = self.inner.lock().expect("plan cache lock");
         match map.get_mut(key) {
             Some(e) if e.version == version => {
                 e.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((e.planned.clone(), e.verified))
+                Some(e.planned.clone())
             }
             Some(_) => {
                 map.remove(key);
@@ -157,7 +140,7 @@ impl PlanCache {
 
     /// Inserts (or replaces) the entry for `key` at `version`, evicting the
     /// least-recently-used entry if the cache is full.
-    pub fn insert(&self, key: String, version: u64, planned: Planned, verified: bool) {
+    pub fn insert(&self, key: String, version: u64, planned: Planned) {
         let mut map = self.inner.lock().expect("plan cache lock");
         if !map.contains_key(&key) && map.len() >= self.capacity {
             if let Some(lru) = map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone()) {
@@ -166,14 +149,7 @@ impl PlanCache {
             }
         }
         let last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        map.insert(key, Entry { version, planned, verified, last_used });
-    }
-
-    /// Drops every entry (counted as invalidations).
-    pub fn clear(&self) {
-        let mut map = self.inner.lock().expect("plan cache lock");
-        self.invalidations.fetch_add(map.len() as u64, Ordering::Relaxed);
-        map.clear();
+        map.insert(key, Entry { version, planned, last_used });
     }
 
     /// An exact snapshot of the counters.
@@ -200,9 +176,8 @@ mod tests {
     fn hit_miss_and_invalidation_counting() {
         let c = PlanCache::new(4);
         assert!(c.lookup("q1", 0).is_none());
-        c.insert("q1".into(), 0, planned(), true);
-        let (_, verified) = c.lookup("q1", 0).unwrap();
-        assert!(verified);
+        c.insert("q1".into(), 0, planned());
+        assert!(c.lookup("q1", 0).is_some());
         // Version bump: the entry is stale, dropped, and counted.
         assert!(c.lookup("q1", 1).is_none());
         let s = c.stats();
@@ -213,25 +188,14 @@ mod tests {
     #[test]
     fn lru_eviction_respects_capacity() {
         let c = PlanCache::new(2);
-        c.insert("a".into(), 0, planned(), true);
-        c.insert("b".into(), 0, planned(), true);
+        c.insert("a".into(), 0, planned());
+        c.insert("b".into(), 0, planned());
         let _ = c.lookup("a", 0); // touch a: b is now the LRU entry
-        c.insert("c".into(), 0, planned(), true);
+        c.insert("c".into(), 0, planned());
         assert_eq!(c.stats().entries, 2);
         assert_eq!(c.stats().evictions, 1);
         assert!(c.lookup("a", 0).is_some(), "recently used entry survives");
         assert!(c.lookup("b", 0).is_none(), "LRU entry was evicted");
-    }
-
-    #[test]
-    fn clear_counts_invalidations() {
-        let c = PlanCache::new(4);
-        c.insert("a".into(), 0, planned(), true);
-        c.insert("b".into(), 0, planned(), false);
-        c.clear();
-        let s = c.stats();
-        assert_eq!(s.invalidations, 2);
-        assert_eq!(s.entries, 0);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! [`verify_plan`] walks the outline checking required ⊆ delivered on every
 //! edge, then layers the plan-level rewrite-rule and threshold checks on
 //! top. Violations are structured diagnostics ([`Violation`]: rule id,
-//! operator path, expected vs. delivered) rendered by `EXPLAIN VERIFY`; in
-//! debug builds [`crate::exec::Executor::run`] refuses to run a plan that
-//! fails verification. The naive fallback needs no outline: the naive
+//! operator path, expected vs. delivered) rendered by `EXPLAIN VERIFY`;
+//! [`crate::Engine::plan_for`] runs the verifier on every plan it builds
+//! and refuses a plan that fails it. The naive fallback needs no outline: the naive
 //! evaluator *is* the semantics, so there is nothing to check it against.
 //!
 //! Diagnostic rule ids (see DESIGN.md §10 for the paper mapping):

@@ -313,10 +313,11 @@ fn threshold_pushdown_shrinks_windows_without_changing_answers() {
         "push-down changed the answer"
     );
     assert!(
-        outcomes[1].exec_stats.pairs_examined * 2 < outcomes[0].exec_stats.pairs_examined,
+        outcomes[1].metrics.totals().pairs_examined * 2
+            < outcomes[0].metrics.totals().pairs_examined,
         "push-down should prune most pairs: {} vs {}",
-        outcomes[1].exec_stats.pairs_examined,
-        outcomes[0].exec_stats.pairs_examined
+        outcomes[1].metrics.totals().pairs_examined,
+        outcomes[0].metrics.totals().pairs_examined
     );
     // And both agree with the naive reference.
     let naive = Engine::over(catalog.clone().into(), &disk).run_sql(sql, Strategy::Naive).unwrap();
@@ -377,9 +378,9 @@ fn statistics_aware_ordering_beats_the_blind_heuristic() {
         "statistics must never change answers"
     );
     assert!(
-        informed.exec_stats.pairs_examined <= blind.exec_stats.pairs_examined,
+        informed.metrics.totals().pairs_examined <= blind.metrics.totals().pairs_examined,
         "histograms should not worsen the order: {} vs {}",
-        informed.exec_stats.pairs_examined,
-        blind.exec_stats.pairs_examined
+        informed.metrics.totals().pairs_examined,
+        blind.metrics.totals().pairs_examined
     );
 }

@@ -14,7 +14,7 @@ use fuzzy_db::rel::{AttrType, Schema, Tuple};
 use fuzzy_db::{Database, Strategy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut db = Database::new();
+    let db = Database::new();
     db.define_term("roughly 100", Trapezoid::new(80.0, 95.0, 105.0, 120.0)?);
 
     db.create_table(

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             catalog.vocabulary_mut().define(term, *shape);
         }
     }
-    let mut db = Database::from_catalog(catalog, disk);
+    let db = Database::from_catalog(catalog, disk);
     let mut strategy = Strategy::Unnest;
 
     println!("fuzzy-db shell — tables: F, M, EMP_SALES, EMP_RESEARCH, CITIES_REGION_A/B");
@@ -110,8 +110,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                             out.answer.len(),
                             out.measurement.io.reads,
                             out.measurement.io.writes,
-                            out.exec_stats.pairs_examined,
-                            out.exec_stats.max_window,
+                            out.metrics.totals().pairs_examined,
+                            out.metrics.totals().max_window,
                             out.measurement.cpu
                         ),
                         Err(e) => println!("error: {e}"),

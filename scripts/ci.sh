@@ -84,6 +84,12 @@ if [[ -n "$undeclared" ]]; then
   exit 1
 fi
 
+echo "==> no deprecated shims (delete superseded API instead of keeping it)"
+if grep -rn '#\[deprecated' src crates/*/src; then
+  echo "error: #[deprecated] item(s) above — migrate the callers and delete the shim" >&2
+  exit 1
+fi
+
 echo "==> metrics/planner hygiene (no dead_code escapes)"
 if grep -n '#\[allow(dead_code)\]' crates/core/src/metrics.rs crates/core/src/explain.rs \
     crates/core/src/verify.rs crates/core/src/plan.rs crates/core/src/optimizer.rs; then
@@ -96,7 +102,7 @@ echo "==> serving surface (query entry points must be &self: sessions share them
 # the facade to take &self; only the DDL/DML/config surface below may take
 # &mut self. A new &mut self method on Database/Session/QueryBuilder/
 # PreparedQuery must either join this allowlist (a mutation) or take &self.
-allowed='^(define_term|create_table|insert|load|execute|catalog_mut|set_exec_config|set_threads|set_default_threshold|set_cost_model)$'
+allowed='^(define_term|create_table|insert|load|execute|catalog_mut|set_exec_config|set_threads|set_default_threshold)$'
 mut_entry_points=$(awk '
   /pub fn [a-z_]+/ { name = $0; sub(/.*pub fn /, "", name); sub(/[^a-z_].*/, "", name); capture = 4 }
   capture > 0 { if (/&mut self/) print FILENAME ":" name; capture-- }

@@ -22,7 +22,7 @@
 //! use fuzzy_db::rel::{AttrType, Schema, Tuple};
 //! use fuzzy_db::core::{Trapezoid, Value};
 //!
-//! let mut db = Database::new();
+//! let db = Database::new();
 //! // Linguistic vocabulary: terms usable in queries.
 //! db.define_term("medium young", Trapezoid::new(20.0, 25.0, 30.0, 35.0)?);
 //! db.define_term("middle age", Trapezoid::new(28.0, 33.0, 41.0, 51.0)?);
@@ -46,7 +46,8 @@
 //! ## Concurrent serving
 //!
 //! A [`Database`] is a handle over shared state (disk, catalog, statistics,
-//! verified-plan cache, serving counters). [`Database::session`] hands out
+//! verified-plan cache, serving counters) that dereferences to its root
+//! [`Session`]; `db.session()` ([`Session::session`]) hands out
 //! cheap [`Session`] clones that are `Send + Sync`: read statements run
 //! concurrently under a shared catalog lock while DDL/DML briefly takes it
 //! exclusively, bumps the catalog version, and thereby invalidates cached
@@ -57,7 +58,7 @@
 //! use fuzzy_db::rel::{AttrType, Schema, Tuple};
 //! use fuzzy_db::core::Value;
 //!
-//! let mut db = Database::new();
+//! let db = Database::new();
 //! db.create_table("R", Schema::of(&[("X", AttrType::Number)]))?;
 //! db.insert("R", Tuple::full(vec![Value::number(1.0)]))?;
 //! let session = db.session();
@@ -100,10 +101,10 @@ pub use fuzzy_engine::plan_cache::CacheStats;
 pub use fuzzy_engine::{EngineError, QueryOutcome, ServingCounters, Strategy};
 pub use serving::{CatalogWrite, PreparedQuery, QueryBuilder, Session};
 
-use fuzzy_core::{Degree, Trapezoid};
+use fuzzy_core::Degree;
 use fuzzy_engine::exec::ExecConfig;
-use fuzzy_rel::{Catalog, Relation, Schema, Tuple};
-use fuzzy_storage::{CostModel, SimDisk};
+use fuzzy_rel::{Catalog, Relation};
+use fuzzy_storage::SimDisk;
 use serving::Shared;
 use std::sync::Arc;
 
@@ -111,12 +112,26 @@ use std::sync::Arc;
 /// vocabulary, the query engine, and the serving state (plan cache +
 /// counters) its sessions share.
 ///
-/// `Database` itself is the **root session** plus the cost model: every
-/// query/DDL method delegates to an owned [`Session`], and
-/// [`Database::session`] clones further handles for other threads.
+/// `Database` owns the **root session** and dereferences to it, so every
+/// [`Session`] method — queries, DDL/DML, configuration, counters — is
+/// called on the database directly; [`Session::session`] clones further
+/// handles for other threads. `Database` itself adds only construction and
+/// persistence.
 pub struct Database {
     session: Session,
-    cost: CostModel,
+}
+
+impl std::ops::Deref for Database {
+    type Target = Session;
+    fn deref(&self) -> &Session {
+        &self.session
+    }
+}
+
+impl std::ops::DerefMut for Database {
+    fn deref_mut(&mut self) -> &mut Session {
+        &mut self.session
+    }
 }
 
 impl Default for Database {
@@ -127,10 +142,7 @@ impl Default for Database {
 
 impl Database {
     fn from_shared(shared: Shared) -> Database {
-        Database {
-            session: Session { shared: Arc::new(shared), config: ExecConfig::default() },
-            cost: CostModel::default(),
-        }
+        Database { session: Session { shared: Arc::new(shared), config: ExecConfig::default() } }
     }
 
     /// An empty database with an empty vocabulary.
@@ -192,146 +204,13 @@ impl Database {
         })
     }
 
-    /// A new session over this database: a cheap, `Send + Sync` handle that
-    /// shares the disk, catalog, statistics, plan cache, and counters, with
-    /// its own copy of the current execution configuration.
-    pub fn session(&self) -> Session {
-        self.session.clone()
-    }
-
-    /// An owned engine over the current catalog snapshot (wired to the
-    /// shared statistics, plan cache, and serving counters).
-    pub fn engine(&self) -> fuzzy_engine::Engine {
-        self.session.engine()
-    }
-
-    /// Defines (or redefines) a linguistic term.
-    pub fn define_term(&mut self, name: impl AsRef<str>, shape: Trapezoid) {
-        self.session.define_term(name, shape);
-    }
-
-    /// Creates an empty table.
-    pub fn create_table(&mut self, name: &str, schema: Schema) -> Result<(), EngineError> {
-        self.session.create_table(name, schema)
-    }
-
-    /// Inserts one tuple. Tuples with degree 0 are not members and are
-    /// silently skipped, matching the membership criterion of Section 2.
-    pub fn insert(&mut self, table: &str, tuple: Tuple) -> Result<(), EngineError> {
-        self.session.insert(table, tuple)
-    }
-
-    /// Bulk-loads tuples into a table.
-    pub fn load<I: IntoIterator<Item = Tuple>>(
-        &mut self,
-        table: &str,
-        tuples: I,
-    ) -> Result<(), EngineError> {
-        self.session.load(table, tuples)
-    }
-
-    /// Starts a query: `db.query(sql).strategy(..).threshold(..).collect()`.
-    /// This is the one SELECT entry point; see [`QueryBuilder`].
-    pub fn query(&self, sql: impl AsRef<str>) -> QueryBuilder {
-        self.session.query(sql)
-    }
-
-    /// Parses and plans `sql` once, pinning the verified plan; see
-    /// [`PreparedQuery`].
-    pub fn prepare(&self, sql: &str) -> Result<PreparedQuery, EngineError> {
-        self.session.prepare(sql)
-    }
-
-    /// Runs a query with an explicit strategy, returning the full outcome.
-    #[deprecated(note = "use db.query(sql).strategy(s).run()")]
-    pub fn query_with(&self, sql: &str, strategy: Strategy) -> Result<QueryOutcome, EngineError> {
-        self.query(sql).strategy(strategy).run()
-    }
-
-    /// Explains how a query would be evaluated: its classified nesting type
-    /// (Sections 4-8 of the paper), the unnested plan, and deterministic cost
-    /// estimates.
-    pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
-        self.query(sql).explain()
-    }
-
-    /// Runs the query and renders the `EXPLAIN` output annotated with the
-    /// *actual* per-operator counters and wall times (`EXPLAIN ANALYZE`),
-    /// including the plan-cache/serving section.
-    pub fn explain_analyze(&self, sql: &str) -> Result<String, EngineError> {
-        Ok(self.query(sql).explain_analyze()?.0)
-    }
-
-    /// Renders the `EXPLAIN VERIFY` output for a query: the static plan
-    /// verifier's report — the rewrite rule applied, the threshold push-down
-    /// bound, every physical operator's required and delivered properties,
-    /// and any violations (see `fuzzy_engine::verify`).
-    pub fn explain_verify(&self, sql: &str) -> Result<String, EngineError> {
-        self.query(sql).explain_verify()
-    }
-
-    /// Executes one statement: SELECT, CREATE TABLE, DEFINE TERM, INSERT,
-    /// ANALYZE, DELETE, or UPDATE — see [`Session::execute`].
-    pub fn execute(&mut self, sql: &str) -> Result<StatementResult, EngineError> {
-        self.session.execute(sql)
-    }
-
-    /// The current catalog snapshot (tables + vocabulary). DDL/DML after
-    /// this call is not visible through the snapshot; take a fresh one.
-    pub fn catalog(&self) -> Arc<Catalog> {
-        self.session.catalog()
-    }
-
-    /// Exclusive catalog access (registering externally built tables).
-    /// Mutations bump the catalog version and invalidate cached plans.
-    pub fn catalog_mut(&mut self) -> CatalogWrite<'_> {
-        self.session.catalog_mut()
-    }
-
-    /// The simulated disk (for I/O accounting in experiments).
-    pub fn disk(&self) -> &SimDisk {
-        self.session.disk()
-    }
-
-    /// The execution configuration of the root session.
-    pub fn exec_config(&self) -> ExecConfig {
-        self.session.config()
-    }
-
-    /// Overrides the execution configuration of the root session (sessions
-    /// already handed out keep theirs).
-    pub fn set_exec_config(&mut self, config: ExecConfig) {
-        self.session.set_exec_config(config);
-    }
-
-    /// Exact counters of the shared verified-plan cache.
-    pub fn plan_cache_stats(&self) -> CacheStats {
-        self.session.plan_cache_stats()
-    }
-
-    /// The database-wide serving counters (statements in flight, peak,
-    /// total statements, accumulated lock wait).
-    pub fn serving_counters(&self) -> Arc<ServingCounters> {
-        self.session.serving_counters()
-    }
-
-    /// The cost model converting I/O counts to time.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// Overrides the cost model.
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
-    }
-
     /// Reads a full table into memory (debugging/tests).
     pub fn table_contents(&self, table: &str) -> Result<Relation, EngineError> {
         let catalog = self.catalog();
         let t = catalog
             .table(table)
             .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
-        let pool = fuzzy_storage::BufferPool::new(self.disk(), self.session.config().buffer_pages);
+        let pool = fuzzy_storage::BufferPool::new(self.disk(), self.exec_config().buffer_pages);
         Ok(t.to_relation(&pool)?)
     }
 
@@ -341,7 +220,7 @@ impl Database {
     }
 }
 
-/// The result of [`Database::execute`] / [`Session::execute`].
+/// The result of [`Session::execute`].
 #[derive(Debug, Clone)]
 pub enum StatementResult {
     /// A SELECT answer.
@@ -359,10 +238,10 @@ pub enum StatementResult {
 mod tests {
     use super::*;
     use fuzzy_core::Value;
-    use fuzzy_rel::AttrType;
+    use fuzzy_rel::{AttrType, Schema, Tuple};
 
     fn tiny_db() -> Database {
-        let mut db = Database::with_paper_vocabulary();
+        let db = Database::with_paper_vocabulary();
         db.create_table(
             "PEOPLE",
             Schema::of(&[("NAME", AttrType::Text), ("AGE", AttrType::Number)]),
@@ -373,7 +252,7 @@ mod tests {
 
     #[test]
     fn create_insert_query_roundtrip() {
-        let mut db = tiny_db();
+        let db = tiny_db();
         db.insert("PEOPLE", Tuple::full(vec![Value::text("Ann"), Value::number(24.0)])).unwrap();
         db.insert("PEOPLE", Tuple::full(vec![Value::text("Zed"), Value::number(70.0)])).unwrap();
         let ans = db
@@ -387,14 +266,14 @@ mod tests {
 
     #[test]
     fn duplicate_table_rejected() {
-        let mut db = tiny_db();
+        let db = tiny_db();
         let err = db.create_table("people", Schema::of(&[("X", AttrType::Number)])).unwrap_err();
         assert!(err.to_string().contains("already exists"));
     }
 
     #[test]
     fn zero_degree_inserts_skipped() {
-        let mut db = tiny_db();
+        let db = tiny_db();
         db.insert(
             "PEOPLE",
             Tuple::new(vec![Value::text("ghost"), Value::number(1.0)], Degree::ZERO),
@@ -407,13 +286,13 @@ mod tests {
     fn unknown_table_errors() {
         let db = Database::new();
         assert!(db.query("SELECT X.A FROM X").collect().is_err());
-        let mut db = Database::new();
+        let db = Database::new();
         assert!(db.insert("X", Tuple::full(vec![Value::number(1.0)])).is_err());
     }
 
     #[test]
     fn strategies_agree_via_facade() {
-        let mut db = tiny_db();
+        let db = tiny_db();
         db.load(
             "PEOPLE",
             (0..20).map(|i| {
@@ -430,7 +309,7 @@ mod tests {
 
     #[test]
     fn threshold_helper_and_builder_threshold() {
-        let mut db = tiny_db();
+        let db = tiny_db();
         db.insert("PEOPLE", Tuple::full(vec![Value::text("Ann"), Value::number(23.0)])).unwrap();
         let sql = "SELECT PEOPLE.NAME FROM PEOPLE WHERE PEOPLE.AGE = 'medium young'";
         let ans = db.query(sql).collect().unwrap();
@@ -446,7 +325,7 @@ mod tests {
 
     #[test]
     fn sessions_share_ddl_and_cache() {
-        let mut db = tiny_db();
+        let db = tiny_db();
         db.insert("PEOPLE", Tuple::full(vec![Value::text("Ann"), Value::number(24.0)])).unwrap();
         let s1 = db.session();
         let s2 = db.session();
@@ -464,7 +343,7 @@ mod tests {
 
     #[test]
     fn prepared_queries_pin_and_go_stale() {
-        let mut db = tiny_db();
+        let db = tiny_db();
         db.insert("PEOPLE", Tuple::full(vec![Value::text("Ann"), Value::number(24.0)])).unwrap();
         let prepared =
             db.prepare("SELECT PEOPLE.NAME FROM PEOPLE WHERE PEOPLE.AGE = 'medium young'").unwrap();

@@ -112,7 +112,7 @@ impl Session {
     }
 
     /// The session's execution configuration.
-    pub fn config(&self) -> ExecConfig {
+    pub fn exec_config(&self) -> ExecConfig {
         self.config
     }
 
@@ -191,8 +191,8 @@ impl Session {
     }
 
     /// Starts a query: `session.query(sql).strategy(..).threshold(..)
-    /// .collect()`. The single entry point for SELECT statements (the old
-    /// `query_with` / bare-relation shims delegate here).
+    /// .collect()`. The single entry point for SELECT statements; see
+    /// [`QueryBuilder`].
     pub fn query(&self, sql: impl AsRef<str>) -> QueryBuilder {
         QueryBuilder {
             session: self.clone(),
@@ -213,6 +213,28 @@ impl Session {
             let (planned, _info) = engine.plan_for(&q)?;
             Ok(PreparedQuery { session: s.clone(), query: q.clone(), planned, version })
         })
+    }
+
+    /// Explains how a query would be evaluated: its classified nesting type
+    /// (Sections 4-8 of the paper), the unnested plan, and deterministic cost
+    /// estimates.
+    pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
+        self.query(sql).explain()
+    }
+
+    /// Runs the query and renders the `EXPLAIN` output annotated with the
+    /// *actual* per-operator counters and wall times (`EXPLAIN ANALYZE`),
+    /// including the plan-cache/serving section.
+    pub fn explain_analyze(&self, sql: &str) -> Result<String, EngineError> {
+        Ok(self.query(sql).explain_analyze()?.0)
+    }
+
+    /// Renders the `EXPLAIN VERIFY` output for a query: the static plan
+    /// verifier's report — the rewrite rule applied, the threshold push-down
+    /// bound, every physical operator's required and delivered properties,
+    /// and any violations (see `fuzzy_engine::verify`).
+    pub fn explain_verify(&self, sql: &str) -> Result<String, EngineError> {
+        self.query(sql).explain_verify()
     }
 
     /// Executes one statement: SELECT, EXPLAIN [ANALYZE|VERIFY], CREATE

@@ -18,7 +18,7 @@ use std::sync::{Arc, Barrier};
 /// R has `8 * scale` tuples, S `6 * scale`, T `4 * scale`, all with the same
 /// (ID, X, V) numeric schema so every query class can be expressed.
 fn fixture(scale: usize) -> Database {
-    let mut db = Database::with_paper_vocabulary();
+    let db = Database::with_paper_vocabulary();
     for (name, base) in [("R", 8usize), ("S", 6), ("T", 4)] {
         db.create_table(
             name,
@@ -140,7 +140,7 @@ fn plan_cache_counters_are_deterministic_for_a_fixed_schedule() {
 
 #[test]
 fn ddl_and_dml_invalidate_cached_plans() {
-    let mut db = fixture(1);
+    let db = fixture(1);
     let sql = CORPUS[2]; // type J
     db.query(sql).collect().unwrap(); // miss: planned + cached
     db.query(sql).collect().unwrap(); // hit
@@ -186,7 +186,7 @@ fn explain_analyze_reports_cache_hit_with_zero_reverification() {
 
 #[test]
 fn prepared_statements_replay_across_threads_and_go_stale() {
-    let mut db = fixture(1);
+    let db = fixture(1);
     let sql = CORPUS[1];
     let reference = db.query(sql).collect().unwrap().canonicalized();
     let prepared = Arc::new(db.prepare(sql).unwrap());

@@ -15,7 +15,7 @@ use fuzzy_db::Database;
 
 /// The golden suite's deterministic three-table fixture.
 fn fixture(scale: usize) -> Database {
-    let mut db = Database::with_paper_vocabulary();
+    let db = Database::with_paper_vocabulary();
     for (name, base) in [("R", 8usize), ("S", 6), ("T", 4)] {
         db.create_table(
             name,

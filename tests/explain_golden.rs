@@ -19,7 +19,7 @@ use fuzzy_db::Database;
 /// A deterministic three-table fixture: R (8 tuples), S (6), T (4), all with
 /// the same (ID, X, V) numeric schema so every query class can be expressed.
 fn fixture() -> Database {
-    let mut db = Database::with_paper_vocabulary();
+    let db = Database::with_paper_vocabulary();
     for (name, n) in [("R", 8usize), ("S", 6), ("T", 4)] {
         db.create_table(
             name,

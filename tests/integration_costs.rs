@@ -4,6 +4,7 @@
 
 use fuzzy_db::{Database, Strategy};
 use fuzzy_engine::exec::ExecConfig;
+use fuzzy_engine::OpKind;
 use fuzzy_rel::Catalog;
 use fuzzy_storage::SimDisk;
 use fuzzy_workload::{generate, WorkloadSpec};
@@ -30,7 +31,7 @@ const TYPE_J: &str = "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S
 fn nested_loop_examines_the_full_cross_product() {
     let db = workload_db(600, 7, 32);
     let nl = db.query(TYPE_J).strategy(Strategy::NestedLoop).run().unwrap();
-    assert_eq!(nl.exec_stats.pairs_examined, 600 * 600);
+    assert_eq!(nl.metrics.totals().pairs_examined, 600 * 600);
 }
 
 #[test]
@@ -38,8 +39,16 @@ fn merge_join_examines_only_windows() {
     let db = workload_db(600, 7, 32);
     let mj = db.query(TYPE_J).strategy(Strategy::Unnest).run().unwrap();
     // Window size ≈ fan-out, so pairs ≈ n × C, far below n².
-    assert!(mj.exec_stats.pairs_examined < 600 * 60, "pairs {}", mj.exec_stats.pairs_examined);
-    assert!(mj.exec_stats.pairs_examined >= 600, "pairs {}", mj.exec_stats.pairs_examined);
+    assert!(
+        mj.metrics.totals().pairs_examined < 600 * 60,
+        "pairs {}",
+        mj.metrics.totals().pairs_examined
+    );
+    assert!(
+        mj.metrics.totals().pairs_examined >= 600,
+        "pairs {}",
+        mj.metrics.totals().pairs_examined
+    );
     // And the answers agree.
     let nl = db.query(TYPE_J).strategy(Strategy::NestedLoop).run().unwrap();
     assert_eq!(mj.answer.canonicalized(), nl.answer.canonicalized());
@@ -82,7 +91,7 @@ fn merge_join_io_constant_in_fanout() {
         let db = workload_db(2000, fanout, 64);
         let mj = db.query(TYPE_J).strategy(Strategy::Unnest).run().unwrap();
         ios.push(mj.measurement.io.total());
-        pairs.push(mj.exec_stats.pairs_examined);
+        pairs.push(mj.metrics.totals().pairs_examined);
     }
     let spread = *ios.iter().max().unwrap() as f64 / *ios.iter().min().unwrap() as f64;
     assert!(spread < 1.2, "I/O should be ~flat across fan-outs: {ios:?}");
@@ -111,8 +120,14 @@ fn sort_dominates_merge_join_io_as_input_grows() {
     let s = small.query(TYPE_J).strategy(Strategy::Unnest).run().unwrap();
     let l = large.query(TYPE_J).strategy(Strategy::Unnest).run().unwrap();
     let share = |o: &fuzzy_db::QueryOutcome| {
-        (o.exec_stats.sort_reads + o.exec_stats.sort_writes) as f64
-            / o.measurement.io.total().max(1) as f64
+        let sort_io: u64 = o
+            .metrics
+            .ops()
+            .iter()
+            .filter(|n| n.kind == OpKind::Sort)
+            .map(|n| n.metrics.page_reads + n.metrics.page_writes)
+            .sum();
+        sort_io as f64 / o.measurement.io.total().max(1) as f64
     };
     assert!(
         share(&l) >= share(&s) - 0.02,
@@ -147,7 +162,7 @@ fn merge_windows_track_the_fanout() {
     for fanout in [2usize, 8, 32] {
         let db = workload_db(2000, fanout, 64);
         let mj = db.query(TYPE_J).strategy(Strategy::Unnest).run().unwrap();
-        let w = mj.exec_stats.max_window;
+        let w = mj.metrics.totals().max_window;
         assert!(
             w as usize >= fanout / 2 && w as usize <= fanout * 6 + 8,
             "fanout {fanout}: max window {w}"

@@ -20,7 +20,7 @@ fn affected(r: &StatementResult) -> usize {
 }
 
 fn fresh_db() -> Database {
-    let mut db = Database::new();
+    let db = Database::new();
     for stmt in [
         "CREATE TABLE PEOPLE (ID NUMBER KEY, NAME TEXT, AGE NUMBER)",
         "DEFINE TERM 'medium young' AS TRAP(20, 25, 30, 35)",
@@ -37,7 +37,7 @@ fn fresh_db() -> Database {
 
 #[test]
 fn create_insert_select_pipeline() {
-    let mut db = fresh_db();
+    let db = fresh_db();
     let out = db
         .execute("SELECT PEOPLE.NAME FROM PEOPLE WHERE PEOPLE.AGE = 'medium young' ORDER BY D DESC")
         .unwrap();
@@ -54,7 +54,7 @@ fn create_insert_select_pipeline() {
 
 #[test]
 fn insert_validation() {
-    let mut db = fresh_db();
+    let db = fresh_db();
     // Arity mismatch.
     assert!(db.execute("INSERT INTO PEOPLE VALUES (9, 'X')").is_err());
     // Text into a number column.
@@ -69,7 +69,7 @@ fn insert_validation() {
 
 #[test]
 fn fuzzy_delete_with_threshold() {
-    let mut db = fresh_db();
+    let db = fresh_db();
     // "possibly medium young" matches Ann (1.0) and Bo (0.5); the threshold
     // keeps Bo alive.
     let r =
@@ -87,7 +87,7 @@ fn fuzzy_delete_with_threshold() {
 
 #[test]
 fn fuzzy_update_rewrites_matching_tuples() {
-    let mut db = fresh_db();
+    let db = fresh_db();
     let r =
         db.execute("UPDATE PEOPLE SET AGE = TRI(25, 26, 27) WHERE PEOPLE.NAME = 'Ann'").unwrap();
     assert_eq!(affected(&r), 1);
@@ -105,7 +105,7 @@ fn fuzzy_update_rewrites_matching_tuples() {
 
 #[test]
 fn delete_with_subquery_condition() {
-    let mut db = fresh_db();
+    let db = fresh_db();
     db.execute("CREATE TABLE BANNED (AGE NUMBER)").unwrap();
     db.execute("INSERT INTO BANNED VALUES (70)").unwrap();
     let r = db
@@ -117,7 +117,7 @@ fn delete_with_subquery_condition() {
 
 #[test]
 fn fuzzy_literals_work_in_where_clauses() {
-    let mut db = fresh_db();
+    let db = fresh_db();
     let out = db
         .execute("SELECT PEOPLE.NAME FROM PEOPLE WHERE PEOPLE.AGE = TRAP(20, 25, 30, 35)")
         .unwrap();
@@ -137,7 +137,7 @@ fn dml_persists_through_save() {
     let _ = std::fs::remove_file(base.with_extension("pages"));
     let _ = std::fs::remove_file(base.with_extension("manifest"));
     {
-        let mut db = Database::open(&base).unwrap();
+        let db = Database::open(&base).unwrap();
         db.execute("CREATE TABLE T (X NUMBER)").unwrap();
         db.execute("INSERT INTO T VALUES (1)").unwrap();
         db.execute("INSERT INTO T VALUES (2)").unwrap();
@@ -156,7 +156,7 @@ fn dml_persists_through_save() {
 
 #[test]
 fn analyze_builds_histograms() {
-    let mut db = fresh_db();
+    let db = fresh_db();
     let r = db.execute("ANALYZE PEOPLE").unwrap();
     // ID and AGE are the numeric columns.
     assert_eq!(affected(&r), 2);

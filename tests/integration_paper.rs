@@ -3,7 +3,7 @@
 
 use fuzzy_db::workload::paper;
 use fuzzy_db::{Database, Strategy};
-use fuzzy_storage::SimDisk;
+use fuzzy_storage::{CostModel, SimDisk};
 
 fn dating_db() -> Database {
     let disk = SimDisk::with_default_page_size();
@@ -76,7 +76,7 @@ fn measurement_accounts_io() {
     let db = dating_db();
     let out = db.query("SELECT F.NAME FROM F").strategy(Strategy::Unnest).run().unwrap();
     assert!(out.measurement.io.reads >= 1);
-    let rt = out.response_time(db.cost_model());
+    let rt = out.response_time(&CostModel::default());
     assert!(rt >= out.measurement.cpu);
 }
 

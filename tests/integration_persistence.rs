@@ -25,7 +25,7 @@ fn database_roundtrips_through_disk() {
                  ORDER BY D DESC";
     let first_answer;
     {
-        let mut db = Database::open(&base).unwrap();
+        let db = Database::open(&base).unwrap();
         db.define_term("medium young", Trapezoid::new(20.0, 25.0, 30.0, 35.0).unwrap());
         db.create_table(
             "PEOPLE",
@@ -67,13 +67,13 @@ fn appends_after_reopen_are_visible_after_save() {
     let base = temp_base("append");
     cleanup(&base);
     {
-        let mut db = Database::open(&base).unwrap();
+        let db = Database::open(&base).unwrap();
         db.create_table("T", Schema::of(&[("X", AttrType::Number)])).unwrap();
         db.insert("T", Tuple::full(vec![Value::number(1.0)])).unwrap();
         db.save().unwrap();
     }
     {
-        let mut db = Database::open(&base).unwrap();
+        let db = Database::open(&base).unwrap();
         db.insert("T", Tuple::full(vec![Value::number(2.0)])).unwrap();
         db.save().unwrap();
     }
@@ -90,7 +90,7 @@ fn unsaved_tables_are_absent_after_reopen() {
     let base = temp_base("unsaved");
     cleanup(&base);
     {
-        let mut db = Database::open(&base).unwrap();
+        let db = Database::open(&base).unwrap();
         db.create_table("GONE", Schema::of(&[("X", AttrType::Number)])).unwrap();
         // No save.
     }

@@ -7,7 +7,7 @@ use fuzzy_db::rel::{AttrType, Schema, Tuple};
 use fuzzy_db::{Database, Strategy};
 
 fn sales_db() -> Database {
-    let mut db = Database::with_paper_vocabulary();
+    let db = Database::with_paper_vocabulary();
     db.create_table(
         "SALES",
         Schema::of(&[
@@ -205,7 +205,7 @@ fn degree_pseudo_column_in_predicates() {
     // itself as a predicate". Queries referencing R.D in WHERE clauses are
     // evaluated by the naive strategy (the physical plans have no degree
     // column to bind), via transparent fallback.
-    let mut db = Database::with_paper_vocabulary();
+    let db = Database::with_paper_vocabulary();
     db.create_table("T", Schema::of(&[("NAME", AttrType::Text)])).unwrap();
     db.load(
         "T",

@@ -164,7 +164,7 @@ fn naive_and_unnest_count_comparisons_in_the_same_unit() {
 fn explain_analyze_reports_actual_operators() {
     let disk = SimDisk::with_default_page_size();
     let catalog = paper::dating_service(&disk).expect("paper catalog");
-    let mut db = Database::from_catalog(catalog, disk);
+    let db = Database::from_catalog(catalog, disk);
     let sql = "SELECT F.NAME FROM F WHERE F.INCOME IN \
                (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE)";
     let rows = db.query(sql).collect().unwrap().len();

@@ -5,7 +5,7 @@
 //! threads = 4 run of the scale-8 workload must additionally beat
 //! threads = 1 by at least 1.8× end to end.
 
-use fuzzy_engine::exec::{ExecConfig, ExecStats};
+use fuzzy_engine::exec::ExecConfig;
 use fuzzy_engine::{Engine, OperatorMetrics, Strategy};
 use fuzzy_rel::{Catalog, Relation};
 use fuzzy_storage::SimDisk;
@@ -31,7 +31,6 @@ fn workload(n: usize, seed: u64) -> (Catalog, SimDisk) {
 
 struct Run {
     answer: Relation,
-    stats: ExecStats,
     /// The deterministic per-operator view: `(kind, label, counters)` in
     /// start order, wall time excluded.
     metrics_sig: Vec<(&'static str, String, OperatorMetrics)>,
@@ -52,7 +51,6 @@ fn run(catalog: &Catalog, disk: &SimDisk, sql: &str, threads: usize, pages: usiz
     let wall = started.elapsed();
     Run {
         answer: out.answer.canonicalized(),
-        stats: out.exec_stats,
         metrics_sig: out.metrics.deterministic(),
         reads: out.measurement.io.reads,
         writes: out.measurement.io.writes,
@@ -66,18 +64,6 @@ fn assert_exactly_equal(serial: &Run, parallel: &Run, label: &str) {
     let sd: Vec<f64> = serial.answer.tuples().iter().map(|t| t.degree.value()).collect();
     let pd: Vec<f64> = parallel.answer.tuples().iter().map(|t| t.degree.value()).collect();
     assert_eq!(sd, pd, "{label}: degrees diverged");
-    assert_eq!(
-        serial.stats.pairs_examined, parallel.stats.pairs_examined,
-        "{label}: pairs_examined diverged"
-    );
-    assert_eq!(
-        serial.stats.sort_comparisons, parallel.stats.sort_comparisons,
-        "{label}: sort_comparisons diverged"
-    );
-    assert_eq!(serial.stats.sort_runs, parallel.stats.sort_runs, "{label}: sort_runs diverged");
-    assert_eq!(serial.stats.max_window, parallel.stats.max_window, "{label}: max_window diverged");
-    assert_eq!(serial.stats.sort_reads, parallel.stats.sort_reads, "{label}: sort reads");
-    assert_eq!(serial.stats.sort_writes, parallel.stats.sort_writes, "{label}: sort writes");
     assert_eq!(serial.reads, parallel.reads, "{label}: physical reads diverged");
     assert_eq!(serial.writes, parallel.writes, "{label}: physical writes diverged");
     // The whole registry — every operator's label and all thirteen counters

@@ -56,9 +56,9 @@ proptest! {
                 let out = engine.run_sql(sql, Strategy::Unnest).expect("query runs");
                 (
                     out.answer.canonicalized(),
-                    out.exec_stats.pairs_examined,
-                    out.exec_stats.sort_comparisons,
-                    out.exec_stats.sort_runs,
+                    out.metrics.totals().pairs_examined,
+                    out.metrics.totals().sort_comparisons,
+                    out.metrics.totals().sort_runs,
                     out.measurement.io.reads,
                     out.measurement.io.writes,
                 )

@@ -20,7 +20,7 @@ use fuzzy_db::{Database, StatementResult};
 
 /// The golden suite's deterministic three-table fixture (R 8, S 6, T 4).
 fn fixture() -> Database {
-    let mut db = Database::with_paper_vocabulary();
+    let db = Database::with_paper_vocabulary();
     for (name, n) in [("R", 8usize), ("S", 6), ("T", 4)] {
         db.create_table(
             name,

@@ -3,8 +3,8 @@
 //! Positive corpus: one query of every class in the paper's catalogue, at
 //! two catalog scales — every plan the engine would run (join reorders
 //! included) must verify cleanly, and must execute identically to the naive
-//! reference under every thread count (the `debug_assertions` hook gates
-//! each of those runs on the verifier).
+//! reference under every thread count (`Engine::plan_for` verifies each plan
+//! before it runs, in every build profile, so a violation fails the run).
 //!
 //! Negative cases: injected failures must be rejected with their exact
 //! documented rule ids (`V-PROP-SORT`, `V-THRESH-WIDEN`, `R-T4.1-INDEP`).
@@ -23,7 +23,7 @@ use fuzzy_db::Database;
 /// `8 * scale` tuples, S `6 * scale`, T `4 * scale`, all with the same
 /// (ID, X, V) numeric schema so every query class can be expressed.
 fn fixture(scale: usize) -> Database {
-    let mut db = Database::with_paper_vocabulary();
+    let db = Database::with_paper_vocabulary();
     for (name, base) in [("R", 8usize), ("S", 6), ("T", 4)] {
         db.create_table(
             name,
@@ -100,8 +100,8 @@ fn corpus_runs_match_naive_under_every_thread_count() {
     for threads in [1usize, 2, 4, 8] {
         let engine = Engine::over(db.catalog(), db.disk()).with_threads(threads);
         for (name, sql) in CORPUS {
-            // Under debug_assertions the executor verifies each plan before
-            // running it, so a corpus violation would fail here loudly.
+            // `Engine::plan_for` verifies each plan before it runs, so a
+            // corpus violation would fail here loudly.
             let unnest = engine.run_sql(sql, Strategy::Unnest).unwrap();
             let naive = engine.run_sql(sql, Strategy::Naive).unwrap();
             assert_eq!(
@@ -110,6 +110,21 @@ fn corpus_runs_match_naive_under_every_thread_count() {
                 "{name} with {threads} thread(s): unnest != naive"
             );
         }
+    }
+}
+
+#[test]
+fn engine_without_plan_cache_verifies_each_plan_once() {
+    // `Engine::plan_for` is the single verification site: an engine with no
+    // plan cache verifies the plan it builds exactly once and reports no
+    // cache verdict. The naive fallback has no plan to verify.
+    let db = fixture(1);
+    let engine = Engine::over(db.catalog(), db.disk());
+    for (name, sql) in CORPUS {
+        let out = engine.run_sql(sql, Strategy::Unnest).unwrap();
+        assert_eq!(out.serving.cache_hit, None, "{name}");
+        let expected = if *name == "general_fallback" { 0 } else { 1 };
+        assert_eq!(out.serving.plan_verifications, expected, "{name} ({})", out.plan_label);
     }
 }
 
