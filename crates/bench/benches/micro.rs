@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks of the fuzzy primitives the joins are built on:
-//! possibility closed forms, interval-order comparisons, tuple codec, and
-//! the external sort.
+//! possibility closed forms, interval-order comparisons, tuple codec, the
+//! external sort (keyed like the engine's, with `OrderKey`), and the
+//! answer's fuzzy-OR dedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fuzzy_core::{interval_order, possibility, CmpOp, Trapezoid, Value};
-use fuzzy_rel::Tuple;
+use fuzzy_core::interval_order::{self, OrderKey};
+use fuzzy_core::{possibility, CmpOp, Degree, Trapezoid, Value};
+use fuzzy_rel::{AttrType, Relation, Schema, Tuple};
 use fuzzy_storage::{external_sort, HeapFile, SimDisk};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,8 +98,8 @@ fn external_sort_bench(c: &mut Criterion) {
                     &disk,
                     &file,
                     32,
-                    |r| Tuple::decode_value_at(r, 0),
-                    interval_order::cmp_values,
+                    |r| Tuple::decode_value_at(r, 0).map(|v| OrderKey::at(&v, Degree::ZERO)),
+                    OrderKey::cmp_key,
                 )
                 .unwrap();
                 sorted.num_records()
@@ -107,5 +109,34 @@ fn external_sort_bench(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, possibility_ops, interval_order_cmp, tuple_codec, external_sort_bench);
+/// The output stage's fuzzy-OR dedup: 28k answer rows over 4k distinct
+/// (fuzzy, text) rows. Each iteration clones the input rows, since the dedup
+/// consumes them.
+fn answer_dedup(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(6);
+    let keys: Vec<Vec<Value>> = random_trapezoids(4000, 7)
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| vec![Value::fuzzy(t), Value::text(format!("name{}", i % 97))])
+        .collect();
+    let rows: Vec<(Vec<Value>, Degree)> = (0..28_000)
+        .map(|_| {
+            let k = &keys[rng.gen_range(0..keys.len())];
+            (k.clone(), Degree::new(rng.gen_range(0.01..1.0)).unwrap())
+        })
+        .collect();
+    let schema = Schema::of(&[("X", AttrType::Number), ("NAME", AttrType::Text)]);
+    c.bench_function("answer_dedup_28k_rows_4k_distinct", |b| {
+        b.iter(|| Relation::from_dedup_rows(schema.clone(), rows.clone()).len())
+    });
+}
+
+criterion_group!(
+    benches,
+    possibility_ops,
+    interval_order_cmp,
+    tuple_codec,
+    external_sort_bench,
+    answer_dedup
+);
 criterion_main!(benches);

@@ -10,17 +10,20 @@ use crate::metrics::{OpKind, OperatorMetrics};
 use crate::naive::apply_aggregate;
 use crate::plan::{AggPlan, PlanCol, PlanCompare, PlanOperand};
 use crate::verify::{PhysOp, Prop};
+use fuzzy_core::hash::ValueHashBuilder;
 use fuzzy_core::{CmpOp, Degree, Value};
 use fuzzy_rel::Tuple;
 use fuzzy_sql::AggFunc;
 use std::collections::HashMap;
 
 /// The fuzzy set `T(r)` an aggregate is applied to: distinct values with
-/// fuzzy-OR (max) degrees.
+/// fuzzy-OR (max) degrees, in first-occurrence order (the order `SUM`/`AVG`
+/// add members in). An operator creates one set and [`GroupSet::clear`]s it
+/// per group, so the index map's allocation is reused across groups.
 #[derive(Default)]
 pub(crate) struct GroupSet {
-    order: Vec<Value>,
-    degrees: HashMap<Value, Degree>,
+    members: Vec<(Value, Degree)>,
+    index: HashMap<Value, usize, ValueHashBuilder>,
 }
 
 impl GroupSet {
@@ -28,13 +31,19 @@ impl GroupSet {
         if v.is_null() || !d.is_positive() {
             return;
         }
-        match self.degrees.get_mut(&v) {
-            Some(existing) => *existing = existing.or(d),
+        match self.index.get(&v) {
+            Some(&i) => self.members[i].1 = self.members[i].1.or(d),
             None => {
-                self.degrees.insert(v.clone(), d);
-                self.order.push(v);
+                self.index.insert(v.clone(), self.members.len());
+                self.members.push((v, d));
             }
         }
+    }
+
+    /// Empties the set, keeping its allocations for the next group.
+    pub(crate) fn clear(&mut self) {
+        self.members.clear();
+        self.index.clear();
     }
 
     /// Applies the aggregate; `None` means the NULL result of an empty
@@ -44,12 +53,12 @@ impl GroupSet {
         agg: AggFunc,
         agg_degree: crate::plan::AggDegree,
     ) -> Result<Option<(Value, Degree)>> {
-        if self.order.is_empty() && agg != AggFunc::Count {
+        if self.members.is_empty() && agg != AggFunc::Count {
             return Ok(None);
         }
-        let refs: Vec<&Value> = self.order.iter().collect();
+        let refs: Vec<&Value> = self.members.iter().map(|(v, _)| v).collect();
         let value = apply_aggregate(agg, &refs)?.expect("non-empty or COUNT");
-        let member_degrees: Vec<Degree> = self.order.iter().map(|v| self.degrees[v]).collect();
+        let member_degrees: Vec<Degree> = self.members.iter().map(|&(_, d)| d).collect();
         Ok(Some((value, agg_degree.of_group(&member_degrees))))
     }
 }
@@ -210,7 +219,7 @@ impl PhysicalOp for AggOp {
                 // Type A: the inner block is a constant; compute it once.
                 let g = ex.begin_op(OpKind::Aggregate, self.decl.name.clone());
                 let pool = ex.pool(ex.config.buffer_pages);
-                let mut set: GroupSet = GroupSet::default();
+                let mut set = GroupSet::default();
                 let mut m = OperatorMetrics::default();
                 for s in inner_t.scan(&pool) {
                     let s = s?;
@@ -240,6 +249,7 @@ impl PhysicalOp for AggOp {
                 // inner sorted on V; identical U values are adjacent, so
                 // each distinct u computes T'(u) from its window once.
                 let mut cache: Option<(Value, Option<(Value, Degree)>)> = None;
+                let mut set = GroupSet::default();
                 let uattr = ucol.attr;
                 let vattr = vcol.attr;
                 let agg_degree = plan.agg_degree;
@@ -256,7 +266,7 @@ impl PhysicalOp for AggOp {
                         let u = &r.values[uattr];
                         let hit = matches!(&cache, Some((cu, _)) if cu == u);
                         if !hit {
-                            let mut set = GroupSet::default();
+                            set.clear();
                             for s in rng {
                                 // μ_T'(u)(z) = max min(μ_S∧p₂, d(s.V = u));
                                 // op2 = Eq here.
@@ -298,6 +308,7 @@ impl PhysicalOp for AggOp {
                     inner_t.scan(&pool).collect::<fuzzy_storage::Result<_>>()?;
                 let opool = ex.pool(1);
                 let mut cache: Option<(Value, Option<(Value, Degree)>)> = None;
+                let mut set = GroupSet::default();
                 let mut m = OperatorMetrics::default();
                 m.tuples_in += inner_all.len() as u64;
                 for r in outer_t.scan(&opool) {
@@ -306,7 +317,7 @@ impl PhysicalOp for AggOp {
                     let u = &r.values[ucol.attr];
                     let hit = matches!(&cache, Some((cu, _)) if cu == u);
                     if !hit {
-                        let mut set = GroupSet::default();
+                        set.clear();
                         for s in &inner_all {
                             m.pairs_examined += 1;
                             m.fuzzy_comparisons += 1;

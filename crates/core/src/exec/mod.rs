@@ -483,6 +483,43 @@ mod tests {
     }
 
     #[test]
+    fn reused_group_set_aggregates_bit_identically_to_a_fresh_one() {
+        // Fuzzy members make SUM/AVG depend on addition order, so this also
+        // pins that a cleared set keeps first-occurrence member order.
+        let fz = |a: f64, w: f64| {
+            Value::fuzzy(Trapezoid::new(a, a + w * 0.1, a + w * 0.7, a + w).unwrap())
+        };
+        let groups: Vec<Vec<(Value, f64)>> = vec![
+            vec![(fz(0.1, 3.3), 0.4), (fz(1e16, 7.0), 0.9), (fz(-1e16, 0.3), 0.7)],
+            vec![(Value::number(-0.0), 0.2), (Value::number(0.0), 0.6), (fz(2.2, 1.1), 0.5)],
+            vec![],
+            vec![(fz(0.3, 0.2), 0.1), (Value::Null, 1.0), (fz(0.3, 0.2), 0.8), (fz(7.5, 2.0), 1.0)],
+            vec![(Value::number(3.0), 0.3)],
+        ];
+        let aggs = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max];
+        let degrees = [crate::plan::AggDegree::One, crate::plan::AggDegree::MeanMembership];
+        let mut reused = GroupSet::default();
+        // Iterate twice so every group also follows a larger one.
+        for members in groups.iter().chain(&groups) {
+            let mut fresh = GroupSet::default();
+            reused.clear();
+            for (v, d) in members {
+                fresh.add(v.clone(), Degree::new(*d).unwrap());
+                reused.add(v.clone(), Degree::new(*d).unwrap());
+            }
+            for agg in aggs {
+                for ad in degrees {
+                    // Debug prints the shortest round-trip form of every
+                    // float (and the sign of zero), so equal text is equal bits.
+                    let want = format!("{:?}", fresh.aggregate(agg, ad).unwrap());
+                    let got = format!("{:?}", reused.aggregate(agg, ad).unwrap());
+                    assert_eq!(got, want, "{agg:?} {ad:?} over {members:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_group_set_aggregates() {
         let g = GroupSet::default();
         assert!(g.aggregate(AggFunc::Sum, crate::plan::AggDegree::One).unwrap().is_none());

@@ -34,7 +34,8 @@ use crate::error::Result;
 use crate::exec::Executor;
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::verify::{PhysOp, Prop};
-use fuzzy_core::{interval_order, Degree};
+use fuzzy_core::interval_order::{self, OrderKey};
+use fuzzy_core::Degree;
 use fuzzy_rel::{StoredTable, Tuple};
 
 /// Declaration of a flat partitioned-join step: consumes the unsorted bound
@@ -97,15 +98,11 @@ impl Executor {
                 continue;
             }
             let pool = self.pool_for_join();
-            let mut os: Vec<Tuple> = op.scan(&pool).collect::<fuzzy_storage::Result<_>>()?;
-            let mut is: Vec<Tuple> = ip.scan(&pool).collect::<fuzzy_storage::Result<_>>()?;
+            let os =
+                sort_keyed(op.scan(&pool).collect::<fuzzy_storage::Result<_>>()?, oattr, alpha);
+            let is =
+                sort_keyed(ip.scan(&pool).collect::<fuzzy_storage::Result<_>>()?, iattr, alpha);
             m.tuples_in += os.len() as u64 + is.len() as u64;
-            os.sort_by(|a, b| {
-                interval_order::cmp_values_at(&a.values[oattr], &b.values[oattr], alpha)
-            });
-            is.sort_by(|a, b| {
-                interval_order::cmp_values_at(&a.values[iattr], &b.values[iattr], alpha)
-            });
             let mut start = 0usize;
             for r in &os {
                 let rv = &r.values[oattr];
@@ -220,6 +217,16 @@ impl Executor {
         m.add_pool(&pool.stats());
         Ok(parts)
     }
+}
+
+/// Stable in-memory sort by `⪯` on `attr` at α-cut level `alpha`, keying
+/// each tuple once with [`OrderKey`] instead of recomputing α-cuts per
+/// comparison.
+fn sort_keyed(tuples: Vec<Tuple>, attr: usize, alpha: Degree) -> Vec<Tuple> {
+    let mut keyed: Vec<(OrderKey, Tuple)> =
+        tuples.into_iter().map(|t| (OrderKey::at(&t.values[attr], alpha), t)).collect();
+    keyed.sort_by(|a, b| a.0.cmp_key(&b.0));
+    keyed.into_iter().map(|(_, t)| t).collect()
 }
 
 #[cfg(test)]

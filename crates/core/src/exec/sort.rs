@@ -11,7 +11,8 @@ use crate::exec::{Executor, Layout};
 use crate::metrics::OpKind;
 use crate::plan::PlanCol;
 use crate::verify::{PhysOp, Prop};
-use fuzzy_core::{interval_order, Degree};
+use fuzzy_core::interval_order::OrderKey;
+use fuzzy_core::Degree;
 use fuzzy_rel::{Schema, StoredTable, Tuple};
 use fuzzy_storage::{external_sort_parallel, external_sort_records};
 
@@ -112,9 +113,10 @@ impl Executor {
     /// Sorts a table by the interval order `⪯` of the α-cut intervals on
     /// attribute `attr` (α = 0 is the paper's support order), attributing
     /// run counts, comparisons, and spill I/O to a registered sort operator.
-    /// The sort key is the attribute's decoded `Value`, extracted once per
-    /// record read; a record whose attribute does not decode fails the sort
-    /// with `StorageError::Corrupt`. Run generation parallelizes across
+    /// The sort key is the attribute's [`OrderKey`] at `alpha` (its α-cut
+    /// endpoints and breakpoints), extracted once per record read, so no
+    /// comparison recomputes an α-cut; a record whose attribute does not
+    /// decode fails the sort with `StorageError::Corrupt`. Run generation parallelizes across
     /// `ExecConfig::threads` with bit-identical batch cuts and counters (see
     /// `external_sort_parallel`).
     pub(crate) fn sort_table(
@@ -130,8 +132,8 @@ impl Executor {
             table.file(),
             self.config.sort_pages,
             self.config.threads,
-            |r| Tuple::decode_value_at(r, attr),
-            |a, b| interval_order::cmp_values_at(a, b, alpha),
+            |r| Tuple::decode_value_at(r, attr).map(|v| OrderKey::at(&v, alpha)),
+            OrderKey::cmp_key,
         )?;
         let m = self.metrics.op_mut(g.id);
         m.tuples_in = table.num_tuples();
@@ -166,8 +168,8 @@ impl Executor {
             &self.disk,
             rows.into_iter().map(|t| t.encode(0)),
             self.config.sort_pages,
-            |r| Tuple::decode_value_at(r, attr),
-            |a, b| interval_order::cmp_values_at(a, b, alpha),
+            |r| Tuple::decode_value_at(r, attr).map(|v| OrderKey::at(&v, alpha)),
+            OrderKey::cmp_key,
         )?;
         let m = self.metrics.op_mut(g.id);
         m.tuples_in = n;

@@ -17,6 +17,7 @@
 //!    in [`crate::nested_loop`].)
 
 use crate::error::{EngineError, Result};
+use fuzzy_core::hash::ValueHashBuilder;
 use fuzzy_core::{arith, CmpOp, Degree, Trapezoid, Value, Vocabulary};
 use fuzzy_rel::{AttrType, Attribute, Catalog, Relation, Schema, Tuple};
 use fuzzy_sql::{
@@ -320,7 +321,7 @@ fn aggregate_rows(
     let key_len = q.group_by.len();
     // Group rows by key values, preserving first-seen order.
     let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, Vec<(Vec<Value>, Degree)>> = HashMap::new();
+    let mut groups: HashMap<Vec<Value>, Vec<_>, ValueHashBuilder> = HashMap::default();
     for (values, d) in rows {
         let key = values[..key_len].to_vec();
         if !groups.contains_key(&key) {

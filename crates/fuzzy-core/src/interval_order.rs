@@ -31,26 +31,71 @@ pub fn cmp_values(x: &Value, y: &Value) -> Ordering {
 /// which lets a `WITH D > z` threshold shrink the merge windows (two values
 /// can reach equality degree ≥ z only if their z-cuts intersect).
 pub fn cmp_values_at(x: &Value, y: &Value, alpha: Degree) -> Ordering {
-    rank(x).cmp(&rank(y)).then_with(|| match (x, y) {
-        (Value::Null, Value::Null) => Ordering::Equal,
+    match (x, y) {
         (Value::Text(a), Value::Text(b)) => a.cmp(b),
-        _ => {
-            let tx = x.as_distribution().expect("rank guarantees numeric");
-            let ty = y.as_distribution().expect("rank guarantees numeric");
-            let (xl, xr) = tx.alpha_cut(alpha);
-            let (yl, yr) = ty.alpha_cut(alpha);
-            let (xa, xb, xc, xd) = tx.breakpoints();
-            let (ya, yb, yc, yd) = ty.breakpoints();
-            // Definition 3.1 on the α-cut: left endpoint, then right
-            // endpoint; then the full breakpoints as identity tie-breakers.
-            total(xl, yl)
-                .then(total(xr, yr))
-                .then(total(xa, ya))
-                .then(total(xd, yd))
-                .then(total(xb, yb))
-                .then(total(xc, yc))
+        _ => match (num_key(x, alpha), num_key(y, alpha)) {
+            (Some(kx), Some(ky)) => cmp_num(&kx, &ky),
+            _ => rank(x).cmp(&rank(y)),
+        },
+    }
+}
+
+/// A value's `⪯` sort key at one α level, computed once so comparisons
+/// stop recomputing α-cuts. `key.cmp_key(&other)` orders exactly like
+/// [`cmp_values_at`] on the values the keys came from.
+#[derive(Debug, Clone)]
+pub enum OrderKey {
+    /// The key of `Null` (sorts first).
+    Null,
+    /// The key of a numeric value: the α-cut endpoints `[l, r]`, then the
+    /// breakpoint tie-breakers `[a, d, b, c]`.
+    Num([f64; 6]),
+    /// The key of a text value (sorts last, lexicographically).
+    Text(String),
+}
+
+impl OrderKey {
+    /// The key of `v` at α-cut level `alpha`.
+    pub fn at(v: &Value, alpha: Degree) -> OrderKey {
+        match (v, num_key(v, alpha)) {
+            (_, Some(k)) => OrderKey::Num(k),
+            (Value::Text(s), None) => OrderKey::Text(s.clone()),
+            _ => OrderKey::Null,
         }
-    })
+    }
+
+    /// Compares two keys by `⪯` (with the refinements of the module docs).
+    pub fn cmp_key(&self, other: &OrderKey) -> Ordering {
+        match (self, other) {
+            (OrderKey::Null, OrderKey::Null) => Ordering::Equal,
+            (OrderKey::Num(x), OrderKey::Num(y)) => cmp_num(x, y),
+            (OrderKey::Text(a), OrderKey::Text(b)) => a.cmp(b),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+
+    fn rank(&self) -> u8 {
+        match self {
+            OrderKey::Null => 0,
+            OrderKey::Num(_) => 1,
+            OrderKey::Text(_) => 2,
+        }
+    }
+}
+
+/// The numeric key shared by [`cmp_values_at`] and [`OrderKey`]: the α-cut
+/// `[l, r]`, then the breakpoints in tie-break order `a, d, b, c`.
+fn num_key(v: &Value, alpha: Degree) -> Option<[f64; 6]> {
+    let t = v.as_distribution()?;
+    let (l, r) = t.alpha_cut(alpha);
+    let (a, b, c, d) = t.breakpoints();
+    Some([l, r, a, d, b, c])
+}
+
+/// Definition 3.1 on the α-cut: left endpoint, then right endpoint; then the
+/// full breakpoints as identity tie-breakers.
+fn cmp_num(x: &[f64; 6], y: &[f64; 6]) -> Ordering {
+    x.iter().zip(y).map(|(a, b)| total(*a, *b)).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
 }
 
 fn rank(v: &Value) -> u8 {

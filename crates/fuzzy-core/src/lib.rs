@@ -15,7 +15,11 @@
 //! * [`arith`] — fuzzy interval arithmetic backing `SUM`/`AVG`, and the
 //!   defuzzified ordering backing `MIN`/`MAX` (Section 6 semantics);
 //! * [`interval_order`] — the linear order `⪯` of Definition 3.1 that makes
-//!   the extended merge-join possible;
+//!   the extended merge-join possible, and [`interval_order::OrderKey`], the
+//!   precomputed α-cut key the external sort compares;
+//! * [`hash`] — [`hash::ValueHashBuilder`], the seeded multiply-mix hasher
+//!   behind every map keyed by values (answer dedup, aggregate groups,
+//!   `GROUP BY`);
 //! * [`Vocabulary`] — linguistic terms ("medium young", "about 35", …),
 //!   including the calibrated vocabulary of the paper's running example;
 //! * [`oracle`] — a brute-force numeric reference used by property tests.
@@ -40,6 +44,7 @@ pub mod arith;
 pub mod compare;
 pub mod degree;
 pub mod error;
+pub mod hash;
 pub mod interval_order;
 pub mod oracle;
 pub mod trapezoid;

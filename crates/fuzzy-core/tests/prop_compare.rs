@@ -229,3 +229,54 @@ proptest! {
         }
     }
 }
+
+/// Any value kind the sort keys: NULL, text, crisp numbers (including both
+/// zeros, since `Value::Number(-0.0)` bypasses the constructor), and fuzzy
+/// numbers, some sharing supports or breakpoints so ties reach every
+/// tie-breaker.
+fn arb_value() -> impl Strategy<Value = fuzzy_core::Value> {
+    use fuzzy_core::Value;
+    prop_oneof![
+        Just(Value::Null),
+        (0usize..4).prop_map(|i| Value::text(["", "ann", "bob", "zed"][i])),
+        (-3i32..4).prop_map(|i| Value::number(f64::from(i))),
+        Just(Value::Number(-0.0)),
+        arb_trapezoid().prop_map(Value::fuzzy),
+        (0i32..3, 0i32..3).prop_map(|(b, c)| {
+            let (b, c) = (f64::from(b), f64::from(c));
+            Value::fuzzy(Trapezoid::new(-0.0, b, b + c, 6.0).expect("ordered"))
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The precomputed sort key orders exactly like the value comparator it
+    /// replaces in the external sort, at every α.
+    #[test]
+    fn order_key_matches_cmp_values_at(
+        x in arb_value(),
+        y in arb_value(),
+        alpha in prop_oneof![Just(0.0), Just(1.0), 0.0..1.0f64],
+    ) {
+        use fuzzy_core::interval_order::{cmp_values_at, OrderKey};
+        let a = Degree::new(alpha).unwrap();
+        prop_assert_eq!(OrderKey::at(&x, a).cmp_key(&OrderKey::at(&y, a)), cmp_values_at(&x, &y, a));
+        prop_assert_eq!(OrderKey::at(&x, a).cmp_key(&OrderKey::at(&x, a)), std::cmp::Ordering::Equal);
+    }
+}
+
+#[test]
+fn order_key_keeps_signed_zeros_equal() {
+    use fuzzy_core::interval_order::{cmp_values_at, OrderKey};
+    use fuzzy_core::Value;
+    let (neg, pos) = (Value::Number(-0.0), Value::number(0.0));
+    for a in [Degree::ZERO, Degree::new(0.5).unwrap(), Degree::ONE] {
+        assert_eq!(cmp_values_at(&neg, &pos, a), std::cmp::Ordering::Equal);
+        assert_eq!(
+            OrderKey::at(&neg, a).cmp_key(&OrderKey::at(&pos, a)),
+            std::cmp::Ordering::Equal
+        );
+    }
+}

@@ -8,8 +8,9 @@
 
 use crate::schema::Schema;
 use crate::tuple::Tuple;
+use fuzzy_core::hash::ValueHashBuilder;
 use fuzzy_core::{Degree, Value};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 /// An in-memory fuzzy relation: a schema plus a fuzzy set of tuples.
@@ -80,23 +81,34 @@ impl Relation {
     /// Builds a relation from `(values, degree)` rows with fuzzy-OR duplicate
     /// elimination, preserving first-occurrence order. This is the hash-based
     /// bulk equivalent of [`Relation::insert_dedup_max`] for large answers.
+    /// Each distinct row's values move into the index (nothing is cloned);
+    /// degrees merge in a side vector, and the tuples are rebuilt in
+    /// first-occurrence order at the end.
     pub fn from_dedup_rows<I>(schema: Schema, rows: I) -> Relation
     where
         I: IntoIterator<Item = (Vec<Value>, Degree)>,
     {
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut tuples: Vec<Tuple> = Vec::new();
+        let mut index: HashMap<Vec<Value>, usize, ValueHashBuilder> = HashMap::default();
+        let mut degrees: Vec<Degree> = Vec::new();
         for (values, degree) in rows {
             if !degree.is_positive() {
                 continue;
             }
-            match index.get(&values) {
-                Some(&i) => tuples[i].degree = tuples[i].degree.or(degree),
-                None => {
-                    index.insert(values.clone(), tuples.len());
-                    tuples.push(Tuple::new(values, degree));
+            match index.entry(values) {
+                Entry::Occupied(e) => {
+                    let d = &mut degrees[*e.get()];
+                    *d = d.or(degree);
+                }
+                Entry::Vacant(e) => {
+                    e.insert(degrees.len());
+                    degrees.push(degree);
                 }
             }
+        }
+        let mut tuples: Vec<Tuple> =
+            degrees.into_iter().map(|d| Tuple::new(Vec::new(), d)).collect();
+        for (values, i) in index {
+            tuples[i].values = values;
         }
         Relation { schema, tuples }
     }
@@ -104,20 +116,10 @@ impl Relation {
     /// Returns a copy with duplicates merged by maximum degree (fuzzy OR),
     /// preserving first-occurrence order.
     pub fn dedup_max(&self) -> Relation {
-        let mut index: HashMap<&[Value], usize> = HashMap::with_capacity(self.tuples.len());
-        let mut out: Vec<Tuple> = Vec::new();
-        for t in &self.tuples {
-            match index.get(t.values.as_slice()) {
-                Some(&i) => out[i].degree = out[i].degree.or(t.degree),
-                None => {
-                    out.push(t.clone());
-                    // Safety of the borrow: we only read keys from `self`,
-                    // which outlives this function's locals.
-                    index.insert(t.values.as_slice(), out.len() - 1);
-                }
-            }
-        }
-        Relation { schema: self.schema.clone(), tuples: out }
+        Relation::from_dedup_rows(
+            self.schema.clone(),
+            self.tuples.iter().map(|t| (t.values.clone(), t.degree)),
+        )
     }
 
     /// Returns a copy with only tuples meeting `WITH D > z` (or `>= z` when
@@ -268,6 +270,64 @@ mod tests {
         assert_eq!(a.degree_of(&[Value::text("Ann")]).value(), 0.7);
         assert_eq!(a.degree_of(&[Value::text("Betty")]).value(), 0.7);
         assert_eq!(a.degree_of(&[Value::text("Cathy")]), Degree::ZERO);
+    }
+
+    /// `from_dedup_rows` as it was before the clone-free index: it clones
+    /// each new row's values into the index. Kept as the reference the
+    /// clone-free version must reproduce exactly.
+    fn from_dedup_rows_cloning(schema: Schema, rows: Vec<(Vec<Value>, Degree)>) -> Relation {
+        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+        let mut tuples: Vec<Tuple> = Vec::new();
+        for (values, degree) in rows {
+            if !degree.is_positive() {
+                continue;
+            }
+            match index.get(&values) {
+                Some(&i) => tuples[i].degree = tuples[i].degree.or(degree),
+                None => {
+                    index.insert(values.clone(), tuples.len());
+                    tuples.push(Tuple::new(values, degree));
+                }
+            }
+        }
+        Relation { schema, tuples }
+    }
+
+    #[test]
+    fn clone_free_dedup_matches_the_cloning_reference() {
+        use fuzzy_core::Trapezoid;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(9);
+        // 2000 keys: fuzzy, text, NULL, and crisp. A zero arrives as -0.0 or
+        // 0.0 at random; the two are equal as values, so whichever sign comes
+        // first must survive, as in the reference.
+        let key = |k: u32, zero: f64| -> Value {
+            match k % 5 {
+                0 => Value::fuzzy(Trapezoid::new(zero, 0.0, 1.0, 1.0 + f64::from(k)).unwrap()),
+                1 => Value::text(format!("name{k}")),
+                2 if k.is_multiple_of(7) => Value::Null,
+                2 => Value::Number(zero),
+                _ => Value::number(f64::from(k) * 0.5),
+            }
+        };
+        let rows: Vec<(Vec<Value>, Degree)> = (0..20_000)
+            .map(|_| {
+                let k = rng.gen_range(0..2000u32);
+                let zero = if rng.gen_range(0..2u32) == 0 { -0.0 } else { 0.0 };
+                let d = Degree::new(f64::from(rng.gen_range(0..11u32)) / 10.0).unwrap();
+                (vec![key(k, zero), Value::number(f64::from(k % 3))], d)
+            })
+            .collect();
+        let schema = Schema::of(&[("K", AttrType::Number), ("M", AttrType::Number)]);
+        let want = from_dedup_rows_cloning(schema.clone(), rows.clone());
+        let got = Relation::from_dedup_rows(schema, rows);
+        assert!(want.len() > 1000, "{} distinct rows", want.len());
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.tuples().iter().zip(want.tuples()) {
+            // Debug shows each float's sign and round-trip digits.
+            assert_eq!(format!("{g:?}"), format!("{w:?}"));
+        }
     }
 
     #[test]

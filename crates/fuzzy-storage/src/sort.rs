@@ -16,7 +16,16 @@
 //! read — and keeps the key beside its record (in the run-generation batch,
 //! and as each run's head in the merge), so comparisons never re-decode a
 //! record. A key that fails to extract (a corrupt record) ends the sort with
-//! that error.
+//! that error. The engine's key, for example, is the join attribute's
+//! `fuzzy_core::interval_order::OrderKey` at the step's α-cut level:
+//!
+//! ```text
+//! key: |r| Tuple::decode_value_at(r, attr).map(|v| OrderKey::at(&v, alpha))
+//! cmp: OrderKey::cmp_key
+//! ```
+//!
+//! so each comparison is a lexicographic compare of precomputed α-cut
+//! endpoints and breakpoints, with no decoding and no α-cut arithmetic.
 //!
 //! All run files live on the same simulated disk as the input, so every spill
 //! is charged to the I/O counters.

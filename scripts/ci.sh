@@ -68,6 +68,20 @@ if [[ -n "$panics" ]]; then
   exit 1
 fi
 
+echo "==> value-keyed maps hash with ValueHashBuilder"
+# Maps keyed by Value, Vec<Value> or &[Value] sit on the answer, aggregate
+# and GROUP BY paths; std's SipHash default costs more than the work around
+# it there. Non-test = everything before the first #[cfg(test)] block.
+value_maps=$(find src crates/*/src -name '*.rs' | sort | while read -r f; do
+  awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"NR": "$0}' "$f"
+done | grep -E 'HashMap<\s*(&\s*)?(\[\s*(\w+::)*Value\s*\]|Vec<\s*(\w+::)*Value\s*>|(\w+::)*Value)\s*,' \
+  | grep -v 'ValueHashBuilder' || true)
+if [[ -n "$value_maps" ]]; then
+  echo "error: HashMap keyed by values without fuzzy_core::hash::ValueHashBuilder:" >&2
+  echo "$value_maps" >&2
+  exit 1
+fi
+
 echo "==> operator declarations (the verifier checks the tree that runs)"
 # Every exec/ operator module that opens a metered operator (begin_op, i.e.
 # constructs an OpGuard) must also carry its physical-property declaration;
