@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fuzzy_core::interval_order::{self, OrderKey};
 use fuzzy_core::{possibility, CmpOp, Degree, Trapezoid, Value};
-use fuzzy_rel::{AttrType, Relation, Schema, Tuple};
+use fuzzy_engine::{Engine, Strategy};
+use fuzzy_rel::{AttrType, Catalog, Relation, Schema, StoredTable, Tuple};
 use fuzzy_storage::{external_sort, HeapFile, SimDisk};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,12 +132,53 @@ fn answer_dedup(c: &mut Criterion) {
     });
 }
 
+/// The naive evaluator on a shape outside the unnesting catalogue: two
+/// uncorrelated IN sub-queries, each re-run once per outer tuple. R, S and T
+/// hold 64, 48 and 32 rows of (ID, X, V); X is crisp or triangular around
+/// 12 grid points and V one of 6 values.
+fn naive_fallback(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(8);
+    let disk = SimDisk::with_default_page_size();
+    let mut catalog = Catalog::new();
+    for (name, n) in [("R", 64usize), ("S", 48), ("T", 32)] {
+        let schema = Schema::of(&[
+            ("ID", AttrType::Number),
+            ("X", AttrType::Number),
+            ("V", AttrType::Number),
+        ]);
+        let table = StoredTable::create(&disk, name, schema);
+        let mut w = table.file().bulk_writer();
+        for i in 0..n {
+            let centre = f64::from(rng.gen_range(0..12u32)) * 10.0;
+            let x = if rng.gen_range(0..2u32) == 0 {
+                Value::number(centre)
+            } else {
+                let half = f64::from(rng.gen_range(2..7u32));
+                Value::fuzzy(Trapezoid::triangular(centre - half, centre, centre + half).unwrap())
+            };
+            let v = Value::number(100.0 + 5.0 * f64::from(rng.gen_range(0..6u32)));
+            w.append(&Tuple::full(vec![Value::number(i as f64), x, v]).encode(0)).unwrap();
+        }
+        w.finish().unwrap();
+        catalog.register(table);
+    }
+    let engine = Engine::over(catalog.into(), &disk);
+    let q = fuzzy_sql::parse(
+        "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S) AND R.V IN (SELECT T.V FROM T)",
+    )
+    .unwrap();
+    c.bench_function("naive_fallback_two_in", |b| {
+        b.iter(|| engine.run(&q, Strategy::Naive).unwrap().answer.len())
+    });
+}
+
 criterion_group!(
     benches,
     possibility_ops,
     interval_order_cmp,
     tuple_codec,
     external_sort_bench,
-    answer_dedup
+    answer_dedup,
+    naive_fallback
 );
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 use crate::error::{EngineError, Result};
 use crate::exec::{ExecConfig, Executor};
 use crate::metrics::{OpKind, QueryMetrics, ServingCounters, ServingInfo};
-use crate::naive::NaiveEvaluator;
+use crate::naive::{order_and_limit, NaiveEvaluator};
 use crate::plan_cache::{PlanCache, Planned};
 use crate::unnest::build_plan;
 use fuzzy_core::Degree;
@@ -302,20 +302,7 @@ impl Engine {
                 answer = answer.with_threshold(Degree::clamped(z), true);
             }
         }
-        if let Some(order) = &q.order_by {
-            answer = match &order.key {
-                fuzzy_sql::OrderKey::Degree => answer.ordered_by_degree(order.descending),
-                fuzzy_sql::OrderKey::Column(c) => {
-                    let idx = answer.schema().index_of(&c.column).ok_or_else(|| {
-                        EngineError::Bind(format!("ORDER BY column {c} not in the select list"))
-                    })?;
-                    answer.ordered_by_column(idx, order.descending)
-                }
-            };
-        }
-        if let Some(n) = q.limit {
-            answer = answer.limited(n);
-        }
+        let answer = order_and_limit(q, answer)?;
         let cpu = start.elapsed();
         let io = self.disk.io().since(&io_before);
         serving.lock_wait = self.lock_wait;

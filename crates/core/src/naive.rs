@@ -15,6 +15,22 @@
 //!    on [the query's] semantics" whose cost the paper's Section 1 warns
 //!    about. (The paper's measured baseline, the block nested-loop join, is
 //!    in [`crate::nested_loop`].)
+//!
+//! The re-evaluation is literal, but it copies nothing it does not return.
+//! Each stored table is read once per statement into a shared [`Rc`]
+//! materialization; the frames a block pushes while it enumerates its cross
+//! product are borrows of a binding name, a schema and a tuple, so a nested
+//! block's environment is its outer frames plus its own (a few pointers per
+//! frame); and each block's rows are duplicate-eliminated with the hashed
+//! [`Relation::from_dedup_rows`]. None of this changes which predicates run,
+//! in which order, or where a conjunction short-circuits, so answers and the
+//! comparison counter are those of the literal evaluation.
+//!
+//! The evaluator returns the top-level block's answer without presentation:
+//! the statement layer applies the session threshold and then ORDER BY and
+//! LIMIT (`order_and_limit`), as it does for every strategy. ORDER BY and
+//! LIMIT inside a nested block (which the unnester rejects) are applied here,
+//! to that block's answer.
 
 use crate::error::{EngineError, Result};
 use fuzzy_core::hash::ValueHashBuilder;
@@ -24,24 +40,29 @@ use fuzzy_sql::{
     AggFunc, ColumnRef, HavingOperand, Operand, OrderKey, Predicate, Quantifier, Query, SelectItem,
 };
 use fuzzy_storage::BufferPool;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::rc::Rc;
 
-/// One table binding visible to predicate evaluation.
-#[derive(Debug, Clone)]
-struct Frame {
-    binding: String,
-    schema: Schema,
-    tuple: Tuple,
+/// One table binding visible to predicate evaluation: borrows of the
+/// binding name, the relation's schema and the current tuple.
+#[derive(Debug, Clone, Copy)]
+struct Frame<'e> {
+    binding: &'e str,
+    schema: &'e Schema,
+    tuple: &'e Tuple,
 }
 
 /// The naive evaluator. Holds a materialization cache so each stored table is
-/// read once per query, while the evaluation itself remains the naive
-/// cross-product/nested re-evaluation.
+/// read once per query and shared by every block evaluation that scans it,
+/// while the evaluation itself remains the naive cross-product/nested
+/// re-evaluation. Frames borrow, block answers dedup by hash, and only
+/// nested blocks apply their own ORDER BY/LIMIT (see the module docs).
 pub struct NaiveEvaluator<'a> {
     catalog: &'a Catalog,
     pool: &'a BufferPool,
-    cache: RefCell<HashMap<String, Relation>>,
+    cache: RefCell<HashMap<String, Rc<Relation>>>,
     comparisons: Cell<u64>,
 }
 
@@ -64,31 +85,42 @@ impl<'a> NaiveEvaluator<'a> {
         self.comparisons.get()
     }
 
-    /// Evaluates a top-level query to a fuzzy relation.
+    /// Evaluates a top-level query to its fuzzy relation, before
+    /// presentation: the top-level ORDER BY and LIMIT are left to the
+    /// caller, which applies them after any session threshold.
     pub fn eval(&self, q: &Query) -> Result<Relation> {
-        let mut env = Vec::new();
-        self.eval_block(q, &mut env)
+        self.eval_block(q, &[])
     }
 
-    fn materialize(&self, table: &str) -> Result<Relation> {
-        if let Some(rel) = self.cache.borrow().get(&table.to_lowercase()) {
-            return Ok(rel.clone());
+    fn materialize(&self, table: &str) -> Result<Rc<Relation>> {
+        let key = table.to_lowercase();
+        if let Some(rel) = self.cache.borrow().get(&key) {
+            return Ok(Rc::clone(rel));
         }
         let stored = self
             .catalog
             .table(table)
             .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
-        let rel = stored.to_relation(self.pool)?;
-        self.cache.borrow_mut().insert(table.to_lowercase(), rel.clone());
+        let rel = Rc::new(stored.to_relation(self.pool)?);
+        self.cache.borrow_mut().insert(key, Rc::clone(&rel));
         Ok(rel)
     }
 
-    fn eval_block(&self, q: &Query, env: &mut Vec<Frame>) -> Result<Relation> {
+    /// Evaluates a nested block for the current outer frames: its answer
+    /// with its own ORDER BY and LIMIT applied.
+    fn eval_nested(&self, q: &Query, outer: &[Frame<'_>]) -> Result<Relation> {
+        order_and_limit(q, self.eval_block(q, outer)?)
+    }
+
+    /// Evaluates one block against the outer frames `outer`, without
+    /// presentation.
+    fn eval_block(&self, q: &Query, outer: &[Frame<'_>]) -> Result<Relation> {
         // Resolve FROM relations.
-        let mut rels: Vec<(String, Relation)> = Vec::with_capacity(q.from.len());
-        for t in &q.from {
-            rels.push((t.binding_name().to_string(), self.materialize(&t.table)?));
-        }
+        let rels = q
+            .from
+            .iter()
+            .map(|t| Ok((t.binding_name(), self.materialize(&t.table)?)))
+            .collect::<Result<Vec<_>>>()?;
         let grouped = !q.group_by.is_empty()
             || !q.having.is_empty()
             || q.select.iter().any(|s| !matches!(s, SelectItem::Column(_)));
@@ -102,7 +134,9 @@ impl<'a> NaiveEvaluator<'a> {
         };
 
         let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
-        self.cross_product(env, &rels, 0, &mut |this, env| {
+        let mut env = Vec::with_capacity(outer.len() + rels.len());
+        env.extend_from_slice(outer);
+        self.cross_product(&mut env, &rels, &mut |env| {
             let mut d = Degree::ONE;
             for f in env.iter().rev().take(rels.len()) {
                 d = d.and(f.tuple.degree);
@@ -111,7 +145,7 @@ impl<'a> NaiveEvaluator<'a> {
                 if !d.is_positive() && strict {
                     break; // cannot recover under fuzzy AND
                 }
-                d = d.and(this.eval_predicate(p, env)?);
+                d = d.and(self.eval_predicate(p, env)?);
             }
             if d.meets(z, strict) {
                 let values = if grouped {
@@ -132,57 +166,32 @@ impl<'a> NaiveEvaluator<'a> {
             Ok(())
         })?;
 
-        let schema = output_schema(q, &rels, self)?;
-        let answer = if grouped {
-            aggregate_rows(q, schema, rows, self.catalog.vocabulary())?
-        } else {
-            let mut rel = Relation::empty(schema);
-            for (values, d) in rows {
-                rel.insert_dedup_max(Tuple::new(values, d));
-            }
-            rel
-        };
-        // The WITH clause thresholds the final answer; for z = 0 strict this
-        // is the membership criterion already enforced.
-        let mut answer = if z > Degree::ZERO { answer.with_threshold(z, strict) } else { answer };
-        // ORDER BY / LIMIT are presentation steps on the block's answer.
-        if let Some(order) = &q.order_by {
-            answer = match &order.key {
-                OrderKey::Degree => answer.ordered_by_degree(order.descending),
-                OrderKey::Column(c) => {
-                    let idx = answer.schema().index_of(&c.column).ok_or_else(|| {
-                        EngineError::Bind(format!("ORDER BY column {c} not in the select list"))
-                    })?;
-                    answer.ordered_by_column(idx, order.descending)
-                }
-            };
+        let schema = output_schema(q, &rels)?;
+        if !grouped {
+            // Every row already meets the WITH clause, so their fuzzy OR
+            // does too: the answer needs no further threshold.
+            return Ok(Relation::from_dedup_rows(schema, rows));
         }
-        if let Some(n) = q.limit {
-            answer = answer.limited(n);
-        }
-        Ok(answer)
+        let answer = aggregate_rows(q, schema, rows, self.catalog.vocabulary())?;
+        // The WITH clause thresholds the groups; for z = 0 strict this is
+        // the membership criterion already enforced.
+        Ok(if z > Degree::ZERO { answer.with_threshold(z, strict) } else { answer })
     }
 
     /// Recursively enumerates the cross product of the FROM relations,
     /// pushing each combination as frames onto `env`.
-    fn cross_product(
+    fn cross_product<'e>(
         &self,
-        env: &mut Vec<Frame>,
-        rels: &[(String, Relation)],
-        idx: usize,
-        f: &mut dyn FnMut(&Self, &mut Vec<Frame>) -> Result<()>,
+        env: &mut Vec<Frame<'e>>,
+        rels: &'e [(&'e str, Rc<Relation>)],
+        f: &mut dyn FnMut(&[Frame<'e>]) -> Result<()>,
     ) -> Result<()> {
-        if idx == rels.len() {
-            return f(self, env);
-        }
-        let (binding, rel) = &rels[idx];
-        for t in rel.tuples() {
-            env.push(Frame {
-                binding: binding.clone(),
-                schema: rel.schema().clone(),
-                tuple: t.clone(),
-            });
-            let r = self.cross_product(env, rels, idx + 1, f);
+        let Some(((binding, rel), rest)) = rels.split_first() else {
+            return f(env);
+        };
+        for tuple in rel.tuples() {
+            env.push(Frame { binding, schema: rel.schema(), tuple });
+            let r = self.cross_product(env, rest, f);
             env.pop();
             r?;
         }
@@ -201,14 +210,10 @@ impl<'a> NaiveEvaluator<'a> {
         tuple: &Tuple,
         preds: &[Predicate],
     ) -> Result<Degree> {
-        let mut env = vec![Frame {
-            binding: binding.to_string(),
-            schema: schema.clone(),
-            tuple: tuple.clone(),
-        }];
+        let env = [Frame { binding, schema, tuple }];
         let mut d = Degree::ONE;
         for p in preds {
-            d = d.and(self.eval_predicate(p, &mut env)?);
+            d = d.and(self.eval_predicate(p, &env)?);
             if !d.is_positive() {
                 break;
             }
@@ -216,7 +221,7 @@ impl<'a> NaiveEvaluator<'a> {
         Ok(d)
     }
 
-    fn eval_predicate(&self, p: &Predicate, env: &mut Vec<Frame>) -> Result<Degree> {
+    fn eval_predicate(&self, p: &Predicate, env: &[Frame<'_>]) -> Result<Degree> {
         match p {
             Predicate::Compare { lhs, op, rhs } => {
                 let (l, r) = resolve_pair(env, lhs, rhs, self.catalog.vocabulary())?;
@@ -229,7 +234,7 @@ impl<'a> NaiveEvaluator<'a> {
                 Ok(l.compare_similar(&r, *tolerance))
             }
             Predicate::In { lhs, negated, query } => {
-                let t = self.eval_block(query, env)?;
+                let t = self.eval_nested(query, env)?;
                 single_column(&t)?;
                 let v = resolve_operand_vs_relation(env, lhs, &t, self.catalog.vocabulary())?;
                 self.comparisons.set(self.comparisons.get() + t.len() as u64);
@@ -239,7 +244,7 @@ impl<'a> NaiveEvaluator<'a> {
                 Ok(if *negated { d_in.not() } else { d_in })
             }
             Predicate::Quantified { lhs, op, quantifier, query } => {
-                let t = self.eval_block(query, env)?;
+                let t = self.eval_nested(query, env)?;
                 single_column(&t)?;
                 let v = resolve_operand_vs_relation(env, lhs, &t, self.catalog.vocabulary())?;
                 self.comparisons.set(self.comparisons.get() + t.len() as u64);
@@ -256,7 +261,7 @@ impl<'a> NaiveEvaluator<'a> {
                 }
             }
             Predicate::AggSubquery { lhs, op, query } => {
-                let t = self.eval_block(query, env)?;
+                let t = self.eval_nested(query, env)?;
                 single_column(&t)?;
                 if t.len() > 1 {
                     return Err(EngineError::Unsupported(format!(
@@ -279,7 +284,7 @@ impl<'a> NaiveEvaluator<'a> {
                 }
             }
             Predicate::Exists { negated, query } => {
-                let t = self.eval_block(query, env)?;
+                let t = self.eval_nested(query, env)?;
                 let d = Degree::any(t.tuples().iter().map(|z| z.degree));
                 Ok(if *negated { d.not() } else { d })
             }
@@ -290,7 +295,7 @@ impl<'a> NaiveEvaluator<'a> {
 /// Values captured per row for a grouped/aggregated query: the GROUP BY keys
 /// followed by every select-list aggregate's input column, followed by every
 /// HAVING aggregate's input column.
-fn group_row_values(q: &Query, env: &[Frame]) -> Result<Vec<Value>> {
+fn group_row_values(q: &Query, env: &[Frame<'_>]) -> Result<Vec<Value>> {
     let mut out = Vec::new();
     for c in &q.group_by {
         out.push(resolve_column(env, c)?.clone());
@@ -319,30 +324,34 @@ fn aggregate_rows(
     vocab: &Vocabulary,
 ) -> Result<Relation> {
     let key_len = q.group_by.len();
-    // Group rows by key values, preserving first-seen order.
-    let mut order: Vec<Vec<Value>> = Vec::new();
-    let mut groups: HashMap<Vec<Value>, Vec<_>, ValueHashBuilder> = HashMap::default();
+    // Group rows by key values, preserving first-seen order. A group's key
+    // is the key prefix of its first member's values.
+    let mut groups: Vec<Vec<(Vec<Value>, Degree)>> = Vec::new();
+    let mut index: HashMap<Vec<Value>, usize, ValueHashBuilder> = HashMap::default();
     for (values, d) in rows {
-        let key = values[..key_len].to_vec();
-        if !groups.contains_key(&key) {
-            order.push(key.clone());
-        }
-        groups.entry(key).or_default().push((values, d));
+        let g = match index.get(&values[..key_len]) {
+            Some(&g) => g,
+            None => {
+                index.insert(values[..key_len].to_vec(), groups.len());
+                groups.push(Vec::new());
+                groups.len() - 1
+            }
+        };
+        groups[g].push((values, d));
     }
     // A group-by-less aggregate query always produces exactly one group,
     // possibly empty.
-    if key_len == 0 && order.is_empty() {
-        order.push(Vec::new());
-        groups.insert(Vec::new(), Vec::new());
+    if key_len == 0 && groups.is_empty() {
+        groups.push(Vec::new());
     }
 
     // Index where HAVING aggregate inputs start in a captured row.
     let select_agg_count =
         q.select.iter().filter(|i| matches!(i, SelectItem::Aggregate(..))).count();
 
-    let mut rel = Relation::empty(schema);
-    'group: for key in order {
-        let members = &groups[&key];
+    let mut out_rows: Vec<(Vec<Value>, Degree)> = Vec::with_capacity(groups.len());
+    'group: for members in &groups {
+        let key = members.first().map_or(&[][..], |(values, _)| &values[..key_len]);
         let mut out_values: Vec<Value> = Vec::new();
         let mut degree = Degree::ONE;
         let mut agg_input_idx = key_len;
@@ -389,17 +398,17 @@ fn aggregate_rows(
         // HAVING: each predicate's degree joins the group's conjunction.
         let mut having_agg_idx = key_len + select_agg_count;
         for h in &q.having {
-            let lhs = having_value(&h.lhs, q, &key, members, &mut having_agg_idx)?;
-            let rhs = having_value(&h.rhs, q, &key, members, &mut having_agg_idx)?;
+            let lhs = having_value(&h.lhs, q, key, members, &mut having_agg_idx)?;
+            let rhs = having_value(&h.rhs, q, key, members, &mut having_agg_idx)?;
             let (lhs, rhs) = resolve_having_terms(lhs, rhs, vocab);
             degree = degree.and(lhs.compare(h.op, &rhs));
             if !degree.is_positive() {
                 continue 'group;
             }
         }
-        rel.insert_dedup_max(Tuple::new(out_values, degree));
+        out_rows.push((out_values, degree));
     }
-    Ok(rel)
+    Ok(Relation::from_dedup_rows(schema, out_rows))
 }
 
 /// A HAVING operand value, either computed from the group or pending term
@@ -498,7 +507,7 @@ pub(crate) fn apply_aggregate(agg: AggFunc, distinct: &[&Value]) -> Result<Optio
 /// membership degree attribute can be used by itself as a predicate"
 /// (Query JXT), and this is the read side of that device. Only available
 /// when the relation has no ordinary attribute named `D`.
-fn resolve_column<'e>(env: &'e [Frame], c: &ColumnRef) -> Result<&'e Value> {
+fn resolve_column<'e>(env: &[Frame<'e>], c: &ColumnRef) -> Result<&'e Value> {
     resolve_column_or_degree(env, c).map(|r| match r {
         ColumnValue::Attr(v) => v,
         ColumnValue::Degree(_) => unreachable!("caller used resolve_column_value"),
@@ -511,7 +520,7 @@ enum ColumnValue<'e> {
     Degree(Degree),
 }
 
-fn resolve_column_or_degree<'e>(env: &'e [Frame], c: &ColumnRef) -> Result<ColumnValue<'e>> {
+fn resolve_column_or_degree<'e>(env: &[Frame<'e>], c: &ColumnRef) -> Result<ColumnValue<'e>> {
     for f in env.iter().rev() {
         if let Some(t) = &c.table {
             if !f.binding.eq_ignore_ascii_case(t) {
@@ -532,44 +541,52 @@ fn resolve_column_or_degree<'e>(env: &'e [Frame], c: &ColumnRef) -> Result<Colum
     Err(EngineError::Bind(format!("unresolved column {c}")))
 }
 
-/// Resolves a column to an owned value, mapping the degree pseudo-column to
-/// a crisp number.
-fn resolve_column_value(env: &[Frame], c: &ColumnRef) -> Result<Value> {
+/// Resolves a column to its value, mapping the degree pseudo-column to a
+/// crisp number.
+fn resolve_column_value<'e>(env: &[Frame<'e>], c: &ColumnRef) -> Result<Cow<'e, Value>> {
     Ok(match resolve_column_or_degree(env, c)? {
-        ColumnValue::Attr(v) => v.clone(),
-        ColumnValue::Degree(d) => Value::number(d.value()),
+        ColumnValue::Attr(v) => Cow::Borrowed(v),
+        ColumnValue::Degree(d) => Cow::Owned(Value::number(d.value())),
     })
 }
 
 /// Resolves two compare operands, deciding how quoted terms bind: against a
 /// text value they are text; otherwise they are linguistic terms looked up in
-/// the vocabulary.
-fn resolve_pair(
-    env: &[Frame],
+/// the vocabulary. Column values are borrowed from the frames.
+fn resolve_pair<'e>(
+    env: &[Frame<'e>],
     lhs: &Operand,
     rhs: &Operand,
     vocab: &Vocabulary,
-) -> Result<(Value, Value)> {
+) -> Result<(Cow<'e, Value>, Cow<'e, Value>)> {
     let l0 = pre_resolve(env, lhs)?;
     let r0 = pre_resolve(env, rhs)?;
-    let l = finish_resolve(l0, &r0, vocab)?;
-    let r = finish_resolve(r0, &Pre::Val(l.clone()), vocab)?;
+    let l = finish_resolve(l0, r0.is_text(), vocab)?;
+    let r = finish_resolve(r0, matches!(*l, Value::Text(_)), vocab)?;
     Ok((l, r))
 }
 
 /// Intermediate operand resolution: columns and numbers become values; terms
 /// stay pending until the partner's type is known.
-enum Pre {
-    Val(Value),
-    Term(String),
+enum Pre<'e, 'q> {
+    Val(Cow<'e, Value>),
+    Term(&'q str),
 }
 
-fn pre_resolve(env: &[Frame], o: &Operand) -> Result<Pre> {
+impl Pre<'_, '_> {
+    fn is_text(&self) -> bool {
+        matches!(self, Pre::Val(v) if matches!(**v, Value::Text(_)))
+    }
+}
+
+fn pre_resolve<'e, 'q>(env: &[Frame<'e>], o: &'q Operand) -> Result<Pre<'e, 'q>> {
     Ok(match o {
         Operand::Column(c) => Pre::Val(resolve_column_value(env, c)?),
-        Operand::Number(n) => Pre::Val(Value::number(*n)),
-        Operand::Term(t) => Pre::Term(t.clone()),
-        Operand::FuzzyLiteral(a, b, c, d) => Pre::Val(fuzzy_literal_value(*a, *b, *c, *d)?),
+        Operand::Number(n) => Pre::Val(Cow::Owned(Value::number(*n))),
+        Operand::Term(t) => Pre::Term(t),
+        Operand::FuzzyLiteral(a, b, c, d) => {
+            Pre::Val(Cow::Owned(fuzzy_literal_value(*a, *b, *c, *d)?))
+        }
     })
 }
 
@@ -579,45 +596,46 @@ pub(crate) fn fuzzy_literal_value(a: f64, b: f64, c: f64, d: f64) -> Result<Valu
     Ok(Value::fuzzy(t))
 }
 
-fn finish_resolve(p: Pre, partner: &Pre, vocab: &Vocabulary) -> Result<Value> {
+fn finish_resolve<'e>(
+    p: Pre<'e, '_>,
+    partner_is_text: bool,
+    vocab: &Vocabulary,
+) -> Result<Cow<'e, Value>> {
     match p {
         Pre::Val(v) => Ok(v),
-        Pre::Term(t) => {
-            let partner_is_text = matches!(partner, Pre::Val(Value::Text(_)));
-            if partner_is_text {
-                Ok(Value::text(t))
-            } else if let Ok(shape) = vocab.resolve(&t) {
-                Ok(Value::fuzzy(shape))
-            } else {
-                // Not in the vocabulary and not compared to text: treat as a
-                // plain string (e.g. comparing two term literals).
-                Ok(Value::text(t))
-            }
-        }
+        Pre::Term(t) => Ok(Cow::Owned(if partner_is_text {
+            Value::text(t)
+        } else if let Ok(shape) = vocab.resolve(t) {
+            Value::fuzzy(shape)
+        } else {
+            // Not in the vocabulary and not compared to text: treat as a
+            // plain string (e.g. comparing two term literals).
+            Value::text(t)
+        })),
     }
 }
 
 /// Resolves the LHS of a sub-query predicate, using the sub-query's column
 /// type to decide term binding.
-fn resolve_operand_vs_relation(
-    env: &[Frame],
+fn resolve_operand_vs_relation<'e>(
+    env: &[Frame<'e>],
     lhs: &Operand,
     t: &Relation,
     vocab: &Vocabulary,
-) -> Result<Value> {
+) -> Result<Cow<'e, Value>> {
     match lhs {
-        Operand::Column(c) => Ok(resolve_column(env, c)?.clone()),
-        Operand::Number(n) => Ok(Value::number(*n)),
-        Operand::FuzzyLiteral(a, b, c, d) => fuzzy_literal_value(*a, *b, *c, *d),
+        Operand::Column(c) => Ok(Cow::Borrowed(resolve_column(env, c)?)),
+        Operand::Number(n) => Ok(Cow::Owned(Value::number(*n))),
+        Operand::FuzzyLiteral(a, b, c, d) => Ok(Cow::Owned(fuzzy_literal_value(*a, *b, *c, *d)?)),
         Operand::Term(term) => {
             let text_col = t.schema().attr(0).ty == AttrType::Text;
-            if text_col {
-                Ok(Value::text(term.clone()))
+            Ok(Cow::Owned(if text_col {
+                Value::text(term.clone())
             } else if let Ok(shape) = vocab.resolve(term) {
-                Ok(Value::fuzzy(shape))
+                Value::fuzzy(shape)
             } else {
-                Ok(Value::text(term.clone()))
-            }
+                Value::text(term.clone())
+            }))
         }
     }
 }
@@ -634,11 +652,7 @@ fn single_column(t: &Relation) -> Result<()> {
 }
 
 /// Derives the output schema of a query.
-fn output_schema(
-    q: &Query,
-    rels: &[(String, Relation)],
-    _ev: &NaiveEvaluator<'_>,
-) -> Result<Schema> {
+fn output_schema(q: &Query, rels: &[(&str, Rc<Relation>)]) -> Result<Schema> {
     let mut attrs = Vec::new();
     for item in &q.select {
         match item {
@@ -658,7 +672,7 @@ fn output_schema(
     Ok(Schema::new(attrs))
 }
 
-fn column_meta(rels: &[(String, Relation)], c: &ColumnRef) -> Result<(String, AttrType)> {
+fn column_meta(rels: &[(&str, Rc<Relation>)], c: &ColumnRef) -> Result<(String, AttrType)> {
     for (binding, rel) in rels.iter().rev() {
         if let Some(t) = &c.table {
             if !binding.eq_ignore_ascii_case(t) {
@@ -670,10 +684,29 @@ fn column_meta(rels: &[(String, Relation)], c: &ColumnRef) -> Result<(String, At
             return Ok((a.name.clone(), a.ty));
         }
         if c.table.is_some() {
-            return Err(EngineError::Bind(format!("no attribute {} in {}", c.column, binding)));
+            return Err(EngineError::Bind(format!("no attribute {} in {binding}", c.column)));
         }
     }
     // The column may belong to an outer block (correlated select is not
     // supported) — report cleanly.
     Err(EngineError::Bind(format!("unresolved select column {c}")))
+}
+
+/// The presentation steps ORDER BY and LIMIT, applied to a block's answer.
+pub(crate) fn order_and_limit(q: &Query, mut answer: Relation) -> Result<Relation> {
+    if let Some(order) = &q.order_by {
+        answer = match &order.key {
+            OrderKey::Degree => answer.ordered_by_degree(order.descending),
+            OrderKey::Column(c) => {
+                let idx = answer.schema().index_of(&c.column).ok_or_else(|| {
+                    EngineError::Bind(format!("ORDER BY column {c} not in the select list"))
+                })?;
+                answer.ordered_by_column(idx, order.descending)
+            }
+        };
+    }
+    if let Some(n) = q.limit {
+        answer = answer.limited(n);
+    }
+    Ok(answer)
 }

@@ -330,6 +330,46 @@ mod tests {
         }
     }
 
+    /// The bulk hashed dedup is the incremental one folded over the same
+    /// rows: same tuples, same first-occurrence values and order, same
+    /// degrees. Rows mix zero degrees, repeats whose degree rises and falls,
+    /// `-0.0`/`0.0`, NULL, text and fuzzy keys.
+    #[test]
+    fn from_dedup_rows_equals_folded_insert_dedup_max() {
+        use fuzzy_core::Trapezoid;
+        let d = |x: f64| Degree::new(x).unwrap();
+        let fuzzy = |a: f64| Value::fuzzy(Trapezoid::triangular(a, a + 1.0, a + 2.0).unwrap());
+        let row = |k: Value, m: Value, x: f64| (vec![k, m], d(x));
+        let rows = vec![
+            row(Value::Number(-0.0), Value::text("a"), 0.3),
+            row(Value::Number(0.0), Value::text("a"), 0.6), // rises; -0.0 stays
+            row(Value::Null, Value::text("a"), 0.0),        // zero: dropped
+            row(fuzzy(1.0), Value::Null, 0.9),
+            row(Value::Number(0.0), Value::text("a"), 0.4), // falls
+            row(Value::Null, Value::text("a"), 0.2),        // first member after a zero
+            row(fuzzy(1.0), Value::Null, 0.1),
+            row(Value::text("0"), Value::text("a"), 0.5), // text "0" is not the number 0
+            row(fuzzy(2.0), Value::Null, 0.0),
+            row(Value::Null, Value::Null, 0.7),
+            row(Value::Null, Value::text("a"), 1.0),
+            row(fuzzy(1.0), Value::Null, 0.95),
+            row(Value::text("0"), Value::text("b"), 0.5),
+        ];
+        let schema = Schema::of(&[("K", AttrType::Number), ("M", AttrType::Text)]);
+        let mut folded = Relation::empty(schema.clone());
+        for (values, degree) in rows.clone() {
+            folded.insert_dedup_max(Tuple::new(values, degree));
+        }
+        let bulk = Relation::from_dedup_rows(schema, rows);
+        assert_eq!(bulk.len(), 6);
+        assert_eq!(bulk.len(), folded.len());
+        for (b, f) in bulk.tuples().iter().zip(folded.tuples()) {
+            // Debug shows each float's sign and round-trip digits.
+            assert_eq!(format!("{b:?}"), format!("{f:?}"));
+        }
+        assert!(format!("{:?}", bulk.tuples()[0]).contains("-0.0"), "{bulk}");
+    }
+
     #[test]
     fn insert_dedup_max_is_incremental_fuzzy_or() {
         let mut r = Relation::empty(name_schema());

@@ -24,6 +24,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 if [[ $quick -eq 0 ]]; then
   echo "==> cargo build --release (tier-1)"
   cargo build --release
+
+  echo "==> benchmark compiles against the workspace (perfbench/ is read, not changed)"
+  CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> cargo test (tier-1: root package)"

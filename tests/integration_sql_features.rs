@@ -226,3 +226,51 @@ fn degree_pseudo_column_in_predicates() {
     let all = db.query("SELECT T.NAME FROM T WITH D > 0.1").collect().unwrap();
     assert_eq!(all.len(), 2);
 }
+
+/// The session threshold filters the answer *before* ORDER BY and LIMIT on
+/// every strategy, the naive evaluator and the naive fallback included: the
+/// top-k of the thresholded answer, not the thresholded top-k. Rows are
+/// compared by count and degree sequence (equal-degree ties may break
+/// differently across strategies).
+#[test]
+fn threshold_applies_before_limit_on_every_strategy() {
+    use fuzzy_db::core::Degree;
+    let db = Database::new();
+    let number = |n: f64| Value::number(n);
+    db.create_table(
+        "R",
+        Schema::of(&[("ID", AttrType::Number), ("X", AttrType::Number), ("V", AttrType::Number)]),
+    )
+    .unwrap();
+    db.create_table("S", Schema::of(&[("X", AttrType::Number)])).unwrap();
+    db.create_table("T", Schema::of(&[("V", AttrType::Number)])).unwrap();
+    let degrees = [0.125, 0.25, 0.375, 0.625, 0.75, 1.0];
+    db.load(
+        "R",
+        degrees.iter().enumerate().map(|(i, &d)| {
+            let i = i as f64;
+            Tuple::new(vec![number(i), number(i % 3.0), number(10.0)], Degree::new(d).unwrap())
+        }),
+    )
+    .unwrap();
+    db.load("S", (0..3).map(|x| Tuple::full(vec![number(f64::from(x))]))).unwrap();
+    db.load("T", [Tuple::full(vec![number(10.0)])]).unwrap();
+
+    let degrees_of = |sql: &str, strategy: Strategy| -> (String, Vec<f64>) {
+        let out = db.query(sql).strategy(strategy).threshold(0.5).run().unwrap();
+        (out.plan_label, out.answer.tuples().iter().map(|t| t.degree.value()).collect())
+    };
+    let want = vec![0.625, 0.75, 1.0];
+    let unnestable = "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S) ORDER BY D LIMIT 3";
+    for strategy in [Strategy::Unnest, Strategy::NestedLoop, Strategy::Naive] {
+        let (label, got) = degrees_of(unnestable, strategy);
+        assert_eq!(got, want, "{strategy:?} ({label})");
+    }
+    let fallback = "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S) \
+                    AND R.V IN (SELECT T.V FROM T) ORDER BY D LIMIT 3";
+    for strategy in [Strategy::Unnest, Strategy::Naive] {
+        let (label, got) = degrees_of(fallback, strategy);
+        assert_eq!(got, want, "{strategy:?} ({label})");
+    }
+    assert_eq!(degrees_of(fallback, Strategy::Unnest).0, "naive-fallback");
+}

@@ -185,6 +185,30 @@ fn explain_analyze_reports_actual_operators() {
     assert!(!plain.contains("actual:"), "{plain}");
 }
 
+/// One query per class of the unnesting catalogue, plus the shape the naive
+/// fallback serves ("General"), over `workload_db`'s R and S.
+const CLASS_CORPUS: [(&str, &str); 11] = [
+    ("Flat", "SELECT R.ID FROM R, S WHERE R.X = S.X WITH D > 0.3"),
+    ("TypeN", "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S)"),
+    ("TypeJ", "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.V = R.V)"),
+    ("TypeJSome", "SELECT R.ID FROM R WHERE R.X = SOME (SELECT S.X FROM S WHERE S.V = R.V)"),
+    ("TypeNX", "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S)"),
+    ("TypeJX", "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S WHERE S.V = R.V)"),
+    ("TypeA", "SELECT R.ID FROM R WHERE R.V > (SELECT AVG(S.V) FROM S)"),
+    ("TypeJA", "SELECT R.ID FROM R WHERE R.V <= (SELECT MAX(S.V) FROM S WHERE S.X = R.X)"),
+    ("TypeAll", "SELECT R.ID FROM R WHERE R.V > ALL (SELECT S.V FROM S)"),
+    (
+        "Chain(3)",
+        "SELECT R.ID FROM R WHERE R.X IN \
+         (SELECT S.X FROM S WHERE S.X IN (SELECT S.X FROM S))",
+    ),
+    (
+        "General",
+        "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S) \
+         AND R.V IN (SELECT S.V FROM S)",
+    ),
+];
+
 /// `EXPLAIN ANALYZE` succeeds for every query class in the unnesting
 /// catalogue plus the naive fallback, and its answer line always matches the
 /// run's answer cardinality.
@@ -192,28 +216,7 @@ fn explain_analyze_reports_actual_operators() {
 fn explain_analyze_covers_every_query_class() {
     let (catalog, disk) = workload_db(80, 5);
     let engine = Engine::over(catalog.clone().into(), &disk);
-    let queries = [
-        ("Flat", "SELECT R.ID FROM R, S WHERE R.X = S.X WITH D > 0.3"),
-        ("TypeN", "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S)"),
-        ("TypeJ", "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.V = R.V)"),
-        ("TypeJSome", "SELECT R.ID FROM R WHERE R.X = SOME (SELECT S.X FROM S WHERE S.V = R.V)"),
-        ("TypeNX", "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S)"),
-        ("TypeJX", "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S WHERE S.V = R.V)"),
-        ("TypeA", "SELECT R.ID FROM R WHERE R.V > (SELECT AVG(S.V) FROM S)"),
-        ("TypeJA", "SELECT R.ID FROM R WHERE R.V <= (SELECT MAX(S.V) FROM S WHERE S.X = R.X)"),
-        ("TypeAll", "SELECT R.ID FROM R WHERE R.V > ALL (SELECT S.V FROM S)"),
-        (
-            "Chain(3)",
-            "SELECT R.ID FROM R WHERE R.X IN \
-             (SELECT S.X FROM S WHERE S.X IN (SELECT S.X FROM S))",
-        ),
-        (
-            "General",
-            "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S) \
-             AND R.V IN (SELECT S.V FROM S)",
-        ),
-    ];
-    for (class, sql) in queries {
+    for (class, sql) in CLASS_CORPUS {
         let (text, outcome) = engine.explain_analyze(sql).unwrap();
         assert!(text.contains(&format!("query class: {class}")), "{class}: {text}");
         assert!(text.contains("actual:"), "{class}: {text}");
@@ -224,6 +227,64 @@ fn explain_analyze_covers_every_query_class() {
         if class == "General" {
             assert!(text.contains("strategy: naive fallback"), "{class}: {text}");
             assert!(text.contains("[naive] naive-eval"), "{class}: {text}");
+        }
+    }
+}
+
+/// The oracle's exact work, pinned: `Strategy::Naive` answer sizes and
+/// fuzzy-comparison counts for the class corpus plus three shapes only the
+/// naive fallback serves (EXISTS, a grouped aggregate over a sub-query, and
+/// a three-level block correlated with the outermost one). The naive
+/// evaluator re-runs every nested block per outer tuple and short-circuits
+/// each conjunction in order; these numbers move only if that literal
+/// evaluation does. Where the unnester has a plan, the answers must also
+/// equal its answers.
+#[test]
+fn naive_counters_are_pinned() {
+    let (catalog, disk) = workload_db(80, 5);
+    let engine = Engine::over(catalog.into(), &disk);
+    let extra = [
+        (
+            "Exists",
+            "SELECT R.ID FROM R WHERE EXISTS (SELECT S.ID FROM S WHERE S.X = R.X) \
+             AND R.X IN (SELECT S.X FROM S)",
+        ),
+        (
+            "Grouped",
+            "SELECT R.X, COUNT(R.ID), MAX(R.V) FROM R WHERE R.X IN (SELECT S.X FROM S) \
+             GROUP BY R.X HAVING COUNT(*) > 1",
+        ),
+        (
+            "Correlated(3)",
+            "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE EXISTS \
+             (SELECT T.ID FROM S T WHERE T.X = R.X AND T.ID = S.ID))",
+        ),
+    ];
+    // (answer rows, fuzzy comparisons) under `Strategy::Naive`, in corpus
+    // order then `extra` order.
+    let pins: [(usize, u64); 14] = [
+        (80, 6400),   // Flat
+        (80, 4080),   // TypeN
+        (0, 6400),    // TypeJ
+        (0, 6400),    // TypeJSome
+        (18, 4080),   // TypeNX
+        (80, 6400),   // TypeJX
+        (47, 80),     // TypeA
+        (72, 6480),   // TypeJA
+        (0, 6400),    // TypeAll
+        (80, 330480), // Chain(3)
+        (0, 10480),   // General
+        (80, 10480),  // Exists
+        (8, 4080),    // Grouped
+        (80, 558284), // Correlated(3)
+    ];
+    for ((class, sql), pin) in CLASS_CORPUS.iter().chain(&extra).zip(pins) {
+        let naive = engine.run_sql(sql, Strategy::Naive).unwrap();
+        let got = (naive.answer.len(), naive.metrics.totals().fuzzy_comparisons);
+        assert_eq!(got, pin, "{class}: (rows, fuzzy comparisons) drifted");
+        let unnest = engine.run_sql(sql, Strategy::Unnest).unwrap();
+        if unnest.plan_label != "naive-fallback" {
+            assert_eq!(naive.answer.canonicalized(), unnest.answer.canonicalized(), "{class}");
         }
     }
 }
