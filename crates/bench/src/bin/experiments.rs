@@ -692,12 +692,12 @@ fn ablation_agg_degree(args: &Args) {
         }
         // The edited plan never passes through `Engine::plan_for`, so it
         // is verified here before the executor runs it.
-        let report = verify_plan(&plan, &paper_config(), None);
+        let report = verify_plan(&plan, Strategy::Unnest, &paper_config(), None);
         if let Some(v) = report.violations.first() {
             panic!("edited plan {} fails verification: {v}", report.plan_label);
         }
         let mut ex = Executor::new(&disk, paper_config());
-        let answer = ex.run(&plan).unwrap();
+        let answer = ex.run(&plan, Strategy::Unnest).unwrap();
         let mean: f64 = answer.tuples().iter().map(|t| t.degree.value()).sum::<f64>()
             / answer.len().max(1) as f64;
         (answer.len(), mean)

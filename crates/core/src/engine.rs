@@ -20,22 +20,45 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// How a query is evaluated.
+///
+/// The three physical strategies share one pipeline: the statement is
+/// unnested into a plan, and the operator tree the strategy lowers it to is
+/// verified once, cached, and driven. Only the tree differs. The two
+/// baselines refuse shapes outside the unnesting catalogue (`Unsupported`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Strategy {
     /// Unnest to a flat plan and evaluate with the extended merge-join
-    /// machinery (the paper's proposal). Falls back to [`Strategy::Naive`]
-    /// for shapes outside the catalogue.
+    /// machinery (the paper's proposal): filter scans, ⪯-sorts, merge
+    /// windows, and a pushed-down threshold. Falls back to
+    /// [`Strategy::Naive`] for shapes outside the catalogue.
     #[default]
     Unnest,
-    /// The block nested-loop method (the paper's measured baseline).
+    /// The block nested-loop method (the paper's measured baseline of
+    /// Section 9): pass-through scans, no sorts and no push-down; every join,
+    /// anti, and aggregate step is a block nested loop that evaluates p₁ per
+    /// outer tuple and p₂ per pair.
     NestedLoop,
-    /// The intermediate-relation method sketched in Section 2.3: local
-    /// predicates are materialized into reduced temporaries once, then the
-    /// nested loop runs over them — faster than [`Strategy::NestedLoop`],
-    /// still quadratic, slower than [`Strategy::Unnest`].
+    /// The intermediate-relation method sketched in Section 2.3: filter scans
+    /// materialize the local predicates into reduced temporaries once, then
+    /// the block nested loops run over them — faster than
+    /// [`Strategy::NestedLoop`], still quadratic, slower than
+    /// [`Strategy::Unnest`].
     MaterializedNestedLoop,
-    /// The semantics-faithful in-memory reference evaluator.
+    /// The semantics-faithful in-memory reference evaluator (the oracle; it
+    /// has no operator tree).
     Naive,
+}
+
+impl Strategy {
+    /// The strategy's name, the prefix of an outcome's `plan_label`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Strategy::Unnest => "unnest",
+            Strategy::NestedLoop => "nested-loop",
+            Strategy::MaterializedNestedLoop => "materialized-nl",
+            Strategy::Naive => "naive",
+        }
+    }
 }
 
 /// The result of running one query: the answer relation plus cost accounting.
@@ -97,9 +120,9 @@ impl Engine {
         self
     }
 
-    /// Attaches a shared plan cache: `Strategy::Unnest` statements look up
-    /// their verified plan by normalized SQL + catalog version before
-    /// planning from scratch, and record what they built on a miss.
+    /// Attaches a shared plan cache: statements look up their verified plan
+    /// by normalized SQL + strategy + catalog version before planning from
+    /// scratch, and record what they built on a miss.
     pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Engine {
         self.plan_cache = Some(cache);
         self
@@ -157,17 +180,32 @@ impl Engine {
     /// Plans `q` for [`Strategy::Unnest`]: consults the plan cache (when
     /// attached), and otherwise builds the plan, verifies it, and records it
     /// in the cache. This is the engine's single verification site — every
-    /// plan it builds is statically verified, in every build profile,
-    /// before anything runs it; cache hits and prepared replays run the
-    /// plan with zero re-verification. Returns the planned form plus the
-    /// cache annotation for the outcome's [`ServingInfo`] (`cache_hit` stays
-    /// `None` without a cache).
+    /// plan it builds, for every physical strategy, is statically verified,
+    /// in every build profile, before anything runs it; cache hits and
+    /// prepared replays run the plan with zero re-verification. Returns the
+    /// planned form plus the cache annotation for the outcome's
+    /// [`ServingInfo`] (`cache_hit` stays `None` without a cache).
     pub fn plan_for(&self, q: &fuzzy_sql::Query) -> Result<(Planned, ServingInfo)> {
+        self.plan_with(q, Strategy::Unnest)
+    }
+
+    /// [`Engine::plan_for`] under a physical strategy: verifies the operator
+    /// tree that strategy lowers the plan to, and records the strategy in
+    /// the planned form (and the cache key), so the tree that runs is the
+    /// tree that was verified. A shape outside the unnesting catalogue plans
+    /// as the naive fallback under [`Strategy::Unnest`] and is `Unsupported`
+    /// under the baselines. [`Strategy::Naive`] has no plan; its statements
+    /// never come here.
+    fn plan_with(
+        &self,
+        q: &fuzzy_sql::Query,
+        strategy: Strategy,
+    ) -> Result<(Planned, ServingInfo)> {
         let mut info = ServingInfo::default();
         let cached = self
             .plan_cache
             .as_ref()
-            .map(|c| (c, PlanCache::key(q, &self.config), self.catalog.version()));
+            .map(|c| (c, PlanCache::key(q, strategy, &self.config), self.catalog.version()));
         if let Some((cache, key, version)) = &cached {
             if let Some(planned) = cache.lookup(key, *version) {
                 info.cache_hit = Some(true);
@@ -178,8 +216,12 @@ impl Engine {
         let planned = match build_plan(q, &self.catalog) {
             Ok(plan) => {
                 info.plan_verifications = 1;
-                let report =
-                    crate::verify::verify_plan(&plan, &self.config, self.statistics.as_deref());
+                let report = crate::verify::verify_plan(
+                    &plan,
+                    strategy,
+                    &self.config,
+                    self.statistics.as_deref(),
+                );
                 if let Some(v) = report.violations.first() {
                     return Err(EngineError::Verify(format!(
                         "{v} ({} violation(s) in plan {})",
@@ -187,9 +229,11 @@ impl Engine {
                         report.plan_label
                     )));
                 }
-                Planned::Plan(Arc::new(plan))
+                Planned::Plan(Arc::new(plan), strategy)
             }
-            Err(EngineError::Unsupported(_)) => Planned::NaiveFallback,
+            Err(EngineError::Unsupported(_)) if strategy == Strategy::Unnest => {
+                Planned::NaiveFallback
+            }
             Err(e) => return Err(e),
         };
         if let Some((cache, key, version)) = cached {
@@ -201,14 +245,15 @@ impl Engine {
     }
 
     /// Runs an already-planned statement (the `PreparedQuery` path): the
-    /// pinned plan executes with no re-planning and no re-verification.
+    /// pinned plan executes under the strategy it was verified for, with no
+    /// re-planning and no re-verification.
     pub fn run_planned(
         &self,
         q: &fuzzy_sql::Query,
         planned: &Planned,
         info: ServingInfo,
     ) -> Result<QueryOutcome> {
-        self.reclaiming_temps(|| self.run_unnest_planned(q, planned, info))
+        self.reclaiming_temps(|| self.execute(q, planned, info))
     }
 
     /// Runs one statement inside the disk's alloc-log scope.
@@ -235,44 +280,33 @@ impl Engine {
 
     fn run_query(&self, q: &fuzzy_sql::Query, strategy: Strategy) -> Result<QueryOutcome> {
         match strategy {
-            Strategy::Unnest => {
-                let (planned, info) = self.plan_for(q)?;
-                self.run_unnest_planned(q, &planned, info)
-            }
             Strategy::Naive => self.measured(q, ServingInfo::default(), || {
                 let (answer, metrics) = self.run_naive_metered(q)?;
-                Ok((answer, metrics, "naive".to_string()))
+                Ok((answer, metrics, Strategy::Naive.name().to_string()))
             }),
-            Strategy::NestedLoop => self.measured(q, ServingInfo::default(), || {
-                let plan = build_plan(q, &self.catalog)?;
-                let mut ex = Executor::new(&self.disk, self.config);
-                let answer = ex.run_baseline(&plan)?;
-                Ok((answer, ex.take_metrics(), format!("nested-loop:{}", plan.label())))
-            }),
-            Strategy::MaterializedNestedLoop => self.measured(q, ServingInfo::default(), || {
-                let plan = build_plan(q, &self.catalog)?;
-                let mut ex = Executor::new(&self.disk, self.config);
-                let answer = ex.run_baseline_materialized(&plan)?;
-                Ok((answer, ex.take_metrics(), format!("materialized-nl:{}", plan.label())))
-            }),
+            _ => {
+                let (planned, info) = self.plan_with(q, strategy)?;
+                self.execute(q, &planned, info)
+            }
         }
     }
 
-    /// Executes the planned form of an unnest-strategy statement.
-    fn run_unnest_planned(
+    /// Executes a planned statement: drives the verified plan's operator
+    /// tree under its strategy, or runs the naive fallback.
+    fn execute(
         &self,
         q: &fuzzy_sql::Query,
         planned: &Planned,
         info: ServingInfo,
     ) -> Result<QueryOutcome> {
         self.measured(q, info, || match planned {
-            Planned::Plan(plan) => {
+            Planned::Plan(plan, strategy) => {
                 let mut ex = Executor::new(&self.disk, self.config);
                 if let Some(stats) = &self.statistics {
                     ex = ex.with_statistics(stats.clone());
                 }
-                let answer = ex.run(plan)?;
-                Ok((answer, ex.take_metrics(), format!("unnest:{}", plan.label())))
+                let answer = ex.run(plan, *strategy)?;
+                Ok((answer, ex.take_metrics(), format!("{}:{}", strategy.name(), plan.label())))
             }
             Planned::NaiveFallback => {
                 let (answer, metrics) = self.run_naive_metered(q)?;
@@ -323,12 +357,18 @@ impl Engine {
     /// naive fallback), and deterministic cost estimates.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let q = fuzzy_sql::parse(sql)?;
-        self.explain_query(&q)
+        self.explain_query(&q, Strategy::Unnest)
     }
 
-    /// [`Engine::explain`] over an already-parsed query.
-    pub fn explain_query(&self, q: &fuzzy_sql::Query) -> Result<String> {
-        crate::explain::render_explain(q, &self.catalog, &self.config, self.statistics.as_deref())
+    /// [`Engine::explain`] over an already-parsed query, under a strategy.
+    pub fn explain_query(&self, q: &fuzzy_sql::Query, strategy: Strategy) -> Result<String> {
+        crate::explain::render_explain(
+            q,
+            strategy,
+            &self.catalog,
+            &self.config,
+            self.statistics.as_deref(),
+        )
     }
 
     /// Runs the query under [`Strategy::Unnest`] and renders the plan
@@ -336,28 +376,41 @@ impl Engine {
     /// Returns the rendering together with the outcome.
     pub fn explain_analyze(&self, sql: &str) -> Result<(String, QueryOutcome)> {
         let q = fuzzy_sql::parse(sql)?;
-        self.explain_analyze_query(&q)
+        self.explain_analyze_query(&q, Strategy::Unnest)
     }
 
-    /// [`Engine::explain_analyze`] over an already-parsed query.
-    pub fn explain_analyze_query(&self, q: &fuzzy_sql::Query) -> Result<(String, QueryOutcome)> {
-        let mut out = self.explain_query(q)?;
-        let outcome = self.run(q, Strategy::Unnest)?;
+    /// [`Engine::explain_analyze`] over an already-parsed query, under a
+    /// strategy.
+    pub fn explain_analyze_query(
+        &self,
+        q: &fuzzy_sql::Query,
+        strategy: Strategy,
+    ) -> Result<(String, QueryOutcome)> {
+        let mut out = self.explain_query(q, strategy)?;
+        let outcome = self.run(q, strategy)?;
         out.push_str(&crate::explain::render_actual(&outcome));
         Ok((out, outcome))
     }
 
-    /// Renders the `EXPLAIN VERIFY` text for a query: the static plan
-    /// verifier's report (rewrite rule, push-down bound, per-operator
-    /// required/delivered properties, violations). See [`crate::verify`].
+    /// Renders the `EXPLAIN VERIFY` text for a query under
+    /// [`Strategy::Unnest`]: the static plan verifier's report (rewrite
+    /// rule, push-down bound, per-operator required/delivered properties,
+    /// violations). See [`crate::verify`].
     pub fn explain_verify(&self, sql: &str) -> Result<String> {
         let q = fuzzy_sql::parse(sql)?;
-        self.explain_verify_query(&q)
+        self.explain_verify_query(&q, Strategy::Unnest)
     }
 
-    /// [`Engine::explain_verify`] over an already-parsed query.
-    pub fn explain_verify_query(&self, q: &fuzzy_sql::Query) -> Result<String> {
-        crate::explain::render_verify(q, &self.catalog, &self.config, self.statistics.as_deref())
+    /// [`Engine::explain_verify`] over an already-parsed query, under a
+    /// strategy.
+    pub fn explain_verify_query(&self, q: &fuzzy_sql::Query, strategy: Strategy) -> Result<String> {
+        crate::explain::render_verify(
+            q,
+            strategy,
+            &self.catalog,
+            &self.config,
+            self.statistics.as_deref(),
+        )
     }
 
     /// Statically verifies the plan the engine would run for this query
@@ -377,6 +430,7 @@ impl Engine {
         match build_plan(q, &self.catalog) {
             Ok(plan) => Ok(Some(crate::verify::verify_plan(
                 &plan,
+                Strategy::Unnest,
                 &self.config,
                 self.statistics.as_deref(),
             ))),

@@ -1,11 +1,12 @@
 //! The aggregate operator: pipelined T1/T2/COUNT′ evaluation (Theorem 6.1
 //! and the type-A constant case) with the COUNT outer-join IF-THEN-ELSE for
 //! empty groups, plus [`GroupSet`], the fuzzy set `T(r)` an aggregate is
-//! applied to.
+//! applied to. Under the nested-loop baselines the same evaluation runs
+//! over a block nested loop that builds `T(r)` per outer tuple.
 
 use crate::error::{EngineError, Result};
 use crate::exec::op::{PhysicalOp, Slot, TreeState};
-use crate::exec::{BoundOperand, Executor, Layout};
+use crate::exec::{fold_preds, BoundOperand, Executor, Layout};
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::naive::apply_aggregate;
 use crate::plan::{AggPlan, PlanCol, PlanCompare, PlanOperand};
@@ -72,13 +73,23 @@ pub(crate) enum AggMode {
     Merge,
     /// Correlated on a non-equality: sorted outer against the full inner set.
     Scan,
+    /// Block nested loop (the baselines): `T(r)` built per outer tuple from
+    /// every inner tuple; evaluates the local predicates its plan's tables
+    /// still carry, p₁ per outer tuple and p₂ per pair.
+    NestedLoop,
 }
 
-/// Declaration of the type-A constant aggregate over two filtered scans.
-pub(crate) fn declared_properties_const(plan: &AggPlan, scan_o: usize, scan_i: usize) -> PhysOp {
+/// Declaration of an aggregate over two unsorted scans: the type-A constant
+/// (`agg-const`) or the baselines' block nested loop (`nested-loop-agg`).
+pub(crate) fn declared_properties_unsorted(
+    name: &str,
+    plan: &AggPlan,
+    scan_o: usize,
+    scan_i: usize,
+) -> PhysOp {
     let z = Degree::ZERO;
     PhysOp::declare(
-        format!("agg-const {} x {}", plan.outer.binding, plan.inner.binding),
+        format!("{name} {} x {}", plan.outer.binding, plan.inner.binding),
         vec![scan_o, scan_i],
         vec![
             (0, Prop::Binding(plan.outer.binding.clone())),
@@ -180,9 +191,11 @@ impl PhysicalOp for AggOp {
         let op1 = plan.compare.1;
         let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
 
-        // Applies R.Y op1 A to one outer tuple, honouring the COUNT
+        // Applies R.Y op1 A to one outer tuple of degree `base` (μ_R, or
+        // μ_R ∧ p₁ when p₁ is evaluated inline), honouring the COUNT
         // outer-join IF-THEN-ELSE for empty groups.
         let emit_outer = |r: &Tuple,
+                          base: Degree,
                           group: Option<&(Value, Degree)>,
                           rows: &mut Vec<(Vec<Value>, Degree)>,
                           m: &mut OperatorMetrics| {
@@ -193,13 +206,13 @@ impl PhysicalOp for AggOp {
             let d = match group {
                 Some((a, da)) => {
                     m.fuzzy_comparisons += 1;
-                    r.degree.and(*da).and(lhs_val.compare(op1, a))
+                    base.and(*da).and(lhs_val.compare(op1, a))
                 }
                 None => {
                     if agg == AggFunc::Count {
                         // COUNT': [R.Y op1 T2.A : R.Y op1 0] — the ELSE branch.
                         m.fuzzy_comparisons += 1;
-                        r.degree.and(lhs_val.compare(op1, &Value::number(0.0)))
+                        base.and(lhs_val.compare(op1, &Value::number(0.0)))
                     } else {
                         Degree::ZERO // NULL aggregate satisfies nothing
                     }
@@ -232,7 +245,7 @@ impl PhysicalOp for AggOp {
                 for r in outer_t.scan(&opool) {
                     let r = r?;
                     m.tuples_in += 1;
-                    emit_outer(&r, group.as_ref(), &mut rows, &mut m);
+                    emit_outer(&r, r.degree, group.as_ref(), &mut rows, &mut m);
                 }
                 m.add_pool(&pool.stats());
                 m.add_pool(&opool.stats());
@@ -285,7 +298,7 @@ impl PhysicalOp for AggOp {
                             }
                         }
                         let group = cache.as_ref().expect("just set").1.as_ref();
-                        emit_outer(r, group, &mut rows, m);
+                        emit_outer(r, r.degree, group, &mut rows, m);
                         Ok(())
                     },
                 );
@@ -329,12 +342,52 @@ impl PhysicalOp for AggOp {
                         cache = Some((u.clone(), set.aggregate(agg, plan.agg_degree)?));
                     }
                     let group = cache.as_ref().expect("just set").1.as_ref();
-                    emit_outer(&r, group, &mut rows, &mut m);
+                    emit_outer(&r, r.degree, group, &mut rows, &mut m);
                 }
                 m.add_pool(&pool.stats());
                 m.add_pool(&opool.stats());
                 ex.absorb_op(&g, &m);
                 ex.end_op(g);
+            }
+            AggMode::NestedLoop => {
+                // μ_T(r)(z) = max min(μ_S ∧ p₂, d(s.V op₂ r.U)) over every
+                // inner tuple, then R.Y op1 A at μ_R ∧ p₁.
+                let outer_local = outer_layout.bind_all(&plan.outer.local_preds)?;
+                let inner_local = inner_layout.bind_all(&plan.inner.local_preds)?;
+                let corr = match &plan.corr {
+                    Some((u, op2, v)) => {
+                        Some((outer_layout.resolve(u)?, *op2, inner_layout.resolve(v)?))
+                    }
+                    None => None,
+                };
+                ex.block_nested_loop(
+                    &outer_t,
+                    &inner_t,
+                    OpKind::Aggregate,
+                    self.decl.name.clone(),
+                    |_, _| GroupSet::default(),
+                    |set, r, s, m| {
+                        let mut d = fold_preds(s.degree, &inner_local, &s.values, m);
+                        if let Some((u, op2, v)) = corr {
+                            if d.is_positive() {
+                                m.fuzzy_comparisons += 1;
+                                d = d.and(s.values[v].compare(op2, &r.values[u]));
+                            }
+                        }
+                        if d.is_positive() {
+                            set.add(s.values[agg_idx].clone(), d);
+                        }
+                        Ok(())
+                    },
+                    |r, set, m| {
+                        let base = fold_preds(r.degree, &outer_local, &r.values, m);
+                        if base.is_positive() {
+                            let group = set.aggregate(agg, plan.agg_degree)?;
+                            emit_outer(&r, base, group.as_ref(), &mut rows, m);
+                        }
+                        Ok(())
+                    },
+                )?;
             }
         }
         state.set(self.slot, Slot::Answer(rows));

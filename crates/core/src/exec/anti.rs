@@ -3,11 +3,12 @@
 //! is the fuzzy AND of the negated contributions of its matching inner
 //! tuples; with a window predicate the inner scan is the same `Rng(r)`
 //! merge window the flat join uses, which is exact because tuples outside
-//! the window contribute the neutral 1.
+//! the window contribute the neutral 1. Under the nested-loop baselines the
+//! same accumulation runs over a block nested loop of the two scans.
 
 use crate::error::{EngineError, Result};
 use crate::exec::op::{PhysicalOp, Slot, TreeState};
-use crate::exec::{BoundCompare, Executor, Layout};
+use crate::exec::{fold_preds, BoundCompare, Executor, Layout};
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::plan::{AntiKind, AntiPlan, PlanCol, PlanCompare};
 use crate::verify::{PhysOp, Prop};
@@ -36,11 +37,18 @@ pub(crate) fn declared_properties_merge(
     )
 }
 
-/// Declaration of the scan-fallback anti operator (uncorrelated NOT IN/ALL).
-pub(crate) fn declared_properties_scan(plan: &AntiPlan, scan_o: usize, scan_i: usize) -> PhysOp {
+/// Declaration of an anti operator over two unsorted scans: the scan
+/// fallback (`anti-scan`, uncorrelated NOT IN/ALL) or the baselines' block
+/// nested loop (`nested-loop-anti`).
+pub(crate) fn declared_properties_unsorted(
+    name: &str,
+    plan: &AntiPlan,
+    scan_o: usize,
+    scan_i: usize,
+) -> PhysOp {
     let z = Degree::ZERO;
     PhysOp::declare(
-        format!("anti-scan {} x {}", plan.outer.binding, plan.inner.binding),
+        format!("{name} {} x {}", plan.outer.binding, plan.inner.binding),
         vec![scan_o, scan_i],
         vec![
             (0, Prop::Binding(plan.outer.binding.clone())),
@@ -48,6 +56,18 @@ pub(crate) fn declared_properties_scan(plan: &AntiPlan, scan_o: usize, scan_i: u
         ],
         vec![Prop::Binding(plan.outer.binding.clone()), Prop::MinDegree(z)],
     )
+}
+
+/// How the anti operator consumes its inputs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AntiMode {
+    /// Merge window over ⪯-sorted inputs (correlated on a window predicate).
+    Merge,
+    /// The inner set built once, the outer streamed against it.
+    Scan,
+    /// Block nested loop (the baselines); evaluates the local predicates its
+    /// plan's tables still carry, p₁ per outer tuple and p₂ per pair.
+    NestedLoop,
 }
 
 /// The anti operator: consumes the (sorted or scanned) outer and inner
@@ -58,7 +78,7 @@ pub(crate) struct AntiOp {
     outer: usize,
     inner: usize,
     plan: AntiPlan,
-    merge: bool,
+    mode: AntiMode,
 }
 
 impl AntiOp {
@@ -68,9 +88,9 @@ impl AntiOp {
         outer: usize,
         inner: usize,
         plan: AntiPlan,
-        merge: bool,
+        mode: AntiMode,
     ) -> Self {
-        AntiOp { slot, decl, outer, inner, plan, merge }
+        AntiOp { slot, decl, outer, inner, plan, mode }
     }
 }
 
@@ -98,9 +118,9 @@ impl PhysicalOp for AntiOp {
             })?),
         };
         // The negated contribution of one inner tuple to the MIN(D) group of
-        // one outer tuple: 1 − min(μ_S∧p₂, d(pair preds) [, 1 − d(Y op Z)]).
-        let contribution = |r: &Tuple, s: &Tuple, m: &mut OperatorMetrics| -> Degree {
-            let mut inner_d = s.degree;
+        // one outer tuple: 1 − min(μ_S∧p₂, d(pair preds) [, 1 − d(Y op Z)]),
+        // where `inner_d` is the inner tuple's μ_S∧p₂.
+        let contribution = |r: &Tuple, s: &Tuple, mut inner_d: Degree, m: &mut OperatorMetrics| {
             for p in &pair {
                 m.fuzzy_comparisons += 1;
                 inner_d = inner_d.and(p.eval_pair(&r.values, &s.values));
@@ -121,69 +141,102 @@ impl PhysicalOp for AntiOp {
         let outer_t = state.take_table(self.outer)?;
         let inner_t = state.take_table(self.inner)?;
 
-        if self.merge {
-            let Some((ocol, icol)) = plan.window.as_ref() else {
-                return Err(EngineError::Verify("anti-merge lowered without a window".into()));
-            };
-            // Inner tuples outside Rng(r) have window-predicate degree 0,
-            // so they contribute the neutral 1: scanning only the window
-            // is exact (this is what makes JX'/JALL' merge-joinable).
-            // No threshold push-down here: low-degree pairs still lower
-            // the MIN(D) group degree.
-            ex.merge_window(
-                &outer_t,
-                ocol.attr,
-                &inner_t,
-                icol.attr,
-                Degree::ZERO,
-                OpKind::Anti,
-                self.decl.name.clone(),
-                |r, rng, m| {
+        match self.mode {
+            AntiMode::Merge => {
+                let Some((ocol, icol)) = plan.window.as_ref() else {
+                    return Err(EngineError::Verify("anti-merge lowered without a window".into()));
+                };
+                // Inner tuples outside Rng(r) have window-predicate degree 0,
+                // so they contribute the neutral 1: scanning only the window
+                // is exact (this is what makes JX'/JALL' merge-joinable).
+                // No threshold push-down here: low-degree pairs still lower
+                // the MIN(D) group degree.
+                ex.merge_window(
+                    &outer_t,
+                    ocol.attr,
+                    &inner_t,
+                    icol.attr,
+                    Degree::ZERO,
+                    OpKind::Anti,
+                    self.decl.name.clone(),
+                    |r, rng, m| {
+                        let mut acc = r.degree;
+                        for s in rng {
+                            acc = acc.and(contribution(r, s, s.degree, m));
+                            if !acc.is_positive() {
+                                break;
+                            }
+                        }
+                        if acc.is_positive() {
+                            m.tuples_out += 1;
+                            rows.push((crate::exec::project(r, &select_idx), acc));
+                        }
+                        Ok(())
+                    },
+                )?;
+            }
+            AntiMode::Scan => {
+                // Scan fallback (uncorrelated NOT IN / ALL): the inner set is
+                // built once — the unnesting benefit — then the outer streams
+                // against it.
+                let g = ex.begin_op(OpKind::Anti, self.decl.name.clone());
+                let pool = ex.pool(ex.config.buffer_pages);
+                let inner_all: Vec<Tuple> =
+                    inner_t.scan(&pool).collect::<fuzzy_storage::Result<_>>()?;
+                let opool = ex.pool(1);
+                let mut m = OperatorMetrics::default();
+                m.tuples_in += inner_all.len() as u64;
+                for r in outer_t.scan(&opool) {
+                    let r = r?;
+                    m.tuples_in += 1;
                     let mut acc = r.degree;
-                    for s in rng {
-                        acc = acc.and(contribution(r, s, m));
+                    for s in &inner_all {
+                        m.pairs_examined += 1;
+                        acc = acc.and(contribution(&r, s, s.degree, &mut m));
                         if !acc.is_positive() {
                             break;
                         }
                     }
                     if acc.is_positive() {
                         m.tuples_out += 1;
-                        rows.push((crate::exec::project(r, &select_idx), acc));
-                    }
-                    Ok(())
-                },
-            )?;
-        } else {
-            // Scan fallback (uncorrelated NOT IN / ALL): the inner set is
-            // built once — the unnesting benefit — then the outer streams
-            // against it.
-            let g = ex.begin_op(OpKind::Anti, self.decl.name.clone());
-            let pool = ex.pool(ex.config.buffer_pages);
-            let inner_all: Vec<Tuple> =
-                inner_t.scan(&pool).collect::<fuzzy_storage::Result<_>>()?;
-            let opool = ex.pool(1);
-            let mut m = OperatorMetrics::default();
-            m.tuples_in += inner_all.len() as u64;
-            for r in outer_t.scan(&opool) {
-                let r = r?;
-                m.tuples_in += 1;
-                let mut acc = r.degree;
-                for s in &inner_all {
-                    m.pairs_examined += 1;
-                    acc = acc.and(contribution(&r, s, &mut m));
-                    if !acc.is_positive() {
-                        break;
+                        rows.push((crate::exec::project(&r, &select_idx), acc));
                     }
                 }
-                if acc.is_positive() {
-                    m.tuples_out += 1;
-                    rows.push((crate::exec::project(&r, &select_idx), acc));
-                }
+                m.add_pool(&pool.stats());
+                m.add_pool(&opool.stats());
+                ex.absorb_op(&g, &m);
+                ex.end_op(g);
             }
-            m.add_pool(&pool.stats());
-            m.add_pool(&opool.stats());
-            ex.absorb_op(&g, &m);
-            ex.end_op(g);
+            AntiMode::NestedLoop => {
+                // The accumulator of each outer tuple starts at μ_R ∧ p₁;
+                // every inner tuple lowers it by its negated contribution.
+                let outer_local = outer_layout.bind_all(&plan.outer.local_preds)?;
+                let inner_local =
+                    Layout::of_table(&plan.inner).bind_all(&plan.inner.local_preds)?;
+                ex.block_nested_loop(
+                    &outer_t,
+                    &inner_t,
+                    OpKind::Anti,
+                    self.decl.name.clone(),
+                    |r, m| fold_preds(r.degree, &outer_local, &r.values, m),
+                    |acc, r, s, m| {
+                        if acc.is_positive() {
+                            let inner_d = fold_preds(s.degree, &inner_local, &s.values, m);
+                            if inner_d.is_positive() {
+                                *acc = acc.and(contribution(r, s, inner_d, m));
+                            }
+                        }
+                        Ok(())
+                    },
+                    |r, acc, m| {
+                        if acc.is_positive() {
+                            m.tuples_out += 1;
+                            rows.push((crate::exec::project(&r, &select_idx), acc));
+                        }
+                        Ok(())
+                    },
+                )?;
+            }
         }
         state.set(self.slot, Slot::Answer(rows));
         Ok(())

@@ -42,23 +42,37 @@ impl BoundCompare {
     /// Evaluates against a split pair of value slices (outer ++ inner)
     /// without concatenating them.
     pub(crate) fn eval_pair(&self, left: &[Value], right: &[Value]) -> Degree {
-        let pick = |o: &BoundOperand| -> Value {
+        fn pick<'a>(o: &'a BoundOperand, left: &'a [Value], right: &'a [Value]) -> &'a Value {
             match o {
-                BoundOperand::Col(i) => {
-                    if *i < left.len() {
-                        left[*i].clone()
-                    } else {
-                        right[*i - left.len()].clone()
-                    }
-                }
-                BoundOperand::Const(v) => v.clone(),
+                BoundOperand::Col(i) if *i < left.len() => &left[*i],
+                BoundOperand::Col(i) => &right[*i - left.len()],
+                BoundOperand::Const(v) => v,
             }
-        };
+        }
+        let (l, r) = (pick(&self.lhs, left, right), pick(&self.rhs, left, right));
         match self.tolerance {
-            Some(t) => pick(&self.lhs).compare_similar(&pick(&self.rhs), t),
-            None => pick(&self.lhs).compare(self.op, &pick(&self.rhs)),
+            Some(t) => l.compare_similar(r, t),
+            None => l.compare(self.op, r),
         }
     }
+}
+
+/// Folds one tuple's predicates into its degree `d` in order, stopping at
+/// the first zero (each evaluated predicate counts one fuzzy comparison).
+pub(crate) fn fold_preds(
+    mut d: Degree,
+    preds: &[BoundCompare],
+    values: &[Value],
+    m: &mut crate::metrics::OperatorMetrics,
+) -> Degree {
+    for p in preds {
+        if !d.is_positive() {
+            break;
+        }
+        m.fuzzy_comparisons += 1;
+        d = d.and(p.eval(values));
+    }
+    d
 }
 
 /// Concatenated-tuple layout: maps `(binding, attr)` to a flat index.

@@ -1,8 +1,9 @@
-//! Block nested-loop: the fallback join when no exact-equality merge driver
-//! exists, and the engine's baseline strategies' workhorse. The outer is
-//! read once in blocks of `M − 1` pages; the inner is scanned once per
-//! block through a single reserved frame (the paper's Section 9 buffer
-//! allocation for the nested-loop method).
+//! Block nested loop: the join step when no exact-equality merge driver
+//! exists, and — under the two nested-loop baselines, which lower every
+//! step without a driver — the method of every flat join, anti, and
+//! aggregate step. The outer is read once in blocks of `M − 1` pages; the
+//! inner is scanned once per block through a single reserved frame (the
+//! paper's Section 9 buffer allocation for the nested-loop method).
 
 use crate::error::Result;
 use crate::exec::Executor;
@@ -27,16 +28,19 @@ impl Executor {
     /// pair, and `finalize` fires once per outer tuple after its block's
     /// inner scan — which is what lets this one operator evaluate *nested*
     /// queries (the per-tuple temporary relation T(r) accumulates in `A`).
+    /// The operator registers under `kind` (join, anti, or aggregate).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn block_nested_loop<A>(
         &mut self,
         outer: &StoredTable,
         inner: &StoredTable,
+        kind: OpKind,
         label: String,
         mut init: impl FnMut(&Tuple, &mut OperatorMetrics) -> A,
         mut observe: impl FnMut(&mut A, &Tuple, &Tuple, &mut OperatorMetrics) -> Result<()>,
         mut finalize: impl FnMut(Tuple, A, &mut OperatorMetrics) -> Result<()>,
     ) -> Result<()> {
-        let g = self.begin_op(OpKind::Join, label);
+        let g = self.begin_op(kind, label);
         let block_pages = self.config.buffer_pages.saturating_sub(1).max(1) as u64;
         let n_pages = outer.num_pages();
         let mut m = OperatorMetrics::default();

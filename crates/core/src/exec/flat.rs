@@ -318,6 +318,7 @@ impl PhysicalOp for JoinStepOp {
                 ex.block_nested_loop(
                     &left,
                     &right,
+                    OpKind::Join,
                     self.decl.name.clone(),
                     |_, _| (),
                     |_, r, s, m| {

@@ -8,17 +8,26 @@
 //! Lowering is *infallible*: all name resolution and binding that can fail
 //! is deferred to each operator's `open`, so `EXPLAIN`/`EXPLAIN VERIFY` can
 //! render and check a tree without touching the catalog or the disk.
+//!
+//! Lowering takes the statement's [`Strategy`]. Under the two nested-loop
+//! baselines there is no push-down (α = 0) and no merge driver, so every
+//! join, anti, and aggregate step is a block nested loop. Each local
+//! predicate is applied exactly once: by its table's filter scan, except
+//! under plain [`Strategy::NestedLoop`], whose scans pass the base tables
+//! through and whose operators evaluate p₁ per outer tuple and p₂ per pair.
 
+use crate::engine::Strategy;
 use crate::exec::op::PhysicalOp;
 use crate::exec::{agg, anti, block_nl, filter_scan, flat, merge_join, output, partitioned, sort};
 use crate::exec::{ExecConfig, JoinMethod, Layout};
-use crate::plan::{AggPlan, AntiPlan, FlatPlan, PlanCol, PlanCompare, UnnestPlan};
+use crate::plan::{AggPlan, AntiPlan, FlatPlan, PlanCol, PlanCompare, PlanTable, UnnestPlan};
 use crate::stats_histogram::StatsRegistry;
 use crate::verify::{Outline, PhysOp};
 use fuzzy_core::{CmpOp, Degree};
 use fuzzy_sql::Threshold;
 
 pub(crate) use crate::exec::agg::AggMode;
+pub(crate) use crate::exec::anti::AntiMode;
 
 /// A lowered plan: the plan as the executor actually runs it (join reorder
 /// applied), the pushed-down pruning bound, the verifier-checkable operator
@@ -139,8 +148,8 @@ pub(crate) enum Node {
         inner: usize,
         /// The anti plan.
         plan: AntiPlan,
-        /// Merge-window mode (sorted inputs) vs. scan fallback.
-        merge: bool,
+        /// How the inputs are consumed.
+        mode: AntiMode,
     },
     /// Nested aggregate evaluation.
     Agg {
@@ -166,24 +175,52 @@ pub(crate) enum Node {
     },
 }
 
-/// Lowers a plan under a configuration: applies the optimizer's join
-/// reorder, derives the push-down bound, and emits the operator tree with
-/// its property declarations. This is the single source of physical
-/// decisions — the executor runs the tree, the verifier checks it, and
-/// `EXPLAIN` renders it.
+/// Lowers a plan under a strategy and a configuration: applies the
+/// optimizer's join reorder, derives the push-down bound, and emits the
+/// operator tree with its property declarations. This is the single source
+/// of physical decisions — the executor runs the tree, the verifier checks
+/// it, and `EXPLAIN` renders it. [`Strategy::Naive`] has no operator tree;
+/// the engine never lowers it (it would lower like [`Strategy::Unnest`]).
 pub(crate) fn lower(
     plan: &UnnestPlan,
+    strategy: Strategy,
     config: &ExecConfig,
     stats: Option<&StatsRegistry>,
 ) -> Lowered {
     let plan = effective_plan(plan, config, stats);
-    let alpha = crate::exec::pushdown_alpha(config, &plan);
+    let alpha = if is_baseline(strategy) {
+        Degree::ZERO
+    } else {
+        crate::exec::pushdown_alpha(config, &plan)
+    };
     let (ops, nodes) = match &plan {
-        UnnestPlan::Flat(p) => lower_flat(p, config, alpha),
-        UnnestPlan::Anti(p) => lower_anti(p),
-        UnnestPlan::Agg(p) => lower_agg(p),
+        UnnestPlan::Flat(p) => lower_flat(p, strategy, config, alpha),
+        UnnestPlan::Anti(p) => lower_anti(p, strategy),
+        UnnestPlan::Agg(p) => lower_agg(p, strategy),
     };
     Lowered { plan, alpha, outline: Outline { ops }, nodes }
+}
+
+/// Whether a strategy is one of the paper's nested-loop baselines.
+fn is_baseline(strategy: Strategy) -> bool {
+    matches!(strategy, Strategy::NestedLoop | Strategy::MaterializedNestedLoop)
+}
+
+/// Splits a table's local predicates between its scan and the operator that
+/// consumes it: returns the table the scan reads and the predicates the
+/// operator evaluates inline. Plain nested loop evaluates them inside its
+/// operators; every other strategy filters at the scan.
+fn split_local(t: &PlanTable, strategy: Strategy) -> (PlanTable, Vec<PlanCompare>) {
+    if strategy == Strategy::NestedLoop {
+        let scanned = PlanTable {
+            binding: t.binding.clone(),
+            table: t.table.clone(),
+            local_preds: Vec::new(),
+        };
+        (scanned, t.local_preds.clone())
+    } else {
+        (t.clone(), Vec::new())
+    }
 }
 
 /// The plan as the executor will actually run it: multi-way flat joins are
@@ -226,16 +263,25 @@ struct StepPlan {
     bound: Vec<String>,
 }
 
-fn lower_flat(p: &FlatPlan, config: &ExecConfig, alpha: Degree) -> (Vec<PhysOp>, Vec<Node>) {
+fn lower_flat(
+    p: &FlatPlan,
+    strategy: Strategy,
+    config: &ExecConfig,
+    alpha: Degree,
+) -> (Vec<PhysOp>, Vec<Node>) {
     let mut ops: Vec<PhysOp> = Vec::new();
     let mut nodes: Vec<Node> = Vec::new();
     let mut scans: Vec<usize> = Vec::new();
+    // The local predicates each table's consuming step evaluates inline.
+    let mut inline: Vec<Vec<PlanCompare>> = Vec::new();
     for t in &p.tables {
+        let (scanned, preds) = split_local(t, strategy);
+        inline.push(preds);
         scans.push(push(
             &mut ops,
             &mut nodes,
             filter_scan::declared_properties(&t.binding, alpha),
-            Node::Scan { table: t.clone(), min_degree: alpha },
+            Node::Scan { table: scanned, min_degree: alpha },
         ));
     }
     let first = match scans.first().copied() {
@@ -251,7 +297,7 @@ fn lower_flat(p: &FlatPlan, config: &ExecConfig, alpha: Degree) -> (Vec<PhysOp>,
             Node::Select {
                 input: first,
                 table: t.clone(),
-                preds: p.join_preds.clone(),
+                preds: inline[0].iter().chain(&p.join_preds).cloned().collect(),
                 select: p.select.clone(),
             },
         );
@@ -282,17 +328,26 @@ fn lower_flat(p: &FlatPlan, config: &ExecConfig, alpha: Degree) -> (Vec<PhysOp>,
         next_layout.push(t);
         // Predicates that become evaluable once t is joined; on the last
         // step every remaining predicate must be applied.
-        let (evaluable, kept): (Vec<PlanCompare>, Vec<PlanCompare>) =
+        let (joins, kept): (Vec<PlanCompare>, Vec<PlanCompare>) =
             remaining.into_iter().partition(|pr| {
                 last || pr.bindings().iter().all(|b| layout.contains(b) || *b == t.binding)
             });
         remaining = kept;
+        // Inline local predicates go first: p₁ of the first table, then p₂
+        // of the joined one, then the joins.
+        let firsts = if i == 1 { inline[0].as_slice() } else { &[] };
+        let evaluable: Vec<PlanCompare> =
+            firsts.iter().chain(&inline[i]).cloned().chain(joins).collect();
         // Pick an exact equality between the bound set and t as merge
         // driver. Similarity predicates (op Eq with a tolerance) must
         // not drive: their widened matches are not bounded by support
         // intersection, so the merge window would miss pairs — they stay
-        // residuals, evaluated with their tolerance.
+        // residuals, evaluated with their tolerance. The baselines take no
+        // driver: every step is a block nested loop.
         let driver = evaluable.iter().enumerate().find_map(|(pos, pr)| {
+            if is_baseline(strategy) {
+                return None;
+            }
             if pr.op != CmpOp::Eq || pr.tolerance.is_some() {
                 return None;
             }
@@ -481,23 +536,41 @@ fn lower_flat(p: &FlatPlan, config: &ExecConfig, alpha: Degree) -> (Vec<PhysOp>,
     (ops, nodes)
 }
 
-fn lower_anti(p: &AntiPlan) -> (Vec<PhysOp>, Vec<Node>) {
+/// Emits the scans of an anti or aggregate operator's two tables and returns
+/// their slots. Each table is left carrying the local predicates the
+/// operator evaluates inline.
+fn lower_scans(
+    tables: [&mut PlanTable; 2],
+    strategy: Strategy,
+    ops: &mut Vec<PhysOp>,
+    nodes: &mut Vec<Node>,
+) -> [usize; 2] {
+    tables.map(|t| {
+        let (scanned, inline) = split_local(t, strategy);
+        t.local_preds = inline;
+        push(
+            ops,
+            nodes,
+            filter_scan::declared_properties(&t.binding, Degree::ZERO),
+            Node::Scan { table: scanned, min_degree: Degree::ZERO },
+        )
+    })
+}
+
+fn lower_anti(p: &AntiPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
     let z = Degree::ZERO;
     let mut ops: Vec<PhysOp> = Vec::new();
     let mut nodes: Vec<Node> = Vec::new();
-    let scan_o = push(
-        &mut ops,
-        &mut nodes,
-        filter_scan::declared_properties(&p.outer.binding, z),
-        Node::Scan { table: p.outer.clone(), min_degree: z },
-    );
-    let scan_i = push(
-        &mut ops,
-        &mut nodes,
-        filter_scan::declared_properties(&p.inner.binding, z),
-        Node::Scan { table: p.inner.clone(), min_degree: z },
-    );
+    let mut op_plan = p.clone();
+    let [scan_o, scan_i] =
+        lower_scans([&mut op_plan.outer, &mut op_plan.inner], strategy, &mut ops, &mut nodes);
     let anti = match &p.window {
+        _ if is_baseline(strategy) => push(
+            &mut ops,
+            &mut nodes,
+            anti::declared_properties_unsorted("nested-loop-anti", p, scan_o, scan_i),
+            Node::Anti { outer: scan_o, inner: scan_i, plan: op_plan, mode: AntiMode::NestedLoop },
+        ),
         Some((ocol, icol)) => {
             let sort_o = push(
                 &mut ops,
@@ -525,14 +598,14 @@ fn lower_anti(p: &AntiPlan) -> (Vec<PhysOp>, Vec<Node>) {
                 &mut ops,
                 &mut nodes,
                 anti::declared_properties_merge(p, ocol, icol, sort_o, sort_i),
-                Node::Anti { outer: sort_o, inner: sort_i, plan: p.clone(), merge: true },
+                Node::Anti { outer: sort_o, inner: sort_i, plan: op_plan, mode: AntiMode::Merge },
             )
         }
         None => push(
             &mut ops,
             &mut nodes,
-            anti::declared_properties_scan(p, scan_o, scan_i),
-            Node::Anti { outer: scan_o, inner: scan_i, plan: p.clone(), merge: false },
+            anti::declared_properties_unsorted("anti-scan", p, scan_o, scan_i),
+            Node::Anti { outer: scan_o, inner: scan_i, plan: op_plan, mode: AntiMode::Scan },
         ),
     };
     push(
@@ -549,28 +622,25 @@ fn lower_anti(p: &AntiPlan) -> (Vec<PhysOp>, Vec<Node>) {
     (ops, nodes)
 }
 
-fn lower_agg(p: &AggPlan) -> (Vec<PhysOp>, Vec<Node>) {
+fn lower_agg(p: &AggPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
     let z = Degree::ZERO;
     let mut ops: Vec<PhysOp> = Vec::new();
     let mut nodes: Vec<Node> = Vec::new();
-    let scan_o = push(
-        &mut ops,
-        &mut nodes,
-        filter_scan::declared_properties(&p.outer.binding, z),
-        Node::Scan { table: p.outer.clone(), min_degree: z },
-    );
-    let scan_i = push(
-        &mut ops,
-        &mut nodes,
-        filter_scan::declared_properties(&p.inner.binding, z),
-        Node::Scan { table: p.inner.clone(), min_degree: z },
-    );
+    let mut op_plan = p.clone();
+    let [scan_o, scan_i] =
+        lower_scans([&mut op_plan.outer, &mut op_plan.inner], strategy, &mut ops, &mut nodes);
     let agg_node = match &p.corr {
+        _ if is_baseline(strategy) => push(
+            &mut ops,
+            &mut nodes,
+            agg::declared_properties_unsorted("nested-loop-agg", p, scan_o, scan_i),
+            Node::Agg { outer: scan_o, inner: scan_i, plan: op_plan, mode: AggMode::NestedLoop },
+        ),
         None => push(
             &mut ops,
             &mut nodes,
-            agg::declared_properties_const(p, scan_o, scan_i),
-            Node::Agg { outer: scan_o, inner: scan_i, plan: p.clone(), mode: AggMode::Const },
+            agg::declared_properties_unsorted("agg-const", p, scan_o, scan_i),
+            Node::Agg { outer: scan_o, inner: scan_i, plan: op_plan, mode: AggMode::Const },
         ),
         Some((ucol, op2, vcol)) => {
             let sort_o = push(
@@ -601,12 +671,7 @@ fn lower_agg(p: &AggPlan) -> (Vec<PhysOp>, Vec<Node>) {
                     &mut ops,
                     &mut nodes,
                     agg::declared_properties_merge(p, ucol, vcol, sort_o, sort_i),
-                    Node::Agg {
-                        outer: sort_o,
-                        inner: sort_i,
-                        plan: p.clone(),
-                        mode: AggMode::Merge,
-                    },
+                    Node::Agg { outer: sort_o, inner: sort_i, plan: op_plan, mode: AggMode::Merge },
                 )
             } else {
                 // Non-equality correlation: outer sorted (distinct-U groups
@@ -615,12 +680,7 @@ fn lower_agg(p: &AggPlan) -> (Vec<PhysOp>, Vec<Node>) {
                     &mut ops,
                     &mut nodes,
                     agg::declared_properties_scan(p, ucol, sort_o, scan_i),
-                    Node::Agg {
-                        outer: sort_o,
-                        inner: scan_i,
-                        plan: p.clone(),
-                        mode: AggMode::Scan,
-                    },
+                    Node::Agg { outer: sort_o, inner: scan_i, plan: op_plan, mode: AggMode::Scan },
                 )
             }
         }
@@ -661,8 +721,8 @@ impl Lowered {
                     Node::Join { left, right, step } => {
                         Box::new(flat::JoinStepOp::new(i, decl, left, right, step))
                     }
-                    Node::Anti { outer, inner, plan, merge } => {
-                        Box::new(anti::AntiOp::new(i, decl, outer, inner, plan, merge))
+                    Node::Anti { outer, inner, plan, mode } => {
+                        Box::new(anti::AntiOp::new(i, decl, outer, inner, plan, mode))
                     }
                     Node::Agg { outer, inner, plan, mode } => {
                         Box::new(agg::AggOp::new(i, decl, outer, inner, plan, mode))

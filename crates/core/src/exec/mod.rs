@@ -12,7 +12,8 @@
 //!   tuple `r` presents exactly `Rng(r)`, the contiguous inner range whose
 //!   support intervals can intersect `r`'s;
 //! * `partitioned` — the sampling-based partitioned join alternative;
-//! * `block_nl` — the block nested-loop fallback;
+//! * `block_nl` — the block nested loop: the join step without a merge
+//!   driver, and every join, anti, and aggregate step of the baselines;
 //! * `anti` — the grouped `MIN(D)` accumulation of Queries JX′/JALL′;
 //! * `agg` — the pipelined T1/T2/JA′ (COUNT′) aggregate evaluation;
 //! * `flat` — the flat join step gluing driver/residual predicate
@@ -57,8 +58,7 @@ pub(crate) mod threshold;
 
 pub use threshold::{flat_pushdown_alpha, pushdown_alpha};
 
-pub(crate) use agg::GroupSet;
-pub(crate) use bind::{BoundCompare, BoundOperand, Layout};
+pub(crate) use bind::{fold_preds, BoundCompare, BoundOperand, Layout};
 pub(crate) use output::project;
 
 /// Execution configuration: the buffer and sort memory budgets, in pages.
@@ -181,11 +181,6 @@ impl Executor {
         self
     }
 
-    /// The simulated disk this executor charges its I/O to.
-    pub(crate) fn disk(&self) -> &SimDisk {
-        &self.disk
-    }
-
     /// The configuration in effect.
     pub(crate) fn config(&self) -> ExecConfig {
         self.config
@@ -242,16 +237,18 @@ impl Executor {
         format!("__tmp_{tag}_{}", self.temp_counter)
     }
 
-    /// Runs an unnested plan, resetting the metrics registry: lowers the
-    /// plan to its physical operator tree and drives the tree to completion
-    /// (see `op::drive`).
+    /// Runs an unnested plan under a physical strategy, resetting the
+    /// metrics registry: lowers the plan to the strategy's operator tree and
+    /// drives the tree to completion (see `op::drive`).
     ///
-    /// The plan is not verified here: `Engine::plan_for` statically verifies
-    /// every plan it builds (see [`crate::verify`]), so a caller that builds
-    /// or edits a plan itself must run [`crate::verify::verify_plan`] first.
-    pub fn run(&mut self, plan: &UnnestPlan) -> Result<Relation> {
+    /// The tree is not verified here: the engine verifies every plan it
+    /// builds, for the strategy it runs under, before anything runs it (see
+    /// [`crate::verify`]). A caller that builds or edits a plan itself must
+    /// run [`crate::verify::verify_plan`] with the same strategy and
+    /// configuration first.
+    pub fn run(&mut self, plan: &UnnestPlan, strategy: crate::Strategy) -> Result<Relation> {
         self.metrics_reset();
-        let lowered = lower::lower(plan, &self.config, self.statistics.as_deref());
+        let lowered = lower::lower(plan, strategy, &self.config, self.statistics.as_deref());
         let mut ops = lowered.instantiate();
         let mut state = op::TreeState::new(ops.len());
         op::drive(self, &mut ops, &mut state)
@@ -261,6 +258,7 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::agg::GroupSet;
     use crate::plan::{PlanCol, PlanCompare, PlanOperand, PlanTable};
     use fuzzy_core::{CmpOp, Trapezoid, Value};
     use fuzzy_rel::{AttrType, Attribute, Schema, StoredTable, Tuple};

@@ -1,11 +1,11 @@
 //! `EXPLAIN` / `EXPLAIN ANALYZE` rendering.
 //!
 //! [`render_explain`] produces the *deterministic* part: the query's
-//! classified type, the strategy the engine would choose under
-//! [`crate::Strategy::Unnest`] (an unnested plan or the naive fallback), the
-//! plan tree, and closed-form cost estimates derived only from catalog
-//! cardinalities and the execution configuration. Golden tests pin this
-//! output byte-for-byte.
+//! classified type, how the engine would evaluate it under a strategy (an
+//! unnested plan, or under [`crate::Strategy::Unnest`] the naive fallback),
+//! the plan tree, the lowered operator tree, and closed-form cost estimates
+//! derived only from catalog cardinalities and the execution configuration.
+//! Golden tests pin this output byte-for-byte.
 //!
 //! [`render_actual`] appends the *measured* part after a run: one line per
 //! registered operator with its exact counters (deterministic across thread
@@ -17,7 +17,7 @@
 //! bound, every physical operator's required/delivered properties, and any
 //! violations. Fully deterministic, so it too is pinned by golden tests.
 
-use crate::engine::QueryOutcome;
+use crate::engine::{QueryOutcome, Strategy};
 use crate::error::{EngineError, Result};
 use crate::exec::ExecConfig;
 use crate::plan::UnnestPlan;
@@ -34,23 +34,26 @@ fn log2_ceil(n: u64) -> u64 {
     }
 }
 
-/// Renders the deterministic `EXPLAIN` text for a query: class, strategy,
-/// plan tree (reordered exactly as the executor would reorder it), and cost
-/// estimates.
+/// Renders the deterministic `EXPLAIN` text for a query under a strategy:
+/// class, strategy, plan tree (reordered exactly as the executor would
+/// reorder it), operator tree, and cost estimates. A shape outside the
+/// unnesting catalogue renders the naive fallback under
+/// [`Strategy::Unnest`] and is `Unsupported` under the baselines.
 pub fn render_explain(
     q: &fuzzy_sql::Query,
+    strategy: Strategy,
     catalog: &Catalog,
     config: &ExecConfig,
     statistics: Option<&StatsRegistry>,
 ) -> Result<String> {
     let class = fuzzy_sql::classify(q);
     let mut out = format!("query class: {class:?} (depth {})\n", q.depth());
-    match build_plan(q, catalog) {
+    match plan_or_fallback(q, strategy, catalog)? {
         Ok(plan) => {
-            out.push_str(&format!("strategy: unnest:{}\n", plan.label()));
+            out.push_str(&format!("strategy: {}:{}\n", strategy.name(), plan.label()));
             // Lower through the same pass the executor runs, so the rendered
             // tree, join order, and operator list are the ones that run.
-            let lowered = crate::exec::lower::lower(&plan, config, statistics);
+            let lowered = crate::exec::lower::lower(&plan, strategy, config, statistics);
             if let (UnnestPlan::Flat(orig), UnnestPlan::Flat(eff)) = (&plan, &lowered.plan) {
                 let orig_order: Vec<&str> =
                     orig.tables.iter().map(|t| t.binding.as_str()).collect();
@@ -61,9 +64,9 @@ pub fn render_explain(
             }
             out.push_str(&lowered.plan.explain());
             out.push_str(&render_operators(&lowered));
-            out.push_str(&render_estimates(&lowered.plan, config));
+            out.push_str(&render_estimates(&lowered.plan, strategy, config));
         }
-        Err(EngineError::Unsupported(msg)) => {
+        Err(msg) => {
             out.push_str("strategy: naive fallback\n");
             out.push_str(&format!("naive fallback: {msg}\n"));
             for t in &q.from {
@@ -77,9 +80,24 @@ pub fn render_explain(
                 }
             }
         }
-        Err(e) => return Err(e),
     }
     Ok(out)
+}
+
+/// The plan `strategy` evaluates `q` with, or — under
+/// [`Strategy::Unnest`] only — why `q` falls back to the naive evaluator.
+/// The baselines have no fallback: a shape outside the unnesting catalogue
+/// is their `Unsupported` error, as it is when they run.
+fn plan_or_fallback(
+    q: &fuzzy_sql::Query,
+    strategy: Strategy,
+    catalog: &Catalog,
+) -> Result<std::result::Result<UnnestPlan, String>> {
+    match build_plan(q, catalog) {
+        Ok(plan) => Ok(Ok(plan)),
+        Err(EngineError::Unsupported(msg)) if strategy == Strategy::Unnest => Ok(Err(msg)),
+        Err(e) => Err(e),
+    }
 }
 
 /// Renders the lowered physical-operator tree: one line per operator in
@@ -102,10 +120,15 @@ fn render_operators(lowered: &crate::exec::lower::Lowered) -> String {
 /// Closed-form cost estimates for a plan: the external-sort work on each
 /// base relation the plan sorts and the nested-loop pair bound the unnesting
 /// avoids (Section 3's `O(n log n)` vs `n_R × n_S` argument, per query).
-fn render_estimates(plan: &UnnestPlan, config: &ExecConfig) -> String {
+/// The baselines sort nothing, so they show only the pair bound.
+fn render_estimates(plan: &UnnestPlan, strategy: Strategy, config: &ExecConfig) -> String {
     let sort_pages = config.sort_pages.max(1) as u64;
     let mut out = String::new();
+    let sorts = strategy == Strategy::Unnest;
     let sort_line = |binding: &str, n: u64, b: u64, out: &mut String| {
+        if !sorts {
+            return;
+        }
         out.push_str(&format!(
             "est: sort {binding}: ~{} comparisons, {} initial runs\n",
             n * log2_ceil(n),
@@ -156,31 +179,31 @@ fn render_estimates(plan: &UnnestPlan, config: &ExecConfig) -> String {
     out
 }
 
-/// Renders the `EXPLAIN VERIFY` text for a query: class, strategy, and the
-/// static verification report of the plan the executor would run. The naive
-/// fallback has nothing to verify — the naive evaluator is the semantics
-/// the equivalence theorems are checked against.
+/// Renders the `EXPLAIN VERIFY` text for a query under a strategy: class,
+/// strategy, and the static verification report of the operator tree the
+/// executor would run. The naive fallback has nothing to verify — the naive
+/// evaluator is the semantics the equivalence theorems are checked against.
 pub fn render_verify(
     q: &fuzzy_sql::Query,
+    strategy: Strategy,
     catalog: &Catalog,
     config: &ExecConfig,
     statistics: Option<&StatsRegistry>,
 ) -> Result<String> {
     let class = fuzzy_sql::classify(q);
     let mut out = format!("query class: {class:?} (depth {})\n", q.depth());
-    match build_plan(q, catalog) {
+    match plan_or_fallback(q, strategy, catalog)? {
         Ok(plan) => {
-            out.push_str(&format!("strategy: unnest:{}\n", plan.label()));
-            let report = crate::verify::verify_plan(&plan, config, statistics);
+            out.push_str(&format!("strategy: {}:{}\n", strategy.name(), plan.label()));
+            let report = crate::verify::verify_plan(&plan, strategy, config, statistics);
             out.push_str(&render_verify_report(&report));
         }
-        Err(EngineError::Unsupported(_)) => {
+        Err(_) => {
             out.push_str("strategy: naive fallback\n");
             out.push_str(
                 "verify: nothing to check — the naive reference evaluator is the semantics\n",
             );
         }
-        Err(e) => return Err(e),
     }
     Ok(out)
 }

@@ -9,14 +9,17 @@
 //!   equivalence theorems are checked against);
 //! * [`unnest`] — the transformations of Sections 4–8 (types N, J, JX, JA,
 //!   JALL, K-level chains) producing [`plan::UnnestPlan`]s;
-//! * [`exec`] — the physical operators: interval-order external sort, the
-//!   extended merge-join window over `Rng(r)` (Section 3), anti accumulation
-//!   (JX′/JALL′) and the pipelined aggregate evaluation (JA′/COUNT′);
-//! * [`nested_loop`] — the block nested-loop baseline of Section 9;
+//! * [`exec`] — lowering of a plan to the operator tree of a strategy, and
+//!   the physical operators: interval-order external sort, the extended
+//!   merge-join window over `Rng(r)` (Section 3), anti accumulation
+//!   (JX′/JALL′), the pipelined aggregate evaluation (JA′/COUNT′), and the
+//!   block nested loop the Section 9 baselines lower every step to;
 //! * [`verify`] — the static plan verifier: physical-property analysis
 //!   (⪯-sort orders, degree bounds, duplicate policy, binding provenance)
 //!   and equivalence-rule linting for every plan before it runs;
-//! * [`engine`] — strategy dispatch plus I/O/CPU measurement.
+//! * [`engine`] — the one statement pipeline (plan, verify, cache, lower,
+//!   drive) for the three physical strategies, the naive oracle, and I/O/CPU
+//!   measurement.
 //!
 //! ## Example
 //!
@@ -27,6 +30,8 @@
 //! let nested = engine.run_sql(QUERY_2, Strategy::NestedLoop)?;
 //! let unnested = engine.run_sql(QUERY_2, Strategy::Unnest)?;
 //! assert_eq!(nested.answer.canonicalized(), unnested.answer.canonicalized());
+//! // Both ran a verified operator tree; EXPLAIN renders either one.
+//! println!("{}", engine.explain_query(&fuzzy_sql::parse(QUERY_2)?, Strategy::NestedLoop)?);
 //! ```
 //!
 //! (See the `fuzzy-db` facade crate and the repository examples for runnable
@@ -42,7 +47,6 @@ pub mod exec;
 pub mod explain;
 pub mod metrics;
 pub mod naive;
-pub mod nested_loop;
 pub mod optimizer;
 pub mod plan;
 pub mod plan_cache;
@@ -61,6 +65,4 @@ pub use plan::{RewriteRule, UnnestPlan};
 pub use plan_cache::{CacheStats, PlanCache, Planned, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use stats_histogram::{Histogram, StatsRegistry};
 pub use unnest::build_plan;
-pub use verify::{
-    build_outline, check_threshold, verify_plan, Outline, PhysOp, Prop, VerifyReport, Violation,
-};
+pub use verify::{check_threshold, verify_plan, Outline, PhysOp, Prop, VerifyReport, Violation};

@@ -13,8 +13,9 @@
 //!    plans produce *identical* fuzzy relations;
 //! 2. with its `O(∏ n_i)` behaviour it is the "naive evaluation method based
 //!    on [the query's] semantics" whose cost the paper's Section 1 warns
-//!    about. (The paper's measured baseline, the block nested-loop join, is
-//!    in [`crate::nested_loop`].)
+//!    about. (The paper's measured baseline, the block nested-loop method,
+//!    is [`crate::Strategy::NestedLoop`], which lowers the unnested plan to
+//!    block nested loops in `exec`.)
 //!
 //! The re-evaluation is literal, but it copies nothing it does not return.
 //! Each stored table is read once per statement into a shared [`Rc`]

@@ -4,11 +4,12 @@
 //! statement: classify the nesting shape, build the flat plan, pick a join
 //! order, and statically verify the physical-property declarations. For a
 //! long-lived server answering the same fuzzy queries again and again, all
-//! of that is pure function of (normalized SQL, catalog version,
+//! of that is pure function of (normalized SQL, strategy, catalog version,
 //! plan-shaping configuration) — exactly what a cache exploits.
 //!
-//! An entry stores the *verified* [`UnnestPlan`] behind an [`Arc`] (or the
-//! fact that the statement falls back to the naive evaluator). Lookups that
+//! An entry stores the *verified* [`UnnestPlan`] behind an [`Arc`] together
+//! with the strategy it was verified for (or the fact that the statement
+//! falls back to the naive evaluator). Lookups that
 //! hit skip classification, planning, join-order search, **and**
 //! re-verification; the executor trusts the cached verification and runs the
 //! plan directly. Any DDL/DML bumps the catalog version
@@ -20,6 +21,7 @@
 //! counters are exact, so a fixed statement schedule produces deterministic
 //! hit/miss/invalidation counts (asserted by `tests/concurrent_serving.rs`).
 
+use crate::engine::Strategy;
 use crate::exec::ExecConfig;
 use crate::plan::UnnestPlan;
 use std::collections::HashMap;
@@ -30,8 +32,10 @@ use std::sync::{Arc, Mutex};
 /// fallback. Cached so repeated fallback statements skip re-classification.
 #[derive(Debug, Clone)]
 pub enum Planned {
-    /// An unnested plan, shared by every execution that hits the entry.
-    Plan(Arc<UnnestPlan>),
+    /// An unnested plan, shared by every execution that hits the entry, and
+    /// the physical strategy whose operator tree was verified for it (and is
+    /// the tree every execution lowers and runs).
+    Plan(Arc<UnnestPlan>, Strategy),
     /// The statement shape has no unnested form; the engine evaluates it
     /// with the semantics-faithful naive evaluator.
     NaiveFallback,
@@ -63,8 +67,8 @@ pub struct CacheStats {
 }
 
 /// A bounded, internally synchronized map from
-/// `(normalized SQL, plan-shaping config) × catalog version` to verified
-/// plans.
+/// `(normalized SQL, strategy, plan-shaping config) × catalog version` to
+/// verified plans.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<HashMap<String, Entry>>,
@@ -99,14 +103,16 @@ impl PlanCache {
         }
     }
 
-    /// The cache key for a parsed query under a configuration: the
-    /// canonically rendered SQL (whitespace/case normalized by the
-    /// parser→display round trip) plus the config knobs that shape plan
-    /// verification. `threads` is deliberately excluded — any thread count
-    /// runs the same plan with bit-identical counters.
-    pub fn key(q: &fuzzy_sql::Query, config: &ExecConfig) -> String {
+    /// The cache key for a parsed query under a strategy and a
+    /// configuration: the canonically rendered SQL (whitespace/case
+    /// normalized by the parser→display round trip), the strategy the plan
+    /// is lowered for, and the config knobs that shape plan verification.
+    /// `threads` is deliberately excluded — any thread count runs the same
+    /// plan with bit-identical counters.
+    pub fn key(q: &fuzzy_sql::Query, strategy: Strategy, config: &ExecConfig) -> String {
         format!(
-            "{q}|rj={} tp={} jm={:?} pj={}",
+            "{q}|{} rj={} tp={} jm={:?} pj={}",
+            strategy.name(),
             config.reorder_joins,
             config.threshold_pushdown,
             config.join_method,
@@ -201,20 +207,28 @@ mod tests {
     #[test]
     fn key_separates_plan_shaping_config() {
         let q = fuzzy_sql::parse("SELECT R.ID FROM R").unwrap();
+        let key =
+            |q: &fuzzy_sql::Query, config: &ExecConfig| PlanCache::key(q, Strategy::Unnest, config);
         let base = ExecConfig::default();
         let mut other = base;
         other.threshold_pushdown = false;
-        assert_ne!(PlanCache::key(&q, &base), PlanCache::key(&q, &other));
+        assert_ne!(key(&q, &base), key(&q, &other));
         let mut threads_only = base;
         threads_only.threads = 8;
-        assert_eq!(
-            PlanCache::key(&q, &base),
-            PlanCache::key(&q, &threads_only),
-            "threads never shape the plan"
-        );
+        assert_eq!(key(&q, &base), key(&q, &threads_only), "threads never shape the plan");
         // Normalization: case/whitespace variants share a key.
         let q2 = fuzzy_sql::parse("select   R.ID  from R").unwrap();
-        assert_eq!(PlanCache::key(&q, &base), PlanCache::key(&q2, &base));
+        assert_eq!(key(&q, &base), key(&q2, &base));
+        // The strategy chooses the operator tree: the same SQL under each
+        // physical strategy gets its own entry.
+        let keys: Vec<String> =
+            [Strategy::Unnest, Strategy::NestedLoop, Strategy::MaterializedNestedLoop]
+                .into_iter()
+                .map(|s| PlanCache::key(&q, s, &base))
+                .collect();
+        assert_ne!(keys[0], keys[1]);
+        assert_ne!(keys[0], keys[2]);
+        assert_ne!(keys[1], keys[2]);
     }
 
     #[test]

@@ -22,12 +22,12 @@
 //!   aggregate shape for Theorem 6.1, and so on.
 //!
 //! This module checks all of that **statically**, before a single tuple
-//! flows. [`build_outline`] mirrors the physical operator tree the executor
-//! will run — including the optimizer's join reorder — with every operator
-//! declaring its *required* and *delivered* properties ([`Prop`]);
-//! [`verify_plan`] walks the outline checking required ⊆ delivered on every
-//! edge, then layers the plan-level rewrite-rule and threshold checks on
-//! top. Violations are structured diagnostics ([`Violation`]: rule id,
+//! flows. The lowering pass builds the physical operator tree the executor
+//! will run under a strategy — including the optimizer's join reorder —
+//! with every operator carrying its *required* and *delivered* properties
+//! ([`Prop`]) as its [`Outline`] entry; [`verify_plan`] walks that outline
+//! checking required ⊆ delivered on every edge, then layers the plan-level
+//! rewrite-rule and threshold checks on top. Violations are structured diagnostics ([`Violation`]: rule id,
 //! operator path, expected vs. delivered) rendered by `EXPLAIN VERIFY`;
 //! [`crate::Engine::plan_for`] runs the verifier on every plan it builds
 //! and refuses a plan that fails it. The naive fallback needs no outline: the naive
@@ -54,6 +54,7 @@
 //! | `R-T8.1-CHAIN` | the chain linkage is not adjacent (Theorem 8.1) |
 //! | `R-S7-EXISTS` | the EXISTS flattening is not a two-relation join |
 
+use crate::engine::Strategy;
 use crate::exec::ExecConfig;
 use crate::plan::{
     AggPlan, AntiKind, AntiPlan, FlatPlan, PlanCol, PlanCompare, RewriteRule, UnnestPlan,
@@ -330,16 +331,18 @@ impl VerifyReport {
 // Plan-level checks
 // ---------------------------------------------------------------------------
 
-/// Verifies a plan: rewrite-rule preconditions, threshold soundness, and the
-/// per-edge property analysis of the physical outline the executor will run
-/// (join reorder included).
+/// Verifies a plan under a strategy: rewrite-rule preconditions, threshold
+/// soundness, and the per-edge property analysis of the physical outline
+/// the executor will run for that strategy (join reorder included). The
+/// report's `outline` is that operator tree.
 pub fn verify_plan(
     plan: &UnnestPlan,
+    strategy: Strategy,
     config: &ExecConfig,
     stats: Option<&StatsRegistry>,
 ) -> VerifyReport {
     let crate::exec::lower::Lowered { plan, alpha, outline, .. } =
-        crate::exec::lower::lower(plan, config, stats);
+        crate::exec::lower::lower(plan, strategy, config, stats);
     let mut violations = Vec::new();
     let mut checks = check_rewrite(&plan, &mut violations);
     checks += 1;
@@ -709,24 +712,6 @@ fn render_cols(cols: &[PlanCol]) -> String {
     cols.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(", ")
 }
 
-// ---------------------------------------------------------------------------
-// Outline access
-// ---------------------------------------------------------------------------
-
-/// The physical outline the executor will run for this plan under this
-/// configuration. Since the operator-pipeline refactor this is no longer a
-/// mirror: the lowering pass (`crate::exec::lower`) builds the operator
-/// tree once, each operator carries its own [`PhysOp`] declaration, and this
-/// function simply returns those declarations — the tree that is verified is
-/// the tree that runs. Pinned by the `EXPLAIN VERIFY` golden tests.
-pub fn build_outline(
-    plan: &UnnestPlan,
-    config: &ExecConfig,
-    stats: Option<&StatsRegistry>,
-) -> Outline {
-    crate::exec::lower::lower(plan, config, stats).outline
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -861,7 +846,8 @@ mod tests {
                 cmp(col("R", 0), CmpOp::Eq, col("S", 0)),
             ],
         );
-        let report = verify_plan(&UnnestPlan::Flat(plan), &ExecConfig::default(), None);
+        let report =
+            verify_plan(&UnnestPlan::Flat(plan), Strategy::Unnest, &ExecConfig::default(), None);
         assert!(
             report.violations.iter().any(|v| v.rule == "R-T4.1-INDEP"),
             "{:?}",
@@ -877,7 +863,8 @@ mod tests {
             RewriteRule::TypeN { blocks: vec![vec!["R".into()], vec!["S".into()]] },
             vec![cmp(col("R", 1), CmpOp::Eq, col("S", 1))],
         );
-        let report = verify_plan(&UnnestPlan::Flat(n), &ExecConfig::default(), None);
+        let report =
+            verify_plan(&UnnestPlan::Flat(n), Strategy::Unnest, &ExecConfig::default(), None);
         assert!(report.ok(), "{:?}", report.violations);
         let j = flat_two(
             &disk,
@@ -887,7 +874,8 @@ mod tests {
                 cmp(col("R", 0), CmpOp::Eq, col("S", 0)),
             ],
         );
-        let report = verify_plan(&UnnestPlan::Flat(j), &ExecConfig::default(), None);
+        let report =
+            verify_plan(&UnnestPlan::Flat(j), Strategy::Unnest, &ExecConfig::default(), None);
         assert!(report.ok(), "{:?}", report.violations);
     }
 
@@ -900,7 +888,9 @@ mod tests {
         let mut pred = cmp(col("R", 1), CmpOp::Eq, col("S", 1));
         pred.tolerance = Some(5.0);
         let plan = flat_two(&disk, RewriteRule::Flat, vec![pred]);
-        let outline = build_outline(&UnnestPlan::Flat(plan), &ExecConfig::default(), None);
+        let outline =
+            verify_plan(&UnnestPlan::Flat(plan), Strategy::Unnest, &ExecConfig::default(), None)
+                .outline;
         assert!(outline.ops.iter().any(|o| o.name.starts_with("nested-loop")));
         assert!(!outline.ops.iter().any(|o| o.name.starts_with("merge-join")));
     }
@@ -913,7 +903,8 @@ mod tests {
             RewriteRule::TypeJ { blocks: vec![vec!["R".into()], vec!["S".into()]] },
             vec![],
         );
-        let report = verify_plan(&UnnestPlan::Flat(plan), &ExecConfig::default(), None);
+        let report =
+            verify_plan(&UnnestPlan::Flat(plan), Strategy::Unnest, &ExecConfig::default(), None);
         assert!(report.violations.iter().any(|v| v.rule == "R-T4.2-LINK"));
     }
 
@@ -921,7 +912,8 @@ mod tests {
     fn anti_rule_on_flat_plan_is_a_tag_mismatch() {
         let disk = SimDisk::with_default_page_size();
         let plan = flat_two(&disk, RewriteRule::Exclusion, vec![]);
-        let report = verify_plan(&UnnestPlan::Flat(plan), &ExecConfig::default(), None);
+        let report =
+            verify_plan(&UnnestPlan::Flat(plan), Strategy::Unnest, &ExecConfig::default(), None);
         assert!(report.violations.iter().any(|v| v.rule == "V-RULE-TAG"));
     }
 }

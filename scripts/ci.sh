@@ -58,26 +58,47 @@ for f in src/lib.rs crates/*/src/lib.rs; do
   fi
 done
 
+# Prints the non-test lines of the given files as `file:line: text`. Each
+# `#[cfg(test)]` item is skipped: a one-line item (`mod x;`) alone, a block
+# (`mod tests {`) through its closing `}` at column 0. Code after a test
+# module is still scanned.
+non_test() {
+  awk '
+    FNR == 1 { skip = 0 }
+    /^#\[cfg\(test\)\]/ { skip = 1; next }
+    skip == 1 { skip = /[;}][[:space:]]*$/ ? 0 : 2; next }
+    skip == 2 { if (/^}/) skip = 0; next }
+    { print FILENAME ":" FNR ": " $0 }
+  ' "$@"
+}
+
 echo "==> panic hygiene (no unwrap/expect in non-test core engine code)"
-# Non-test = everything before the first #[cfg(test)] block of each file.
-# Allowed: the documented invariant expects listed in the allowlist.
-panics=$(for f in crates/core/src/*.rs crates/core/src/exec/*.rs; do
-  awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"NR": "$0}' "$f"
-done | grep -E '\.unwrap\(\)|\.expect\(' | grep -vFf scripts/unwrap_expect_allowlist.txt || true)
+# Allowed: the documented invariant expects listed in the allowlist. An
+# allowlist entry that matches no scanned line is stale and fails the gate.
+unwraps=$(non_test crates/core/src/*.rs crates/core/src/exec/*.rs \
+  | grep -E '\.unwrap\(\)|\.expect\(' || true)
+panics=$(grep -vFf scripts/unwrap_expect_allowlist.txt <<<"$unwraps" || true)
 if [[ -n "$panics" ]]; then
   echo "error: unlisted unwrap()/expect() in non-test engine code — return an" >&2
   echo "EngineError or add the documented invariant to scripts/unwrap_expect_allowlist.txt:" >&2
   echo "$panics" >&2
   exit 1
 fi
+stale=$(while IFS= read -r entry; do
+  [[ -z "$entry" ]] || grep -qF -- "$entry" <<<"$unwraps" || echo "$entry"
+done < scripts/unwrap_expect_allowlist.txt)
+if [[ -n "$stale" ]]; then
+  echo "error: scripts/unwrap_expect_allowlist.txt entries match no scanned line —" >&2
+  echo "delete them:" >&2
+  echo "$stale" >&2
+  exit 1
+fi
 
 echo "==> value-keyed maps hash with ValueHashBuilder"
 # Maps keyed by Value, Vec<Value> or &[Value] sit on the answer, aggregate
 # and GROUP BY paths; std's SipHash default costs more than the work around
-# it there. Non-test = everything before the first #[cfg(test)] block.
-value_maps=$(find src crates/*/src -name '*.rs' | sort | while read -r f; do
-  awk '/^#\[cfg\(test\)\]/{exit} {print FILENAME":"NR": "$0}' "$f"
-done | grep -E 'HashMap<\s*(&\s*)?(\[\s*(\w+::)*Value\s*\]|Vec<\s*(\w+::)*Value\s*>|(\w+::)*Value)\s*,' \
+# it there.
+value_maps=$(non_test $(find src crates/*/src -name '*.rs' | sort) | grep -E 'HashMap<\s*(&\s*)?(\[\s*(\w+::)*Value\s*\]|Vec<\s*(\w+::)*Value\s*>|(\w+::)*Value)\s*,' \
   | grep -v 'ValueHashBuilder' || true)
 if [[ -n "$value_maps" ]]; then
   echo "error: HashMap keyed by values without fuzzy_core::hash::ValueHashBuilder:" >&2

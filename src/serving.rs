@@ -257,9 +257,15 @@ impl Session {
             Statement::Explain { mode, query } => self.read_locked(|s, catalog, wait| {
                 let engine = s.engine_over(catalog, wait);
                 let text = match mode {
-                    fuzzy_sql::ExplainMode::Plan => engine.explain_query(&query)?,
-                    fuzzy_sql::ExplainMode::Analyze => engine.explain_analyze_query(&query)?.0,
-                    fuzzy_sql::ExplainMode::Verify => engine.explain_verify_query(&query)?,
+                    fuzzy_sql::ExplainMode::Plan => {
+                        engine.explain_query(&query, Strategy::Unnest)?
+                    }
+                    fuzzy_sql::ExplainMode::Analyze => {
+                        engine.explain_analyze_query(&query, Strategy::Unnest)?.0
+                    }
+                    fuzzy_sql::ExplainMode::Verify => {
+                        engine.explain_verify_query(&query, Strategy::Unnest)?
+                    }
                 };
                 Ok(StatementResult::Explained(text))
             }),
@@ -573,25 +579,31 @@ impl QueryBuilder {
         Ok(self.run()?.answer)
     }
 
-    /// Renders the deterministic `EXPLAIN` text without running.
+    /// Renders the deterministic `EXPLAIN` text of the statement's strategy
+    /// without running.
     pub fn explain(self) -> Result<String, EngineError> {
         let q = fuzzy_sql::parse(&self.sql)?;
-        self.session.read_locked(|s, catalog, wait| s.engine_over(catalog, wait).explain_query(&q))
+        self.session.read_locked(|s, catalog, wait| {
+            s.engine_over(catalog, wait).explain_query(&q, self.strategy)
+        })
     }
 
-    /// Runs the statement and renders `EXPLAIN ANALYZE` (the plan annotated
-    /// with actual counters, plus the serving section).
+    /// Runs the statement under its strategy and renders `EXPLAIN ANALYZE`
+    /// (the plan annotated with actual counters, plus the serving section).
     pub fn explain_analyze(self) -> Result<(String, QueryOutcome), EngineError> {
         let q = fuzzy_sql::parse(&self.sql)?;
-        self.session
-            .read_locked(|s, catalog, wait| s.engine_over(catalog, wait).explain_analyze_query(&q))
+        self.session.read_locked(|s, catalog, wait| {
+            s.engine_over(catalog, wait).explain_analyze_query(&q, self.strategy)
+        })
     }
 
-    /// Renders the `EXPLAIN VERIFY` text (the static verifier's report).
+    /// Renders the `EXPLAIN VERIFY` text (the static verifier's report on the
+    /// operator tree of the statement's strategy).
     pub fn explain_verify(self) -> Result<String, EngineError> {
         let q = fuzzy_sql::parse(&self.sql)?;
-        self.session
-            .read_locked(|s, catalog, wait| s.engine_over(catalog, wait).explain_verify_query(&q))
+        self.session.read_locked(|s, catalog, wait| {
+            s.engine_over(catalog, wait).explain_verify_query(&q, self.strategy)
+        })
     }
 }
 
@@ -640,7 +652,7 @@ impl PreparedQuery {
     pub fn explain(&self) -> Result<String, EngineError> {
         self.session.read_locked(|s, catalog, wait| {
             self.check_fresh(&catalog)?;
-            s.engine_over(catalog, wait).explain_query(&self.query)
+            s.engine_over(catalog, wait).explain_query(&self.query, Strategy::Unnest)
         })
     }
 

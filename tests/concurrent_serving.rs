@@ -184,6 +184,29 @@ fn explain_analyze_reports_cache_hit_with_zero_reverification() {
     assert!(text.contains("cache totals:"), "{text}");
 }
 
+/// The baselines go through the same plan cache: a repeated nested-loop
+/// statement hits with zero re-verification, and its entry is separate from
+/// the same SQL's unnest entry.
+#[test]
+fn baseline_statements_hit_the_plan_cache() {
+    let db = fixture(1);
+    let session = db.session();
+    let sql = CORPUS[5];
+    let first = session.query(sql).strategy(Strategy::NestedLoop).run().unwrap();
+    assert_eq!(first.serving.cache_hit, Some(false));
+    assert_eq!(first.serving.plan_verifications, 1);
+    let second = session.query(sql).strategy(Strategy::NestedLoop).run().unwrap();
+    assert_eq!(second.serving.cache_hit, Some(true));
+    assert_eq!(second.serving.plan_verifications, 0);
+    assert!(second.plan_label.starts_with("nested-loop:"), "{}", second.plan_label);
+    assert_eq!(first.answer.canonicalized(), second.answer.canonicalized());
+    let unnest = session.query(sql).run().unwrap();
+    assert_eq!(unnest.serving.cache_hit, Some(false), "unnest has its own entry");
+    assert_eq!(unnest.answer.canonicalized(), first.answer.canonicalized());
+    let stats = db.plan_cache_stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+}
+
 #[test]
 fn prepared_statements_replay_across_threads_and_go_stale() {
     let db = fixture(1);

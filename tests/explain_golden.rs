@@ -1,5 +1,6 @@
 //! Golden-file tests pinning the `EXPLAIN` rendering byte-for-byte for one
-//! query of every class in the paper's catalogue (plus the naive fallback).
+//! query of every class in the paper's catalogue (plus the naive fallback),
+//! and the operator trees the two nested-loop baselines lower to.
 //!
 //! The rendered text is fully deterministic: it depends only on the catalog
 //! (fixed fixture tables), the execution configuration (defaults), and the
@@ -14,7 +15,7 @@
 
 use fuzzy_db::core::Value;
 use fuzzy_db::rel::{AttrType, Schema, Tuple};
-use fuzzy_db::Database;
+use fuzzy_db::{Database, Strategy};
 
 /// A deterministic three-table fixture: R (8 tuples), S (6), T (4), all with
 /// the same (ID, X, V) numeric schema so every query class can be expressed.
@@ -50,7 +51,15 @@ fn check(name: &str, sql: &str) {
 }
 
 fn check_db(db: &Database, name: &str, sql: &str) {
-    let actual = db.explain(sql).expect("EXPLAIN failed");
+    check_text(name, db.explain(sql).expect("EXPLAIN failed"))
+}
+
+/// Pins the `EXPLAIN` text of a statement run under a baseline strategy.
+fn check_strategy(name: &str, sql: &str, strategy: Strategy) {
+    check_text(name, fixture().query(sql).strategy(strategy).explain().expect("EXPLAIN failed"))
+}
+
+fn check_text(name: &str, actual: String) {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let path = dir.join(format!("{name}.txt"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -155,5 +164,44 @@ fn golden_general_fallback() {
         "general_fallback",
         "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S) \
          AND R.V IN (SELECT T.V FROM T)",
+    );
+}
+
+#[test]
+fn golden_nested_loop_flat() {
+    check_strategy(
+        "nested_loop_type_j",
+        "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.V = R.V)",
+        Strategy::NestedLoop,
+    );
+}
+
+#[test]
+fn golden_nested_loop_anti() {
+    check_strategy(
+        "nested_loop_type_jx",
+        "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S WHERE S.V = R.V)",
+        Strategy::NestedLoop,
+    );
+}
+
+#[test]
+fn golden_nested_loop_agg() {
+    check_strategy(
+        "nested_loop_type_ja",
+        "SELECT R.ID FROM R WHERE R.V <= (SELECT MAX(S.V) FROM S WHERE S.X = R.X)",
+        Strategy::NestedLoop,
+    );
+}
+
+/// Section 2.3's intermediate-relation method: the local predicates are
+/// filtered by the scans, ahead of the nested loop.
+#[test]
+fn golden_materialized_nested_loop_local_preds() {
+    check_strategy(
+        "materialized_nl_local_preds",
+        "SELECT R.ID FROM R WHERE R.V > 102 AND R.X IN \
+         (SELECT S.X FROM S WHERE S.V < 104)",
+        Strategy::MaterializedNestedLoop,
     );
 }

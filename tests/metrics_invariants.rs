@@ -185,6 +185,33 @@ fn explain_analyze_reports_actual_operators() {
     assert!(!plain.contains("actual:"), "{plain}");
 }
 
+/// `EXPLAIN`, `EXPLAIN ANALYZE`, and `EXPLAIN VERIFY` through the query
+/// builder follow `.strategy(..)`: a baseline statement renders, verifies,
+/// and runs its own operator tree — block nested loops, no sorts.
+#[test]
+fn explain_follows_the_statement_strategy() {
+    let (catalog, disk) = dating_db();
+    let db = Database::from_catalog(catalog, disk);
+    let sql = "SELECT F.NAME FROM F WHERE F.INCOME IN \
+               (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE)";
+    for (strategy, prefix) in [
+        (Strategy::NestedLoop, "nested-loop:"),
+        (Strategy::MaterializedNestedLoop, "materialized-nl:"),
+    ] {
+        let (text, outcome) = db.query(sql).strategy(strategy).explain_analyze().unwrap();
+        assert!(outcome.plan_label.starts_with(prefix), "{}", outcome.plan_label);
+        assert!(text.contains(&format!("strategy: {prefix}")), "{text}");
+        assert!(text.contains("[join] nested-loop +"), "{text}");
+        assert!(!text.contains("[sort]"), "{text}");
+        let plain = db.query(sql).strategy(strategy).explain().unwrap();
+        assert!(text.starts_with(&plain), "{plain}\nvs\n{text}");
+        let verify = db.query(sql).strategy(strategy).explain_verify().unwrap();
+        assert!(verify.contains(&format!("strategy: {prefix}")), "{verify}");
+        assert!(verify.contains("verification: OK"), "{verify}");
+        assert!(!verify.contains("sort"), "{verify}");
+    }
+}
+
 /// One query per class of the unnesting catalogue, plus the shape the naive
 /// fallback serves ("General"), over `workload_db`'s R and S.
 const CLASS_CORPUS: [(&str, &str); 11] = [
@@ -371,5 +398,81 @@ fn partitioned_join_ignores_thread_count() {
             (io1.reads, io1.writes),
             "{threads} threads: I/O diverged"
         );
+    }
+}
+
+/// What one baseline run is pinned to: `(answer rows, pairs examined, page
+/// reads, page writes, buffer requests, fuzzy comparisons)`, or the error
+/// kind when the strategy refuses the statement.
+type BaselinePin = Result<(usize, u64, u64, u64, u64, u64), &'static str>;
+
+fn baseline_pin(engine: &Engine, sql: &str, strategy: Strategy) -> BaselinePin {
+    match engine.run_sql(sql, strategy) {
+        Ok(out) => {
+            let t = out.metrics.totals();
+            Ok((
+                out.answer.len(),
+                t.pairs_examined,
+                t.page_reads,
+                t.page_writes,
+                t.buffer_requests,
+                t.fuzzy_comparisons,
+            ))
+        }
+        Err(fuzzy_db::EngineError::Unsupported(_)) => Err("unsupported"),
+        Err(e) => panic!("{sql} under {strategy:?}: {e}"),
+    }
+}
+
+/// The baselines' exact work, pinned: answer rows, pairs, page I/O, buffer
+/// requests, and fuzzy comparisons of `Strategy::NestedLoop` and
+/// `Strategy::MaterializedNestedLoop` over the class corpus, Example 4.1
+/// (local predicates on both levels), and a three-table flat join. These
+/// are the reference side of the Section 9 comparisons; they move only if
+/// the block nested-loop method itself changes. Plain nested loop evaluates
+/// p₁ per outer tuple and p₂ per pair, stopping at the first zero, so on
+/// Example 4.1 a zero `F.AGE = 'medium young'` skips the pair's p₂ and join.
+/// Wherever a baseline answers, its answer equals the naive evaluator's.
+#[test]
+fn baseline_counters_are_pinned() {
+    let three_table = "SELECT R.ID FROM R, S, S T WHERE R.X = S.X AND S.V = T.V AND T.V < 500";
+    let (catalog, disk) = workload_db(80, 5);
+    let engine = Engine::over(catalog.into(), &disk);
+    let (dating, dating_disk) = dating_db();
+    let dating = Engine::over(dating.into(), &dating_disk);
+    let example_41 = "SELECT F.NAME FROM F WHERE F.AGE = 'medium young' AND F.INCOME IN \
+                      (SELECT M.INCOME FROM M WHERE M.AGE = 'middle age')";
+    let mut cases: Vec<(&str, &Engine, &str)> =
+        CLASS_CORPUS.iter().map(|&(class, sql)| (class, &engine, sql)).collect();
+    cases.push(("Example 4.1", &dating, example_41));
+    cases.push(("Flat(3)", &engine, three_table));
+    // (NestedLoop, MaterializedNestedLoop) per case, in `cases` order.
+    let pins: [(BaselinePin, BaselinePin); 13] = [
+        (Ok((80, 6400, 4, 0, 2, 6400)), Ok((80, 6400, 4, 0, 2, 6400))), // Flat
+        (Ok((80, 6400, 4, 0, 2, 6400)), Ok((80, 6400, 4, 0, 2, 6400))), // TypeN
+        (Ok((0, 6400, 4, 0, 2, 6974)), Ok((0, 6400, 4, 0, 2, 6974))),   // TypeJ
+        (Ok((0, 6400, 4, 0, 2, 6974)), Ok((0, 6400, 4, 0, 2, 6974))),   // TypeJSome
+        (Ok((18, 6400, 4, 0, 2, 2667)), Ok((18, 6400, 4, 0, 2, 2667))), // TypeNX
+        (Ok((80, 6400, 4, 0, 2, 6400)), Ok((80, 6400, 4, 0, 2, 6400))), // TypeJX
+        (Ok((47, 6400, 4, 0, 2, 80)), Ok((47, 6400, 4, 0, 2, 80))),     // TypeA
+        (Ok((72, 6400, 4, 0, 2, 6480)), Ok((72, 6400, 4, 0, 2, 6480))), // TypeJA
+        (Ok((0, 6400, 4, 0, 2, 282)), Ok((0, 6400, 4, 0, 2, 282))),     // TypeAll
+        (Err("unsupported"), Err("unsupported")),                       // Chain(3)
+        (Err("unsupported"), Err("unsupported")),                       // General
+        (Ok((2, 16, 2, 0, 1, 37)), Ok((2, 9, 4, 2, 3, 17))),            // Example 4.1
+        (Ok((80, 10000, 7, 0, 4, 13600)), Ok((80, 7200, 8, 1, 6, 7280))), // Flat(3)
+    ];
+    for ((class, engine, sql), (nl_pin, mat_pin)) in cases.iter().zip(pins) {
+        let naive = engine.run_sql(sql, Strategy::Naive).unwrap().answer.canonicalized();
+        for (strategy, pin) in
+            [(Strategy::NestedLoop, nl_pin), (Strategy::MaterializedNestedLoop, mat_pin)]
+        {
+            let got = baseline_pin(engine, sql, strategy);
+            assert_eq!(got, pin, "{class} under {strategy:?}: counters drifted");
+            if got.is_ok() {
+                let answer = engine.run_sql(sql, strategy).unwrap().answer.canonicalized();
+                assert_eq!(answer, naive, "{class} under {strategy:?}");
+            }
+        }
     }
 }

@@ -115,16 +115,30 @@ fn corpus_runs_match_naive_under_every_thread_count() {
 
 #[test]
 fn engine_without_plan_cache_verifies_each_plan_once() {
-    // `Engine::plan_for` is the single verification site: an engine with no
-    // plan cache verifies the plan it builds exactly once and reports no
-    // cache verdict. The naive fallback has no plan to verify.
+    // The engine's planning step is the single verification site for every
+    // physical strategy: an engine with no plan cache verifies the operator
+    // tree it runs exactly once and reports no cache verdict. The naive
+    // fallback has no plan to verify, and the baselines refuse its shape.
     let db = fixture(1);
     let engine = Engine::over(db.catalog(), db.disk());
-    for (name, sql) in CORPUS {
-        let out = engine.run_sql(sql, Strategy::Unnest).unwrap();
-        assert_eq!(out.serving.cache_hit, None, "{name}");
-        let expected = if *name == "general_fallback" { 0 } else { 1 };
-        assert_eq!(out.serving.plan_verifications, expected, "{name} ({})", out.plan_label);
+    for strategy in [Strategy::Unnest, Strategy::NestedLoop, Strategy::MaterializedNestedLoop] {
+        for (name, sql) in CORPUS {
+            let out = match engine.run_sql(sql, strategy) {
+                Err(fuzzy_db::EngineError::Unsupported(_))
+                    if *name == "general_fallback" && strategy != Strategy::Unnest =>
+                {
+                    continue
+                }
+                other => other.unwrap(),
+            };
+            assert_eq!(out.serving.cache_hit, None, "{name} under {strategy:?}");
+            let expected = if *name == "general_fallback" { 0 } else { 1 };
+            assert_eq!(
+                out.serving.plan_verifications, expected,
+                "{name} under {strategy:?} ({})",
+                out.plan_label
+            );
+        }
     }
 }
 
@@ -238,7 +252,7 @@ fn mistagged_type_n_with_correlated_inner_is_rejected() {
     let blocks = p.rule.blocks().expect("leveled rule").to_vec();
     assert_eq!(p.rule.id(), "T4.2");
     p.rule = RewriteRule::TypeN { blocks };
-    let report = verify_plan(&plan, &ExecConfig::default(), None);
+    let report = verify_plan(&plan, Strategy::Unnest, &ExecConfig::default(), None);
     assert!(!report.ok());
     assert!(
         report.violations.iter().any(|v| v.rule == "R-T4.1-INDEP"),
