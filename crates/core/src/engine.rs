@@ -59,6 +59,11 @@ impl Strategy {
             Strategy::Naive => "naive",
         }
     }
+
+    /// Whether the strategy is one of the paper's nested-loop baselines.
+    pub(crate) fn is_baseline(self) -> bool {
+        matches!(self, Strategy::NestedLoop | Strategy::MaterializedNestedLoop)
+    }
 }
 
 /// The result of running one query: the answer relation plus cost accounting.
@@ -280,8 +285,10 @@ impl Engine {
 
     fn run_query(&self, q: &fuzzy_sql::Query, strategy: Strategy) -> Result<QueryOutcome> {
         match strategy {
+            // The oracle: the only literal evaluator outside tests.
             Strategy::Naive => self.measured(q, ServingInfo::default(), || {
-                let (answer, metrics) = self.run_naive_metered(q)?;
+                let (answer, metrics) =
+                    self.run_naive_metered(q, |c, p| NaiveEvaluator::new(c, p))?;
                 Ok((answer, metrics, Strategy::Naive.name().to_string()))
             }),
             _ => {
@@ -309,7 +316,8 @@ impl Engine {
                 Ok((answer, ex.take_metrics(), format!("{}:{}", strategy.name(), plan.label())))
             }
             Planned::NaiveFallback => {
-                let (answer, metrics) = self.run_naive_metered(q)?;
+                let (answer, metrics) =
+                    self.run_naive_metered(q, |c, p| NaiveEvaluator::serving(c, p))?;
                 Ok((answer, metrics, "naive-fallback".to_string()))
             }
         })
@@ -439,15 +447,20 @@ impl Engine {
         }
     }
 
-    /// Runs the naive evaluator under a single `naive-eval` operator node so
-    /// fallback runs still carry comparable metrics.
-    fn run_naive_metered(&self, q: &fuzzy_sql::Query) -> Result<(Relation, QueryMetrics)> {
+    /// Runs a naive evaluator — the oracle or the serving mode, as
+    /// `evaluator` constructs it — under a single `naive-eval` operator node
+    /// so naive runs still carry comparable metrics.
+    fn run_naive_metered(
+        &self,
+        q: &fuzzy_sql::Query,
+        evaluator: impl for<'e> FnOnce(&'e Catalog, &'e BufferPool) -> NaiveEvaluator<'e>,
+    ) -> Result<(Relation, QueryMetrics)> {
         let mut metrics = QueryMetrics::default();
         let id = metrics.begin(OpKind::Naive, "naive-eval");
         let io0 = self.disk.io();
         let t0 = Instant::now();
         let pool = BufferPool::new(&self.disk, self.config.buffer_pages);
-        let ev = NaiveEvaluator::new(&self.catalog, &pool);
+        let ev = evaluator(&self.catalog, &pool);
         let answer = ev.eval(q)?;
         let m = metrics.op_mut(id);
         m.fuzzy_comparisons = ev.comparisons();

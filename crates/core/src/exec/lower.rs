@@ -188,7 +188,7 @@ pub(crate) fn lower(
     stats: Option<&StatsRegistry>,
 ) -> Lowered {
     let plan = effective_plan(plan, config, stats);
-    let alpha = if is_baseline(strategy) {
+    let alpha = if strategy.is_baseline() {
         Degree::ZERO
     } else {
         crate::exec::pushdown_alpha(config, &plan)
@@ -199,11 +199,6 @@ pub(crate) fn lower(
         UnnestPlan::Agg(p) => lower_agg(p, strategy),
     };
     Lowered { plan, alpha, outline: Outline { ops }, nodes }
-}
-
-/// Whether a strategy is one of the paper's nested-loop baselines.
-fn is_baseline(strategy: Strategy) -> bool {
-    matches!(strategy, Strategy::NestedLoop | Strategy::MaterializedNestedLoop)
 }
 
 /// Splits a table's local predicates between its scan and the operator that
@@ -345,7 +340,7 @@ fn lower_flat(
         // residuals, evaluated with their tolerance. The baselines take no
         // driver: every step is a block nested loop.
         let driver = evaluable.iter().enumerate().find_map(|(pos, pr)| {
-            if is_baseline(strategy) {
+            if strategy.is_baseline() {
                 return None;
             }
             if pr.op != CmpOp::Eq || pr.tolerance.is_some() {
@@ -565,7 +560,7 @@ fn lower_anti(p: &AntiPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
     let [scan_o, scan_i] =
         lower_scans([&mut op_plan.outer, &mut op_plan.inner], strategy, &mut ops, &mut nodes);
     let anti = match &p.window {
-        _ if is_baseline(strategy) => push(
+        _ if strategy.is_baseline() => push(
             &mut ops,
             &mut nodes,
             anti::declared_properties_unsorted("nested-loop-anti", p, scan_o, scan_i),
@@ -630,7 +625,7 @@ fn lower_agg(p: &AggPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
     let [scan_o, scan_i] =
         lower_scans([&mut op_plan.outer, &mut op_plan.inner], strategy, &mut ops, &mut nodes);
     let agg_node = match &p.corr {
-        _ if is_baseline(strategy) => push(
+        _ if strategy.is_baseline() => push(
             &mut ops,
             &mut nodes,
             agg::declared_properties_unsorted("nested-loop-agg", p, scan_o, scan_i),

@@ -62,13 +62,14 @@ pub fn render_explain(
                     out.push_str(&format!("join order: {}\n", eff_order.join(" -> ")));
                 }
             }
-            out.push_str(&lowered.plan.explain());
+            out.push_str(&lowered.plan.explain(strategy));
             out.push_str(&render_operators(&lowered));
             out.push_str(&render_estimates(&lowered.plan, strategy, config));
         }
         Err(msg) => {
             out.push_str("strategy: naive fallback\n");
             out.push_str(&format!("naive fallback: {msg}\n"));
+            render_nested_blocks(q, catalog, 1, &mut out);
             for t in &q.from {
                 if let Some(stored) = catalog.table(&t.table) {
                     out.push_str(&format!(
@@ -82,6 +83,31 @@ pub fn render_explain(
         }
     }
     Ok(out)
+}
+
+/// One line per nested block of a naive-fallback statement, in evaluation
+/// order and indented by nesting depth: whether the serving evaluator runs
+/// it once or per outer tuple ([`crate::naive::is_closed`], the analysis the
+/// evaluator uses).
+fn render_nested_blocks(q: &fuzzy_sql::Query, catalog: &Catalog, depth: usize, out: &mut String) {
+    for sub in q.direct_subqueries() {
+        let from = sub
+            .from
+            .iter()
+            .map(|t| match &t.alias {
+                Some(alias) => format!("{} {alias}", t.table),
+                None => t.table.clone(),
+            })
+            .collect::<Vec<_>>()
+            .join(", ");
+        let runs = if crate::naive::is_closed(sub, catalog) {
+            "closed: evaluated once"
+        } else {
+            "correlated: re-run per outer tuple"
+        };
+        out.push_str(&format!("{:indent$}block FROM {from}: {runs}\n", "", indent = 2 * depth));
+        render_nested_blocks(sub, catalog, depth + 1, out);
+    }
 }
 
 /// The plan `strategy` evaluates `q` with, or — under

@@ -16,6 +16,7 @@
 //! Plans reference columns as `(binding, attribute index)`; physical
 //! executors map them onto concatenated tuple layouts.
 
+use crate::engine::Strategy;
 use fuzzy_core::{CmpOp, Degree, Value};
 use fuzzy_rel::StoredTable;
 use fuzzy_sql::{AggFunc, Threshold};
@@ -389,8 +390,10 @@ impl std::fmt::Display for PlanCompare {
 }
 
 impl UnnestPlan {
-    /// A multi-line EXPLAIN rendering of the plan.
-    pub fn explain(&self) -> String {
+    /// A multi-line EXPLAIN rendering of the plan as `strategy` runs it: the
+    /// nested-loop baselines use no merge window.
+    pub fn explain(&self, strategy: Strategy) -> String {
+        let nested_loop = strategy.is_baseline();
         let mut out = String::new();
         let table_line = |t: &PlanTable, role: &str, out: &mut String| {
             out.push_str(&format!(
@@ -435,6 +438,9 @@ impl UnnestPlan {
                 table_line(&p.outer, "outer", &mut out);
                 table_line(&p.inner, "inner", &mut out);
                 match &p.window {
+                    _ if nested_loop => out.push_str(
+                        "  block nested loop (every outer tuple against every inner tuple)\n",
+                    ),
                     Some((o, i)) => out.push_str(&format!("  merge window on {o} = {i}\n")),
                     None => out.push_str("  scan (inner set built once, no merge window)\n"),
                 }
@@ -459,6 +465,12 @@ impl UnnestPlan {
                 table_line(&p.outer, "outer", &mut out);
                 table_line(&p.inner, "inner", &mut out);
                 match &p.corr {
+                    Some((u, op, v)) if nested_loop => out.push_str(&format!(
+                        "  T1/T2 groups per outer tuple: {v} {op} {u} (block nested loop)\n"
+                    )),
+                    None if nested_loop => out.push_str(
+                        "  uncorrelated: inner aggregate per outer tuple (block nested loop)\n",
+                    ),
                     Some((u, op, v)) => out.push_str(&format!(
                         "  pipelined T1/T2 groups: {v} {op} {u}{}\n",
                         if *op == CmpOp::Eq { " (merge window)" } else { " (scan fallback)" }

@@ -106,6 +106,23 @@ if [[ -n "$value_maps" ]]; then
   exit 1
 fi
 
+echo "==> the oracle stays literal (only the Strategy::Naive arm builds it)"
+# `NaiveEvaluator::new` re-runs every nested block per outer tuple: it is the
+# oracle the other strategies are checked against, and `Engine::run_query`'s
+# `Strategy::Naive` arm is its only non-test caller. Every other naive
+# evaluation (the Unnest fallback, DELETE/UPDATE matching) uses
+# `NaiveEvaluator::serving`, which evaluates each closed block once.
+literal=$(non_test $(find src crates/*/src -name '*.rs' | sort) | awk '
+  /Strategy::[A-Za-z]+ =>/ { naive_arm = /Strategy::Naive =>/ ? NR : 0 }
+  /NaiveEvaluator::new\(/ && !/^[^:]+:[0-9]+: *\/\// && !(naive_arm && NR - naive_arm <= 2) { print }
+' || true)
+if [[ -n "$literal" ]]; then
+  echo "error: the literal naive evaluator is built outside the Strategy::Naive arm —" >&2
+  echo "use NaiveEvaluator::serving (closed blocks evaluated once):" >&2
+  echo "$literal" >&2
+  exit 1
+fi
+
 echo "==> operator declarations (the verifier checks the tree that runs)"
 # Every exec/ operator module that opens a metered operator (begin_op, i.e.
 # constructs an OpGuard) must also carry its physical-property declaration;

@@ -453,7 +453,10 @@ impl Session {
 
     /// Shared DELETE/UPDATE machinery: rewrites the table under the
     /// exclusive lock, applying `map` to matching tuples (`None` = delete).
-    /// Returns the number of matches.
+    /// Returns the number of matches. The condition is matched by the
+    /// serving-mode naive evaluator: every row is matched against the
+    /// pre-write catalog, so a closed sub-query is evaluated once for the
+    /// whole table.
     fn rewrite_matching(
         &self,
         table: &str,
@@ -467,7 +470,7 @@ impl Session {
                 .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?
                 .clone();
             let pool = fuzzy_storage::BufferPool::new(&s.shared.disk, s.config.buffer_pages);
-            let evaluator = fuzzy_engine::NaiveEvaluator::new(cat, &pool);
+            let evaluator = fuzzy_engine::NaiveEvaluator::serving(cat, &pool);
             let (z, strict) = match threshold {
                 Some(t) => (Degree::clamped(t.z), t.strict),
                 None => (Degree::ZERO, true),

@@ -258,6 +258,26 @@ fn explain_analyze_covers_every_query_class() {
     }
 }
 
+/// Shapes only the naive fallback serves: EXISTS, a grouped aggregate over a
+/// sub-query, and a three-level block correlated with the outermost one.
+const FALLBACK_ONLY: [(&str, &str); 3] = [
+    (
+        "Exists",
+        "SELECT R.ID FROM R WHERE EXISTS (SELECT S.ID FROM S WHERE S.X = R.X) \
+         AND R.X IN (SELECT S.X FROM S)",
+    ),
+    (
+        "Grouped",
+        "SELECT R.X, COUNT(R.ID), MAX(R.V) FROM R WHERE R.X IN (SELECT S.X FROM S) \
+         GROUP BY R.X HAVING COUNT(*) > 1",
+    ),
+    (
+        "Correlated(3)",
+        "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE EXISTS \
+         (SELECT T.ID FROM S T WHERE T.X = R.X AND T.ID = S.ID))",
+    ),
+];
+
 /// The oracle's exact work, pinned: `Strategy::Naive` answer sizes and
 /// fuzzy-comparison counts for the class corpus plus three shapes only the
 /// naive fallback serves (EXISTS, a grouped aggregate over a sub-query, and
@@ -270,23 +290,7 @@ fn explain_analyze_covers_every_query_class() {
 fn naive_counters_are_pinned() {
     let (catalog, disk) = workload_db(80, 5);
     let engine = Engine::over(catalog.into(), &disk);
-    let extra = [
-        (
-            "Exists",
-            "SELECT R.ID FROM R WHERE EXISTS (SELECT S.ID FROM S WHERE S.X = R.X) \
-             AND R.X IN (SELECT S.X FROM S)",
-        ),
-        (
-            "Grouped",
-            "SELECT R.X, COUNT(R.ID), MAX(R.V) FROM R WHERE R.X IN (SELECT S.X FROM S) \
-             GROUP BY R.X HAVING COUNT(*) > 1",
-        ),
-        (
-            "Correlated(3)",
-            "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE EXISTS \
-             (SELECT T.ID FROM S T WHERE T.X = R.X AND T.ID = S.ID))",
-        ),
-    ];
+    let extra = FALLBACK_ONLY;
     // (answer rows, fuzzy comparisons) under `Strategy::Naive`, in corpus
     // order then `extra` order.
     let pins: [(usize, u64); 14] = [
@@ -313,6 +317,46 @@ fn naive_counters_are_pinned() {
         if unnest.plan_label != "naive-fallback" {
             assert_eq!(naive.answer.canonicalized(), unnest.answer.canonicalized(), "{class}");
         }
+    }
+}
+
+/// The naive fallback's exact work, pinned: under `Strategy::Unnest` the
+/// fallback evaluates each closed nested block once per statement, so it
+/// counts fewer fuzzy comparisons than the oracle exactly where a closed
+/// block has predicates of its own (the set-membership comparisons of IN
+/// stay per outer tuple). The fallback never counts more than the oracle,
+/// and its answers equal the oracle's.
+#[test]
+fn fallback_counters_are_pinned() {
+    let (catalog, disk) = workload_db(80, 5);
+    let engine = Engine::over(catalog.into(), &disk);
+    let general = CLASS_CORPUS.iter().filter(|(class, _)| *class == "General");
+    let local_preds = [(
+        "ClosedLocalPreds",
+        "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.V > 100) \
+         AND R.X IN (SELECT S.X FROM S WHERE S.V < 900)",
+    )];
+    // (answer rows, fuzzy comparisons) under `Strategy::Unnest`. The first
+    // four equal the oracle's pins: their closed blocks have no predicates.
+    // On ClosedLocalPreds the oracle counts 20240: it re-runs both closed
+    // blocks' 80 local comparisons for each of R's 80 tuples (12800), where
+    // the fallback runs them once (160); both count 7440 IN comparisons.
+    let pins: [(usize, u64); 5] = [
+        (0, 10480),   // General
+        (80, 10480),  // Exists
+        (8, 4080),    // Grouped
+        (80, 558284), // Correlated(3)
+        (80, 7600),   // ClosedLocalPreds
+    ];
+    for ((class, sql), pin) in general.chain(&FALLBACK_ONLY).chain(&local_preds).zip(pins) {
+        let served = engine.run_sql(sql, Strategy::Unnest).unwrap();
+        assert_eq!(served.plan_label, "naive-fallback", "{class}");
+        let oracle = engine.run_sql(sql, Strategy::Naive).unwrap();
+        let (cmp, oracle_cmp) =
+            (served.metrics.totals().fuzzy_comparisons, oracle.metrics.totals().fuzzy_comparisons);
+        assert_eq!((served.answer.len(), cmp), pin, "{class}: (rows, fuzzy comparisons) drifted");
+        assert!(cmp <= oracle_cmp, "{class}: fallback {cmp} > oracle {oracle_cmp} comparisons");
+        assert_eq!(format!("{:?}", served.answer), format!("{:?}", oracle.answer), "{class}");
     }
 }
 
