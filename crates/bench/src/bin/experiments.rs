@@ -675,7 +675,7 @@ fn ablation_dangling(args: &Args) {
 
 fn ablation_agg_degree(args: &Args) {
     use fuzzy_engine::plan::{AggDegree, UnnestPlan};
-    use fuzzy_engine::{build_plan, verify_plan, Executor};
+    use fuzzy_engine::{build_plan, Executor, VerifiedPlan};
     println!("## Ablation — aggregate-result degree D(A(r)) (Section 6 notes the");
     println!("   alternative of average membership degrees; Fuzzy SQL fixes 1)\n");
     let n = 4000 / args.scale.max(1);
@@ -691,13 +691,11 @@ fn ablation_agg_degree(args: &Args) {
             p.agg_degree = deg;
         }
         // The edited plan never passes through `Engine::plan_for`, so it
-        // is verified here before the executor runs it.
-        let report = verify_plan(&plan, Strategy::Unnest, &paper_config(), None);
-        if let Some(v) = report.violations.first() {
-            panic!("edited plan {} fails verification: {v}", report.plan_label);
-        }
+        // is lowered and verified here: the executor runs only verified trees.
+        let verified = VerifiedPlan::new(&plan, Strategy::Unnest, &paper_config(), None)
+            .unwrap_or_else(|e| panic!("edited plan fails verification: {e}"));
         let mut ex = Executor::new(&disk, paper_config());
-        let answer = ex.run(&plan, Strategy::Unnest).unwrap();
+        let answer = ex.run(&verified).unwrap();
         let mean: f64 = answer.tuples().iter().map(|t| t.degree.value()).sum::<f64>()
             / answer.len().max(1) as f64;
         (answer.len(), mean)

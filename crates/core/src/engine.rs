@@ -1,21 +1,26 @@
 //! The query engine: strategy dispatch, plan caching, and measurement.
 //!
 //! [`Engine`] is an **owned handle**: it holds an [`Arc`] snapshot of the
-//! catalog plus a cloneable disk handle, so it is `Send + Sync` and can be
-//! constructed per statement without borrowing the database for its
-//! lifetime. A serving layer (see the `fuzzy-db` facade) hands every session
-//! an engine over the current catalog snapshot; DDL/DML swaps in a new
-//! snapshot and bumps the catalog version, which invalidates cached plans.
+//! catalog plus an [`Arc`] of the [`EngineContext`] (disk, statistics, plan
+//! cache, serving counters), so it is `Send + Sync` and can be constructed
+//! per statement without borrowing the database for its lifetime. A serving
+//! layer (see the `fuzzy-db` facade) hands every session an engine over the
+//! current catalog snapshot and the database's one context; DDL/DML swaps in
+//! a new snapshot and bumps the catalog version, which invalidates cached
+//! plans. A standalone engine ([`Engine::over`]) gets a private context and
+//! takes the same path.
 
 use crate::error::{EngineError, Result};
 use crate::exec::{ExecConfig, Executor};
 use crate::metrics::{OpKind, QueryMetrics, ServingCounters, ServingInfo};
 use crate::naive::{order_and_limit, NaiveEvaluator};
 use crate::plan_cache::{PlanCache, Planned};
+use crate::stats_histogram::StatsRegistry;
 use crate::unnest::build_plan;
+use crate::verify::VerifiedPlan;
 use fuzzy_core::Degree;
 use fuzzy_rel::{Catalog, Relation};
-use fuzzy_storage::{BufferPool, CostModel, IoSnapshot, Measurement, SimDisk};
+use fuzzy_storage::{BufferPool, CostModel, Measurement, SimDisk};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,86 +94,79 @@ impl QueryOutcome {
     }
 }
 
-/// The query engine over one catalog snapshot and one simulated disk. Owned
-/// and `Send + Sync`: cloning the [`Arc`]ed catalog in is cheap, and nothing
+/// The state every engine over one database shares: the disk its tables and
+/// temporaries live on, the lazily built column statistics the join-order
+/// optimizer reads, the cache of verified operator trees, and the serving
+/// counters. A serving database owns one; [`Engine::over`] builds a private
+/// one, so every engine plans, verifies, caches and runs the same way.
+#[derive(Debug)]
+pub struct EngineContext {
+    /// The simulated disk (temporaries are created here so their I/O is
+    /// charged).
+    pub disk: SimDisk,
+    /// Column histograms, built on first use and reused across statements.
+    pub statistics: StatsRegistry,
+    /// Verified operator trees by normalized SQL, strategy and catalog
+    /// version.
+    pub plan_cache: PlanCache,
+    /// Statements in flight, peak, totals and lock wait.
+    pub serving: ServingCounters,
+}
+
+impl EngineContext {
+    /// A fresh context over `disk`: empty statistics and plan cache, zeroed
+    /// counters.
+    pub fn new(disk: &SimDisk) -> EngineContext {
+        EngineContext {
+            disk: disk.clone(),
+            statistics: StatsRegistry::default(),
+            plan_cache: PlanCache::default(),
+            serving: ServingCounters::default(),
+        }
+    }
+}
+
+/// The query engine over one catalog snapshot and one [`EngineContext`].
+/// Owned and `Send + Sync`: cloning the [`Arc`]s in is cheap, and nothing
 /// borrows the database while a query runs.
 pub struct Engine {
     catalog: Arc<Catalog>,
-    disk: SimDisk,
+    ctx: Arc<EngineContext>,
     config: ExecConfig,
-    statistics: Option<Arc<crate::stats_histogram::StatsRegistry>>,
-    plan_cache: Option<Arc<PlanCache>>,
-    serving: Option<Arc<ServingCounters>>,
     lock_wait: std::time::Duration,
 }
 
 impl Engine {
-    /// Creates an engine over an owned catalog snapshot. The disk must be
-    /// the one the catalog's tables live on (temporaries are created there
-    /// so their I/O is charged).
+    /// Creates a standalone engine over an owned catalog snapshot, with a
+    /// private [`EngineContext`]. The disk must be the one the catalog's
+    /// tables live on (temporaries are created there so their I/O is
+    /// charged).
     pub fn over(catalog: Arc<Catalog>, disk: &SimDisk) -> Engine {
-        Engine {
+        Engine::in_context(
+            Arc::new(EngineContext::new(disk)),
             catalog,
-            disk: disk.clone(),
-            config: ExecConfig::default(),
-            statistics: None,
-            plan_cache: None,
-            serving: None,
-            lock_wait: std::time::Duration::ZERO,
-        }
+            ExecConfig::default(),
+            std::time::Duration::ZERO,
+        )
     }
 
-    /// Attaches a shared statistics registry; histograms are built lazily
-    /// (one scan per column on first use) and reused across queries.
-    pub fn with_statistics(mut self, stats: Arc<crate::stats_histogram::StatsRegistry>) -> Engine {
-        self.statistics = Some(stats);
-        self
-    }
-
-    /// Attaches a shared plan cache: statements look up their verified plan
-    /// by normalized SQL + strategy + catalog version before planning from
-    /// scratch, and record what they built on a miss.
-    pub fn with_plan_cache(mut self, cache: Arc<PlanCache>) -> Engine {
-        self.plan_cache = Some(cache);
-        self
-    }
-
-    /// Attaches the database-wide serving counters so outcomes can snapshot
-    /// the in-flight statement count.
-    pub fn with_serving_counters(mut self, counters: Arc<ServingCounters>) -> Engine {
-        self.serving = Some(counters);
-        self
-    }
-
-    /// Charges catalog-lock wait time (measured by the session layer while
-    /// acquiring its catalog snapshot) to this statement's serving report.
-    pub fn with_lock_wait(mut self, wait: std::time::Duration) -> Engine {
-        self.lock_wait = wait;
-        self
+    /// Creates an engine over a catalog snapshot in a shared context (the
+    /// serving layer's constructor). `lock_wait` is the catalog-lock wait
+    /// the session measured while taking the snapshot; it is charged to the
+    /// statement's serving report.
+    pub fn in_context(
+        ctx: Arc<EngineContext>,
+        catalog: Arc<Catalog>,
+        config: ExecConfig,
+        lock_wait: std::time::Duration,
+    ) -> Engine {
+        Engine { catalog, ctx, config, lock_wait }
     }
 
     /// Overrides the execution configuration (buffer and sort budgets).
     pub fn with_config(mut self, config: ExecConfig) -> Engine {
         self.config = config;
         self
-    }
-
-    /// Sets the worker-thread count for external sorts and flat merge-joins
-    /// (see [`ExecConfig::threads`]). Any value returns bit-identical answers
-    /// and identical cost counters; `1` is the serial path.
-    pub fn with_threads(mut self, threads: usize) -> Engine {
-        self.config.threads = threads.max(1);
-        self
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> ExecConfig {
-        self.config
-    }
-
-    /// The catalog snapshot this engine plans against.
-    pub fn catalog(&self) -> &Arc<Catalog> {
-        &self.catalog
     }
 
     /// Parses and runs a Fuzzy SQL query with the given strategy.
@@ -182,21 +180,21 @@ impl Engine {
         self.reclaiming_temps(|| self.run_query(q, strategy))
     }
 
-    /// Plans `q` for [`Strategy::Unnest`]: consults the plan cache (when
-    /// attached), and otherwise builds the plan, verifies it, and records it
-    /// in the cache. This is the engine's single verification site — every
-    /// plan it builds, for every physical strategy, is statically verified,
-    /// in every build profile, before anything runs it; cache hits and
-    /// prepared replays run the plan with zero re-verification. Returns the
-    /// planned form plus the cache annotation for the outcome's
-    /// [`ServingInfo`] (`cache_hit` stays `None` without a cache).
+    /// Plans `q` for [`Strategy::Unnest`]: consults the plan cache, and
+    /// otherwise builds the plan, lowers it to its operator tree, verifies
+    /// that tree, and records it in the cache. This is the engine's single
+    /// verification site — every plan it builds, for every physical
+    /// strategy, is statically verified, in every build profile, before
+    /// anything runs it; cache hits and prepared replays run the cached tree
+    /// with zero re-verification and no re-lowering. Returns the planned
+    /// form plus the cache annotation for the outcome's [`ServingInfo`].
     pub fn plan_for(&self, q: &fuzzy_sql::Query) -> Result<(Planned, ServingInfo)> {
         self.plan_with(q, Strategy::Unnest)
     }
 
-    /// [`Engine::plan_for`] under a physical strategy: verifies the operator
-    /// tree that strategy lowers the plan to, and records the strategy in
-    /// the planned form (and the cache key), so the tree that runs is the
+    /// [`Engine::plan_for`] under a physical strategy: the cached form is
+    /// the [`VerifiedPlan`] of that strategy's operator tree (and the
+    /// strategy is part of the cache key), so the tree that runs is the
     /// tree that was verified. A shape outside the unnesting catalogue plans
     /// as the naive fallback under [`Strategy::Unnest`] and is `Unsupported`
     /// under the baselines. [`Strategy::Naive`] has no plan; its statements
@@ -206,46 +204,34 @@ impl Engine {
         q: &fuzzy_sql::Query,
         strategy: Strategy,
     ) -> Result<(Planned, ServingInfo)> {
+        let cache = &self.ctx.plan_cache;
+        let key = PlanCache::key(q, strategy, &self.config);
+        let version = self.catalog.version();
         let mut info = ServingInfo::default();
-        let cached = self
-            .plan_cache
-            .as_ref()
-            .map(|c| (c, PlanCache::key(q, strategy, &self.config), self.catalog.version()));
-        if let Some((cache, key, version)) = &cached {
-            if let Some(planned) = cache.lookup(key, *version) {
+        let planned = match cache.lookup(&key, version) {
+            Some(planned) => {
                 info.cache_hit = Some(true);
-                info.cache = cache.stats();
-                return Ok((planned, info));
+                planned
             }
-        }
-        let planned = match build_plan(q, &self.catalog) {
-            Ok(plan) => {
-                info.plan_verifications = 1;
-                let report = crate::verify::verify_plan(
-                    &plan,
-                    strategy,
-                    &self.config,
-                    self.statistics.as_deref(),
-                );
-                if let Some(v) = report.violations.first() {
-                    return Err(EngineError::Verify(format!(
-                        "{v} ({} violation(s) in plan {})",
-                        report.violations.len(),
-                        report.plan_label
-                    )));
-                }
-                Planned::Plan(Arc::new(plan), strategy)
+            None => {
+                let planned = match build_plan(q, &self.catalog) {
+                    Ok(plan) => {
+                        info.plan_verifications = 1;
+                        let stats = Some(&self.ctx.statistics);
+                        let verified = VerifiedPlan::new(&plan, strategy, &self.config, stats)?;
+                        Planned::Plan(Arc::new(verified))
+                    }
+                    Err(EngineError::Unsupported(_)) if strategy == Strategy::Unnest => {
+                        Planned::NaiveFallback
+                    }
+                    Err(e) => return Err(e),
+                };
+                cache.insert(key, version, planned.clone());
+                info.cache_hit = Some(false);
+                planned
             }
-            Err(EngineError::Unsupported(_)) if strategy == Strategy::Unnest => {
-                Planned::NaiveFallback
-            }
-            Err(e) => return Err(e),
         };
-        if let Some((cache, key, version)) = cached {
-            cache.insert(key, version, planned.clone());
-            info.cache_hit = Some(false);
-            info.cache = cache.stats();
-        }
+        info.cache = cache.stats();
         Ok((planned, info))
     }
 
@@ -275,10 +261,11 @@ impl Engine {
         &self,
         body: impl FnOnce() -> Result<QueryOutcome>,
     ) -> Result<QueryOutcome> {
-        self.disk.begin_alloc_log();
+        let disk = &self.ctx.disk;
+        disk.begin_alloc_log();
         let result = body();
-        for page in self.disk.take_alloc_log() {
-            self.disk.free_page(page);
+        for page in disk.take_alloc_log() {
+            disk.free_page(page);
         }
         result
     }
@@ -298,8 +285,8 @@ impl Engine {
         }
     }
 
-    /// Executes a planned statement: drives the verified plan's operator
-    /// tree under its strategy, or runs the naive fallback.
+    /// Executes a planned statement: drives the verified operator tree, or
+    /// runs the naive fallback.
     fn execute(
         &self,
         q: &fuzzy_sql::Query,
@@ -307,13 +294,10 @@ impl Engine {
         info: ServingInfo,
     ) -> Result<QueryOutcome> {
         self.measured(q, info, || match planned {
-            Planned::Plan(plan, strategy) => {
-                let mut ex = Executor::new(&self.disk, self.config);
-                if let Some(stats) = &self.statistics {
-                    ex = ex.with_statistics(stats.clone());
-                }
-                let answer = ex.run(plan, *strategy)?;
-                Ok((answer, ex.take_metrics(), format!("{}:{}", strategy.name(), plan.label())))
+            Planned::Plan(plan) => {
+                let mut ex = Executor::new(&self.ctx.disk, self.config);
+                let answer = ex.run(plan)?;
+                Ok((answer, ex.take_metrics(), plan.label().to_string()))
             }
             Planned::NaiveFallback => {
                 let (answer, metrics) =
@@ -332,7 +316,7 @@ impl Engine {
         mut serving: ServingInfo,
         evaluate: impl FnOnce() -> Result<(Relation, QueryMetrics, String)>,
     ) -> Result<QueryOutcome> {
-        let io_before = self.disk.io();
+        let io_before = self.ctx.disk.io();
         let start = Instant::now();
         let (mut answer, metrics, plan_label) = evaluate()?;
         // The session-level `WITH D > z` default applies only when the
@@ -346,11 +330,9 @@ impl Engine {
         }
         let answer = order_and_limit(q, answer)?;
         let cpu = start.elapsed();
-        let io = self.disk.io().since(&io_before);
+        let io = self.ctx.disk.io().since(&io_before);
         serving.lock_wait = self.lock_wait;
-        if let Some(counters) = &self.serving {
-            serving.sessions_in_flight = counters.in_flight();
-        }
+        serving.sessions_in_flight = self.ctx.serving.in_flight();
         Ok(QueryOutcome {
             answer,
             measurement: Measurement { io, cpu },
@@ -360,22 +342,16 @@ impl Engine {
         })
     }
 
-    /// Explains how a query would be evaluated under [`Strategy::Unnest`]:
-    /// its classified type, the chosen strategy, the unnested plan (or the
-    /// naive fallback), and deterministic cost estimates.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let q = fuzzy_sql::parse(sql)?;
-        self.explain_query(&q, Strategy::Unnest)
-    }
-
-    /// [`Engine::explain`] over an already-parsed query, under a strategy.
+    /// Explains how a query would be evaluated under a strategy: its
+    /// classified type, the chosen strategy, the unnested plan (or the naive
+    /// fallback), and deterministic cost estimates.
     pub fn explain_query(&self, q: &fuzzy_sql::Query, strategy: Strategy) -> Result<String> {
         crate::explain::render_explain(
             q,
             strategy,
             &self.catalog,
             &self.config,
-            self.statistics.as_deref(),
+            Some(&self.ctx.statistics),
         )
     }
 
@@ -400,24 +376,17 @@ impl Engine {
         Ok((out, outcome))
     }
 
-    /// Renders the `EXPLAIN VERIFY` text for a query under
-    /// [`Strategy::Unnest`]: the static plan verifier's report (rewrite
-    /// rule, push-down bound, per-operator required/delivered properties,
-    /// violations). See [`crate::verify`].
-    pub fn explain_verify(&self, sql: &str) -> Result<String> {
-        let q = fuzzy_sql::parse(sql)?;
-        self.explain_verify_query(&q, Strategy::Unnest)
-    }
-
-    /// [`Engine::explain_verify`] over an already-parsed query, under a
-    /// strategy.
+    /// Renders the `EXPLAIN VERIFY` text for a query under a strategy: the
+    /// static plan verifier's report (rewrite rule, push-down bound,
+    /// per-operator required/delivered properties, violations). See
+    /// [`crate::verify`].
     pub fn explain_verify_query(&self, q: &fuzzy_sql::Query, strategy: Strategy) -> Result<String> {
         crate::explain::render_verify(
             q,
             strategy,
             &self.catalog,
             &self.config,
-            self.statistics.as_deref(),
+            Some(&self.ctx.statistics),
         )
     }
 
@@ -427,20 +396,12 @@ impl Engine {
     /// evaluator is the semantics).
     pub fn verify(&self, sql: &str) -> Result<Option<crate::verify::VerifyReport>> {
         let q = fuzzy_sql::parse(sql)?;
-        self.verify_query(&q)
-    }
-
-    /// [`Engine::verify`] over an already-parsed query.
-    pub fn verify_query(
-        &self,
-        q: &fuzzy_sql::Query,
-    ) -> Result<Option<crate::verify::VerifyReport>> {
-        match build_plan(q, &self.catalog) {
+        match build_plan(&q, &self.catalog) {
             Ok(plan) => Ok(Some(crate::verify::verify_plan(
                 &plan,
                 Strategy::Unnest,
                 &self.config,
-                self.statistics.as_deref(),
+                Some(&self.ctx.statistics),
             ))),
             Err(EngineError::Unsupported(_)) => Ok(None),
             Err(e) => Err(e),
@@ -457,21 +418,17 @@ impl Engine {
     ) -> Result<(Relation, QueryMetrics)> {
         let mut metrics = QueryMetrics::default();
         let id = metrics.begin(OpKind::Naive, "naive-eval");
-        let io0 = self.disk.io();
+        let disk = &self.ctx.disk;
+        let io0 = disk.io();
         let t0 = Instant::now();
-        let pool = BufferPool::new(&self.disk, self.config.buffer_pages);
+        let pool = BufferPool::new(disk, self.config.buffer_pages);
         let ev = evaluator(&self.catalog, &pool);
         let answer = ev.eval(q)?;
         let m = metrics.op_mut(id);
         m.fuzzy_comparisons = ev.comparisons();
         m.tuples_out = answer.len() as u64;
         m.add_pool(&pool.stats());
-        metrics.finish(id, t0.elapsed(), self.disk.io().since(&io0));
+        metrics.finish(id, t0.elapsed(), disk.io().since(&io0));
         Ok((answer, metrics))
-    }
-
-    /// Raw I/O counters of the underlying disk (for experiment harnesses).
-    pub fn disk_io(&self) -> IoSnapshot {
-        self.disk.io()
     }
 }

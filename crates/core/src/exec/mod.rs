@@ -1,7 +1,8 @@
 //! Physical execution of unnested plans: an operator-at-a-time tree.
 //!
-//! A logical [`UnnestPlan`] is first *lowered* (`lower`) into an explicit
-//! tree of physical operators — one module per operator:
+//! A logical [`crate::plan::UnnestPlan`] is *lowered* (`lower`) once, when
+//! its [`VerifiedPlan`] is built, into an explicit tree of physical
+//! operators — one module per operator:
 //!
 //! * `filter_scan` — folds a table's local predicates (the paper's p_i)
 //!   into tuple degrees, materializing only the positive survivors ("only
@@ -36,7 +37,7 @@
 
 use crate::error::Result;
 use crate::metrics::{OpKind, OperatorMetrics, QueryMetrics};
-use crate::plan::UnnestPlan;
+use crate::verify::VerifiedPlan;
 use fuzzy_core::Degree;
 use fuzzy_rel::{Relation, StoredTable};
 use fuzzy_storage::{BufferPool, IoSnapshot, SimDisk};
@@ -154,31 +155,12 @@ pub struct Executor {
     config: ExecConfig,
     metrics: QueryMetrics,
     temp_counter: u64,
-    /// Optional column-statistics registry consulted by the join-order
-    /// optimizer.
-    statistics: Option<std::sync::Arc<crate::stats_histogram::StatsRegistry>>,
 }
 
 impl Executor {
     /// Creates an executor over the given disk.
     pub fn new(disk: &SimDisk, config: ExecConfig) -> Executor {
-        Executor {
-            disk: disk.clone(),
-            config,
-            metrics: QueryMetrics::default(),
-            temp_counter: 0,
-            statistics: None,
-        }
-    }
-
-    /// Attaches a column-statistics registry (histogram-based selectivity
-    /// estimates for the join-order optimizer).
-    pub fn with_statistics(
-        mut self,
-        stats: std::sync::Arc<crate::stats_histogram::StatsRegistry>,
-    ) -> Executor {
-        self.statistics = Some(stats);
-        self
+        Executor { disk: disk.clone(), config, metrics: QueryMetrics::default(), temp_counter: 0 }
     }
 
     /// The configuration in effect.
@@ -237,19 +219,12 @@ impl Executor {
         format!("__tmp_{tag}_{}", self.temp_counter)
     }
 
-    /// Runs an unnested plan under a physical strategy, resetting the
-    /// metrics registry: lowers the plan to the strategy's operator tree and
-    /// drives the tree to completion (see `op::drive`).
-    ///
-    /// The tree is not verified here: the engine verifies every plan it
-    /// builds, for the strategy it runs under, before anything runs it (see
-    /// [`crate::verify`]). A caller that builds or edits a plan itself must
-    /// run [`crate::verify::verify_plan`] with the same strategy and
-    /// configuration first.
-    pub fn run(&mut self, plan: &UnnestPlan, strategy: crate::Strategy) -> Result<Relation> {
+    /// Drives a verified operator tree to completion (see `op::drive`),
+    /// resetting the metrics registry. The tree was lowered and verified
+    /// when the [`VerifiedPlan`] was built; nothing is lowered again here.
+    pub fn run(&mut self, plan: &VerifiedPlan) -> Result<Relation> {
         self.metrics_reset();
-        let lowered = lower::lower(plan, strategy, &self.config, self.statistics.as_deref());
-        let mut ops = lowered.instantiate();
+        let mut ops = plan.lowered().instantiate();
         let mut state = op::TreeState::new(ops.len());
         op::drive(self, &mut ops, &mut state)
     }

@@ -327,8 +327,8 @@ pub fn render_actual(outcome: &QueryOutcome) -> String {
 
 /// Renders the serving section of `EXPLAIN ANALYZE`: the plan-cache verdict
 /// for this statement, the registry totals, and the concurrency snapshot.
-/// Empty when the statement ran without a serving layer (no plan cache
-/// attached), so single-engine harness output is unchanged.
+/// Every engine plans through a plan cache, so the section is empty only
+/// under [`Strategy::Naive`], which plans nothing.
 fn render_serving(s: &crate::metrics::ServingInfo) -> String {
     let hit = match s.cache_hit {
         Some(true) => "hit",

@@ -54,7 +54,7 @@ pub mod stats_histogram;
 pub mod unnest;
 pub mod verify;
 
-pub use engine::{Engine, QueryOutcome, Strategy};
+pub use engine::{Engine, EngineContext, QueryOutcome, Strategy};
 pub use error::{EngineError, Result};
 pub use exec::{ExecConfig, Executor, JoinMethod};
 pub use metrics::{
@@ -65,4 +65,6 @@ pub use plan::{RewriteRule, UnnestPlan};
 pub use plan_cache::{CacheStats, PlanCache, Planned, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use stats_histogram::{Histogram, StatsRegistry};
 pub use unnest::build_plan;
-pub use verify::{check_threshold, verify_plan, Outline, PhysOp, Prop, VerifyReport, Violation};
+pub use verify::{
+    check_threshold, verify_plan, Outline, PhysOp, Prop, VerifiedPlan, VerifyReport, Violation,
+};

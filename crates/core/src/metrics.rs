@@ -296,8 +296,8 @@ impl ServingCounters {
 /// fields are exact and deterministic for a fixed statement schedule.
 #[derive(Debug, Clone, Default)]
 pub struct ServingInfo {
-    /// Whether this statement's plan came from the cache (`None` when no
-    /// plan cache is attached, e.g. a bare engine over a borrowed catalog).
+    /// Whether this statement's plan came from the cache (`None` under
+    /// [`crate::Strategy::Naive`], which plans nothing).
     pub cache_hit: Option<bool>,
     /// Static plan verifications run for this statement (0 on a cache hit —
     /// the cached plan was verified when it was built).

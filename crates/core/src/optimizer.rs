@@ -55,11 +55,6 @@ fn estimate(t: &crate::plan::PlanTable, stats: Option<&StatsRegistry>) -> f64 {
     est
 }
 
-/// [`reorder_joins_with`] without statistics (heuristic discounts only).
-pub fn reorder_joins(plan: &mut FlatPlan) -> bool {
-    reorder_joins_with(plan, None)
-}
-
 /// Reorders `plan.tables` into a greedy left-deep order that keeps every
 /// join step connected by an equality predicate where possible, preferring
 /// small (estimated) relations early. Returns true if the order changed.
@@ -182,7 +177,7 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(!reorder_joins(&mut plan));
+        assert!(!reorder_joins_with(&mut plan, None));
         assert_eq!(bindings(&plan), ["A", "B"]);
     }
 
@@ -200,7 +195,7 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(reorder_joins(&mut plan));
+        assert!(reorder_joins_with(&mut plan, None));
         assert_eq!(bindings(&plan), ["B", "C", "A"]);
     }
 
@@ -222,7 +217,7 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(reorder_joins(&mut plan));
+        assert!(reorder_joins_with(&mut plan, None));
         let order = bindings(&plan);
         assert_eq!(order[0], "D");
         assert_eq!(order[1], "A", "only A connects to D");
@@ -245,7 +240,7 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(reorder_joins(&mut plan));
+        assert!(reorder_joins_with(&mut plan, None));
         assert_eq!(bindings(&plan)[0], "B");
     }
 
@@ -263,7 +258,7 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(!reorder_joins(&mut plan));
+        assert!(!reorder_joins_with(&mut plan, None));
         assert_eq!(bindings(&plan), ["A", "B", "C"]);
     }
 }

@@ -7,12 +7,12 @@
 //! of that is pure function of (normalized SQL, strategy, catalog version,
 //! plan-shaping configuration) — exactly what a cache exploits.
 //!
-//! An entry stores the *verified* [`UnnestPlan`] behind an [`Arc`] together
-//! with the strategy it was verified for (or the fact that the statement
-//! falls back to the naive evaluator). Lookups that
-//! hit skip classification, planning, join-order search, **and**
-//! re-verification; the executor trusts the cached verification and runs the
-//! plan directly. Any DDL/DML bumps the catalog version
+//! An entry stores the [`VerifiedPlan`] behind an [`Arc`] — the operator
+//! tree the statement's strategy lowers its plan to, verified when it was
+//! built — or the fact that the statement falls back to the naive
+//! evaluator. Lookups that hit skip classification, planning, join-order
+//! search, lowering **and** re-verification; the executor drives the cached
+//! tree directly. Any DDL/DML bumps the catalog version
 //! (see `fuzzy_rel::Catalog::version`), so stale entries never hit — they
 //! are dropped and counted as invalidations on their next lookup.
 //!
@@ -23,19 +23,19 @@
 
 use crate::engine::Strategy;
 use crate::exec::ExecConfig;
-use crate::plan::UnnestPlan;
+use crate::verify::VerifiedPlan;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// What the planner decided for a statement: an unnested plan or the naive
-/// fallback. Cached so repeated fallback statements skip re-classification.
+/// What the planner decided for a statement: a verified operator tree or the
+/// naive fallback. Cached so repeated fallback statements skip
+/// re-classification.
 #[derive(Debug, Clone)]
 pub enum Planned {
-    /// An unnested plan, shared by every execution that hits the entry, and
-    /// the physical strategy whose operator tree was verified for it (and is
-    /// the tree every execution lowers and runs).
-    Plan(Arc<UnnestPlan>, Strategy),
+    /// The verified operator tree of the statement's strategy, shared by
+    /// every execution that hits the entry.
+    Plan(Arc<VerifiedPlan>),
     /// The statement shape has no unnested form; the engine evaluates it
     /// with the semantics-faithful naive evaluator.
     NaiveFallback,

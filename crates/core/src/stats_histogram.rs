@@ -221,16 +221,25 @@ mod tests {
 /// critical section covers only the map lookup/insert, never the build scan
 /// (two racing first requests may both scan — the second insert wins, which
 /// is harmless because histograms of the same table snapshot are identical).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StatsRegistry {
     cache: std::sync::Mutex<std::collections::HashMap<(String, usize), std::sync::Arc<Histogram>>>,
     /// Buckets per histogram.
     buckets: usize,
 }
 
+/// Buckets per histogram of a [`StatsRegistry::default`] registry.
+pub const DEFAULT_BUCKETS: usize = 16;
+
+impl Default for StatsRegistry {
+    fn default() -> Self {
+        StatsRegistry::new(DEFAULT_BUCKETS)
+    }
+}
+
 impl StatsRegistry {
-    /// A registry building `buckets`-bucket histograms (16 by default via
-    /// [`Default`]).
+    /// A registry building `buckets`-bucket histograms ([`DEFAULT_BUCKETS`]
+    /// via [`Default`]).
     pub fn new(buckets: usize) -> StatsRegistry {
         StatsRegistry { cache: Default::default(), buckets: buckets.max(1) }
     }
@@ -247,8 +256,7 @@ impl StatsRegistry {
         if let Some(h) = self.cache.lock().expect("stats lock").get(&key) {
             return Ok(h.clone());
         }
-        let buckets = if self.buckets == 0 { 16 } else { self.buckets };
-        let h = std::sync::Arc::new(Histogram::build(table, attr, buckets, pool)?);
+        let h = std::sync::Arc::new(Histogram::build(table, attr, self.buckets, pool)?);
         self.cache.lock().expect("stats lock").insert(key, h.clone());
         Ok(h)
     }

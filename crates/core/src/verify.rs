@@ -25,13 +25,17 @@
 //! flows. The lowering pass builds the physical operator tree the executor
 //! will run under a strategy — including the optimizer's join reorder —
 //! with every operator carrying its *required* and *delivered* properties
-//! ([`Prop`]) as its [`Outline`] entry; [`verify_plan`] walks that outline
+//! ([`Prop`]) as its [`Outline`] entry; the verifier walks that outline
 //! checking required ⊆ delivered on every edge, then layers the plan-level
-//! rewrite-rule and threshold checks on top. Violations are structured diagnostics ([`Violation`]: rule id,
-//! operator path, expected vs. delivered) rendered by `EXPLAIN VERIFY`;
-//! [`crate::Engine::plan_for`] runs the verifier on every plan it builds
-//! and refuses a plan that fails it. The naive fallback needs no outline: the naive
-//! evaluator *is* the semantics, so there is nothing to check it against.
+//! rewrite-rule and threshold checks on top. Violations are structured
+//! diagnostics ([`Violation`]: rule id, operator path, expected vs.
+//! delivered); [`verify_plan`] reports them and `EXPLAIN VERIFY` renders the
+//! report. [`VerifiedPlan::new`] runs the same checks on the tree it lowers
+//! and refuses a tree that fails them, so the executor, which drives only a
+//! [`VerifiedPlan`], never sees an unverified tree;
+//! [`crate::Engine::plan_for`] builds one for every plan it caches. The
+//! naive fallback needs no outline: the naive evaluator *is* the semantics,
+//! so there is nothing to check it against.
 //!
 //! Diagnostic rule ids (see DESIGN.md §10 for the paper mapping):
 //!
@@ -55,6 +59,8 @@
 //! | `R-S7-EXISTS` | the EXISTS flattening is not a two-relation join |
 
 use crate::engine::Strategy;
+use crate::error::{EngineError, Result};
+use crate::exec::lower::{lower, Lowered};
 use crate::exec::ExecConfig;
 use crate::plan::{
     AggPlan, AntiKind, AntiPlan, FlatPlan, PlanCol, PlanCompare, RewriteRule, UnnestPlan,
@@ -331,22 +337,88 @@ impl VerifyReport {
 // Plan-level checks
 // ---------------------------------------------------------------------------
 
-/// Verifies a plan under a strategy: rewrite-rule preconditions, threshold
-/// soundness, and the per-edge property analysis of the physical outline
-/// the executor will run for that strategy (join reorder included). The
-/// report's `outline` is that operator tree.
+/// A plan lowered to its strategy's operator tree, with that tree verified:
+/// the only form [`crate::Executor::run`] drives, and what the plan cache
+/// holds. The one way to build it is [`VerifiedPlan::new`], which lowers and
+/// then verifies, so the tree that runs is the tree that was verified by
+/// construction.
+pub struct VerifiedPlan {
+    lowered: Lowered,
+    label: String,
+}
+
+impl VerifiedPlan {
+    /// Lowers `plan` to the operator tree `strategy` runs under `config`
+    /// (join reorder by `stats` included) and verifies that tree, failing
+    /// with [`EngineError::Verify`] on the first violation.
+    pub fn new(
+        plan: &UnnestPlan,
+        strategy: Strategy,
+        config: &ExecConfig,
+        stats: Option<&StatsRegistry>,
+    ) -> Result<VerifiedPlan> {
+        let lowered = lower(plan, strategy, config, stats);
+        let (_, violations) = check_lowered(&lowered);
+        if let Some(v) = violations.first() {
+            return Err(EngineError::Verify(format!(
+                "{v} ({} violation(s) in plan {})",
+                violations.len(),
+                lowered.plan.label()
+            )));
+        }
+        Ok(VerifiedPlan { label: format!("{}:{}", strategy.name(), plan.label()), lowered })
+    }
+
+    /// `strategy:plan` — the outcome's `plan_label`.
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// The verified operator tree.
+    pub(crate) fn lowered(&self) -> &Lowered {
+        &self.lowered
+    }
+}
+
+impl std::fmt::Debug for VerifiedPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VerifiedPlan").field("label", &self.label).finish_non_exhaustive()
+    }
+}
+
+/// Verifies a plan under a strategy and reports every finding: the
+/// rewrite-rule preconditions, threshold soundness, and the per-edge
+/// property analysis of the operator tree [`VerifiedPlan::new`] would build
+/// for that strategy (join reorder included). The report's `outline` is that
+/// operator tree. `EXPLAIN VERIFY` renders it.
 pub fn verify_plan(
     plan: &UnnestPlan,
     strategy: Strategy,
     config: &ExecConfig,
     stats: Option<&StatsRegistry>,
 ) -> VerifyReport {
-    let crate::exec::lower::Lowered { plan, alpha, outline, .. } =
-        crate::exec::lower::lower(plan, strategy, config, stats);
+    let lowered = lower(plan, strategy, config, stats);
+    let (checks, violations) = check_lowered(&lowered);
+    let Lowered { plan, alpha, outline, .. } = lowered;
+    VerifyReport {
+        plan_label: plan.label(),
+        rule_id: plan.rule().id(),
+        alpha,
+        outline,
+        checks,
+        violations,
+    }
+}
+
+/// Runs every check on a lowered tree: the rewrite rule, the threshold
+/// bound and its scope, then the outline's edges. Returns the number of
+/// checks and the violations found.
+fn check_lowered(lowered: &Lowered) -> (usize, Vec<Violation>) {
+    let Lowered { plan, alpha, outline, .. } = lowered;
     let mut violations = Vec::new();
-    let mut checks = check_rewrite(&plan, &mut violations);
+    let mut checks = check_rewrite(plan, &mut violations);
     checks += 1;
-    if let Some(v) = check_threshold(plan.threshold(), alpha) {
+    if let Some(v) = check_threshold(plan.threshold(), *alpha) {
         violations.push(v);
     }
     checks += 1;
@@ -363,14 +435,7 @@ pub fn verify_plan(
     let (outline_checks, mut outline_violations) = outline.check();
     checks += outline_checks;
     violations.append(&mut outline_violations);
-    VerifyReport {
-        plan_label: plan.label(),
-        rule_id: plan.rule().id(),
-        alpha,
-        outline,
-        checks,
-        violations,
-    }
+    (checks, violations)
 }
 
 /// Checks that a push-down bound only ever tightens the `WITH D > z`

@@ -328,9 +328,8 @@ fn threshold_pushdown_shrinks_windows_without_changing_answers() {
 fn statistics_aware_ordering_beats_the_blind_heuristic() {
     use fuzzy_core::Value;
     use fuzzy_engine::exec::ExecConfig;
-    use fuzzy_engine::{Engine, StatsRegistry, Strategy};
+    use fuzzy_engine::{Engine, Executor, Strategy, VerifiedPlan};
     use fuzzy_rel::Tuple;
-    use std::sync::Arc;
 
     // Three tables; B is nominally mid-sized but its local predicate
     // (B.Y <= 5 over values 0..1000) keeps almost nothing — only a
@@ -355,32 +354,27 @@ fn statistics_aware_ordering_beats_the_blind_heuristic() {
     let sql = "SELECT A.ID FROM A WHERE A.Y <= 9 AND A.X IN \
                (SELECT B.X FROM B WHERE B.Y <= 5 AND B.X IN \
                 (SELECT C.X FROM C WHERE C.Y <= 9))";
-    let run = |stats: Option<Arc<StatsRegistry>>| {
-        let mut engine = Engine::over(catalog.clone().into(), &disk).with_config(ExecConfig {
-            buffer_pages: 16,
-            sort_pages: 16,
-            ..Default::default()
-        });
-        if let Some(s) = stats {
-            engine = engine.with_statistics(s);
-        }
-        disk.reset_io();
-        engine.run_sql(sql, Strategy::Unnest).unwrap()
-    };
-    let blind = run(None);
-    let reg = Arc::new(StatsRegistry::new(16));
-    // Warm the histograms so the comparison isn't polluted by ANALYZE scans.
-    let _ = run(Some(reg.clone()));
-    let informed = run(Some(reg));
+    let config = ExecConfig { buffer_pages: 16, sort_pages: 16, ..Default::default() };
+    // Blind: the plan lowered without statistics, driven directly.
+    let plan = build_plan(&parse(sql).unwrap(), &catalog).unwrap();
+    let mut ex = Executor::new(&disk, config);
+    let blind_answer =
+        ex.run(&VerifiedPlan::new(&plan, Strategy::Unnest, &config, None).unwrap()).unwrap();
+    let blind_pairs = ex.take_metrics().totals().pairs_examined;
+    // Informed: an engine lowers with its context's histograms. Warm them so
+    // the comparison isn't polluted by ANALYZE scans.
+    let engine = Engine::over(catalog.into(), &disk).with_config(config);
+    let _ = engine.run_sql(sql, Strategy::Unnest).unwrap();
+    let informed = engine.run_sql(sql, Strategy::Unnest).unwrap();
     assert_eq!(
-        blind.answer.canonicalized(),
+        blind_answer.canonicalized(),
         informed.answer.canonicalized(),
         "statistics must never change answers"
     );
     assert!(
-        informed.metrics.totals().pairs_examined <= blind.metrics.totals().pairs_examined,
+        informed.metrics.totals().pairs_examined <= blind_pairs,
         "histograms should not worsen the order: {} vs {}",
         informed.metrics.totals().pairs_examined,
-        blind.metrics.totals().pairs_examined
+        blind_pairs
     );
 }

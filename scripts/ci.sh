@@ -123,6 +123,30 @@ if [[ -n "$literal" ]]; then
   exit 1
 fi
 
+echo "==> one lowering (the executor drives the verified tree, never re-lowers)"
+# A plan is lowered once, by `VerifiedPlan::new` / `verify_plan` in verify.rs,
+# and `EXPLAIN` renders a lowering in explain.rs. Any other non-test call of
+# `lower(` would build a tree the verifier never saw.
+relowered=$(non_test $(find crates/core/src -name '*.rs' | sort) src/*.rs \
+  | grep -E '(^|[^_[:alnum:]])lower\(' \
+  | grep -vE '^crates/core/src/(verify|explain)\.rs:|^[^:]+:[0-9]+: *//|fn lower\(' || true)
+if [[ -n "$relowered" ]]; then
+  echo "error: plan lowered outside verify.rs/explain.rs — run the VerifiedPlan instead:" >&2
+  echo "$relowered" >&2
+  exit 1
+fi
+
+echo "==> one engine context (no optional handles on Engine)"
+# Every Engine runs in an EngineContext (statistics, plan cache, serving
+# counters); the per-handle builders it replaced must not come back.
+handles=$(grep -rnE 'fn (with_statistics|with_plan_cache|with_serving_counters)\b|\.(with_statistics|with_plan_cache|with_serving_counters)\(' \
+  src crates/*/src crates/*/tests tests examples || true)
+if [[ -n "$handles" ]]; then
+  echo "error: optional engine handle builder(s) — use Engine::in_context:" >&2
+  echo "$handles" >&2
+  exit 1
+fi
+
 echo "==> operator declarations (the verifier checks the tree that runs)"
 # Every exec/ operator module that opens a metered operator (begin_op, i.e.
 # constructs an OpGuard) must also carry its physical-property declaration;

@@ -1,9 +1,10 @@
 //! Concurrent query serving: shared database state, sessions, prepared
 //! queries, and the statement surface.
 //!
-//! One [`crate::Database`] owns a single [`Shared`] state — the simulated
-//! disk, the catalog behind a readers-writer lock, the lazily-built column
-//! statistics, the verified-plan cache, and the serving counters. Every
+//! One [`crate::Database`] owns a single [`Shared`] state — the catalog
+//! behind a readers-writer lock and the [`EngineContext`] every engine of
+//! the database runs in (the simulated disk, the lazily-built column
+//! statistics, the verified-plan cache, and the serving counters). Every
 //! [`Session`] is a cheap `Clone` of an `Arc` over that state plus its own
 //! per-session [`ExecConfig`], so sessions are `Send + Sync` and can run
 //! read statements concurrently from many threads.
@@ -19,8 +20,8 @@
 use crate::StatementResult;
 use fuzzy_core::{Degree, Trapezoid};
 use fuzzy_engine::exec::ExecConfig;
-use fuzzy_engine::plan_cache::{CacheStats, PlanCache, Planned};
-use fuzzy_engine::{Engine, EngineError, QueryOutcome, ServingCounters, StatsRegistry, Strategy};
+use fuzzy_engine::plan_cache::{CacheStats, Planned};
+use fuzzy_engine::{Engine, EngineContext, EngineError, QueryOutcome, ServingCounters, Strategy};
 use fuzzy_rel::{Catalog, Relation, Schema, StoredTable, Tuple};
 use fuzzy_storage::SimDisk;
 use std::sync::{Arc, RwLock, RwLockWriteGuard};
@@ -28,25 +29,21 @@ use std::time::{Duration, Instant};
 
 /// The state one database's sessions share.
 pub(crate) struct Shared {
-    pub(crate) disk: SimDisk,
+    /// The disk, statistics, plan cache and serving counters every engine
+    /// of this database shares.
+    pub(crate) ctx: Arc<EngineContext>,
     /// The catalog, copy-on-write: readers clone the `Arc` snapshot under a
     /// shared guard; writers swap in a mutated clone under the exclusive
     /// guard.
     pub(crate) catalog: RwLock<Arc<Catalog>>,
-    pub(crate) statistics: Arc<StatsRegistry>,
-    pub(crate) plan_cache: Arc<PlanCache>,
-    pub(crate) serving: Arc<ServingCounters>,
     pub(crate) persist_path: Option<std::path::PathBuf>,
 }
 
 impl Shared {
     pub(crate) fn new(catalog: Catalog, disk: SimDisk) -> Shared {
         Shared {
-            disk,
+            ctx: Arc::new(EngineContext::new(&disk)),
             catalog: RwLock::new(Arc::new(catalog)),
-            statistics: Arc::new(StatsRegistry::new(16)),
-            plan_cache: Arc::new(PlanCache::default()),
-            serving: Arc::new(ServingCounters::default()),
             persist_path: None,
         }
     }
@@ -135,21 +132,17 @@ impl Session {
         self.config.default_threshold = z;
     }
 
-    /// An owned engine over the current catalog snapshot, wired to the
-    /// database's statistics, plan cache, and serving counters. The engine
-    /// does not hold the catalog lock: it sees the snapshot taken here.
+    /// An owned engine over the current catalog snapshot in the database's
+    /// shared [`EngineContext`] (statistics, plan cache, serving counters).
+    /// The engine does not hold the catalog lock: it sees the snapshot
+    /// taken here.
     pub fn engine(&self) -> Engine {
         let (catalog, wait) = self.read_snapshot();
         self.engine_over(catalog, wait)
     }
 
     fn engine_over(&self, catalog: Arc<Catalog>, lock_wait: Duration) -> Engine {
-        Engine::over(catalog, &self.shared.disk)
-            .with_config(self.config)
-            .with_statistics(self.shared.statistics.clone())
-            .with_plan_cache(self.shared.plan_cache.clone())
-            .with_serving_counters(self.shared.serving.clone())
-            .with_lock_wait(lock_wait)
+        Engine::in_context(self.shared.ctx.clone(), catalog, self.config, lock_wait)
     }
 
     /// Takes a catalog snapshot under the shared lock, returning it together
@@ -172,7 +165,7 @@ impl Session {
         let t0 = Instant::now();
         let guard = self.shared.catalog.read().expect("catalog lock");
         let wait = t0.elapsed();
-        let _in = InFlight::enter(&self.shared.serving);
+        let _in = InFlight::enter(&self.shared.ctx.serving);
         body(self, guard.clone(), wait)
     }
 
@@ -184,8 +177,8 @@ impl Session {
     ) -> Result<T, EngineError> {
         let t0 = Instant::now();
         let guard = self.shared.catalog.write().expect("catalog lock");
-        self.shared.serving.add_lock_wait(t0.elapsed());
-        let _in = InFlight::enter(&self.shared.serving);
+        self.shared.ctx.serving.add_lock_wait(t0.elapsed());
+        let _in = InFlight::enter(&self.shared.ctx.serving);
         let mut w = CatalogWrite { guard };
         body(self, &mut w)
     }
@@ -324,7 +317,7 @@ impl Session {
                     Some(t) => vec![t],
                     None => catalog.table_names().map(|n| n.to_string()).collect(),
                 };
-                let pool = fuzzy_storage::BufferPool::new(&s.shared.disk, s.config.buffer_pages);
+                let pool = fuzzy_storage::BufferPool::new(s.disk(), s.config.buffer_pages);
                 let mut built = 0usize;
                 for name in names {
                     let t = catalog
@@ -332,7 +325,7 @@ impl Session {
                         .ok_or_else(|| EngineError::Bind(format!("unknown table {name:?}")))?;
                     for (idx, attr) in t.schema().attributes().iter().enumerate() {
                         if attr.ty == AttrType::Number {
-                            s.shared.statistics.histogram_for(t, idx, &pool)?;
+                            s.shared.ctx.statistics.histogram_for(t, idx, &pool)?;
                             built += 1;
                         }
                     }
@@ -385,7 +378,7 @@ impl Session {
             if cat.table(name).is_some() {
                 return Err(EngineError::Bind(format!("table {name:?} already exists")));
             }
-            cat.register(StoredTable::create(&s.shared.disk, name, schema));
+            cat.register(StoredTable::create(s.disk(), name, schema));
             Ok(())
         })
     }
@@ -437,18 +430,18 @@ impl Session {
 
     /// The simulated disk (for I/O accounting in experiments).
     pub fn disk(&self) -> &SimDisk {
-        &self.shared.disk
+        &self.shared.ctx.disk
     }
 
     /// Exact counters of the shared verified-plan cache.
     pub fn plan_cache_stats(&self) -> CacheStats {
-        self.shared.plan_cache.stats()
+        self.shared.ctx.plan_cache.stats()
     }
 
     /// The database-wide serving counters (statements in flight, peak,
     /// total statements, accumulated lock wait).
-    pub fn serving_counters(&self) -> Arc<ServingCounters> {
-        self.shared.serving.clone()
+    pub fn serving_counters(&self) -> &ServingCounters {
+        &self.shared.ctx.serving
     }
 
     /// Shared DELETE/UPDATE machinery: rewrites the table under the
@@ -469,7 +462,7 @@ impl Session {
                 .table(table)
                 .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?
                 .clone();
-            let pool = fuzzy_storage::BufferPool::new(&s.shared.disk, s.config.buffer_pages);
+            let pool = fuzzy_storage::BufferPool::new(s.disk(), s.config.buffer_pages);
             let evaluator = fuzzy_engine::NaiveEvaluator::serving(cat, &pool);
             let (z, strict) = match threshold {
                 Some(t) => (Degree::clamped(t.z), t.strict),
@@ -491,7 +484,7 @@ impl Session {
             }
             // Rewrite into a fresh file and swap it into the catalog
             // (register bumps the version).
-            let fresh = fuzzy_storage::HeapFile::create(&s.shared.disk);
+            let fresh = fuzzy_storage::HeapFile::create(s.disk());
             {
                 let mut w = fresh.bulk_writer();
                 for t in &kept {
@@ -638,7 +631,7 @@ impl PreparedQuery {
             let info = fuzzy_engine::ServingInfo {
                 cache_hit: Some(true),
                 plan_verifications: 0,
-                cache: s.shared.plan_cache.stats(),
+                cache: s.plan_cache_stats(),
                 ..Default::default()
             };
             s.engine_over(catalog, wait).run_planned(&self.query, &self.planned, info)

@@ -12,8 +12,8 @@
 use fuzzy_db::core::{Degree, Value};
 use fuzzy_db::engine::plan::{PlanCol, UnnestPlan};
 use fuzzy_db::engine::{
-    build_plan, check_threshold, verify_plan, Engine, ExecConfig, Outline, PhysOp, Prop,
-    RewriteRule, Strategy,
+    build_plan, check_threshold, verify_plan, Engine, ExecConfig, OpKind, Outline, PhysOp, Prop,
+    QueryOutcome, RewriteRule, Strategy,
 };
 use fuzzy_db::rel::{AttrType, Schema, Tuple};
 use fuzzy_db::sql::Threshold;
@@ -98,7 +98,8 @@ fn corpus_verifies_cleanly_at_both_scales() {
 fn corpus_runs_match_naive_under_every_thread_count() {
     let db = fixture(1);
     for threads in [1usize, 2, 4, 8] {
-        let engine = Engine::over(db.catalog(), db.disk()).with_threads(threads);
+        let config = ExecConfig { threads, ..ExecConfig::default() };
+        let engine = Engine::over(db.catalog(), db.disk()).with_config(config);
         for (name, sql) in CORPUS {
             // `Engine::plan_for` verifies each plan before it runs, so a
             // corpus violation would fail here loudly.
@@ -113,32 +114,108 @@ fn corpus_runs_match_naive_under_every_thread_count() {
     }
 }
 
+/// Runs `sql` under `strategy`, or `None` where a baseline refuses the
+/// general fallback's shape.
+fn run_corpus(engine: &Engine, name: &str, sql: &str, strategy: Strategy) -> Option<QueryOutcome> {
+    match engine.run_sql(sql, strategy) {
+        Err(fuzzy_db::EngineError::Unsupported(_))
+            if name == "general_fallback" && strategy != Strategy::Unnest =>
+        {
+            None
+        }
+        other => Some(other.unwrap()),
+    }
+}
+
+const PHYSICAL: [Strategy; 3] =
+    [Strategy::Unnest, Strategy::NestedLoop, Strategy::MaterializedNestedLoop];
+
 #[test]
-fn engine_without_plan_cache_verifies_each_plan_once() {
+fn standalone_engine_verifies_each_plan_once_then_hits() {
     // The engine's planning step is the single verification site for every
-    // physical strategy: an engine with no plan cache verifies the operator
-    // tree it runs exactly once and reports no cache verdict. The naive
-    // fallback has no plan to verify, and the baselines refuse its shape.
+    // physical strategy, and every engine plans through a plan cache — a
+    // standalone engine through its private one. The first run of a
+    // statement misses and verifies the operator tree it runs exactly once;
+    // the repeat hits and verifies nothing. The naive fallback has no plan
+    // to verify, and the baselines refuse its shape.
     let db = fixture(1);
     let engine = Engine::over(db.catalog(), db.disk());
-    for strategy in [Strategy::Unnest, Strategy::NestedLoop, Strategy::MaterializedNestedLoop] {
+    for strategy in PHYSICAL {
         for (name, sql) in CORPUS {
-            let out = match engine.run_sql(sql, strategy) {
-                Err(fuzzy_db::EngineError::Unsupported(_))
-                    if *name == "general_fallback" && strategy != Strategy::Unnest =>
-                {
-                    continue
-                }
-                other => other.unwrap(),
-            };
-            assert_eq!(out.serving.cache_hit, None, "{name} under {strategy:?}");
+            let Some(first) = run_corpus(&engine, name, sql, strategy) else { continue };
             let expected = if *name == "general_fallback" { 0 } else { 1 };
+            assert_eq!(first.serving.cache_hit, Some(false), "{name} under {strategy:?}");
             assert_eq!(
-                out.serving.plan_verifications, expected,
+                first.serving.plan_verifications, expected,
                 "{name} under {strategy:?} ({})",
-                out.plan_label
+                first.plan_label
+            );
+            let again = engine.run_sql(sql, strategy).unwrap();
+            assert_eq!(again.serving.cache_hit, Some(true), "{name} under {strategy:?} again");
+            assert_eq!(again.serving.plan_verifications, 0, "{name} under {strategy:?} again");
+        }
+    }
+}
+
+#[test]
+fn cache_hit_runs_the_operator_tree_of_the_miss() {
+    // The cache holds the verified operator tree itself: a hit drives the
+    // same operators, with the same labels, as the miss that built it.
+    let db = fixture(1);
+    let engine = Engine::over(db.catalog(), db.disk());
+    let ops = |out: &QueryOutcome| -> Vec<(OpKind, String)> {
+        out.metrics.ops().iter().map(|n| (n.kind, n.label.clone())).collect()
+    };
+    for strategy in PHYSICAL {
+        for (name, sql) in CORPUS {
+            let Some(miss) = run_corpus(&engine, name, sql, strategy) else { continue };
+            let hit = engine.run_sql(sql, strategy).unwrap();
+            assert_eq!(
+                (miss.serving.cache_hit, hit.serving.cache_hit),
+                (Some(false), Some(true)),
+                "{name} under {strategy:?}"
+            );
+            assert_eq!(ops(&miss), ops(&hit), "{name} under {strategy:?}: operators differ");
+            assert_eq!(miss.plan_label, hit.plan_label, "{name} under {strategy:?}");
+            assert_eq!(
+                miss.answer.canonicalized(),
+                hit.answer.canonicalized(),
+                "{name} under {strategy:?}"
             );
         }
+    }
+}
+
+#[test]
+fn session_engines_share_one_context_and_standalone_engines_do_not() {
+    // A three-way flat join with constant local predicates: lowering it
+    // reorders the join by column histograms, each built with one scan on
+    // first use and kept in the engine context's statistics.
+    let sql = "SELECT R.ID FROM R, S, T WHERE R.X = S.X AND S.V = T.V \
+               AND R.V <= 103 AND T.V <= 102";
+    let q = fuzzy_db::sql::parse(sql).unwrap();
+    let db = fixture(1);
+    let plan = |engine: Engine| {
+        let before = db.disk().io().reads;
+        let (_, info) = engine.plan_for(&q).unwrap();
+        (db.disk().io().reads - before, info.cache_hit)
+    };
+    let (reads, hit) = plan(db.engine());
+    assert!(reads > 0, "the first plan builds the histograms");
+    assert_eq!(hit, Some(false));
+    // A second engine of the database hits the first one's cached tree.
+    assert_eq!(plan(db.engine()), (0, Some(true)));
+    // A session with another plan-shaping config misses the cache, yet the
+    // shared histograms are not built again.
+    let mut other = db.session();
+    other.set_exec_config(ExecConfig { pipeline_joins: false, ..ExecConfig::default() });
+    assert_eq!(plan(other.engine()), (0, Some(false)));
+    // Standalone engines each get a private context: each builds its own
+    // histograms and misses its own cache.
+    for _ in 0..2 {
+        let (reads, hit) = plan(Engine::over(db.catalog(), db.disk()));
+        assert!(reads > 0, "a standalone engine builds its own histograms");
+        assert_eq!(hit, Some(false));
     }
 }
 
