@@ -38,6 +38,9 @@ cargo test --workspace -q
 if [[ $quick -eq 0 ]]; then
   echo "==> concurrent serving stress (release: races surface, timings real)"
   cargo test -q --release --test concurrent_serving
+
+  echo "==> operator counter pins (release; fails on drift, UPDATE_GOLDEN=1 regenerates)"
+  cargo test -q --release --test counter_pins
 fi
 
 echo "==> EXPLAIN golden suite (fails on drift; UPDATE_GOLDEN=1 regenerates)"
