@@ -5,7 +5,6 @@
 //! over a block nested loop that builds `T(r)` per outer tuple.
 
 use crate::error::{EngineError, Result};
-use crate::exec::op::{PhysicalOp, Slot, TreeState};
 use crate::exec::{fold_preds, BoundOperand, Executor, Layout};
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::naive::apply_aggregate;
@@ -13,7 +12,7 @@ use crate::plan::{AggPlan, PlanCol, PlanCompare, PlanOperand};
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::hash::ValueHashBuilder;
 use fuzzy_core::{CmpOp, Degree, Value};
-use fuzzy_rel::Tuple;
+use fuzzy_rel::{StoredTable, Tuple};
 use fuzzy_sql::AggFunc;
 use std::collections::HashMap;
 
@@ -142,41 +141,18 @@ pub(crate) fn declared_properties_scan(
     )
 }
 
-/// The aggregate operator: consumes its two input tables and publishes the
-/// answer rows of `R.Y op1 AGG(...)`.
-pub(crate) struct AggOp {
-    slot: usize,
-    decl: PhysOp,
-    outer: usize,
-    inner: usize,
-    plan: AggPlan,
-    mode: AggMode,
-}
-
-impl AggOp {
-    pub(crate) fn new(
-        slot: usize,
-        decl: PhysOp,
-        outer: usize,
-        inner: usize,
-        plan: AggPlan,
+impl Executor {
+    /// The aggregate operator: evaluates `R.Y op1 AGG(...)` per outer tuple
+    /// (constant, merge grouping, scanned inner set, or block nested loop by
+    /// `mode`) and returns the answer rows.
+    pub(crate) fn aggregate(
+        &mut self,
+        outer_t: &StoredTable,
+        inner_t: &StoredTable,
+        plan: &AggPlan,
         mode: AggMode,
-    ) -> Self {
-        AggOp { slot, decl, outer, inner, plan, mode }
-    }
-}
-
-impl PhysicalOp for AggOp {
-    fn declared_properties(&self) -> &PhysOp {
-        &self.decl
-    }
-
-    fn out_slot(&self) -> usize {
-        self.slot
-    }
-
-    fn open(&mut self, ex: &mut Executor, state: &mut TreeState) -> Result<()> {
-        let plan = &self.plan;
+        label: String,
+    ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let outer_layout = Layout::of_table(&plan.outer);
         let (_, select_idx) = outer_layout.projection(&plan.select)?;
         let (agg, agg_col) = (plan.agg.0, &plan.agg.1);
@@ -224,14 +200,11 @@ impl PhysicalOp for AggOp {
             }
         };
 
-        let outer_t = state.take_table(self.outer)?;
-        let inner_t = state.take_table(self.inner)?;
-
-        match self.mode {
+        match mode {
             AggMode::Const => {
                 // Type A: the inner block is a constant; compute it once.
-                let g = ex.begin_op(OpKind::Aggregate, self.decl.name.clone());
-                let pool = ex.pool(ex.config.buffer_pages);
+                let g = self.begin_op(OpKind::Aggregate, label);
+                let pool = self.pool(self.config.buffer_pages);
                 let mut set = GroupSet::default();
                 let mut m = OperatorMetrics::default();
                 for s in inner_t.scan(&pool) {
@@ -241,7 +214,7 @@ impl PhysicalOp for AggOp {
                     set.add(s.values[agg_idx].clone(), s.degree);
                 }
                 let group = set.aggregate(agg, plan.agg_degree)?;
-                let opool = ex.pool(1);
+                let opool = self.pool(1);
                 for r in outer_t.scan(&opool) {
                     let r = r?;
                     m.tuples_in += 1;
@@ -249,8 +222,8 @@ impl PhysicalOp for AggOp {
                 }
                 m.add_pool(&pool.stats());
                 m.add_pool(&opool.stats());
-                ex.absorb_op(&g, &m);
-                ex.end_op(g);
+                self.absorb_op(&g, &m);
+                self.end_op(g);
             }
             AggMode::Merge => {
                 let Some((ucol, _, vcol)) = plan.corr.as_ref() else {
@@ -267,14 +240,14 @@ impl PhysicalOp for AggOp {
                 let vattr = vcol.attr;
                 let agg_degree = plan.agg_degree;
                 let mut agg_err: Option<EngineError> = None;
-                let merge_res = ex.merge_window(
-                    &outer_t,
+                let merge_res = self.merge_window(
+                    outer_t,
                     uattr,
-                    &inner_t,
+                    inner_t,
                     vattr,
                     Degree::ZERO,
                     OpKind::Aggregate,
-                    self.decl.name.clone(),
+                    label,
                     |r, rng, m| {
                         let u = &r.values[uattr];
                         let hit = matches!(&cache, Some((cu, _)) if cu == u);
@@ -315,11 +288,11 @@ impl PhysicalOp for AggOp {
                 };
                 // Non-equality op2: T'(u) cannot be window-scanned; build
                 // the reduced inner set once and scan it per distinct u.
-                let g = ex.begin_op(OpKind::Aggregate, self.decl.name.clone());
-                let pool = ex.pool(ex.config.buffer_pages);
+                let g = self.begin_op(OpKind::Aggregate, label);
+                let pool = self.pool(self.config.buffer_pages);
                 let inner_all: Vec<Tuple> =
                     inner_t.scan(&pool).collect::<fuzzy_storage::Result<_>>()?;
-                let opool = ex.pool(1);
+                let opool = self.pool(1);
                 let mut cache: Option<(Value, Option<(Value, Degree)>)> = None;
                 let mut set = GroupSet::default();
                 let mut m = OperatorMetrics::default();
@@ -346,8 +319,8 @@ impl PhysicalOp for AggOp {
                 }
                 m.add_pool(&pool.stats());
                 m.add_pool(&opool.stats());
-                ex.absorb_op(&g, &m);
-                ex.end_op(g);
+                self.absorb_op(&g, &m);
+                self.end_op(g);
             }
             AggMode::NestedLoop => {
                 // μ_T(r)(z) = max min(μ_S ∧ p₂, d(s.V op₂ r.U)) over every
@@ -360,11 +333,11 @@ impl PhysicalOp for AggOp {
                     }
                     None => None,
                 };
-                ex.block_nested_loop(
-                    &outer_t,
-                    &inner_t,
+                self.block_nested_loop(
+                    outer_t,
+                    inner_t,
                     OpKind::Aggregate,
-                    self.decl.name.clone(),
+                    label,
                     |_, _| GroupSet::default(),
                     |set, r, s, m| {
                         let mut d = fold_preds(s.degree, &inner_local, &s.values, m);
@@ -390,7 +363,6 @@ impl PhysicalOp for AggOp {
                 )?;
             }
         }
-        state.set(self.slot, Slot::Answer(rows));
-        Ok(())
+        Ok(rows)
     }
 }

@@ -7,13 +7,12 @@
 //! same accumulation runs over a block nested loop of the two scans.
 
 use crate::error::{EngineError, Result};
-use crate::exec::op::{PhysicalOp, Slot, TreeState};
 use crate::exec::{fold_preds, BoundCompare, Executor, Layout};
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::plan::{AntiKind, AntiPlan, PlanCol, PlanCompare};
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::{Degree, Value};
-use fuzzy_rel::Tuple;
+use fuzzy_rel::{StoredTable, Tuple};
 
 /// Declaration of the merge-window anti operator over ⪯-sorted inputs.
 pub(crate) fn declared_properties_merge(
@@ -70,41 +69,29 @@ pub(crate) enum AntiMode {
     NestedLoop,
 }
 
-/// The anti operator: consumes the (sorted or scanned) outer and inner
-/// tables and publishes the accumulated answer rows.
-pub(crate) struct AntiOp {
-    slot: usize,
-    decl: PhysOp,
-    outer: usize,
-    inner: usize,
-    plan: AntiPlan,
-    mode: AntiMode,
+impl AntiMode {
+    /// The method tag of the plan label.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            AntiMode::Merge => "merge",
+            AntiMode::Scan => "scan",
+            AntiMode::NestedLoop => "nested-loop",
+        }
+    }
 }
 
-impl AntiOp {
-    pub(crate) fn new(
-        slot: usize,
-        decl: PhysOp,
-        outer: usize,
-        inner: usize,
-        plan: AntiPlan,
+impl Executor {
+    /// The anti operator: accumulates, per outer tuple, the negated
+    /// contributions of its inner tuples (merge window, scanned inner set,
+    /// or block nested loop by `mode`) and returns the answer rows.
+    pub(crate) fn anti(
+        &mut self,
+        outer_t: &StoredTable,
+        inner_t: &StoredTable,
+        plan: &AntiPlan,
         mode: AntiMode,
-    ) -> Self {
-        AntiOp { slot, decl, outer, inner, plan, mode }
-    }
-}
-
-impl PhysicalOp for AntiOp {
-    fn declared_properties(&self) -> &PhysOp {
-        &self.decl
-    }
-
-    fn out_slot(&self) -> usize {
-        self.slot
-    }
-
-    fn open(&mut self, ex: &mut Executor, state: &mut TreeState) -> Result<()> {
-        let plan = &self.plan;
+        label: String,
+    ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let mut pair_layout = Layout::of_table(&plan.outer);
         pair_layout.push(&plan.inner);
         let pair = pair_layout.bind_all(&plan.pair_preds)?;
@@ -138,10 +125,8 @@ impl PhysicalOp for AntiOp {
         let outer_layout = Layout::of_table(&plan.outer);
         let (_, select_idx) = outer_layout.projection(&plan.select)?;
         let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
-        let outer_t = state.take_table(self.outer)?;
-        let inner_t = state.take_table(self.inner)?;
 
-        match self.mode {
+        match mode {
             AntiMode::Merge => {
                 let Some((ocol, icol)) = plan.window.as_ref() else {
                     return Err(EngineError::Verify("anti-merge lowered without a window".into()));
@@ -151,14 +136,14 @@ impl PhysicalOp for AntiOp {
                 // is exact (this is what makes JX'/JALL' merge-joinable).
                 // No threshold push-down here: low-degree pairs still lower
                 // the MIN(D) group degree.
-                ex.merge_window(
-                    &outer_t,
+                self.merge_window(
+                    outer_t,
                     ocol.attr,
-                    &inner_t,
+                    inner_t,
                     icol.attr,
                     Degree::ZERO,
                     OpKind::Anti,
-                    self.decl.name.clone(),
+                    label,
                     |r, rng, m| {
                         let mut acc = r.degree;
                         for s in rng {
@@ -179,11 +164,11 @@ impl PhysicalOp for AntiOp {
                 // Scan fallback (uncorrelated NOT IN / ALL): the inner set is
                 // built once — the unnesting benefit — then the outer streams
                 // against it.
-                let g = ex.begin_op(OpKind::Anti, self.decl.name.clone());
-                let pool = ex.pool(ex.config.buffer_pages);
+                let g = self.begin_op(OpKind::Anti, label);
+                let pool = self.pool(self.config.buffer_pages);
                 let inner_all: Vec<Tuple> =
                     inner_t.scan(&pool).collect::<fuzzy_storage::Result<_>>()?;
-                let opool = ex.pool(1);
+                let opool = self.pool(1);
                 let mut m = OperatorMetrics::default();
                 m.tuples_in += inner_all.len() as u64;
                 for r in outer_t.scan(&opool) {
@@ -204,8 +189,8 @@ impl PhysicalOp for AntiOp {
                 }
                 m.add_pool(&pool.stats());
                 m.add_pool(&opool.stats());
-                ex.absorb_op(&g, &m);
-                ex.end_op(g);
+                self.absorb_op(&g, &m);
+                self.end_op(g);
             }
             AntiMode::NestedLoop => {
                 // The accumulator of each outer tuple starts at μ_R ∧ p₁;
@@ -213,11 +198,11 @@ impl PhysicalOp for AntiOp {
                 let outer_local = outer_layout.bind_all(&plan.outer.local_preds)?;
                 let inner_local =
                     Layout::of_table(&plan.inner).bind_all(&plan.inner.local_preds)?;
-                ex.block_nested_loop(
-                    &outer_t,
-                    &inner_t,
+                self.block_nested_loop(
+                    outer_t,
+                    inner_t,
                     OpKind::Anti,
-                    self.decl.name.clone(),
+                    label,
                     |r, m| fold_preds(r.degree, &outer_local, &r.values, m),
                     |acc, r, s, m| {
                         if acc.is_positive() {
@@ -238,7 +223,6 @@ impl PhysicalOp for AntiOp {
                 )?;
             }
         }
-        state.set(self.slot, Slot::Answer(rows));
-        Ok(())
+        Ok(rows)
     }
 }

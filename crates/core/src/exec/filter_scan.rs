@@ -5,7 +5,6 @@
 //! the threshold.
 
 use crate::error::Result;
-use crate::exec::op::{PhysicalOp, Slot, TreeState};
 use crate::exec::{Executor, Layout};
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::plan::PlanTable;
@@ -24,44 +23,19 @@ pub(crate) fn declared_properties(binding: &str, min_degree: Degree) -> PhysOp {
     )
 }
 
-/// The filter-scan operator: publishes the filtered table into its slot.
-pub(crate) struct FilterScanOp {
-    slot: usize,
-    decl: PhysOp,
-    table: PlanTable,
-    min_degree: Degree,
-}
-
-impl FilterScanOp {
-    pub(crate) fn new(slot: usize, decl: PhysOp, table: PlanTable, min_degree: Degree) -> Self {
-        FilterScanOp { slot, decl, table, min_degree }
-    }
-}
-
-impl PhysicalOp for FilterScanOp {
-    fn declared_properties(&self) -> &PhysOp {
-        &self.decl
-    }
-
-    fn out_slot(&self) -> usize {
-        self.slot
-    }
-
-    fn open(&mut self, ex: &mut Executor, state: &mut TreeState) -> Result<()> {
-        let out = ex.filter_scan(&self.table, self.min_degree)?;
-        state.set(self.slot, Slot::Table(out));
-        Ok(())
-    }
-}
-
 impl Executor {
     /// Applies a table's local predicates (p_i), materializing positive
     /// survivors. `min_degree` additionally prunes tuples that can never
     /// survive a pushed-down `WITH` threshold (their degree already falls
     /// below it, and fuzzy AND cannot recover). With no predicates and no
     /// bound the table is passed through untouched.
-    pub(crate) fn filter_scan(&mut self, t: &PlanTable, min_degree: Degree) -> Result<StoredTable> {
-        let g = self.begin_op(OpKind::Scan, format!("scan {}", t.binding));
+    pub(crate) fn filter_scan(
+        &mut self,
+        t: &PlanTable,
+        min_degree: Degree,
+        label: String,
+    ) -> Result<StoredTable> {
+        let g = self.begin_op(OpKind::Scan, label);
         if t.local_preds.is_empty() && !min_degree.is_positive() {
             let m = self.metrics.op_mut(g.id);
             m.tuples_in = t.table.num_tuples();

@@ -13,7 +13,7 @@
 
 use crate::error::Result;
 use crate::exec::lower::{JoinStep, SinkMode, StepMethod};
-use crate::exec::op::{PhysicalOp, Slot, TreeState};
+use crate::exec::op::Slot;
 use crate::exec::{BoundCompare, Executor, Layout, PairOutcome};
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::plan::{PlanCol, PlanCompare, PlanTable};
@@ -35,7 +35,7 @@ pub(crate) fn declared_properties_select(binding: &str, alpha: Degree, input: us
 /// Where one join step delivers its output: an intermediate temp table, an
 /// in-memory pipelined row buffer, or — on the final step — the projected
 /// answer rows (the paper's pipelined insertion into the answer).
-pub(crate) enum JoinSink<'a> {
+pub(crate) enum JoinSink {
     /// Spill the concatenated tuples to a temp table (consumer re-scans by
     /// page: partitioned or nested-loop next step).
     Materialize {
@@ -45,20 +45,17 @@ pub(crate) enum JoinSink<'a> {
         w: fuzzy_storage::file::BulkWriter,
     },
     /// Keep the concatenated tuples in memory for the next sort boundary.
-    Buffer {
-        /// The pipelined row buffer.
-        rows: &'a mut Vec<Tuple>,
-    },
+    Buffer(Vec<Tuple>),
     /// Project straight into the answer rows (final step).
     Stream {
         /// Projection indices on the concatenated layout.
-        select_idx: &'a [usize],
+        select_idx: Vec<usize>,
         /// The answer rows.
-        rows: &'a mut Vec<(Vec<Value>, Degree)>,
+        rows: Vec<(Vec<Value>, Degree)>,
     },
 }
 
-impl JoinSink<'_> {
+impl JoinSink {
     pub(crate) fn emit(&mut self, r: &Tuple, s: &Tuple, d: Degree) -> Result<()> {
         match self {
             JoinSink::Materialize { w, .. } => {
@@ -67,7 +64,7 @@ impl JoinSink<'_> {
                 w.append(&Tuple::new(values, d).encode(0))?;
                 Ok(())
             }
-            JoinSink::Buffer { rows } => {
+            JoinSink::Buffer(rows) => {
                 let mut values = r.values.clone();
                 values.extend_from_slice(&s.values);
                 rows.push(Tuple::new(values, d));
@@ -91,60 +88,39 @@ impl JoinSink<'_> {
         }
     }
 
-    fn into_table(self) -> Result<Option<StoredTable>> {
+    /// Publishes the step's output: the finished temp table, the pipelined
+    /// rows, or the answer rows.
+    fn into_slot(self) -> Result<Slot> {
         match self {
             JoinSink::Materialize { out, w } => {
                 w.finish()?;
-                Ok(Some(out))
+                Ok(Slot::Table(out))
             }
-            JoinSink::Buffer { .. } | JoinSink::Stream { .. } => Ok(None),
+            JoinSink::Buffer(rows) => Ok(Slot::Rows(rows)),
+            JoinSink::Stream { rows, .. } => Ok(Slot::Answer(rows)),
         }
     }
 }
 
-/// The single-table flat operator: streams the filtered scan through the
-/// remaining predicates straight into the projected answer rows.
-pub(crate) struct SelectOp {
-    slot: usize,
-    decl: PhysOp,
-    input: usize,
-    table: PlanTable,
-    preds: Vec<PlanCompare>,
-    select: Vec<PlanCol>,
-}
-
-impl SelectOp {
-    pub(crate) fn new(
-        slot: usize,
-        decl: PhysOp,
-        input: usize,
-        table: PlanTable,
-        preds: Vec<PlanCompare>,
-        select: Vec<PlanCol>,
-    ) -> Self {
-        SelectOp { slot, decl, input, table, preds, select }
-    }
-}
-
-impl PhysicalOp for SelectOp {
-    fn declared_properties(&self) -> &PhysOp {
-        &self.decl
-    }
-
-    fn out_slot(&self) -> usize {
-        self.slot
-    }
-
-    fn open(&mut self, ex: &mut Executor, state: &mut TreeState) -> Result<()> {
-        let layout = Layout::of_table(&self.table);
-        let bound = layout.bind_all(&self.preds)?;
-        let (_, select_idx) = layout.projection(&self.select)?;
-        let current = state.take_table(self.input)?;
+impl Executor {
+    /// The single-table flat operator: streams the filtered scan through
+    /// the remaining predicates straight into the projected answer rows.
+    pub(crate) fn select(
+        &mut self,
+        input: &StoredTable,
+        table: &PlanTable,
+        preds: &[PlanCompare],
+        select: &[PlanCol],
+        label: String,
+    ) -> Result<Vec<(Vec<Value>, Degree)>> {
+        let layout = Layout::of_table(table);
+        let bound = layout.bind_all(preds)?;
+        let (_, select_idx) = layout.projection(select)?;
         let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
-        let g = ex.begin_op(OpKind::Scan, self.decl.name.clone());
-        let pool = ex.pool(2);
+        let g = self.begin_op(OpKind::Scan, label);
+        let pool = self.pool(2);
         let mut m = OperatorMetrics::default();
-        for t in current.scan(&pool) {
+        for t in input.scan(&pool) {
             let t = t?;
             m.tuples_in += 1;
             let mut d = t.degree;
@@ -158,64 +134,31 @@ impl PhysicalOp for SelectOp {
             }
         }
         m.add_pool(&pool.stats());
-        ex.absorb_op(&g, &m);
-        ex.end_op(g);
-        state.set(self.slot, Slot::Answer(rows));
-        Ok(())
-    }
-}
-
-/// One flat join step: evaluates its driver + residual predicates over the
-/// candidate pairs its physical method produces, emitting into the sink the
-/// lowering pass chose.
-pub(crate) struct JoinStepOp {
-    slot: usize,
-    decl: PhysOp,
-    left: usize,
-    right: usize,
-    step: JoinStep,
-}
-
-impl JoinStepOp {
-    pub(crate) fn new(
-        slot: usize,
-        decl: PhysOp,
-        left: usize,
-        right: usize,
-        step: JoinStep,
-    ) -> Self {
-        JoinStepOp { slot, decl, left, right, step }
-    }
-}
-
-impl PhysicalOp for JoinStepOp {
-    fn declared_properties(&self) -> &PhysOp {
-        &self.decl
+        self.absorb_op(&g, &m);
+        self.end_op(g);
+        Ok(rows)
     }
 
-    fn out_slot(&self) -> usize {
-        self.slot
-    }
-
-    fn open(&mut self, ex: &mut Executor, state: &mut TreeState) -> Result<()> {
-        let step = &self.step;
+    /// One flat join step: evaluates its driver + residual predicates over
+    /// the candidate pairs its physical method produces, emitting into the
+    /// sink the lowering pass chose.
+    pub(crate) fn join_step(
+        &mut self,
+        left: &StoredTable,
+        right: &StoredTable,
+        step: &JoinStep,
+        label: String,
+    ) -> Result<Slot> {
         let alpha = step.alpha;
-        let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
-        let mut buffered: Vec<Tuple> = Vec::new();
-        let select_idx: Vec<usize> = match &step.sink {
-            SinkMode::Answer { select } => step.next_layout.projection(select)?.1,
-            SinkMode::Rows | SinkMode::Materialize => Vec::new(),
-        };
-        let left = state.take_table(self.left)?;
-        let right = state.take_table(self.right)?;
         let mut sink = match &step.sink {
-            SinkMode::Answer { .. } => {
-                JoinSink::Stream { select_idx: &select_idx, rows: &mut rows }
-            }
-            SinkMode::Rows => JoinSink::Buffer { rows: &mut buffered },
+            SinkMode::Answer { select } => JoinSink::Stream {
+                select_idx: step.next_layout.projection(select)?.1,
+                rows: Vec::new(),
+            },
+            SinkMode::Rows => JoinSink::Buffer(Vec::new()),
             SinkMode::Materialize => {
-                let name = ex.temp_name("join");
-                let out = StoredTable::create(&ex.disk, name, step.next_layout.to_schema());
+                let name = self.temp_name("join");
+                let out = StoredTable::create(&self.disk, name, step.next_layout.to_schema());
                 let w = out.file().bulk_writer();
                 JoinSink::Materialize { out, w }
             }
@@ -253,7 +196,7 @@ impl PhysicalOp for JoinStepOp {
                     }
                     PairOutcome { degree: Some(d), comparisons, pruned: false }
                 };
-                let handle = |sink: &mut JoinSink<'_>,
+                let handle = |sink: &mut JoinSink,
                               r: &Tuple,
                               s: &Tuple,
                               m: &mut OperatorMetrics|
@@ -270,28 +213,28 @@ impl PhysicalOp for JoinStepOp {
                     }
                 };
                 match &step.method {
-                    StepMethod::Merge { .. } if ex.config.threads > 1 => {
-                        ex.merge_join_parallel(
-                            &left,
+                    StepMethod::Merge { .. } if self.config.threads > 1 => {
+                        self.merge_join_parallel(
+                            left,
                             cur_idx,
-                            &right,
+                            right,
                             next_idx,
                             alpha,
                             OpKind::Join,
-                            self.decl.name.clone(),
+                            label,
                             &pair_eval,
                             &mut sink,
                         )?;
                     }
                     StepMethod::Merge { .. } => {
-                        ex.merge_window(
-                            &left,
+                        self.merge_window(
+                            left,
                             cur_idx,
-                            &right,
+                            right,
                             next_idx,
                             alpha,
                             OpKind::Join,
-                            self.decl.name.clone(),
+                            label,
                             |r, rng, m| {
                                 for s in rng {
                                     handle(&mut sink, r, s, m)?;
@@ -301,13 +244,13 @@ impl PhysicalOp for JoinStepOp {
                         )?;
                     }
                     _ => {
-                        ex.partitioned_join(
-                            &left,
+                        self.partitioned_join(
+                            left,
                             cur_idx,
-                            &right,
+                            right,
                             next_idx,
                             alpha,
-                            self.decl.name.clone(),
+                            label,
                             |r, s, m| handle(&mut sink, r, s, m),
                         )?;
                     }
@@ -315,11 +258,11 @@ impl PhysicalOp for JoinStepOp {
             }
             StepMethod::NestedLoop => {
                 // No equality driver: block-nested-loop fallback.
-                ex.block_nested_loop(
-                    &left,
-                    &right,
+                self.block_nested_loop(
+                    left,
+                    right,
                     OpKind::Join,
-                    self.decl.name.clone(),
+                    label,
                     |_, _| (),
                     |_, r, s, m| {
                         let mut d = r.degree.and(s.degree);
@@ -345,15 +288,6 @@ impl PhysicalOp for JoinStepOp {
                 )?;
             }
         }
-        match sink.into_table()? {
-            Some(out) => state.set(self.slot, Slot::Table(out)),
-            None => match &step.sink {
-                SinkMode::Rows => state.set(self.slot, Slot::Rows(buffered)),
-                SinkMode::Answer { .. } | SinkMode::Materialize => {
-                    state.set(self.slot, Slot::Answer(rows))
-                }
-            },
-        }
-        Ok(())
+        sink.into_slot()
     }
 }

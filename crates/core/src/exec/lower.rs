@@ -6,7 +6,7 @@
 //! [`crate::verify::PhysOp`] per [`Node`], same indices, same edges.
 //!
 //! Lowering is *infallible*: all name resolution and binding that can fail
-//! is deferred to each operator's `open`, so `EXPLAIN`/`EXPLAIN VERIFY` can
+//! is deferred to when each operator runs, so `EXPLAIN`/`EXPLAIN VERIFY` can
 //! render and check a tree without touching the catalog or the disk.
 //!
 //! Lowering takes the statement's [`Strategy`]. Under the two nested-loop
@@ -17,7 +17,6 @@
 //! through and whose operators evaluate p₁ per outer tuple and p₂ per pair.
 
 use crate::engine::Strategy;
-use crate::exec::op::PhysicalOp;
 use crate::exec::{agg, anti, block_nl, filter_scan, flat, merge_join, output, partitioned, sort};
 use crate::exec::{ExecConfig, JoinMethod, Layout};
 use crate::plan::{AggPlan, AntiPlan, FlatPlan, PlanCol, PlanCompare, PlanTable, UnnestPlan};
@@ -45,7 +44,6 @@ pub(crate) struct Lowered {
 
 /// What one join step does with its output (chosen at lowering time, by
 /// looking at the *consumer*).
-#[derive(Clone)]
 pub(crate) enum SinkMode {
     /// Final step: project straight into the answer rows.
     Answer {
@@ -60,7 +58,6 @@ pub(crate) enum SinkMode {
 }
 
 /// The physical method of one flat join step.
-#[derive(Clone)]
 pub(crate) enum StepMethod {
     /// Extended merge-join on an exact-equality driver.
     Merge {
@@ -80,8 +77,7 @@ pub(crate) enum StepMethod {
     NestedLoop,
 }
 
-/// Everything one flat join step needs at `open` time.
-#[derive(Clone)]
+/// Everything one flat join step needs when it runs.
 pub(crate) struct JoinStep {
     /// The step's physical method.
     pub(crate) method: StepMethod,
@@ -97,10 +93,9 @@ pub(crate) struct JoinStep {
     pub(crate) sink: SinkMode,
 }
 
-/// One physical node of a lowered tree. Slot `i` of the executing tree holds
-/// the output of `nodes[i]`; input indices refer to those slots and mirror
-/// the outline's edges exactly.
-#[derive(Clone)]
+/// One physical node of a lowered tree: what `nodes[i]` computes. Its inputs
+/// are the outputs of the nodes `outline.ops[i].inputs` names, the edges the
+/// verifier checked; the node itself holds no edges.
 pub(crate) enum Node {
     /// Filter scan of a base table at a degree bound.
     Scan {
@@ -111,8 +106,6 @@ pub(crate) enum Node {
     },
     /// Single-table select + project straight to answer rows.
     Select {
-        /// Input slot.
-        input: usize,
         /// The (only) plan table.
         table: crate::plan::PlanTable,
         /// Remaining predicates.
@@ -122,8 +115,6 @@ pub(crate) enum Node {
     },
     /// External ⪯-sort of a table or a pipelined row buffer.
     Sort {
-        /// Input slot.
-        input: usize,
         /// Layout of the input stream (resolves the sort column).
         layout: Layout,
         /// The sort column.
@@ -133,19 +124,11 @@ pub(crate) enum Node {
     },
     /// One flat join step.
     Join {
-        /// Bound-side input slot.
-        left: usize,
-        /// Joined-table input slot.
-        right: usize,
         /// The step description.
         step: JoinStep,
     },
     /// Grouped MIN(D) anti accumulation.
     Anti {
-        /// Outer input slot.
-        outer: usize,
-        /// Inner input slot.
-        inner: usize,
         /// The anti plan.
         plan: AntiPlan,
         /// How the inputs are consumed.
@@ -153,10 +136,6 @@ pub(crate) enum Node {
     },
     /// Nested aggregate evaluation.
     Agg {
-        /// Outer input slot.
-        outer: usize,
-        /// Inner input slot.
-        inner: usize,
         /// The aggregate plan.
         plan: AggPlan,
         /// How the inputs are consumed.
@@ -164,8 +143,6 @@ pub(crate) enum Node {
     },
     /// Project/emit: fuzzy-OR dedup + final threshold.
     Output {
-        /// Input slot (answer rows).
-        input: usize,
         /// Layout the projection resolves against.
         layout: Layout,
         /// Projection columns.
@@ -290,7 +267,6 @@ fn lower_flat(
             &mut nodes,
             flat::declared_properties_select(&t.binding, alpha, first),
             Node::Select {
-                input: first,
                 table: t.clone(),
                 preds: inline[0].iter().chain(&p.join_preds).cloned().collect(),
                 select: p.select.clone(),
@@ -301,7 +277,6 @@ fn lower_flat(
             &mut nodes,
             output::declared_properties(sel, &p.select),
             Node::Output {
-                input: sel,
                 layout: Layout::of_table(t),
                 select: p.select.clone(),
                 threshold: p.threshold,
@@ -421,23 +396,13 @@ fn lower_flat(
                     &mut ops,
                     &mut nodes,
                     sort::declared_properties_bound(cur, &sp.bound, cur_col, alpha),
-                    Node::Sort {
-                        input: cur,
-                        layout: sp.layout.clone(),
-                        col: cur_col.clone(),
-                        alpha,
-                    },
+                    Node::Sort { layout: sp.layout.clone(), col: cur_col.clone(), alpha },
                 );
                 let sort_right = push(
                     &mut ops,
                     &mut nodes,
                     sort::declared_properties_base(scans[k + 1], &t.binding, next_col, alpha),
-                    Node::Sort {
-                        input: scans[k + 1],
-                        layout: Layout::of_table(t),
-                        col: next_col.clone(),
-                        alpha,
-                    },
+                    Node::Sort { layout: Layout::of_table(t), col: next_col.clone(), alpha },
                 );
                 push(
                     &mut ops,
@@ -452,8 +417,6 @@ fn lower_flat(
                         alpha,
                     ),
                     Node::Join {
-                        left: sort_left,
-                        right: sort_right,
                         step: JoinStep {
                             method: StepMethod::Merge {
                                 cur_col: cur_col.clone(),
@@ -478,8 +441,6 @@ fn lower_flat(
                     delivers,
                 ),
                 Node::Join {
-                    left: cur,
-                    right: scans[k + 1],
                     step: JoinStep {
                         method: StepMethod::Partitioned {
                             cur_col: cur_col.clone(),
@@ -503,8 +464,6 @@ fn lower_flat(
                     delivers,
                 ),
                 Node::Join {
-                    left: cur,
-                    right: scans[k + 1],
                     step: JoinStep {
                         method: StepMethod::NestedLoop,
                         residuals,
@@ -521,12 +480,7 @@ fn lower_flat(
         &mut ops,
         &mut nodes,
         output::declared_properties(cur, &p.select),
-        Node::Output {
-            input: cur,
-            layout: final_layout,
-            select: p.select.clone(),
-            threshold: p.threshold,
-        },
+        Node::Output { layout: final_layout, select: p.select.clone(), threshold: p.threshold },
     );
     (ops, nodes)
 }
@@ -564,43 +518,33 @@ fn lower_anti(p: &AntiPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
             &mut ops,
             &mut nodes,
             anti::declared_properties_unsorted("nested-loop-anti", p, scan_o, scan_i),
-            Node::Anti { outer: scan_o, inner: scan_i, plan: op_plan, mode: AntiMode::NestedLoop },
+            Node::Anti { plan: op_plan, mode: AntiMode::NestedLoop },
         ),
         Some((ocol, icol)) => {
             let sort_o = push(
                 &mut ops,
                 &mut nodes,
                 sort::declared_properties_base(scan_o, &p.outer.binding, ocol, z),
-                Node::Sort {
-                    input: scan_o,
-                    layout: Layout::of_table(&p.outer),
-                    col: ocol.clone(),
-                    alpha: z,
-                },
+                Node::Sort { layout: Layout::of_table(&p.outer), col: ocol.clone(), alpha: z },
             );
             let sort_i = push(
                 &mut ops,
                 &mut nodes,
                 sort::declared_properties_base(scan_i, &p.inner.binding, icol, z),
-                Node::Sort {
-                    input: scan_i,
-                    layout: Layout::of_table(&p.inner),
-                    col: icol.clone(),
-                    alpha: z,
-                },
+                Node::Sort { layout: Layout::of_table(&p.inner), col: icol.clone(), alpha: z },
             );
             push(
                 &mut ops,
                 &mut nodes,
                 anti::declared_properties_merge(p, ocol, icol, sort_o, sort_i),
-                Node::Anti { outer: sort_o, inner: sort_i, plan: op_plan, mode: AntiMode::Merge },
+                Node::Anti { plan: op_plan, mode: AntiMode::Merge },
             )
         }
         None => push(
             &mut ops,
             &mut nodes,
             anti::declared_properties_unsorted("anti-scan", p, scan_o, scan_i),
-            Node::Anti { outer: scan_o, inner: scan_i, plan: op_plan, mode: AntiMode::Scan },
+            Node::Anti { plan: op_plan, mode: AntiMode::Scan },
         ),
     };
     push(
@@ -608,7 +552,6 @@ fn lower_anti(p: &AntiPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
         &mut nodes,
         output::declared_properties(anti, &p.select),
         Node::Output {
-            input: anti,
             layout: Layout::of_table(&p.outer),
             select: p.select.clone(),
             threshold: p.threshold,
@@ -629,25 +572,20 @@ fn lower_agg(p: &AggPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
             &mut ops,
             &mut nodes,
             agg::declared_properties_unsorted("nested-loop-agg", p, scan_o, scan_i),
-            Node::Agg { outer: scan_o, inner: scan_i, plan: op_plan, mode: AggMode::NestedLoop },
+            Node::Agg { plan: op_plan, mode: AggMode::NestedLoop },
         ),
         None => push(
             &mut ops,
             &mut nodes,
             agg::declared_properties_unsorted("agg-const", p, scan_o, scan_i),
-            Node::Agg { outer: scan_o, inner: scan_i, plan: op_plan, mode: AggMode::Const },
+            Node::Agg { plan: op_plan, mode: AggMode::Const },
         ),
         Some((ucol, op2, vcol)) => {
             let sort_o = push(
                 &mut ops,
                 &mut nodes,
                 sort::declared_properties_base(scan_o, &p.outer.binding, ucol, z),
-                Node::Sort {
-                    input: scan_o,
-                    layout: Layout::of_table(&p.outer),
-                    col: ucol.clone(),
-                    alpha: z,
-                },
+                Node::Sort { layout: Layout::of_table(&p.outer), col: ucol.clone(), alpha: z },
             );
             if *op2 == CmpOp::Eq {
                 // Pipelined merge grouping: both sides sorted, windowed.
@@ -655,18 +593,13 @@ fn lower_agg(p: &AggPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
                     &mut ops,
                     &mut nodes,
                     sort::declared_properties_base(scan_i, &p.inner.binding, vcol, z),
-                    Node::Sort {
-                        input: scan_i,
-                        layout: Layout::of_table(&p.inner),
-                        col: vcol.clone(),
-                        alpha: z,
-                    },
+                    Node::Sort { layout: Layout::of_table(&p.inner), col: vcol.clone(), alpha: z },
                 );
                 push(
                     &mut ops,
                     &mut nodes,
                     agg::declared_properties_merge(p, ucol, vcol, sort_o, sort_i),
-                    Node::Agg { outer: sort_o, inner: sort_i, plan: op_plan, mode: AggMode::Merge },
+                    Node::Agg { plan: op_plan, mode: AggMode::Merge },
                 )
             } else {
                 // Non-equality correlation: outer sorted (distinct-U groups
@@ -675,7 +608,7 @@ fn lower_agg(p: &AggPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
                     &mut ops,
                     &mut nodes,
                     agg::declared_properties_scan(p, ucol, sort_o, scan_i),
-                    Node::Agg { outer: sort_o, inner: scan_i, plan: op_plan, mode: AggMode::Scan },
+                    Node::Agg { plan: op_plan, mode: AggMode::Scan },
                 )
             }
         }
@@ -685,7 +618,6 @@ fn lower_agg(p: &AggPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
         &mut nodes,
         output::declared_properties(agg_node, &p.select),
         Node::Output {
-            input: agg_node,
             layout: Layout::of_table(&p.outer),
             select: p.select.clone(),
             threshold: p.threshold,
@@ -695,46 +627,23 @@ fn lower_agg(p: &AggPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
 }
 
 impl Lowered {
-    /// Builds the runnable operator per node, each carrying the declaration
-    /// the verifier checked for its outline position.
-    pub(crate) fn instantiate(&self) -> Vec<Box<dyn PhysicalOp>> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| {
-                let decl = self.outline.ops[i].clone();
-                let b: Box<dyn PhysicalOp> = match n.clone() {
-                    Node::Scan { table, min_degree } => {
-                        Box::new(filter_scan::FilterScanOp::new(i, decl, table, min_degree))
-                    }
-                    Node::Select { input, table, preds, select } => {
-                        Box::new(flat::SelectOp::new(i, decl, input, table, preds, select))
-                    }
-                    Node::Sort { input, layout, col, alpha } => {
-                        Box::new(sort::SortOp::new(i, decl, input, layout, col, alpha))
-                    }
-                    Node::Join { left, right, step } => {
-                        Box::new(flat::JoinStepOp::new(i, decl, left, right, step))
-                    }
-                    Node::Anti { outer, inner, plan, mode } => {
-                        Box::new(anti::AntiOp::new(i, decl, outer, inner, plan, mode))
-                    }
-                    Node::Agg { outer, inner, plan, mode } => {
-                        Box::new(agg::AggOp::new(i, decl, outer, inner, plan, mode))
-                    }
-                    Node::Output { input, layout, select, threshold } => {
-                        Box::new(output::OutputOp::new(i, decl, input, layout, select, threshold))
-                    }
-                };
-                b
-            })
-            .collect()
+    /// The plan's shape label ([`UnnestPlan::label`]), with an anti plan
+    /// tagged by the method its anti node runs.
+    pub(crate) fn label(&self) -> String {
+        let anti = self.nodes.iter().find_map(|n| match n {
+            Node::Anti { mode, .. } => Some(*mode),
+            _ => None,
+        });
+        match (&self.plan, anti) {
+            (UnnestPlan::Anti(p), Some(mode)) => p.label(mode.name()),
+            (plan, _) => plan.label(),
+        }
     }
 
     /// `EXPLAIN` annotation for a join node: what its output feeds.
     pub(crate) fn sink_note(&self, i: usize) -> Option<&'static str> {
         match &self.nodes[i] {
-            Node::Join { step, .. } => Some(match &step.sink {
+            Node::Join { step } => Some(match &step.sink {
                 SinkMode::Answer { .. } => "-> answer",
                 SinkMode::Rows => "-> pipelined",
                 SinkMode::Materialize => "-> temp table",

@@ -144,7 +144,7 @@ impl Executor {
         kind: OpKind,
         label: String,
         pair_eval: &D,
-        sink: &mut JoinSink<'_>,
+        sink: &mut JoinSink,
     ) -> Result<()>
     where
         D: Fn(&Tuple, &Tuple) -> PairOutcome + Sync,

@@ -21,17 +21,18 @@
 //!   evaluation to a method and an output sink;
 //! * `output` — fuzzy-OR dedup plus the final `WITH D > z` threshold.
 //!
-//! Each operator implements the `op::PhysicalOp` contract — `open` runs the
-//! operator to completion and publishes its output slot — and *carries* the
-//! physical-property declaration ([`crate::verify::PhysOp`]) the static
-//! verifier checks, so the tree that is verified is the tree that runs.
+//! `op::drive` runs the cached tree by borrow: one match over its nodes, in
+//! outline order, each operator run to completion on the inputs its
+//! physical-property declaration ([`crate::verify::PhysOp`]) names, the
+//! edges the static verifier checked — so the tree that is verified is the
+//! tree that runs.
 //! Chain joins pipeline left-deep: intermediate join output feeds the next
 //! sort boundary as in-memory rows (`op::Slot::Rows`) instead of a
 //! temp-table round trip, so simulated writes drop while answers and
 //! counters stay bit-identical (see DESIGN.md §11).
 //!
-//! Every operator registers itself in the executor's [`QueryMetrics`]
-//! registry and accumulates exact counters there (see [`crate::metrics`] for
+//! Every operator registers in the executor's [`QueryMetrics`] registry
+//! under its declaration's name and accumulates exact counters there (see [`crate::metrics`] for
 //! the determinism contract); the registry is the executor's only counter
 //! surface.
 
@@ -51,7 +52,7 @@ pub(crate) mod filter_scan;
 pub(crate) mod flat;
 pub(crate) mod lower;
 pub(crate) mod merge_join;
-pub mod op;
+pub(crate) mod op;
 pub(crate) mod output;
 pub(crate) mod partitioned;
 pub(crate) mod sort;
@@ -224,9 +225,7 @@ impl Executor {
     /// when the [`VerifiedPlan`] was built; nothing is lowered again here.
     pub fn run(&mut self, plan: &VerifiedPlan) -> Result<Relation> {
         self.metrics_reset();
-        let mut ops = plan.lowered().instantiate();
-        let mut state = op::TreeState::new(ops.len());
-        op::drive(self, &mut ops, &mut state)
+        op::drive(self, plan.lowered())
     }
 }
 
@@ -506,7 +505,7 @@ mod tests {
         let mut r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0)]);
         let mut ex = Executor::new(&disk, ExecConfig::default());
         // No predicates: the very same file is reused.
-        let same = ex.filter_scan(&r, Degree::ZERO).unwrap();
+        let same = ex.filter_scan(&r, Degree::ZERO, "scan R".to_string()).unwrap();
         assert_eq!(same.num_pages(), r.table.num_pages());
         // With a predicate, only survivors are materialized.
         r.local_preds.push(PlanCompare::new(
@@ -514,7 +513,7 @@ mod tests {
             CmpOp::Ge,
             PlanOperand::Const(Value::number(1.0)),
         ));
-        let reduced = ex.filter_scan(&r, Degree::ZERO).unwrap();
+        let reduced = ex.filter_scan(&r, Degree::ZERO, "scan R".to_string()).unwrap();
         assert_eq!(reduced.num_tuples(), 1);
     }
 }

@@ -3,9 +3,7 @@
 //! semantics every plan root must deliver (`V-DUP-MAX`) — and applies the
 //! final `WITH D > z` threshold exactly.
 
-use crate::error::Result;
-use crate::exec::op::{PhysicalOp, Slot, TreeState};
-use crate::exec::{threshold, Executor, Layout};
+use crate::exec::{threshold, Executor};
 use crate::metrics::OpKind;
 use crate::plan::PlanCol;
 use crate::verify::{PhysOp, Prop};
@@ -24,48 +22,6 @@ pub(crate) fn declared_properties(input: usize, select: &[PlanCol]) -> PhysOp {
         }
     }
     PhysOp::declare("output", vec![input], requires, vec![Prop::DupMax])
-}
-
-/// The output operator: takes the upstream answer rows and publishes the
-/// finished relation.
-pub(crate) struct OutputOp {
-    slot: usize,
-    decl: PhysOp,
-    input: usize,
-    layout: Layout,
-    select: Vec<PlanCol>,
-    threshold: Option<Threshold>,
-}
-
-impl OutputOp {
-    pub(crate) fn new(
-        slot: usize,
-        decl: PhysOp,
-        input: usize,
-        layout: Layout,
-        select: Vec<PlanCol>,
-        threshold: Option<Threshold>,
-    ) -> Self {
-        OutputOp { slot, decl, input, layout, select, threshold }
-    }
-}
-
-impl PhysicalOp for OutputOp {
-    fn declared_properties(&self) -> &PhysOp {
-        &self.decl
-    }
-
-    fn out_slot(&self) -> usize {
-        self.slot
-    }
-
-    fn open(&mut self, ex: &mut Executor, state: &mut TreeState) -> Result<()> {
-        let (schema, _) = self.layout.projection(&self.select)?;
-        let rows = state.take_answer(self.input)?;
-        let rel = ex.finish_op(schema, rows, self.threshold);
-        state.set(self.slot, Slot::Done(rel));
-        Ok(())
-    }
 }
 
 /// Projects a tuple's values through resolved indices.
@@ -91,8 +47,9 @@ impl Executor {
         schema: Schema,
         rows: Vec<(Vec<Value>, Degree)>,
         threshold: Option<Threshold>,
+        label: String,
     ) -> Relation {
-        let g = self.begin_op(OpKind::Output, "output".to_string());
+        let g = self.begin_op(OpKind::Output, label);
         let emitted = rows.len() as u64;
         let rel = finish(schema, rows, threshold);
         let m = self.metrics.op_mut(g.id);

@@ -5,8 +5,8 @@
 //! run generation directly, so the only disk traffic is the sort's own
 //! spill (see DESIGN.md §11).
 
-use crate::error::Result;
-use crate::exec::op::{PhysicalOp, Slot, TreeState};
+use crate::error::{EngineError, Result};
+use crate::exec::op::Slot;
 use crate::exec::{Executor, Layout};
 use crate::metrics::OpKind;
 use crate::plan::PlanCol;
@@ -56,60 +56,25 @@ pub(crate) fn declared_properties_bound(
     )
 }
 
-/// The sort operator: consumes its input slot (a stored table or a pipelined
-/// row buffer) and publishes the ⪯-sorted table.
-pub(crate) struct SortOp {
-    slot: usize,
-    decl: PhysOp,
-    input: usize,
-    layout: Layout,
-    col: PlanCol,
-    alpha: Degree,
-}
-
-impl SortOp {
-    pub(crate) fn new(
-        slot: usize,
-        decl: PhysOp,
-        input: usize,
-        layout: Layout,
-        col: PlanCol,
-        alpha: Degree,
-    ) -> Self {
-        SortOp { slot, decl, input, layout, col, alpha }
-    }
-}
-
-impl PhysicalOp for SortOp {
-    fn declared_properties(&self) -> &PhysOp {
-        &self.decl
-    }
-
-    fn out_slot(&self) -> usize {
-        self.slot
-    }
-
-    fn open(&mut self, ex: &mut Executor, state: &mut TreeState) -> Result<()> {
-        let attr = self.layout.resolve(&self.col)?;
-        let label = self.decl.name.clone();
-        let sorted = match state.take(self.input) {
-            Slot::Rows(rows) => {
-                ex.sort_rows(rows, self.layout.to_schema(), attr, self.alpha, label)?
-            }
-            Slot::Table(t) => ex.sort_table(&t, attr, self.alpha, label)?,
-            _ => {
-                return Err(crate::error::EngineError::Verify(format!(
-                    "sort input #{} published neither a table nor rows",
-                    self.input
-                )))
-            }
-        };
-        state.set(self.slot, Slot::Table(sorted));
-        Ok(())
-    }
-}
-
 impl Executor {
+    /// The sort operator: sorts its input — a stored table or a pipelined
+    /// row buffer laid out as `layout` — by `col` at the α-cut `alpha`.
+    pub(crate) fn sort_input(
+        &mut self,
+        input: Slot,
+        layout: &Layout,
+        col: &PlanCol,
+        alpha: Degree,
+        label: String,
+    ) -> Result<StoredTable> {
+        let attr = layout.resolve(col)?;
+        match input {
+            Slot::Rows(rows) => self.sort_rows(rows, layout.to_schema(), attr, alpha, label),
+            Slot::Table(t) => self.sort_table(&t, attr, alpha, label),
+            _ => Err(EngineError::Verify(format!("input of {label} is neither a table nor rows"))),
+        }
+    }
+
     /// Sorts a table by the interval order `⪯` of the α-cut intervals on
     /// attribute `attr` (α = 0 is the paper's support order), attributing
     /// run counts, comparisons, and spill I/O to a registered sort operator.

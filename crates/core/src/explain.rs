@@ -50,10 +50,10 @@ pub fn render_explain(
     let mut out = format!("query class: {class:?} (depth {})\n", q.depth());
     match plan_or_fallback(q, strategy, catalog)? {
         Ok(plan) => {
-            out.push_str(&format!("strategy: {}:{}\n", strategy.name(), plan.label()));
             // Lower through the same pass the executor runs, so the rendered
             // tree, join order, and operator list are the ones that run.
             let lowered = crate::exec::lower::lower(&plan, strategy, config, statistics);
+            out.push_str(&format!("strategy: {}:{}\n", strategy.name(), lowered.label()));
             if let (UnnestPlan::Flat(orig), UnnestPlan::Flat(eff)) = (&plan, &lowered.plan) {
                 let orig_order: Vec<&str> =
                     orig.tables.iter().map(|t| t.binding.as_str()).collect();
@@ -220,8 +220,8 @@ pub fn render_verify(
     let mut out = format!("query class: {class:?} (depth {})\n", q.depth());
     match plan_or_fallback(q, strategy, catalog)? {
         Ok(plan) => {
-            out.push_str(&format!("strategy: {}:{}\n", strategy.name(), plan.label()));
             let report = crate::verify::verify_plan(&plan, strategy, config, statistics);
+            out.push_str(&format!("strategy: {}:{}\n", strategy.name(), report.plan_label));
             out.push_str(&render_verify_report(&report));
         }
         Err(_) => {

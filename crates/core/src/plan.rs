@@ -326,6 +326,17 @@ pub enum UnnestPlan {
     Agg(AggPlan),
 }
 
+impl AntiPlan {
+    /// The plan's shape label, tagged with the anti operator's method
+    /// (`merge`, `scan` or `nested-loop`).
+    pub(crate) fn label(&self, method: &str) -> String {
+        match self.kind {
+            AntiKind::Exclusion => format!("anti-exclusion[{method}]"),
+            AntiKind::All { op, .. } => format!("anti-all[{op} {method}]"),
+        }
+    }
+}
+
 impl UnnestPlan {
     /// The equivalence rule the plan was produced by.
     pub fn rule(&self) -> &RewriteRule {
@@ -350,16 +361,7 @@ impl UnnestPlan {
     pub fn label(&self) -> String {
         match self {
             UnnestPlan::Flat(p) => format!("flat-join[{} tables]", p.tables.len()),
-            UnnestPlan::Anti(p) => match p.kind {
-                AntiKind::Exclusion => {
-                    format!("anti-exclusion[{}]", if p.window.is_some() { "merge" } else { "scan" })
-                }
-                AntiKind::All { op, .. } => format!(
-                    "anti-all[{} {}]",
-                    op,
-                    if p.window.is_some() { "merge" } else { "scan" }
-                ),
-            },
+            UnnestPlan::Anti(p) => p.label(if p.window.is_some() { "merge" } else { "scan" }),
             UnnestPlan::Agg(p) => match &p.corr {
                 Some((_, op, _)) => format!("agg[{} corr {}]", p.agg.0.name(), op),
                 None => format!("agg[{} const]", p.agg.0.name()),

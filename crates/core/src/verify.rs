@@ -299,7 +299,8 @@ impl std::fmt::Display for Violation {
 /// The result of verifying one plan.
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
-    /// The plan's shape label ([`UnnestPlan::label`]).
+    /// The plan's shape label, with an anti plan tagged by the method its
+    /// anti operator runs (what the `strategy:` line prints).
     pub plan_label: String,
     /// The paper rule id of the rewrite that produced the plan.
     pub rule_id: &'static str,
@@ -363,10 +364,10 @@ impl VerifiedPlan {
             return Err(EngineError::Verify(format!(
                 "{v} ({} violation(s) in plan {})",
                 violations.len(),
-                lowered.plan.label()
+                lowered.label()
             )));
         }
-        Ok(VerifiedPlan { label: format!("{}:{}", strategy.name(), plan.label()), lowered })
+        Ok(VerifiedPlan { label: format!("{}:{}", strategy.name(), lowered.label()), lowered })
     }
 
     /// `strategy:plan` — the outcome's `plan_label`.
@@ -399,15 +400,9 @@ pub fn verify_plan(
 ) -> VerifyReport {
     let lowered = lower(plan, strategy, config, stats);
     let (checks, violations) = check_lowered(&lowered);
+    let plan_label = lowered.label();
     let Lowered { plan, alpha, outline, .. } = lowered;
-    VerifyReport {
-        plan_label: plan.label(),
-        rule_id: plan.rule().id(),
-        alpha,
-        outline,
-        checks,
-        violations,
-    }
+    VerifyReport { plan_label, rule_id: plan.rule().id(), alpha, outline, checks, violations }
 }
 
 /// Runs every check on a lowered tree: the rewrite rule, the threshold

@@ -160,7 +160,9 @@ fn standalone_engine_verifies_each_plan_once_then_hits() {
 #[test]
 fn cache_hit_runs_the_operator_tree_of_the_miss() {
     // The cache holds the verified operator tree itself: a hit drives the
-    // same operators, with the same labels, as the miss that built it.
+    // same operators, with the same labels, as the miss that built it, and
+    // driving it by borrow leaves it unchanged, so the miss and two later
+    // hits count exactly the same.
     let db = fixture(1);
     let engine = Engine::over(db.catalog(), db.disk());
     let ops = |out: &QueryOutcome| -> Vec<(OpKind, String)> {
@@ -182,6 +184,15 @@ fn cache_hit_runs_the_operator_tree_of_the_miss() {
                 hit.answer.canonicalized(),
                 "{name} under {strategy:?}"
             );
+            let again = engine.run_sql(sql, strategy).unwrap();
+            assert_eq!(again.serving.cache_hit, Some(true), "{name} under {strategy:?} again");
+            for (run, out) in [("hit", &hit), ("second hit", &again)] {
+                assert_eq!(
+                    miss.metrics.deterministic(),
+                    out.metrics.deterministic(),
+                    "{name} under {strategy:?}: the {run} counts differently from the miss"
+                );
+            }
         }
     }
 }
