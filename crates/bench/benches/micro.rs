@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks of the fuzzy primitives the joins are built on:
 //! possibility closed forms, interval-order comparisons, tuple codec, the
-//! external sort (keyed like the engine's, with `OrderKey`), and the
-//! answer's fuzzy-OR dedup.
+//! borrowing heap-file scan, the external sort (keyed like the engine's, with
+//! `OrderKey`), and the answer's fuzzy-OR dedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fuzzy_core::interval_order::{self, OrderKey};
 use fuzzy_core::{possibility, CmpOp, Degree, Trapezoid, Value};
 use fuzzy_engine::{Engine, Strategy};
 use fuzzy_rel::{AttrType, Catalog, Relation, Schema, StoredTable, Tuple};
-use fuzzy_storage::{external_sort, HeapFile, SimDisk};
+use fuzzy_storage::{external_sort, BufferPool, HeapFile, SimDisk};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -78,6 +78,31 @@ fn tuple_codec(c: &mut Criterion) {
                 .iter()
                 .filter(|bytes| Tuple::decode_value_at(bytes, 1).unwrap().interval().is_some())
                 .count()
+        })
+    });
+}
+
+/// The buffer pool's record scan: 4000 records of 128 bytes through a
+/// one-frame pool, summing the record lengths. Every page is a miss; the
+/// cursor lends each record in place.
+fn heap_scan(c: &mut Criterion) {
+    let disk = SimDisk::with_default_page_size();
+    let file = HeapFile::create(&disk);
+    file.load((0..4000u32).map(|i| {
+        let mut rec = vec![0u8; 128];
+        rec[..4].copy_from_slice(&i.to_le_bytes());
+        rec
+    }))
+    .unwrap();
+    c.bench_function("heap_scan_4000x128B", |b| {
+        b.iter(|| {
+            let pool = BufferPool::new(&disk, 1);
+            let mut scan = pool.scan(&file);
+            let mut bytes = 0usize;
+            while let Some(rec) = scan.next_record() {
+                bytes += rec.unwrap().len();
+            }
+            bytes
         })
     });
 }
@@ -182,6 +207,7 @@ criterion_group!(
     possibility_ops,
     interval_order_cmp,
     tuple_codec,
+    heap_scan,
     external_sort_bench,
     answer_dedup,
     naive_fallback

@@ -10,6 +10,7 @@ use crate::exec::Executor;
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::verify::{PhysOp, Prop};
 use fuzzy_rel::{StoredTable, Tuple};
+use fuzzy_storage::PageView;
 
 /// Declaration of a flat nested-loop join step: no sort requirements — the
 /// step's binding/degree requirements come from the lowering pass.
@@ -47,13 +48,14 @@ impl Executor {
         let mut block_start = 0u64;
         while block_start < n_pages {
             let block_end = (block_start + block_pages).min(n_pages);
-            // Read the outer block (each page charged exactly once overall).
+            // Read the outer block (each page charged exactly once overall),
+            // decoding each tuple in place; a corrupt slot is a typed error.
             let mut block: Vec<(Tuple, A)> = Vec::new();
             for pi in block_start..block_end {
                 let pid = outer.file().page_id(pi as u32)?;
-                let page = fuzzy_storage::Page::from_bytes(self.disk.read_page(pid)?)?;
-                for rec in page.records() {
-                    let t = Tuple::decode(rec)?;
+                let image = self.disk.read_page(pid)?;
+                for rec in PageView::new(&image)?.records() {
+                    let t = Tuple::decode(rec?)?;
                     m.tuples_in += 1;
                     let a = init(&t, &mut m);
                     block.push((t, a));

@@ -105,6 +105,7 @@ impl Executor {
         m.tuples_out = table.num_tuples();
         m.sort_runs = stats.initial_runs as u64;
         m.sort_comparisons = stats.comparisons;
+        self.metrics.add_sort_phases(g.id, stats.gen_time, stats.merge_time);
         self.end_op(g);
         Ok(table.with_file(self.temp_name("sorted"), file))
     }
@@ -141,6 +142,7 @@ impl Executor {
         m.tuples_out = n;
         m.sort_runs = stats.initial_runs as u64;
         m.sort_comparisons = stats.comparisons;
+        self.metrics.add_sort_phases(g.id, stats.gen_time, stats.merge_time);
         self.end_op(g);
         let shell_name = self.temp_name("pipe");
         let shell = StoredTable::create(&self.disk, shell_name, schema);

@@ -20,6 +20,7 @@
 use crate::engine::{QueryOutcome, Strategy};
 use crate::error::{EngineError, Result};
 use crate::exec::ExecConfig;
+use crate::metrics::OpKind;
 use crate::plan::UnnestPlan;
 use crate::stats_histogram::StatsRegistry;
 use crate::unnest::build_plan;
@@ -291,6 +292,13 @@ pub fn render_actual(outcome: &QueryOutcome) -> String {
             m.tuples_out,
             n.wall.as_secs_f64() * 1e3
         ));
+        if n.kind == OpKind::Sort {
+            out.push_str(&format!(
+                " gen={:.3}ms merge={:.3}ms",
+                n.sort_phases.generation.as_secs_f64() * 1e3,
+                n.sort_phases.merge.as_secs_f64() * 1e3
+            ));
+        }
         if m.pairs_examined > 0 {
             out.push_str(&format!(" pairs={}", m.pairs_examined));
         }

@@ -58,7 +58,7 @@ pub use engine::{Engine, EngineContext, QueryOutcome, Strategy};
 pub use error::{EngineError, Result};
 pub use exec::{ExecConfig, Executor, JoinMethod};
 pub use metrics::{
-    OpKind, OperatorMetrics, OperatorNode, QueryMetrics, ServingCounters, ServingInfo,
+    OpKind, OperatorMetrics, OperatorNode, QueryMetrics, ServingCounters, ServingInfo, SortPhases,
 };
 pub use naive::NaiveEvaluator;
 pub use plan::{RewriteRule, UnnestPlan};

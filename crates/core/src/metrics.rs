@@ -14,7 +14,8 @@
 //! running the same query over the same catalog with any `threads` setting
 //! yields identical labels and identical counter values (see
 //! `tests/parallel_exact.rs`). Wall-clock time is the only nondeterministic
-//! field, which is why it lives on [`OperatorNode::wall`], outside
+//! field, which is why it lives on [`OperatorNode::wall`] (and, for sorts,
+//! the phase split [`OperatorNode::sort_phases`]), outside
 //! [`OperatorMetrics`], and is excluded from [`QueryMetrics::deterministic`].
 
 use fuzzy_storage::{IoSnapshot, PoolStats};
@@ -126,6 +127,19 @@ pub struct OperatorNode {
     /// Wall-clock time spent in the operator. Nondeterministic; excluded
     /// from equality views.
     pub wall: Duration,
+    /// An external sort's wall time split into run generation and merging
+    /// (both zero for other operators); part of `wall`, and nondeterministic
+    /// like it.
+    pub sort_phases: SortPhases,
+}
+
+/// Wall time of an external sort's two phases.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SortPhases {
+    /// Run generation: reading, keying, quicksorting and spilling runs.
+    pub generation: Duration,
+    /// The merge passes.
+    pub merge: Duration,
 }
 
 /// The per-query registry: operators in start order.
@@ -148,6 +162,7 @@ impl QueryMetrics {
             label: label.into(),
             metrics: OperatorMetrics::default(),
             wall: Duration::ZERO,
+            sort_phases: SortPhases::default(),
         });
         self.ops.len() - 1
     }
@@ -155,6 +170,13 @@ impl QueryMetrics {
     /// Mutable access to an operator's counters.
     pub fn op_mut(&mut self, id: usize) -> &mut OperatorMetrics {
         &mut self.ops[id].metrics
+    }
+
+    /// Charges an external sort's phase times to an operator.
+    pub fn add_sort_phases(&mut self, id: usize, generation: Duration, merge: Duration) {
+        let p = &mut self.ops[id].sort_phases;
+        p.generation += generation;
+        p.merge += merge;
     }
 
     /// Closes an operator: records its wall time and charges the I/O delta

@@ -110,9 +110,11 @@ impl StoredTable {
         }
     }
 
-    /// Streams all tuples through `pool`.
+    /// Streams all tuples through `pool`, decoding each straight from its
+    /// pinned page.
     pub fn scan<'a>(&'a self, pool: &'a BufferPool) -> impl Iterator<Item = Result<Tuple>> + 'a {
-        pool.scan(&self.file).map(|r| r.and_then(|bytes| Tuple::decode(&bytes)))
+        let mut records = pool.scan(&self.file);
+        std::iter::from_fn(move || records.next_record().map(|r| r.and_then(Tuple::decode)))
     }
 
     /// Reads the whole table into an in-memory relation (test/debug helper;

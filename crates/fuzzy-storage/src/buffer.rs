@@ -11,11 +11,16 @@
 //! Frames hold immutable page images (`Arc<[u8]>`), so an operator can keep a
 //! cheap handle to a page while the pool replaces the frame; that models
 //! pinning without reference-counted pin bookkeeping leaking into operators.
+//! A page miss copies the image once, out of the disk backing into the frame;
+//! nothing copies it again. [`RecordScan`] holds its current frame and lends
+//! each record as a slice of that image ([`RecordScan::next_record`]), so a
+//! scan allocates nothing per record: callers decode in place, or copy the
+//! bytes themselves when they must outlive the next call.
 
 use crate::disk::{PageId, SimDisk};
 use crate::error::Result;
 use crate::file::HeapFile;
-use crate::page::Page;
+use crate::page::PageView;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -81,7 +86,7 @@ impl BufferPool {
             touch(&mut inner.lru, id);
             return Ok(frame);
         }
-        let data: Arc<[u8]> = Arc::from(self.disk.read_page(id)?);
+        let data = self.disk.read_page(id)?;
         inner.stats.misses += 1;
         if inner.frames.len() >= inner.capacity {
             let victim = inner.lru.remove(0);
@@ -90,12 +95,6 @@ impl BufferPool {
         inner.frames.insert(id, data.clone());
         inner.lru.push(id);
         Ok(data)
-    }
-
-    /// Fetches and parses a slotted page.
-    pub fn get_page(&self, id: PageId) -> Result<Page> {
-        let bytes = self.get(id)?;
-        Page::from_bytes(bytes.to_vec().into_boxed_slice())
     }
 
     /// Drops every resident frame (e.g. between experiment legs) without
@@ -113,7 +112,7 @@ impl BufferPool {
 
     /// Scans every record of a heap file in storage order through the pool.
     pub fn scan<'a>(&'a self, file: &'a HeapFile) -> RecordScan<'a> {
-        RecordScan { pool: self, file, page_index: 0, current: None, slot: 0 }
+        RecordScan { pool: self, file, page_index: 0, frame: None, slots: 0, slot: 0 }
     }
 }
 
@@ -124,51 +123,55 @@ fn touch(lru: &mut Vec<PageId>, id: PageId) {
     lru.push(id);
 }
 
-/// Iterator over all records of a heap file, in `(page, slot)` order.
+/// A lending cursor over all records of a heap file, in `(page, slot)`
+/// order. It holds the current page's frame, validates each page header once
+/// when it reaches the page, and lends every record as a slice of the frame.
 pub struct RecordScan<'a> {
     pool: &'a BufferPool,
     file: &'a HeapFile,
+    /// Index of the next page to fetch.
     page_index: u32,
-    current: Option<Page>,
+    /// The current page's image, its header already validated.
+    frame: Option<Arc<[u8]>>,
+    slots: u16,
     slot: u16,
 }
 
-impl Iterator for RecordScan<'_> {
-    type Item = Result<Vec<u8>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.current.is_none() {
-                if u64::from(self.page_index) >= self.file.num_pages() {
-                    return None;
-                }
-                let pid = match self.file.page_id(self.page_index) {
-                    Ok(p) => p,
-                    Err(e) => return Some(Err(e)),
-                };
-                match self.pool.get_page(pid) {
-                    Ok(p) => {
-                        self.current = Some(p);
-                        self.slot = 0;
-                    }
-                    Err(e) => return Some(Err(e)),
-                }
+impl RecordScan<'_> {
+    /// The next record, borrowed from the pinned page image until the next
+    /// call; `None` after the last record. A page that fails to read or whose
+    /// header or slot is corrupt yields its error.
+    pub fn next_record(&mut self) -> Option<Result<&[u8]>> {
+        while self.slot >= self.slots {
+            if u64::from(self.page_index) >= self.file.num_pages() {
+                return None;
             }
-            let page = self.current.as_ref().expect("just filled");
-            if self.slot < page.slot_count() {
-                let rec = page.get(self.slot).map(|r| r.to_vec());
-                self.slot += 1;
-                return Some(rec);
+            if let Err(e) = self.fetch_page() {
+                return Some(Err(e));
             }
-            self.current = None;
-            self.page_index += 1;
         }
+        let slot = self.slot;
+        self.slot += 1;
+        let frame = self.frame.as_deref().expect("just filled");
+        Some(PageView::validated(frame).get(slot))
+    }
+
+    /// Pins the next page of the file and validates its header.
+    fn fetch_page(&mut self) -> Result<()> {
+        let pid = self.file.page_id(self.page_index)?;
+        self.page_index += 1;
+        let frame = self.pool.get(pid)?;
+        self.slots = PageView::new(&frame)?.slot_count();
+        self.slot = 0;
+        self.frame = Some(frame);
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::Page;
 
     fn disk_with_pages(n: usize) -> (SimDisk, Vec<PageId>) {
         let disk = SimDisk::new(128);
@@ -228,8 +231,7 @@ mod tests {
         let held = pool.get(ids[0]).unwrap();
         pool.get(ids[1]).unwrap(); // evicts frame 0 from the pool
                                    // The held image is still valid.
-        let page = Page::from_bytes(held.to_vec().into_boxed_slice()).unwrap();
-        assert_eq!(page.get(0).unwrap(), &[0u8]);
+        assert_eq!(PageView::new(&held).unwrap().get(0).unwrap(), &[0u8]);
     }
 
     #[test]

@@ -87,49 +87,62 @@ pub struct ByteReader<'a> {
 
 impl<'a> ByteReader<'a> {
     /// Creates a reader over the slice.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
-            return Err(StorageError::Corrupt(format!(
-                "record underflow: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
+            return Err(self.underflow(n));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    #[cold]
+    fn underflow(&self, n: usize) -> StorageError {
+        StorageError::Corrupt(format!(
+            "record underflow: need {n} bytes at offset {}, have {}",
+            self.pos,
+            self.buf.len() - self.pos
+        ))
+    }
+
     /// Reads a byte.
+    #[inline]
     pub fn get_u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a little-endian u16.
+    #[inline]
     pub fn get_u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
     }
 
     /// Reads a little-endian u32.
+    #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
     }
 
     /// Reads a little-endian u64.
+    #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
 
     /// Reads a little-endian f64.
+    #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
 
     /// Reads a u32-length-prefixed byte string.
+    #[inline]
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let len = self.get_u32()? as usize;
         self.take(len)

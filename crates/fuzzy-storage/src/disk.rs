@@ -241,12 +241,14 @@ impl SimDisk {
         }
     }
 
-    /// Reads a page into a fresh buffer, charging one physical read.
-    pub fn read_page(&self, id: PageId) -> Result<Box<[u8]>> {
+    /// Reads a page, charging one physical read. The image comes back as the
+    /// shared buffer a buffer-pool frame holds; the in-memory backing copies
+    /// it exactly once, straight into that buffer.
+    pub fn read_page(&self, id: PageId) -> Result<Arc<[u8]>> {
         let size = self.inner.page_size;
-        let page: Box<[u8]> = match &mut *self.inner.backing.lock().expect("disk lock") {
+        let page: Arc<[u8]> = match &mut *self.inner.backing.lock().expect("disk lock") {
             Backing::Memory(pages) => {
-                pages.get(id as usize).ok_or(StorageError::PageOutOfBounds(id))?.clone()
+                Arc::from(&pages.get(id as usize).ok_or(StorageError::PageOutOfBounds(id))?[..])
             }
             Backing::File { file, num_pages } => {
                 if id >= *num_pages {
@@ -256,7 +258,7 @@ impl SimDisk {
                 file.seek(SeekFrom::Start(id * size as u64))
                     .and_then(|_| file.read_exact(&mut buf))
                     .map_err(|e| StorageError::Corrupt(format!("page read failed: {e}")))?;
-                buf.into_boxed_slice()
+                Arc::from(buf)
             }
         };
         self.inner.reads.fetch_add(1, Ordering::Relaxed);
@@ -483,7 +485,8 @@ mod file_backing_tests {
         )
         .unwrap();
         let pool = crate::buffer::BufferPool::new(&disk, 4);
-        let first = pool.scan(&sorted).next().unwrap().unwrap();
+        let mut scan = pool.scan(&sorted);
+        let first = scan.next_record().unwrap().unwrap();
         assert_eq!(u32::from_le_bytes(first[..4].try_into().unwrap()), 0);
         std::fs::remove_file(&path).unwrap();
     }

@@ -2,10 +2,10 @@
 //!
 //! A heap file is the storage representation of a relation (and of sort runs
 //! and temporary results). Bulk loading buffers one page in memory and writes
-//! it to disk when full, so loading `n` records costs exactly
-//! `ceil(bytes / page)` physical writes. Scanning goes through a
-//! [`crate::buffer::BufferPool`] so repeated access patterns are charged
-//! faithfully.
+//! it to disk when full — clearing and reusing that one buffer — so loading
+//! `n` records costs exactly `ceil(bytes / page)` physical writes. Scanning
+//! goes through a [`crate::buffer::BufferPool`] so repeated access patterns
+//! are charged faithfully.
 
 use crate::disk::{PageId, SimDisk};
 use crate::error::{Result, StorageError};
@@ -112,7 +112,7 @@ impl HeapFile {
             inner.pages.last().copied()
         };
         if let Some(pid) = last {
-            let mut page = Page::from_bytes(self.disk.read_page(pid)?)?;
+            let mut page = Page::from_bytes(&self.disk.read_page(pid)?)?;
             if page.insert(record).is_ok() {
                 self.disk.write_page(pid, page.as_bytes())?;
                 self.inner.lock().expect("file lock").record_count += 1;
@@ -165,10 +165,11 @@ impl BulkWriter {
         Ok(())
     }
 
+    /// Writes the current page out and clears it for reuse.
     fn flush(&mut self) -> Result<()> {
         if self.pending > 0 {
-            let page = std::mem::replace(&mut self.current, Page::new(self.file.disk.page_size()));
-            self.file.push_page(&page, self.pending)?;
+            self.file.push_page(&self.current, self.pending)?;
+            self.current.clear();
             self.pending = 0;
         }
         Ok(())
@@ -206,7 +207,11 @@ mod tests {
         let records: Vec<Vec<u8>> = (0..40u32).map(|i| i.to_le_bytes().to_vec()).collect();
         f.load(records.iter()).unwrap();
         let pool = BufferPool::new(&disk, 4);
-        let got: Vec<Vec<u8>> = pool.scan(&f).map(|r| r.unwrap()).collect();
+        let mut scan = pool.scan(&f);
+        let mut got: Vec<Vec<u8>> = Vec::new();
+        while let Some(rec) = scan.next_record() {
+            got.push(rec.unwrap().to_vec());
+        }
         assert_eq!(got, records);
     }
 
@@ -228,7 +233,7 @@ mod tests {
         assert_eq!(f.num_pages(), 0);
         assert_eq!(f.num_records(), 0);
         let pool = BufferPool::new(&disk, 2);
-        assert_eq!(pool.scan(&f).count(), 0);
+        assert!(pool.scan(&f).next_record().is_none());
     }
 
     #[test]

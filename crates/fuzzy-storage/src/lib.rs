@@ -7,12 +7,16 @@
 //! configurable cost model.
 //!
 //! * [`SimDisk`] — page-granular simulated disk with I/O counters;
-//! * [`Page`] — slotted pages holding variable-length records;
+//! * [`Page`] — slotted pages holding variable-length records, and
+//!   [`PageView`], the borrowed view that validates a page image and reads
+//!   its records in place;
 //! * [`HeapFile`] — record files with streaming bulk load;
 //! * [`BufferPool`] — bounded LRU page cache (the buffer-allocation policies
-//!   of both join algorithms in the paper are expressed through it);
+//!   of both join algorithms in the paper are expressed through it), scanned
+//!   with the lending cursor [`RecordScan`], which lends each record as a
+//!   slice of its pinned page instead of copying it;
 //! * [`sort::external_sort`] — bounded-memory external merge sort on a key
-//!   extracted once per record read;
+//!   extracted once per record read, with one byte arena per run batch;
 //! * [`CostModel`] — converts I/O counts + CPU time into response time;
 //! * [`codec`] — byte-level record encoding helpers.
 //!
@@ -25,7 +29,14 @@
 //! let file = HeapFile::create(&disk);
 //! file.load((0u32..100).map(|i| i.to_le_bytes()))?;
 //! let pool = BufferPool::new(&disk, 4);
-//! assert_eq!(pool.scan(&file).count(), 100);
+//! let mut scan = pool.scan(&file);
+//! let (mut count, mut bytes) = (0, 0);
+//! while let Some(rec) = scan.next_record() {
+//!     // `rec` borrows the pinned page image: read it in place, no copy.
+//!     bytes += rec?.len();
+//!     count += 1;
+//! }
+//! assert_eq!((count, bytes), (100, 400));
 //! # Ok::<(), fuzzy_storage::StorageError>(())
 //! ```
 
@@ -46,5 +57,5 @@ pub use cost::{CostModel, Measurement};
 pub use disk::{IoSnapshot, PageId, SimDisk, DEFAULT_PAGE_SIZE};
 pub use error::{Result, StorageError};
 pub use file::{HeapFile, RecordId};
-pub use page::Page;
+pub use page::{Page, PageView};
 pub use sort::{external_sort, external_sort_parallel, external_sort_records, SortStats};

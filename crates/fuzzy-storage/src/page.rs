@@ -38,22 +38,11 @@ impl Page {
         Page { data }
     }
 
-    /// Wraps raw page bytes read from disk, validating the header.
-    pub fn from_bytes(data: Box<[u8]>) -> Result<Page> {
-        let data = data.into_vec();
-        if data.len() < 64 {
-            return Err(StorageError::Corrupt("page shorter than 64 bytes".into()));
-        }
-        let page = Page { data };
-        let slots = page.slot_count() as usize;
-        let free = page.free_ptr();
-        if HEADER + slots * SLOT > page.data.len()
-            || free < HEADER
-            || free > page.data.len().saturating_sub(slots * SLOT)
-        {
-            return Err(StorageError::Corrupt("inconsistent page header".into()));
-        }
-        Ok(page)
+    /// Copies raw page bytes read from disk into an owned, writable page,
+    /// validating the header.
+    pub fn from_bytes(data: &[u8]) -> Result<Page> {
+        PageView::new(data)?;
+        Ok(Page { data: data.to_vec() })
     }
 
     /// The raw bytes of the page (e.g. for writing back to disk).
@@ -61,9 +50,14 @@ impl Page {
         &self.data
     }
 
+    /// A borrowed view of the page, for reading its records.
+    pub fn view(&self) -> PageView<'_> {
+        PageView { data: &self.data }
+    }
+
     /// Number of records stored in this page.
     pub fn slot_count(&self) -> u16 {
-        read_u16(&self.data, 0)
+        self.view().slot_count()
     }
 
     fn free_ptr(&self) -> usize {
@@ -103,23 +97,79 @@ impl Page {
         Ok(slot)
     }
 
+    /// Empties the page in place, leaving exactly the bytes of
+    /// [`Page::new`]: only the record area and the slot directory in use are
+    /// zeroed, so a bulk writer reuses one buffer for every page it fills.
+    pub fn clear(&mut self) {
+        let used_right = self.data.len() - self.slot_count() as usize * SLOT;
+        let free = self.free_ptr();
+        self.data[..free].fill(0);
+        self.data[used_right..].fill(0);
+        write_u16(&mut self.data, 2, HEADER as u16);
+    }
+
     /// The record stored in `slot`.
     pub fn get(&self, slot: u16) -> Result<&[u8]> {
+        self.view().get(slot)
+    }
+}
+
+/// A borrowed slotted page: the one place page headers are validated and
+/// slots decoded. It reads records where they sit — in a [`Page`], in a
+/// buffer-pool frame, or in an image fresh from the disk — without copying.
+#[derive(Debug, Clone, Copy)]
+pub struct PageView<'a> {
+    data: &'a [u8],
+}
+
+impl<'a> PageView<'a> {
+    /// Wraps raw page bytes, validating the header: the slot directory and
+    /// the free pointer must lie inside the page.
+    pub fn new(data: &'a [u8]) -> Result<PageView<'a>> {
+        if data.len() < 64 {
+            return Err(StorageError::Corrupt("page shorter than 64 bytes".into()));
+        }
+        let view = PageView { data };
+        let slots = view.slot_count() as usize;
+        let free = read_u16(data, 2) as usize;
+        if HEADER + slots * SLOT > data.len()
+            || free < HEADER
+            || free > data.len().saturating_sub(slots * SLOT)
+        {
+            return Err(StorageError::Corrupt("inconsistent page header".into()));
+        }
+        Ok(view)
+    }
+
+    /// Re-wraps bytes whose header an earlier [`PageView::new`] accepted
+    /// (a scan holding its current frame), skipping the header check.
+    pub(crate) fn validated(data: &'a [u8]) -> PageView<'a> {
+        PageView { data }
+    }
+
+    /// Number of records stored in the page.
+    pub fn slot_count(&self) -> u16 {
+        read_u16(self.data, 0)
+    }
+
+    /// The record stored in `slot`, borrowed from the page bytes. A slot
+    /// entry that points outside the page is [`StorageError::Corrupt`].
+    pub fn get(&self, slot: u16) -> Result<&'a [u8]> {
         if slot >= self.slot_count() {
             return Err(StorageError::InvalidSlot(slot));
         }
         let slot_pos = self.data.len() - (slot as usize + 1) * SLOT;
-        let off = read_u16(&self.data, slot_pos) as usize;
-        let len = read_u16(&self.data, slot_pos + 2) as usize;
+        let off = read_u16(self.data, slot_pos) as usize;
+        let len = read_u16(self.data, slot_pos + 2) as usize;
         if off + len > self.data.len() {
             return Err(StorageError::Corrupt(format!("slot {slot} points outside page")));
         }
         Ok(&self.data[off..off + len])
     }
 
-    /// Iterates over all records in slot order.
-    pub fn records(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        (0..self.slot_count()).map(move |s| self.get(s).expect("slot in range"))
+    /// Every record in slot order; a corrupt slot yields its error.
+    pub fn records(self) -> impl Iterator<Item = Result<&'a [u8]>> {
+        (0..self.slot_count()).map(move |s| self.get(s))
     }
 }
 
@@ -145,7 +195,8 @@ mod tests {
         assert_eq!(p.get(0).unwrap(), b"hello");
         assert_eq!(p.get(1).unwrap(), b"world!");
         assert_eq!(p.get(2), Err(StorageError::InvalidSlot(2)));
-        assert_eq!(p.records().collect::<Vec<_>>(), vec![&b"hello"[..], &b"world!"[..]]);
+        let records: Vec<&[u8]> = p.view().records().map(|r| r.unwrap()).collect();
+        assert_eq!(records, vec![&b"hello"[..], &b"world!"[..]]);
     }
 
     #[test]
@@ -166,7 +217,7 @@ mod tests {
         assert_eq!(n, 6);
         assert!(p.free_space() < 10);
         // The page is still fully readable.
-        assert!(p.records().all(|r| r == b"abcdef"));
+        assert!(p.view().records().all(|r| r.unwrap() == b"abcdef"));
     }
 
     #[test]
@@ -182,10 +233,34 @@ mod tests {
         let mut p = Page::new(128);
         p.insert(b"one").unwrap();
         p.insert(b"two").unwrap();
-        let bytes: Box<[u8]> = p.as_bytes().to_vec().into_boxed_slice();
-        let q = Page::from_bytes(bytes).unwrap();
+        let q = Page::from_bytes(p.as_bytes()).unwrap();
         assert_eq!(q, p);
         assert_eq!(q.get(1).unwrap(), b"two");
+    }
+
+    #[test]
+    fn clear_restores_a_fresh_page() {
+        let mut p = Page::new(128);
+        p.insert(b"one").unwrap();
+        p.insert(b"three").unwrap();
+        p.clear();
+        assert_eq!(p, Page::new(128));
+        p.insert(b"again").unwrap();
+        assert_eq!(p.get(0).unwrap(), b"again");
+    }
+
+    #[test]
+    fn slot_pointing_outside_the_page_is_corrupt() {
+        let mut p = Page::new(128);
+        p.insert(b"one").unwrap();
+        p.insert(b"two").unwrap();
+        let mut bytes = p.as_bytes().to_vec();
+        // Slot 1's entry sits 8 bytes from the end: point it past the page.
+        bytes[120..122].copy_from_slice(&200u16.to_le_bytes());
+        let view = PageView::new(&bytes).unwrap();
+        assert_eq!(view.get(0).unwrap(), b"one");
+        let got: Vec<Result<&[u8]>> = view.records().collect();
+        assert!(matches!(&got[1], Err(StorageError::Corrupt(m)) if m.contains("slot 1")));
     }
 
     #[test]
@@ -193,13 +268,7 @@ mod tests {
         let mut bytes = vec![0u8; 128];
         bytes[0] = 0xFF; // 255 slots cannot fit in 128 bytes
         bytes[1] = 0x00;
-        assert!(matches!(
-            Page::from_bytes(bytes.into_boxed_slice()),
-            Err(StorageError::Corrupt(_))
-        ));
-        assert!(matches!(
-            Page::from_bytes(vec![0u8; 8].into_boxed_slice()),
-            Err(StorageError::Corrupt(_))
-        ));
+        assert!(matches!(Page::from_bytes(&bytes), Err(StorageError::Corrupt(_))));
+        assert!(matches!(PageView::new(&[0u8; 8]), Err(StorageError::Corrupt(_))));
     }
 }

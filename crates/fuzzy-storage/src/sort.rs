@@ -27,8 +27,18 @@
 //! so each comparison is a lexicographic compare of precomputed α-cut
 //! endpoints and breakpoints, with no decoding and no α-cut arithmetic.
 //!
+//! Records are never allocated one by one. Run generation reads each record
+//! in place from the scan's pinned page and appends its bytes to one byte
+//! arena per batch; the batch's entries are `(key, offset, length)` triples,
+//! and quicksort moves only those. The arena *is* the memory budget — a batch
+//! is cut when it holds `memory_pages × page_size` bytes — and the keys sit
+//! outside it, so run boundaries depend on the record bytes alone. The merge
+//! keeps one reused buffer per input run for that run's head record, next to
+//! the head's key.
+//!
 //! All run files live on the same simulated disk as the input, so every spill
-//! is charged to the I/O counters.
+//! is charged to the I/O counters. [`SortStats`] also carries the wall time
+//! of the two phases, run generation and merging, for `EXPLAIN ANALYZE`.
 
 use crate::buffer::{BufferPool, RecordScan};
 use crate::disk::SimDisk;
@@ -37,9 +47,13 @@ use crate::file::HeapFile;
 use std::cmp::Ordering;
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::{mpsc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Statistics of one external sort execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Equality compares the exact counters only: the phase times are wall-clock
+/// and differ from run to run.
+#[derive(Debug, Clone, Copy)]
 pub struct SortStats {
     /// Initial sorted runs generated.
     pub initial_runs: usize,
@@ -48,7 +62,21 @@ pub struct SortStats {
     pub merge_passes: usize,
     /// Comparisons performed (run generation + merging).
     pub comparisons: u64,
+    /// Wall time of run generation: reading the input, keying, quicksorting
+    /// and spilling the runs.
+    pub gen_time: Duration,
+    /// Wall time of the merge passes.
+    pub merge_time: Duration,
 }
+
+impl PartialEq for SortStats {
+    fn eq(&self, other: &SortStats) -> bool {
+        (self.initial_runs, self.merge_passes, self.comparisons)
+            == (other.initial_runs, other.merge_passes, other.comparisons)
+    }
+}
+
+impl Eq for SortStats {}
 
 /// Sorts `input` by the order `cmp` places on the keys `key` extracts from
 /// its records, using at most `memory_pages` pages of working memory, and
@@ -69,8 +97,13 @@ where
     KF: Fn(&[u8]) -> Result<K>,
     CF: Fn(&K, &K) -> Ordering,
 {
+    let mut run_gen = RunGen::new(disk, memory_pages, &key, &cmp);
     let pool = BufferPool::new(disk, 1); // sequential scan needs one frame
-    sort_stream(disk, pool.scan(input), memory_pages, &key, &cmp)
+    let mut scan = pool.scan(input);
+    while let Some(rec) = scan.next_record() {
+        run_gen.push(rec?)?;
+    }
+    run_gen.finish()
 }
 
 /// Sorts a stream of already-decoded records with the same run-generation
@@ -93,42 +126,128 @@ where
     KF: Fn(&[u8]) -> Result<K>,
     CF: Fn(&K, &K) -> Ordering,
 {
-    sort_stream(disk, records.into_iter().map(Ok), memory_pages, &key, &cmp)
+    let mut run_gen = RunGen::new(disk, memory_pages, &key, &cmp);
+    for rec in records {
+        run_gen.push(&rec)?;
+    }
+    run_gen.finish()
 }
 
-fn sort_stream<I, K, KF, CF>(
-    disk: &SimDisk,
-    records: I,
+/// One run-generation batch: the records' bytes back to back in one arena,
+/// and per record its key (`()` before keying) and its span in the arena.
+struct Batch<K> {
+    arena: Vec<u8>,
+    entries: Vec<(K, usize, usize)>,
+}
+
+impl<K> Batch<K> {
+    fn new() -> Batch<K> {
+        Batch { arena: Vec::new(), entries: Vec::new() }
+    }
+
+    /// Appends one record's bytes with its key.
+    fn push(&mut self, rec: &[u8], key: K) {
+        self.entries.push((key, self.arena.len(), rec.len()));
+        self.arena.extend_from_slice(rec);
+    }
+
+    fn record(&self, start: usize, len: usize) -> &[u8] {
+        &self.arena[start..start + len]
+    }
+
+    /// Quicksorts the entries on their keys and spills the batch as a run,
+    /// leaving the batch empty (its buffers keep their capacity).
+    fn write_run<CF>(&mut self, disk: &SimDisk, cmp: &CF, comparisons: &mut u64) -> Result<HeapFile>
+    where
+        CF: Fn(&K, &K) -> Ordering,
+    {
+        self.entries.sort_by(|a, b| {
+            *comparisons += 1;
+            cmp(&a.0, &b.0)
+        });
+        let run = HeapFile::create(disk);
+        run.load(self.entries.iter().map(|&(_, start, len)| self.record(start, len)))?;
+        self.arena.clear();
+        self.entries.clear();
+        Ok(run)
+    }
+}
+
+impl Batch<()> {
+    /// Keys every record of an unkeyed batch, keeping the arena.
+    fn keyed<K, KF>(self, key: &KF) -> Result<Batch<K>>
+    where
+        KF: Fn(&[u8]) -> Result<K>,
+    {
+        let entries = self
+            .entries
+            .iter()
+            .map(|&((), start, len)| Ok((key(self.record(start, len))?, start, len)))
+            .collect::<Result<_>>()?;
+        Ok(Batch { arena: self.arena, entries })
+    }
+}
+
+/// Serial run generation: keys each record as it arrives, cuts a batch when
+/// its arena reaches the byte budget, and spills it as a run.
+struct RunGen<'a, K, KF, CF> {
+    disk: &'a SimDisk,
     memory_pages: usize,
-    key: &KF,
-    cmp: &CF,
-) -> Result<(HeapFile, SortStats)>
+    budget_bytes: usize,
+    key: &'a KF,
+    cmp: &'a CF,
+    batch: Batch<K>,
+    runs: Vec<HeapFile>,
+    comparisons: u64,
+    started: Instant,
+}
+
+impl<'a, K, KF, CF> RunGen<'a, K, KF, CF>
 where
-    I: Iterator<Item = Result<Vec<u8>>>,
     KF: Fn(&[u8]) -> Result<K>,
     CF: Fn(&K, &K) -> Ordering,
 {
-    let memory_pages = memory_pages.max(2);
-    let budget_bytes = memory_pages * disk.page_size();
-    let mut comparisons: u64 = 0;
-
-    // --- Run generation ----------------------------------------------------
-    let mut runs: Vec<HeapFile> = Vec::new();
-    let mut batch: Vec<(K, Vec<u8>)> = Vec::new();
-    let mut batch_bytes = 0usize;
-    for rec in records {
-        let rec = rec?;
-        batch_bytes += rec.len();
-        batch.push((key(&rec)?, rec));
-        if batch_bytes >= budget_bytes {
-            runs.push(write_run(disk, &mut batch, cmp, &mut comparisons)?);
-            batch_bytes = 0;
+    fn new(disk: &'a SimDisk, memory_pages: usize, key: &'a KF, cmp: &'a CF) -> Self {
+        let memory_pages = memory_pages.max(2);
+        RunGen {
+            disk,
+            memory_pages,
+            budget_bytes: memory_pages * disk.page_size(),
+            key,
+            cmp,
+            batch: Batch::new(),
+            runs: Vec::new(),
+            comparisons: 0,
+            started: Instant::now(),
         }
     }
-    if !batch.is_empty() {
-        runs.push(write_run(disk, &mut batch, cmp, &mut comparisons)?);
+
+    fn push(&mut self, rec: &[u8]) -> Result<()> {
+        self.batch.push(rec, (self.key)(rec)?);
+        if self.batch.arena.len() >= self.budget_bytes {
+            let run = self.batch.write_run(self.disk, self.cmp, &mut self.comparisons)?;
+            self.runs.push(run);
+        }
+        Ok(())
     }
-    merge_runs(disk, runs, memory_pages, key, cmp, comparisons)
+
+    /// Spills the last partial batch and merges the runs.
+    fn finish(mut self) -> Result<(HeapFile, SortStats)> {
+        if !self.batch.entries.is_empty() {
+            let run = self.batch.write_run(self.disk, self.cmp, &mut self.comparisons)?;
+            self.runs.push(run);
+        }
+        let gen_time = self.started.elapsed();
+        merge_runs(
+            self.disk,
+            self.runs,
+            self.memory_pages,
+            self.key,
+            self.cmp,
+            self.comparisons,
+            gen_time,
+        )
+    }
 }
 
 /// Multi-threaded variant of [`external_sort`]: `threads` workers extract
@@ -142,7 +261,7 @@ where
 /// batches performs identical comparisons), workers only key, sort, and
 /// write whole runs (same page counts, merged in batch order), and the k-way
 /// merge stays serial. The price is working memory: up to `threads + 1`
-/// batches (each `memory_pages` big) are in flight at once, a deliberate
+/// batch arenas (each `memory_pages` big) are in flight at once, a deliberate
 /// trade so parallel results and accounting stay bit-identical to serial
 /// (see DESIGN.md).
 pub fn external_sort_parallel<K, KF, CF>(
@@ -161,16 +280,17 @@ where
     if threads <= 1 {
         return external_sort(disk, input, memory_pages, key, cmp);
     }
+    let started = Instant::now();
     let memory_pages = memory_pages.max(2);
     let budget_bytes = memory_pages * disk.page_size();
 
     // --- Parallel run generation -------------------------------------------
-    // Rendezvous channel: the producer hands a full batch of raw records
+    // Rendezvous channel: the producer hands a full unkeyed arena batch
     // straight to an idle worker, so at most `threads` batches are being
     // keyed and sorted while one more is being accumulated.
     let comparisons = AtomicU64::new(0);
     let finished: Mutex<Vec<(usize, Result<HeapFile>)>> = Mutex::new(Vec::new());
-    let (tx, rx) = mpsc::sync_channel::<(usize, Vec<Vec<u8>>)>(0);
+    let (tx, rx) = mpsc::sync_channel::<(usize, Batch<()>)>(0);
     let rx = Mutex::new(rx);
 
     let scan_result: Result<()> = std::thread::scope(|scope| {
@@ -179,11 +299,8 @@ where
                 let msg = rx.lock().expect("sort channel lock").recv();
                 let Ok((index, batch)) = msg else { break };
                 let mut local: u64 = 0;
-                let res = batch
-                    .into_iter()
-                    .map(|rec| Ok((key(&rec)?, rec)))
-                    .collect::<Result<Vec<_>>>()
-                    .and_then(|mut keyed| write_run(disk, &mut keyed, &cmp, &mut local));
+                let res =
+                    batch.keyed(&key).and_then(|mut keyed| keyed.write_run(disk, &cmp, &mut local));
                 comparisons.fetch_add(local, atomic::Ordering::Relaxed);
                 finished.lock().expect("sort slot lock").push((index, res));
             });
@@ -192,20 +309,18 @@ where
         // exactly the byte budget, as in the serial path.
         let producer = || -> Result<()> {
             let pool = BufferPool::new(disk, 1);
-            let mut batch: Vec<Vec<u8>> = Vec::new();
-            let mut batch_bytes = 0usize;
+            let mut scan = pool.scan(input);
+            let mut batch: Batch<()> = Batch::new();
             let mut next_index = 0usize;
-            for rec in pool.scan(input) {
-                let rec = rec?;
-                batch_bytes += rec.len();
-                batch.push(rec);
-                if batch_bytes >= budget_bytes {
-                    tx.send((next_index, std::mem::take(&mut batch))).expect("sort workers alive");
+            while let Some(rec) = scan.next_record() {
+                batch.push(rec?, ());
+                if batch.arena.len() >= budget_bytes {
+                    let full = std::mem::replace(&mut batch, Batch::new());
+                    tx.send((next_index, full)).expect("sort workers alive");
                     next_index += 1;
-                    batch_bytes = 0;
                 }
             }
-            if !batch.is_empty() {
+            if !batch.entries.is_empty() {
                 tx.send((next_index, batch)).expect("sort workers alive");
             }
             Ok(())
@@ -219,29 +334,9 @@ where
     let mut slots = finished.into_inner().expect("sort slot lock");
     slots.sort_by_key(|(index, _)| *index);
     let runs = slots.into_iter().map(|(_, res)| res).collect::<Result<Vec<_>>>()?;
+    let gen_time = started.elapsed();
     // --- Merge passes: identical to the serial path ------------------------
-    merge_runs(disk, runs, memory_pages, &key, &cmp, comparisons.into_inner())
-}
-
-/// Quicksorts one batch on its keys and spills it as a run, leaving the
-/// batch empty.
-fn write_run<K, CF>(
-    disk: &SimDisk,
-    batch: &mut Vec<(K, Vec<u8>)>,
-    cmp: &CF,
-    comparisons: &mut u64,
-) -> Result<HeapFile>
-where
-    CF: Fn(&K, &K) -> Ordering,
-{
-    batch.sort_by(|a, b| {
-        *comparisons += 1;
-        cmp(&a.0, &b.0)
-    });
-    let run = HeapFile::create(disk);
-    run.load(batch.iter().map(|(_, rec)| rec))?;
-    batch.clear();
-    Ok(run)
+    merge_runs(disk, runs, memory_pages, &key, &cmp, comparisons.into_inner(), gen_time)
 }
 
 /// Merges the initial runs, `memory_pages − 1` at a time, until one sorted
@@ -253,11 +348,13 @@ fn merge_runs<K, KF, CF>(
     key: &KF,
     cmp: &CF,
     mut comparisons: u64,
+    gen_time: Duration,
 ) -> Result<(HeapFile, SortStats)>
 where
     KF: Fn(&[u8]) -> Result<K>,
     CF: Fn(&K, &K) -> Ordering,
 {
+    let started = Instant::now();
     let initial_runs = runs.len();
     let fan_in = (memory_pages - 1).max(2);
     let mut merge_passes = 0usize;
@@ -270,7 +367,8 @@ where
         runs = next;
     }
     let sorted = runs.pop().unwrap_or_else(|| HeapFile::create(disk));
-    Ok((sorted, SortStats { initial_runs, merge_passes, comparisons }))
+    let merge_time = started.elapsed();
+    Ok((sorted, SortStats { initial_runs, merge_passes, comparisons, gen_time, merge_time }))
 }
 
 fn merge_group<K, KF, CF>(
@@ -288,32 +386,34 @@ where
     if group.len() == 1 {
         return Ok(group[0].clone());
     }
-    // The next record of a run, keyed as it is read.
-    let read_head = |cur: &mut RecordScan<'_>| -> Result<Option<(K, Vec<u8>)>> {
-        match cur.next() {
+    // Reads a run's next record into that run's head buffer and keys it.
+    let read_head = |cur: &mut RecordScan<'_>, buf: &mut Vec<u8>| -> Result<Option<K>> {
+        match cur.next_record() {
             None => Ok(None),
             Some(rec) => {
-                let rec = rec?;
-                Ok(Some((key(&rec)?, rec)))
+                buf.clear();
+                buf.extend_from_slice(rec?);
+                key(buf).map(Some)
             }
         }
     };
     // One frame per input run plus one output page held by the bulk writer.
     let pool = BufferPool::new(disk, memory_pages.max(group.len() + 1));
     let mut cursors: Vec<RecordScan<'_>> = group.iter().map(|r| pool.scan(r)).collect();
-    // Owned head record and its key per run; linear min scan per output
-    // record. Fan-in is small enough that a tournament tree is not worth its
-    // complexity here.
-    let mut heads: Vec<Option<(K, Vec<u8>)>> = Vec::with_capacity(cursors.len());
-    for cur in &mut cursors {
-        heads.push(read_head(cur)?);
+    // Per run: its head record's bytes in a reused buffer, and the head's
+    // key; a linear min scan over the keys per output record. Fan-in is
+    // small enough that a tournament tree is not worth its complexity here.
+    let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); cursors.len()];
+    let mut heads: Vec<Option<K>> = Vec::with_capacity(cursors.len());
+    for (cur, buf) in cursors.iter_mut().zip(&mut bufs) {
+        heads.push(read_head(cur, buf)?);
     }
     let out = HeapFile::create(disk);
     let mut w = out.bulk_writer();
     loop {
         let mut min: Option<(usize, &K)> = None;
         for (i, head) in heads.iter().enumerate() {
-            let Some((k, _)) = head else { continue };
+            let Some(k) = head else { continue };
             min = match min {
                 None => Some((i, k)),
                 Some((m, mk)) => {
@@ -327,10 +427,8 @@ where
             };
         }
         let Some((i, _)) = min else { break };
-        if let Some((_, rec)) = heads[i].take() {
-            w.append(&rec)?;
-        }
-        heads[i] = read_head(&mut cursors[i])?;
+        w.append(&bufs[i])?;
+        heads[i] = read_head(&mut cursors[i], &mut bufs[i])?;
     }
     w.finish()?;
     Ok(out)
@@ -360,7 +458,12 @@ mod tests {
 
     fn read_records(disk: &SimDisk, f: &HeapFile) -> Vec<Vec<u8>> {
         let pool = BufferPool::new(disk, 4);
-        pool.scan(f).map(|r| r.unwrap()).collect()
+        let mut scan = pool.scan(f);
+        let mut out = Vec::new();
+        while let Some(rec) = scan.next_record() {
+            out.push(rec.unwrap().to_vec());
+        }
+        out
     }
 
     fn read_all(disk: &SimDisk, f: &HeapFile) -> Vec<u32> {
@@ -373,14 +476,33 @@ mod tests {
     mod reference {
         use super::super::*;
 
+        /// A stream of owned records: the reference reads a heap file
+        /// through the lending cursor, copying each record, or takes records
+        /// that are already owned.
+        pub(super) trait OwnedRecords {
+            fn next_owned(&mut self) -> Option<Result<Vec<u8>>>;
+        }
+
+        impl OwnedRecords for RecordScan<'_> {
+            fn next_owned(&mut self) -> Option<Result<Vec<u8>>> {
+                self.next_record().map(|r| r.map(<[u8]>::to_vec))
+            }
+        }
+
+        impl<I: Iterator<Item = Result<Vec<u8>>>> OwnedRecords for I {
+            fn next_owned(&mut self) -> Option<Result<Vec<u8>>> {
+                self.next()
+            }
+        }
+
         pub(super) fn sort_stream<I, F>(
             disk: &SimDisk,
-            records: I,
+            mut records: I,
             memory_pages: usize,
             mut cmp: F,
         ) -> Result<(HeapFile, SortStats)>
         where
-            I: Iterator<Item = Result<Vec<u8>>>,
+            I: OwnedRecords,
             F: FnMut(&[u8], &[u8]) -> Ordering,
         {
             let memory_pages = memory_pages.max(2);
@@ -399,7 +521,7 @@ mod tests {
                 batch.clear();
                 Ok(run)
             };
-            for rec in records {
+            while let Some(rec) = records.next_owned() {
                 let rec = rec?;
                 batch_bytes += rec.len();
                 batch.push(rec);
@@ -412,11 +534,15 @@ mod tests {
                 runs.push(flush(&mut batch, &mut comparisons)?);
             }
             let initial_runs = runs.len();
+            let stats = |initial_runs, merge_passes, comparisons| SortStats {
+                initial_runs,
+                merge_passes,
+                comparisons,
+                gen_time: Duration::ZERO,
+                merge_time: Duration::ZERO,
+            };
             if runs.is_empty() {
-                return Ok((
-                    HeapFile::create(disk),
-                    SortStats { initial_runs: 0, merge_passes: 0, comparisons },
-                ));
+                return Ok((HeapFile::create(disk), stats(0, 0, comparisons)));
             }
             let fan_in = (memory_pages - 1).max(2);
             let mut merge_passes = 0usize;
@@ -429,7 +555,7 @@ mod tests {
                 runs = next;
             }
             let sorted = runs.pop().unwrap();
-            Ok((sorted, SortStats { initial_runs, merge_passes, comparisons }))
+            Ok((sorted, stats(initial_runs, merge_passes, comparisons)))
         }
 
         fn merge_group<F>(
@@ -449,7 +575,7 @@ mod tests {
             let mut cursors: Vec<RecordScan<'_>> = group.iter().map(|r| pool.scan(r)).collect();
             let mut heads: Vec<Option<Vec<u8>>> = Vec::with_capacity(cursors.len());
             for cur in &mut cursors {
-                heads.push(cur.next().transpose()?);
+                heads.push(cur.next_owned().transpose()?);
             }
             let out = HeapFile::create(disk);
             let mut w = out.bulk_writer();
@@ -469,7 +595,7 @@ mod tests {
                 }
                 let Some(i) = min_idx else { break };
                 w.append(&heads[i].take().unwrap())?;
-                heads[i] = cursors[i].next().transpose()?;
+                heads[i] = cursors[i].next_owned().transpose()?;
             }
             w.finish()?;
             Ok(out)

@@ -2,7 +2,7 @@
 //! ANALYZE`): relations between counters that must hold for every query, on
 //! every strategy, at every thread count.
 
-use fuzzy_db::engine::{Engine, QueryOutcome, Strategy};
+use fuzzy_db::engine::{Engine, ExecConfig, OpKind, QueryOutcome, Strategy};
 use fuzzy_db::rel::Catalog;
 use fuzzy_db::storage::SimDisk;
 use fuzzy_db::workload::{generate, paper, WorkloadSpec};
@@ -256,6 +256,40 @@ fn explain_analyze_covers_every_query_class() {
             assert!(text.contains("[naive] naive-eval"), "{class}: {text}");
         }
     }
+}
+
+/// Every `[sort]` line of `EXPLAIN ANALYZE` splits the sort's wall time into
+/// run generation and merging: the line prints both next to `t=`, and the
+/// two phases fit inside the operator's own time — exactly on the recorded
+/// durations, and up to the rounding of three printed decimals on the text.
+#[test]
+fn sort_lines_split_wall_time_into_generation_and_merge() {
+    let (catalog, disk) = workload_db(600, 5);
+    let config = ExecConfig { sort_pages: 2, ..Default::default() };
+    let engine = Engine::over(catalog.into(), &disk).with_config(config);
+    let (mut sorts, mut merged) = (0, 0);
+    for (class, sql) in CLASS_CORPUS {
+        let (text, outcome) = engine.explain_analyze(sql).unwrap();
+        let lines: Vec<&str> =
+            text.lines().filter(|l| l.trim_start().starts_with("[sort]")).collect();
+        let nodes: Vec<_> =
+            outcome.metrics.ops().iter().filter(|n| n.kind == OpKind::Sort).collect();
+        assert_eq!(lines.len(), nodes.len(), "{class}: {text}");
+        for (line, node) in lines.iter().zip(nodes) {
+            let ms = |tag: &str| -> f64 {
+                let at = line.find(&format!(" {tag}=")).unwrap_or_else(|| panic!("{tag}: {line}"));
+                let rest = &line[at + tag.len() + 2..];
+                rest[..rest.find("ms").unwrap()].parse().unwrap()
+            };
+            let (t, generation, merge) = (ms("t"), ms("gen"), ms("merge"));
+            assert!(generation + merge <= t + 0.002, "{class}: {line}");
+            let p = node.sort_phases;
+            assert!(p.generation + p.merge <= node.wall, "{class}: {p:?} vs {:?}", node.wall);
+            sorts += 1;
+            merged += usize::from(!p.merge.is_zero());
+        }
+    }
+    assert!(sorts > 0 && merged > 0, "{sorts} sorts, {merged} with a timed merge");
 }
 
 /// Shapes only the naive fallback serves: EXISTS, a grouped aggregate over a
