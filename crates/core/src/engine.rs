@@ -5,9 +5,10 @@
 //! cache, serving counters), so it is `Send + Sync` and can be constructed
 //! per statement without borrowing the database for its lifetime. A serving
 //! layer (see the `fuzzy-db` facade) hands every session an engine over the
-//! current catalog snapshot and the database's one context; DDL/DML swaps in
-//! a new snapshot and bumps the catalog version, which invalidates cached
-//! plans. A standalone engine ([`Engine::over`]) gets a private context and
+//! current catalog snapshot and the database's one context. DDL, DEFINE
+//! TERM and ANALYZE bump the catalog's schema version, which invalidates
+//! cached plans; data writes do not, because a cached plan binds its tables
+//! through the snapshot of the statement that runs it. A standalone engine ([`Engine::over`]) gets a private context and
 //! takes the same path.
 
 use crate::error::{EngineError, Result};
@@ -106,7 +107,7 @@ pub struct EngineContext {
     pub disk: SimDisk,
     /// Column histograms, built on first use and reused across statements.
     pub statistics: StatsRegistry,
-    /// Verified operator trees by normalized SQL, strategy and catalog
+    /// Verified operator trees by normalized SQL, strategy and schema
     /// version.
     pub plan_cache: PlanCache,
     /// Statements in flight, peak, totals and lock wait.
@@ -198,7 +199,8 @@ impl Engine {
     /// tree that was verified. A shape outside the unnesting catalogue plans
     /// as the naive fallback under [`Strategy::Unnest`] and is `Unsupported`
     /// under the baselines. [`Strategy::Naive`] has no plan; its statements
-    /// never come here.
+    /// never come here. Entries are keyed on the catalog's schema version:
+    /// data writes keep them live, DDL, DEFINE TERM and ANALYZE retire them.
     fn plan_with(
         &self,
         q: &fuzzy_sql::Query,
@@ -206,9 +208,9 @@ impl Engine {
     ) -> Result<(Planned, ServingInfo)> {
         let cache = &self.ctx.plan_cache;
         let key = PlanCache::key(q, strategy, &self.config);
-        let version = self.catalog.version();
+        let schema_version = self.catalog.schema_version();
         let mut info = ServingInfo::default();
-        let planned = match cache.lookup(&key, version) {
+        let planned = match cache.lookup(&key, schema_version) {
             Some(planned) => {
                 info.cache_hit = Some(true);
                 planned
@@ -218,7 +220,8 @@ impl Engine {
                     Ok(plan) => {
                         info.plan_verifications = 1;
                         let stats = Some(&self.ctx.statistics);
-                        let verified = VerifiedPlan::new(&plan, strategy, &self.config, stats)?;
+                        let verified =
+                            VerifiedPlan::new(&plan, strategy, &self.config, &self.catalog, stats)?;
                         Planned::Plan(Arc::new(verified))
                     }
                     Err(EngineError::Unsupported(_)) if strategy == Strategy::Unnest => {
@@ -226,7 +229,7 @@ impl Engine {
                     }
                     Err(e) => return Err(e),
                 };
-                cache.insert(key, version, planned.clone());
+                cache.insert(key, schema_version, planned.clone());
                 info.cache_hit = Some(false);
                 planned
             }
@@ -296,7 +299,7 @@ impl Engine {
         self.measured(q, info, || match planned {
             Planned::Plan(plan) => {
                 let mut ex = Executor::new(&self.ctx.disk, self.config);
-                let answer = ex.run(plan)?;
+                let answer = ex.run(plan, &self.catalog)?;
                 Ok((answer, ex.take_metrics(), plan.label().to_string()))
             }
             Planned::NaiveFallback => {
@@ -401,6 +404,7 @@ impl Engine {
                 &plan,
                 Strategy::Unnest,
                 &self.config,
+                &self.catalog,
                 Some(&self.ctx.statistics),
             ))),
             Err(EngineError::Unsupported(_)) => Ok(None),

@@ -21,12 +21,13 @@ pub enum EngineError {
     /// Static plan verification rejected the plan (a transformer or
     /// optimizer bug — see `fuzzy_engine::verify`).
     Verify(String),
-    /// A prepared statement's pinned plan was built against an older catalog
-    /// version; the statement must be re-prepared.
+    /// A prepared statement's pinned plan was built against an older schema
+    /// version (DDL, DEFINE TERM or ANALYZE ran since); the statement must be
+    /// re-prepared.
     StalePlan {
-        /// Catalog version the plan was prepared against.
+        /// Schema version the plan was prepared against.
         planned_version: u64,
-        /// Catalog version at execution time.
+        /// The catalog's schema version at execution time.
         catalog_version: u64,
     },
 }
@@ -42,7 +43,7 @@ impl fmt::Display for EngineError {
             EngineError::Verify(msg) => write!(f, "plan verification failed: {msg}"),
             EngineError::StalePlan { planned_version, catalog_version } => write!(
                 f,
-                "prepared plan is stale: planned against catalog version \
+                "prepared plan is stale: planned against schema version \
                  {planned_version}, catalog is now at {catalog_version}; re-prepare the statement"
             ),
         }

@@ -83,11 +83,11 @@ pub(crate) struct Layout {
 
 impl Layout {
     pub(crate) fn of_table(t: &PlanTable) -> Layout {
-        Layout { parts: vec![(t.binding.clone(), t.table.schema().clone())] }
+        Layout { parts: vec![(t.binding.clone(), t.schema.clone())] }
     }
 
     pub(crate) fn push(&mut self, t: &PlanTable) {
-        self.parts.push((t.binding.clone(), t.table.schema().clone()));
+        self.parts.push((t.binding.clone(), t.schema.clone()));
     }
 
     pub(crate) fn resolve(&self, c: &PlanCol) -> Result<usize> {

@@ -2,7 +2,9 @@
 //! tuple degrees, materializing only the positive survivors ("only those
 //! tuples that satisfy p_i positively should be sorted" — Section 3). A
 //! pushed-down `WITH D > z` bound additionally prunes tuples already below
-//! the threshold.
+//! the threshold. The scan is where a plan meets the data: it binds its
+//! table's name through the statement's catalog snapshot, so a cached plan
+//! reads the table's current file.
 
 use crate::error::Result;
 use crate::exec::{Executor, Layout};
@@ -10,7 +12,7 @@ use crate::metrics::{OpKind, OperatorMetrics};
 use crate::plan::PlanTable;
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::Degree;
-use fuzzy_rel::StoredTable;
+use fuzzy_rel::{Catalog, StoredTable};
 
 /// The scan's property declaration: no inputs, delivers the table binding's
 /// columns and the pushed-down degree bound.
@@ -28,20 +30,23 @@ impl Executor {
     /// survivors. `min_degree` additionally prunes tuples that can never
     /// survive a pushed-down `WITH` threshold (their degree already falls
     /// below it, and fuzzy AND cannot recover). With no predicates and no
-    /// bound the table is passed through untouched.
+    /// bound the table is passed through untouched. The table is the one
+    /// `catalog` — the statement's snapshot — holds under the plan's name.
     pub(crate) fn filter_scan(
         &mut self,
         t: &PlanTable,
+        catalog: &Catalog,
         min_degree: Degree,
         label: String,
     ) -> Result<StoredTable> {
+        let table = t.stored(catalog)?;
         let g = self.begin_op(OpKind::Scan, label);
         if t.local_preds.is_empty() && !min_degree.is_positive() {
             let m = self.metrics.op_mut(g.id);
-            m.tuples_in = t.table.num_tuples();
-            m.tuples_out = t.table.num_tuples();
+            m.tuples_in = table.num_tuples();
+            m.tuples_out = table.num_tuples();
             self.end_op(g);
-            return Ok(t.table.clone());
+            return Ok(table.clone());
         }
         let layout = Layout::of_table(t);
         let preds = layout.bind_all(&t.local_preds)?;
@@ -50,12 +55,12 @@ impl Executor {
         let out = StoredTable::create_padded(
             &self.disk,
             name,
-            t.table.schema().clone(),
-            t.table.min_record_bytes(),
+            table.schema().clone(),
+            table.min_record_bytes(),
         );
         let mut w = out.file().bulk_writer();
         let mut m = OperatorMetrics::default();
-        for tuple in t.table.scan(&pool) {
+        for tuple in table.scan(&pool) {
             let mut tuple = tuple?;
             m.tuples_in += 1;
             let mut d = tuple.degree;

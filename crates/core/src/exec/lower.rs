@@ -7,7 +7,10 @@
 //!
 //! Lowering is *infallible*: all name resolution and binding that can fail
 //! is deferred to when each operator runs, so `EXPLAIN`/`EXPLAIN VERIFY` can
-//! render and check a tree without touching the catalog or the disk.
+//! render and check a tree without touching the disk. The catalog snapshot
+//! it is given supplies only the cardinalities the join reorder ranks
+//! tables by; the tree names its tables and holds no file, so a cached tree
+//! runs against whatever data the executing statement's snapshot holds.
 //!
 //! Lowering takes the statement's [`Strategy`]. Under the two nested-loop
 //! baselines there is no push-down (α = 0) and no merge driver, so every
@@ -23,6 +26,7 @@ use crate::plan::{AggPlan, AntiPlan, FlatPlan, PlanCol, PlanCompare, PlanTable, 
 use crate::stats_histogram::StatsRegistry;
 use crate::verify::{Outline, PhysOp};
 use fuzzy_core::{CmpOp, Degree};
+use fuzzy_rel::Catalog;
 use fuzzy_sql::Threshold;
 
 pub(crate) use crate::exec::agg::AggMode;
@@ -162,9 +166,10 @@ pub(crate) fn lower(
     plan: &UnnestPlan,
     strategy: Strategy,
     config: &ExecConfig,
+    catalog: &Catalog,
     stats: Option<&StatsRegistry>,
 ) -> Lowered {
-    let plan = effective_plan(plan, config, stats);
+    let plan = effective_plan(plan, config, catalog, stats);
     let alpha = if strategy.is_baseline() {
         Degree::ZERO
     } else {
@@ -184,11 +189,7 @@ pub(crate) fn lower(
 /// operators; every other strategy filters at the scan.
 fn split_local(t: &PlanTable, strategy: Strategy) -> (PlanTable, Vec<PlanCompare>) {
     if strategy == Strategy::NestedLoop {
-        let scanned = PlanTable {
-            binding: t.binding.clone(),
-            table: t.table.clone(),
-            local_preds: Vec::new(),
-        };
+        let scanned = PlanTable { local_preds: Vec::new(), ..t.clone() };
         (scanned, t.local_preds.clone())
     } else {
         (t.clone(), Vec::new())
@@ -196,17 +197,18 @@ fn split_local(t: &PlanTable, strategy: Strategy) -> (PlanTable, Vec<PlanCompare
 }
 
 /// The plan as the executor will actually run it: multi-way flat joins are
-/// reordered through the optimizer entry point with the same statistics the
-/// executor sees.
+/// reordered through the optimizer entry point with the cardinalities of
+/// `catalog` and the same statistics the executor sees.
 fn effective_plan(
     plan: &UnnestPlan,
     config: &ExecConfig,
+    catalog: &Catalog,
     stats: Option<&StatsRegistry>,
 ) -> UnnestPlan {
     match plan {
         UnnestPlan::Flat(p) if config.reorder_joins && p.tables.len() > 2 => {
             let mut reordered = p.clone();
-            crate::optimizer::reorder_joins_with(&mut reordered, stats);
+            crate::optimizer::reorder_joins_with(&mut reordered, catalog, stats);
             UnnestPlan::Flat(reordered)
         }
         other => other.clone(),

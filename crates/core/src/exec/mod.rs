@@ -40,7 +40,7 @@ use crate::error::Result;
 use crate::metrics::{OpKind, OperatorMetrics, QueryMetrics};
 use crate::verify::VerifiedPlan;
 use fuzzy_core::Degree;
-use fuzzy_rel::{Relation, StoredTable};
+use fuzzy_rel::{Catalog, Relation, StoredTable};
 use fuzzy_storage::{BufferPool, IoSnapshot, SimDisk};
 use std::time::Instant;
 
@@ -223,9 +223,11 @@ impl Executor {
     /// Drives a verified operator tree to completion (see `op::drive`),
     /// resetting the metrics registry. The tree was lowered and verified
     /// when the [`VerifiedPlan`] was built; nothing is lowered again here.
-    pub fn run(&mut self, plan: &VerifiedPlan) -> Result<Relation> {
+    /// Its scans bind their tables by name through `catalog`, the
+    /// statement's snapshot, so a cached plan reads the data of this run.
+    pub fn run(&mut self, plan: &VerifiedPlan, catalog: &Catalog) -> Result<Relation> {
         self.metrics_reset();
-        op::drive(self, plan.lowered())
+        op::drive(self, plan.lowered(), catalog)
     }
 }
 
@@ -238,7 +240,7 @@ mod tests {
     use fuzzy_rel::{AttrType, Attribute, Schema, StoredTable, Tuple};
     use fuzzy_sql::AggFunc;
 
-    fn table(disk: &SimDisk, name: &str, xs: &[(f64, f64)]) -> PlanTable {
+    fn table(disk: &SimDisk, name: &str, xs: &[(f64, f64)]) -> StoredTable {
         // Tuples (ID, X) where X is a rectangle [lo, hi].
         let t = StoredTable::create(
             disk,
@@ -255,14 +257,14 @@ mod tests {
             ])
         }))
         .unwrap();
-        PlanTable { binding: name.to_string(), table: t, local_preds: Vec::new() }
+        t
     }
 
     #[test]
     fn layout_resolution_and_projection() {
         let disk = SimDisk::with_default_page_size();
-        let r = table(&disk, "R", &[]);
-        let s = table(&disk, "S", &[]);
+        let r = PlanTable::new("R", &table(&disk, "R", &[]));
+        let s = PlanTable::new("S", &table(&disk, "S", &[]));
         let mut layout = Layout::of_table(&r);
         layout.push(&s);
         assert_eq!(layout.resolve(&PlanCol { binding: "R".into(), attr: 1 }).unwrap(), 1);
@@ -281,8 +283,8 @@ mod tests {
     #[test]
     fn bound_compare_eval_pair_spans_both_sides() {
         let disk = SimDisk::with_default_page_size();
-        let r = table(&disk, "R", &[]);
-        let s = table(&disk, "S", &[]);
+        let r = PlanTable::new("R", &table(&disk, "R", &[]));
+        let s = PlanTable::new("S", &table(&disk, "S", &[]));
         let mut layout = Layout::of_table(&r);
         layout.push(&s);
         let p = layout
@@ -308,10 +310,8 @@ mod tests {
         let r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0), (20.0, 21.0)]);
         let s = table(&disk, "S", &[(0.0, 2.0), (9.0, 12.0), (15.0, 30.0), (40.0, 41.0)]);
         let mut ex = Executor::new(&disk, ExecConfig::default());
-        let sorted_r =
-            ex.sort_table(&r.table, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
-        let sorted_s =
-            ex.sort_table(&s.table, 1, Degree::ZERO, "sort S by #1".to_string()).unwrap();
+        let sorted_r = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
+        let sorted_s = ex.sort_table(&s, 1, Degree::ZERO, "sort S by #1".to_string()).unwrap();
         let mut windows: Vec<(f64, Vec<f64>)> = Vec::new();
         ex.merge_window(
             &sorted_r,
@@ -339,10 +339,10 @@ mod tests {
         // a storage error instead of panicking, serial and parallel alike.
         let disk = SimDisk::with_default_page_size();
         let r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0), (20.0, 21.0)]);
-        r.table.file().load([[0u8; 3]]).unwrap();
+        r.file().load([[0u8; 3]]).unwrap();
         for threads in [1, 2] {
             let mut ex = Executor::new(&disk, ExecConfig { threads, ..ExecConfig::default() });
-            let err = ex.sort_table(&r.table, 1, Degree::ZERO, "sort R by #1".to_string());
+            let err = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string());
             assert!(
                 matches!(
                     err,
@@ -361,10 +361,8 @@ mod tests {
         let r = table(&disk, "R", &[(0.0, 1.0), (50.0, 51.0), (99.0, 100.0)]);
         let s = table(&disk, "S", &[(0.0, 100.0)]);
         let mut ex = Executor::new(&disk, ExecConfig::default());
-        let sorted_r =
-            ex.sort_table(&r.table, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
-        let sorted_s =
-            ex.sort_table(&s.table, 1, Degree::ZERO, "sort S by #1".to_string()).unwrap();
+        let sorted_r = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
+        let sorted_s = ex.sort_table(&s, 1, Degree::ZERO, "sort S by #1".to_string()).unwrap();
         let mut count = 0;
         ex.merge_window(
             &sorted_r,
@@ -396,10 +394,8 @@ mod tests {
         let r = table(&disk, "R", &[(10.0, 100.0), (12.0, 20.0)]);
         let s = table(&disk, "S", &[(50.0, 60.0)]);
         let mut ex = Executor::new(&disk, ExecConfig::default());
-        let sorted_r =
-            ex.sort_table(&r.table, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
-        let sorted_s =
-            ex.sort_table(&s.table, 1, Degree::ZERO, "sort S by #1".to_string()).unwrap();
+        let sorted_r = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
+        let sorted_s = ex.sort_table(&s, 1, Degree::ZERO, "sort S by #1".to_string()).unwrap();
         let mut seen = Vec::new();
         ex.merge_window(
             &sorted_r,
@@ -425,7 +421,7 @@ mod tests {
         let disk = SimDisk::with_default_page_size();
         let r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0)]);
         let mut ex = Executor::new(&disk, ExecConfig::default());
-        let sorted = ex.sort_table(&r.table, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
+        let sorted = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
         let _ = sorted;
         let ops = ex.metrics().ops();
         assert_eq!(ops.len(), 1);
@@ -502,18 +498,46 @@ mod tests {
     #[test]
     fn filter_scan_passthrough_and_reduction() {
         let disk = SimDisk::with_default_page_size();
-        let mut r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0)]);
+        let stored = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0)]);
+        let mut r = PlanTable::new("R", &stored);
+        let mut catalog = Catalog::new();
+        catalog.register(stored.clone());
         let mut ex = Executor::new(&disk, ExecConfig::default());
         // No predicates: the very same file is reused.
-        let same = ex.filter_scan(&r, Degree::ZERO, "scan R".to_string()).unwrap();
-        assert_eq!(same.num_pages(), r.table.num_pages());
+        let same = ex.filter_scan(&r, &catalog, Degree::ZERO, "scan R".to_string()).unwrap();
+        assert_eq!(same.num_pages(), stored.num_pages());
         // With a predicate, only survivors are materialized.
         r.local_preds.push(PlanCompare::new(
             PlanOperand::Col(PlanCol { binding: "R".into(), attr: 0 }),
             CmpOp::Ge,
             PlanOperand::Const(Value::number(1.0)),
         ));
-        let reduced = ex.filter_scan(&r, Degree::ZERO, "scan R".to_string()).unwrap();
+        let reduced = ex.filter_scan(&r, &catalog, Degree::ZERO, "scan R".to_string()).unwrap();
         assert_eq!(reduced.num_tuples(), 1);
+    }
+
+    #[test]
+    fn filter_scan_binds_the_table_through_the_snapshot() {
+        let disk = SimDisk::with_default_page_size();
+        let stored = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0)]);
+        let r = PlanTable::new("R", &stored);
+        let mut catalog = Catalog::new();
+        catalog.register(stored);
+        let mut ex = Executor::new(&disk, ExecConfig::default());
+        // A rewrite swaps R's file: the same plan table reads the new one.
+        let fresh = table(&disk, "R", &[(5.0, 6.0)]);
+        catalog.replace_file("R", fresh.file().clone());
+        let scanned = ex.filter_scan(&r, &catalog, Degree::ZERO, "scan R".to_string()).unwrap();
+        assert_eq!(scanned.num_tuples(), 1);
+        // A table the snapshot lacks, or whose schema moved, is a bind error.
+        let bind_err = |catalog: &Catalog, ex: &mut Executor| {
+            matches!(
+                ex.filter_scan(&r, catalog, Degree::ZERO, "scan R".to_string()),
+                Err(crate::EngineError::Bind(_))
+            )
+        };
+        assert!(bind_err(&Catalog::new(), &mut ex));
+        catalog.register(StoredTable::create(&disk, "R", Schema::of(&[("ID", AttrType::Text)])));
+        assert!(bind_err(&catalog, &mut ex));
     }
 }

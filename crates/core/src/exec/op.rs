@@ -26,7 +26,7 @@ use crate::exec::lower::{Lowered, Node};
 use crate::exec::Executor;
 use crate::verify::PhysOp;
 use fuzzy_core::{Degree, Value};
-use fuzzy_rel::{Relation, StoredTable, Tuple};
+use fuzzy_rel::{Catalog, Relation, StoredTable, Tuple};
 
 /// What an operator has published into its slot.
 pub(crate) enum Slot {
@@ -83,14 +83,15 @@ impl TreeState {
 }
 
 /// Drives a lowered tree to completion: runs every node in topological
-/// (outline) order and takes the root's answer relation.
-pub(crate) fn drive(ex: &mut Executor, lowered: &Lowered) -> Result<Relation> {
+/// (outline) order and takes the root's answer relation. The scans bind
+/// their tables through `catalog`, the statement's snapshot.
+pub(crate) fn drive(ex: &mut Executor, lowered: &Lowered, catalog: &Catalog) -> Result<Relation> {
     let mut state = TreeState { slots: lowered.nodes.iter().map(|_| Slot::Empty).collect() };
     for (i, (node, op)) in lowered.nodes.iter().zip(&lowered.outline.ops).enumerate() {
         let label = op.name.clone();
         let out = match node {
             Node::Scan { table, min_degree } => {
-                Slot::Table(ex.filter_scan(table, *min_degree, label)?)
+                Slot::Table(ex.filter_scan(table, catalog, *min_degree, label)?)
             }
             Node::Select { table, preds, select } => {
                 let input = state.table(op, 0)?;

@@ -4,7 +4,8 @@
 //! classified type, how the engine would evaluate it under a strategy (an
 //! unnested plan, or under [`crate::Strategy::Unnest`] the naive fallback),
 //! the plan tree, the lowered operator tree, and closed-form cost estimates
-//! derived only from catalog cardinalities and the execution configuration.
+//! derived only from the catalog snapshot's cardinalities and the execution
+//! configuration.
 //! Golden tests pin this output byte-for-byte.
 //!
 //! [`render_actual`] appends the *measured* part after a run: one line per
@@ -21,10 +22,11 @@ use crate::engine::{QueryOutcome, Strategy};
 use crate::error::{EngineError, Result};
 use crate::exec::ExecConfig;
 use crate::metrics::OpKind;
-use crate::plan::UnnestPlan;
+use crate::plan::{PlanTable, UnnestPlan};
 use crate::stats_histogram::StatsRegistry;
 use crate::unnest::build_plan;
-use fuzzy_rel::Catalog;
+use fuzzy_rel::{Catalog, StoredTable};
+use fuzzy_storage::estimated_initial_runs;
 
 /// Ceiling of log2, with `log2_ceil(0) = log2_ceil(1) = 0`.
 fn log2_ceil(n: u64) -> u64 {
@@ -53,7 +55,7 @@ pub fn render_explain(
         Ok(plan) => {
             // Lower through the same pass the executor runs, so the rendered
             // tree, join order, and operator list are the ones that run.
-            let lowered = crate::exec::lower::lower(&plan, strategy, config, statistics);
+            let lowered = crate::exec::lower::lower(&plan, strategy, config, catalog, statistics);
             out.push_str(&format!("strategy: {}:{}\n", strategy.name(), lowered.label()));
             if let (UnnestPlan::Flat(orig), UnnestPlan::Flat(eff)) = (&plan, &lowered.plan) {
                 let orig_order: Vec<&str> =
@@ -63,9 +65,9 @@ pub fn render_explain(
                     out.push_str(&format!("join order: {}\n", eff_order.join(" -> ")));
                 }
             }
-            out.push_str(&lowered.plan.explain(strategy));
+            out.push_str(&lowered.plan.explain(strategy, catalog));
             out.push_str(&render_operators(&lowered));
-            out.push_str(&render_estimates(&lowered.plan, strategy, config));
+            out.push_str(&render_estimates(&lowered.plan, strategy, config, catalog));
         }
         Err(msg) => {
             out.push_str("strategy: naive fallback\n");
@@ -144,65 +146,78 @@ fn render_operators(lowered: &crate::exec::lower::Lowered) -> String {
     out
 }
 
+/// The record bytes a sort's run-generation arena holds of `table`,
+/// estimated from the catalog alone: a padded table stores each record at
+/// its padding floor (exact unless a tuple's encoding outgrows the floor);
+/// an unpadded table's records are bounded by the bytes of its pages.
+fn arena_bytes(table: &StoredTable) -> u64 {
+    match table.min_record_bytes() as u64 {
+        0 => table.num_pages() * table.file().disk().page_size() as u64,
+        floor => table.num_tuples() * floor,
+    }
+}
+
 /// Closed-form cost estimates for a plan: the external-sort work on each
 /// base relation the plan sorts and the nested-loop pair bound the unnesting
 /// avoids (Section 3's `O(n log n)` vs `n_R × n_S` argument, per query).
-/// The baselines sort nothing, so they show only the pair bound.
-fn render_estimates(plan: &UnnestPlan, strategy: Strategy, config: &ExecConfig) -> String {
-    let sort_pages = config.sort_pages.max(1) as u64;
+/// The baselines sort nothing, so they show only the pair bound. Every
+/// cardinality is read from `catalog`, the statement's snapshot. The run
+/// count follows run generation's arena rule (a run is cut when its record
+/// bytes fill `sort_pages` pages), so for a padded table without local
+/// predicates it is the count the sort reports.
+fn render_estimates(
+    plan: &UnnestPlan,
+    strategy: Strategy,
+    config: &ExecConfig,
+    catalog: &Catalog,
+) -> String {
     let mut out = String::new();
-    let sorts = strategy == Strategy::Unnest;
-    let sort_line = |binding: &str, n: u64, b: u64, out: &mut String| {
-        if !sorts {
+    let tuples = |t: &PlanTable| t.stored(catalog).map_or(0, StoredTable::num_tuples);
+    let sort_line = |t: &PlanTable, out: &mut String| {
+        if strategy != Strategy::Unnest {
             return;
         }
+        let (n, runs) = t.stored(catalog).map_or((0, 0), |s| {
+            let page_size = s.file().disk().page_size();
+            let runs = estimated_initial_runs(
+                s.num_tuples(),
+                arena_bytes(s),
+                config.sort_pages,
+                page_size,
+            );
+            (s.num_tuples(), runs)
+        });
         out.push_str(&format!(
-            "est: sort {binding}: ~{} comparisons, {} initial runs\n",
-            n * log2_ceil(n),
-            b.div_ceil(sort_pages).max(u64::from(n > 0))
+            "est: sort {}: ~{} comparisons, {runs} initial runs\n",
+            t.binding,
+            n * log2_ceil(n)
         ));
     };
-    match plan {
+    let bound = match plan {
         UnnestPlan::Flat(p) => {
             if p.tables.len() > 1 {
-                for t in &p.tables {
-                    sort_line(&t.binding, t.table.num_tuples(), t.table.num_pages(), &mut out);
-                }
+                p.tables.iter().for_each(|t| sort_line(t, &mut out));
             }
-            let bound =
-                p.tables.iter().fold(1u64, |acc, t| acc.saturating_mul(t.table.num_tuples()));
-            out.push_str(&format!("est: nested-loop pair bound: {bound}\n"));
+            p.tables.iter().fold(1u64, |acc, t| acc.saturating_mul(tuples(t)))
         }
         UnnestPlan::Anti(p) => {
             if p.window.is_some() {
-                for t in [&p.outer, &p.inner] {
-                    sort_line(&t.binding, t.table.num_tuples(), t.table.num_pages(), &mut out);
-                }
+                sort_line(&p.outer, &mut out);
+                sort_line(&p.inner, &mut out);
             }
-            let bound = p.outer.table.num_tuples().saturating_mul(p.inner.table.num_tuples());
-            out.push_str(&format!("est: nested-loop pair bound: {bound}\n"));
+            tuples(&p.outer).saturating_mul(tuples(&p.inner))
         }
         UnnestPlan::Agg(p) => {
             if let Some((_, op2, _)) = &p.corr {
-                sort_line(
-                    &p.outer.binding,
-                    p.outer.table.num_tuples(),
-                    p.outer.table.num_pages(),
-                    &mut out,
-                );
+                sort_line(&p.outer, &mut out);
                 if *op2 == fuzzy_core::CmpOp::Eq {
-                    sort_line(
-                        &p.inner.binding,
-                        p.inner.table.num_tuples(),
-                        p.inner.table.num_pages(),
-                        &mut out,
-                    );
+                    sort_line(&p.inner, &mut out);
                 }
             }
-            let bound = p.outer.table.num_tuples().saturating_mul(p.inner.table.num_tuples());
-            out.push_str(&format!("est: nested-loop pair bound: {bound}\n"));
+            tuples(&p.outer).saturating_mul(tuples(&p.inner))
         }
-    }
+    };
+    out.push_str(&format!("est: nested-loop pair bound: {bound}\n"));
     out
 }
 
@@ -221,7 +236,7 @@ pub fn render_verify(
     let mut out = format!("query class: {class:?} (depth {})\n", q.depth());
     match plan_or_fallback(q, strategy, catalog)? {
         Ok(plan) => {
-            let report = crate::verify::verify_plan(&plan, strategy, config, statistics);
+            let report = crate::verify::verify_plan(&plan, strategy, config, catalog, statistics);
             out.push_str(&format!("strategy: {}:{}\n", strategy.name(), report.plan_label));
             out.push_str(&render_verify_report(&report));
         }

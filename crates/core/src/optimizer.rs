@@ -10,9 +10,10 @@
 //!
 //! The ordering minimizes estimated intermediate cardinalities:
 //!
-//! * base cardinality = stored tuple count discounted by a fixed selectivity
-//!   per local predicate (the engine does not keep value histograms; the
-//!   discount only needs to *rank* tables);
+//! * base cardinality = the stored tuple count in the catalog snapshot the
+//!   plan is lowered against, discounted per local predicate by a column
+//!   histogram's selectivity when statistics are supplied, or by a fixed
+//!   selectivity otherwise (the discount only needs to *rank* tables);
 //! * only tables connected to the already-joined set by an equality
 //!   predicate are candidates (otherwise the step degenerates to the
 //!   nested-loop cross product, which the order should avoid whenever the
@@ -24,6 +25,7 @@
 
 use crate::plan::{FlatPlan, PlanOperand};
 use crate::stats_histogram::StatsRegistry;
+use fuzzy_rel::Catalog;
 
 /// Assumed selectivity of one local predicate when no statistics exist
 /// (used for ranking only).
@@ -31,9 +33,12 @@ const LOCAL_PRED_SELECTIVITY: f64 = 0.5;
 
 /// Estimated cardinality of a plan table after its local predicates, using
 /// column histograms when a registry is supplied (the statistics-aware step
-/// a real optimizer would take before Section 8's join ordering).
-fn estimate(t: &crate::plan::PlanTable, stats: Option<&StatsRegistry>) -> f64 {
-    let mut est = t.table.num_tuples() as f64;
+/// a real optimizer would take before Section 8's join ordering). The table
+/// is read from `catalog`; one it does not hold estimates empty (its scan
+/// reports the bind error when the plan runs).
+fn estimate(t: &crate::plan::PlanTable, catalog: &Catalog, stats: Option<&StatsRegistry>) -> f64 {
+    let Ok(table) = t.stored(catalog) else { return 0.0 };
+    let mut est = table.num_tuples() as f64;
     for p in &t.local_preds {
         let sel = stats
             .and_then(|reg| {
@@ -43,8 +48,8 @@ fn estimate(t: &crate::plan::PlanTable, stats: Option<&StatsRegistry>) -> f64 {
                     (PlanOperand::Const(v), PlanOperand::Col(c)) => (c, v),
                     _ => return None,
                 };
-                let pool = fuzzy_storage::BufferPool::new(t.table.file().disk(), 2);
-                let h = reg.histogram_for(&t.table, col.attr, &pool).ok()?;
+                let pool = fuzzy_storage::BufferPool::new(table.file().disk(), 2);
+                let h = reg.histogram_for(table, col.attr, &pool).ok()?;
                 // Similarity predicates behave like widened equality.
                 let op = p.op;
                 Some(h.selectivity(op, probe))
@@ -57,8 +62,13 @@ fn estimate(t: &crate::plan::PlanTable, stats: Option<&StatsRegistry>) -> f64 {
 
 /// Reorders `plan.tables` into a greedy left-deep order that keeps every
 /// join step connected by an equality predicate where possible, preferring
-/// small (estimated) relations early. Returns true if the order changed.
-pub fn reorder_joins_with(plan: &mut FlatPlan, stats: Option<&StatsRegistry>) -> bool {
+/// small (estimated, from `catalog` and `stats`) relations early. Returns
+/// true if the order changed.
+pub fn reorder_joins_with(
+    plan: &mut FlatPlan,
+    catalog: &Catalog,
+    stats: Option<&StatsRegistry>,
+) -> bool {
     let n = plan.tables.len();
     if n <= 2 {
         // With two tables the merge-join sorts both regardless; keeping the
@@ -78,7 +88,7 @@ pub fn reorder_joins_with(plan: &mut FlatPlan, stats: Option<&StatsRegistry>) ->
         .tables
         .iter()
         .map(|t| {
-            let est = estimate(t, stats);
+            let est = estimate(t, catalog, stats);
             if t.local_preds.is_empty() {
                 est
             } else {
@@ -125,7 +135,7 @@ pub fn reorder_joins_with(plan: &mut FlatPlan, stats: Option<&StatsRegistry>) ->
         return false;
     }
     let mut tables = std::mem::take(&mut plan.tables);
-    // Drain in the chosen order without cloning stored tables.
+    // Drain in the chosen order without cloning the plan tables.
     let mut slots: Vec<Option<crate::plan::PlanTable>> = tables.drain(..).map(Some).collect();
     plan.tables =
         order.into_iter().map(|i| slots[i].take().expect("each index picked once")).collect();
@@ -140,9 +150,13 @@ mod tests {
     use fuzzy_rel::{AttrType, Schema, StoredTable, Tuple};
     use fuzzy_storage::SimDisk;
 
-    fn plan_table(disk: &SimDisk, name: &str, rows: usize, preds: usize) -> PlanTable {
-        let t = StoredTable::create(disk, name, Schema::of(&[("X", AttrType::Number)]));
+    /// A plan table over a fresh `rows`-tuple table registered in `catalog`.
+    fn plan_table(catalog: &mut Catalog, name: &str, rows: usize, preds: usize) -> PlanTable {
+        let disk = SimDisk::with_default_page_size();
+        let t = StoredTable::create(&disk, name, Schema::of(&[("X", AttrType::Number)]));
         t.load((0..rows).map(|i| Tuple::full(vec![Value::number(i as f64)]))).unwrap();
+        let mut pt = PlanTable::new(name, &t);
+        catalog.register(t);
         let local_preds = (0..preds)
             .map(|_| {
                 PlanCompare::new(
@@ -152,7 +166,8 @@ mod tests {
                 )
             })
             .collect();
-        PlanTable { binding: name.into(), table: t, local_preds }
+        pt.local_preds = local_preds;
+        pt
     }
 
     fn equi(a: &str, b: &str) -> PlanCompare {
@@ -169,33 +184,33 @@ mod tests {
 
     #[test]
     fn two_table_plans_are_left_alone() {
-        let disk = SimDisk::with_default_page_size();
+        let cat = &mut Catalog::new();
         let mut plan = FlatPlan {
-            tables: vec![plan_table(&disk, "A", 100, 0), plan_table(&disk, "B", 1, 0)],
+            tables: vec![plan_table(cat, "A", 100, 0), plan_table(cat, "B", 1, 0)],
             join_preds: vec![equi("A", "B")],
             select: vec![],
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(!reorder_joins_with(&mut plan, None));
+        assert!(!reorder_joins_with(&mut plan, cat, None));
         assert_eq!(bindings(&plan), ["A", "B"]);
     }
 
     #[test]
     fn smallest_table_leads() {
-        let disk = SimDisk::with_default_page_size();
+        let cat = &mut Catalog::new();
         let mut plan = FlatPlan {
             tables: vec![
-                plan_table(&disk, "A", 1000, 0),
-                plan_table(&disk, "B", 10, 0),
-                plan_table(&disk, "C", 100, 0),
+                plan_table(cat, "A", 1000, 0),
+                plan_table(cat, "B", 10, 0),
+                plan_table(cat, "C", 100, 0),
             ],
             join_preds: vec![equi("A", "B"), equi("B", "C"), equi("A", "C")],
             select: vec![],
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(reorder_joins_with(&mut plan, None));
+        assert!(reorder_joins_with(&mut plan, cat, None));
         assert_eq!(bindings(&plan), ["B", "C", "A"]);
     }
 
@@ -204,20 +219,20 @@ mod tests {
         // D is tiny but only connected to A; the chain B–C–A must not be
         // broken by jumping to D early... since D connects only to A, and we
         // start from D (smallest), the next connected pick is A.
-        let disk = SimDisk::with_default_page_size();
+        let cat = &mut Catalog::new();
         let mut plan = FlatPlan {
             tables: vec![
-                plan_table(&disk, "A", 500, 0),
-                plan_table(&disk, "B", 50, 0),
-                plan_table(&disk, "C", 200, 0),
-                plan_table(&disk, "D", 5, 0),
+                plan_table(cat, "A", 500, 0),
+                plan_table(cat, "B", 50, 0),
+                plan_table(cat, "C", 200, 0),
+                plan_table(cat, "D", 5, 0),
             ],
             join_preds: vec![equi("A", "D"), equi("A", "C"), equi("B", "C")],
             select: vec![],
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(reorder_joins_with(&mut plan, None));
+        assert!(reorder_joins_with(&mut plan, cat, None));
         let order = bindings(&plan);
         assert_eq!(order[0], "D");
         assert_eq!(order[1], "A", "only A connects to D");
@@ -227,38 +242,38 @@ mod tests {
 
     #[test]
     fn local_predicates_discount_size() {
-        let disk = SimDisk::with_default_page_size();
+        let cat = &mut Catalog::new();
         // B has 60 rows but two predicates: estimate 15 < A's 20.
         let mut plan = FlatPlan {
             tables: vec![
-                plan_table(&disk, "A", 20, 0),
-                plan_table(&disk, "B", 60, 2),
-                plan_table(&disk, "C", 100, 0),
+                plan_table(cat, "A", 20, 0),
+                plan_table(cat, "B", 60, 2),
+                plan_table(cat, "C", 100, 0),
             ],
             join_preds: vec![equi("A", "B"), equi("B", "C")],
             select: vec![],
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(reorder_joins_with(&mut plan, None));
+        assert!(reorder_joins_with(&mut plan, cat, None));
         assert_eq!(bindings(&plan)[0], "B");
     }
 
     #[test]
     fn already_optimal_order_reports_unchanged() {
-        let disk = SimDisk::with_default_page_size();
+        let cat = &mut Catalog::new();
         let mut plan = FlatPlan {
             tables: vec![
-                plan_table(&disk, "A", 1, 0),
-                plan_table(&disk, "B", 10, 0),
-                plan_table(&disk, "C", 100, 0),
+                plan_table(cat, "A", 1, 0),
+                plan_table(cat, "B", 10, 0),
+                plan_table(cat, "C", 100, 0),
             ],
             join_preds: vec![equi("A", "B"), equi("B", "C")],
             select: vec![],
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(!reorder_joins_with(&mut plan, None));
+        assert!(!reorder_joins_with(&mut plan, cat, None));
         assert_eq!(bindings(&plan), ["A", "B", "C"]);
     }
 }

@@ -17,8 +17,10 @@
 //! executors map them onto concatenated tuple layouts.
 
 use crate::engine::Strategy;
+use crate::error::{EngineError, Result};
+use crate::unnest::lookup_table;
 use fuzzy_core::{CmpOp, Degree, Value};
-use fuzzy_rel::StoredTable;
+use fuzzy_rel::{Catalog, Schema, StoredTable};
 use fuzzy_sql::{AggFunc, Threshold};
 
 /// A column of a plan: a table binding plus an attribute index within it.
@@ -99,15 +101,48 @@ impl PlanCompare {
 }
 
 /// One base relation of a plan with the predicates local to it.
+///
+/// The relation is named, not held: a plan carries no file handle, so a
+/// cached plan stays valid while writes change the table's data. The
+/// executor binds the name through the statement's catalog snapshot when
+/// the plan runs.
 #[derive(Debug, Clone)]
 pub struct PlanTable {
     /// Binding name used by plan columns.
     pub binding: String,
-    /// The stored relation.
-    pub table: StoredTable,
+    /// The catalog name of the stored relation.
+    pub name: String,
+    /// The relation's schema when the plan was built.
+    pub schema: Schema,
     /// Single-table predicates (the paper's p_i), folded into tuple degrees
     /// during the initial filtering scan.
     pub local_preds: Vec<PlanCompare>,
+}
+
+impl PlanTable {
+    /// A plan table for `table` under `binding`, with no local predicates.
+    pub fn new(binding: impl Into<String>, table: &StoredTable) -> PlanTable {
+        PlanTable {
+            binding: binding.into(),
+            name: table.name().to_string(),
+            schema: table.schema().clone(),
+            local_preds: Vec::new(),
+        }
+    }
+
+    /// The stored relation this plan table names in `catalog`, the
+    /// statement's snapshot. A table that is gone, or whose schema is no
+    /// longer the one the plan was built on, is a bind error.
+    pub fn stored<'c>(&self, catalog: &'c Catalog) -> Result<&'c StoredTable> {
+        let stored = lookup_table(catalog, &self.name)?;
+        if stored.schema() != &self.schema {
+            return Err(EngineError::Bind(format!(
+                "table {:?} changed schema since the plan was built",
+                self.name
+            )));
+        }
+        Ok(stored)
+    }
 }
 
 /// The paper equivalence rule that justifies an unnested plan.
@@ -393,17 +428,15 @@ impl std::fmt::Display for PlanCompare {
 
 impl UnnestPlan {
     /// A multi-line EXPLAIN rendering of the plan as `strategy` runs it: the
-    /// nested-loop baselines use no merge window.
-    pub fn explain(&self, strategy: Strategy) -> String {
+    /// nested-loop baselines use no merge window. Table sizes are read from
+    /// `catalog`, the statement's snapshot.
+    pub fn explain(&self, strategy: Strategy, catalog: &Catalog) -> String {
         let nested_loop = strategy.is_baseline();
         let mut out = String::new();
         let table_line = |t: &PlanTable, role: &str, out: &mut String| {
-            out.push_str(&format!(
-                "  {role} {} ({} tuples, {} pages",
-                t.binding,
-                t.table.num_tuples(),
-                t.table.num_pages()
-            ));
+            let (tuples, pages) =
+                t.stored(catalog).map_or((0, 0), |s| (s.num_tuples(), s.num_pages()));
+            out.push_str(&format!("  {role} {} ({tuples} tuples, {pages} pages", t.binding));
             if !t.local_preds.is_empty() {
                 out.push_str(&format!(
                     ", filter: {}",

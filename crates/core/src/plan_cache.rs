@@ -4,7 +4,7 @@
 //! statement: classify the nesting shape, build the flat plan, pick a join
 //! order, and statically verify the physical-property declarations. For a
 //! long-lived server answering the same fuzzy queries again and again, all
-//! of that is pure function of (normalized SQL, strategy, catalog version,
+//! of that is pure function of (normalized SQL, strategy, schema version,
 //! plan-shaping configuration) — exactly what a cache exploits.
 //!
 //! An entry stores the [`VerifiedPlan`] behind an [`Arc`] — the operator
@@ -12,9 +12,13 @@
 //! built — or the fact that the statement falls back to the naive
 //! evaluator. Lookups that hit skip classification, planning, join-order
 //! search, lowering **and** re-verification; the executor drives the cached
-//! tree directly. Any DDL/DML bumps the catalog version
-//! (see `fuzzy_rel::Catalog::version`), so stale entries never hit — they
-//! are dropped and counted as invalidations on their next lookup.
+//! tree directly. DDL, DEFINE TERM and ANALYZE bump the catalog's schema
+//! version (see `fuzzy_rel::Catalog::schema_version`), so stale entries
+//! never hit — they are dropped and counted as invalidations on their next
+//! lookup. INSERT, UPDATE and DELETE leave the schema version alone: a
+//! cached tree names its tables and the executor binds them through each
+//! statement's catalog snapshot, so an entry stays valid while the data
+//! changes and reads the rows of the moment.
 //!
 //! The cache is internally synchronized (one mutex around the map, atomics
 //! for the counters) and is shared by every session of a database; all
@@ -43,8 +47,8 @@ pub enum Planned {
 
 #[derive(Debug)]
 struct Entry {
-    /// Catalog version the plan was built against.
-    version: u64,
+    /// Schema version the plan was built against.
+    schema_version: u64,
     planned: Planned,
     /// Logical clock of the last hit (for least-recently-used eviction).
     last_used: u64,
@@ -57,7 +61,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that found no entry.
     pub misses: u64,
-    /// Lookups that found an entry built against an older catalog version
+    /// Lookups that found an entry built against an older schema version
     /// (the entry is dropped and the lookup also counts as a miss).
     pub invalidations: u64,
     /// Entries evicted to respect the capacity bound.
@@ -67,7 +71,7 @@ pub struct CacheStats {
 }
 
 /// A bounded, internally synchronized map from
-/// `(normalized SQL, strategy, plan-shaping config) × catalog version` to
+/// `(normalized SQL, strategy, plan-shaping config) × schema version` to
 /// verified plans.
 #[derive(Debug)]
 pub struct PlanCache {
@@ -120,13 +124,13 @@ impl PlanCache {
         )
     }
 
-    /// Looks up a live entry for `key` at `version`. A version mismatch
+    /// Looks up a live entry for `key` at `schema_version`. A mismatch
     /// drops the entry and counts an invalidation; both that case and a
     /// plain absence count a miss.
-    pub fn lookup(&self, key: &str, version: u64) -> Option<Planned> {
+    pub fn lookup(&self, key: &str, schema_version: u64) -> Option<Planned> {
         let mut map = self.inner.lock().expect("plan cache lock");
         match map.get_mut(key) {
-            Some(e) if e.version == version => {
+            Some(e) if e.schema_version == schema_version => {
                 e.last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(e.planned.clone())
@@ -144,9 +148,9 @@ impl PlanCache {
         }
     }
 
-    /// Inserts (or replaces) the entry for `key` at `version`, evicting the
-    /// least-recently-used entry if the cache is full.
-    pub fn insert(&self, key: String, version: u64, planned: Planned) {
+    /// Inserts (or replaces) the entry for `key` at `schema_version`,
+    /// evicting the least-recently-used entry if the cache is full.
+    pub fn insert(&self, key: String, schema_version: u64, planned: Planned) {
         let mut map = self.inner.lock().expect("plan cache lock");
         if !map.contains_key(&key) && map.len() >= self.capacity {
             if let Some(lru) = map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone()) {
@@ -155,7 +159,7 @@ impl PlanCache {
             }
         }
         let last_used = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        map.insert(key, Entry { version, planned, last_used });
+        map.insert(key, Entry { schema_version, planned, last_used });
     }
 
     /// An exact snapshot of the counters.
@@ -184,7 +188,7 @@ mod tests {
         assert!(c.lookup("q1", 0).is_none());
         c.insert("q1".into(), 0, planned());
         assert!(c.lookup("q1", 0).is_some());
-        // Version bump: the entry is stale, dropped, and counted.
+        // Schema version bump: the entry is stale, dropped, and counted.
         assert!(c.lookup("q1", 1).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (1, 2, 1));

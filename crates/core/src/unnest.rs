@@ -111,8 +111,9 @@ impl Scope {
     }
 }
 
-fn lookup_table(catalog: &Catalog, name: &str) -> Result<StoredTable> {
-    catalog.table(name).cloned().ok_or_else(|| EngineError::Bind(format!("unknown table {name:?}")))
+/// The table `name` in `catalog`, or a bind error naming it.
+pub(crate) fn lookup_table<'c>(catalog: &'c Catalog, name: &str) -> Result<&'c StoredTable> {
+    catalog.table(name).ok_or_else(|| EngineError::Bind(format!("unknown table {name:?}")))
 }
 
 /// Binds a quoted term against its partner's attribute type: text partners
@@ -260,7 +261,7 @@ fn flat_plan(blocks: &[&Query], catalog: &Catalog, class: QueryClass) -> Result<
             let table = lookup_table(catalog, &tref.table)?;
             frames.push((binding.clone(), table.schema().clone()));
             level_bindings[bi].push(binding.clone());
-            tables.push(PlanTable { binding, table, local_preds: Vec::new() });
+            tables.push(PlanTable::new(binding, table));
         }
     }
 
@@ -414,8 +415,8 @@ fn two_level(q: &Query, sub: &Query, catalog: &Catalog) -> Result<TwoLevel> {
             (ib.clone(), inner_table.schema().clone()),
         ],
     };
-    let mut outer = PlanTable { binding: ob, table: outer_table, local_preds: Vec::new() };
-    let mut inner = PlanTable { binding: ib, table: inner_table, local_preds: Vec::new() };
+    let mut outer = PlanTable::new(ob, outer_table);
+    let mut inner = PlanTable::new(ib, inner_table);
 
     // Outer block: simple predicates only (p1, folded into the outer scan);
     // the sub-query predicate itself is handled by the caller.

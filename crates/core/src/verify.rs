@@ -67,6 +67,7 @@ use crate::plan::{
 };
 use crate::stats_histogram::StatsRegistry;
 use fuzzy_core::{CmpOp, Degree};
+use fuzzy_rel::Catalog;
 use fuzzy_sql::Threshold;
 
 // ---------------------------------------------------------------------------
@@ -350,15 +351,18 @@ pub struct VerifiedPlan {
 
 impl VerifiedPlan {
     /// Lowers `plan` to the operator tree `strategy` runs under `config`
-    /// (join reorder by `stats` included) and verifies that tree, failing
-    /// with [`EngineError::Verify`] on the first violation.
+    /// (join reorder by the cardinalities of `catalog` and by `stats`
+    /// included) and verifies that tree, failing with [`EngineError::Verify`]
+    /// on the first violation. The tree names its tables; the executor binds
+    /// them through each run's catalog snapshot.
     pub fn new(
         plan: &UnnestPlan,
         strategy: Strategy,
         config: &ExecConfig,
+        catalog: &Catalog,
         stats: Option<&StatsRegistry>,
     ) -> Result<VerifiedPlan> {
-        let lowered = lower(plan, strategy, config, stats);
+        let lowered = lower(plan, strategy, config, catalog, stats);
         let (_, violations) = check_lowered(&lowered);
         if let Some(v) = violations.first() {
             return Err(EngineError::Verify(format!(
@@ -396,9 +400,10 @@ pub fn verify_plan(
     plan: &UnnestPlan,
     strategy: Strategy,
     config: &ExecConfig,
+    catalog: &Catalog,
     stats: Option<&StatsRegistry>,
 ) -> VerifyReport {
-    let lowered = lower(plan, strategy, config, stats);
+    let lowered = lower(plan, strategy, config, catalog, stats);
     let (checks, violations) = check_lowered(&lowered);
     let plan_label = lowered.label();
     let Lowered { plan, alpha, outline, .. } = lowered;
@@ -795,7 +800,7 @@ mod tests {
     fn table(disk: &SimDisk, binding: &str) -> PlanTable {
         let schema = Schema::of(&[("ID", AttrType::Number), ("X", AttrType::Number)]);
         let t = StoredTable::create(disk, format!("t_{binding}"), schema);
-        PlanTable { binding: binding.into(), table: t, local_preds: Vec::new() }
+        PlanTable::new(binding, &t)
     }
 
     fn flat_two(disk: &SimDisk, rule: RewriteRule, preds: Vec<PlanCompare>) -> FlatPlan {
@@ -906,8 +911,13 @@ mod tests {
                 cmp(col("R", 0), CmpOp::Eq, col("S", 0)),
             ],
         );
-        let report =
-            verify_plan(&UnnestPlan::Flat(plan), Strategy::Unnest, &ExecConfig::default(), None);
+        let report = verify_plan(
+            &UnnestPlan::Flat(plan),
+            Strategy::Unnest,
+            &ExecConfig::default(),
+            &Catalog::new(),
+            None,
+        );
         assert!(
             report.violations.iter().any(|v| v.rule == "R-T4.1-INDEP"),
             "{:?}",
@@ -923,8 +933,13 @@ mod tests {
             RewriteRule::TypeN { blocks: vec![vec!["R".into()], vec!["S".into()]] },
             vec![cmp(col("R", 1), CmpOp::Eq, col("S", 1))],
         );
-        let report =
-            verify_plan(&UnnestPlan::Flat(n), Strategy::Unnest, &ExecConfig::default(), None);
+        let report = verify_plan(
+            &UnnestPlan::Flat(n),
+            Strategy::Unnest,
+            &ExecConfig::default(),
+            &Catalog::new(),
+            None,
+        );
         assert!(report.ok(), "{:?}", report.violations);
         let j = flat_two(
             &disk,
@@ -934,8 +949,13 @@ mod tests {
                 cmp(col("R", 0), CmpOp::Eq, col("S", 0)),
             ],
         );
-        let report =
-            verify_plan(&UnnestPlan::Flat(j), Strategy::Unnest, &ExecConfig::default(), None);
+        let report = verify_plan(
+            &UnnestPlan::Flat(j),
+            Strategy::Unnest,
+            &ExecConfig::default(),
+            &Catalog::new(),
+            None,
+        );
         assert!(report.ok(), "{:?}", report.violations);
     }
 
@@ -948,9 +968,14 @@ mod tests {
         let mut pred = cmp(col("R", 1), CmpOp::Eq, col("S", 1));
         pred.tolerance = Some(5.0);
         let plan = flat_two(&disk, RewriteRule::Flat, vec![pred]);
-        let outline =
-            verify_plan(&UnnestPlan::Flat(plan), Strategy::Unnest, &ExecConfig::default(), None)
-                .outline;
+        let outline = verify_plan(
+            &UnnestPlan::Flat(plan),
+            Strategy::Unnest,
+            &ExecConfig::default(),
+            &Catalog::new(),
+            None,
+        )
+        .outline;
         assert!(outline.ops.iter().any(|o| o.name.starts_with("nested-loop")));
         assert!(!outline.ops.iter().any(|o| o.name.starts_with("merge-join")));
     }
@@ -963,8 +988,13 @@ mod tests {
             RewriteRule::TypeJ { blocks: vec![vec!["R".into()], vec!["S".into()]] },
             vec![],
         );
-        let report =
-            verify_plan(&UnnestPlan::Flat(plan), Strategy::Unnest, &ExecConfig::default(), None);
+        let report = verify_plan(
+            &UnnestPlan::Flat(plan),
+            Strategy::Unnest,
+            &ExecConfig::default(),
+            &Catalog::new(),
+            None,
+        );
         assert!(report.violations.iter().any(|v| v.rule == "R-T4.2-LINK"));
     }
 
@@ -972,8 +1002,13 @@ mod tests {
     fn anti_rule_on_flat_plan_is_a_tag_mismatch() {
         let disk = SimDisk::with_default_page_size();
         let plan = flat_two(&disk, RewriteRule::Exclusion, vec![]);
-        let report =
-            verify_plan(&UnnestPlan::Flat(plan), Strategy::Unnest, &ExecConfig::default(), None);
+        let report = verify_plan(
+            &UnnestPlan::Flat(plan),
+            Strategy::Unnest,
+            &ExecConfig::default(),
+            &Catalog::new(),
+            None,
+        );
         assert!(report.violations.iter().any(|v| v.rule == "V-RULE-TAG"));
     }
 }

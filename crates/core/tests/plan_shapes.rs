@@ -358,8 +358,12 @@ fn statistics_aware_ordering_beats_the_blind_heuristic() {
     // Blind: the plan lowered without statistics, driven directly.
     let plan = build_plan(&parse(sql).unwrap(), &catalog).unwrap();
     let mut ex = Executor::new(&disk, config);
-    let blind_answer =
-        ex.run(&VerifiedPlan::new(&plan, Strategy::Unnest, &config, None).unwrap()).unwrap();
+    let blind_answer = ex
+        .run(
+            &VerifiedPlan::new(&plan, Strategy::Unnest, &config, &catalog, None).unwrap(),
+            &catalog,
+        )
+        .unwrap();
     let blind_pairs = ex.take_metrics().totals().pairs_examined;
     // Informed: an engine lowers with its context's histograms. Warm them so
     // the comparison isn't polluted by ANALYZE scans.

@@ -110,6 +110,12 @@ impl StoredTable {
         }
     }
 
+    /// Swaps in a new heap file, returning the old one (see
+    /// [`crate::Catalog::replace_file`]).
+    pub(crate) fn replace_file(&mut self, file: HeapFile) -> HeapFile {
+        std::mem::replace(&mut self.file, file)
+    }
+
     /// Streams all tuples through `pool`, decoding each straight from its
     /// pinned page.
     pub fn scan<'a>(&'a self, pool: &'a BufferPool) -> impl Iterator<Item = Result<Tuple>> + 'a {

@@ -73,6 +73,24 @@ impl HeapFile {
         }
     }
 
+    /// Returns the file's pages to the disk's free list if this is the last
+    /// handle on the file, or gives the handle back while another clone
+    /// (say, in a catalog snapshot) still holds the file. Only a file that
+    /// no statement scope reclaims may be released this way — a base
+    /// table's replaced file, never a temporary — so no page is freed twice.
+    pub fn release(self) -> std::result::Result<(), HeapFile> {
+        match Arc::try_unwrap(self.inner) {
+            Ok(inner) => {
+                let inner = inner.into_inner().unwrap_or_else(|e| e.into_inner());
+                for page in inner.pages {
+                    self.disk.free_page(page);
+                }
+                Ok(())
+            }
+            Err(inner) => Err(HeapFile { disk: self.disk, inner }),
+        }
+    }
+
     /// The disk page id of the `index`-th page of the file.
     pub fn page_id(&self, index: u32) -> Result<PageId> {
         self.inner
@@ -234,6 +252,19 @@ mod tests {
         assert_eq!(f.num_records(), 0);
         let pool = BufferPool::new(&disk, 2);
         assert!(pool.scan(&f).next_record().is_none());
+    }
+
+    #[test]
+    fn release_frees_pages_only_from_the_last_handle() {
+        let disk = SimDisk::new(128);
+        let f = HeapFile::create(&disk);
+        f.load((0..50u32).map(|i| i.to_le_bytes())).unwrap();
+        let snapshot = f.clone();
+        let f = f.release().expect_err("a clone still holds the file");
+        assert_eq!(disk.live_pages(), 4);
+        drop(snapshot);
+        assert!(f.release().is_ok());
+        assert_eq!(disk.live_pages(), 0);
     }
 
     #[test]

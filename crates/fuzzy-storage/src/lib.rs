@@ -58,4 +58,6 @@ pub use disk::{IoSnapshot, PageId, SimDisk, DEFAULT_PAGE_SIZE};
 pub use error::{Result, StorageError};
 pub use file::{HeapFile, RecordId};
 pub use page::{Page, PageView};
-pub use sort::{external_sort, external_sort_parallel, external_sort_records, SortStats};
+pub use sort::{
+    estimated_initial_runs, external_sort, external_sort_parallel, external_sort_records, SortStats,
+};

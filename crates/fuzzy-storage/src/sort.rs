@@ -188,6 +188,26 @@ impl Batch<()> {
     }
 }
 
+/// How many initial runs run generation cuts from `records` records of
+/// `record_bytes` bytes in total under a `memory_pages` budget: a batch is
+/// cut as soon as its arena holds `memory_pages × page_size` record bytes,
+/// so each run takes the fewest records whose bytes reach the budget. Exact
+/// when the records are of equal size (padded tables); otherwise it assumes
+/// the mean size.
+pub fn estimated_initial_runs(
+    records: u64,
+    record_bytes: u64,
+    memory_pages: usize,
+    page_size: usize,
+) -> u64 {
+    if records == 0 {
+        return 0;
+    }
+    let budget = memory_pages.max(2) as u128 * page_size as u128;
+    let per_run = (budget * u128::from(records)).div_ceil(u128::from(record_bytes.max(1)));
+    u128::from(records).div_ceil(per_run.max(1)) as u64
+}
+
 /// Serial run generation: keys each record as it arrives, cuts a batch when
 /// its arena reaches the byte budget, and spills it as a run.
 struct RunGen<'a, K, KF, CF> {
@@ -468,6 +488,18 @@ mod tests {
 
     fn read_all(disk: &SimDisk, f: &HeapFile) -> Vec<u32> {
         read_records(disk, f).iter().map(|r| key(r).unwrap()).collect()
+    }
+
+    #[test]
+    fn estimated_initial_runs_follow_the_arena_rule() {
+        let disk = SimDisk::new(128);
+        for n in [0u32, 1, 63, 64, 65, 200, 513] {
+            let f = load_numbers(&disk, &(0..n).rev().collect::<Vec<_>>());
+            let (_, stats) = external_sort(&disk, &f, 2, key, by_key).unwrap();
+            let bytes = 4 * f.num_records();
+            let estimate = estimated_initial_runs(f.num_records(), bytes, 2, disk.page_size());
+            assert_eq!(estimate, stats.initial_runs as u64, "n={n}");
+        }
     }
 
     /// The sort as it was before keyed extraction: a comparator over raw

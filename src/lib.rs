@@ -50,8 +50,10 @@
 //! [`Session`]; `db.session()` ([`Session::session`]) hands out
 //! cheap [`Session`] clones that are `Send + Sync`: read statements run
 //! concurrently under a shared catalog lock while DDL/DML briefly takes it
-//! exclusively, bumps the catalog version, and thereby invalidates cached
-//! plans (see `DESIGN.md` §12 and `tests/concurrent_serving.rs`).
+//! exclusively. DDL, DEFINE TERM and ANALYZE bump the catalog's schema
+//! version and thereby invalidate cached plans; data writes leave cached
+//! plans valid, and they read the new rows (see `DESIGN.md` §12 and
+//! `tests/concurrent_serving.rs`).
 //!
 //! ```
 //! use fuzzy_db::Database;
@@ -189,15 +191,17 @@ impl Database {
     }
 
     /// Writes the catalog manifest of a database opened with
-    /// [`Database::open`]. Errors for purely in-memory databases.
+    /// [`Database::open`]. Errors for purely in-memory databases. The pages
+    /// of table files an UPDATE or DELETE replaced since the last save are
+    /// freed only here, once the saved manifest no longer lists them, so a
+    /// database reopened without a save still finds its saved rows intact.
     pub fn save(&self) -> Result<(), EngineError> {
         let path = self.session.shared.persist_path.as_ref().ok_or_else(|| {
             EngineError::Unsupported(
                 "this database is in-memory; open it with Database::open to persist".into(),
             )
         })?;
-        let bytes = fuzzy_rel::manifest::encode(&self.catalog());
-        std::fs::write(path, bytes).map_err(|e| {
+        self.session.shared.save(path).map_err(|e| {
             EngineError::Storage(fuzzy_storage::StorageError::Corrupt(format!(
                 "cannot write manifest: {e}"
             )))
@@ -351,8 +355,16 @@ mod tests {
         assert_eq!(first.answer.len(), 1);
         assert_eq!(first.serving.plan_verifications, 0);
         assert_eq!(first.serving.cache_hit, Some(true));
-        // DML bumps the catalog version: the pinned plan is now stale.
+        // A data write keeps the schema version: the pinned plan still runs
+        // and sees the new row.
         db.insert("PEOPLE", Tuple::full(vec![Value::text("Bob"), Value::number(25.0)])).unwrap();
+        let sql = "SELECT PEOPLE.NAME FROM PEOPLE WHERE PEOPLE.AGE = 'medium young'";
+        let after_insert = prepared.run().unwrap();
+        assert_eq!(after_insert.answer.len(), 2);
+        let naive = db.query(sql).strategy(Strategy::Naive).collect().unwrap();
+        assert_eq!(after_insert.answer.canonicalized(), naive.canonicalized());
+        // DEFINE TERM bumps the schema version: the pinned plan is now stale.
+        db.define_term("tall", fuzzy_core::Trapezoid::new(170.0, 180.0, 200.0, 210.0).unwrap());
         match prepared.run() {
             Err(EngineError::StalePlan { planned_version, catalog_version }) => {
                 assert!(catalog_version > planned_version);
@@ -360,8 +372,7 @@ mod tests {
             other => panic!("expected StalePlan, got {other:?}"),
         }
         // Re-preparing sees the new data.
-        let again =
-            db.prepare("SELECT PEOPLE.NAME FROM PEOPLE WHERE PEOPLE.AGE = 'medium young'").unwrap();
+        let again = db.prepare(sql).unwrap();
         assert_eq!(again.collect().unwrap().len(), 2);
     }
 }

@@ -12,10 +12,14 @@
 //! Lock discipline (DESIGN.md §12): read statements take the catalog lock
 //! **shared**, clone the `Arc<Catalog>` snapshot, and keep the shared guard
 //! for the duration of the statement, so writers cannot interleave with a
-//! running read. DDL/DML takes the lock **exclusively** and mutates a
-//! copy-on-write clone (`Arc::make_mut`); every mutation bumps the catalog
-//! version, which is what invalidates cached plans. Wall time spent waiting
-//! for the lock is charged to the statement's serving report.
+//! running read. DDL, DML and ANALYZE take the lock **exclusively**; a
+//! catalog change mutates a copy-on-write clone (`Arc::make_mut`). Only DDL,
+//! DEFINE TERM and ANALYZE bump the catalog's schema version, which is what
+//! invalidates cached plans and prepared queries. Data writes leave it
+//! alone: a cached plan names its tables and binds them through each
+//! statement's snapshot, so it reads the rows written since it was built.
+//! Wall time spent waiting for the lock is charged to the statement's
+//! serving report.
 
 use crate::StatementResult;
 use fuzzy_core::{Degree, Trapezoid};
@@ -23,8 +27,8 @@ use fuzzy_engine::exec::ExecConfig;
 use fuzzy_engine::plan_cache::{CacheStats, Planned};
 use fuzzy_engine::{Engine, EngineContext, EngineError, QueryOutcome, ServingCounters, Strategy};
 use fuzzy_rel::{Catalog, Relation, Schema, StoredTable, Tuple};
-use fuzzy_storage::SimDisk;
-use std::sync::{Arc, RwLock, RwLockWriteGuard};
+use fuzzy_storage::{HeapFile, SimDisk};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 /// The state one database's sessions share.
@@ -37,6 +41,10 @@ pub(crate) struct Shared {
     /// guard.
     pub(crate) catalog: RwLock<Arc<Catalog>>,
     pub(crate) persist_path: Option<std::path::PathBuf>,
+    /// Base-table files an UPDATE/DELETE replaced whose pages are not yet
+    /// free: a catalog snapshot still holds them, or (on a persistent
+    /// database) the last saved manifest still lists them.
+    retired: Mutex<Vec<HeapFile>>,
 }
 
 impl Shared {
@@ -45,13 +53,48 @@ impl Shared {
             ctx: Arc::new(EngineContext::new(&disk)),
             catalog: RwLock::new(Arc::new(catalog)),
             persist_path: None,
+            retired: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The retired files. A poisoned guard is taken over: the list stays
+    /// valid whatever a panicking holder was doing.
+    fn retired(&self) -> MutexGuard<'_, Vec<HeapFile>> {
+        self.retired.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Takes a base-table file the catalog no longer lists. In memory its
+    /// pages are freed as soon as no snapshot holds it; on a persistent
+    /// database they wait for the next [`Shared::save`], since the saved
+    /// manifest still lists them until then.
+    fn retire(&self, file: HeapFile) {
+        let mut retired = self.retired();
+        retired.push(file);
+        if self.persist_path.is_none() {
+            release_unheld(&mut retired);
+        }
+    }
+
+    /// Writes the manifest of the current catalog to `path`, then frees the
+    /// retired files no snapshot holds: the manifest just written lists none
+    /// of them. The shared guard, held throughout, keeps rewrites out, so no
+    /// file is retired after the catalog written here.
+    pub(crate) fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
+        let catalog = self.catalog.read().expect("catalog lock");
+        std::fs::write(path, fuzzy_rel::manifest::encode(&catalog))?;
+        release_unheld(&mut self.retired());
+        Ok(())
     }
 
     /// The current catalog snapshot (does not block writers afterwards).
     pub(crate) fn catalog_snapshot(&self) -> Arc<Catalog> {
         self.catalog.read().expect("catalog lock").clone()
     }
+}
+
+/// Frees the files of `files` that are no longer shared, keeping the rest.
+fn release_unheld(files: &mut Vec<HeapFile>) {
+    *files = std::mem::take(files).into_iter().filter_map(|f| f.release().err()).collect();
 }
 
 /// Counts a statement in flight for as long as it is alive (RAII so error
@@ -72,9 +115,9 @@ impl Drop for InFlight<'_> {
 }
 
 /// Exclusive catalog access for DDL: derefs to [`Catalog`] through a
-/// copy-on-write clone, so snapshots held by in-flight readers and prepared
-/// statements are untouched. Mutations bump the catalog version (see
-/// [`Catalog::version`]), invalidating cached plans.
+/// copy-on-write clone, so snapshots held by in-flight readers are
+/// untouched. Registering a table or defining a term bumps the schema
+/// version (see [`Catalog::schema_version`]), invalidating cached plans.
 pub struct CatalogWrite<'a> {
     guard: RwLockWriteGuard<'a, Arc<Catalog>>,
 }
@@ -194,17 +237,19 @@ impl Session {
         }
     }
 
-    /// Parses and plans `sql` once, pinning the verified plan. Running the
-    /// prepared statement skips parsing, classification, planning, and
-    /// verification; after any DDL/DML it fails with
+    /// Parses and plans `sql` once, pinning the verified plan to the
+    /// catalog's schema version. Running the prepared statement skips
+    /// parsing, classification, planning, and verification, and reads the
+    /// data current at each run, rows written after `prepare` included.
+    /// After DDL, DEFINE TERM or ANALYZE it fails with
     /// [`EngineError::StalePlan`] until re-prepared.
     pub fn prepare(&self, sql: &str) -> Result<PreparedQuery, EngineError> {
         let q = fuzzy_sql::parse(sql)?;
         self.read_locked(|s, catalog, wait| {
-            let version = catalog.version();
+            let schema_version = catalog.schema_version();
             let engine = s.engine_over(catalog, wait);
             let (planned, _info) = engine.plan_for(&q)?;
-            Ok(PreparedQuery { session: s.clone(), query: q.clone(), planned, version })
+            Ok(PreparedQuery { session: s.clone(), query: q.clone(), planned, schema_version })
         })
     }
 
@@ -233,8 +278,9 @@ impl Session {
     /// Executes one statement: SELECT, EXPLAIN [ANALYZE|VERIFY], CREATE
     /// TABLE, DEFINE TERM, INSERT, ANALYZE, DELETE, or UPDATE (see
     /// `fuzzy_sql::statement` for the grammar). Read statements take the
-    /// catalog lock shared; DDL/DML takes it exclusively and bumps the
-    /// catalog version (invalidating cached plans).
+    /// catalog lock shared; DDL, DML and ANALYZE take it exclusively. DDL,
+    /// DEFINE TERM and ANALYZE bump the schema version (invalidating cached
+    /// plans); INSERT, UPDATE and DELETE change only data.
     ///
     /// DELETE and UPDATE match tuples whose WHERE-condition degree is
     /// positive (or meets the statement's `WITH D` threshold); matching is a
@@ -307,20 +353,22 @@ impl Session {
                 let d = Degree::new(degree).map_err(EngineError::Fuzzy)?;
                 if d.is_positive() {
                     stored.file().append(&Tuple::new(vals, d).encode(stored.min_record_bytes()))?;
-                    cat.bump_version();
                 }
                 Ok(StatementResult::Affected(usize::from(d.is_positive())))
             }),
-            Statement::Analyze { table } => self.read_locked(|s, catalog, _wait| {
+            // ANALYZE is the explicit way to re-plan: it takes the lock
+            // exclusively and bumps the schema version, so every cached plan
+            // and prepared query re-plans on its next use.
+            Statement::Analyze { table } => self.write_locked(|s, cat| {
                 use fuzzy_rel::AttrType;
                 let names: Vec<String> = match table {
                     Some(t) => vec![t],
-                    None => catalog.table_names().map(|n| n.to_string()).collect(),
+                    None => cat.table_names().map(|n| n.to_string()).collect(),
                 };
                 let pool = fuzzy_storage::BufferPool::new(s.disk(), s.config.buffer_pages);
                 let mut built = 0usize;
                 for name in names {
-                    let t = catalog
+                    let t = cat
                         .table(&name)
                         .ok_or_else(|| EngineError::Bind(format!("unknown table {name:?}")))?;
                     for (idx, attr) in t.schema().attributes().iter().enumerate() {
@@ -330,6 +378,7 @@ impl Session {
                         }
                     }
                 }
+                cat.mark_analyzed();
                 Ok(StatementResult::Affected(built))
             }),
             Statement::Delete { table, predicates, threshold } => {
@@ -364,7 +413,8 @@ impl Session {
     }
 
     /// Defines (or redefines) a linguistic term. Takes the catalog lock
-    /// exclusively; bumps the version (cached plans may resolve the term).
+    /// exclusively; bumps the schema version (cached plans may resolve the
+    /// term).
     pub fn define_term(&self, name: impl AsRef<str>, shape: Trapezoid) {
         let _ = self.write_locked(|_s, cat| {
             cat.vocabulary_mut().define(name.as_ref(), shape);
@@ -372,7 +422,7 @@ impl Session {
         });
     }
 
-    /// Creates an empty table (exclusive lock; version bump).
+    /// Creates an empty table (exclusive lock; schema version bump).
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<(), EngineError> {
         self.write_locked(|s, cat| {
             if cat.table(name).is_some() {
@@ -383,9 +433,10 @@ impl Session {
         })
     }
 
-    /// Inserts one tuple (exclusive lock; version bump). Tuples with degree
-    /// 0 are not members and are silently skipped, matching the membership
-    /// criterion of Section 2.
+    /// Inserts one tuple (exclusive lock). Tuples with degree 0 are not
+    /// members and are silently skipped, matching the membership criterion
+    /// of Section 2. A data write: the schema version stays, so cached plans
+    /// and prepared queries stay valid and read the new row.
     pub fn insert(&self, table: &str, tuple: Tuple) -> Result<(), EngineError> {
         self.write_locked(|_s, cat| {
             let t = cat
@@ -393,13 +444,14 @@ impl Session {
                 .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
             if tuple.degree.is_positive() {
                 t.file().append(&tuple.encode(t.min_record_bytes()))?;
-                cat.bump_version();
             }
             Ok(())
         })
     }
 
-    /// Bulk-loads tuples into a table (exclusive lock; version bump).
+    /// Bulk-loads tuples into a table (exclusive lock). A data write like
+    /// [`Session::insert`]: cached plans keep the join order they were
+    /// built with; run `ANALYZE` to re-plan after a large load.
     pub fn load<I: IntoIterator<Item = Tuple>>(
         &self,
         table: &str,
@@ -410,7 +462,6 @@ impl Session {
                 .table(table)
                 .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
             t.load(tuples)?;
-            cat.bump_version();
             Ok(())
         })
     }
@@ -422,8 +473,9 @@ impl Session {
     }
 
     /// Exclusive catalog access (registering externally built tables).
-    /// Mutations through the guard copy-on-write the catalog and bump its
-    /// version, invalidating cached plans.
+    /// Mutations through the guard copy-on-write the catalog; registering a
+    /// table or defining a term bumps its schema version, invalidating
+    /// cached plans.
     pub fn catalog_mut(&self) -> CatalogWrite<'_> {
         CatalogWrite { guard: self.shared.catalog.write().expect("catalog lock") }
     }
@@ -450,6 +502,14 @@ impl Session {
     /// serving-mode naive evaluator: every row is matched against the
     /// pre-write catalog, so a closed sub-query is evaluated once for the
     /// whole table.
+    ///
+    /// The kept rows are written to a fresh file only once the scan has
+    /// succeeded; that file replaces the table's file — a data-only change,
+    /// so the schema version stays. The replaced file is retired: its pages
+    /// return to the disk once no catalog snapshot (e.g. one from
+    /// [`Session::catalog`]) holds it, and on a persistent database once a
+    /// saved manifest no longer lists it. A snapshot that holds it keeps
+    /// scanning its old rows.
     fn rewrite_matching(
         &self,
         table: &str,
@@ -460,8 +520,7 @@ impl Session {
         self.write_locked(|s, cat| {
             let stored = cat
                 .table(table)
-                .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?
-                .clone();
+                .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
             let pool = fuzzy_storage::BufferPool::new(s.disk(), s.config.buffer_pages);
             let evaluator = fuzzy_engine::NaiveEvaluator::serving(cat, &pool);
             let (z, strict) = match threshold {
@@ -482,17 +541,21 @@ impl Session {
                     kept.push(t);
                 }
             }
-            // Rewrite into a fresh file and swap it into the catalog
-            // (register bumps the version).
-            let fresh = fuzzy_storage::HeapFile::create(s.disk());
-            {
+            let fresh = HeapFile::create(s.disk());
+            let written = {
                 let mut w = fresh.bulk_writer();
-                for t in &kept {
-                    w.append(&t.encode(stored.min_record_bytes()))?;
-                }
-                w.finish()?;
+                kept.iter()
+                    .try_for_each(|t| w.append(&t.encode(stored.min_record_bytes())))
+                    .and_then(|()| w.finish())
+            };
+            if let Err(e) = written {
+                // `fresh` is the only handle left: free what it wrote.
+                let _ = fresh.release();
+                return Err(e.into());
             }
-            cat.register(stored.with_file(stored.name().to_string(), fresh));
+            if let Some(old) = cat.replace_file(table, fresh) {
+                s.shared.retire(old);
+            }
             Ok(StatementResult::Affected(affected))
         })
     }
@@ -603,28 +666,29 @@ impl QueryBuilder {
     }
 }
 
-/// A statement prepared once against a catalog version: parsing,
+/// A statement prepared once against a schema version: parsing,
 /// classification, planning, and static verification happened at
 /// [`Session::prepare`] time, and every [`PreparedQuery::run`] replays the
-/// pinned plan with zero re-planning and zero re-verification. After any
-/// DDL/DML bumps the catalog version, running fails with
-/// [`EngineError::StalePlan`] until the statement is prepared again.
+/// pinned plan with zero re-planning and zero re-verification over the data
+/// of that moment. After DDL, DEFINE TERM or ANALYZE bumps the schema
+/// version, running fails with [`EngineError::StalePlan`] until the
+/// statement is prepared again; INSERT, UPDATE and DELETE do not.
 pub struct PreparedQuery {
     session: Session,
     query: fuzzy_sql::Query,
     planned: Planned,
-    version: u64,
+    schema_version: u64,
 }
 
 impl PreparedQuery {
-    /// The catalog version the plan is pinned to.
+    /// The schema version the plan is pinned to.
     pub fn planned_version(&self) -> u64 {
-        self.version
+        self.schema_version
     }
 
-    /// Runs the pinned plan. Holds the catalog lock shared for the
-    /// statement; fails with [`EngineError::StalePlan`] if the catalog has
-    /// moved since [`Session::prepare`].
+    /// Runs the pinned plan over the current data. Holds the catalog lock
+    /// shared for the statement; fails with [`EngineError::StalePlan`] if
+    /// the schema version has moved since [`Session::prepare`].
     pub fn run(&self) -> Result<QueryOutcome, EngineError> {
         self.session.read_locked(|s, catalog, wait| {
             self.check_fresh(&catalog)?;
@@ -653,10 +717,10 @@ impl PreparedQuery {
     }
 
     fn check_fresh(&self, catalog: &Catalog) -> Result<(), EngineError> {
-        if catalog.version() != self.version {
+        if catalog.schema_version() != self.schema_version {
             return Err(EngineError::StalePlan {
-                planned_version: self.version,
-                catalog_version: catalog.version(),
+                planned_version: self.schema_version,
+                catalog_version: catalog.schema_version(),
             });
         }
         Ok(())

@@ -6,12 +6,13 @@
 //!
 //! Covers the serving layer end to end: shared catalog handles, session
 //! concurrency, the verified-plan cache (hits skip re-verification),
-//! DDL/DML invalidation, prepared-statement staleness, and the serving
+//! invalidation by DDL (data writes keep cached plans, which bind their
+//! tables when they run), prepared-statement staleness, and the serving
 //! counters returning to rest.
 
-use fuzzy_db::core::Value;
-use fuzzy_db::rel::{AttrType, Schema, Tuple};
-use fuzzy_db::{Database, EngineError, Session, Strategy};
+use fuzzy_db::core::{Trapezoid, Value};
+use fuzzy_db::rel::{AttrType, Relation, Schema, Tuple};
+use fuzzy_db::{Database, EngineError, PreparedQuery, Session, Strategy};
 use std::sync::{Arc, Barrier};
 
 /// The deterministic three-table fixture of the verifier suite, scaled:
@@ -138,28 +139,31 @@ fn plan_cache_counters_are_deterministic_for_a_fixed_schedule() {
     assert_eq!(s.entries, CORPUS.len());
 }
 
+/// DDL invalidates cached plans; DML does not — the cached plan binds its
+/// tables when it runs, so it reads the rows written since it was built.
 #[test]
 fn ddl_and_dml_invalidate_cached_plans() {
     let db = fixture(1);
     let sql = CORPUS[2]; // type J
     db.query(sql).collect().unwrap(); // miss: planned + cached
     db.query(sql).collect().unwrap(); // hit
-                                      // DML bumps the catalog version: the entry is stale on next lookup.
+
+    // DML keeps the schema version: the entry stays live.
     db.insert(
         "R",
         Tuple::full(vec![Value::number(99.0), Value::number(10.0), Value::number(199.0)]),
     )
     .unwrap();
-    let ans = db.query(sql).collect().unwrap(); // invalidation + miss, replanned
+    let ans = db.query(sql).collect().unwrap(); // hit, not replanned
     let s = db.plan_cache_stats();
-    assert_eq!((s.hits, s.misses, s.invalidations), (1, 2, 1));
-    // The replanned query sees the new tuple.
+    assert_eq!((s.hits, s.misses, s.invalidations), (2, 1, 0));
+    // The cached plan sees the new tuple.
     let naive = db.query(sql).strategy(Strategy::Naive).run().unwrap();
     assert_eq!(ans.canonicalized(), naive.answer.canonicalized());
-    // DDL invalidates as well.
+    // DDL invalidates.
     db.create_table("Z", Schema::of(&[("A", AttrType::Number)])).unwrap();
     db.query(sql).collect().unwrap();
-    assert_eq!(db.plan_cache_stats().invalidations, 2);
+    assert_eq!(db.plan_cache_stats().invalidations, 1);
 }
 
 #[test]
@@ -229,13 +233,19 @@ fn prepared_statements_replay_across_threads_and_go_stale() {
     for h in handles {
         h.join().unwrap();
     }
-    // Any DML bumps the catalog version: the pinned plan must refuse to run.
-    // The new R row matches (X = 10 exists in S), so the answer must grow.
+    // DML keeps the schema version: the pinned plan still runs, on the new
+    // data. The new R row matches (X = 10 exists in S), so the answer grows.
     db.insert(
         "R",
         Tuple::full(vec![Value::number(100.0), Value::number(10.0), Value::number(150.0)]),
     )
     .unwrap();
+    let grown = prepared.run().unwrap();
+    assert_eq!(grown.answer.len(), reference.len() + 1);
+    let naive = db.query(sql).strategy(Strategy::Naive).collect().unwrap();
+    assert_eq!(grown.answer.canonicalized(), naive.canonicalized());
+    // DDL bumps the schema version: the pinned plan must refuse to run.
+    db.create_table("Z", Schema::of(&[("A", AttrType::Number)])).unwrap();
     match prepared.run() {
         Err(EngineError::StalePlan { planned_version, catalog_version }) => {
             assert!(catalog_version > planned_version)
@@ -243,7 +253,7 @@ fn prepared_statements_replay_across_threads_and_go_stale() {
         other => panic!("expected StalePlan, got {other:?}"),
     }
     assert!(prepared.explain().is_err(), "explain is stale-checked too");
-    // Re-preparing picks up the new catalog version and the new data.
+    // Re-preparing picks up the new schema version and the new data.
     let again = db.prepare(sql).unwrap();
     assert!(again.planned_version() > prepared.planned_version());
     assert_eq!(again.collect().unwrap().len(), reference.len() + 1);
@@ -291,7 +301,9 @@ fn writers_serialize_against_readers_with_consistent_phases() {
         assert_eq!(n1, before, "pre-write phase sees the original catalog");
         assert_eq!(n2, after, "post-write phase sees the committed row");
     }
-    assert!(db.plan_cache_stats().invalidations >= 1, "the write invalidated cached plans");
+    let s = db.plan_cache_stats();
+    assert_eq!(s.invalidations, 0, "a data write keeps cached plans");
+    assert_eq!(s.misses, 1, "the statement was planned once, before the write");
     assert_eq!(db.serving_counters().in_flight(), 0);
 }
 
@@ -331,4 +343,93 @@ fn serving_handles_are_send_and_sync() {
     assert_send_sync::<Session>();
     assert_send_sync::<fuzzy_db::PreparedQuery>();
     assert_send_sync::<Database>();
+}
+
+/// The writes between rounds: an INSERT (an append to R's file), then an
+/// UPDATE and a DELETE (each replaces S's file).
+const WRITES: [&str; 3] = [
+    "INSERT INTO R VALUES (100, 10, 105)",
+    "UPDATE S SET X = 40, V = 300 WHERE S.X = 0",
+    "DELETE FROM S WHERE S.X = 10",
+];
+
+/// Runs every corpus read through the cache and every prepared query, and
+/// checks both against the naive oracle on the data of this moment. Every
+/// cached read must hit. Returns the oracle's answers.
+fn checked_round(db: &Database, prepared: &[PreparedQuery], round: &str) -> Vec<Relation> {
+    CORPUS
+        .iter()
+        .zip(prepared)
+        .map(|(sql, p)| {
+            let naive = db.query(sql).strategy(Strategy::Naive).collect().unwrap().canonicalized();
+            let cached = db.query(sql).run().unwrap();
+            assert_eq!(cached.serving.cache_hit, Some(true), "{round}: {sql} re-planned");
+            assert_eq!(cached.answer.canonicalized(), naive, "{round}: cached {sql}");
+            assert_eq!(p.collect().unwrap().canonicalized(), naive, "{round}: prepared {sql}");
+            naive
+        })
+        .collect()
+}
+
+/// Asserts that every prepared query refuses to run.
+fn all_stale(prepared: &[PreparedQuery], after: &str) {
+    for p in prepared {
+        match p.run() {
+            Err(EngineError::StalePlan { planned_version, catalog_version }) => {
+                assert!(catalog_version > planned_version, "after {after}")
+            }
+            other => panic!("after {after}: expected StalePlan, got {other:?}"),
+        }
+    }
+}
+
+/// Cached plans survive data writes and die with schema changes. The cache
+/// is keyed on the schema version, so after an INSERT, UPDATE or DELETE a
+/// cached plan — and a prepared query — keeps running, and must read the
+/// rows of that moment: its scans bind each table through the statement's
+/// catalog snapshot. UPDATE and DELETE replace the table's file, which is
+/// what a plan holding a stale file handle would get wrong. CREATE TABLE and
+/// DEFINE TERM bump the schema version: entries are invalidated and
+/// prepared queries go stale.
+#[test]
+fn cached_plans_answer_like_the_oracle_after_every_write() {
+    for threads in [1usize, 2, 4] {
+        let mut db = fixture(2);
+        db.set_threads(threads);
+        // Preparing plans each distinct read once: one miss apiece.
+        let prepared: Vec<PreparedQuery> =
+            CORPUS.iter().map(|sql| db.prepare(sql).unwrap()).collect();
+        let mut answers = checked_round(&db, &prepared, "before any write");
+        for write in WRITES {
+            db.execute(write).unwrap();
+            let now = checked_round(&db, &prepared, write);
+            assert_ne!(now, answers, "threads={threads}: {write} changed no answer");
+            answers = now;
+        }
+        let s = db.plan_cache_stats();
+        let n = CORPUS.len() as u64;
+        assert_eq!(s.misses, n, "threads={threads}: exactly one miss per distinct read");
+        assert_eq!(s.invalidations, 0, "threads={threads}: a data write invalidated a plan");
+        assert_eq!(s.hits, n * (1 + WRITES.len() as u64), "threads={threads}");
+
+        // CREATE TABLE bumps the schema version: every entry is invalidated
+        // on its next lookup, and every prepared query is stale.
+        db.execute("CREATE TABLE Z (A NUMBER)").unwrap();
+        all_stale(&prepared, "CREATE TABLE");
+        for sql in CORPUS {
+            assert_eq!(db.query(sql).run().unwrap().serving.cache_hit, Some(false), "{sql}");
+        }
+        assert_eq!(db.plan_cache_stats().invalidations, n, "threads={threads}");
+
+        // So does DEFINE TERM, for queries prepared after CREATE TABLE.
+        let prepared: Vec<PreparedQuery> =
+            CORPUS.iter().map(|sql| db.prepare(sql).unwrap()).collect();
+        checked_round(&db, &prepared, "after CREATE TABLE");
+        db.define_term("tall", Trapezoid::new(170.0, 180.0, 200.0, 210.0).unwrap());
+        all_stale(&prepared, "DEFINE TERM");
+        for sql in CORPUS {
+            assert_eq!(db.query(sql).run().unwrap().serving.cache_hit, Some(false), "{sql}");
+        }
+        assert_eq!(db.plan_cache_stats().invalidations, 2 * n, "threads={threads}");
+    }
 }

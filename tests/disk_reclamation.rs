@@ -132,3 +132,88 @@ fn failed_statements_reclaim_their_pages() {
     assert!(err.is_err(), "expected a bind error");
     assert_eq!(db.disk().live_pages(), baseline, "error path leaked temp pages");
 }
+
+/// A two-page table for the rewrite checks: `(ID, X, V)` rows, IDs 0..n.
+fn two_page_table(db: &Database) -> usize {
+    db.create_table(
+        "W",
+        Schema::of(&[("ID", AttrType::Number), ("X", AttrType::Number), ("V", AttrType::Number)]),
+    )
+    .unwrap();
+    let n = 300;
+    db.load(
+        "W",
+        (0..n).map(|i| {
+            Tuple::full(vec![Value::number(i as f64), Value::number(1.0), Value::number(2.0)])
+        }),
+    )
+    .unwrap();
+    assert_eq!(db.catalog().table("W").unwrap().num_pages(), 2, "fixture should span 2 pages");
+    n
+}
+
+/// UPDATE and DELETE rewrite the table into a fresh file and free the file
+/// they replaced: across 50 updates and 50 deletes the disk holds exactly
+/// the table's pages on top of the baseline.
+#[test]
+fn rewrites_free_the_file_they_replace() {
+    let db = Database::new();
+    let baseline = db.disk().live_pages();
+    two_page_table(&db);
+    let table_pages = || db.catalog().table("W").unwrap().num_pages();
+    for i in 0..50 {
+        db.execute(&format!("UPDATE W SET V = {i} WHERE W.ID = {i}")).unwrap();
+        assert_eq!(db.disk().live_pages(), baseline + table_pages(), "update {i} leaked");
+    }
+    for i in 0..50 {
+        db.execute(&format!("DELETE FROM W WHERE W.ID = {i}")).unwrap();
+        assert_eq!(db.disk().live_pages(), baseline + table_pages(), "delete {i} leaked");
+    }
+    assert_eq!(db.table_contents("W").unwrap().len(), 250);
+}
+
+/// A catalog snapshot taken before a DELETE keeps the replaced file: it
+/// still scans its old rows while the database sees the new ones.
+#[test]
+fn a_snapshot_taken_before_a_delete_still_scans_its_old_rows() {
+    let db = Database::new();
+    let n = two_page_table(&db);
+    let snapshot = db.catalog();
+    db.execute("DELETE FROM W WHERE W.ID < 100").unwrap();
+    // Allocate fresh pages: had the delete freed the snapshot's file, these
+    // would reuse (and overwrite) its pages.
+    db.create_table("Z", Schema::of(&[("A", AttrType::Number)])).unwrap();
+    db.load("Z", (0..2000).map(|i| Tuple::full(vec![Value::number(i as f64)]))).unwrap();
+    let pool = fuzzy_db::storage::BufferPool::new(db.disk(), 4);
+    let old = snapshot.table("W").unwrap().to_relation(&pool).unwrap();
+    assert_eq!(old.len(), n, "the snapshot's file was freed under it");
+    assert!(old.tuples().iter().enumerate().all(|(i, t)| t.values[0] == Value::number(i as f64)));
+    assert_eq!(db.table_contents("W").unwrap().len(), n - 100);
+    // Once the snapshot is gone, the next rewrite frees the old file.
+    drop(snapshot);
+    let live = db.disk().live_pages();
+    let old_pages = 2;
+    db.execute("UPDATE W SET V = 0 WHERE W.ID = 150").unwrap();
+    assert_eq!(db.disk().live_pages(), live - old_pages);
+}
+
+/// An UPDATE that fails part-way through its scan leaves the disk as it
+/// found it: the rewrite allocates nothing before the scan has succeeded.
+#[test]
+fn a_failing_update_leaves_live_pages_unchanged() {
+    let db = Database::new();
+    db.create_table("W", Schema::of(&[("ID", AttrType::Number), ("V", AttrType::Number)])).unwrap();
+    db.load("W", (0..1200).map(|i| Tuple::full(vec![Value::number(i as f64), Value::number(0.0)])))
+        .unwrap();
+    let pages = db.catalog().table("W").unwrap().file().page_ids();
+    assert!(pages.len() >= 3, "W spans {} pages", pages.len());
+    // Point slot 0 of W's last page far past the end of the page.
+    let last = *pages.last().unwrap();
+    let mut image = db.disk().read_page(last).unwrap().to_vec();
+    let entry = image.len() - 4;
+    image[entry..entry + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+    db.disk().write_page(last, &image).unwrap();
+    let live = db.disk().live_pages();
+    assert!(db.execute("UPDATE W SET V = 1 WHERE W.ID < 10").is_err());
+    assert_eq!(db.disk().live_pages(), live, "the failed rewrite leaked pages");
+}

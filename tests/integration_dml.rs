@@ -3,7 +3,7 @@
 //! interplay with queries.
 
 use fuzzy_db::core::Value;
-use fuzzy_db::{Database, StatementResult};
+use fuzzy_db::{Database, StatementResult, Strategy};
 
 fn rows(r: &StatementResult) -> &fuzzy_db::rel::Relation {
     match r {
@@ -164,4 +164,17 @@ fn analyze_builds_histograms() {
     let r = db.execute("ANALYZE").unwrap();
     assert_eq!(affected(&r), 2);
     assert!(db.execute("ANALYZE GHOSTS").is_err());
+    // ANALYZE is the explicit way to re-plan: a cached plan keeps its join
+    // order across writes, and the next read after ANALYZE misses the cache.
+    let sql = "SELECT PEOPLE.NAME FROM PEOPLE WHERE PEOPLE.AGE = 'medium young'";
+    db.query(sql).run().unwrap();
+    db.execute("INSERT INTO PEOPLE VALUES (5, 'Eve', 24)").unwrap();
+    assert_eq!(db.query(sql).run().unwrap().serving.cache_hit, Some(true));
+    db.execute("ANALYZE PEOPLE").unwrap();
+    let replanned = db.query(sql).run().unwrap();
+    assert_eq!(replanned.serving.cache_hit, Some(false));
+    assert_eq!(db.plan_cache_stats().invalidations, 1);
+    let naive = db.query(sql).strategy(Strategy::Naive).collect().unwrap();
+    assert_eq!(replanned.answer.canonicalized(), naive.canonicalized());
+    assert_eq!(naive.len(), 3, "Ann, Bo and the inserted Eve");
 }

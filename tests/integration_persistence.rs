@@ -107,3 +107,63 @@ fn in_memory_databases_refuse_save() {
     let err = db.save().unwrap_err();
     assert!(err.to_string().contains("in-memory"));
 }
+
+/// An UPDATE or DELETE frees the file it replaced only once a saved
+/// manifest no longer lists it: until the next save, reads and loads
+/// allocate elsewhere, so a database dropped without saving reopens
+/// with its saved rows intact.
+#[test]
+fn unsaved_rewrites_leave_the_saved_rows_intact() {
+    let base = temp_base("unsaved_rewrite");
+    cleanup(&base);
+    let schema = || Schema::of(&[("ID", AttrType::Number), ("X", AttrType::Number)]);
+    let rows = |n: usize| {
+        (0..n).map(|i| Tuple::full(vec![Value::number(i as f64), Value::number((i % 7) as f64)]))
+    };
+    let saved;
+    {
+        let db = Database::open(&base).unwrap();
+        db.create_table("A", schema()).unwrap();
+        db.create_table("B", schema()).unwrap();
+        db.load("A", rows(600)).unwrap();
+        db.load("B", rows(300)).unwrap();
+        db.save().unwrap();
+        saved = db.table_contents("A").unwrap();
+        db.execute("DELETE FROM A WHERE A.ID < 500").unwrap();
+        // A sorting read and a new table's load both allocate pages.
+        let sorted = "SELECT B.ID FROM B WHERE B.X IN (SELECT A.X FROM A WHERE A.ID > 550)";
+        assert!(!db.query(sorted).collect().unwrap().is_empty());
+        db.create_table("Z", schema()).unwrap();
+        db.load("Z", rows(2000)).unwrap();
+        // No save.
+    }
+    {
+        let db = Database::open(&base).unwrap();
+        assert_eq!(db.table_contents("A").unwrap(), saved, "the saved rows were overwritten");
+    }
+    cleanup(&base);
+}
+
+/// Saving after a rewrite frees the replaced file's pages.
+#[test]
+fn a_save_frees_the_files_rewrites_replaced() {
+    let base = temp_base("save_frees");
+    cleanup(&base);
+    {
+        let db = Database::open(&base).unwrap();
+        db.create_table("A", Schema::of(&[("ID", AttrType::Number)])).unwrap();
+        db.load("A", (0..600).map(|i| Tuple::full(vec![Value::number(i as f64)]))).unwrap();
+        db.save().unwrap();
+        let table_pages = || db.catalog().table("A").unwrap().num_pages();
+        let before = db.disk().live_pages() - table_pages();
+        db.execute("DELETE FROM A WHERE A.ID < 300").unwrap();
+        assert!(db.disk().live_pages() > before + table_pages(), "freed before the save");
+        db.save().unwrap();
+        assert_eq!(db.disk().live_pages(), before + table_pages());
+    }
+    {
+        let db = Database::open(&base).unwrap();
+        assert_eq!(db.table_contents("A").unwrap().len(), 300);
+    }
+    cleanup(&base);
+}

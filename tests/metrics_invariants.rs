@@ -292,6 +292,56 @@ fn sort_lines_split_wall_time_into_generation_and_merge() {
     assert!(sorts > 0 && merged > 0, "{sorts} sorts, {merged} with a timed merge");
 }
 
+/// The EXPLAIN estimate of a base relation's initial sort runs follows run
+/// generation's arena rule, so on perfbench's analytic statements — whose
+/// sorted relations carry no local predicates — every estimate equals the
+/// `runs` the sort reports (4000 tuples of 128 bytes in a 32 × 8 KiB arena
+/// make 2 runs, not the 3 that 65 pages over 32 would suggest).
+#[test]
+fn estimated_initial_runs_match_the_analytic_sorts() {
+    let disk = SimDisk::with_default_page_size();
+    let spec = WorkloadSpec {
+        n_outer: 4000,
+        n_inner: 4000,
+        tuple_bytes: 128,
+        fanout: 7,
+        seed: 21,
+        ..Default::default()
+    };
+    let w = generate(&disk, spec).expect("workload");
+    let mut catalog = Catalog::new();
+    catalog.register(w.outer);
+    catalog.register(w.inner);
+    let config = ExecConfig { buffer_pages: 32, sort_pages: 32, ..Default::default() };
+    let engine = Engine::over(catalog.into(), &disk).with_config(config);
+    for sql in [
+        "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.ID <> R.ID)",
+        "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S)",
+        "SELECT R.ID FROM R WHERE R.V <= (SELECT MAX(S.V) FROM S WHERE S.X = R.X)",
+    ] {
+        let (text, outcome) = engine.explain_analyze(sql).unwrap();
+        let sorts: Vec<_> =
+            outcome.metrics.ops().iter().filter(|n| n.kind == OpKind::Sort).collect();
+        let mut checked = 0;
+        for line in text.lines().filter_map(|l| l.strip_prefix("est: sort ")) {
+            let (binding, rest) = line.split_once(':').unwrap();
+            let runs: u64 =
+                rest.split(", ").nth(1).unwrap().split(' ').next().unwrap().parse().unwrap();
+            let sort = sorts
+                .iter()
+                .find(|n| {
+                    n.label.starts_with(&format!("sort {binding} "))
+                        || n.label.starts_with(&format!("sort [{binding}] "))
+                })
+                .unwrap_or_else(|| panic!("{sql}: no sort of {binding} in\n{text}"));
+            assert_eq!(runs, sort.metrics.sort_runs, "{sql}: {binding}\n{text}");
+            assert_eq!(runs, 2, "{sql}: {binding}");
+            checked += 1;
+        }
+        assert_eq!(checked, 2, "{sql}: both relations are sorted\n{text}");
+    }
+}
+
 /// Shapes only the naive fallback serves: EXISTS, a grouped aggregate over a
 /// sub-query, and a three-level block correlated with the outermost one.
 const FALLBACK_ONLY: [(&str, &str); 3] = [

@@ -340,7 +340,7 @@ fn mistagged_type_n_with_correlated_inner_is_rejected() {
     let blocks = p.rule.blocks().expect("leveled rule").to_vec();
     assert_eq!(p.rule.id(), "T4.2");
     p.rule = RewriteRule::TypeN { blocks };
-    let report = verify_plan(&plan, Strategy::Unnest, &ExecConfig::default(), None);
+    let report = verify_plan(&plan, Strategy::Unnest, &ExecConfig::default(), &db.catalog(), None);
     assert!(!report.ok());
     assert!(
         report.violations.iter().any(|v| v.rule == "R-T4.1-INDEP"),
