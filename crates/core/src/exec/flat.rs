@@ -164,99 +164,95 @@ impl Executor {
             }
         };
         let residuals: Vec<BoundCompare> = step.next_layout.bind_all(&step.residuals)?;
-        match &step.method {
+        // The exact-equality driver's outer and inner columns; the block
+        // nested loop has none.
+        let driver = match &step.method {
             StepMethod::Merge { cur_col, next_col }
             | StepMethod::Partitioned { cur_col, next_col } => {
-                let cur_idx = step.layout.resolve(cur_col)?;
-                let next_idx = next_col.attr;
-                // The outcome a joined pair contributes. Pure (no captured
-                // mutable state), so the parallel join may evaluate it
-                // from worker threads; both paths count its comparisons
-                // and prunes identically. Pairs whose degree already falls
-                // below a pushed-down `WITH D > z` threshold are pruned
-                // here — fuzzy AND cannot recover them, and dropping them
-                // now keeps them out of pipelined intermediates and the
-                // external sorts of later join steps.
-                let pair_eval = |r: &Tuple, s: &Tuple| -> PairOutcome {
-                    let mut comparisons = 1u32;
-                    let d_join = r.values[cur_idx].compare(CmpOp::Eq, &s.values[next_idx]);
-                    let mut d = r.degree.and(s.degree).and(d_join);
-                    if !d.is_positive() {
-                        return PairOutcome { degree: None, comparisons, pruned: false };
-                    }
-                    for b in &residuals {
-                        comparisons += 1;
-                        d = d.and(b.eval_pair(&r.values, &s.values));
-                        if !d.is_positive() {
-                            return PairOutcome { degree: None, comparisons, pruned: false };
-                        }
-                    }
-                    if !d.meets(alpha, false) {
-                        return PairOutcome { degree: None, comparisons, pruned: true };
-                    }
-                    PairOutcome { degree: Some(d), comparisons, pruned: false }
-                };
-                let handle = |sink: &mut JoinSink,
-                              r: &Tuple,
-                              s: &Tuple,
-                              m: &mut OperatorMetrics|
-                 -> Result<()> {
-                    let o = pair_eval(r, s);
-                    m.fuzzy_comparisons += u64::from(o.comparisons);
-                    m.pairs_pruned += u64::from(o.pruned);
-                    match o.degree {
-                        Some(d) => {
-                            m.tuples_out += 1;
-                            sink.emit(r, s, d)
-                        }
-                        None => Ok(()),
-                    }
-                };
-                match &step.method {
-                    StepMethod::Merge { .. } if self.config.threads > 1 => {
-                        self.merge_join_parallel(
-                            left,
-                            cur_idx,
-                            right,
-                            next_idx,
-                            alpha,
-                            OpKind::Join,
-                            label,
-                            &pair_eval,
-                            &mut sink,
-                        )?;
-                    }
-                    StepMethod::Merge { .. } => {
-                        self.merge_window(
-                            left,
-                            cur_idx,
-                            right,
-                            next_idx,
-                            alpha,
-                            OpKind::Join,
-                            label,
-                            |r, rng, m| {
-                                for s in rng {
-                                    handle(&mut sink, r, s, m)?;
-                                }
-                                Ok(())
-                            },
-                        )?;
-                    }
-                    _ => {
-                        self.partitioned_join(
-                            left,
-                            cur_idx,
-                            right,
-                            next_idx,
-                            alpha,
-                            label,
-                            |r, s, m| handle(&mut sink, r, s, m),
-                        )?;
-                    }
+                Some((step.layout.resolve(cur_col)?, next_col.attr))
+            }
+            StepMethod::NestedLoop => None,
+        };
+        // The outcome a candidate pair contributes, the same for every
+        // method. Pure (no captured mutable state), so the parallel join
+        // may evaluate it from worker threads; every path counts its
+        // comparisons and prunes identically. Pairs whose degree already
+        // falls below a pushed-down `WITH D > z` threshold are pruned here
+        // — fuzzy AND cannot recover them, and dropping them now keeps them
+        // out of pipelined intermediates and the external sorts of later
+        // join steps.
+        let pair_eval = |r: &Tuple, s: &Tuple| -> PairOutcome {
+            let mut comparisons = 0u32;
+            let mut d = r.degree.and(s.degree);
+            if let Some((cur_idx, next_idx)) = driver {
+                comparisons += 1;
+                d = d.and(r.values[cur_idx].compare(CmpOp::Eq, &s.values[next_idx]));
+            }
+            if !d.is_positive() {
+                return PairOutcome { degree: None, comparisons, pruned: false };
+            }
+            for b in &residuals {
+                comparisons += 1;
+                d = d.and(b.eval_pair(&r.values, &s.values));
+                if !d.is_positive() {
+                    return PairOutcome { degree: None, comparisons, pruned: false };
                 }
             }
-            StepMethod::NestedLoop => {
+            if !d.meets(alpha, false) {
+                return PairOutcome { degree: None, comparisons, pruned: true };
+            }
+            PairOutcome { degree: Some(d), comparisons, pruned: false }
+        };
+        let handle =
+            |sink: &mut JoinSink, r: &Tuple, s: &Tuple, m: &mut OperatorMetrics| -> Result<()> {
+                let o = pair_eval(r, s);
+                m.fuzzy_comparisons += u64::from(o.comparisons);
+                m.pairs_pruned += u64::from(o.pruned);
+                match o.degree {
+                    Some(d) => {
+                        m.tuples_out += 1;
+                        sink.emit(r, s, d)
+                    }
+                    None => Ok(()),
+                }
+            };
+        match (&step.method, driver) {
+            (StepMethod::Merge { .. }, Some((cur_idx, next_idx))) if self.config.threads > 1 => {
+                self.merge_join_parallel(
+                    left,
+                    cur_idx,
+                    right,
+                    next_idx,
+                    alpha,
+                    OpKind::Join,
+                    label,
+                    &pair_eval,
+                    &mut sink,
+                )?;
+            }
+            (StepMethod::Merge { .. }, Some((cur_idx, next_idx))) => {
+                self.merge_window(
+                    left,
+                    cur_idx,
+                    right,
+                    next_idx,
+                    alpha,
+                    OpKind::Join,
+                    label,
+                    |r, rng, m| {
+                        for s in rng {
+                            handle(&mut sink, r, s, m)?;
+                        }
+                        Ok(())
+                    },
+                )?;
+            }
+            (StepMethod::Partitioned { .. }, Some((cur_idx, next_idx))) => {
+                self.partitioned_join(left, cur_idx, right, next_idx, alpha, label, |r, s, m| {
+                    handle(&mut sink, r, s, m)
+                })?;
+            }
+            _ => {
                 // No equality driver: block-nested-loop fallback.
                 self.block_nested_loop(
                     left,
@@ -264,26 +260,7 @@ impl Executor {
                     OpKind::Join,
                     label,
                     |_, _| (),
-                    |_, r, s, m| {
-                        let mut d = r.degree.and(s.degree);
-                        if !d.is_positive() {
-                            return Ok(());
-                        }
-                        for b in &residuals {
-                            m.fuzzy_comparisons += 1;
-                            d = d.and(b.eval_pair(&r.values, &s.values));
-                            if !d.is_positive() {
-                                return Ok(());
-                            }
-                        }
-                        if d.meets(alpha, false) {
-                            m.tuples_out += 1;
-                            sink.emit(r, s, d)?;
-                        } else {
-                            m.pairs_pruned += 1;
-                        }
-                        Ok(())
-                    },
+                    |_, r, s, m| handle(&mut sink, r, s, m),
                     |_, _, _| Ok(()),
                 )?;
             }

@@ -374,10 +374,7 @@ fn lower_flat(
         // consumers re-scan by page) materializes a temp table.
         let sink = if last {
             SinkMode::Answer { select: p.select.clone() }
-        } else if config.pipeline_joins
-            && steps[k + 1].driver.is_some()
-            && config.join_method == JoinMethod::Merge
-        {
+        } else if steps[k + 1].driver.is_some() && config.join_method == JoinMethod::Merge {
             SinkMode::Rows
         } else {
             SinkMode::Materialize

@@ -1,10 +1,13 @@
-//! The extended merge-join window of Section 3: streams the ⪯-sorted outer
-//! relation and presents, per outer tuple `r`, exactly `Rng(r)` — the
-//! contiguous inner range whose support (or α-cut) intervals can intersect
-//! `r`'s. Inner tuples wholly before the current outer value leave the
-//! window forever (the paper's "will also precede every `Rng(r_k)` for
-//! `k > i`" argument). Also hosts the interval-partitioned parallel variant
-//! whose counters are engineered to be bit-identical to the serial scan.
+//! The extended merge-join window of Section 3. For ⪯-sorted inputs each
+//! outer tuple `r` meets only `Rng(r)`, the contiguous inner range whose
+//! support (or α-cut) intervals can intersect `r`'s, and an inner tuple
+//! wholly before `r` precedes every later range as well, so it leaves the
+//! window for good (the paper's "will also precede every `Rng(r_k)` for
+//! `k > i`" argument). [`RngCursor`] is that invariant, written once: the
+//! serial window (`merge_window`, and through it the anti and aggregate
+//! merge modes), the interval-partitioned parallel join, whose counters
+//! equal the serial scan's, and the partitioned join's per-partition scans
+//! all advance it.
 
 use crate::error::{EngineError, Result};
 use crate::exec::flat::JoinSink;
@@ -12,9 +15,10 @@ use crate::exec::{Executor, PairOutcome};
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::plan::PlanCol;
 use crate::verify::{PhysOp, Prop};
-use fuzzy_core::{interval_order, Degree};
+use fuzzy_core::{interval_order, Degree, Value};
 use fuzzy_rel::{StoredTable, Tuple};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Declaration of a flat merge-join step: requires both inputs ⪯-sorted on
 /// the driver columns (plus the step's binding/degree requirements built by
@@ -31,6 +35,87 @@ pub(crate) fn declared_properties(
     requires.push((0, Prop::Sorted { col: cur_col.clone(), alpha }));
     requires.push((1, Prop::Sorted { col: next_col.clone(), alpha }));
     PhysOp::declare(format!("merge-join +{t_binding}"), inputs, requires, delivers)
+}
+
+/// The `Rng(r)` window over a ⪯-sorted inner stream, advanced through the
+/// ⪯-sorted outer values. The window is a FIFO: tuples enter at the back in
+/// inner order and leave at the front, so it is always one contiguous run
+/// of the inner tuples it keeps. It may hold dangling tuples whose interval
+/// misses the current outer value (Section 3's caveat): a tuple kept for a
+/// wide earlier outer interval stays until it is wholly before.
+pub(crate) struct RngCursor<I> {
+    inner: std::iter::Fuse<I>,
+    /// The first inner tuple wholly after the last outer value: read, but
+    /// not yet in the window.
+    ahead: Option<Tuple>,
+    window: VecDeque<Tuple>,
+    attr: usize,
+    alpha: Degree,
+}
+
+impl<I: Iterator<Item = Result<Tuple>>> RngCursor<I> {
+    /// A cursor over `inner`, ⪯-sorted on `attr` at α-cut level `alpha`.
+    pub(crate) fn new(inner: I, attr: usize, alpha: Degree) -> Self {
+        RngCursor { inner: inner.fuse(), ahead: None, window: VecDeque::new(), attr, alpha }
+    }
+
+    /// Moves the window to `Rng(rv)` for the next outer value `rv`. Front
+    /// tuples wholly before `rv` leave through `evict`. Inner tuples are
+    /// read up to the first one wholly after `rv`, which waits for a later
+    /// outer value; a tuple already wholly before `rv` when read precedes
+    /// every remaining outer range and is dropped. `m` counts the inner
+    /// tuples consumed (`tuples_in`) and the window's size (`pairs_examined`
+    /// and `max_window`). A read error is returned as is.
+    pub(crate) fn advance(
+        &mut self,
+        rv: &Value,
+        m: &mut OperatorMetrics,
+        mut evict: impl FnMut(Tuple),
+    ) -> Result<()> {
+        let (attr, alpha) = (self.attr, self.alpha);
+        while let Some(s) = self
+            .window
+            .pop_front_if(|s| interval_order::strictly_before_at(&s.values[attr], rv, alpha))
+        {
+            evict(s);
+        }
+        while let Some(s) = self.ahead.take().map(Ok).or_else(|| self.inner.next()) {
+            let s = s?;
+            if interval_order::strictly_after_at(&s.values[attr], rv, alpha) {
+                self.ahead = Some(s);
+                break;
+            }
+            m.tuples_in += 1;
+            if !interval_order::strictly_before_at(&s.values[attr], rv, alpha) {
+                self.window.push_back(s);
+            }
+        }
+        let n = self.window.len() as u64;
+        m.pairs_examined += n;
+        m.max_window = m.max_window.max(n);
+        Ok(())
+    }
+
+    /// The current window, in inner order.
+    pub(crate) fn window(&mut self) -> &[Tuple] {
+        self.window.make_contiguous()
+    }
+
+    /// The window tuples whose intervals meet `rv`'s: neither wholly before
+    /// nor wholly after it.
+    pub(crate) fn meeting<'a>(&'a self, rv: &'a Value) -> impl Iterator<Item = &'a Tuple> + 'a {
+        let (attr, alpha) = (self.attr, self.alpha);
+        self.window.iter().filter(move |s| {
+            let v = &s.values[attr];
+            !interval_order::strictly_before_at(v, rv, alpha)
+                && !interval_order::strictly_after_at(v, rv, alpha)
+        })
+    }
+
+    /// The tuples still in the window, in inner order.
+    pub(crate) fn into_window(self) -> VecDeque<Tuple> {
+        self.window
+    }
 }
 
 impl Executor {
@@ -58,47 +143,13 @@ impl Executor {
         // One frame for the outer scan; the rest serve the window's pages.
         let opool = self.pool(1);
         let ipool = self.pool(self.config.buffer_pages.saturating_sub(1).max(1));
-        let mut inner_scan = inner.scan(&ipool).peekable();
-        let mut window: VecDeque<Tuple> = VecDeque::new();
+        let mut cursor = RngCursor::new(inner.scan(&ipool).map(|s| Ok(s?)), iattr, alpha);
         let mut m = OperatorMetrics::default();
         for r in outer.scan(&opool) {
             let r = r?;
             m.tuples_in += 1;
-            let rv = &r.values[oattr];
-            // Drop inner tuples wholly before rv: they precede every later
-            // outer range as well (outer is sorted by left endpoints).
-            while let Some(front) = window.front() {
-                if interval_order::strictly_before_at(&front.values[iattr], rv, alpha) {
-                    window.pop_front();
-                } else {
-                    break;
-                }
-            }
-            // Extend the window to cover Rng(r).
-            loop {
-                let after = match inner_scan.peek() {
-                    None => break,
-                    Some(Err(_)) => true, // force the error out below
-                    Some(Ok(s)) => interval_order::strictly_after_at(&s.values[iattr], rv, alpha),
-                };
-                if after {
-                    if let Some(Err(_)) = inner_scan.peek() {
-                        inner_scan.next().expect("peeked")?;
-                    }
-                    break; // first tuple past Rng(r); keep it for later outers
-                }
-                let s = inner_scan.next().expect("peeked")?;
-                m.tuples_in += 1;
-                if !interval_order::strictly_before_at(&s.values[iattr], rv, alpha) {
-                    window.push_back(s);
-                }
-                // else: wholly before every remaining outer tuple; drop.
-            }
-            window.make_contiguous();
-            let (slice, _) = window.as_slices();
-            m.pairs_examined += slice.len() as u64;
-            m.max_window = m.max_window.max(slice.len() as u64);
-            visit(&r, slice, &mut m)?;
+            cursor.advance(&r.values[oattr], &mut m, drop)?;
+            visit(&r, cursor.window(), &mut m)?;
         }
         m.add_pool(&opool.stats());
         m.add_pool(&ipool.stats());
@@ -110,29 +161,30 @@ impl Executor {
     /// Interval-partitioned parallel flat merge-join (the `threads > 1` path
     /// of [`JoinMethod::Merge`]).
     ///
-    /// Phase 1 replays the *serial* `merge_window` scan — same pools, same
-    /// window maintenance, same `pairs_examined` / `max_window` accounting —
-    /// but records, per outer tuple, the indices of its `Rng(r)` window
-    /// instead of evaluating degrees on the spot. Because the inner scan
-    /// stops at exactly the tuple the serial scan would stop at, physical
-    /// read counts are identical to the serial join.
+    /// Phase 1 advances the same [`RngCursor`] as `merge_window`, with the
+    /// same pools and counters, so physical reads and `pairs_examined` /
+    /// `max_window` equal the serial join's. Instead of evaluating degrees
+    /// on the spot it keeps every window tuple, in inner order: evicted
+    /// tuples as they leave, the last window at the end. Each outer tuple's
+    /// `Rng(r)` is then one range over that sequence, since a FIFO window
+    /// over the kept tuples is always contiguous.
     ///
     /// Phase 2 partitions the outer (already sorted by `⪯`) into `threads`
-    /// contiguous chunks balanced by their window pair counts. Each chunk's
-    /// recorded windows cover the full `Rng(r)` of its outers — a window can
-    /// span chunk boundaries, so workers read overlapping slices of the
-    /// inner; no pair is lost at a cut. Workers evaluate the pure
-    /// `pair_eval` for their pairs in outer order and accumulate comparison
-    /// and prune counts per chunk; chunk sums are order-independent, so the
-    /// operator's counters equal the serial ones exactly.
+    /// contiguous chunks balanced by their window pair counts. A window can
+    /// span chunk boundaries, so workers read overlapping ranges of the
+    /// kept inner tuples; no pair is lost at a cut. Workers evaluate the
+    /// pure `pair_eval` for their pairs in outer order and accumulate
+    /// comparison and prune counts per chunk; chunk sums are
+    /// order-independent, so the operator's counters equal the serial ones
+    /// exactly.
     ///
     /// Phase 3 concatenates the per-chunk emissions in chunk order on the
     /// calling thread, so the sink observes exactly the serial emission
     /// sequence (same rows, same degrees, same temp-table bytes).
     ///
-    /// The tradeoff is memory: the scanned prefix of both relations and the
-    /// window index lists are held in memory for the duration of the join,
-    /// where the serial path holds only the current window.
+    /// The tradeoff is memory: the outer and the kept inner tuples are held
+    /// for the duration of the join, where the serial path holds only the
+    /// current window.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn merge_join_parallel<D>(
         &mut self,
@@ -150,63 +202,31 @@ impl Executor {
         D: Fn(&Tuple, &Tuple) -> PairOutcome + Sync,
     {
         let g = self.begin_op(kind, label);
-        // Phase 1: serial I/O and window replay (identical to merge_window).
+        // Phase 1: serial I/O and window maintenance, as in merge_window.
         let opool = self.pool(1);
         let ipool = self.pool(self.config.buffer_pages.saturating_sub(1).max(1));
-        let mut inner_scan = inner.scan(&ipool).peekable();
-        let mut inner_vec: Vec<Tuple> = Vec::new();
+        let mut cursor = RngCursor::new(inner.scan(&ipool).map(|s| Ok(s?)), iattr, alpha);
+        let mut kept: Vec<Tuple> = Vec::new();
         let mut outer_vec: Vec<Tuple> = Vec::new();
-        let mut windows: Vec<Vec<u32>> = Vec::new();
-        let mut window: VecDeque<u32> = VecDeque::new();
+        let mut windows: Vec<Range<u32>> = Vec::new();
         let mut m = OperatorMetrics::default();
         for r in outer.scan(&opool) {
             let r = r?;
             m.tuples_in += 1;
-            let rv = &r.values[oattr];
-            while let Some(&front) = window.front() {
-                if interval_order::strictly_before_at(
-                    &inner_vec[front as usize].values[iattr],
-                    rv,
-                    alpha,
-                ) {
-                    window.pop_front();
-                } else {
-                    break;
-                }
-            }
-            loop {
-                let after = match inner_scan.peek() {
-                    None => break,
-                    Some(Err(_)) => true, // force the error out below
-                    Some(Ok(s)) => interval_order::strictly_after_at(&s.values[iattr], rv, alpha),
-                };
-                if after {
-                    if let Some(Err(_)) = inner_scan.peek() {
-                        inner_scan.next().expect("peeked")?;
-                    }
-                    break; // first tuple past Rng(r); keep it for later outers
-                }
-                let s = inner_scan.next().expect("peeked")?;
-                m.tuples_in += 1;
-                let keep = !interval_order::strictly_before_at(&s.values[iattr], rv, alpha);
-                let idx = u32::try_from(inner_vec.len())
-                    .map_err(|_| EngineError::Unsupported("inner relation too large".into()))?;
-                inner_vec.push(s);
-                if keep {
-                    window.push_back(idx);
-                }
-            }
-            m.pairs_examined += window.len() as u64;
-            m.max_window = m.max_window.max(window.len() as u64);
-            windows.push(window.iter().copied().collect());
+            cursor.advance(&r.values[oattr], &mut m, |s| kept.push(s))?;
+            let start = kept.len();
+            let end = u32::try_from(start + cursor.window().len())
+                .map_err(|_| EngineError::Unsupported("inner relation too large".into()))?;
+            windows.push(start as u32..end);
             outer_vec.push(r);
         }
+        kept.extend(cursor.into_window());
 
         // Phase 2: contiguous outer chunks balanced by window pair counts.
         let threads = self.config.threads.min(outer_vec.len()).max(1);
         let total_pairs: u64 = windows.iter().map(|w| w.len() as u64).sum();
         let per_chunk = (total_pairs / threads as u64).max(1);
-        let mut chunks: Vec<std::ops::Range<usize>> = Vec::new();
+        let mut chunks: Vec<Range<usize>> = Vec::new();
         let mut start = 0usize;
         let mut acc = 0u64;
         for (i, w) in windows.iter().enumerate() {
@@ -226,15 +246,15 @@ impl Executor {
                 .map(|range| {
                     let range = range.clone();
                     let outer_vec = &outer_vec;
-                    let inner_vec = &inner_vec;
+                    let kept = &kept;
                     let windows = &windows;
                     scope.spawn(move || {
                         let mut out: Vec<(u32, u32, Degree)> = Vec::new();
                         let (mut comparisons, mut pruned) = (0u64, 0u64);
                         for i in range {
                             let r = &outer_vec[i];
-                            for &j in &windows[i] {
-                                let o = pair_eval(r, &inner_vec[j as usize]);
+                            for j in windows[i].clone() {
+                                let o = pair_eval(r, &kept[j as usize]);
                                 comparisons += u64::from(o.comparisons);
                                 pruned += u64::from(o.pruned);
                                 if let Some(d) = o.degree {
@@ -255,7 +275,7 @@ impl Executor {
             m.pairs_pruned += pruned;
             for (i, j, d) in chunk {
                 m.tuples_out += 1;
-                sink.emit(&outer_vec[i as usize], &inner_vec[j as usize], d)?;
+                sink.emit(&outer_vec[i as usize], &kept[j as usize], d)?;
             }
         }
         m.add_pool(&opool.stats());

@@ -9,16 +9,19 @@
 //!   those tuples that satisfy p_i positively should be sorted");
 //! * `sort` — external merge sort by the interval order `⪯` of
 //!   Definition 3.1 on the join attribute;
-//! * `merge_join` — streams the sorted outer relation; for each outer
-//!   tuple `r` presents exactly `Rng(r)`, the contiguous inner range whose
-//!   support intervals can intersect `r`'s;
+//! * `merge_join` — the `Rng(r)` cursor: streams the sorted outer relation
+//!   and, for each outer tuple `r`, presents exactly `Rng(r)`, the
+//!   contiguous inner range whose support intervals can intersect `r`'s.
+//!   The serial and parallel merge-joins, the anti and aggregate merge
+//!   modes, and the partitioned join's per-partition scans all advance it;
 //! * `partitioned` — the sampling-based partitioned join alternative;
 //! * `block_nl` — the block nested loop: the join step without a merge
 //!   driver, and every join, anti, and aggregate step of the baselines;
 //! * `anti` — the grouped `MIN(D)` accumulation of Queries JX′/JALL′;
 //! * `agg` — the pipelined T1/T2/JA′ (COUNT′) aggregate evaluation;
-//! * `flat` — the flat join step gluing driver/residual predicate
-//!   evaluation to a method and an output sink;
+//! * `flat` — the flat join step: one pair evaluation (the optional
+//!   equality driver, the residual predicates, the threshold prune) shared
+//!   by every join method, and the output sink;
 //! * `output` — fuzzy-OR dedup plus the final `WITH D > z` threshold.
 //!
 //! `op::drive` runs the cached tree by borrow: one match over its nodes, in
@@ -28,8 +31,7 @@
 //! tree that runs.
 //! Chain joins pipeline left-deep: intermediate join output feeds the next
 //! sort boundary as in-memory rows (`op::Slot::Rows`) instead of a
-//! temp-table round trip, so simulated writes drop while answers and
-//! counters stay bit-identical (see DESIGN.md §11).
+//! temp-table round trip (see DESIGN.md §11).
 //!
 //! Every operator registers in the executor's [`QueryMetrics`] registry
 //! under its declaration's name and accumulates exact counters there (see [`crate::metrics`] for
@@ -88,13 +90,6 @@ pub struct ExecConfig {
     /// DESIGN.md, "Parallel execution"). The partitioned join ignores this
     /// knob and always runs serially (see `partitioned`).
     pub threads: usize,
-    /// Pipeline intermediate chain-join output into the next merge step's
-    /// sort boundary as in-memory rows instead of materializing a temp
-    /// table. Answers, comparison counts, prune counts, and sort counters
-    /// are unaffected — only the temp-table write and its re-scan disappear
-    /// from the simulated I/O (see DESIGN.md §11). `false` restores the
-    /// materialize-every-step behaviour for A/B measurements.
-    pub pipeline_joins: bool,
     /// Session-level default for the answer threshold: statements that carry
     /// no explicit `WITH D > z` clause are post-filtered to degrees `> z`.
     /// Applied by the engine as a pure presentation filter (before ORDER BY
@@ -124,7 +119,6 @@ impl Default for ExecConfig {
             threshold_pushdown: true,
             join_method: JoinMethod::default(),
             threads: 1,
-            pipeline_joins: true,
             default_threshold: None,
         }
     }
@@ -352,6 +346,44 @@ mod tests {
                 err.map(|t| t.num_tuples())
             );
         }
+    }
+
+    #[test]
+    fn inner_read_error_is_a_typed_error_in_every_window_join() {
+        // An undecodable record after the inner tuples: each join returns
+        // the storage error its read raises instead of panicking.
+        let disk = SimDisk::with_default_page_size();
+        let r = table(&disk, "R", &[(0.0, 1.0), (100.0, 101.0)]);
+        let s = table(&disk, "S", &[(0.0, 2.0)]);
+        s.file().load([[0u8; 3]]).unwrap();
+        let corrupt = |res: Result<()>| {
+            matches!(res, Err(crate::EngineError::Storage(fuzzy_storage::StorageError::Corrupt(_))))
+        };
+        let label = || "test".to_string();
+        let mut ex = Executor::new(&disk, ExecConfig::default());
+        let serial =
+            ex.merge_window(&r, 1, &s, 1, Degree::ZERO, OpKind::Join, label(), |_, _, _| Ok(()));
+        assert!(corrupt(serial), "merge_window");
+        let mut ex = Executor::new(&disk, ExecConfig { threads: 2, ..ExecConfig::default() });
+        let none =
+            |_: &Tuple, _: &Tuple| PairOutcome { degree: None, comparisons: 0, pruned: false };
+        let mut sink = flat::JoinSink::Buffer(Vec::new());
+        let parallel = ex.merge_join_parallel(
+            &r,
+            1,
+            &s,
+            1,
+            Degree::ZERO,
+            OpKind::Join,
+            label(),
+            &none,
+            &mut sink,
+        );
+        assert!(corrupt(parallel), "merge_join_parallel");
+        let mut ex = Executor::new(&disk, ExecConfig::default());
+        let partitioned =
+            ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, label(), |_, _, _| Ok(()));
+        assert!(corrupt(partitioned), "partitioned_join");
     }
 
     #[test]

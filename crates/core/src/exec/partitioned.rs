@@ -11,8 +11,9 @@
 //! 2. **Partition** both relations: a tuple is written to *every* partition
 //!    whose key range its α-cut interval intersects (intervals may span
 //!    boundaries, so replication — not hashing — is what fuzzy values need);
-//! 3. **Join** each partition pair in memory with the same interval-order
-//!    window scan as the extended merge-join.
+//! 3. **Join** each partition pair in memory, advancing the extended
+//!    merge-join's `Rng(r)` cursor over the sorted inner partition and
+//!    visiting the window tuples whose intervals meet each outer value.
 //!
 //! A pair whose intervals intersect is examined in every partition both of
 //! its replicas share, so the same answer row can be emitted more than once;
@@ -31,10 +32,11 @@
 //! partition-temp allocation; see DESIGN.md §7.
 
 use crate::error::Result;
+use crate::exec::merge_join::RngCursor;
 use crate::exec::Executor;
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::verify::{PhysOp, Prop};
-use fuzzy_core::interval_order::{self, OrderKey};
+use fuzzy_core::interval_order::OrderKey;
 use fuzzy_core::Degree;
 use fuzzy_rel::{StoredTable, Tuple};
 
@@ -103,22 +105,16 @@ impl Executor {
             let is =
                 sort_keyed(ip.scan(&pool).collect::<fuzzy_storage::Result<_>>()?, iattr, alpha);
             m.tuples_in += os.len() as u64 + is.len() as u64;
-            let mut start = 0usize;
+            // This join charges both partitions whole and counts only the
+            // pairs whose intervals meet, so the cursor's own window
+            // counters go unused.
+            let mut window_counts = OperatorMetrics::default();
+            let mut cursor = RngCursor::new(is.into_iter().map(Ok), iattr, alpha);
             for r in &os {
                 let rv = &r.values[oattr];
-                while start < is.len()
-                    && interval_order::strictly_before_at(&is[start].values[iattr], rv, alpha)
-                {
-                    start += 1;
-                }
+                cursor.advance(rv, &mut window_counts, drop)?;
                 let mut window = 0u64;
-                for s in is[start..].iter() {
-                    if interval_order::strictly_after_at(&s.values[iattr], rv, alpha) {
-                        break;
-                    }
-                    if interval_order::strictly_before_at(&s.values[iattr], rv, alpha) {
-                        continue; // dangling within the window
-                    }
+                for s in cursor.meeting(rv) {
                     m.pairs_examined += 1;
                     window += 1;
                     visit(r, s, &mut m)?;
@@ -233,6 +229,7 @@ fn sort_keyed(tuples: Vec<Tuple>, attr: usize, alpha: Degree) -> Vec<Tuple> {
 mod tests {
     use super::*;
     use crate::exec::ExecConfig;
+    use fuzzy_core::interval_order;
     use fuzzy_core::{CmpOp, Trapezoid, Value};
     use fuzzy_rel::{AttrType, Schema};
     use fuzzy_storage::SimDisk;

@@ -115,12 +115,11 @@ impl PlanCache {
     /// plan with bit-identical counters.
     pub fn key(q: &fuzzy_sql::Query, strategy: Strategy, config: &ExecConfig) -> String {
         format!(
-            "{q}|{} rj={} tp={} jm={:?} pj={}",
+            "{q}|{} rj={} tp={} jm={:?}",
             strategy.name(),
             config.reorder_joins,
             config.threshold_pushdown,
-            config.join_method,
-            config.pipeline_joins
+            config.join_method
         )
     }
 

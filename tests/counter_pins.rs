@@ -8,6 +8,10 @@
 //!   C = 7, with 32 buffer and 32 sort pages;
 //! * one query of every class of the unnesting catalogue (plus the shape
 //!   the naive fallback serves) over the generated R and S at two scales;
+//! * that catalogue again at 800 tuples under the partitioned join, with a
+//!   buffer small enough to split S (13 pages) into 4 partitions, and at
+//!   80 tuples under the two nested-loop baselines (without the fallback
+//!   shape and the chain, which they refuse);
 //! * a fixed script of reads with an INSERT, UPDATE or DELETE after every
 //!   three of them, like perfbench's `mixed` workload.
 //!
@@ -23,7 +27,7 @@
 //! ```
 
 use fuzzy_db::core::{Trapezoid, Value};
-use fuzzy_db::engine::QueryOutcome;
+use fuzzy_db::engine::{JoinMethod, QueryOutcome, Strategy};
 use fuzzy_db::rel::{AttrType, Catalog, Schema, Tuple};
 use fuzzy_db::storage::SimDisk;
 use fuzzy_db::workload::{generate, WorkloadSpec};
@@ -171,14 +175,38 @@ fn analytic(threads: usize) -> (String, [u64; 3]) {
     (out, sums.map(|s| (s as f64 / ANALYTIC.len() as f64).round() as u64))
 }
 
-/// The class corpus over the generated R and S of `n` tuples each.
+/// The class corpus over the generated R and S of `n` tuples each, with
+/// 256 buffer and sort pages.
 fn corpus(n: usize, threads: usize) -> String {
+    corpus_under(&format!("corpus-{n}"), n, 256, JoinMethod::Merge, Strategy::Unnest, threads)
+}
+
+/// The class corpus over the generated R and S of `n` tuples each, with
+/// `pages` buffer and sort pages, flat joins driven by `method`, run by
+/// `strategy`. The nested-loop baselines refuse the fallback shape and the
+/// chain, which reuses the binding `S` across nesting levels, so those two
+/// run only under `Strategy::Unnest`.
+fn corpus_under(
+    tag: &str,
+    n: usize,
+    pages: usize,
+    method: JoinMethod,
+    strategy: Strategy,
+    threads: usize,
+) -> String {
     let spec = WorkloadSpec { n_outer: n, n_inner: n, fanout: 7, seed: 5, ..Default::default() };
-    let db = generated_db(spec, 256, threads);
+    let mut db = generated_db(spec, pages, threads);
+    let mut config = db.exec_config();
+    config.join_method = method;
+    db.set_exec_config(config);
     let mut out = String::new();
     for (class, sql) in CLASS_CORPUS {
-        let outcome = db.query(sql).run().unwrap_or_else(|e| panic!("{sql}: {e}"));
-        render_read(&mut out, &format!("corpus-{n}/{class}"), sql, &outcome);
+        if matches!(class, "General" | "Chain(3)") && strategy != Strategy::Unnest {
+            continue;
+        }
+        let outcome =
+            db.query(sql).strategy(strategy).run().unwrap_or_else(|e| panic!("{sql}: {e}"));
+        render_read(&mut out, &format!("{tag}/{class}"), sql, &outcome);
     }
     out
 }
@@ -243,6 +271,22 @@ fn render(threads: usize) -> String {
     text.push_str(&corpus(80, threads));
     text.push_str(&corpus(800, threads));
     text.push_str(&mixed(threads));
+    // 8 pages give each inner partition a budget of 4: S's 13 pages split
+    // into 4 partitions.
+    text.push_str(&corpus_under(
+        "corpus-800-partitioned",
+        800,
+        8,
+        JoinMethod::Partitioned,
+        Strategy::Unnest,
+        threads,
+    ));
+    for (tag, strategy) in [
+        ("corpus-80-nested-loop", Strategy::NestedLoop),
+        ("corpus-80-materialized-nl", Strategy::MaterializedNestedLoop),
+    ] {
+        text.push_str(&corpus_under(tag, 80, 256, JoinMethod::Merge, strategy, threads));
+    }
     // A trailing entry keeps every line above comma-terminated.
     text.push_str("{\"case\": \"end\"}\n]\n");
     text

@@ -47,11 +47,7 @@ fn fixture() -> Database {
 }
 
 fn check(name: &str, sql: &str) {
-    check_db(&fixture(), name, sql)
-}
-
-fn check_db(db: &Database, name: &str, sql: &str) {
-    check_text(name, db.explain(sql).expect("EXPLAIN failed"))
+    check_text(name, fixture().explain(sql).expect("EXPLAIN failed"))
 }
 
 /// Pins the `EXPLAIN` text of a statement run under a baseline strategy.
@@ -135,27 +131,6 @@ fn golden_chain3() {
         "SELECT R.ID FROM R WHERE R.X IN \
          (SELECT S.X FROM S WHERE S.X IN (SELECT T.X FROM T))",
     );
-}
-
-/// The pipelined three-way chain is pinned with zero intermediate
-/// materialization (`-> temp table`) lines; the same plan with
-/// `pipeline_joins` off is pinned showing the temp-table spill it replaces.
-#[test]
-fn golden_chain3_materialized() {
-    let sql = "SELECT R.ID FROM R WHERE R.X IN \
-               (SELECT S.X FROM S WHERE S.X IN (SELECT T.X FROM T))";
-    let mut db = fixture();
-    db.set_exec_config(fuzzy_db::engine::ExecConfig {
-        pipeline_joins: false,
-        ..Default::default()
-    });
-    check_db(&db, "chain3_materialized", sql);
-    let materialized = db.explain(sql).unwrap();
-    assert!(materialized.contains("-> temp table"), "{materialized}");
-    assert!(!materialized.contains("-> pipelined"), "{materialized}");
-    let pipelined = fixture().explain(sql).unwrap();
-    assert!(pipelined.contains("-> pipelined"), "{pipelined}");
-    assert!(!pipelined.contains("-> temp table"), "{pipelined}");
 }
 
 #[test]

@@ -1,16 +1,13 @@
-//! Pipeline-vs-materialized equivalence for chain joins.
+//! Pipelined chain joins at every thread count.
 //!
 //! The streaming operator pipeline keeps intermediate chain-join output in
 //! memory for the next sort boundary instead of spilling a temp table
-//! (DESIGN.md §11). `ExecConfig::pipeline_joins = false` restores the
-//! materialize-every-step behaviour, and the two paths must be equivalent
-//! in everything except simulated I/O:
+//! (DESIGN.md §11). Every thread count must run a chain exactly as one
+//! thread does:
 //!
-//! * answers (values *and* degrees) bit-identical, at every thread count;
+//! * answers (values *and* degrees) bit-identical;
 //! * tuples-out / fuzzy-comparison / prune / sort counters bit-identical;
-//! * strictly fewer simulated page writes for the pipelined path on chains
-//!   with an intermediate step (3 and 4 tables), and exactly equal writes
-//!   on a 2-table chain (its only join streams into the answer either way).
+//! * the same simulated page writes.
 
 use fuzzy_db::core::Value;
 use fuzzy_db::engine::{Engine, ExecConfig, Strategy};
@@ -58,12 +55,9 @@ struct Run {
     writes: u64,
 }
 
-fn run(catalog: &Catalog, disk: &SimDisk, sql: &str, threads: usize, pipeline: bool) -> Run {
-    let engine = Engine::over(catalog.clone().into(), disk).with_config(ExecConfig {
-        threads,
-        pipeline_joins: pipeline,
-        ..Default::default()
-    });
+fn run(catalog: &Catalog, disk: &SimDisk, sql: &str, threads: usize) -> Run {
+    let engine = Engine::over(catalog.clone().into(), disk)
+        .with_config(ExecConfig { threads, ..Default::default() });
     let out = engine.run_sql(sql, Strategy::Unnest).unwrap();
     let t = out.metrics.totals();
     Run {
@@ -77,53 +71,31 @@ fn run(catalog: &Catalog, disk: &SimDisk, sql: &str, threads: usize, pipeline: b
 }
 
 #[test]
-fn pipelined_and_materialized_chains_are_equivalent() {
+fn pipelined_chains_agree_at_every_thread_count() {
     for scale in [1usize, 4] {
         for (k, sql) in CHAINS {
             let (catalog, disk) = chain_db(scale);
-            let baseline = run(&catalog, &disk, sql, 1, true);
+            let baseline = run(&catalog, &disk, sql, 1);
             assert!(!baseline.answer.is_empty(), "chain{k} scale {scale}: empty answer");
             for threads in [1usize, 2, 4, 8] {
                 let label = format!("chain{k} scale {scale} threads {threads}");
-                let piped = run(&catalog, &disk, sql, threads, true);
-                let mat = run(&catalog, &disk, sql, threads, false);
-                for (name, r) in [("pipelined", &piped), ("materialized", &mat)] {
-                    assert_eq!(
-                        r.answer, baseline.answer,
-                        "{label}: {name} answer diverged from baseline"
-                    );
-                    let bd: Vec<f64> =
-                        baseline.answer.tuples().iter().map(|t| t.degree.value()).collect();
-                    let rd: Vec<f64> = r.answer.tuples().iter().map(|t| t.degree.value()).collect();
-                    assert_eq!(bd, rd, "{label}: {name} degrees diverged");
-                    assert_eq!(r.tuples_out, baseline.tuples_out, "{label}: {name} tuples_out");
-                    assert_eq!(
-                        r.fuzzy_comparisons, baseline.fuzzy_comparisons,
-                        "{label}: {name} fuzzy_comparisons"
-                    );
-                    assert_eq!(
-                        r.pairs_pruned, baseline.pairs_pruned,
-                        "{label}: {name} pairs_pruned"
-                    );
-                    assert_eq!(
-                        r.sort_comparisons, baseline.sort_comparisons,
-                        "{label}: {name} sort_comparisons"
-                    );
-                }
-                if *k >= 3 {
-                    assert!(
-                        piped.writes < mat.writes,
-                        "{label}: pipelined writes {} not below materialized {}",
-                        piped.writes,
-                        mat.writes
-                    );
-                } else {
-                    assert_eq!(
-                        piped.writes, mat.writes,
-                        "{label}: a 2-table chain has no intermediate to pipeline"
-                    );
-                }
-                assert_eq!(piped.writes, baseline.writes, "{label}: writes not thread-invariant");
+                let r = run(&catalog, &disk, sql, threads);
+                assert_eq!(r.answer, baseline.answer, "{label}: answer diverged from baseline");
+                let bd: Vec<f64> =
+                    baseline.answer.tuples().iter().map(|t| t.degree.value()).collect();
+                let rd: Vec<f64> = r.answer.tuples().iter().map(|t| t.degree.value()).collect();
+                assert_eq!(bd, rd, "{label}: degrees diverged");
+                assert_eq!(r.tuples_out, baseline.tuples_out, "{label}: tuples_out");
+                assert_eq!(
+                    r.fuzzy_comparisons, baseline.fuzzy_comparisons,
+                    "{label}: fuzzy_comparisons"
+                );
+                assert_eq!(r.pairs_pruned, baseline.pairs_pruned, "{label}: pairs_pruned");
+                assert_eq!(
+                    r.sort_comparisons, baseline.sort_comparisons,
+                    "{label}: sort_comparisons"
+                );
+                assert_eq!(r.writes, baseline.writes, "{label}: writes not thread-invariant");
             }
         }
     }

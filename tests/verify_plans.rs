@@ -219,7 +219,7 @@ fn session_engines_share_one_context_and_standalone_engines_do_not() {
     // A session with another plan-shaping config misses the cache, yet the
     // shared histograms are not built again.
     let mut other = db.session();
-    other.set_exec_config(ExecConfig { pipeline_joins: false, ..ExecConfig::default() });
+    other.set_exec_config(ExecConfig { reorder_joins: false, ..ExecConfig::default() });
     assert_eq!(plan(other.engine()), (0, Some(false)));
     // Standalone engines each get a private context: each builds its own
     // histograms and misses its own cache.
