@@ -8,7 +8,7 @@ use fuzzy_core::interval_order::{self, OrderKey};
 use fuzzy_core::{possibility, CmpOp, Degree, Trapezoid, Value};
 use fuzzy_engine::{Engine, Strategy};
 use fuzzy_rel::{AttrType, Catalog, Relation, Schema, StoredTable, Tuple};
-use fuzzy_storage::{external_sort, BufferPool, HeapFile, SimDisk};
+use fuzzy_storage::{external_sort, HeapFile, SimDisk};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -82,9 +82,9 @@ fn tuple_codec(c: &mut Criterion) {
     });
 }
 
-/// The buffer pool's record scan: 4000 records of 128 bytes through a
-/// one-frame pool, summing the record lengths. Every page is a miss; the
-/// cursor lends each record in place.
+/// The heap file's record scan: 4000 records of 128 bytes, summing the
+/// record lengths. Every page is read from the disk once; the cursor lends
+/// each record in place.
 fn heap_scan(c: &mut Criterion) {
     let disk = SimDisk::with_default_page_size();
     let file = HeapFile::create(&disk);
@@ -96,8 +96,7 @@ fn heap_scan(c: &mut Criterion) {
     .unwrap();
     c.bench_function("heap_scan_4000x128B", |b| {
         b.iter(|| {
-            let pool = BufferPool::new(&disk, 1);
-            let mut scan = pool.scan(&file);
+            let mut scan = file.scan();
             let mut bytes = 0usize;
             while let Some(rec) = scan.next_record() {
                 bytes += rec.unwrap().len();

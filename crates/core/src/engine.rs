@@ -21,7 +21,7 @@ use crate::unnest::build_plan;
 use crate::verify::VerifiedPlan;
 use fuzzy_core::Degree;
 use fuzzy_rel::{Catalog, Relation};
-use fuzzy_storage::{BufferPool, CostModel, Measurement, SimDisk};
+use fuzzy_storage::{CostModel, Measurement, SimDisk};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -277,8 +277,7 @@ impl Engine {
         match strategy {
             // The oracle: the only literal evaluator outside tests.
             Strategy::Naive => self.measured(q, ServingInfo::default(), || {
-                let (answer, metrics) =
-                    self.run_naive_metered(q, |c, p| NaiveEvaluator::new(c, p))?;
+                let (answer, metrics) = self.run_naive_metered(q, |c| NaiveEvaluator::new(c))?;
                 Ok((answer, metrics, Strategy::Naive.name().to_string()))
             }),
             _ => {
@@ -304,7 +303,7 @@ impl Engine {
             }
             Planned::NaiveFallback => {
                 let (answer, metrics) =
-                    self.run_naive_metered(q, |c, p| NaiveEvaluator::serving(c, p))?;
+                    self.run_naive_metered(q, |c| NaiveEvaluator::serving(c))?;
                 Ok((answer, metrics, "naive-fallback".to_string()))
             }
         })
@@ -418,20 +417,18 @@ impl Engine {
     fn run_naive_metered(
         &self,
         q: &fuzzy_sql::Query,
-        evaluator: impl for<'e> FnOnce(&'e Catalog, &'e BufferPool) -> NaiveEvaluator<'e>,
+        evaluator: impl for<'e> FnOnce(&'e Catalog) -> NaiveEvaluator<'e>,
     ) -> Result<(Relation, QueryMetrics)> {
         let mut metrics = QueryMetrics::default();
         let id = metrics.begin(OpKind::Naive, "naive-eval");
         let disk = &self.ctx.disk;
         let io0 = disk.io();
         let t0 = Instant::now();
-        let pool = BufferPool::new(disk, self.config.buffer_pages);
-        let ev = evaluator(&self.catalog, &pool);
+        let ev = evaluator(&self.catalog);
         let answer = ev.eval(q)?;
         let m = metrics.op_mut(id);
         m.fuzzy_comparisons = ev.comparisons();
         m.tuples_out = answer.len() as u64;
-        m.add_pool(&pool.stats());
         metrics.finish(id, t0.elapsed(), disk.io().since(&io0));
         Ok((answer, metrics))
     }

@@ -204,24 +204,20 @@ impl Executor {
             AggMode::Const => {
                 // Type A: the inner block is a constant; compute it once.
                 let g = self.begin_op(OpKind::Aggregate, label);
-                let pool = self.pool(self.config.buffer_pages);
                 let mut set = GroupSet::default();
                 let mut m = OperatorMetrics::default();
-                for s in inner_t.scan(&pool) {
+                for s in inner_t.scan() {
                     let s = s?;
                     m.tuples_in += 1;
                     m.pairs_examined += 1;
                     set.add(s.values[agg_idx].clone(), s.degree);
                 }
                 let group = set.aggregate(agg, plan.agg_degree)?;
-                let opool = self.pool(1);
-                for r in outer_t.scan(&opool) {
+                for r in outer_t.scan() {
                     let r = r?;
                     m.tuples_in += 1;
                     emit_outer(&r, r.degree, group.as_ref(), &mut rows, &mut m);
                 }
-                m.add_pool(&pool.stats());
-                m.add_pool(&opool.stats());
                 self.absorb_op(&g, &m);
                 self.end_op(g);
             }
@@ -289,15 +285,12 @@ impl Executor {
                 // Non-equality op2: T'(u) cannot be window-scanned; build
                 // the reduced inner set once and scan it per distinct u.
                 let g = self.begin_op(OpKind::Aggregate, label);
-                let pool = self.pool(self.config.buffer_pages);
-                let inner_all: Vec<Tuple> =
-                    inner_t.scan(&pool).collect::<fuzzy_storage::Result<_>>()?;
-                let opool = self.pool(1);
+                let inner_all: Vec<Tuple> = inner_t.scan().collect::<fuzzy_storage::Result<_>>()?;
                 let mut cache: Option<(Value, Option<(Value, Degree)>)> = None;
                 let mut set = GroupSet::default();
                 let mut m = OperatorMetrics::default();
                 m.tuples_in += inner_all.len() as u64;
-                for r in outer_t.scan(&opool) {
+                for r in outer_t.scan() {
                     let r = r?;
                     m.tuples_in += 1;
                     let u = &r.values[ucol.attr];
@@ -317,8 +310,6 @@ impl Executor {
                     let group = cache.as_ref().expect("just set").1.as_ref();
                     emit_outer(&r, r.degree, group, &mut rows, &mut m);
                 }
-                m.add_pool(&pool.stats());
-                m.add_pool(&opool.stats());
                 self.absorb_op(&g, &m);
                 self.end_op(g);
             }

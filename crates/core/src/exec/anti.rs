@@ -165,13 +165,10 @@ impl Executor {
                 // built once — the unnesting benefit — then the outer streams
                 // against it.
                 let g = self.begin_op(OpKind::Anti, label);
-                let pool = self.pool(self.config.buffer_pages);
-                let inner_all: Vec<Tuple> =
-                    inner_t.scan(&pool).collect::<fuzzy_storage::Result<_>>()?;
-                let opool = self.pool(1);
+                let inner_all: Vec<Tuple> = inner_t.scan().collect::<fuzzy_storage::Result<_>>()?;
                 let mut m = OperatorMetrics::default();
                 m.tuples_in += inner_all.len() as u64;
-                for r in outer_t.scan(&opool) {
+                for r in outer_t.scan() {
                     let r = r?;
                     m.tuples_in += 1;
                     let mut acc = r.degree;
@@ -187,8 +184,6 @@ impl Executor {
                         rows.push((crate::exec::project(&r, &select_idx), acc));
                     }
                 }
-                m.add_pool(&pool.stats());
-                m.add_pool(&opool.stats());
                 self.absorb_op(&g, &m);
                 self.end_op(g);
             }

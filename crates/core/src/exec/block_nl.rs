@@ -2,8 +2,8 @@
 //! exists, and — under the two nested-loop baselines, which lower every
 //! step without a driver — the method of every flat join, anti, and
 //! aggregate step. The outer is read once in blocks of `M − 1` pages; the
-//! inner is scanned once per block through a single reserved frame (the
-//! paper's Section 9 buffer allocation for the nested-loop method).
+//! inner is scanned once per block, one page at a time (the paper's
+//! Section 9 buffer allocation for the nested-loop method).
 
 use crate::error::Result;
 use crate::exec::Executor;
@@ -61,9 +61,8 @@ impl Executor {
                     block.push((t, a));
                 }
             }
-            // One scan of the inner per block, through one frame.
-            let ipool = self.pool(1);
-            for s in inner.scan(&ipool) {
+            // One scan of the inner per block, one page at a time.
+            for s in inner.scan() {
                 let s = s?;
                 m.tuples_in += 1;
                 for (r, a) in &mut block {
@@ -71,7 +70,6 @@ impl Executor {
                     observe(a, r, &s, &mut m)?;
                 }
             }
-            m.add_pool(&ipool.stats());
             for (r, a) in block {
                 finalize(r, a, &mut m)?;
             }

@@ -50,7 +50,6 @@ impl Executor {
         }
         let layout = Layout::of_table(t);
         let preds = layout.bind_all(&t.local_preds)?;
-        let pool = self.pool(2);
         let name = self.temp_name("filter");
         let out = StoredTable::create_padded(
             &self.disk,
@@ -60,7 +59,7 @@ impl Executor {
         );
         let mut w = out.file().bulk_writer();
         let mut m = OperatorMetrics::default();
-        for tuple in table.scan(&pool) {
+        for tuple in table.scan() {
             let mut tuple = tuple?;
             m.tuples_in += 1;
             let mut d = tuple.degree;
@@ -80,7 +79,6 @@ impl Executor {
             }
         }
         w.finish()?;
-        m.add_pool(&pool.stats());
         self.absorb_op(&g, &m);
         self.end_op(g);
         Ok(out)

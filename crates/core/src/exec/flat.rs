@@ -118,9 +118,8 @@ impl Executor {
         let (_, select_idx) = layout.projection(select)?;
         let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
         let g = self.begin_op(OpKind::Scan, label);
-        let pool = self.pool(2);
         let mut m = OperatorMetrics::default();
-        for t in input.scan(&pool) {
+        for t in input.scan() {
             let t = t?;
             m.tuples_in += 1;
             let mut d = t.degree;
@@ -133,7 +132,6 @@ impl Executor {
                 rows.push((crate::exec::project(&t, &select_idx), d));
             }
         }
-        m.add_pool(&pool.stats());
         self.absorb_op(&g, &m);
         self.end_op(g);
         Ok(rows)

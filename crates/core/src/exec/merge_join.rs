@@ -140,19 +140,15 @@ impl Executor {
         F: FnMut(&Tuple, &[Tuple], &mut OperatorMetrics) -> Result<()>,
     {
         let g = self.begin_op(kind, label);
-        // One frame for the outer scan; the rest serve the window's pages.
-        let opool = self.pool(1);
-        let ipool = self.pool(self.config.buffer_pages.saturating_sub(1).max(1));
-        let mut cursor = RngCursor::new(inner.scan(&ipool).map(|s| Ok(s?)), iattr, alpha);
+        // One page for the outer scan; the window holds inner tuples.
+        let mut cursor = RngCursor::new(inner.scan().map(|s| Ok(s?)), iattr, alpha);
         let mut m = OperatorMetrics::default();
-        for r in outer.scan(&opool) {
+        for r in outer.scan() {
             let r = r?;
             m.tuples_in += 1;
             cursor.advance(&r.values[oattr], &mut m, drop)?;
             visit(&r, cursor.window(), &mut m)?;
         }
-        m.add_pool(&opool.stats());
-        m.add_pool(&ipool.stats());
         self.absorb_op(&g, &m);
         self.end_op(g);
         Ok(())
@@ -162,7 +158,7 @@ impl Executor {
     /// of [`JoinMethod::Merge`]).
     ///
     /// Phase 1 advances the same [`RngCursor`] as `merge_window`, with the
-    /// same pools and counters, so physical reads and `pairs_examined` /
+    /// same scans and counters, so physical reads and `pairs_examined` /
     /// `max_window` equal the serial join's. Instead of evaluating degrees
     /// on the spot it keeps every window tuple, in inner order: evicted
     /// tuples as they leave, the last window at the end. Each outer tuple's
@@ -203,14 +199,12 @@ impl Executor {
     {
         let g = self.begin_op(kind, label);
         // Phase 1: serial I/O and window maintenance, as in merge_window.
-        let opool = self.pool(1);
-        let ipool = self.pool(self.config.buffer_pages.saturating_sub(1).max(1));
-        let mut cursor = RngCursor::new(inner.scan(&ipool).map(|s| Ok(s?)), iattr, alpha);
+        let mut cursor = RngCursor::new(inner.scan().map(|s| Ok(s?)), iattr, alpha);
         let mut kept: Vec<Tuple> = Vec::new();
         let mut outer_vec: Vec<Tuple> = Vec::new();
         let mut windows: Vec<Range<u32>> = Vec::new();
         let mut m = OperatorMetrics::default();
-        for r in outer.scan(&opool) {
+        for r in outer.scan() {
             let r = r?;
             m.tuples_in += 1;
             cursor.advance(&r.values[oattr], &mut m, |s| kept.push(s))?;
@@ -278,8 +272,6 @@ impl Executor {
                 sink.emit(&outer_vec[i as usize], &kept[j as usize], d)?;
             }
         }
-        m.add_pool(&opool.stats());
-        m.add_pool(&ipool.stats());
         self.absorb_op(&g, &m);
         self.end_op(g);
         Ok(())

@@ -43,7 +43,7 @@ use crate::metrics::{OpKind, OperatorMetrics, QueryMetrics};
 use crate::verify::VerifiedPlan;
 use fuzzy_core::Degree;
 use fuzzy_rel::{Catalog, Relation, StoredTable};
-use fuzzy_storage::{BufferPool, IoSnapshot, SimDisk};
+use fuzzy_storage::{IoSnapshot, SimDisk};
 use std::time::Instant;
 
 pub(crate) mod agg;
@@ -66,10 +66,12 @@ pub(crate) use bind::{fold_preds, BoundCompare, BoundOperand, Layout};
 pub(crate) use output::project;
 
 /// Execution configuration: the buffer and sort memory budgets, in pages.
-/// The paper's experiments use a 2 MB buffer of 8 KB pages (256 frames).
+/// The paper's experiments use a 2 MB buffer of 8 KB pages (256 pages).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
-    /// Buffer pool frames available to scans and joins (the paper's M).
+    /// Pages of memory the join operators may hold (the paper's M): the
+    /// block nested loop's outer block takes `M − 1` of them, and the
+    /// partitioned join sizes its partitions to fit. Scans hold one page.
     pub buffer_pages: usize,
     /// Pages of working memory for the external sort.
     pub sort_pages: usize,
@@ -194,19 +196,10 @@ impl Executor {
         self.metrics.finish(g.id, g.t0.elapsed(), io);
     }
 
-    /// A buffer pool sized for a join-phase scan.
-    pub(crate) fn pool_for_join(&self) -> BufferPool {
-        self.pool(self.config.buffer_pages)
-    }
-
     /// A fresh temp table with the same schema/padding as `like`.
     pub(crate) fn make_temp(&mut self, tag: &str, like: &StoredTable) -> StoredTable {
         let name = self.temp_name(tag);
         StoredTable::create_padded(&self.disk, name, like.schema().clone(), like.min_record_bytes())
-    }
-
-    fn pool(&self, frames: usize) -> BufferPool {
-        BufferPool::new(&self.disk, frames.max(1))
     }
 
     fn temp_name(&mut self, tag: &str) -> String {

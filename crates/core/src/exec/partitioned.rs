@@ -82,15 +82,15 @@ impl Executor {
         let budget = (self.config().buffer_pages / 2).max(1) as u64;
         let parts = inner.num_pages().div_ceil(budget).max(1) as usize;
         let boundaries = if parts > 1 {
-            self.sample_boundaries(inner, iattr, alpha, parts, &mut m)?
+            self.sample_boundaries(inner, iattr, alpha, parts)?
         } else {
             Vec::new()
         };
         let ranges = boundaries.len() + 1;
 
         // --- 2. Partition both relations (replicating spanning tuples). -----
-        let outer_parts = self.partition(outer, oattr, alpha, &boundaries, "pout", &mut m)?;
-        let inner_parts = self.partition(inner, iattr, alpha, &boundaries, "pin", &mut m)?;
+        let outer_parts = self.partition(outer, oattr, alpha, &boundaries, "pout")?;
+        let inner_parts = self.partition(inner, iattr, alpha, &boundaries, "pin")?;
         debug_assert_eq!(outer_parts.len(), ranges);
         debug_assert_eq!(inner_parts.len(), ranges);
 
@@ -99,11 +99,8 @@ impl Executor {
             if op.num_tuples() == 0 || ip.num_tuples() == 0 {
                 continue;
             }
-            let pool = self.pool_for_join();
-            let os =
-                sort_keyed(op.scan(&pool).collect::<fuzzy_storage::Result<_>>()?, oattr, alpha);
-            let is =
-                sort_keyed(ip.scan(&pool).collect::<fuzzy_storage::Result<_>>()?, iattr, alpha);
+            let os = sort_keyed(op.scan().collect::<fuzzy_storage::Result<_>>()?, oattr, alpha);
+            let is = sort_keyed(ip.scan().collect::<fuzzy_storage::Result<_>>()?, iattr, alpha);
             m.tuples_in += os.len() as u64 + is.len() as u64;
             // This join charges both partitions whole and counts only the
             // pairs whose intervals meet, so the cursor's own window
@@ -121,7 +118,6 @@ impl Executor {
                 }
                 m.max_window = m.max_window.max(window);
             }
-            m.add_pool(&pool.stats());
         }
         self.absorb_op(&g, &m);
         self.end_op(g);
@@ -136,13 +132,11 @@ impl Executor {
         attr: usize,
         alpha: Degree,
         parts: usize,
-        m: &mut OperatorMetrics,
     ) -> Result<Vec<f64>> {
-        let pool = self.pool_for_join();
         // One sample per page region: cheap and spread across the file.
         let step = (table.num_tuples() as usize / (parts * 32).max(1)).max(1);
         let mut sample: Vec<f64> = Vec::new();
-        for (i, t) in table.scan(&pool).enumerate() {
+        for (i, t) in table.scan().enumerate() {
             if i % step == 0 {
                 let t = t?;
                 if let Some((lo, _)) = t.values[attr].interval_at(alpha) {
@@ -162,14 +156,12 @@ impl Executor {
                 boundaries.push(b);
             }
         }
-        m.add_pool(&pool.stats());
         Ok(boundaries)
     }
 
     /// Writes each tuple to every partition whose key range its interval
     /// intersects. Range `k` covers `[boundaries[k-1], boundaries[k])` with
     /// open ends at the extremes.
-    #[allow(clippy::too_many_arguments)]
     fn partition(
         &mut self,
         table: &StoredTable,
@@ -177,7 +169,6 @@ impl Executor {
         alpha: Degree,
         boundaries: &[f64],
         tag: &str,
-        m: &mut OperatorMetrics,
     ) -> Result<Vec<StoredTable>> {
         let ranges = boundaries.len() + 1;
         let mut parts: Vec<StoredTable> = Vec::with_capacity(ranges);
@@ -187,8 +178,7 @@ impl Executor {
             writers.push(t.file().bulk_writer());
             parts.push(t);
         }
-        let pool = self.pool_for_join();
-        for t in table.scan(&pool) {
+        for t in table.scan() {
             let t = t?;
             let (lo, hi) = match t.values[attr].interval_at(alpha) {
                 Some(iv) => iv,
@@ -210,7 +200,6 @@ impl Executor {
         for w in writers {
             w.finish()?;
         }
-        m.add_pool(&pool.stats());
         Ok(parts)
     }
 }
@@ -276,9 +265,8 @@ mod tests {
         })
         .unwrap();
         // Brute-force reference.
-        let pool = fuzzy_storage::BufferPool::new(&disk, 64);
-        let rs: Vec<Tuple> = r.scan(&pool).collect::<fuzzy_storage::Result<_>>().unwrap();
-        let ss: Vec<Tuple> = s.scan(&pool).collect::<fuzzy_storage::Result<_>>().unwrap();
+        let rs: Vec<Tuple> = r.scan().collect::<fuzzy_storage::Result<_>>().unwrap();
+        let ss: Vec<Tuple> = s.scan().collect::<fuzzy_storage::Result<_>>().unwrap();
         let mut expect = std::collections::HashSet::new();
         for rt in &rs {
             for st in &ss {

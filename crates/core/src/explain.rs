@@ -332,12 +332,6 @@ pub fn render_actual(outcome: &QueryOutcome) -> String {
         if m.sort_comparisons > 0 {
             out.push_str(&format!(" scmp={}", m.sort_comparisons));
         }
-        if m.buffer_requests > 0 {
-            out.push_str(&format!(
-                " buf={}/{}/{}",
-                m.buffer_requests, m.buffer_hits, m.buffer_misses
-            ));
-        }
         if m.page_reads + m.page_writes > 0 {
             out.push_str(&format!(" io={}r+{}w", m.page_reads, m.page_writes));
         }

@@ -18,7 +18,7 @@
 //! the phase split [`OperatorNode::sort_phases`]), outside
 //! [`OperatorMetrics`], and is excluded from [`QueryMetrics::deterministic`].
 
-use fuzzy_storage::{IoSnapshot, PoolStats};
+use fuzzy_storage::IoSnapshot;
 use std::time::Duration;
 
 /// Deterministic counters of one physical operator.
@@ -43,12 +43,13 @@ pub struct OperatorMetrics {
     pub sort_runs: u64,
     /// Comparisons performed by an external sort.
     pub sort_comparisons: u64,
-    /// Buffer-pool page requests issued through this operator's pools.
+    /// Always 0: scans read every page straight from the disk, with no page
+    /// cache in between (see `page_reads`). Kept only because perfbench's
+    /// `buffer_hit_ratio` still reads it; both go in a later change to the
+    /// benchmark.
     pub buffer_requests: u64,
-    /// Requests satisfied from a resident frame.
+    /// Always 0, like `buffer_requests`, and goes with it.
     pub buffer_hits: u64,
-    /// Requests that required a physical read.
-    pub buffer_misses: u64,
     /// Simulated physical page reads charged to this operator.
     pub page_reads: u64,
     /// Simulated physical page writes charged to this operator.
@@ -66,18 +67,8 @@ impl OperatorMetrics {
         self.max_window = self.max_window.max(o.max_window);
         self.sort_runs += o.sort_runs;
         self.sort_comparisons += o.sort_comparisons;
-        self.buffer_requests += o.buffer_requests;
-        self.buffer_hits += o.buffer_hits;
-        self.buffer_misses += o.buffer_misses;
         self.page_reads += o.page_reads;
         self.page_writes += o.page_writes;
-    }
-
-    /// Credits a buffer pool's request/hit/miss counters to this operator.
-    pub fn add_pool(&mut self, s: &PoolStats) {
-        self.buffer_requests += s.requests;
-        self.buffer_hits += s.hits;
-        self.buffer_misses += s.misses;
     }
 }
 
@@ -216,8 +207,7 @@ impl QueryMetrics {
             format!(
                 "{{\"tuples_in\":{},\"tuples_out\":{},\"pairs_examined\":{},\
                  \"fuzzy_comparisons\":{},\"pairs_pruned\":{},\"max_window\":{},\
-                 \"sort_runs\":{},\"sort_comparisons\":{},\"buffer_requests\":{},\
-                 \"buffer_hits\":{},\"buffer_misses\":{},\"page_reads\":{},\
+                 \"sort_runs\":{},\"sort_comparisons\":{},\"page_reads\":{},\
                  \"page_writes\":{}}}",
                 m.tuples_in,
                 m.tuples_out,
@@ -227,9 +217,6 @@ impl QueryMetrics {
                 m.max_window,
                 m.sort_runs,
                 m.sort_comparisons,
-                m.buffer_requests,
-                m.buffer_hits,
-                m.buffer_misses,
                 m.page_reads,
                 m.page_writes
             )
@@ -381,13 +368,6 @@ mod tests {
         a.finish(0, Duration::from_millis(5), IoSnapshot::default());
         b.finish(0, Duration::from_millis(50), IoSnapshot::default());
         assert_eq!(a.deterministic(), b.deterministic());
-    }
-
-    #[test]
-    fn pool_stats_fold_in() {
-        let mut m = OperatorMetrics::default();
-        m.add_pool(&PoolStats { requests: 5, hits: 3, misses: 2 });
-        assert_eq!(m.buffer_requests, m.buffer_hits + m.buffer_misses);
     }
 
     #[test]

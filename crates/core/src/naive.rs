@@ -54,7 +54,6 @@ use fuzzy_rel::{AttrType, Attribute, Catalog, Relation, Schema, Tuple};
 use fuzzy_sql::{
     AggFunc, ColumnRef, HavingOperand, Operand, OrderKey, Predicate, Quantifier, Query, SelectItem,
 };
-use fuzzy_storage::BufferPool;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -84,7 +83,6 @@ type ClosedMemo = RefCell<HashMap<*const Query, Option<Rc<Relation>>>>;
 /// serving mode's memo.
 pub struct NaiveEvaluator<'a> {
     catalog: &'a Catalog,
-    pool: &'a BufferPool,
     cache: RefCell<HashMap<String, Rc<Relation>>>,
     /// The serving mode's memo (`None` on the oracle).
     closed: Option<ClosedMemo>,
@@ -93,26 +91,21 @@ pub struct NaiveEvaluator<'a> {
 
 impl<'a> NaiveEvaluator<'a> {
     /// The oracle: re-evaluates every nested block for every outer tuple,
-    /// literally. Page reads go through `pool`.
-    pub fn new(catalog: &'a Catalog, pool: &'a BufferPool) -> NaiveEvaluator<'a> {
-        NaiveEvaluator::with_memo(catalog, pool, None)
+    /// literally. Each table it reads is scanned once per statement.
+    pub fn new(catalog: &'a Catalog) -> NaiveEvaluator<'a> {
+        NaiveEvaluator::with_memo(catalog, None)
     }
 
     /// The serving mode: like [`NaiveEvaluator::new`], but a closed nested
     /// block (`is_closed`) is evaluated once, the first time evaluation
     /// reaches it, and its answer reused for the rest of the statement.
-    pub fn serving(catalog: &'a Catalog, pool: &'a BufferPool) -> NaiveEvaluator<'a> {
-        NaiveEvaluator::with_memo(catalog, pool, Some(RefCell::default()))
+    pub fn serving(catalog: &'a Catalog) -> NaiveEvaluator<'a> {
+        NaiveEvaluator::with_memo(catalog, Some(RefCell::default()))
     }
 
-    fn with_memo(
-        catalog: &'a Catalog,
-        pool: &'a BufferPool,
-        closed: Option<ClosedMemo>,
-    ) -> NaiveEvaluator<'a> {
+    fn with_memo(catalog: &'a Catalog, closed: Option<ClosedMemo>) -> NaiveEvaluator<'a> {
         NaiveEvaluator {
             catalog,
-            pool,
             cache: RefCell::new(HashMap::new()),
             closed,
             comparisons: Cell::new(0),
@@ -143,7 +136,7 @@ impl<'a> NaiveEvaluator<'a> {
             .catalog
             .table(table)
             .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
-        let rel = Rc::new(stored.to_relation(self.pool)?);
+        let rel = Rc::new(stored.to_relation()?);
         self.cache.borrow_mut().insert(key, Rc::clone(&rel));
         Ok(rel)
     }

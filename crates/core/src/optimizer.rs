@@ -48,8 +48,7 @@ fn estimate(t: &crate::plan::PlanTable, catalog: &Catalog, stats: Option<&StatsR
                     (PlanOperand::Const(v), PlanOperand::Col(c)) => (c, v),
                     _ => return None,
                 };
-                let pool = fuzzy_storage::BufferPool::new(table.file().disk(), 2);
-                let h = reg.histogram_for(table, col.attr, &pool).ok()?;
+                let h = reg.histograms_for(table, &[col.attr]).ok()?.pop()?;
                 // Similarity predicates behave like widened equality.
                 let op = p.op;
                 Some(h.selectivity(op, probe))

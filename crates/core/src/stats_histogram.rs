@@ -10,7 +10,7 @@
 
 use fuzzy_core::{CmpOp, Degree, Value};
 use fuzzy_rel::StoredTable;
-use fuzzy_storage::{BufferPool, Result};
+use fuzzy_storage::Result;
 
 /// An equi-depth histogram over one numeric column.
 #[derive(Debug, Clone)]
@@ -28,43 +28,24 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Builds a histogram with (up to) `buckets` buckets by scanning the
-    /// table once through `pool`.
-    pub fn build(
-        table: &StoredTable,
-        attr: usize,
-        buckets: usize,
-        pool: &BufferPool,
-    ) -> Result<Histogram> {
-        let mut lefts: Vec<f64> = Vec::new();
-        let mut widths: Vec<f64> = Vec::new();
-        let mut other = 0u64;
-        for t in table.scan(pool) {
+    /// Builds one histogram with (up to) `buckets` buckets per column in
+    /// `attrs`, in that order, scanning the table once for all of them.
+    pub fn build(table: &StoredTable, attrs: &[usize], buckets: usize) -> Result<Vec<Histogram>> {
+        let mut columns: Vec<ColumnSample> =
+            attrs.iter().map(|_| ColumnSample::default()).collect();
+        for t in table.scan() {
             let t = t?;
-            match t.values[attr].interval() {
-                Some((lo, hi)) => {
-                    lefts.push(lo);
-                    widths.push(hi - lo);
+            for (column, &attr) in columns.iter_mut().zip(attrs) {
+                match t.values[attr].interval() {
+                    Some((lo, hi)) => {
+                        column.lefts.push(lo);
+                        column.max_width = column.max_width.max(hi - lo);
+                    }
+                    None => column.other += 1,
                 }
-                None => other += 1,
             }
         }
-        lefts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let max_width = widths.iter().copied().fold(0.0f64, f64::max);
-        let buckets = buckets.max(1).min(lefts.len().max(1));
-        let mut bounds = Vec::with_capacity(buckets + 1);
-        let mut depths = Vec::with_capacity(buckets);
-        if !lefts.is_empty() {
-            bounds.push(lefts[0]);
-            for k in 1..=buckets {
-                let end = k * lefts.len() / buckets;
-                let start = (k - 1) * lefts.len() / buckets;
-                depths.push((end - start) as u64);
-                let b = if k == buckets { lefts[lefts.len() - 1] } else { lefts[end] };
-                bounds.push(b);
-            }
-        }
-        Ok(Histogram { bounds, depths, other, max_width })
+        Ok(columns.into_iter().map(|c| c.histogram(buckets)).collect())
     }
 
     /// Total numeric tuples summarized.
@@ -135,6 +116,37 @@ impl Histogram {
     }
 }
 
+/// One column's values as a build scan collects them.
+#[derive(Default)]
+struct ColumnSample {
+    /// Left support endpoints of the numeric values.
+    lefts: Vec<f64>,
+    max_width: f64,
+    /// Non-numeric values.
+    other: u64,
+}
+
+impl ColumnSample {
+    fn histogram(self, buckets: usize) -> Histogram {
+        let ColumnSample { mut lefts, max_width, other } = self;
+        lefts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        let buckets = buckets.max(1).min(lefts.len().max(1));
+        let mut bounds = Vec::with_capacity(buckets + 1);
+        let mut depths = Vec::with_capacity(buckets);
+        if !lefts.is_empty() {
+            bounds.push(lefts[0]);
+            for k in 1..=buckets {
+                let end = k * lefts.len() / buckets;
+                let start = (k - 1) * lefts.len() / buckets;
+                depths.push((end - start) as u64);
+                let b = if k == buckets { lefts[lefts.len() - 1] } else { lefts[end] };
+                bounds.push(b);
+            }
+        }
+        Histogram { bounds, depths, other, max_width }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,8 +165,7 @@ mod tests {
         let disk = SimDisk::with_default_page_size();
         let vals: Vec<Value> = (0..100).map(|i| Value::number(i as f64)).collect();
         let t = table_with(&disk, &vals);
-        let pool = BufferPool::new(&disk, 4);
-        let h = Histogram::build(&t, 0, 10, &pool).unwrap();
+        let h = Histogram::build(&t, &[0], 10).unwrap().remove(0);
         assert_eq!(h.total(), 100);
         // Every bucket holds ~10 tuples.
         assert!(h.depths.iter().all(|&d| d == 10), "{:?}", h.depths);
@@ -165,8 +176,7 @@ mod tests {
         let disk = SimDisk::with_default_page_size();
         let vals: Vec<Value> = (0..200).map(|i| Value::number((i % 100) as f64)).collect();
         let t = table_with(&disk, &vals);
-        let pool = BufferPool::new(&disk, 4);
-        let h = Histogram::build(&t, 0, 20, &pool).unwrap();
+        let h = Histogram::build(&t, &[0], 20).unwrap().remove(0);
         // X <= 49.5: truth = 100 of 200.
         let est = h.estimate(CmpOp::Le, &Value::number(49.5));
         assert!((90..=115).contains(&(est as i64)), "estimate {est}");
@@ -189,8 +199,7 @@ mod tests {
             })
             .collect();
         let t = table_with(&disk, &vals);
-        let pool = BufferPool::new(&disk, 8);
-        let h = Histogram::build(&t, 0, 10, &pool).unwrap();
+        let h = Histogram::build(&t, &[0], 10).unwrap().remove(0);
         assert_eq!(h.max_support_width(), 5.0);
         // Probing at 50 must count the values whose [l, l+5] supports can
         // reach 50: lefts in [45, 50].
@@ -202,14 +211,13 @@ mod tests {
     fn degenerate_inputs() {
         let disk = SimDisk::with_default_page_size();
         let empty = table_with(&disk, &[]);
-        let pool = BufferPool::new(&disk, 4);
-        let h = Histogram::build(&empty, 0, 8, &pool).unwrap();
+        let h = Histogram::build(&empty, &[0], 8).unwrap().remove(0);
         assert_eq!(h.total(), 0);
         assert_eq!(h.estimate(CmpOp::Eq, &Value::number(1.0)), 0);
         assert_eq!(h.selectivity(CmpOp::Le, &Value::number(1.0)), 0.0);
         // All-text column: everything lands in `other`.
         let texty = table_with(&disk, &[Value::text("a"), Value::text("b")]);
-        let h = Histogram::build(&texty, 0, 4, &pool).unwrap();
+        let h = Histogram::build(&texty, &[0], 4).unwrap().remove(0);
         assert_eq!(h.total(), 2);
         assert_eq!(h.estimate(CmpOp::Eq, &Value::number(1.0)), 2);
     }
@@ -244,21 +252,29 @@ impl StatsRegistry {
         StatsRegistry { cache: Default::default(), buckets: buckets.max(1) }
     }
 
-    /// The histogram for `(table, attr)`, building it with one scan on the
-    /// first request.
-    pub fn histogram_for(
+    /// The histograms of the columns `attrs` of `table`, in that order.
+    /// Every one not cached yet is built, all of them with one scan of the
+    /// table; when all are cached, nothing is read.
+    pub fn histograms_for(
         &self,
         table: &StoredTable,
-        attr: usize,
-        pool: &BufferPool,
-    ) -> Result<std::sync::Arc<Histogram>> {
-        let key = (table.name().to_lowercase(), attr);
-        if let Some(h) = self.cache.lock().expect("stats lock").get(&key) {
-            return Ok(h.clone());
+        attrs: &[usize],
+    ) -> Result<Vec<std::sync::Arc<Histogram>>> {
+        let name = table.name().to_lowercase();
+        let missing: Vec<usize> = {
+            let cache = self.cache.lock().expect("stats lock");
+            attrs.iter().copied().filter(|&a| !cache.contains_key(&(name.clone(), a))).collect()
+        };
+        let built = if missing.is_empty() {
+            Vec::new()
+        } else {
+            Histogram::build(table, &missing, self.buckets)?
+        };
+        let mut cache = self.cache.lock().expect("stats lock");
+        for (attr, h) in missing.into_iter().zip(built) {
+            cache.insert((name.clone(), attr), std::sync::Arc::new(h));
         }
-        let h = std::sync::Arc::new(Histogram::build(table, attr, self.buckets, pool)?);
-        self.cache.lock().expect("stats lock").insert(key, h.clone());
-        Ok(h)
+        Ok(attrs.iter().filter_map(|&a| cache.get(&(name.clone(), a)).cloned()).collect())
     }
 
     /// Number of cached histograms.
@@ -281,19 +297,31 @@ mod registry_tests {
     #[test]
     fn registry_builds_once_and_caches() {
         let disk = SimDisk::with_default_page_size();
-        let t = StoredTable::create(&disk, "T", Schema::of(&[("X", AttrType::Number)]));
-        t.load((0..50).map(|i| Tuple::full(vec![Value::number(i as f64)]))).unwrap();
-        let pool = BufferPool::new(&disk, 4);
+        let t = StoredTable::create(
+            &disk,
+            "T",
+            Schema::of(&[("X", AttrType::Number), ("Y", AttrType::Number)]),
+        );
+        t.load(
+            (0..50).map(|i| Tuple::full(vec![Value::number(i as f64), Value::number(-i as f64)])),
+        )
+        .unwrap();
         let reg = StatsRegistry::new(8);
         assert!(reg.is_empty());
-        let before = disk.io().reads;
-        let h1 = reg.histogram_for(&t, 0, &pool).unwrap();
-        let mid = disk.io().reads;
-        let h2 = reg.histogram_for(&t, 0, &pool).unwrap();
-        let after = disk.io().reads;
-        assert!(mid > before, "first build scans");
-        assert_eq!(mid, after, "second request is cached");
-        assert_eq!(h1.total(), h2.total());
+        let reads = || disk.io().reads;
+        let before = reads();
+        let h1 = reg.histograms_for(&t, &[0]).unwrap();
+        let mid = reads();
+        let h2 = reg.histograms_for(&t, &[0]).unwrap();
+        assert_eq!(mid - before, t.num_pages(), "first build scans once");
+        assert_eq!(reads(), mid, "second request is cached");
+        assert_eq!(h1[0].total(), h2[0].total());
         assert_eq!(reg.len(), 1);
+        // Only the missing column is built, still with one scan.
+        let both = reg.histograms_for(&t, &[1, 0]).unwrap();
+        assert_eq!(reads() - mid, t.num_pages());
+        assert_eq!((both.len(), reg.len()), (2, 2));
+        assert!(std::sync::Arc::ptr_eq(&both[1], &h1[0]));
+        assert_eq!(both[0].total(), 50);
     }
 }

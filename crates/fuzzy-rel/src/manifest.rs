@@ -147,7 +147,6 @@ mod tests {
     use super::*;
     use crate::tuple::Tuple;
     use fuzzy_core::{Degree, Value};
-    use fuzzy_storage::BufferPool;
 
     #[test]
     fn roundtrip_catalog() {
@@ -176,8 +175,7 @@ mod tests {
         assert_eq!(t2.num_tuples(), 10);
         assert_eq!(t2.min_record_bytes(), 64);
         assert_eq!(t2.schema().key(), Some(0));
-        let pool = BufferPool::new(&disk, 4);
-        let rel = t2.to_relation(&pool).unwrap();
+        let rel = t2.to_relation().unwrap();
         assert_eq!(rel.tuples()[3].values[1], Value::text("p3"));
         assert!((rel.tuples()[3].degree.value() - 0.65).abs() < 1e-12);
     }

@@ -1,14 +1,14 @@
 //! Stored tables: fuzzy relations persisted in heap files.
 //!
 //! A stored table binds a schema to a heap file of encoded tuples on a
-//! simulated disk. Scans stream tuples through a caller-supplied buffer pool
-//! so every page access is charged; this is the substrate the two join
+//! simulated disk. Scans read each page of the file from the disk once, so
+//! every page access is charged; this is the substrate the two join
 //! algorithms of the paper compete on.
 
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use fuzzy_storage::{BufferPool, HeapFile, Result, SimDisk};
+use fuzzy_storage::{HeapFile, Result, SimDisk};
 
 /// A fuzzy relation stored in a heap file.
 #[derive(Debug, Clone)]
@@ -116,18 +116,17 @@ impl StoredTable {
         std::mem::replace(&mut self.file, file)
     }
 
-    /// Streams all tuples through `pool`, decoding each straight from its
-    /// pinned page.
-    pub fn scan<'a>(&'a self, pool: &'a BufferPool) -> impl Iterator<Item = Result<Tuple>> + 'a {
-        let mut records = pool.scan(&self.file);
+    /// Streams all tuples, decoding each straight from its page image.
+    pub fn scan(&self) -> impl Iterator<Item = Result<Tuple>> + '_ {
+        let mut records = self.file.scan();
         std::iter::from_fn(move || records.next_record().map(|r| r.and_then(Tuple::decode)))
     }
 
     /// Reads the whole table into an in-memory relation (test/debug helper;
     /// query operators stream instead).
-    pub fn to_relation(&self, pool: &BufferPool) -> Result<Relation> {
+    pub fn to_relation(&self) -> Result<Relation> {
         let mut rel = Relation::empty(self.schema.clone());
-        for t in self.scan(pool) {
+        for t in self.scan() {
             rel.insert(t?);
         }
         Ok(rel)
@@ -154,8 +153,7 @@ mod tests {
         let t = StoredTable::create(&disk, "people", schema());
         t.load([tup(1.0, "Ann", 1.0), tup(2.0, "Bob", 0.5)]).unwrap();
         assert_eq!(t.num_tuples(), 2);
-        let pool = BufferPool::new(&disk, 2);
-        let rel = t.to_relation(&pool).unwrap();
+        let rel = t.to_relation().unwrap();
         assert_eq!(rel.len(), 2);
         assert_eq!(rel.tuples()[1].values[1], Value::text("Bob"));
     }

@@ -241,9 +241,9 @@ impl SimDisk {
         }
     }
 
-    /// Reads a page, charging one physical read. The image comes back as the
-    /// shared buffer a buffer-pool frame holds; the in-memory backing copies
-    /// it exactly once, straight into that buffer.
+    /// Reads a page, charging one physical read. The image comes back as a
+    /// shared buffer a scan can hold while it lends the page's records; the
+    /// in-memory backing copies it exactly once, straight into that buffer.
     pub fn read_page(&self, id: PageId) -> Result<Arc<[u8]>> {
         let size = self.inner.page_size;
         let page: Arc<[u8]> = match &mut *self.inner.backing.lock().expect("disk lock") {
@@ -484,8 +484,7 @@ mod file_backing_tests {
             u32::cmp,
         )
         .unwrap();
-        let pool = crate::buffer::BufferPool::new(&disk, 4);
-        let mut scan = pool.scan(&sorted);
+        let mut scan = sorted.scan();
         let first = scan.next_record().unwrap().unwrap();
         assert_eq!(u32::from_le_bytes(first[..4].try_into().unwrap()), 0);
         std::fs::remove_file(&path).unwrap();

@@ -3,13 +3,22 @@
 //! A heap file is the storage representation of a relation (and of sort runs
 //! and temporary results). Bulk loading buffers one page in memory and writes
 //! it to disk when full — clearing and reusing that one buffer — so loading
-//! `n` records costs exactly `ceil(bytes / page)` physical writes. Scanning
-//! goes through a [`crate::buffer::BufferPool`] so repeated access patterns
-//! are charged faithfully.
+//! `n` records costs exactly `ceil(bytes / page)` physical writes.
+//!
+//! Scanning ([`HeapFile::scan`]) reads each page straight from the disk once,
+//! in storage order: one physical read, charged by [`SimDisk::read_page`], and
+//! one copy of the image out of the disk backing. No page cache sits between
+//! a scan and the disk — the paper's §9 I/O model gives the nested loop's
+//! outer block its pages explicitly and the merge-join's `Rng(r)` window holds
+//! tuples, so every page an operator needs is read exactly when it is charged.
+//! [`RecordScan`] holds the current page image and lends each record as a
+//! slice of it ([`RecordScan::next_record`]), so a scan allocates nothing per
+//! record: callers decode in place, or copy the bytes themselves when they
+//! must outlive the next call.
 
 use crate::disk::{PageId, SimDisk};
 use crate::error::{Result, StorageError};
-use crate::page::Page;
+use crate::page::{Page, PageView};
 use std::sync::{Arc, Mutex};
 
 /// Identifier of a record inside a heap file.
@@ -100,6 +109,12 @@ impl HeapFile {
             .get(index as usize)
             .copied()
             .ok_or(StorageError::PageOutOfBounds(index as u64))
+    }
+
+    /// Scans every record of the file in storage order, reading each page
+    /// from the disk once.
+    pub fn scan(&self) -> RecordScan<'_> {
+        RecordScan { file: self, page_index: 0, page: Arc::from([]), slots: 0, slot: 0 }
     }
 
     /// Opens a bulk writer. Records stream into an in-memory page that is
@@ -200,10 +215,53 @@ impl BulkWriter {
     }
 }
 
+/// A lending cursor over all records of a heap file, in `(page, slot)`
+/// order. It holds the current page's image, validates each page header once
+/// when it reaches the page, and lends every record as a slice of the image.
+pub struct RecordScan<'a> {
+    file: &'a HeapFile,
+    /// Index of the next page to read.
+    page_index: u32,
+    /// The current page's image, its header already validated (empty, with
+    /// zero slots, before the first read).
+    page: Arc<[u8]>,
+    slots: u16,
+    slot: u16,
+}
+
+impl RecordScan<'_> {
+    /// The next record, borrowed from the current page image until the next
+    /// call; `None` after the last record. A page that fails to read or whose
+    /// header or slot is corrupt yields its error.
+    pub fn next_record(&mut self) -> Option<Result<&[u8]>> {
+        while self.slot >= self.slots {
+            if u64::from(self.page_index) >= self.file.num_pages() {
+                return None;
+            }
+            if let Err(e) = self.read_page() {
+                return Some(Err(e));
+            }
+        }
+        let slot = self.slot;
+        self.slot += 1;
+        Some(PageView::validated(&self.page).get(slot))
+    }
+
+    /// Reads the next page of the file and validates its header.
+    fn read_page(&mut self) -> Result<()> {
+        let pid = self.file.page_id(self.page_index)?;
+        self.page_index += 1;
+        let page = self.file.disk.read_page(pid)?;
+        self.slots = PageView::new(&page)?.slot_count();
+        self.slot = 0;
+        self.page = page;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
 
     #[test]
     fn load_and_count() {
@@ -224,13 +282,14 @@ mod tests {
         let f = HeapFile::create(&disk);
         let records: Vec<Vec<u8>> = (0..40u32).map(|i| i.to_le_bytes().to_vec()).collect();
         f.load(records.iter()).unwrap();
-        let pool = BufferPool::new(&disk, 4);
-        let mut scan = pool.scan(&f);
+        let mut scan = f.scan();
         let mut got: Vec<Vec<u8>> = Vec::new();
         while let Some(rec) = scan.next_record() {
             got.push(rec.unwrap().to_vec());
         }
         assert_eq!(got, records);
+        // One physical read per page, no page read twice.
+        assert_eq!(disk.io().reads, f.num_pages());
     }
 
     #[test]
@@ -250,8 +309,8 @@ mod tests {
         f.load(std::iter::empty::<&[u8]>()).unwrap();
         assert_eq!(f.num_pages(), 0);
         assert_eq!(f.num_records(), 0);
-        let pool = BufferPool::new(&disk, 2);
-        assert!(pool.scan(&f).next_record().is_none());
+        assert!(f.scan().next_record().is_none());
+        assert_eq!(disk.io().reads, 0);
     }
 
     #[test]

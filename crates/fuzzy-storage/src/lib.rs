@@ -10,11 +10,11 @@
 //! * [`Page`] — slotted pages holding variable-length records, and
 //!   [`PageView`], the borrowed view that validates a page image and reads
 //!   its records in place;
-//! * [`HeapFile`] — record files with streaming bulk load;
-//! * [`BufferPool`] — bounded LRU page cache (the buffer-allocation policies
-//!   of both join algorithms in the paper are expressed through it), scanned
-//!   with the lending cursor [`RecordScan`], which lends each record as a
-//!   slice of its pinned page instead of copying it;
+//! * [`HeapFile`] — record files with streaming bulk load, scanned with the
+//!   lending cursor [`RecordScan`], which reads each page straight from the
+//!   disk once and lends each record as a slice of the page image instead of
+//!   copying it (the paper's buffer budgets are the operators' own: the
+//!   nested loop's outer block, the sort's memory pages);
 //! * [`sort::external_sort`] — bounded-memory external merge sort on a key
 //!   extracted once per record read, with one byte arena per run batch;
 //! * [`CostModel`] — converts I/O counts + CPU time into response time;
@@ -23,27 +23,27 @@
 //! ## Example
 //!
 //! ```
-//! use fuzzy_storage::{SimDisk, HeapFile, BufferPool};
+//! use fuzzy_storage::{SimDisk, HeapFile};
 //!
 //! let disk = SimDisk::with_default_page_size();
 //! let file = HeapFile::create(&disk);
 //! file.load((0u32..100).map(|i| i.to_le_bytes()))?;
-//! let pool = BufferPool::new(&disk, 4);
-//! let mut scan = pool.scan(&file);
+//! let mut scan = file.scan();
 //! let (mut count, mut bytes) = (0, 0);
 //! while let Some(rec) = scan.next_record() {
-//!     // `rec` borrows the pinned page image: read it in place, no copy.
+//!     // `rec` borrows the current page image: read it in place, no copy.
 //!     bytes += rec?.len();
 //!     count += 1;
 //! }
 //! assert_eq!((count, bytes), (100, 400));
+//! // One physical read per page.
+//! assert_eq!(disk.io().reads, file.num_pages());
 //! # Ok::<(), fuzzy_storage::StorageError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffer;
 pub mod codec;
 pub mod cost;
 pub mod disk;
@@ -52,11 +52,10 @@ pub mod file;
 pub mod page;
 pub mod sort;
 
-pub use buffer::{BufferPool, PoolStats, RecordScan};
 pub use cost::{CostModel, Measurement};
 pub use disk::{IoSnapshot, PageId, SimDisk, DEFAULT_PAGE_SIZE};
 pub use error::{Result, StorageError};
-pub use file::{HeapFile, RecordId};
+pub use file::{HeapFile, RecordId, RecordScan};
 pub use page::{Page, PageView};
 pub use sort::{
     estimated_initial_runs, external_sort, external_sort_parallel, external_sort_records, SortStats,

@@ -115,8 +115,8 @@ impl Page {
 }
 
 /// A borrowed slotted page: the one place page headers are validated and
-/// slots decoded. It reads records where they sit — in a [`Page`], in a
-/// buffer-pool frame, or in an image fresh from the disk — without copying.
+/// slots decoded. It reads records where they sit — in a [`Page`] or in an
+/// image fresh from the disk that a scan holds — without copying.
 #[derive(Debug, Clone, Copy)]
 pub struct PageView<'a> {
     data: &'a [u8],
@@ -142,7 +142,7 @@ impl<'a> PageView<'a> {
     }
 
     /// Re-wraps bytes whose header an earlier [`PageView::new`] accepted
-    /// (a scan holding its current frame), skipping the header check.
+    /// (a scan holding its current page image), skipping the header check.
     pub(crate) fn validated(data: &'a [u8]) -> PageView<'a> {
         PageView { data }
     }

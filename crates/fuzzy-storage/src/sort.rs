@@ -28,7 +28,7 @@
 //! endpoints and breakpoints, with no decoding and no α-cut arithmetic.
 //!
 //! Records are never allocated one by one. Run generation reads each record
-//! in place from the scan's pinned page and appends its bytes to one byte
+//! in place from the scan's page image and appends its bytes to one byte
 //! arena per batch; the batch's entries are `(key, offset, length)` triples,
 //! and quicksort moves only those. The arena *is* the memory budget — a batch
 //! is cut when it holds `memory_pages × page_size` bytes — and the keys sit
@@ -40,10 +40,9 @@
 //! is charged to the I/O counters. [`SortStats`] also carries the wall time
 //! of the two phases, run generation and merging, for `EXPLAIN ANALYZE`.
 
-use crate::buffer::{BufferPool, RecordScan};
 use crate::disk::SimDisk;
 use crate::error::Result;
-use crate::file::HeapFile;
+use crate::file::{HeapFile, RecordScan};
 use std::cmp::Ordering;
 use std::sync::atomic::{self, AtomicU64};
 use std::sync::{mpsc, Mutex};
@@ -98,8 +97,7 @@ where
     CF: Fn(&K, &K) -> Ordering,
 {
     let mut run_gen = RunGen::new(disk, memory_pages, &key, &cmp);
-    let pool = BufferPool::new(disk, 1); // sequential scan needs one frame
-    let mut scan = pool.scan(input);
+    let mut scan = input.scan();
     while let Some(rec) = scan.next_record() {
         run_gen.push(rec?)?;
     }
@@ -328,8 +326,7 @@ where
         // This thread is the producer: sequential scan, cutting batches at
         // exactly the byte budget, as in the serial path.
         let producer = || -> Result<()> {
-            let pool = BufferPool::new(disk, 1);
-            let mut scan = pool.scan(input);
+            let mut scan = input.scan();
             let mut batch: Batch<()> = Batch::new();
             let mut next_index = 0usize;
             while let Some(rec) = scan.next_record() {
@@ -382,7 +379,7 @@ where
         merge_passes += 1;
         let mut next: Vec<HeapFile> = Vec::new();
         for group in runs.chunks(fan_in) {
-            next.push(merge_group(disk, group, memory_pages, key, cmp, &mut comparisons)?);
+            next.push(merge_group(disk, group, key, cmp, &mut comparisons)?);
         }
         runs = next;
     }
@@ -394,7 +391,6 @@ where
 fn merge_group<K, KF, CF>(
     disk: &SimDisk,
     group: &[HeapFile],
-    memory_pages: usize,
     key: &KF,
     cmp: &CF,
     comparisons: &mut u64,
@@ -417,9 +413,7 @@ where
             }
         }
     };
-    // One frame per input run plus one output page held by the bulk writer.
-    let pool = BufferPool::new(disk, memory_pages.max(group.len() + 1));
-    let mut cursors: Vec<RecordScan<'_>> = group.iter().map(|r| pool.scan(r)).collect();
+    let mut cursors: Vec<RecordScan<'_>> = group.iter().map(HeapFile::scan).collect();
     // Per run: its head record's bytes in a reused buffer, and the head's
     // key; a linear min scan over the keys per output record. Fan-in is
     // small enough that a tournament tree is not worth its complexity here.
@@ -476,9 +470,8 @@ mod tests {
         f
     }
 
-    fn read_records(disk: &SimDisk, f: &HeapFile) -> Vec<Vec<u8>> {
-        let pool = BufferPool::new(disk, 4);
-        let mut scan = pool.scan(f);
+    fn read_records(f: &HeapFile) -> Vec<Vec<u8>> {
+        let mut scan = f.scan();
         let mut out = Vec::new();
         while let Some(rec) = scan.next_record() {
             out.push(rec.unwrap().to_vec());
@@ -486,8 +479,8 @@ mod tests {
         out
     }
 
-    fn read_all(disk: &SimDisk, f: &HeapFile) -> Vec<u32> {
-        read_records(disk, f).iter().map(|r| key(r).unwrap()).collect()
+    fn read_all(f: &HeapFile) -> Vec<u32> {
+        read_records(f).iter().map(|r| key(r).unwrap()).collect()
     }
 
     #[test]
@@ -582,7 +575,7 @@ mod tests {
                 merge_passes += 1;
                 let mut next: Vec<HeapFile> = Vec::new();
                 for group in runs.chunks(fan_in) {
-                    next.push(merge_group(disk, group, memory_pages, &mut cmp, &mut comparisons)?);
+                    next.push(merge_group(disk, group, &mut cmp, &mut comparisons)?);
                 }
                 runs = next;
             }
@@ -593,7 +586,6 @@ mod tests {
         fn merge_group<F>(
             disk: &SimDisk,
             group: &[HeapFile],
-            memory_pages: usize,
             cmp: &mut F,
             comparisons: &mut u64,
         ) -> Result<HeapFile>
@@ -603,8 +595,7 @@ mod tests {
             if group.len() == 1 {
                 return Ok(group[0].clone());
             }
-            let pool = BufferPool::new(disk, memory_pages.max(group.len() + 1));
-            let mut cursors: Vec<RecordScan<'_>> = group.iter().map(|r| pool.scan(r)).collect();
+            let mut cursors: Vec<RecordScan<'_>> = group.iter().map(HeapFile::scan).collect();
             let mut heads: Vec<Option<Vec<u8>>> = Vec::with_capacity(cursors.len());
             for cur in &mut cursors {
                 heads.push(cur.next_owned().transpose()?);
@@ -668,11 +659,9 @@ mod tests {
                 disk.reset_io();
                 let (sorted, stats) = sort(&disk, &f).unwrap();
                 let io = disk.io();
-                (read_records(&disk, &sorted), stats, io)
+                (read_records(&sorted), stats, io)
             };
-            let want = run_table(&|disk, f| {
-                reference::sort_stream(disk, BufferPool::new(disk, 1).scan(f), mem, by_bytes)
-            });
+            let want = run_table(&|disk, f| reference::sort_stream(disk, f.scan(), mem, by_bytes));
             assert!(passes.contains(&want.1.merge_passes), "case n={n} mem={mem}: {:?}", want.1);
             let mut sorted_keys: Vec<u32> = want.0.iter().map(|r| key(r).unwrap()).collect();
             let before = sorted_keys.clone();
@@ -693,7 +682,7 @@ mod tests {
                 let disk = SimDisk::new(128);
                 let (sorted, stats) = sort(&disk).unwrap();
                 let io = disk.io();
-                (read_records(&disk, &sorted), stats, io)
+                (read_records(&sorted), stats, io)
             };
             let want_rec = run_records(&|disk| {
                 reference::sort_stream(disk, records.iter().cloned().map(Ok), mem, by_bytes)
@@ -765,7 +754,7 @@ mod tests {
         // Many passes: once on input, then at most once per merge pass (a
         // run left alone in its merge group is carried over unread).
         let (sorted, stats) = external_sort(&disk, &f, 3, counting, by_key).unwrap();
-        assert_eq!(read_all(&disk, &sorted).len(), n);
+        assert_eq!(read_all(&sorted).len(), n);
         assert!(stats.merge_passes >= 2, "{stats:?}");
         let got = calls.load(atomic::Ordering::Relaxed);
         assert!(got > n && got <= n * (1 + stats.merge_passes), "{got} key calls");
@@ -776,7 +765,7 @@ mod tests {
         let disk = SimDisk::new(128);
         let f = load_numbers(&disk, &[5, 3, 9, 1, 4]);
         let (sorted, stats) = external_sort(&disk, &f, 8, key, by_key).unwrap();
-        assert_eq!(read_all(&disk, &sorted), vec![1, 3, 4, 5, 9]);
+        assert_eq!(read_all(&sorted), vec![1, 3, 4, 5, 9]);
         assert_eq!(stats.initial_runs, 1);
         assert_eq!(stats.merge_passes, 0);
     }
@@ -791,7 +780,7 @@ mod tests {
         let (sorted, stats) = external_sort(&disk, &f, 2, key, by_key).unwrap();
         let mut expect = nums.clone();
         expect.sort();
-        assert_eq!(read_all(&disk, &sorted), expect);
+        assert_eq!(read_all(&sorted), expect);
         assert!(stats.initial_runs > 1, "expected spilling, got {stats:?}");
         assert!(stats.merge_passes >= 1);
     }
@@ -803,7 +792,7 @@ mod tests {
         let f = load_numbers(&disk, &nums);
         // Budget comfortably above sqrt of file size: a single merge pass.
         let (sorted, stats) = external_sort(&disk, &f, 16, key, by_key).unwrap();
-        assert_eq!(read_all(&disk, &sorted)[..5], [0, 1, 2, 3, 4]);
+        assert_eq!(read_all(&sorted)[..5], [0, 1, 2, 3, 4]);
         assert_eq!(stats.merge_passes, 1);
     }
 
@@ -817,7 +806,7 @@ mod tests {
 
         let single = load_numbers(&disk, &[42]);
         let (sorted, _) = external_sort(&disk, &single, 4, key, by_key).unwrap();
-        assert_eq!(read_all(&disk, &sorted), vec![42]);
+        assert_eq!(read_all(&sorted), vec![42]);
     }
 
     #[test]
@@ -825,7 +814,7 @@ mod tests {
         let disk = SimDisk::new(128);
         let f = load_numbers(&disk, &[3, 1, 3, 1, 3]);
         let (sorted, _) = external_sort(&disk, &f, 2, key, by_key).unwrap();
-        assert_eq!(read_all(&disk, &sorted), vec![1, 1, 3, 3, 3]);
+        assert_eq!(read_all(&sorted), vec![1, 1, 3, 3, 3]);
     }
 
     #[test]
@@ -839,7 +828,7 @@ mod tests {
         let (serial_sorted, serial_stats) =
             external_sort(&serial_disk, &f, 4, key, by_key).unwrap();
         let serial_io = serial_disk.io();
-        let serial_out = read_all(&serial_disk, &serial_sorted);
+        let serial_out = read_all(&serial_sorted);
 
         for threads in [1usize, 2, 4, 8] {
             let disk = SimDisk::new(128);
@@ -850,11 +839,7 @@ mod tests {
             let io = disk.io();
             assert_eq!(stats, serial_stats, "stats diverge at threads={threads}");
             assert_eq!(io, serial_io, "I/O counters diverge at threads={threads}");
-            assert_eq!(
-                read_all(&disk, &sorted),
-                serial_out,
-                "output diverges at threads={threads}"
-            );
+            assert_eq!(read_all(&sorted), serial_out, "output diverges at threads={threads}");
         }
     }
 
@@ -868,7 +853,7 @@ mod tests {
 
         let single = load_numbers(&disk, &[9, 4]);
         let (sorted, _) = external_sort_parallel(&disk, &single, 4, 8, key, by_key).unwrap();
-        assert_eq!(read_all(&disk, &sorted), vec![4, 9]);
+        assert_eq!(read_all(&sorted), vec![4, 9]);
     }
 
     #[test]
@@ -892,7 +877,7 @@ mod tests {
         let rec_io = rec_disk.io();
 
         assert_eq!(rec_stats, table_stats, "same batches, same runs, same comparisons");
-        assert_eq!(read_all(&rec_disk, &rec_sorted), read_all(&table_disk, &table_sorted));
+        assert_eq!(read_all(&rec_sorted), read_all(&table_sorted));
         assert_eq!(rec_io.reads, table_io.reads - input_pages, "saves the input re-scan");
         assert_eq!(rec_io.writes, table_io.writes, "spill writes are identical");
     }

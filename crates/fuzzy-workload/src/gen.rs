@@ -176,7 +176,6 @@ fn join_value(
 mod tests {
     use super::*;
     use fuzzy_core::CmpOp;
-    use fuzzy_storage::BufferPool;
 
     #[test]
     fn generates_requested_sizes() {
@@ -198,9 +197,8 @@ mod tests {
         let spec =
             WorkloadSpec { n_outer: 300, n_inner: 300, fanout: 7, seed: 7, ..Default::default() };
         let w = generate(&disk, spec).unwrap();
-        let pool = BufferPool::new(&disk, 64);
-        let r = w.outer.to_relation(&pool).unwrap();
-        let s = w.inner.to_relation(&pool).unwrap();
+        let r = w.outer.to_relation().unwrap();
+        let s = w.inner.to_relation().unwrap();
         let mut joins = 0usize;
         for rt in r.tuples() {
             for st in s.tuples() {
@@ -231,9 +229,8 @@ mod tests {
             },
         )
         .unwrap();
-        let pool = BufferPool::new(&disk, 64);
-        let r = w.outer.to_relation(&pool).unwrap();
-        let s = w.inner.to_relation(&pool).unwrap();
+        let r = w.outer.to_relation().unwrap();
+        let s = w.inner.to_relation().unwrap();
         let mut partial = 0usize;
         for rt in r.tuples() {
             for st in s.tuples() {
@@ -253,9 +250,7 @@ mod tests {
         let spec = WorkloadSpec { n_outer: 50, n_inner: 50, ..Default::default() };
         let w1 = generate(&disk1, spec).unwrap();
         let w2 = generate(&disk2, spec).unwrap();
-        let p1 = BufferPool::new(&disk1, 8);
-        let p2 = BufferPool::new(&disk2, 8);
-        assert_eq!(w1.outer.to_relation(&p1).unwrap(), w2.outer.to_relation(&p2).unwrap());
+        assert_eq!(w1.outer.to_relation().unwrap(), w2.outer.to_relation().unwrap());
     }
 
     #[test]
@@ -266,8 +261,7 @@ mod tests {
             WorkloadSpec { n_outer: 50, n_inner: 50, fuzzy_fraction: 0.0, ..Default::default() },
         )
         .unwrap();
-        let pool = BufferPool::new(&disk, 8);
-        let r = w.outer.to_relation(&pool).unwrap();
+        let r = w.outer.to_relation().unwrap();
         assert!(r.tuples().iter().all(|t| matches!(t.values[1], Value::Number(_))));
     }
 
@@ -284,8 +278,7 @@ mod tests {
             ..Default::default()
         };
         let w = generate(&disk, spec).unwrap();
-        let pool = BufferPool::new(&disk, 16);
-        let rel = w.inner.to_relation(&pool).unwrap();
+        let rel = w.inner.to_relation().unwrap();
         let mut counts: std::collections::HashMap<u64, usize> = Default::default();
         for t in rel.tuples() {
             *counts.entry(t.values[1].as_number().unwrap() as u64).or_default() += 1;

@@ -135,9 +135,8 @@ fn city(name: &str, population: Value, income: Value) -> Tuple {
 }
 
 /// Reads a table fully into memory (test convenience).
-pub fn snapshot(catalog: &Catalog, disk: &SimDisk, table: &str) -> Result<Relation> {
-    let pool = fuzzy_storage::BufferPool::new(disk, 8);
-    catalog.table(table).unwrap_or_else(|| panic!("table {table} in catalog")).to_relation(&pool)
+pub fn snapshot(catalog: &Catalog, table: &str) -> Result<Relation> {
+    catalog.table(table).unwrap_or_else(|| panic!("table {table} in catalog")).to_relation()
 }
 
 #[cfg(test)]
@@ -148,8 +147,8 @@ mod tests {
     fn dating_catalog_has_paper_tuples() {
         let disk = SimDisk::with_default_page_size();
         let c = dating_service(&disk).unwrap();
-        let f = snapshot(&c, &disk, "F").unwrap();
-        let m = snapshot(&c, &disk, "M").unwrap();
+        let f = snapshot(&c, "F").unwrap();
+        let m = snapshot(&c, "M").unwrap();
         assert_eq!(f.len(), 4);
         assert_eq!(m.len(), 4);
         assert_eq!(f.tuples()[0].values[1], Value::text("Ann"));
@@ -161,10 +160,10 @@ mod tests {
     fn employees_and_cities_catalogs_load() {
         let disk = SimDisk::with_default_page_size();
         let e = employees(&disk).unwrap();
-        assert_eq!(snapshot(&e, &disk, "EMP_SALES").unwrap().len(), 4);
-        assert_eq!(snapshot(&e, &disk, "EMP_RESEARCH").unwrap().len(), 3);
+        assert_eq!(snapshot(&e, "EMP_SALES").unwrap().len(), 4);
+        assert_eq!(snapshot(&e, "EMP_RESEARCH").unwrap().len(), 3);
         let c = cities(&disk).unwrap();
-        assert_eq!(snapshot(&c, &disk, "CITIES_REGION_A").unwrap().len(), 3);
+        assert_eq!(snapshot(&c, "CITIES_REGION_A").unwrap().len(), 3);
         assert!(c.vocabulary().get("large city").is_some());
     }
 }

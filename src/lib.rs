@@ -78,7 +78,7 @@
 //!
 //! * [`core`] (re-export of `fuzzy-core`) — degrees, trapezoids, possibility
 //!   comparisons, fuzzy arithmetic, vocabularies;
-//! * [`storage`] — simulated disk, slotted pages, buffer pool, external sort,
+//! * [`storage`] — simulated disk, slotted pages, heap files, external sort,
 //!   cost model;
 //! * [`rel`] — schemas, tuples, fuzzy relations, stored tables, catalog;
 //! * [`sql`] — Fuzzy SQL parser and query-type classifier;
@@ -214,8 +214,7 @@ impl Database {
         let t = catalog
             .table(table)
             .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
-        let pool = fuzzy_storage::BufferPool::new(self.disk(), self.exec_config().buffer_pages);
-        Ok(t.to_relation(&pool)?)
+        Ok(t.to_relation()?)
     }
 
     /// A convenience threshold helper: keeps only rows with degree > `z`.

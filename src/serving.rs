@@ -365,18 +365,18 @@ impl Session {
                     Some(t) => vec![t],
                     None => cat.table_names().map(|n| n.to_string()).collect(),
                 };
-                let pool = fuzzy_storage::BufferPool::new(s.disk(), s.config.buffer_pages);
                 let mut built = 0usize;
                 for name in names {
                     let t = cat
                         .table(&name)
                         .ok_or_else(|| EngineError::Bind(format!("unknown table {name:?}")))?;
-                    for (idx, attr) in t.schema().attributes().iter().enumerate() {
-                        if attr.ty == AttrType::Number {
-                            s.shared.ctx.statistics.histogram_for(t, idx, &pool)?;
-                            built += 1;
-                        }
-                    }
+                    let numeric: Vec<usize> = (t.schema().attributes().iter().enumerate())
+                        .filter(|(_, attr)| attr.ty == AttrType::Number)
+                        .map(|(idx, _)| idx)
+                        .collect();
+                    // One scan builds every missing histogram of the table.
+                    s.shared.ctx.statistics.histograms_for(t, &numeric)?;
+                    built += numeric.len();
                 }
                 cat.mark_analyzed();
                 Ok(StatementResult::Affected(built))
@@ -521,15 +521,14 @@ impl Session {
             let stored = cat
                 .table(table)
                 .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
-            let pool = fuzzy_storage::BufferPool::new(s.disk(), s.config.buffer_pages);
-            let evaluator = fuzzy_engine::NaiveEvaluator::serving(cat, &pool);
+            let evaluator = fuzzy_engine::NaiveEvaluator::serving(cat);
             let (z, strict) = match threshold {
                 Some(t) => (Degree::clamped(t.z), t.strict),
                 None => (Degree::ZERO, true),
             };
             let mut kept: Vec<Tuple> = Vec::new();
             let mut affected = 0usize;
-            for t in stored.scan(&pool) {
+            for t in stored.scan() {
                 let t = t?;
                 let d = evaluator.match_degree(stored.name(), stored.schema(), &t, predicates)?;
                 if d.meets(z, strict) {

@@ -105,8 +105,7 @@ fn render_read(out: &mut String, case: &str, sql: &str, outcome: &QueryOutcome) 
         out.push_str(&format!(
             "  {{\"kind\": {}, \"label\": {}, \"tuples_in\": {}, \"tuples_out\": {}, \
              \"pairs\": {}, \"fuzzy_cmp\": {}, \"pruned\": {}, \"max_window\": {}, \
-             \"sort_runs\": {}, \"sort_cmp\": {}, \"buffer_requests\": {}, \
-             \"buffer_hits\": {}, \"buffer_misses\": {}, \"page_reads\": {}, \
+             \"sort_runs\": {}, \"sort_cmp\": {}, \"page_reads\": {}, \
              \"page_writes\": {}}}{}\n",
             quote(kind),
             quote(label),
@@ -118,9 +117,6 @@ fn render_read(out: &mut String, case: &str, sql: &str, outcome: &QueryOutcome) 
             m.max_window,
             m.sort_runs,
             m.sort_comparisons,
-            m.buffer_requests,
-            m.buffer_hits,
-            m.buffer_misses,
             m.page_reads,
             m.page_writes,
             if i + 1 < ops.len() { "," } else { "" }

@@ -184,8 +184,7 @@ fn a_snapshot_taken_before_a_delete_still_scans_its_old_rows() {
     // would reuse (and overwrite) its pages.
     db.create_table("Z", Schema::of(&[("A", AttrType::Number)])).unwrap();
     db.load("Z", (0..2000).map(|i| Tuple::full(vec![Value::number(i as f64)]))).unwrap();
-    let pool = fuzzy_db::storage::BufferPool::new(db.disk(), 4);
-    let old = snapshot.table("W").unwrap().to_relation(&pool).unwrap();
+    let old = snapshot.table("W").unwrap().to_relation().unwrap();
     assert_eq!(old.len(), n, "the snapshot's file was freed under it");
     assert!(old.tuples().iter().enumerate().all(|(i, t)| t.values[0] == Value::number(i as f64)));
     assert_eq!(db.table_contents("W").unwrap().len(), n - 100);

@@ -202,6 +202,10 @@ fn dml_matching_agrees_with_the_oracle_select() {
         "R.X NOT IN (SELECT S.X FROM S WHERE S.V = W)",
         "EXISTS (SELECT S.ID FROM S WHERE S.X = R.X AND S.ID IN \
          (SELECT T.ID FROM T WHERE T.V = R.V))",
+        // Sub-queries that read the table being rewritten: one closed, one
+        // correlated.
+        "R.V > (SELECT AVG(R2.V) FROM R R2)",
+        "R.X IN (SELECT R2.X FROM R R2 WHERE R2.V > R.W AND R2.ID > R.ID)",
     ];
     let mut nonempty = 0;
     for condition in conditions {

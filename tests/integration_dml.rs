@@ -3,6 +3,8 @@
 //! interplay with queries.
 
 use fuzzy_db::core::Value;
+use fuzzy_db::engine::ExecConfig;
+use fuzzy_db::rel::Tuple;
 use fuzzy_db::{Database, StatementResult, Strategy};
 
 fn rows(r: &StatementResult) -> &fuzzy_db::rel::Relation {
@@ -177,4 +179,35 @@ fn analyze_builds_histograms() {
     let naive = db.query(sql).strategy(Strategy::Naive).collect().unwrap();
     assert_eq!(replanned.answer.canonicalized(), naive.canonicalized());
     assert_eq!(naive.len(), 3, "Ann, Bo and the inserted Eve");
+}
+
+/// ANALYZE builds every numeric histogram of a table with one scan: on a
+/// table of several pages with two numeric columns and a two-page buffer,
+/// it reads each page exactly once.
+#[test]
+fn analyze_scans_a_table_once() {
+    let mut db = Database::new();
+    db.set_exec_config(ExecConfig { buffer_pages: 2, ..Default::default() });
+    db.execute("CREATE TABLE WIDE (ID NUMBER KEY, NAME TEXT, V NUMBER)").unwrap();
+    db.load(
+        "WIDE",
+        (0..2000).map(|i| {
+            let values = vec![
+                Value::number(i as f64),
+                Value::text(format!("n{i}")),
+                Value::number(0.5 * i as f64),
+            ];
+            Tuple::full(values)
+        }),
+    )
+    .unwrap();
+    let pages = db.catalog().table("WIDE").unwrap().num_pages();
+    assert!(pages >= 3, "the table must not fit the buffer: {pages} pages");
+    let before = db.disk().io().reads;
+    assert_eq!(affected(&db.execute("ANALYZE WIDE").unwrap()), 2);
+    assert_eq!(db.disk().io().reads - before, pages, "one read per page");
+    // Both histograms are cached now: analyzing again reads nothing.
+    let before = db.disk().io().reads;
+    assert_eq!(affected(&db.execute("ANALYZE WIDE").unwrap()), 2);
+    assert_eq!(db.disk().io().reads, before);
 }
