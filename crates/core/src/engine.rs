@@ -8,8 +8,12 @@
 //! current catalog snapshot and the database's one context. DDL, DEFINE
 //! TERM and ANALYZE bump the catalog's schema version, which invalidates
 //! cached plans; data writes do not, because a cached plan binds its tables
-//! through the snapshot of the statement that runs it. A standalone engine ([`Engine::over`]) gets a private context and
-//! takes the same path.
+//! through the snapshot of the statement that runs it. A standalone engine
+//! ([`Engine::over`]) gets a private context and takes the same path.
+//!
+//! `Engine::plan_with` is the one place a statement is planned. Running
+//! it, preparing it, and every form of `EXPLAIN` take the [`Planned`] value
+//! it returns, so `EXPLAIN` renders the tree the statement's runs drive.
 
 use crate::error::{EngineError, Result};
 use crate::exec::{ExecConfig, Executor};
@@ -21,6 +25,7 @@ use crate::unnest::build_plan;
 use crate::verify::VerifiedPlan;
 use fuzzy_core::Degree;
 use fuzzy_rel::{Catalog, Relation};
+use fuzzy_sql::ExplainMode;
 use fuzzy_storage::{CostModel, Measurement, SimDisk};
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,7 +85,7 @@ pub struct QueryOutcome {
     /// I/O counters and CPU time of the execution.
     pub measurement: Measurement,
     /// The per-operator metrics registry of the run (tuples in/out, fuzzy
-    /// comparisons, buffer and I/O counters, wall time per operator).
+    /// comparisons, page I/O counters, wall time per operator).
     pub metrics: QueryMetrics,
     /// Plan-cache and concurrency annotations (see [`ServingInfo`]).
     pub serving: ServingInfo,
@@ -224,8 +229,8 @@ impl Engine {
                             VerifiedPlan::new(&plan, strategy, &self.config, &self.catalog, stats)?;
                         Planned::Plan(Arc::new(verified))
                     }
-                    Err(EngineError::Unsupported(_)) if strategy == Strategy::Unnest => {
-                        Planned::NaiveFallback
+                    Err(EngineError::Unsupported(reason)) if strategy == Strategy::Unnest => {
+                        Planned::NaiveFallback(reason.into())
                     }
                     Err(e) => return Err(e),
                 };
@@ -301,7 +306,7 @@ impl Engine {
                 let answer = ex.run(plan, &self.catalog)?;
                 Ok((answer, ex.take_metrics(), plan.label().to_string()))
             }
-            Planned::NaiveFallback => {
+            Planned::NaiveFallback(_) => {
                 let (answer, metrics) =
                     self.run_naive_metered(q, |c| NaiveEvaluator::serving(c))?;
                 Ok((answer, metrics, "naive-fallback".to_string()))
@@ -344,71 +349,55 @@ impl Engine {
         })
     }
 
-    /// Explains how a query would be evaluated under a strategy: its
-    /// classified type, the chosen strategy, the unnested plan (or the naive
-    /// fallback), and deterministic cost estimates.
-    pub fn explain_query(&self, q: &fuzzy_sql::Query, strategy: Strategy) -> Result<String> {
-        crate::explain::render_explain(
-            q,
-            strategy,
-            &self.catalog,
-            &self.config,
-            Some(&self.ctx.statistics),
-        )
-    }
-
-    /// Runs the query under [`Strategy::Unnest`] and renders the plan
-    /// annotated with the *actual* per-operator counters and wall times.
-    /// Returns the rendering together with the outcome.
-    pub fn explain_analyze(&self, sql: &str) -> Result<(String, QueryOutcome)> {
-        let q = fuzzy_sql::parse(sql)?;
-        self.explain_analyze_query(&q, Strategy::Unnest)
-    }
-
-    /// [`Engine::explain_analyze`] over an already-parsed query, under a
-    /// strategy.
-    pub fn explain_analyze_query(
+    /// Renders an `EXPLAIN` statement of `q` under a strategy: plain
+    /// `EXPLAIN` and `EXPLAIN VERIFY` render the statement's cached plan,
+    /// `EXPLAIN ANALYZE` renders it and then runs it (the run's outcome is
+    /// returned too). The plan comes from one plan-cache lookup, like a run's:
+    /// a miss plans, verifies and inserts, a hit re-lowers nothing.
+    /// [`Strategy::Naive`] has no plan; its statements render only the
+    /// strategy name before their run.
+    pub fn explain(
         &self,
         q: &fuzzy_sql::Query,
         strategy: Strategy,
-    ) -> Result<(String, QueryOutcome)> {
-        let mut out = self.explain_query(q, strategy)?;
-        let outcome = self.run(q, strategy)?;
-        out.push_str(&crate::explain::render_actual(&outcome));
-        Ok((out, outcome))
-    }
-
-    /// Renders the `EXPLAIN VERIFY` text for a query under a strategy: the
-    /// static plan verifier's report (rewrite rule, push-down bound,
-    /// per-operator required/delivered properties, violations). See
-    /// [`crate::verify`].
-    pub fn explain_verify_query(&self, q: &fuzzy_sql::Query, strategy: Strategy) -> Result<String> {
-        crate::explain::render_verify(
-            q,
-            strategy,
-            &self.catalog,
-            &self.config,
-            Some(&self.ctx.statistics),
-        )
-    }
-
-    /// Statically verifies the plan the engine would run for this query
-    /// under [`Strategy::Unnest`]. Returns `Ok(None)` when the query falls
-    /// back to the naive evaluator (nothing to verify — the reference
-    /// evaluator is the semantics).
-    pub fn verify(&self, sql: &str) -> Result<Option<crate::verify::VerifyReport>> {
-        let q = fuzzy_sql::parse(sql)?;
-        match build_plan(&q, &self.catalog) {
-            Ok(plan) => Ok(Some(crate::verify::verify_plan(
-                &plan,
-                Strategy::Unnest,
-                &self.config,
-                &self.catalog,
-                Some(&self.ctx.statistics),
-            ))),
-            Err(EngineError::Unsupported(_)) => Ok(None),
-            Err(e) => Err(e),
+        mode: ExplainMode,
+    ) -> Result<(String, Option<QueryOutcome>)> {
+        if strategy == Strategy::Naive {
+            return self.explained(q, None, mode, || self.run(q, strategy));
         }
+        let (planned, info) = self.plan_with(q, strategy)?;
+        self.explain_planned(q, &planned, info, mode)
+    }
+
+    /// [`Engine::explain`] of an already-planned statement (the
+    /// `PreparedQuery` path): renders the pinned plan and, under
+    /// `EXPLAIN ANALYZE`, runs it as [`Engine::run_planned`] does.
+    pub fn explain_planned(
+        &self,
+        q: &fuzzy_sql::Query,
+        planned: &Planned,
+        info: ServingInfo,
+        mode: ExplainMode,
+    ) -> Result<(String, Option<QueryOutcome>)> {
+        self.explained(q, Some(planned), mode, || self.run_planned(q, planned, info))
+    }
+
+    /// Renders `planned` (`None` under [`Strategy::Naive`]) and, under
+    /// `EXPLAIN ANALYZE`, appends the measured half from `run`.
+    fn explained(
+        &self,
+        q: &fuzzy_sql::Query,
+        planned: Option<&Planned>,
+        mode: ExplainMode,
+        run: impl FnOnce() -> Result<QueryOutcome>,
+    ) -> Result<(String, Option<QueryOutcome>)> {
+        let mut text = crate::explain::render(q, planned, mode, &self.catalog, &self.config);
+        if mode != ExplainMode::Analyze {
+            return Ok((text, None));
+        }
+        let outcome = run()?;
+        text.push_str(&crate::explain::render_actual(&outcome));
+        Ok((text, Some(outcome)))
     }
 
     /// Runs a naive evaluator — the oracle or the serving mode, as

@@ -38,6 +38,9 @@ pub(crate) use crate::exec::anti::AntiMode;
 pub(crate) struct Lowered {
     /// The plan after the same join reorder the executor applies.
     pub(crate) plan: UnnestPlan,
+    /// A flat plan's table bindings in the order the statement wrote them,
+    /// before the reorder (empty for anti and aggregate plans).
+    pub(crate) written_order: Vec<String>,
     /// The pruning bound pushed into the pipeline (flat plans only).
     pub(crate) alpha: Degree,
     /// The property-carrying operator tree; `ops[i]` declares `nodes[i]`.
@@ -169,6 +172,10 @@ pub(crate) fn lower(
     catalog: &Catalog,
     stats: Option<&StatsRegistry>,
 ) -> Lowered {
+    let written_order = match plan {
+        UnnestPlan::Flat(p) => p.tables.iter().map(|t| t.binding.clone()).collect(),
+        _ => Vec::new(),
+    };
     let plan = effective_plan(plan, config, catalog, stats);
     let alpha = if strategy.is_baseline() {
         Degree::ZERO
@@ -180,7 +187,7 @@ pub(crate) fn lower(
         UnnestPlan::Anti(p) => lower_anti(p, strategy),
         UnnestPlan::Agg(p) => lower_agg(p, strategy),
     };
-    Lowered { plan, alpha, outline: Outline { ops }, nodes }
+    Lowered { plan, written_order, alpha, outline: Outline { ops }, nodes }
 }
 
 /// Splits a table's local predicates between its scan and the operator that

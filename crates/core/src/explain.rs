@@ -1,31 +1,33 @@
-//! `EXPLAIN` / `EXPLAIN ANALYZE` rendering.
+//! `EXPLAIN` / `EXPLAIN ANALYZE` / `EXPLAIN VERIFY` rendering.
 //!
-//! [`render_explain`] produces the *deterministic* part: the query's
-//! classified type, how the engine would evaluate it under a strategy (an
-//! unnested plan, or under [`crate::Strategy::Unnest`] the naive fallback),
-//! the plan tree, the lowered operator tree, and closed-form cost estimates
-//! derived only from the catalog snapshot's cardinalities and the execution
-//! configuration.
-//! Golden tests pin this output byte-for-byte.
+//! Every form renders the [`Planned`] value the engine's planning step
+//! returned for the statement — the plan-cache entry its runs drive — and
+//! lowers nothing itself, so the text describes the tree that runs.
 //!
-//! [`render_actual`] appends the *measured* part after a run: one line per
+//! `render` produces the *deterministic* part: the query's classified
+//! type, how the engine evaluates it (a verified operator tree, or under
+//! [`crate::Strategy::Unnest`] the naive fallback and why), the plan tree,
+//! the operator tree, and closed-form cost estimates derived only from the
+//! catalog snapshot's cardinalities and the execution configuration. Under
+//! `EXPLAIN VERIFY` it renders instead the verified tree's report: the
+//! rewrite rule, the push-down bound, every physical operator's
+//! required/delivered properties, and the check count. Golden tests pin both
+//! byte-for-byte.
+//!
+//! `render_actual` appends the *measured* part after a run: one line per
 //! registered operator with its exact counters (deterministic across thread
 //! counts) and its wall time (not deterministic — which is why golden tests
 //! cover only the `EXPLAIN` half).
-//!
-//! [`render_verify`] renders the `EXPLAIN VERIFY` statement: the static
-//! verifier's report ([`crate::verify`]) — the rewrite rule, the push-down
-//! bound, every physical operator's required/delivered properties, and any
-//! violations. Fully deterministic, so it too is pinned by golden tests.
 
 use crate::engine::{QueryOutcome, Strategy};
-use crate::error::{EngineError, Result};
 use crate::exec::ExecConfig;
 use crate::metrics::OpKind;
 use crate::plan::{PlanTable, UnnestPlan};
-use crate::stats_histogram::StatsRegistry;
-use crate::unnest::build_plan;
+use crate::plan_cache::Planned;
+use crate::verify::{Outline, VerifiedPlan, Violation};
+use fuzzy_core::Degree;
 use fuzzy_rel::{Catalog, StoredTable};
+use fuzzy_sql::ExplainMode;
 use fuzzy_storage::estimated_initial_runs;
 
 /// Ceiling of log2, with `log2_ceil(0) = log2_ceil(1) = 0`.
@@ -37,55 +39,90 @@ fn log2_ceil(n: u64) -> u64 {
     }
 }
 
-/// Renders the deterministic `EXPLAIN` text for a query under a strategy:
-/// class, strategy, plan tree (reordered exactly as the executor would
-/// reorder it), operator tree, and cost estimates. A shape outside the
-/// unnesting catalogue renders the naive fallback under
-/// [`Strategy::Unnest`] and is `Unsupported` under the baselines.
-pub fn render_explain(
+/// What `EXPLAIN VERIFY` prints for a statement with no operator tree.
+const NOTHING_TO_VERIFY: &str =
+    "verify: nothing to check — the naive reference evaluator is the semantics\n";
+
+/// Renders the deterministic text of an `EXPLAIN` (`mode` Plan or Analyze)
+/// or `EXPLAIN VERIFY` statement from its planned form: `None` is
+/// [`Strategy::Naive`], which has no tree to show. Both forms name the join
+/// order when the optimizer reordered the written one. Every cardinality is
+/// read from `catalog`, the statement's snapshot.
+pub(crate) fn render(
     q: &fuzzy_sql::Query,
-    strategy: Strategy,
+    planned: Option<&Planned>,
+    mode: ExplainMode,
     catalog: &Catalog,
     config: &ExecConfig,
-    statistics: Option<&StatsRegistry>,
-) -> Result<String> {
+) -> String {
     let class = fuzzy_sql::classify(q);
     let mut out = format!("query class: {class:?} (depth {})\n", q.depth());
-    match plan_or_fallback(q, strategy, catalog)? {
-        Ok(plan) => {
-            // Lower through the same pass the executor runs, so the rendered
-            // tree, join order, and operator list are the ones that run.
-            let lowered = crate::exec::lower::lower(&plan, strategy, config, catalog, statistics);
-            out.push_str(&format!("strategy: {}:{}\n", strategy.name(), lowered.label()));
-            if let (UnnestPlan::Flat(orig), UnnestPlan::Flat(eff)) = (&plan, &lowered.plan) {
-                let orig_order: Vec<&str> =
-                    orig.tables.iter().map(|t| t.binding.as_str()).collect();
-                let eff_order: Vec<&str> = eff.tables.iter().map(|t| t.binding.as_str()).collect();
-                if orig_order != eff_order {
-                    out.push_str(&format!("join order: {}\n", eff_order.join(" -> ")));
+    let verify = mode == ExplainMode::Verify;
+    match planned {
+        Some(Planned::Plan(plan)) => {
+            out.push_str(&format!("strategy: {}\n", plan.label()));
+            let lowered = plan.lowered();
+            if let UnnestPlan::Flat(p) = &lowered.plan {
+                let order: Vec<&str> = p.tables.iter().map(|t| t.binding.as_str()).collect();
+                if order != lowered.written_order {
+                    out.push_str(&format!("join order: {}\n", order.join(" -> ")));
                 }
             }
-            out.push_str(&lowered.plan.explain(strategy, catalog));
-            out.push_str(&render_operators(&lowered));
-            out.push_str(&render_estimates(&lowered.plan, strategy, config, catalog));
+            if verify {
+                out.push_str(&render_verify_report(
+                    lowered.plan.rule().id(),
+                    lowered.alpha,
+                    &lowered.outline,
+                    plan.checks(),
+                    &[],
+                ));
+            } else {
+                render_tree(plan, catalog, config, &mut out);
+            }
         }
-        Err(msg) => {
+        Some(Planned::NaiveFallback(reason)) => {
             out.push_str("strategy: naive fallback\n");
-            out.push_str(&format!("naive fallback: {msg}\n"));
-            render_nested_blocks(q, catalog, 1, &mut out);
-            for t in &q.from {
-                if let Some(stored) = catalog.table(&t.table) {
-                    out.push_str(&format!(
-                        "  from {} ({} tuples, {} pages)\n",
-                        t.binding_name(),
-                        stored.num_tuples(),
-                        stored.num_pages()
-                    ));
-                }
+            if verify {
+                out.push_str(NOTHING_TO_VERIFY);
+            } else {
+                render_fallback(q, reason, catalog, &mut out);
+            }
+        }
+        None => {
+            out.push_str("strategy: naive\n");
+            if verify {
+                out.push_str(NOTHING_TO_VERIFY);
             }
         }
     }
-    Ok(out)
+    out
+}
+
+/// The `EXPLAIN` body of a verified tree: the plan tree, the operator tree,
+/// and the cost estimates.
+fn render_tree(plan: &VerifiedPlan, catalog: &Catalog, config: &ExecConfig, out: &mut String) {
+    let lowered = plan.lowered();
+    let strategy = plan.strategy();
+    out.push_str(&lowered.plan.explain(strategy, catalog));
+    out.push_str(&render_operators(lowered));
+    out.push_str(&render_estimates(&lowered.plan, strategy, config, catalog));
+}
+
+/// The `EXPLAIN` body of a naive-fallback statement: why it falls back, how
+/// each nested block runs, and the outer relations.
+fn render_fallback(q: &fuzzy_sql::Query, reason: &str, catalog: &Catalog, out: &mut String) {
+    out.push_str(&format!("naive fallback: {reason}\n"));
+    render_nested_blocks(q, catalog, 1, out);
+    for t in &q.from {
+        if let Some(stored) = catalog.table(&t.table) {
+            out.push_str(&format!(
+                "  from {} ({} tuples, {} pages)\n",
+                t.binding_name(),
+                stored.num_tuples(),
+                stored.num_pages()
+            ));
+        }
+    }
 }
 
 /// One line per nested block of a naive-fallback statement, in evaluation
@@ -110,22 +147,6 @@ fn render_nested_blocks(q: &fuzzy_sql::Query, catalog: &Catalog, depth: usize, o
         };
         out.push_str(&format!("{:indent$}block FROM {from}: {runs}\n", "", indent = 2 * depth));
         render_nested_blocks(sub, catalog, depth + 1, out);
-    }
-}
-
-/// The plan `strategy` evaluates `q` with, or — under
-/// [`Strategy::Unnest`] only — why `q` falls back to the naive evaluator.
-/// The baselines have no fallback: a shape outside the unnesting catalogue
-/// is their `Unsupported` error, as it is when they run.
-fn plan_or_fallback(
-    q: &fuzzy_sql::Query,
-    strategy: Strategy,
-    catalog: &Catalog,
-) -> Result<std::result::Result<UnnestPlan, String>> {
-    match build_plan(q, catalog) {
-        Ok(plan) => Ok(Ok(plan)),
-        Err(EngineError::Unsupported(msg)) if strategy == Strategy::Unnest => Ok(Err(msg)),
-        Err(e) => Err(e),
     }
 }
 
@@ -221,42 +242,21 @@ fn render_estimates(
     out
 }
 
-/// Renders the `EXPLAIN VERIFY` text for a query under a strategy: class,
-/// strategy, and the static verification report of the operator tree the
-/// executor would run. The naive fallback has nothing to verify — the naive
-/// evaluator is the semantics the equivalence theorems are checked against.
-pub fn render_verify(
-    q: &fuzzy_sql::Query,
-    strategy: Strategy,
-    catalog: &Catalog,
-    config: &ExecConfig,
-    statistics: Option<&StatsRegistry>,
-) -> Result<String> {
-    let class = fuzzy_sql::classify(q);
-    let mut out = format!("query class: {class:?} (depth {})\n", q.depth());
-    match plan_or_fallback(q, strategy, catalog)? {
-        Ok(plan) => {
-            let report = crate::verify::verify_plan(&plan, strategy, config, catalog, statistics);
-            out.push_str(&format!("strategy: {}:{}\n", strategy.name(), report.plan_label));
-            out.push_str(&render_verify_report(&report));
-        }
-        Err(_) => {
-            out.push_str("strategy: naive fallback\n");
-            out.push_str(
-                "verify: nothing to check — the naive reference evaluator is the semantics\n",
-            );
-        }
-    }
-    Ok(out)
-}
-
 /// Renders one verification report: rule, α bound, the operator outline with
-/// required/delivered properties, and the verdict with any violations.
-pub fn render_verify_report(report: &crate::verify::VerifyReport) -> String {
-    let mut out = format!("rewrite rule: {}\n", report.rule_id);
-    out.push_str(&format!("push-down bound: α = {:.2}\n", report.alpha.value()));
+/// required/delivered properties, and the verdict with any violations. A
+/// verified tree renders with no violations; the FAILED verdict renders an
+/// outline's own [`Outline::check`] findings.
+pub fn render_verify_report(
+    rule_id: &str,
+    alpha: Degree,
+    outline: &Outline,
+    checks: usize,
+    violations: &[Violation],
+) -> String {
+    let mut out = format!("rewrite rule: {rule_id}\n");
+    out.push_str(&format!("push-down bound: α = {:.2}\n", alpha.value()));
     out.push_str("plan properties:\n");
-    for (i, op) in report.outline.ops.iter().enumerate() {
+    for (i, op) in outline.ops.iter().enumerate() {
         out.push_str(&format!("  #{i} {}", op.name));
         if !op.is_declared() {
             out.push_str("  !! undeclared\n");
@@ -273,19 +273,17 @@ pub fn render_verify_report(report: &crate::verify::VerifyReport) -> String {
         }
         out.push('\n');
     }
-    if report.ok() {
+    if violations.is_empty() {
         out.push_str(&format!(
-            "verification: OK ({} operators, {} checks)\n",
-            report.outline.ops.len(),
-            report.checks
+            "verification: OK ({} operators, {checks} checks)\n",
+            outline.ops.len()
         ));
     } else {
         out.push_str(&format!(
-            "verification: FAILED ({} violation(s), {} checks)\n",
-            report.violations.len(),
-            report.checks
+            "verification: FAILED ({} violation(s), {checks} checks)\n",
+            violations.len()
         ));
-        for v in &report.violations {
+        for v in violations {
             out.push_str(&format!("  {v}\n"));
         }
     }
@@ -295,7 +293,7 @@ pub fn render_verify_report(report: &crate::verify::VerifyReport) -> String {
 /// Renders the measured half of `EXPLAIN ANALYZE` from a finished run: one
 /// line per operator (exact counters plus wall time) and the answer
 /// cardinality.
-pub fn render_actual(outcome: &QueryOutcome) -> String {
+pub(crate) fn render_actual(outcome: &QueryOutcome) -> String {
     let mut out = String::from("actual:\n");
     for n in outcome.metrics.ops() {
         let m = &n.metrics;

@@ -30,8 +30,10 @@
 //! let nested = engine.run_sql(QUERY_2, Strategy::NestedLoop)?;
 //! let unnested = engine.run_sql(QUERY_2, Strategy::Unnest)?;
 //! assert_eq!(nested.answer.canonicalized(), unnested.answer.canonicalized());
-//! // Both ran a verified operator tree; EXPLAIN renders either one.
-//! println!("{}", engine.explain_query(&fuzzy_sql::parse(QUERY_2)?, Strategy::NestedLoop)?);
+//! // Both ran a verified operator tree; EXPLAIN renders the cached one.
+//! let q = fuzzy_sql::parse(QUERY_2)?;
+//! let (text, _) = engine.explain(&q, Strategy::NestedLoop, ExplainMode::Plan)?;
+//! println!("{text}");
 //! ```
 //!
 //! (See the `fuzzy-db` facade crate and the repository examples for runnable
@@ -65,6 +67,4 @@ pub use plan::{RewriteRule, UnnestPlan};
 pub use plan_cache::{CacheStats, PlanCache, Planned, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use stats_histogram::{Histogram, StatsRegistry};
 pub use unnest::build_plan;
-pub use verify::{
-    check_threshold, verify_plan, Outline, PhysOp, Prop, VerifiedPlan, VerifyReport, Violation,
-};
+pub use verify::{check_threshold, Outline, PhysOp, Prop, VerifiedPlan, Violation};

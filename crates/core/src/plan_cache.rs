@@ -34,15 +34,16 @@ use std::sync::{Arc, Mutex};
 
 /// What the planner decided for a statement: a verified operator tree or the
 /// naive fallback. Cached so repeated fallback statements skip
-/// re-classification.
+/// re-classification; `EXPLAIN` renders it.
 #[derive(Debug, Clone)]
 pub enum Planned {
     /// The verified operator tree of the statement's strategy, shared by
     /// every execution that hits the entry.
     Plan(Arc<VerifiedPlan>),
     /// The statement shape has no unnested form; the engine evaluates it
-    /// with the semantics-faithful naive evaluator.
-    NaiveFallback,
+    /// with the semantics-faithful naive evaluator. Carries the planner's
+    /// `Unsupported` reason.
+    NaiveFallback(Arc<str>),
 }
 
 #[derive(Debug)]
@@ -178,7 +179,7 @@ mod tests {
     use super::*;
 
     fn planned() -> Planned {
-        Planned::NaiveFallback
+        Planned::NaiveFallback("test".into())
     }
 
     #[test]

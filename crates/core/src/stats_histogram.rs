@@ -8,7 +8,7 @@
 //! can satisfy `X θ c` only if its support interval is positioned
 //! appropriately, which the histogram bounds.
 
-use fuzzy_core::{CmpOp, Degree, Value};
+use fuzzy_core::{CmpOp, Value};
 use fuzzy_rel::StoredTable;
 use fuzzy_storage::Result;
 
@@ -108,11 +108,6 @@ impl Histogram {
     /// The largest support width seen while building.
     pub fn max_support_width(&self) -> f64 {
         self.max_width
-    }
-
-    /// Unused for now by estimate(); handy for diagnostics.
-    pub fn alpha_hint(&self) -> Degree {
-        Degree::ZERO
     }
 }
 

@@ -29,13 +29,14 @@
 //! checking required ⊆ delivered on every edge, then layers the plan-level
 //! rewrite-rule and threshold checks on top. Violations are structured
 //! diagnostics ([`Violation`]: rule id, operator path, expected vs.
-//! delivered); [`verify_plan`] reports them and `EXPLAIN VERIFY` renders the
-//! report. [`VerifiedPlan::new`] runs the same checks on the tree it lowers
-//! and refuses a tree that fails them, so the executor, which drives only a
-//! [`VerifiedPlan`], never sees an unverified tree;
-//! [`crate::Engine::plan_for`] builds one for every plan it caches. The
-//! naive fallback needs no outline: the naive evaluator *is* the semantics,
-//! so there is nothing to check it against.
+//! delivered). [`VerifiedPlan::new`] is the one place a plan is lowered: it
+//! runs every check on the tree it lowers and refuses a tree that fails
+//! them, naming each violation, so the executor, which drives only a
+//! [`VerifiedPlan`], never sees an unverified tree. The engine's planning
+//! step builds one for every plan it caches, and `EXPLAIN VERIFY` renders
+//! the cached plan's rule, bound, outline and check count — the tree that
+//! runs. The naive fallback needs no outline: the naive evaluator *is* the
+//! semantics, so there is nothing to check it against.
 //!
 //! Diagnostic rule ids (see DESIGN.md §10 for the paper mapping):
 //!
@@ -297,64 +298,29 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// The result of verifying one plan.
-#[derive(Debug, Clone)]
-pub struct VerifyReport {
-    /// The plan's shape label, with an anti plan tagged by the method its
-    /// anti operator runs (what the `strategy:` line prints).
-    pub plan_label: String,
-    /// The paper rule id of the rewrite that produced the plan.
-    pub rule_id: &'static str,
-    /// The push-down pruning bound the executor will use.
-    pub alpha: Degree,
-    /// The physical operator outline that was checked.
-    pub outline: Outline,
-    /// How many individual checks ran.
-    pub checks: usize,
-    /// All violations found (empty = the plan verifies).
-    pub violations: Vec<Violation>,
-}
-
-impl VerifyReport {
-    /// True iff the plan verified cleanly.
-    pub fn ok(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// Builds a report from a hand-built outline (used by tests and the
-    /// injected-failure golden rendering; production reports come from
-    /// [`verify_plan`]).
-    pub fn from_outline(
-        plan_label: impl Into<String>,
-        rule_id: &'static str,
-        alpha: Degree,
-        outline: Outline,
-    ) -> VerifyReport {
-        let (checks, violations) = outline.check();
-        VerifyReport { plan_label: plan_label.into(), rule_id, alpha, outline, checks, violations }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Plan-level checks
 // ---------------------------------------------------------------------------
 
 /// A plan lowered to its strategy's operator tree, with that tree verified:
-/// the only form [`crate::Executor::run`] drives, and what the plan cache
-/// holds. The one way to build it is [`VerifiedPlan::new`], which lowers and
-/// then verifies, so the tree that runs is the tree that was verified by
-/// construction.
+/// the only form [`crate::Executor::run`] drives, what the plan cache holds,
+/// and what every form of `EXPLAIN` renders. The one way to build it is
+/// [`VerifiedPlan::new`], which lowers and then verifies, so the tree that
+/// runs is the tree that was verified by construction.
 pub struct VerifiedPlan {
     lowered: Lowered,
+    strategy: Strategy,
     label: String,
+    checks: usize,
 }
 
 impl VerifiedPlan {
     /// Lowers `plan` to the operator tree `strategy` runs under `config`
     /// (join reorder by the cardinalities of `catalog` and by `stats`
-    /// included) and verifies that tree, failing with [`EngineError::Verify`]
-    /// on the first violation. The tree names its tables; the executor binds
-    /// them through each run's catalog snapshot.
+    /// included) and verifies that tree. A tree that fails is refused with
+    /// [`EngineError::Verify`], whose message lists every violation. The
+    /// tree names its tables; the executor binds them through each run's
+    /// catalog snapshot.
     pub fn new(
         plan: &UnnestPlan,
         strategy: Strategy,
@@ -363,20 +329,33 @@ impl VerifiedPlan {
         stats: Option<&StatsRegistry>,
     ) -> Result<VerifiedPlan> {
         let lowered = lower(plan, strategy, config, catalog, stats);
-        let (_, violations) = check_lowered(&lowered);
-        if let Some(v) = violations.first() {
+        let (checks, violations) = check_lowered(&lowered);
+        if !violations.is_empty() {
+            let found: Vec<String> = violations.iter().map(Violation::to_string).collect();
             return Err(EngineError::Verify(format!(
-                "{v} ({} violation(s) in plan {})",
+                "{} violation(s) in plan {}: {}",
                 violations.len(),
-                lowered.label()
+                lowered.label(),
+                found.join("; ")
             )));
         }
-        Ok(VerifiedPlan { label: format!("{}:{}", strategy.name(), lowered.label()), lowered })
+        let label = format!("{}:{}", strategy.name(), lowered.label());
+        Ok(VerifiedPlan { lowered, strategy, label, checks })
     }
 
     /// `strategy:plan` — the outcome's `plan_label`.
     pub fn label(&self) -> &str {
         &self.label
+    }
+
+    /// The strategy the tree was lowered for.
+    pub(crate) fn strategy(&self) -> Strategy {
+        self.strategy
+    }
+
+    /// How many individual checks the verification ran.
+    pub fn checks(&self) -> usize {
+        self.checks
     }
 
     /// The verified operator tree.
@@ -389,25 +368,6 @@ impl std::fmt::Debug for VerifiedPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VerifiedPlan").field("label", &self.label).finish_non_exhaustive()
     }
-}
-
-/// Verifies a plan under a strategy and reports every finding: the
-/// rewrite-rule preconditions, threshold soundness, and the per-edge
-/// property analysis of the operator tree [`VerifiedPlan::new`] would build
-/// for that strategy (join reorder included). The report's `outline` is that
-/// operator tree. `EXPLAIN VERIFY` renders it.
-pub fn verify_plan(
-    plan: &UnnestPlan,
-    strategy: Strategy,
-    config: &ExecConfig,
-    catalog: &Catalog,
-    stats: Option<&StatsRegistry>,
-) -> VerifyReport {
-    let lowered = lower(plan, strategy, config, catalog, stats);
-    let (checks, violations) = check_lowered(&lowered);
-    let plan_label = lowered.label();
-    let Lowered { plan, alpha, outline, .. } = lowered;
-    VerifyReport { plan_label, rule_id: plan.rule().id(), alpha, outline, checks, violations }
 }
 
 /// Runs every check on a lowered tree: the rewrite rule, the threshold
@@ -813,6 +773,26 @@ mod tests {
         }
     }
 
+    /// Lowers and verifies a flat plan under [`Strategy::Unnest`].
+    fn verify_flat(plan: FlatPlan) -> Result<VerifiedPlan> {
+        VerifiedPlan::new(
+            &UnnestPlan::Flat(plan),
+            Strategy::Unnest,
+            &ExecConfig::default(),
+            &Catalog::new(),
+            None,
+        )
+    }
+
+    /// The message a refused plan fails with: every violation, each led by
+    /// its `[rule id]`.
+    fn refusal(plan: FlatPlan) -> String {
+        match verify_flat(plan) {
+            Err(EngineError::Verify(msg)) => msg,
+            other => panic!("expected a verification failure, got {other:?}"),
+        }
+    }
+
     #[test]
     fn prop_satisfaction() {
         let s = Prop::Sorted { col: col("R", 1), alpha: Degree::ZERO };
@@ -911,18 +891,8 @@ mod tests {
                 cmp(col("R", 0), CmpOp::Eq, col("S", 0)),
             ],
         );
-        let report = verify_plan(
-            &UnnestPlan::Flat(plan),
-            Strategy::Unnest,
-            &ExecConfig::default(),
-            &Catalog::new(),
-            None,
-        );
-        assert!(
-            report.violations.iter().any(|v| v.rule == "R-T4.1-INDEP"),
-            "{:?}",
-            report.violations
-        );
+        let msg = refusal(plan);
+        assert!(msg.contains("[R-T4.1-INDEP]"), "{msg}");
     }
 
     #[test]
@@ -933,14 +903,8 @@ mod tests {
             RewriteRule::TypeN { blocks: vec![vec!["R".into()], vec!["S".into()]] },
             vec![cmp(col("R", 1), CmpOp::Eq, col("S", 1))],
         );
-        let report = verify_plan(
-            &UnnestPlan::Flat(n),
-            Strategy::Unnest,
-            &ExecConfig::default(),
-            &Catalog::new(),
-            None,
-        );
-        assert!(report.ok(), "{:?}", report.violations);
+        let verified = verify_flat(n);
+        assert!(verified.is_ok(), "{verified:?}");
         let j = flat_two(
             &disk,
             RewriteRule::TypeJ { blocks: vec![vec!["R".into()], vec!["S".into()]] },
@@ -949,14 +913,8 @@ mod tests {
                 cmp(col("R", 0), CmpOp::Eq, col("S", 0)),
             ],
         );
-        let report = verify_plan(
-            &UnnestPlan::Flat(j),
-            Strategy::Unnest,
-            &ExecConfig::default(),
-            &Catalog::new(),
-            None,
-        );
-        assert!(report.ok(), "{:?}", report.violations);
+        let verified = verify_flat(j);
+        assert!(verified.is_ok(), "{verified:?}");
     }
 
     #[test]
@@ -968,14 +926,8 @@ mod tests {
         let mut pred = cmp(col("R", 1), CmpOp::Eq, col("S", 1));
         pred.tolerance = Some(5.0);
         let plan = flat_two(&disk, RewriteRule::Flat, vec![pred]);
-        let outline = verify_plan(
-            &UnnestPlan::Flat(plan),
-            Strategy::Unnest,
-            &ExecConfig::default(),
-            &Catalog::new(),
-            None,
-        )
-        .outline;
+        let verified = verify_flat(plan).unwrap();
+        let outline = &verified.lowered().outline;
         assert!(outline.ops.iter().any(|o| o.name.starts_with("nested-loop")));
         assert!(!outline.ops.iter().any(|o| o.name.starts_with("merge-join")));
     }
@@ -988,27 +940,15 @@ mod tests {
             RewriteRule::TypeJ { blocks: vec![vec!["R".into()], vec!["S".into()]] },
             vec![],
         );
-        let report = verify_plan(
-            &UnnestPlan::Flat(plan),
-            Strategy::Unnest,
-            &ExecConfig::default(),
-            &Catalog::new(),
-            None,
-        );
-        assert!(report.violations.iter().any(|v| v.rule == "R-T4.2-LINK"));
+        let msg = refusal(plan);
+        assert!(msg.contains("[R-T4.2-LINK]"), "{msg}");
     }
 
     #[test]
     fn anti_rule_on_flat_plan_is_a_tag_mismatch() {
         let disk = SimDisk::with_default_page_size();
         let plan = flat_two(&disk, RewriteRule::Exclusion, vec![]);
-        let report = verify_plan(
-            &UnnestPlan::Flat(plan),
-            Strategy::Unnest,
-            &ExecConfig::default(),
-            &Catalog::new(),
-            None,
-        );
-        assert!(report.violations.iter().any(|v| v.rule == "V-RULE-TAG"));
+        let msg = refusal(plan);
+        assert!(msg.contains("[V-RULE-TAG]"), "{msg}");
     }
 }

@@ -5,8 +5,9 @@
 //! cargo run --release --example explain_analyze
 //! ```
 
-use fuzzy_db::engine::{exec::ExecConfig, Engine};
+use fuzzy_db::engine::{exec::ExecConfig, Engine, Strategy};
 use fuzzy_db::rel::Catalog;
+use fuzzy_db::sql::ExplainMode;
 use fuzzy_db::storage::SimDisk;
 use fuzzy_db::workload::{generate, WorkloadSpec};
 
@@ -35,7 +36,10 @@ fn main() {
     });
     // Query N of Section 4, already unnested by the engine to Query N′.
     let sql = "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S)";
-    let (text, outcome) = engine.explain_analyze(sql).expect("explain analyze");
+    let q = fuzzy_db::sql::parse(sql).expect("parse");
+    let (text, outcome) =
+        engine.explain(&q, Strategy::Unnest, ExplainMode::Analyze).expect("explain analyze");
+    let outcome = outcome.expect("EXPLAIN ANALYZE runs the statement");
     println!("EXPLAIN ANALYZE {sql}\n");
     println!("{text}");
     println!(

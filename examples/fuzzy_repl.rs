@@ -9,7 +9,8 @@
 //!
 //! * `\tables` — list tables with sizes
 //! * `\vocab` — list linguistic terms
-//! * `\explain <sql>` — show the classified type and the unnested plan
+//! * `\explain <sql>` — show the classified type and the plan the current
+//!   strategy runs
 //! * `\analyze <sql>` — explain, run, and report costs side by side
 //! * `\strategy unnest|nested|naive` — switch the evaluation strategy
 //! * `\term <name> <a> <b> <c> <d>` — define a trapezoidal term
@@ -90,14 +91,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 "explain" => {
                     let sql = rest.trim_start_matches("explain").trim();
-                    match db.explain(sql) {
+                    match db.query(sql).strategy(strategy).explain() {
                         Ok(text) => print!("{text}"),
                         Err(e) => println!("error: {e}"),
                     }
                 }
                 "analyze" => {
                     let sql = rest.trim_start_matches("analyze").trim();
-                    match db.explain(sql) {
+                    match db.query(sql).strategy(strategy).explain() {
                         Ok(text) => print!("{text}"),
                         Err(e) => {
                             println!("error: {e}");

@@ -127,15 +127,16 @@ if [[ -n "$literal" ]]; then
   exit 1
 fi
 
-echo "==> one lowering (the executor drives the verified tree, never re-lowers)"
-# A plan is lowered once, by `VerifiedPlan::new` / `verify_plan` in verify.rs,
-# and `EXPLAIN` renders a lowering in explain.rs. Any other non-test call of
-# `lower(` would build a tree the verifier never saw.
+echo "==> one lowering (the executor and EXPLAIN use the verified tree, never re-lower)"
+# A plan is lowered once, by `VerifiedPlan::new` in verify.rs. The executor
+# drives that tree and every form of `EXPLAIN` renders it. Any other non-test
+# call of `lower(` would build a tree the verifier never saw, or describe one
+# that does not run.
 relowered=$(non_test $(find crates/core/src -name '*.rs' | sort) src/*.rs \
   | grep -E '(^|[^_[:alnum:]])lower\(' \
-  | grep -vE '^crates/core/src/(verify|explain)\.rs:|^[^:]+:[0-9]+: *//|fn lower\(' || true)
+  | grep -vE '^crates/core/src/verify\.rs:|^[^:]+:[0-9]+: *//|fn lower\(' || true)
 if [[ -n "$relowered" ]]; then
-  echo "error: plan lowered outside verify.rs/explain.rs — run the VerifiedPlan instead:" >&2
+  echo "error: plan lowered outside VerifiedPlan::new — use the VerifiedPlan instead:" >&2
   echo "$relowered" >&2
   exit 1
 fi
@@ -185,7 +186,7 @@ echo "==> serving surface (query entry points must be &self: sessions share them
 # the facade to take &self; only the DDL/DML/config surface below may take
 # &mut self. A new &mut self method on Database/Session/QueryBuilder/
 # PreparedQuery must either join this allowlist (a mutation) or take &self.
-allowed='^(define_term|create_table|insert|load|execute|catalog_mut|set_exec_config|set_threads|set_default_threshold)$'
+allowed='^(define_term|create_table|insert|load|execute|set_exec_config|set_threads|set_default_threshold)$'
 mut_entry_points=$(awk '
   /pub fn [a-z_]+/ { name = $0; sub(/.*pub fn /, "", name); sub(/[^a-z_].*/, "", name); capture = 4 }
   capture > 0 { if (/&mut self/) print FILENAME ":" name; capture-- }

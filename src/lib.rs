@@ -101,7 +101,7 @@ mod serving;
 
 pub use fuzzy_engine::plan_cache::CacheStats;
 pub use fuzzy_engine::{EngineError, QueryOutcome, ServingCounters, Strategy};
-pub use serving::{CatalogWrite, PreparedQuery, QueryBuilder, Session};
+pub use serving::{PreparedQuery, QueryBuilder, Session};
 
 use fuzzy_core::Degree;
 use fuzzy_engine::exec::ExecConfig;

@@ -25,8 +25,11 @@ use crate::StatementResult;
 use fuzzy_core::{Degree, Trapezoid};
 use fuzzy_engine::exec::ExecConfig;
 use fuzzy_engine::plan_cache::{CacheStats, Planned};
-use fuzzy_engine::{Engine, EngineContext, EngineError, QueryOutcome, ServingCounters, Strategy};
+use fuzzy_engine::{
+    Engine, EngineContext, EngineError, QueryOutcome, ServingCounters, ServingInfo, Strategy,
+};
 use fuzzy_rel::{Catalog, Relation, Schema, StoredTable, Tuple};
+use fuzzy_sql::ExplainMode;
 use fuzzy_storage::{HeapFile, SimDisk};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 use std::time::{Duration, Instant};
@@ -118,7 +121,7 @@ impl Drop for InFlight<'_> {
 /// copy-on-write clone, so snapshots held by in-flight readers are
 /// untouched. Registering a table or defining a term bumps the schema
 /// version (see [`Catalog::schema_version`]), invalidating cached plans.
-pub struct CatalogWrite<'a> {
+pub(crate) struct CatalogWrite<'a> {
     guard: RwLockWriteGuard<'a, Arc<Catalog>>,
 }
 
@@ -253,28 +256,6 @@ impl Session {
         })
     }
 
-    /// Explains how a query would be evaluated: its classified nesting type
-    /// (Sections 4-8 of the paper), the unnested plan, and deterministic cost
-    /// estimates.
-    pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
-        self.query(sql).explain()
-    }
-
-    /// Runs the query and renders the `EXPLAIN` output annotated with the
-    /// *actual* per-operator counters and wall times (`EXPLAIN ANALYZE`),
-    /// including the plan-cache/serving section.
-    pub fn explain_analyze(&self, sql: &str) -> Result<String, EngineError> {
-        Ok(self.query(sql).explain_analyze()?.0)
-    }
-
-    /// Renders the `EXPLAIN VERIFY` output for a query: the static plan
-    /// verifier's report — the rewrite rule applied, the threshold push-down
-    /// bound, every physical operator's required and delivered properties,
-    /// and any violations (see `fuzzy_engine::verify`).
-    pub fn explain_verify(&self, sql: &str) -> Result<String, EngineError> {
-        self.query(sql).explain_verify()
-    }
-
     /// Executes one statement: SELECT, EXPLAIN [ANALYZE|VERIFY], CREATE
     /// TABLE, DEFINE TERM, INSERT, ANALYZE, DELETE, or UPDATE (see
     /// `fuzzy_sql::statement` for the grammar). Read statements take the
@@ -294,18 +275,8 @@ impl Session {
                 Ok(StatementResult::Rows(out.answer))
             }),
             Statement::Explain { mode, query } => self.read_locked(|s, catalog, wait| {
-                let engine = s.engine_over(catalog, wait);
-                let text = match mode {
-                    fuzzy_sql::ExplainMode::Plan => {
-                        engine.explain_query(&query, Strategy::Unnest)?
-                    }
-                    fuzzy_sql::ExplainMode::Analyze => {
-                        engine.explain_analyze_query(&query, Strategy::Unnest)?.0
-                    }
-                    fuzzy_sql::ExplainMode::Verify => {
-                        engine.explain_verify_query(&query, Strategy::Unnest)?
-                    }
-                };
+                let (text, _) =
+                    s.engine_over(catalog, wait).explain(&query, Strategy::Unnest, mode)?;
                 Ok(StatementResult::Explained(text))
             }),
             Statement::CreateTable { name, columns } => {
@@ -472,14 +443,6 @@ impl Session {
         self.shared.catalog_snapshot()
     }
 
-    /// Exclusive catalog access (registering externally built tables).
-    /// Mutations through the guard copy-on-write the catalog; registering a
-    /// table or defining a term bumps its schema version, invalidating
-    /// cached plans.
-    pub fn catalog_mut(&self) -> CatalogWrite<'_> {
-        CatalogWrite { guard: self.shared.catalog.write().expect("catalog lock") }
-    }
-
     /// The simulated disk (for I/O accounting in experiments).
     pub fn disk(&self) -> &SimDisk {
         &self.shared.ctx.disk
@@ -640,27 +603,29 @@ impl QueryBuilder {
     /// Renders the deterministic `EXPLAIN` text of the statement's strategy
     /// without running.
     pub fn explain(self) -> Result<String, EngineError> {
-        let q = fuzzy_sql::parse(&self.sql)?;
-        self.session.read_locked(|s, catalog, wait| {
-            s.engine_over(catalog, wait).explain_query(&q, self.strategy)
-        })
+        Ok(self.explained(ExplainMode::Plan)?.0)
     }
 
     /// Runs the statement under its strategy and renders `EXPLAIN ANALYZE`
     /// (the plan annotated with actual counters, plus the serving section).
     pub fn explain_analyze(self) -> Result<(String, QueryOutcome), EngineError> {
-        let q = fuzzy_sql::parse(&self.sql)?;
-        self.session.read_locked(|s, catalog, wait| {
-            s.engine_over(catalog, wait).explain_analyze_query(&q, self.strategy)
-        })
+        match self.explained(ExplainMode::Analyze)? {
+            (text, Some(outcome)) => Ok((text, outcome)),
+            (_, None) => unreachable!("EXPLAIN ANALYZE runs the statement"),
+        }
     }
 
     /// Renders the `EXPLAIN VERIFY` text (the static verifier's report on the
     /// operator tree of the statement's strategy).
     pub fn explain_verify(self) -> Result<String, EngineError> {
+        Ok(self.explained(ExplainMode::Verify)?.0)
+    }
+
+    /// Renders the statement's plan in `mode` through [`Engine::explain`].
+    fn explained(self, mode: ExplainMode) -> Result<(String, Option<QueryOutcome>), EngineError> {
         let q = fuzzy_sql::parse(&self.sql)?;
         self.session.read_locked(|s, catalog, wait| {
-            s.engine_over(catalog, wait).explain_verify_query(&q, self.strategy)
+            s.engine_over(catalog, wait).explain(&q, self.strategy, mode)
         })
     }
 }
@@ -691,7 +656,7 @@ impl PreparedQuery {
     pub fn run(&self) -> Result<QueryOutcome, EngineError> {
         self.session.read_locked(|s, catalog, wait| {
             self.check_fresh(&catalog)?;
-            let info = fuzzy_engine::ServingInfo {
+            let info = ServingInfo {
                 cache_hit: Some(true),
                 plan_verifications: 0,
                 cache: s.plan_cache_stats(),
@@ -706,12 +671,14 @@ impl PreparedQuery {
         Ok(self.run()?.answer)
     }
 
-    /// Renders the deterministic `EXPLAIN` text for the prepared statement
+    /// Renders the deterministic `EXPLAIN` text of the pinned plan
     /// (stale-checked like [`PreparedQuery::run`]).
     pub fn explain(&self) -> Result<String, EngineError> {
         self.session.read_locked(|s, catalog, wait| {
             self.check_fresh(&catalog)?;
-            s.engine_over(catalog, wait).explain_query(&self.query, Strategy::Unnest)
+            let info = ServingInfo::default();
+            let engine = s.engine_over(catalog, wait);
+            Ok(engine.explain_planned(&self.query, &self.planned, info, ExplainMode::Plan)?.0)
         })
     }
 

@@ -1,6 +1,6 @@
 //! A stored page whose slot directory points outside the page is a typed
 //! `StorageError::Corrupt` on every read path — the block nested loop's
-//! outer-block reads as well as buffer-pool scans — and the database keeps
+//! outer-block reads as well as heap-file page scans — and the database keeps
 //! serving statements on its other tables.
 
 use fuzzy_db::engine::{EngineError, Strategy};

@@ -15,7 +15,7 @@
 
 use fuzzy_db::core::Value;
 use fuzzy_db::rel::{AttrType, Schema, Tuple};
-use fuzzy_db::{Database, Strategy};
+use fuzzy_db::{Database, StatementResult, Strategy};
 
 /// A deterministic three-table fixture: R (8 tuples), S (6), T (4), all with
 /// the same (ID, X, V) numeric schema so every query class can be expressed.
@@ -47,7 +47,7 @@ fn fixture() -> Database {
 }
 
 fn check(name: &str, sql: &str) {
-    check_text(name, fixture().explain(sql).expect("EXPLAIN failed"))
+    check_text(name, fixture().query(sql).explain().expect("EXPLAIN failed"))
 }
 
 /// Pins the `EXPLAIN` text of a statement run under a baseline strategy.
@@ -179,4 +179,101 @@ fn golden_materialized_nested_loop_local_preds() {
          (SELECT S.X FROM S WHERE S.V < 104)",
         Strategy::MaterializedNestedLoop,
     );
+}
+
+/// The chain3 golden's statement: the optimizer orders its joins by the
+/// relations' sizes.
+const CHAIN3: &str = "SELECT R.ID FROM R WHERE R.X IN \
+                      (SELECT S.X FROM S WHERE S.X IN (SELECT T.X FROM T))";
+
+/// The text of an `EXPLAIN [ANALYZE | VERIFY]` statement.
+fn explained(db: &Database, statement: &str) -> String {
+    match db.execute(statement).expect("EXPLAIN failed") {
+        StatementResult::Explained(text) => text,
+        other => panic!("expected Explained, got {other:?}"),
+    }
+}
+
+/// The `join order:` line of an EXPLAIN text.
+fn join_order(text: &str) -> &str {
+    text.lines()
+        .find_map(|l| l.strip_prefix("join order: "))
+        .unwrap_or_else(|| panic!("no join order in\n{text}"))
+}
+
+/// Every form of EXPLAIN renders the plan the statement's runs drive. A data
+/// write keeps the cached chain plan, whose join order was chosen for the old
+/// sizes; until ANALYZE re-plans, EXPLAIN, EXPLAIN VERIFY, a prepared
+/// statement's EXPLAIN and the operators EXPLAIN ANALYZE runs all show that
+/// cached order, and afterwards all of them show the new one.
+#[test]
+fn explain_renders_the_plan_that_runs_after_a_write() {
+    let db = fixture();
+    db.query(CHAIN3).run().unwrap();
+    db.load(
+        "T",
+        (4..54).map(|i| {
+            Tuple::full(vec![
+                Value::number(i as f64),
+                Value::number((i % 3) as f64 * 10.0),
+                Value::number(100.0 + i as f64),
+            ])
+        }),
+    )
+    .unwrap();
+
+    // EXPLAIN ANALYZE lists the operators it then runs, in order.
+    let analyzed = explained(&db, &format!("EXPLAIN ANALYZE {CHAIN3}"));
+    let section = |header: &str| -> Vec<String> {
+        analyzed
+            .split(header)
+            .nth(1)
+            .unwrap_or_else(|| panic!("no {header} in\n{analyzed}"))
+            .lines()
+            .skip(1)
+            .take_while(|l| l.starts_with("  "))
+            .map(str::to_string)
+            .collect()
+    };
+    let planned: Vec<String> = section("operators:")
+        .iter()
+        .map(|l| {
+            let name = l.trim_start().split_once(' ').map_or("", |(_, n)| n);
+            name.split(" -> ").next().unwrap_or("").to_string()
+        })
+        .collect();
+    let ran: Vec<String> = section("actual:")
+        .iter()
+        .map(|l| {
+            let label = l.trim_start().split_once("] ").map_or("", |(_, n)| n);
+            label.split(": in=").next().unwrap_or("").to_string()
+        })
+        .collect();
+    assert!(!ran.is_empty(), "{analyzed}");
+    assert_eq!(planned, ran, "EXPLAIN ANALYZE ran other operators than it shows:\n{analyzed}");
+
+    // The static forms show the cached order too.
+    let forms = |db: &Database| -> [String; 3] {
+        [
+            explained(db, &format!("EXPLAIN {CHAIN3}")),
+            explained(db, &format!("EXPLAIN VERIFY {CHAIN3}")),
+            db.prepare(CHAIN3).unwrap().explain().unwrap(),
+        ]
+    };
+    for text in forms(&db).iter().chain([&analyzed]) {
+        assert_eq!(join_order(text), "T -> S -> R", "{text}");
+    }
+
+    // ANALYZE bumps the schema version: the statement re-plans for the new
+    // sizes, and an EXPLAIN's lookup plans it for the run that follows.
+    db.execute("ANALYZE").unwrap();
+    let [explain, verify, prepared] = forms(&db);
+    let analyzed = explained(&db, &format!("EXPLAIN ANALYZE {CHAIN3}"));
+    assert!(
+        analyzed.contains("plan cache: hit (verifications this statement: 0)"),
+        "the run after an EXPLAIN re-planned:\n{analyzed}"
+    );
+    for text in [explain, verify, prepared, analyzed] {
+        assert_eq!(join_order(&text), "S -> R -> T", "{text}");
+    }
 }

@@ -56,7 +56,7 @@ fn fixture() -> Database {
 /// latter is served by the naive fallback, and requires identical results.
 /// Returns the oracle's answer size (0 for an error).
 fn assert_fallback_matches_oracle(db: &Database, sql: &str) -> usize {
-    let explain = db.explain(sql).unwrap_or_else(|e| panic!("EXPLAIN {sql}: {e}"));
+    let explain = db.query(sql).explain().unwrap_or_else(|e| panic!("EXPLAIN {sql}: {e}"));
     assert!(explain.contains("strategy: naive fallback"), "not a fallback shape: {sql}\n{explain}");
     let oracle = db.query(sql).strategy(Strategy::Naive).run();
     let served = db.query(sql).strategy(Strategy::Unnest).run();

@@ -117,23 +117,26 @@ fn vocabulary_terms_resolve_in_queries() {
 fn explain_describes_plans() {
     let db = dating_db();
     let out = db
-        .explain(
+        .query(
             "SELECT F.NAME FROM F WHERE F.INCOME NOT IN \
              (SELECT M.INCOME FROM M WHERE M.AGE = F.AGE)",
         )
+        .explain()
         .unwrap();
     assert!(out.contains("TypeJX"), "{out}");
     assert!(out.contains("Anti"), "{out}");
     assert!(out.contains("merge window"), "{out}");
     let out = db
-        .explain("SELECT F.NAME FROM F WHERE F.AGE > (SELECT MAX(M.AGE) FROM M WHERE M.INCOME = F.INCOME)")
+        .query("SELECT F.NAME FROM F WHERE F.AGE > (SELECT MAX(M.AGE) FROM M WHERE M.INCOME = F.INCOME)")
+        .explain()
         .unwrap();
     assert!(out.contains("Aggregate [MAX"), "{out}");
     assert!(out.contains("pipelined"), "{out}");
     let out = db
-        .explain(
+        .query(
             "SELECT F.NAME FROM F WHERE F.AGE IN (SELECT M.AGE FROM M) AND              F.INCOME IN (SELECT M.INCOME FROM M)",
         )
+        .explain()
         .unwrap();
     assert!(out.contains("naive fallback"), "{out}");
 }

@@ -2,8 +2,9 @@
 //! ANALYZE`): relations between counters that must hold for every query, on
 //! every strategy, at every thread count.
 
-use fuzzy_db::engine::{Engine, ExecConfig, OpKind, Strategy};
+use fuzzy_db::engine::{Engine, ExecConfig, OpKind, QueryOutcome, Strategy};
 use fuzzy_db::rel::Catalog;
+use fuzzy_db::sql::ExplainMode;
 use fuzzy_db::storage::SimDisk;
 use fuzzy_db::workload::{generate, paper, WorkloadSpec};
 use fuzzy_db::Database;
@@ -194,6 +195,13 @@ fn explain_follows_the_statement_strategy() {
         assert!(verify.contains("verification: OK"), "{verify}");
         assert!(!verify.contains("sort"), "{verify}");
     }
+    // The oracle has no operator tree: EXPLAIN names it and lowers nothing,
+    // and EXPLAIN ANALYZE adds the naive run.
+    let naive = db.query(sql).strategy(Strategy::Naive).explain().unwrap();
+    assert!(naive.ends_with("strategy: naive\n"), "{naive}");
+    let (text, outcome) = db.query(sql).strategy(Strategy::Naive).explain_analyze().unwrap();
+    assert_eq!(outcome.plan_label, "naive");
+    assert!(text.starts_with(&naive) && text.contains("[naive] naive-eval"), "{text}");
 }
 
 /// One query per class of the unnesting catalogue, plus the shape the naive
@@ -220,6 +228,14 @@ const CLASS_CORPUS: [(&str, &str); 11] = [
     ),
 ];
 
+/// `EXPLAIN ANALYZE` of `sql` under [`Strategy::Unnest`]: the rendering and
+/// the outcome of the run it reports.
+fn explain_analyze(engine: &Engine, sql: &str) -> (String, QueryOutcome) {
+    let q = fuzzy_db::sql::parse(sql).unwrap();
+    let (text, outcome) = engine.explain(&q, Strategy::Unnest, ExplainMode::Analyze).unwrap();
+    (text, outcome.expect("EXPLAIN ANALYZE runs the statement"))
+}
+
 /// `EXPLAIN ANALYZE` succeeds for every query class in the unnesting
 /// catalogue plus the naive fallback, and its answer line always matches the
 /// run's answer cardinality.
@@ -228,7 +244,7 @@ fn explain_analyze_covers_every_query_class() {
     let (catalog, disk) = workload_db(80, 5);
     let engine = Engine::over(catalog.clone().into(), &disk);
     for (class, sql) in CLASS_CORPUS {
-        let (text, outcome) = engine.explain_analyze(sql).unwrap();
+        let (text, outcome) = explain_analyze(&engine, sql);
         assert!(text.contains(&format!("query class: {class}")), "{class}: {text}");
         assert!(text.contains("actual:"), "{class}: {text}");
         assert!(
@@ -253,7 +269,7 @@ fn sort_lines_split_wall_time_into_generation_and_merge() {
     let engine = Engine::over(catalog.into(), &disk).with_config(config);
     let (mut sorts, mut merged) = (0, 0);
     for (class, sql) in CLASS_CORPUS {
-        let (text, outcome) = engine.explain_analyze(sql).unwrap();
+        let (text, outcome) = explain_analyze(&engine, sql);
         let lines: Vec<&str> =
             text.lines().filter(|l| l.trim_start().starts_with("[sort]")).collect();
         let nodes: Vec<_> =
@@ -303,7 +319,7 @@ fn estimated_initial_runs_match_the_analytic_sorts() {
         "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S)",
         "SELECT R.ID FROM R WHERE R.V <= (SELECT MAX(S.V) FROM S WHERE S.X = R.X)",
     ] {
-        let (text, outcome) = engine.explain_analyze(sql).unwrap();
+        let (text, outcome) = explain_analyze(&engine, sql);
         let sorts: Vec<_> =
             outcome.metrics.ops().iter().filter(|n| n.kind == OpKind::Sort).collect();
         let mut checked = 0;

@@ -14,7 +14,7 @@
 use fuzzy_db::core::{Degree, Value};
 use fuzzy_db::engine::explain::render_verify_report;
 use fuzzy_db::engine::plan::PlanCol;
-use fuzzy_db::engine::{Outline, PhysOp, Prop, VerifyReport};
+use fuzzy_db::engine::{Outline, PhysOp, Prop};
 use fuzzy_db::rel::{AttrType, Schema, Tuple};
 use fuzzy_db::{Database, StatementResult};
 
@@ -149,7 +149,10 @@ fn golden_verify_violation() {
         ],
         vec![Prop::Binding("R".into()), Prop::Binding("S".into())],
     ));
-    let report = VerifyReport::from_outline("flat(R ⋈ S)", "none", Degree::ZERO, outline);
-    assert!(!report.ok());
-    check("verify_violation", &render_verify_report(&report));
+    let (checks, violations) = outline.check();
+    assert!(!violations.is_empty());
+    check(
+        "verify_violation",
+        &render_verify_report("none", Degree::ZERO, &outline, checks, &violations),
+    );
 }

@@ -12,12 +12,13 @@
 use fuzzy_db::core::{Degree, Value};
 use fuzzy_db::engine::plan::{PlanCol, UnnestPlan};
 use fuzzy_db::engine::{
-    build_plan, check_threshold, verify_plan, Engine, ExecConfig, OpKind, Outline, PhysOp, Prop,
-    QueryOutcome, RewriteRule, Strategy,
+    build_plan, check_threshold, Engine, ExecConfig, OpKind, Outline, PhysOp, Planned, Prop,
+    QueryOutcome, RewriteRule, Strategy, VerifiedPlan,
 };
 use fuzzy_db::rel::{AttrType, Schema, Tuple};
 use fuzzy_db::sql::Threshold;
-use fuzzy_db::Database;
+use fuzzy_db::{Database, EngineError};
+use std::sync::Arc;
 
 /// The deterministic three-table fixture of the golden suite, scaled: R has
 /// `8 * scale` tuples, S `6 * scale`, T `4 * scale`, all with the same
@@ -71,25 +72,31 @@ const CORPUS: &[(&str, &str)] = &[
     ),
 ];
 
+/// Plans `sql` under [`Strategy::Unnest`] the way a run does, through the
+/// engine's plan cache: the verified tree the engine runs, `None` for the
+/// naive fallback, or the verification failure naming every violation.
+fn verify(engine: &Engine, sql: &str) -> Result<Option<Arc<VerifiedPlan>>, EngineError> {
+    let q = fuzzy_db::sql::parse(sql)?;
+    Ok(match engine.plan_for(&q)?.0 {
+        Planned::Plan(plan) => Some(plan),
+        Planned::NaiveFallback(_) => None,
+    })
+}
+
 #[test]
 fn corpus_verifies_cleanly_at_both_scales() {
     for scale in [1usize, 4] {
         let db = fixture(scale);
         let engine = Engine::over(db.catalog(), db.disk());
         for (name, sql) in CORPUS {
-            let report = engine.verify(sql).unwrap();
+            let plan = verify(&engine, sql)
+                .unwrap_or_else(|e| panic!("scale {scale}, {name}: plan failed verification: {e}"));
             if *name == "general_fallback" {
-                assert!(report.is_none(), "{name} should have no unnested plan to verify");
+                assert!(plan.is_none(), "{name} should have no unnested plan to verify");
                 continue;
             }
-            let report = report.unwrap_or_else(|| panic!("{name} fell back to naive"));
-            assert!(
-                report.ok(),
-                "scale {scale}, {name}: plan {} failed verification: {:?}",
-                report.plan_label,
-                report.violations
-            );
-            assert!(report.checks > 0, "{name}: no checks ran");
+            let plan = plan.unwrap_or_else(|| panic!("{name} fell back to naive"));
+            assert!(plan.checks() > 0, "{name}: no checks ran");
         }
     }
 }
@@ -235,15 +242,17 @@ fn reordered_three_way_join_verifies_cleanly() {
     let db = fixture(1);
     let engine = Engine::over(db.catalog(), db.disk());
     let sql = "SELECT R.ID FROM R, S, T WHERE R.X = S.X AND S.V = T.V";
-    let report = engine.verify(sql).unwrap().expect("flat plan expected");
-    assert!(report.ok(), "reordered plan failed verification: {:?}", report.violations);
+    let plan = verify(&engine, sql);
+    assert!(plan.is_ok(), "reordered plan failed verification: {plan:?}");
+    assert!(plan.unwrap().is_some(), "flat plan expected");
     // The verifier must have analysed the plan the executor runs, i.e. the
     // reordered one: switching the optimizer off must also verify (both
     // orders are legal; the point is each is checked as-it-runs).
     let config = ExecConfig { reorder_joins: false, ..ExecConfig::default() };
     let engine_off = Engine::over(db.catalog(), db.disk()).with_config(config);
-    let report_off = engine_off.verify(sql).unwrap().expect("flat plan expected");
-    assert!(report_off.ok(), "unreordered plan failed: {:?}", report_off.violations);
+    let plan_off = verify(&engine_off, sql);
+    assert!(plan_off.is_ok(), "unreordered plan failed: {plan_off:?}");
+    assert!(plan_off.unwrap().is_some(), "flat plan expected");
 }
 
 /// Regression for the similarity-driver bug: a `~ WITHIN` predicate must
@@ -264,8 +273,9 @@ fn similarity_join_matches_naive() {
         "similarity join diverged from the reference"
     );
     // And it must still verify: the outline's merge drivers exclude it.
-    let report = engine.verify(sql).unwrap().expect("flat plan expected");
-    assert!(report.ok(), "{:?}", report.violations);
+    let plan = verify(&engine, sql);
+    assert!(plan.is_ok(), "{plan:?}");
+    assert!(plan.unwrap().is_some(), "flat plan expected");
 }
 
 // ---------------------------------------------------------------------------
@@ -340,11 +350,10 @@ fn mistagged_type_n_with_correlated_inner_is_rejected() {
     let blocks = p.rule.blocks().expect("leveled rule").to_vec();
     assert_eq!(p.rule.id(), "T4.2");
     p.rule = RewriteRule::TypeN { blocks };
-    let report = verify_plan(&plan, Strategy::Unnest, &ExecConfig::default(), &db.catalog(), None);
-    assert!(!report.ok());
-    assert!(
-        report.violations.iter().any(|v| v.rule == "R-T4.1-INDEP"),
-        "expected R-T4.1-INDEP, got {:?}",
-        report.violations
-    );
+    let refused =
+        VerifiedPlan::new(&plan, Strategy::Unnest, &ExecConfig::default(), &db.catalog(), None);
+    let Err(EngineError::Verify(msg)) = refused else {
+        panic!("expected a verification failure, got {refused:?}")
+    };
+    assert!(msg.contains("[R-T4.1-INDEP]"), "expected R-T4.1-INDEP, got {msg}");
 }
