@@ -30,6 +30,9 @@ pub enum EngineError {
         /// The catalog's schema version at execution time.
         catalog_version: u64,
     },
+    /// A worker thread of a parallel operator panicked; carries the panic
+    /// message. The statement fails; the engine keeps serving.
+    WorkerPanic(String),
 }
 
 impl fmt::Display for EngineError {
@@ -46,6 +49,7 @@ impl fmt::Display for EngineError {
                 "prepared plan is stale: planned against schema version \
                  {planned_version}, catalog is now at {catalog_version}; re-prepare the statement"
             ),
+            EngineError::WorkerPanic(msg) => write!(f, "worker thread panicked: {msg}"),
         }
     }
 }

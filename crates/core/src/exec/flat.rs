@@ -7,12 +7,14 @@
 //! instead of materializing a temp table — the paper's Section 4 point that
 //! the join result itself never needs to hit the disk extended from the last
 //! step to *every* step whose successor re-sorts anyway. The final step
-//! streams straight into the projected answer rows. Only a step feeding a
+//! streams straight into the projected answer rows, folding a row equal to
+//! the one before it into that row by fuzzy OR. Only a step feeding a
 //! partitioned or nested-loop consumer (which re-scan their outer by page)
 //! still materializes.
 
 use crate::error::Result;
 use crate::exec::lower::{JoinStep, SinkMode, StepMethod};
+use crate::exec::merge_join::walk_window;
 use crate::exec::op::Slot;
 use crate::exec::{BoundCompare, Executor, Layout, PairOutcome};
 use crate::metrics::{OpKind, OperatorMetrics};
@@ -46,7 +48,10 @@ pub(crate) enum JoinSink {
     },
     /// Keep the concatenated tuples in memory for the next sort boundary.
     Buffer(Vec<Tuple>),
-    /// Project straight into the answer rows (final step).
+    /// Project straight into the answer rows (final step). A row equal to
+    /// the last one is folded into it by fuzzy OR instead of pushed: max is
+    /// associative, commutative and idempotent, so the answer and its
+    /// first-occurrence order are those of the unfolded rows.
     Stream {
         /// Projection indices on the concatenated layout.
         select_idx: Vec<usize>,
@@ -72,17 +77,15 @@ impl JoinSink {
             }
             JoinSink::Stream { select_idx, rows } => {
                 let left_len = r.values.len();
-                let values = select_idx
-                    .iter()
-                    .map(|&i| {
-                        if i < left_len {
-                            r.values[i].clone()
-                        } else {
-                            s.values[i - left_len].clone()
-                        }
-                    })
-                    .collect();
-                rows.push((values, d));
+                let value =
+                    |i: usize| if i < left_len { &r.values[i] } else { &s.values[i - left_len] };
+                if let Some((last, degree)) = rows.last_mut() {
+                    if select_idx.iter().zip(last.iter()).all(|(&i, v)| value(i) == v) {
+                        *degree = degree.or(d);
+                        return Ok(());
+                    }
+                }
+                rows.push((select_idx.iter().map(|&i| value(i).clone()).collect(), d));
                 Ok(())
             }
         }
@@ -201,18 +204,19 @@ impl Executor {
             }
             PairOutcome { degree: Some(d), comparisons, pruned: false }
         };
+        // The merge walk may stop an outer tuple's window early (see
+        // `walk_window`) when the answer projects only outer columns. The
+        // partitioned join and the block nested loop do not see one outer's
+        // pairs together, so they evaluate every pair.
+        let capped = match &step.sink {
+            SinkMode::Answer { select } => select.iter().all(|c| step.layout.contains(&c.binding)),
+            SinkMode::Rows | SinkMode::Materialize => false,
+        };
         let handle =
             |sink: &mut JoinSink, r: &Tuple, s: &Tuple, m: &mut OperatorMetrics| -> Result<()> {
-                let o = pair_eval(r, s);
-                m.fuzzy_comparisons += u64::from(o.comparisons);
-                m.pairs_pruned += u64::from(o.pruned);
-                match o.degree {
-                    Some(d) => {
-                        m.tuples_out += 1;
-                        sink.emit(r, s, d)
-                    }
-                    None => Ok(()),
-                }
+                walk_window(r, std::slice::from_ref(s), &pair_eval, false, m, |_, d| {
+                    sink.emit(r, s, d)
+                })
             };
         match (&step.method, driver) {
             (StepMethod::Merge { .. }, Some((cur_idx, next_idx))) if self.config.threads > 1 => {
@@ -225,6 +229,7 @@ impl Executor {
                     OpKind::Join,
                     label,
                     &pair_eval,
+                    capped,
                     &mut sink,
                 )?;
             }
@@ -238,10 +243,7 @@ impl Executor {
                     OpKind::Join,
                     label,
                     |r, rng, m| {
-                        for s in rng {
-                            handle(&mut sink, r, s, m)?;
-                        }
-                        Ok(())
+                        walk_window(r, rng, &pair_eval, capped, m, |j, d| sink.emit(r, &rng[j], d))
                     },
                 )?;
             }

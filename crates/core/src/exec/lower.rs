@@ -41,6 +41,10 @@ pub(crate) struct Lowered {
     /// A flat plan's table bindings in the order the statement wrote them,
     /// before the reorder (empty for anti and aggregate plans).
     pub(crate) written_order: Vec<String>,
+    /// The estimated cardinalities the join reorder ranked the tables on,
+    /// one per table of `plan` in its order, as the catalog snapshot stood
+    /// when the plan was lowered (empty when the written order was kept).
+    pub(crate) join_sizes: Vec<f64>,
     /// The pruning bound pushed into the pipeline (flat plans only).
     pub(crate) alpha: Degree,
     /// The property-carrying operator tree; `ops[i]` declares `nodes[i]`.
@@ -176,7 +180,7 @@ pub(crate) fn lower(
         UnnestPlan::Flat(p) => p.tables.iter().map(|t| t.binding.clone()).collect(),
         _ => Vec::new(),
     };
-    let plan = effective_plan(plan, config, catalog, stats);
+    let (plan, join_sizes) = effective_plan(plan, config, catalog, stats);
     let alpha = if strategy.is_baseline() {
         Degree::ZERO
     } else {
@@ -187,7 +191,7 @@ pub(crate) fn lower(
         UnnestPlan::Anti(p) => lower_anti(p, strategy),
         UnnestPlan::Agg(p) => lower_agg(p, strategy),
     };
-    Lowered { plan, written_order, alpha, outline: Outline { ops }, nodes }
+    Lowered { plan, written_order, join_sizes, alpha, outline: Outline { ops }, nodes }
 }
 
 /// Splits a table's local predicates between its scan and the operator that
@@ -205,20 +209,21 @@ fn split_local(t: &PlanTable, strategy: Strategy) -> (PlanTable, Vec<PlanCompare
 
 /// The plan as the executor will actually run it: multi-way flat joins are
 /// reordered through the optimizer entry point with the cardinalities of
-/// `catalog` and the same statistics the executor sees.
+/// `catalog` and the same statistics the executor sees. Also returns the
+/// estimates a changed order was ranked on (empty otherwise).
 fn effective_plan(
     plan: &UnnestPlan,
     config: &ExecConfig,
     catalog: &Catalog,
     stats: Option<&StatsRegistry>,
-) -> UnnestPlan {
+) -> (UnnestPlan, Vec<f64>) {
     match plan {
         UnnestPlan::Flat(p) if config.reorder_joins && p.tables.len() > 2 => {
             let mut reordered = p.clone();
-            crate::optimizer::reorder_joins_with(&mut reordered, catalog, stats);
-            UnnestPlan::Flat(reordered)
+            let sizes = crate::optimizer::reorder_joins_with(&mut reordered, catalog, stats);
+            (UnnestPlan::Flat(reordered), sizes.unwrap_or_default())
         }
-        other => other.clone(),
+        other => (other.clone(), Vec::new()),
     }
 }
 

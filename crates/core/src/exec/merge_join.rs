@@ -8,6 +8,10 @@
 //! merge modes), the interval-partitioned parallel join, whose counters
 //! equal the serial scan's, and the partitioned join's per-partition scans
 //! all advance it.
+//!
+//! [`walk_window`] is the per-outer evaluation of the flat join, written
+//! once for the serial and the parallel merge: it also holds the degree-cap
+//! exit that ends `r`'s walk once no later pair can change its answer row.
 
 use crate::error::{EngineError, Result};
 use crate::exec::flat::JoinSink;
@@ -118,6 +122,52 @@ impl<I: Iterator<Item = Result<Tuple>>> RngCursor<I> {
     }
 }
 
+/// Evaluates outer tuple `r` against the inner tuples of `window` in order
+/// and hands `emit` the window position and degree of every pair that
+/// survives `pair_eval`; `m` counts the comparisons, the pruned pairs and the
+/// emitted pairs (`tuples_out`).
+///
+/// With `capped` the walk stops at the first emitted pair whose degree equals
+/// `r.degree`. The caller sets it only when the join's answer rows project
+/// outer columns alone, so every pair of `r` yields the same answer row,
+/// which keeps the maximum of their degrees (fuzzy OR). A pair's degree
+/// starts from `r.degree ∧ s.degree`, so no later pair can exceed the one
+/// that reached `r.degree`: skipping them leaves every answer unchanged.
+pub(crate) fn walk_window<D>(
+    r: &Tuple,
+    window: &[Tuple],
+    pair_eval: &D,
+    capped: bool,
+    m: &mut OperatorMetrics,
+    mut emit: impl FnMut(usize, Degree) -> Result<()>,
+) -> Result<()>
+where
+    D: Fn(&Tuple, &Tuple) -> PairOutcome,
+{
+    for (j, s) in window.iter().enumerate() {
+        let o = pair_eval(r, s);
+        m.fuzzy_comparisons += u64::from(o.comparisons);
+        m.pairs_pruned += u64::from(o.pruned);
+        if let Some(d) = o.degree {
+            m.tuples_out += 1;
+            emit(j, d)?;
+            if capped && d == r.degree {
+                break;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The message a panicking worker thread left, for its typed error.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-text panic payload".to_string())
+}
+
 impl Executor {
     /// Streams the sorted outer relation against the sorted inner one,
     /// invoking `visit(r, Rng(r), m)` once per outer tuple (with an empty
@@ -168,15 +218,17 @@ impl Executor {
     /// Phase 2 partitions the outer (already sorted by `⪯`) into `threads`
     /// contiguous chunks balanced by their window pair counts. A window can
     /// span chunk boundaries, so workers read overlapping ranges of the
-    /// kept inner tuples; no pair is lost at a cut. Workers evaluate the
-    /// pure `pair_eval` for their pairs in outer order and accumulate
-    /// comparison and prune counts per chunk; chunk sums are
+    /// kept inner tuples; no pair is lost at a cut. Workers run the serial
+    /// path's [`walk_window`] over their outers in order, with the same
+    /// `capped` exit, and accumulate its counters per chunk; chunk sums are
     /// order-independent, so the operator's counters equal the serial ones
     /// exactly.
     ///
     /// Phase 3 concatenates the per-chunk emissions in chunk order on the
     /// calling thread, so the sink observes exactly the serial emission
-    /// sequence (same rows, same degrees, same temp-table bytes).
+    /// sequence (same rows, same degrees, same temp-table bytes). A worker
+    /// that panics fails the join with [`EngineError::WorkerPanic`] once
+    /// every worker has finished; the executor stays usable.
     ///
     /// The tradeoff is memory: the outer and the kept inner tuples are held
     /// for the duration of the join, where the serial path holds only the
@@ -192,6 +244,7 @@ impl Executor {
         kind: OpKind,
         label: String,
         pair_eval: &D,
+        capped: bool,
         sink: &mut JoinSink,
     ) -> Result<()>
     where
@@ -233,8 +286,8 @@ impl Executor {
         }
         chunks.push(start..outer_vec.len());
 
-        type ChunkResult = (Vec<(u32, u32, Degree)>, u64, u64);
-        let emissions: Vec<ChunkResult> = std::thread::scope(|scope| {
+        type ChunkResult = (Vec<(u32, u32, Degree)>, OperatorMetrics);
+        let joined: Vec<std::thread::Result<Result<ChunkResult>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .iter()
                 .map(|range| {
@@ -242,38 +295,106 @@ impl Executor {
                     let outer_vec = &outer_vec;
                     let kept = &kept;
                     let windows = &windows;
-                    scope.spawn(move || {
+                    scope.spawn(move || -> Result<ChunkResult> {
                         let mut out: Vec<(u32, u32, Degree)> = Vec::new();
-                        let (mut comparisons, mut pruned) = (0u64, 0u64);
+                        let mut cm = OperatorMetrics::default();
                         for i in range {
-                            let r = &outer_vec[i];
-                            for j in windows[i].clone() {
-                                let o = pair_eval(r, &kept[j as usize]);
-                                comparisons += u64::from(o.comparisons);
-                                pruned += u64::from(o.pruned);
-                                if let Some(d) = o.degree {
-                                    out.push((i as u32, j, d));
-                                }
-                            }
+                            let w = windows[i].clone();
+                            let window = &kept[w.start as usize..w.end as usize];
+                            walk_window(
+                                &outer_vec[i],
+                                window,
+                                pair_eval,
+                                capped,
+                                &mut cm,
+                                |j, d| {
+                                    out.push((i as u32, w.start + j as u32, d));
+                                    Ok(())
+                                },
+                            )?;
                         }
-                        (out, comparisons, pruned)
+                        Ok((out, cm))
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("join worker panicked")).collect()
+            // Join every worker before looking at any result, so a panic
+            // in one never leaves another unjoined.
+            handles.into_iter().map(|h| h.join()).collect()
         });
+        let mut emissions: Vec<ChunkResult> = Vec::with_capacity(joined.len());
+        for res in joined {
+            let chunk = res.map_err(|p| EngineError::WorkerPanic(panic_message(p.as_ref())))?;
+            emissions.push(chunk?);
+        }
 
         // Phase 3: serial, order-preserving emission.
-        for (chunk, comparisons, pruned) in emissions {
-            m.fuzzy_comparisons += comparisons;
-            m.pairs_pruned += pruned;
+        for (chunk, cm) in emissions {
+            m.absorb(&cm);
             for (i, j, d) in chunk {
-                m.tuples_out += 1;
                 sink.emit(&outer_vec[i as usize], &kept[j as usize], d)?;
             }
         }
         self.absorb_op(&g, &m);
         self.end_op(g);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::tests::table;
+    use crate::exec::ExecConfig;
+    use fuzzy_core::CmpOp;
+    use fuzzy_storage::SimDisk;
+
+    #[test]
+    fn a_panicking_join_worker_is_a_typed_error() {
+        // Both inputs are already ⪯-sorted on X (attribute 1).
+        let disk = SimDisk::with_default_page_size();
+        let r = table(&disk, "R", &[(0.0, 1.0), (2.0, 3.0), (4.0, 5.0), (6.0, 7.0)]);
+        let s = table(&disk, "S", &[(0.0, 2.5), (2.5, 4.5), (4.5, 6.5)]);
+        let mut ex = Executor::new(&disk, ExecConfig { threads: 2, ..ExecConfig::default() });
+        let join = |ex: &mut Executor, eval: &(dyn Fn(&Tuple, &Tuple) -> PairOutcome + Sync)| {
+            let mut sink = JoinSink::Buffer(Vec::new());
+            let res = ex.merge_join_parallel(
+                &r,
+                1,
+                &s,
+                1,
+                Degree::ZERO,
+                OpKind::Join,
+                "test".to_string(),
+                &eval,
+                false,
+                &mut sink,
+            );
+            res.map(|()| match sink {
+                JoinSink::Buffer(rows) => rows,
+                _ => unreachable!("a buffer sink stays a buffer"),
+            })
+        };
+
+        let panics = |_: &Tuple, _: &Tuple| -> PairOutcome { panic!("pair evaluation failed") };
+        match join(&mut ex, &panics) {
+            Err(EngineError::WorkerPanic(msg)) => assert_eq!(msg, "pair evaluation failed"),
+            other => panic!("expected a worker panic, got {:?}", other.map(|rows| rows.len())),
+        }
+
+        // The same executor then joins correctly: every intersecting pair,
+        // in outer-then-inner order, with its possibility degree.
+        let eq = |r: &Tuple, s: &Tuple| PairOutcome {
+            degree: Some(r.values[1].compare(CmpOp::Eq, &s.values[1])).filter(|d| d.is_positive()),
+            comparisons: 1,
+            pruned: false,
+        };
+        let got: Vec<(Value, Value)> = join(&mut ex, &eq)
+            .unwrap()
+            .into_iter()
+            .map(|t| (t.values[0].clone(), t.values[2].clone()))
+            .collect();
+        let id = |i: f64| Value::number(i);
+        let expected = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (2.0, 2.0), (3.0, 2.0)];
+        assert_eq!(got, expected.map(|(r, s)| (id(r), id(s))));
     }
 }

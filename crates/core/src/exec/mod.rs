@@ -227,7 +227,7 @@ mod tests {
     use fuzzy_rel::{AttrType, Attribute, Schema, StoredTable, Tuple};
     use fuzzy_sql::AggFunc;
 
-    fn table(disk: &SimDisk, name: &str, xs: &[(f64, f64)]) -> StoredTable {
+    pub(super) fn table(disk: &SimDisk, name: &str, xs: &[(f64, f64)]) -> StoredTable {
         // Tuples (ID, X) where X is a rectangle [lo, hi].
         let t = StoredTable::create(
             disk,
@@ -370,6 +370,7 @@ mod tests {
             OpKind::Join,
             label(),
             &none,
+            false,
             &mut sink,
         );
         assert!(corrupt(parallel), "merge_join_parallel");

@@ -40,8 +40,10 @@ pub(crate) fn finish(
 
 impl Executor {
     /// Final answer assembly as a registered operator: fuzzy-OR dedup plus
-    /// the `WITH` threshold. `tuples_in` is the emitted row count,
-    /// `tuples_out` the deduplicated, thresholded answer cardinality.
+    /// the `WITH` threshold. `tuples_in` is the number of rows the upstream
+    /// operator delivered, after a join's answer sink folded consecutive
+    /// equal rows; `tuples_out` the deduplicated, thresholded answer
+    /// cardinality.
     pub(crate) fn finish_op(
         &mut self,
         schema: Schema,

@@ -46,8 +46,9 @@ const NOTHING_TO_VERIFY: &str =
 /// Renders the deterministic text of an `EXPLAIN` (`mode` Plan or Analyze)
 /// or `EXPLAIN VERIFY` statement from its planned form: `None` is
 /// [`Strategy::Naive`], which has no tree to show. Both forms name the join
-/// order when the optimizer reordered the written one. Every cardinality is
-/// read from `catalog`, the statement's snapshot.
+/// order when the optimizer reordered the written one, with the estimated
+/// cardinalities it was ranked on when the plan was made. Every other
+/// cardinality is read from `catalog`, the statement's snapshot.
 pub(crate) fn render(
     q: &fuzzy_sql::Query,
     planned: Option<&Planned>,
@@ -65,7 +66,16 @@ pub(crate) fn render(
             if let UnnestPlan::Flat(p) = &lowered.plan {
                 let order: Vec<&str> = p.tables.iter().map(|t| t.binding.as_str()).collect();
                 if order != lowered.written_order {
-                    out.push_str(&format!("join order: {}\n", order.join(" -> ")));
+                    let sizes: Vec<String> = order
+                        .iter()
+                        .zip(&lowered.join_sizes)
+                        .map(|(b, n)| format!("{b} {}", (n * 10.0).round() / 10.0))
+                        .collect();
+                    out.push_str(&format!(
+                        "join order: {} (ranked by est. rows at plan time: {})\n",
+                        order.join(" -> "),
+                        sizes.join(", ")
+                    ));
                 }
             }
             if verify {

@@ -61,18 +61,19 @@ fn estimate(t: &crate::plan::PlanTable, catalog: &Catalog, stats: Option<&StatsR
 
 /// Reorders `plan.tables` into a greedy left-deep order that keeps every
 /// join step connected by an equality predicate where possible, preferring
-/// small (estimated, from `catalog` and `stats`) relations early. Returns
-/// true if the order changed.
+/// small (estimated, from `catalog` and `stats`) relations early. If the
+/// order changed, returns the estimated cardinalities it was ranked on, one
+/// per table in the new order; otherwise `None`.
 pub fn reorder_joins_with(
     plan: &mut FlatPlan,
     catalog: &Catalog,
     stats: Option<&StatsRegistry>,
-) -> bool {
+) -> Option<Vec<f64>> {
     let n = plan.tables.len();
     if n <= 2 {
         // With two tables the merge-join sorts both regardless; keeping the
         // outer block's relation first preserves the paper's presentation.
-        return false;
+        return None;
     }
     // A pushed-down `WITH D > z` threshold prunes graded survivors of local
     // predicates before they are sorted (the executor's filter_scan and join
@@ -131,14 +132,15 @@ pub fn reorder_joins_with(
     }
 
     if order.iter().copied().eq(0..n) {
-        return false;
+        return None;
     }
     let mut tables = std::mem::take(&mut plan.tables);
     // Drain in the chosen order without cloning the plan tables.
     let mut slots: Vec<Option<crate::plan::PlanTable>> = tables.drain(..).map(Some).collect();
+    let ranked = order.iter().map(|&i| sizes[i]).collect();
     plan.tables =
         order.into_iter().map(|i| slots[i].take().expect("each index picked once")).collect();
-    true
+    Some(ranked)
 }
 
 #[cfg(test)]
@@ -191,7 +193,7 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(!reorder_joins_with(&mut plan, cat, None));
+        assert!(reorder_joins_with(&mut plan, cat, None).is_none());
         assert_eq!(bindings(&plan), ["A", "B"]);
     }
 
@@ -209,7 +211,7 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(reorder_joins_with(&mut plan, cat, None));
+        assert!(reorder_joins_with(&mut plan, cat, None).is_some());
         assert_eq!(bindings(&plan), ["B", "C", "A"]);
     }
 
@@ -231,7 +233,7 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(reorder_joins_with(&mut plan, cat, None));
+        assert!(reorder_joins_with(&mut plan, cat, None).is_some());
         let order = bindings(&plan);
         assert_eq!(order[0], "D");
         assert_eq!(order[1], "A", "only A connects to D");
@@ -254,8 +256,9 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(reorder_joins_with(&mut plan, cat, None));
-        assert_eq!(bindings(&plan)[0], "B");
+        let ranked = reorder_joins_with(&mut plan, cat, None);
+        assert_eq!(bindings(&plan), ["B", "A", "C"]);
+        assert_eq!(ranked, Some(vec![15.0, 20.0, 100.0]), "the estimates, in the new order");
     }
 
     #[test]
@@ -272,7 +275,7 @@ mod tests {
             threshold: None,
             rule: RewriteRule::Flat,
         };
-        assert!(!reorder_joins_with(&mut plan, cat, None));
+        assert!(reorder_joins_with(&mut plan, cat, None).is_none());
         assert_eq!(bindings(&plan), ["A", "B", "C"]);
     }
 }

@@ -509,3 +509,74 @@ proptest! {
         }
     }
 }
+
+/// Rows over a three-point grid: most values repeat, so after the merge
+/// sort consecutive outer tuples often project equal answer rows.
+fn arb_repeating_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
+    let value = || {
+        prop_oneof![
+            (0..3i32).prop_map(|v| Value::number(v as f64)),
+            (0..3i32).prop_map(|a| {
+                let a = a as f64;
+                Value::fuzzy(Trapezoid::triangular(a, a + 1.0, a + 2.0).expect("ordered"))
+            }),
+        ]
+    };
+    prop::collection::vec(
+        (value(), value(), value(), arb_degree()).prop_map(|(x, y, u, d)| Row { x, y, u, d }),
+        0..max,
+    )
+}
+
+/// Checks the unnested plan at 1, 2 and 4 threads against the literal naive
+/// evaluator (`Strategy::Naive`, which runs `NaiveEvaluator::new`).
+fn check_threads(sql: &str, r: &[Row], s: &[Row]) -> Result<(), TestCaseError> {
+    use fuzzy_engine::exec::ExecConfig;
+    let disk = SimDisk::with_default_page_size();
+    let catalog = build_catalog(&disk, r, s, &[]);
+    let naive = Engine::over(catalog.clone().into(), &disk)
+        .run_sql(sql, EvalStrategy::Naive)
+        .map_err(|e| TestCaseError::fail(format!("naive failed: {e}")))?;
+    let reference = degrees(&naive.answer);
+    for threads in [1usize, 2, 4] {
+        let unnest = Engine::over(catalog.clone().into(), &disk)
+            .with_config(ExecConfig { threads, ..Default::default() })
+            .run_sql(sql, EvalStrategy::Unnest)
+            .map_err(|e| TestCaseError::fail(format!("unnest failed: {e}")))?;
+        let got = degrees(&unnest.answer);
+        prop_assert_eq!(got.len(), reference.len(), "{} threads: row count for {}", threads, sql);
+        for (k, d) in &reference {
+            let g = got.get(k).ok_or_else(|| {
+                TestCaseError::fail(format!("{threads} threads: missing row {k} for {sql}"))
+            })?;
+            prop_assert!((g - d).abs() < 1e-9, "{threads} threads: degree of {k} for {sql}");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The answer sink folds a row equal to the one before it, and the
+    /// merge-join stops an outer tuple's window once a pair reaches its
+    /// degree. Both are exact even when consecutive outer tuples project the
+    /// same values: a flat join projecting its (repeating) join column, and
+    /// a type J query projecting a non-key outer column. A join that also
+    /// projects an inner column evaluates every pair.
+    #[test]
+    fn folded_rows_across_outer_tuples(
+        r in arb_repeating_rows(8),
+        s in arb_repeating_rows(8),
+        z in 0..6u32,
+    ) {
+        check_threads("SELECT R.X FROM R, S WHERE R.X = S.X", &r, &s)?;
+        check_threads("SELECT R.X, S.U FROM R, S WHERE R.X = S.X", &r, &s)?;
+        check_threads(
+            "SELECT R.U FROM R WHERE R.Y IN (SELECT S.Y FROM S WHERE S.X = R.X)",
+            &r, &s,
+        )?;
+        let sql = format!("SELECT R.U FROM R, S WHERE R.Y = S.Y WITH D > 0.{z}");
+        check_threads(&sql, &r, &s)?;
+    }
+}

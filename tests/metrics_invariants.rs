@@ -603,3 +603,49 @@ fn baseline_counters_are_pinned() {
         }
     }
 }
+
+/// The merge-join's degree-cap exit fires only where it cannot change an
+/// answer. The type J statement projects R alone, so the join stops each
+/// outer tuple's window at the first pair that reaches μ_R(r): output
+/// receives exactly one folded row per answer row, and the join still
+/// examines every window pair: as many as the same join projecting `S.ID`,
+/// which evaluates all of them. When the answer projects an inner column,
+/// the exit never fires: the flat `R.ID, S.ID` join's fuzzy comparisons are
+/// pinned at 2823, the count this fixture gave before the exit existed (one
+/// driver comparison per window pair; the type J join then examined the
+/// same 2823 pairs). Threads 1, 2 and 4 agree.
+#[test]
+fn degree_cap_exit_fires_only_on_outer_projections() {
+    let (catalog, disk) = workload_db(400, 7);
+    let type_j = "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S WHERE S.ID <> R.ID)";
+    let type_j_uncapped = "SELECT R.ID, S.ID FROM R, S WHERE R.X = S.X AND S.ID <> R.ID";
+    let inner_projected = "SELECT R.ID, S.ID FROM R, S WHERE R.X = S.X";
+    for threads in [1usize, 2, 4] {
+        let engine = Engine::over(catalog.clone().into(), &disk)
+            .with_config(ExecConfig { threads, ..Default::default() });
+        let run = |sql: &str| -> (QueryOutcome, [fuzzy_db::engine::OperatorMetrics; 2]) {
+            let out = engine.run_sql(sql, Strategy::Unnest).unwrap();
+            let op = |kind: OpKind| {
+                let ops: Vec<_> = out.metrics.ops().iter().filter(|o| o.kind == kind).collect();
+                assert_eq!(ops.len(), 1, "{sql}: one {} operator", kind.name());
+                ops[0].metrics
+            };
+            let ops = [op(OpKind::Join), op(OpKind::Output)];
+            (out, ops)
+        };
+        let (capped, [join, output]) = run(type_j);
+        let (_, [uncapped_join, _]) = run(type_j_uncapped);
+        assert!(!capped.answer.is_empty(), "the type J fixture answers nothing");
+        assert_eq!(output.tuples_in, capped.answer.len() as u64, "{threads} threads");
+        assert_eq!(join.pairs_examined, 2823, "{threads} threads");
+        assert_eq!(join.pairs_examined, uncapped_join.pairs_examined, "{threads} threads");
+        assert!(
+            join.fuzzy_comparisons < uncapped_join.fuzzy_comparisons,
+            "{threads} threads: the exit never fired ({} comparisons)",
+            join.fuzzy_comparisons
+        );
+        let (_, [flat_join, _]) = run(inner_projected);
+        assert_eq!(flat_join.fuzzy_comparisons, 2823, "{threads} threads");
+        assert_eq!(flat_join.fuzzy_comparisons, flat_join.pairs_examined, "{threads} threads");
+    }
+}
