@@ -159,15 +159,6 @@ where
     Ok(())
 }
 
-/// The message a panicking worker thread left, for its typed error.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-text panic payload".to_string())
-}
-
 impl Executor {
     /// Streams the sorted outer relation against the sorted inner one,
     /// invoking `visit(r, Rng(r), m)` once per outer tuple (with an empty
@@ -323,7 +314,8 @@ impl Executor {
         });
         let mut emissions: Vec<ChunkResult> = Vec::with_capacity(joined.len());
         for res in joined {
-            let chunk = res.map_err(|p| EngineError::WorkerPanic(panic_message(p.as_ref())))?;
+            let chunk = res
+                .map_err(|p| EngineError::WorkerPanic(fuzzy_storage::panic_message(p.as_ref())))?;
             emissions.push(chunk?);
         }
 

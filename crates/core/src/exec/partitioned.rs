@@ -33,10 +33,10 @@
 
 use crate::error::Result;
 use crate::exec::merge_join::RngCursor;
+use crate::exec::sort::sort_tuples;
 use crate::exec::Executor;
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::verify::{PhysOp, Prop};
-use fuzzy_core::interval_order::OrderKey;
 use fuzzy_core::Degree;
 use fuzzy_rel::{StoredTable, Tuple};
 
@@ -99,8 +99,8 @@ impl Executor {
             if op.num_tuples() == 0 || ip.num_tuples() == 0 {
                 continue;
             }
-            let os = sort_keyed(op.scan().collect::<fuzzy_storage::Result<_>>()?, oattr, alpha);
-            let is = sort_keyed(ip.scan().collect::<fuzzy_storage::Result<_>>()?, iattr, alpha);
+            let os = sort_tuples(op.scan().collect::<fuzzy_storage::Result<_>>()?, oattr, alpha);
+            let is = sort_tuples(ip.scan().collect::<fuzzy_storage::Result<_>>()?, iattr, alpha);
             m.tuples_in += os.len() as u64 + is.len() as u64;
             // This join charges both partitions whole and counts only the
             // pairs whose intervals meet, so the cursor's own window
@@ -202,16 +202,6 @@ impl Executor {
         }
         Ok(parts)
     }
-}
-
-/// Stable in-memory sort by `⪯` on `attr` at α-cut level `alpha`, keying
-/// each tuple once with [`OrderKey`] instead of recomputing α-cuts per
-/// comparison.
-fn sort_keyed(tuples: Vec<Tuple>, attr: usize, alpha: Degree) -> Vec<Tuple> {
-    let mut keyed: Vec<(OrderKey, Tuple)> =
-        tuples.into_iter().map(|t| (OrderKey::at(&t.values[attr], alpha), t)).collect();
-    keyed.sort_by(|a, b| a.0.cmp_key(&b.0));
-    keyed.into_iter().map(|(_, t)| t).collect()
 }
 
 #[cfg(test)]

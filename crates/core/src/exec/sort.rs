@@ -12,9 +12,35 @@ use crate::metrics::OpKind;
 use crate::plan::PlanCol;
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::interval_order::OrderKey;
-use fuzzy_core::Degree;
+use fuzzy_core::{Degree, Value};
 use fuzzy_rel::{Schema, StoredTable, Tuple};
-use fuzzy_storage::{external_sort_parallel, external_sort_records};
+use fuzzy_storage::{external_sort_parallel, external_sort_records, sort_keys, Prefix};
+
+/// The `⪯` sort key of `v` at the α-cut `alpha`: its normalized prefix,
+/// which decides most comparisons with two integer compares, and the full
+/// [`OrderKey`], which [`OrderKey::cmp_key`] compares on a prefix tie. Every
+/// `⪯` sort of the executor — external or in memory — keys with it.
+fn order_key(v: &Value, alpha: Degree) -> (Prefix, OrderKey) {
+    let key = OrderKey::at(v, alpha);
+    (key.prefix(), key)
+}
+
+/// The [`order_key`] of attribute `attr` of an encoded tuple; a record whose
+/// attribute does not decode fails with `StorageError::Corrupt`.
+fn record_key(rec: &[u8], attr: usize, alpha: Degree) -> fuzzy_storage::Result<(Prefix, OrderKey)> {
+    Tuple::decode_value_at(rec, attr).map(|v| order_key(&v, alpha))
+}
+
+/// Stable in-memory sort of `tuples` by `⪯` on `attr` at α-cut `alpha`: the
+/// partitioned join's partition sort. It keys each tuple once and sorts with
+/// the external sort's run-generation routine, uncounted.
+pub(crate) fn sort_tuples(tuples: Vec<Tuple>, attr: usize, alpha: Degree) -> Vec<Tuple> {
+    let keys: Vec<_> = tuples.iter().map(|t| order_key(&t.values[attr], alpha)).collect();
+    let mut slots: Vec<Option<Tuple>> = tuples.into_iter().map(Some).collect();
+    sort_keys(&keys, |k| k.0, |a, b| a.1.cmp_key(&b.1), &mut 0)
+        .filter_map(|i| slots[i].take())
+        .collect()
+}
 
 /// Declaration of a sort over one base relation's stream (anti/agg pipelines
 /// and flat right-hand sides sort at the step's α-cut).
@@ -78,10 +104,11 @@ impl Executor {
     /// Sorts a table by the interval order `⪯` of the α-cut intervals on
     /// attribute `attr` (α = 0 is the paper's support order), attributing
     /// run counts, comparisons, and spill I/O to a registered sort operator.
-    /// The sort key is the attribute's [`OrderKey`] at `alpha` (its α-cut
-    /// endpoints and breakpoints), extracted once per record read, so no
-    /// comparison recomputes an α-cut; a record whose attribute does not
-    /// decode fails the sort with `StorageError::Corrupt`. Run generation parallelizes across
+    /// The sort key is the attribute's [`order_key`] at `alpha` (the α-cut
+    /// endpoints as a normalized prefix, then the full [`OrderKey`]),
+    /// extracted once per record read, so no comparison recomputes an α-cut;
+    /// a record whose attribute does not decode fails the sort with
+    /// `StorageError::Corrupt`. Run generation parallelizes across
     /// `ExecConfig::threads` with bit-identical batch cuts and counters (see
     /// `external_sort_parallel`).
     pub(crate) fn sort_table(
@@ -97,7 +124,7 @@ impl Executor {
             table.file(),
             self.config.sort_pages,
             self.config.threads,
-            |r| Tuple::decode_value_at(r, attr).map(|v| OrderKey::at(&v, alpha)),
+            |r| record_key(r, attr, alpha),
             OrderKey::cmp_key,
         )?;
         let m = self.metrics.op_mut(g.id);
@@ -134,7 +161,7 @@ impl Executor {
             &self.disk,
             rows.into_iter().map(|t| t.encode(0)),
             self.config.sort_pages,
-            |r| Tuple::decode_value_at(r, attr).map(|v| OrderKey::at(&v, alpha)),
+            |r| record_key(r, attr, alpha),
             OrderKey::cmp_key,
         )?;
         let m = self.metrics.op_mut(g.id);

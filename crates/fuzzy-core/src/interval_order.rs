@@ -64,6 +64,24 @@ impl OrderKey {
         }
     }
 
+    /// The key's normalized prefix: a fixed-width image that orders like
+    /// the key wherever it differs. `a.prefix() < b.prefix()` implies
+    /// `a.cmp_key(&b) == Less`, so a sort compares prefixes first and calls
+    /// [`OrderKey::cmp_key`] only when they tie.
+    ///
+    /// A numeric key maps to the order-preserving bit images of its α-cut
+    /// endpoints `l, r` (Definition 3.1's order); the breakpoint tie-breakers
+    /// are left to the full compare. `Null` maps to `[0, 0]` and text to
+    /// `[u64::MAX, u64::MAX]`, images no finite float has, so the rank order
+    /// `Null < numeric < text` holds and text ties fall through.
+    pub fn prefix(&self) -> [u64; 2] {
+        match self {
+            OrderKey::Null => [0, 0],
+            OrderKey::Num(k) => [ordered_bits(k[0]), ordered_bits(k[1])],
+            OrderKey::Text(_) => [u64::MAX, u64::MAX],
+        }
+    }
+
     /// Compares two keys by `⪯` (with the refinements of the module docs).
     pub fn cmp_key(&self, other: &OrderKey) -> Ordering {
         match (self, other) {
@@ -96,6 +114,18 @@ fn num_key(v: &Value, alpha: Degree) -> Option<[f64; 6]> {
 /// full breakpoints as identity tie-breakers.
 fn cmp_num(x: &[f64; 6], y: &[f64; 6]) -> Ordering {
     x.iter().zip(y).map(|(a, b)| total(*a, *b)).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+}
+
+/// The order-preserving `u64` image of a finite float: `x < y` under
+/// `partial_cmp` iff `ordered_bits(x) < ordered_bits(y)`. `-0.0` is folded
+/// into `+0.0` first, since `partial_cmp` holds them equal.
+fn ordered_bits(x: f64) -> u64 {
+    let bits = if x == 0.0 { 0.0f64 } else { x }.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
 }
 
 fn rank(v: &Value) -> u8 {
@@ -246,6 +276,31 @@ mod tests {
         assert!(!strictly_before(&b, &a));
         assert!(intervals_intersect(&a, &a.clone()));
         assert!(!intervals_intersect(&a, &b));
+    }
+
+    #[test]
+    fn prefix_orders_nulls_numbers_and_text() {
+        let key = |v: &Value| OrderKey::at(v, Degree::ZERO).prefix();
+        let ordered = [
+            Value::Null,
+            Value::number(f64::MIN),
+            Value::number(-2.5),
+            Value::number(-1e-300),
+            Value::number(0.0),
+            Value::number(1e-300),
+            fv(1.0, 2.0, 3.0, 4.0),
+            fv(1.0, 2.0, 3.0, 5.0),
+            Value::number(f64::MAX),
+            Value::text("a"),
+        ];
+        for pair in ordered.windows(2) {
+            assert!(key(&pair[0]) < key(&pair[1]), "{:?} vs {:?}", pair[0], pair[1]);
+        }
+        // Ties the prefix leaves to the full key: signed zeros, shared
+        // supports, and text.
+        assert_eq!(key(&Value::Number(-0.0)), key(&Value::number(0.0)));
+        assert_eq!(key(&fv(1.0, 2.0, 3.0, 4.0)), key(&fv(1.0, 2.5, 3.0, 4.0)));
+        assert_eq!(key(&Value::text("a")), key(&Value::text("b")));
     }
 
     #[test]

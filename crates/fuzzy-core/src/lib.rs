@@ -16,7 +16,8 @@
 //!   defuzzified ordering backing `MIN`/`MAX` (Section 6 semantics);
 //! * [`interval_order`] — the linear order `⪯` of Definition 3.1 that makes
 //!   the extended merge-join possible, and [`interval_order::OrderKey`], the
-//!   precomputed α-cut key the external sort compares;
+//!   precomputed α-cut key the external sort compares, normalized prefix
+//!   first;
 //! * [`hash`] — [`hash::ValueHashBuilder`], the seeded multiply-mix hasher
 //!   behind every map keyed by values (answer dedup, aggregate groups,
 //!   `GROUP BY`);

@@ -246,6 +246,12 @@ fn arb_value() -> impl Strategy<Value = fuzzy_core::Value> {
             let (b, c) = (f64::from(b), f64::from(c));
             Value::fuzzy(Trapezoid::new(-0.0, b, b + c, 6.0).expect("ordered"))
         }),
+        // Distinct trapezoids sharing the core [0, 2] (the α = 1 cut), with
+        // the core's left end a signed zero.
+        (0i32..3, 0i32..3, 0usize..2).prop_map(|(l, r, z)| {
+            let (l, r, z) = (f64::from(l), f64::from(r), [0.0, -0.0][z]);
+            Value::fuzzy(Trapezoid::new(z - l, z, 2.0, 2.0 + r).expect("ordered"))
+        }),
     ]
 }
 
@@ -267,6 +273,30 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The normalized prefix never contradicts the full key order, so the
+    /// sort's prefixed comparator — prefix first, the full key on a tie —
+    /// orders every pair exactly like `cmp_key`.
+    #[test]
+    fn order_key_prefix_agrees_with_cmp_key(
+        x in arb_value(),
+        y in arb_value(),
+        alpha in prop_oneof![Just(0.0), Just(1.0), 0.0..1.0f64],
+    ) {
+        use fuzzy_core::interval_order::OrderKey;
+        use std::cmp::Ordering;
+        let a = Degree::new(alpha).unwrap();
+        let (kx, ky) = (OrderKey::at(&x, a), OrderKey::at(&y, a));
+        let full = kx.cmp_key(&ky);
+        let by_prefix = kx.prefix().cmp(&ky.prefix());
+        prop_assert!(by_prefix == Ordering::Equal || by_prefix == full,
+            "prefix says {by_prefix:?}, key says {full:?} for {x:?} vs {y:?} at {alpha}");
+        prop_assert_eq!(by_prefix.then_with(|| kx.cmp_key(&ky)), full);
+    }
+}
+
 #[test]
 fn order_key_keeps_signed_zeros_equal() {
     use fuzzy_core::interval_order::{cmp_values_at, OrderKey};
@@ -278,5 +308,6 @@ fn order_key_keeps_signed_zeros_equal() {
             OrderKey::at(&neg, a).cmp_key(&OrderKey::at(&pos, a)),
             std::cmp::Ordering::Equal
         );
+        assert_eq!(OrderKey::at(&neg, a).prefix(), OrderKey::at(&pos, a).prefix());
     }
 }

@@ -480,7 +480,10 @@ mod file_backing_tests {
             &disk,
             &f,
             2,
-            |rec| Ok(u32::from_le_bytes(rec[..4].try_into().unwrap())),
+            |rec| {
+                let k = u32::from_le_bytes(rec[..4].try_into().unwrap());
+                Ok(([u64::from(k), 0], k))
+            },
             u32::cmp,
         )
         .unwrap();

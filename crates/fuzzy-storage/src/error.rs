@@ -18,6 +18,9 @@ pub enum StorageError {
     InvalidSlot(u16),
     /// On-disk bytes failed structural validation.
     Corrupt(String),
+    /// A worker thread of a parallel operation panicked; carries the panic
+    /// message.
+    WorkerPanic(String),
 }
 
 impl fmt::Display for StorageError {
@@ -29,11 +32,21 @@ impl fmt::Display for StorageError {
             }
             StorageError::InvalidSlot(s) => write!(f, "invalid slot {s}"),
             StorageError::Corrupt(msg) => write!(f, "corrupt storage: {msg}"),
+            StorageError::WorkerPanic(msg) => write!(f, "worker thread panicked: {msg}"),
         }
     }
 }
 
 impl std::error::Error for StorageError {}
+
+/// The message a panicking worker thread left, for its typed error.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-text panic payload".to_string())
+}
 
 /// Convenience result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;
@@ -50,5 +63,6 @@ mod tests {
             .contains("9000"));
         assert!(StorageError::InvalidSlot(3).to_string().contains('3'));
         assert!(StorageError::Corrupt("bad header".into()).to_string().contains("bad header"));
+        assert!(StorageError::WorkerPanic("boom".into()).to_string().contains("boom"));
     }
 }

@@ -16,7 +16,8 @@
 //!   copying it (the paper's buffer budgets are the operators' own: the
 //!   nested loop's outer block, the sort's memory pages);
 //! * [`sort::external_sort`] — bounded-memory external merge sort on a key
-//!   extracted once per record read, with one byte arena per run batch;
+//!   extracted once per record read, compared by its normalized prefix
+//!   first, with one byte arena per run batch;
 //! * [`CostModel`] — converts I/O counts + CPU time into response time;
 //! * [`codec`] — byte-level record encoding helpers.
 //!
@@ -54,9 +55,10 @@ pub mod sort;
 
 pub use cost::{CostModel, Measurement};
 pub use disk::{IoSnapshot, PageId, SimDisk, DEFAULT_PAGE_SIZE};
-pub use error::{Result, StorageError};
+pub use error::{panic_message, Result, StorageError};
 pub use file::{HeapFile, RecordId, RecordScan};
 pub use page::{Page, PageView};
 pub use sort::{
-    estimated_initial_runs, external_sort, external_sort_parallel, external_sort_records, SortStats,
+    estimated_initial_runs, external_sort, external_sort_parallel, external_sort_records,
+    sort_keys, Prefix, SortStats,
 };

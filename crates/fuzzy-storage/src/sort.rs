@@ -3,35 +3,41 @@
 //! The paper sorts both join relations with a commercial external sort
 //! (Opt-Tech Sort) that uses a user-specified amount of memory; Table 3 shows
 //! sorting dominating the merge-join's time as the inner relation grows. This
-//! module reproduces that component: quicksort run generation within a byte
-//! budget of `memory_pages × page_size`, then k-way merging with at most
+//! module reproduces that component: stable in-memory run generation within a
+//! byte budget of `memory_pages × page_size`, then k-way merging with at most
 //! `memory_pages − 1` input runs per pass. When the memory budget is at least
 //! the square root of the file size (the common case the paper cites from
 //! \[37\], \[9\]), sorting takes exactly two passes: one read+write to form runs
 //! and one read(+write) to merge.
 //!
 //! The sort is keyed: callers pass a `key` function that extracts a sort key
-//! from a record's bytes and a `cmp` that orders keys. The sort calls `key`
-//! exactly once per record it reads — once on input and once per merge-pass
-//! read — and keeps the key beside its record (in the run-generation batch,
-//! and as each run's head in the merge), so comparisons never re-decode a
-//! record. A key that fails to extract (a corrupt record) ends the sort with
+//! from a record's bytes and a `cmp` that orders keys. Each key comes with a
+//! normalized [`Prefix`] — a fixed-width image that orders like the key
+//! wherever two prefixes differ — so most comparisons are two integer
+//! compares, and `cmp` runs only on a prefix tie (the "normalized keys" of
+//! Graefe, *Implementing Sorting in Database Systems*, 2006). The sort calls
+//! `key` exactly once per record it reads — once on input and once per merge-
+//! pass read — and keeps the key beside its record (in the run-generation
+//! batch, and as each run's head in the merge), so comparisons never re-decode
+//! a record. A key that fails to extract (a corrupt record) ends the sort with
 //! that error. The engine's key, for example, is the join attribute's
 //! `fuzzy_core::interval_order::OrderKey` at the step's α-cut level:
 //!
 //! ```text
 //! key: |r| Tuple::decode_value_at(r, attr).map(|v| OrderKey::at(&v, alpha))
+//!          .map(|k| (k.prefix(), k))
 //! cmp: OrderKey::cmp_key
 //! ```
 //!
-//! so each comparison is a lexicographic compare of precomputed α-cut
-//! endpoints and breakpoints, with no decoding and no α-cut arithmetic.
+//! so a comparison compares the α-cut endpoints as integers and falls back to
+//! the breakpoints (or text) only when they tie, with no decoding and no α-cut
+//! arithmetic.
 //!
 //! Records are never allocated one by one. Run generation reads each record
 //! in place from the scan's page image and appends its bytes to one byte
 //! arena per batch; the batch's entries are `(key, offset, length)` triples,
-//! and quicksort moves only those. The arena *is* the memory budget — a batch
-//! is cut when it holds `memory_pages × page_size` bytes — and the keys sit
+//! and the sort moves only 24-byte `(prefix, index)` entries. The arena *is* the memory budget — a batch is
+//! cut when it holds `memory_pages × page_size` bytes — and the keys sit
 //! outside it, so run boundaries depend on the record bytes alone. The merge
 //! keeps one reused buffer per input run for that run's head record, next to
 //! the head's key.
@@ -41,12 +47,17 @@
 //! of the two phases, run generation and merging, for `EXPLAIN ANALYZE`.
 
 use crate::disk::SimDisk;
-use crate::error::Result;
+use crate::error::{panic_message, Result, StorageError};
 use crate::file::{HeapFile, RecordScan};
 use std::cmp::Ordering;
-use std::sync::atomic::{self, AtomicU64};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// A sort key's normalized prefix. The contract with the full key order
+/// `cmp` is `a.0 < b.0 ⇒ cmp(&a.1, &b.1) == Less` for keyed pairs `a, b`:
+/// prefixes that differ decide the comparison, and equal prefixes defer to
+/// `cmp`.
+pub type Prefix = [u64; 2];
 
 /// Statistics of one external sort execution.
 ///
@@ -61,8 +72,8 @@ pub struct SortStats {
     pub merge_passes: usize,
     /// Comparisons performed (run generation + merging).
     pub comparisons: u64,
-    /// Wall time of run generation: reading the input, keying, quicksorting
-    /// and spilling the runs.
+    /// Wall time of run generation: reading the input, keying, sorting and
+    /// spilling the runs.
     pub gen_time: Duration,
     /// Wall time of the merge passes.
     pub merge_time: Duration,
@@ -77,14 +88,15 @@ impl PartialEq for SortStats {
 
 impl Eq for SortStats {}
 
-/// Sorts `input` by the order `cmp` places on the keys `key` extracts from
-/// its records, using at most `memory_pages` pages of working memory, and
-/// returns a new sorted heap file and statistics.
+/// Sorts `input` by the order the keyed pairs `key` extracts from its
+/// records take — prefix first, then `cmp` on a prefix tie — using at most
+/// `memory_pages` pages of working memory, and returns a new sorted heap file
+/// and statistics.
 ///
 /// The memory budget counts record bytes only; the keys held beside the
 /// records are not charged to it, so run boundaries depend on the records
-/// alone. The sort is not stable (quicksort runs), which matches the paper's
-/// setup — ties in the interval order `⪯` carry no semantic weight.
+/// alone. The sort is stable: run generation uses std's stable sort, and the
+/// merge takes a tie from the earlier run.
 pub fn external_sort<K, KF, CF>(
     disk: &SimDisk,
     input: &HeapFile,
@@ -93,7 +105,7 @@ pub fn external_sort<K, KF, CF>(
     cmp: CF,
 ) -> Result<(HeapFile, SortStats)>
 where
-    KF: Fn(&[u8]) -> Result<K>,
+    KF: Fn(&[u8]) -> Result<(Prefix, K)>,
     CF: Fn(&K, &K) -> Ordering,
 {
     let mut run_gen = RunGen::new(disk, memory_pages, &key, &cmp);
@@ -121,7 +133,7 @@ pub fn external_sort_records<I, K, KF, CF>(
 ) -> Result<(HeapFile, SortStats)>
 where
     I: IntoIterator<Item = Vec<u8>>,
-    KF: Fn(&[u8]) -> Result<K>,
+    KF: Fn(&[u8]) -> Result<(Prefix, K)>,
     CF: Fn(&K, &K) -> Ordering,
 {
     let mut run_gen = RunGen::new(disk, memory_pages, &key, &cmp);
@@ -129,6 +141,31 @@ where
         run_gen.push(&rec)?;
     }
     run_gen.finish()
+}
+
+/// Stable-sorts `items` by their prefixes, calling `tie` only where two
+/// prefixes are equal, and returns the items' indices in sorted order. Each
+/// comparator call adds one to `comparisons`, whether or not it reached
+/// `tie`.
+///
+/// The sort moves 24-byte `(prefix, index)` entries, never the items. When
+/// `prefix` and `tie` keep the [`Prefix`] contract with a key order, the
+/// comparator's outcomes are exactly that order's, so the result is the one
+/// a stable sort on the key order alone gives. At most `u32::MAX` items.
+pub fn sort_keys<T>(
+    items: &[T],
+    prefix: impl Fn(&T) -> Prefix,
+    tie: impl Fn(&T, &T) -> Ordering,
+    comparisons: &mut u64,
+) -> impl Iterator<Item = usize> {
+    debug_assert!(u32::try_from(items.len()).is_ok(), "{} items overflow a u32", items.len());
+    let mut entries: Vec<(Prefix, u32)> =
+        items.iter().enumerate().map(|(i, item)| (prefix(item), i as u32)).collect();
+    entries.sort_by(|a, b| {
+        *comparisons += 1;
+        a.0.cmp(&b.0).then_with(|| tie(&items[a.1 as usize], &items[b.1 as usize]))
+    });
+    entries.into_iter().map(|(_, i)| i as usize)
 }
 
 /// One run-generation batch: the records' bytes back to back in one arena,
@@ -152,19 +189,21 @@ impl<K> Batch<K> {
     fn record(&self, start: usize, len: usize) -> &[u8] {
         &self.arena[start..start + len]
     }
+}
 
-    /// Quicksorts the entries on their keys and spills the batch as a run,
+impl<K> Batch<(Prefix, K)> {
+    /// Sorts the entries on their keyed pairs and spills the batch as a run,
     /// leaving the batch empty (its buffers keep their capacity).
     fn write_run<CF>(&mut self, disk: &SimDisk, cmp: &CF, comparisons: &mut u64) -> Result<HeapFile>
     where
         CF: Fn(&K, &K) -> Ordering,
     {
-        self.entries.sort_by(|a, b| {
-            *comparisons += 1;
-            cmp(&a.0, &b.0)
-        });
+        let order = sort_keys(&self.entries, |e| e.0 .0, |a, b| cmp(&a.0 .1, &b.0 .1), comparisons);
         let run = HeapFile::create(disk);
-        run.load(self.entries.iter().map(|&(_, start, len)| self.record(start, len)))?;
+        run.load(order.map(|i| {
+            let (_, start, len) = self.entries[i];
+            self.record(start, len)
+        }))?;
         self.arena.clear();
         self.entries.clear();
         Ok(run)
@@ -214,7 +253,7 @@ struct RunGen<'a, K, KF, CF> {
     budget_bytes: usize,
     key: &'a KF,
     cmp: &'a CF,
-    batch: Batch<K>,
+    batch: Batch<(Prefix, K)>,
     runs: Vec<HeapFile>,
     comparisons: u64,
     started: Instant,
@@ -222,7 +261,7 @@ struct RunGen<'a, K, KF, CF> {
 
 impl<'a, K, KF, CF> RunGen<'a, K, KF, CF>
 where
-    KF: Fn(&[u8]) -> Result<K>,
+    KF: Fn(&[u8]) -> Result<(Prefix, K)>,
     CF: Fn(&K, &K) -> Ordering,
 {
     fn new(disk: &'a SimDisk, memory_pages: usize, key: &'a KF, cmp: &'a CF) -> Self {
@@ -243,17 +282,21 @@ where
     fn push(&mut self, rec: &[u8]) -> Result<()> {
         self.batch.push(rec, (self.key)(rec)?);
         if self.batch.arena.len() >= self.budget_bytes {
-            let run = self.batch.write_run(self.disk, self.cmp, &mut self.comparisons)?;
-            self.runs.push(run);
+            self.spill()?;
         }
+        Ok(())
+    }
+
+    fn spill(&mut self) -> Result<()> {
+        let run = self.batch.write_run(self.disk, self.cmp, &mut self.comparisons)?;
+        self.runs.push(run);
         Ok(())
     }
 
     /// Spills the last partial batch and merges the runs.
     fn finish(mut self) -> Result<(HeapFile, SortStats)> {
         if !self.batch.entries.is_empty() {
-            let run = self.batch.write_run(self.disk, self.cmp, &mut self.comparisons)?;
-            self.runs.push(run);
+            self.spill()?;
         }
         let gen_time = self.started.elapsed();
         merge_runs(
@@ -275,13 +318,17 @@ where
 /// Equality guarantee: batch boundaries, run contents, comparison counts,
 /// and physical I/O counts are identical to the serial sort for any thread
 /// count — only wall-clock time changes. The input scan cuts batches at the
-/// full memory budget exactly like the serial path (quicksorting identical
+/// full memory budget exactly like the serial path (sorting identical
 /// batches performs identical comparisons), workers only key, sort, and
 /// write whole runs (same page counts, merged in batch order), and the k-way
 /// merge stays serial. The price is working memory: up to `threads + 1`
 /// batch arenas (each `memory_pages` big) are in flight at once, a deliberate
 /// trade so parallel results and accounting stay bit-identical to serial
 /// (see DESIGN.md).
+///
+/// A worker that panics (in `key`, `cmp` or the sort) fails the sort with
+/// [`StorageError::WorkerPanic`]; the other workers finish their batches and
+/// are joined first, and the disk stays usable.
 pub fn external_sort_parallel<K, KF, CF>(
     disk: &SimDisk,
     input: &HeapFile,
@@ -292,7 +339,7 @@ pub fn external_sort_parallel<K, KF, CF>(
 ) -> Result<(HeapFile, SortStats)>
 where
     K: Send,
-    KF: Fn(&[u8]) -> Result<K> + Sync,
+    KF: Fn(&[u8]) -> Result<(Prefix, K)> + Sync,
     CF: Fn(&K, &K) -> Ordering + Sync,
 {
     if threads <= 1 {
@@ -301,59 +348,84 @@ where
     let started = Instant::now();
     let memory_pages = memory_pages.max(2);
     let budget_bytes = memory_pages * disk.page_size();
+    let (key, cmp) = (&key, &cmp);
 
     // --- Parallel run generation -------------------------------------------
     // Rendezvous channel: the producer hands a full unkeyed arena batch
     // straight to an idle worker, so at most `threads` batches are being
-    // keyed and sorted while one more is being accumulated.
-    let comparisons = AtomicU64::new(0);
-    let finished: Mutex<Vec<(usize, Result<HeapFile>)>> = Mutex::new(Vec::new());
+    // keyed and sorted while one more is being accumulated. Only the workers
+    // hold the receiver, so once every worker is gone a send fails instead
+    // of blocking.
     let (tx, rx) = mpsc::sync_channel::<(usize, Batch<()>)>(0);
-    let rx = Mutex::new(rx);
-
-    let scan_result: Result<()> = std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let msg = rx.lock().expect("sort channel lock").recv();
-                let Ok((index, batch)) = msg else { break };
-                let mut local: u64 = 0;
-                let res =
-                    batch.keyed(&key).and_then(|mut keyed| keyed.write_run(disk, &cmp, &mut local));
-                comparisons.fetch_add(local, atomic::Ordering::Relaxed);
-                finished.lock().expect("sort slot lock").push((index, res));
-            });
-        }
-        // This thread is the producer: sequential scan, cutting batches at
-        // exactly the byte budget, as in the serial path.
-        let producer = || -> Result<()> {
-            let mut scan = input.scan();
-            let mut batch: Batch<()> = Batch::new();
-            let mut next_index = 0usize;
-            while let Some(rec) = scan.next_record() {
-                batch.push(rec?, ());
-                if batch.arena.len() >= budget_bytes {
-                    let full = std::mem::replace(&mut batch, Batch::new());
-                    tx.send((next_index, full)).expect("sort workers alive");
-                    next_index += 1;
-                }
-            }
-            if !batch.entries.is_empty() {
-                tx.send((next_index, batch)).expect("sort workers alive");
-            }
-            Ok(())
-        };
-        let res = producer();
-        drop(tx); // unblock workers so the scope can join them
-        res
+    let rx = Arc::new(Mutex::new(rx));
+    let (scanned, joined) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let rx = Arc::clone(&rx);
+                scope.spawn(move || {
+                    let mut runs: Vec<(usize, Result<HeapFile>)> = Vec::new();
+                    let mut comparisons: u64 = 0;
+                    loop {
+                        let msg = rx.lock().expect("sort channel lock").recv();
+                        let Ok((index, batch)) = msg else { break };
+                        let run = batch
+                            .keyed(key)
+                            .and_then(|mut keyed| keyed.write_run(disk, cmp, &mut comparisons));
+                        runs.push((index, run));
+                    }
+                    (runs, comparisons)
+                })
+            })
+            .collect();
+        drop(rx);
+        // This thread is the producer; it drops `tx` on return, which ends
+        // the workers' loops.
+        let scanned = produce_batches(input, budget_bytes, tx);
+        // Join every worker before looking at any result, so a panic in one
+        // never leaves another unjoined.
+        (scanned, handles.into_iter().map(|h| h.join()).collect::<Vec<_>>())
     });
-    scan_result?;
-
-    let mut slots = finished.into_inner().expect("sort slot lock");
+    let mut slots: Vec<(usize, Result<HeapFile>)> = Vec::new();
+    let mut comparisons: u64 = 0;
+    for worker in joined {
+        let (runs, n) = worker.map_err(|p| StorageError::WorkerPanic(panic_message(p.as_ref())))?;
+        slots.extend(runs);
+        comparisons += n;
+    }
+    scanned?;
     slots.sort_by_key(|(index, _)| *index);
     let runs = slots.into_iter().map(|(_, res)| res).collect::<Result<Vec<_>>>()?;
     let gen_time = started.elapsed();
     // --- Merge passes: identical to the serial path ------------------------
-    merge_runs(disk, runs, memory_pages, &key, &cmp, comparisons.into_inner(), gen_time)
+    merge_runs(disk, runs, memory_pages, key, cmp, comparisons, gen_time)
+}
+
+/// The parallel sort's producer: scans `input` sequentially and sends each
+/// batch, cut at exactly the byte budget as in the serial path, with its
+/// index. A failed send means every worker is gone; the caller's join of the
+/// workers says why, so the producer just stops.
+fn produce_batches(
+    input: &HeapFile,
+    budget_bytes: usize,
+    tx: mpsc::SyncSender<(usize, Batch<()>)>,
+) -> Result<()> {
+    let mut scan = input.scan();
+    let mut batch: Batch<()> = Batch::new();
+    let mut next_index = 0usize;
+    while let Some(rec) = scan.next_record() {
+        batch.push(rec?, ());
+        if batch.arena.len() >= budget_bytes {
+            if tx.send((next_index, std::mem::replace(&mut batch, Batch::new()))).is_err() {
+                return Ok(());
+            }
+            next_index += 1;
+        }
+    }
+    if !batch.entries.is_empty() {
+        // As above: a failed send leaves the error to the join.
+        let _ = tx.send((next_index, batch));
+    }
+    Ok(())
 }
 
 /// Merges the initial runs, `memory_pages − 1` at a time, until one sorted
@@ -368,7 +440,7 @@ fn merge_runs<K, KF, CF>(
     gen_time: Duration,
 ) -> Result<(HeapFile, SortStats)>
 where
-    KF: Fn(&[u8]) -> Result<K>,
+    KF: Fn(&[u8]) -> Result<(Prefix, K)>,
     CF: Fn(&K, &K) -> Ordering,
 {
     let started = Instant::now();
@@ -396,14 +468,14 @@ fn merge_group<K, KF, CF>(
     comparisons: &mut u64,
 ) -> Result<HeapFile>
 where
-    KF: Fn(&[u8]) -> Result<K>,
+    KF: Fn(&[u8]) -> Result<(Prefix, K)>,
     CF: Fn(&K, &K) -> Ordering,
 {
     if group.len() == 1 {
         return Ok(group[0].clone());
     }
     // Reads a run's next record into that run's head buffer and keys it.
-    let read_head = |cur: &mut RecordScan<'_>, buf: &mut Vec<u8>| -> Result<Option<K>> {
+    let read_head = |cur: &mut RecordScan<'_>, buf: &mut Vec<u8>| -> Result<Option<(Prefix, K)>> {
         match cur.next_record() {
             None => Ok(None),
             Some(rec) => {
@@ -415,24 +487,25 @@ where
     };
     let mut cursors: Vec<RecordScan<'_>> = group.iter().map(HeapFile::scan).collect();
     // Per run: its head record's bytes in a reused buffer, and the head's
-    // key; a linear min scan over the keys per output record. Fan-in is
-    // small enough that a tournament tree is not worth its complexity here.
+    // key; a linear min scan over the keys per output record, which compares
+    // the head prefixes first. Fan-in is small enough that a tournament tree
+    // is not worth its complexity here.
     let mut bufs: Vec<Vec<u8>> = vec![Vec::new(); cursors.len()];
-    let mut heads: Vec<Option<K>> = Vec::with_capacity(cursors.len());
+    let mut heads: Vec<Option<(Prefix, K)>> = Vec::with_capacity(cursors.len());
     for (cur, buf) in cursors.iter_mut().zip(&mut bufs) {
         heads.push(read_head(cur, buf)?);
     }
     let out = HeapFile::create(disk);
     let mut w = out.bulk_writer();
     loop {
-        let mut min: Option<(usize, &K)> = None;
+        let mut min: Option<(usize, &(Prefix, K))> = None;
         for (i, head) in heads.iter().enumerate() {
             let Some(k) = head else { continue };
             min = match min {
                 None => Some((i, k)),
                 Some((m, mk)) => {
                     *comparisons += 1;
-                    if cmp(k, mk) == Ordering::Less {
+                    if k.0.cmp(&mk.0).then_with(|| cmp(&k.1, &mk.1)) == Ordering::Less {
                         Some((i, k))
                     } else {
                         Some((m, mk))
@@ -452,12 +525,15 @@ where
 mod tests {
     use super::*;
     use crate::error::StorageError;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{self, AtomicUsize};
 
     type Sorted = Result<(HeapFile, SortStats)>;
 
-    fn key(rec: &[u8]) -> Result<u32> {
-        Ok(u32::from_le_bytes(rec[..4].try_into().unwrap()))
+    /// The test key: the record's leading `u32`, under a coarse prefix
+    /// (`k / 8`), so prefixes decide some comparisons and `cmp` the rest.
+    fn key(rec: &[u8]) -> Result<(Prefix, u32)> {
+        let k = u32::from_le_bytes(rec[..4].try_into().unwrap());
+        Ok(([u64::from(k / 8), 0], k))
     }
 
     fn by_key(a: &u32, b: &u32) -> Ordering {
@@ -480,7 +556,7 @@ mod tests {
     }
 
     fn read_all(f: &HeapFile) -> Vec<u32> {
-        read_records(f).iter().map(|r| key(r).unwrap()).collect()
+        read_records(f).iter().map(|r| key(r).unwrap().1).collect()
     }
 
     #[test]
@@ -627,7 +703,7 @@ mod tests {
 
     /// The reference's comparator: decodes both keys on every call.
     fn by_bytes(a: &[u8], b: &[u8]) -> Ordering {
-        by_key(&key(a).unwrap(), &key(b).unwrap())
+        by_key(&key(a).unwrap().1, &key(b).unwrap().1)
     }
 
     /// Variable-length records with heavily duplicated keys: the payload
@@ -663,7 +739,7 @@ mod tests {
             };
             let want = run_table(&|disk, f| reference::sort_stream(disk, f.scan(), mem, by_bytes));
             assert!(passes.contains(&want.1.merge_passes), "case n={n} mem={mem}: {:?}", want.1);
-            let mut sorted_keys: Vec<u32> = want.0.iter().map(|r| key(r).unwrap()).collect();
+            let mut sorted_keys: Vec<u32> = want.0.iter().map(|r| key(r).unwrap().1).collect();
             let before = sorted_keys.clone();
             sorted_keys.sort();
             assert_eq!(before, sorted_keys, "reference output is sorted");
@@ -695,16 +771,122 @@ mod tests {
         }
     }
 
+    /// A fuzzy number `(a, b, c, d)` and a unique id, encoded as its four
+    /// breakpoints, the id and `id % 13` padding bytes.
+    fn trapezoid_record(id: u32, [a, b, c, d]: [f64; 4]) -> Vec<u8> {
+        let mut rec: Vec<u8> = [a, b, c, d].iter().flat_map(|x| x.to_le_bytes()).collect();
+        rec.extend_from_slice(&id.to_le_bytes());
+        rec.resize(rec.len() + (id % 13) as usize, 0xCD);
+        rec
+    }
+
+    fn trapezoid_value(rec: &[u8]) -> fuzzy_core::Value {
+        let x = |i: usize| f64::from_le_bytes(rec[8 * i..8 * i + 8].try_into().unwrap());
+        let t = fuzzy_core::Trapezoid::new(x(0), x(1), x(2), x(3)).unwrap();
+        fuzzy_core::Value::fuzzy(t)
+    }
+
+    /// Fuzzy numbers whose α-cut endpoints tie in crowds: each has left and
+    /// right midpoints from a few values and a spread from a few more, so at
+    /// α = 0 many share the support `[a, d]` and at α = 0.5 many share the
+    /// cut `[(a + b) / 2, (c + d) / 2]`, while their breakpoints differ.
+    /// Prefixes then tie often and the full key breaks the tie.
+    fn tie_heavy_trapezoids(n: u32) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                let h = i.wrapping_mul(2654435761);
+                let pick = |shift: u32, k: u32| f64::from((h >> shift) % k);
+                let (left, spread_l) = (pick(0, 3), pick(4, 3) * 0.5);
+                let (right, spread_r) = (left + 4.0 + pick(8, 2), pick(12, 2) * 0.5);
+                let t = [left - spread_l, left + spread_l, right - spread_r, right + spread_r];
+                trapezoid_record(i, t)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prefixed_order_key_sort_matches_the_reference_on_ties() {
+        use fuzzy_core::interval_order::{cmp_values_at, OrderKey};
+        use fuzzy_core::Degree;
+        let records = tie_heavy_trapezoids(600);
+        for alpha in [Degree::ZERO, Degree::new(0.5).unwrap()] {
+            let order_key = |rec: &[u8]| {
+                let k = OrderKey::at(&trapezoid_value(rec), alpha);
+                Ok((k.prefix(), k))
+            };
+            let by_value =
+                |a: &[u8], b: &[u8]| cmp_values_at(&trapezoid_value(a), &trapezoid_value(b), alpha);
+            // Pairs whose prefixes tie but whose keys differ: the full
+            // compare decides them.
+            let keys: Vec<_> = records.iter().map(|r| order_key(r).unwrap()).collect();
+            let broken_ties = (0..keys.len())
+                .flat_map(|i| (i + 1..keys.len()).map(move |j| (i, j)))
+                .filter(|&(i, j)| keys[i].0 == keys[j].0 && keys[i].1.cmp_key(&keys[j].1).is_ne())
+                .count();
+            assert!(broken_ties > 1000, "too few broken prefix ties: {broken_ties}");
+
+            // (memory pages, merge passes): one merge pass, and many.
+            for (mem, passes) in [(16, 1..=1), (2, 2..=usize::MAX)] {
+                let run = |sort: &dyn Fn(&SimDisk, &HeapFile) -> Sorted| {
+                    let disk = SimDisk::new(128);
+                    let f = HeapFile::create(&disk);
+                    f.load(records.iter()).unwrap();
+                    disk.reset_io();
+                    let (sorted, stats) = sort(&disk, &f).unwrap();
+                    (read_records(&sorted), stats, disk.io())
+                };
+                let want = run(&|disk, f| reference::sort_stream(disk, f.scan(), mem, by_value));
+                assert!(want.1.initial_runs > 1, "alpha={alpha:?} mem={mem}: {:?}", want.1);
+                assert!(passes.contains(&want.1.merge_passes), "mem={mem}: {:?}", want.1);
+                for threads in [1usize, 2] {
+                    let got = run(&|disk, f| {
+                        external_sort_parallel(disk, f, mem, threads, order_key, OrderKey::cmp_key)
+                    });
+                    assert_eq!(got, want, "alpha={alpha:?} mem={mem} threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_sort_worker_is_a_typed_error() {
+        let nums: Vec<u32> = (0..1000).map(|i| (i * 7919) % 1000).collect();
+        let disk = SimDisk::new(128);
+        let f = load_numbers(&disk, &nums);
+        let is_panic =
+            |r: Sorted, msg: &str| matches!(r, Err(StorageError::WorkerPanic(m)) if m == msg);
+
+        // One record's key panics: its worker dies, the other finishes.
+        let panics_on_13 = |rec: &[u8]| match key(rec)? {
+            (_, 13) => panic!("key panicked on 13"),
+            k => Ok(k),
+        };
+        let r = external_sort_parallel(&disk, &f, 2, 2, panics_on_13, by_key);
+        assert!(is_panic(r, "key panicked on 13"));
+
+        // Every key panics: once both workers are gone the producer's send
+        // fails, and the sort still returns the workers' error.
+        let always = |_: &[u8]| -> Result<(Prefix, u32)> { panic!("every key panics") };
+        assert!(is_panic(
+            external_sort_parallel(&disk, &f, 2, 2, always, by_key),
+            "every key panics"
+        ));
+
+        // The same disk sorts correctly afterwards.
+        let (sorted, _) = external_sort_parallel(&disk, &f, 2, 2, key, by_key).unwrap();
+        let mut expect = nums.clone();
+        expect.sort();
+        assert_eq!(read_all(&sorted), expect);
+    }
+
     #[test]
     fn corrupt_sort_key_is_a_typed_error_on_every_path() {
         // One record's key fails to decode: every entry point returns that
         // error instead of panicking, wherever the record falls.
         let nums: Vec<u32> = (0..1000).map(|i| (i * 7919) % 1000).collect();
-        let strict = |rec: &[u8]| -> Result<u32> {
-            match key(rec)? {
-                13 => Err(StorageError::Corrupt("undecodable sort key".into())),
-                k => Ok(k),
-            }
+        let strict = |rec: &[u8]| match key(rec)? {
+            (_, 13) => Err(StorageError::Corrupt("undecodable sort key".into())),
+            k => Ok(k),
         };
         let is_key_error =
             |r: Sorted| matches!(r, Err(StorageError::Corrupt(m)) if m == "undecodable sort key");

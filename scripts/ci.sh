@@ -141,6 +141,26 @@ if [[ -n "$relowered" ]]; then
   exit 1
 fi
 
+echo "==> one ⪯ sort key (every engine sort compares the normalized prefix first)"
+# The executor's ⪯ sorts key each value once with its normalized prefix and
+# full OrderKey (`order_key` in exec/sort.rs) and sort through
+# `fuzzy_storage::sort_keys`, which compares prefixes and calls
+# `OrderKey::cmp_key` only on a tie. A `sort_by`/`sort_unstable_by` with
+# `cmp_key` in its comparator (on its line or the next three) would be a
+# second, unprefixed ⪯ sort path.
+unprefixed=$(non_test $(find crates/core/src src -name '*.rs' | sort) | awk '
+  /^[^:]+:[0-9]+: *\/\// { next }
+  { file = $0; sub(/:.*/, "", file) }
+  /sort(_unstable)?_by\(/ { at = NR; in_file = file }
+  at && file == in_file && NR - at <= 3 && /cmp_key/ { print; at = 0 }
+' || true)
+if [[ -n "$unprefixed" ]]; then
+  echo "error: ⪯ sort with cmp_key as its comparator — key with order_key and sort" >&2
+  echo "through fuzzy_storage::sort_keys (prefix first) instead:" >&2
+  echo "$unprefixed" >&2
+  exit 1
+fi
+
 echo "==> one engine context (no optional handles on Engine)"
 # Every Engine runs in an EngineContext (statistics, plan cache, serving
 # counters); the per-handle builders it replaced must not come back.
