@@ -5,11 +5,12 @@
 //! over a block nested loop that builds `T(r)` per outer tuple.
 
 use crate::error::{EngineError, Result};
+use crate::exec::lower::{declare_two_input, Access};
 use crate::exec::{fold_preds, BoundOperand, Executor, Layout};
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::naive::apply_aggregate;
 use crate::plan::{AggPlan, PlanCol, PlanCompare, PlanOperand};
-use crate::verify::{PhysOp, Prop};
+use crate::verify::PhysOp;
 use fuzzy_core::hash::ValueHashBuilder;
 use fuzzy_core::{CmpOp, Degree, Value};
 use fuzzy_rel::{StoredTable, Tuple};
@@ -63,94 +64,66 @@ impl GroupSet {
     }
 }
 
-/// How the aggregate operator consumes its inputs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AggMode {
-    /// Type A: uncorrelated inner block — the aggregate is a constant.
-    Const,
-    /// Correlated on equality: pipelined merge grouping over sorted inputs.
-    Merge,
-    /// Correlated on a non-equality: sorted outer against the full inner set.
-    Scan,
-    /// Block nested loop (the baselines): `T(r)` built per outer tuple from
-    /// every inner tuple; evaluates the local predicates its plan's tables
-    /// still carry, p₁ per outer tuple and p₂ per pair.
-    NestedLoop,
+/// The aggregate of the last outer value seen: each distinct value's group
+/// `T'(u)` is built into one reused [`GroupSet`] and aggregated once, while
+/// outer tuples with an equal value follow each other (the outer is sorted
+/// on it, or the value is the one shared by every outer tuple).
+#[derive(Default)]
+struct GroupCache {
+    /// The value whose aggregate `group` holds; `None` before the first.
+    key: Option<Value>,
+    /// The aggregate of `key`'s group (`None`: the NULL aggregate).
+    group: Option<(Value, Degree)>,
+    set: GroupSet,
 }
 
-/// Declaration of an aggregate over two unsorted scans: the type-A constant
-/// (`agg-const`) or the baselines' block nested loop (`nested-loop-agg`).
-pub(crate) fn declared_properties_unsorted(
-    name: &str,
-    plan: &AggPlan,
-    scan_o: usize,
-    scan_i: usize,
-) -> PhysOp {
-    let z = Degree::ZERO;
-    PhysOp::declare(
-        format!("{name} {} x {}", plan.outer.binding, plan.inner.binding),
-        vec![scan_o, scan_i],
-        vec![
-            (0, Prop::Binding(plan.outer.binding.clone())),
-            (1, Prop::Binding(plan.inner.binding.clone())),
-        ],
-        vec![Prop::Binding(plan.outer.binding.clone()), Prop::MinDegree(z)],
-    )
+impl GroupCache {
+    /// The aggregate of `u`'s group, which `fill` adds to a cleared set
+    /// unless the last call asked for an equal value.
+    fn get(
+        &mut self,
+        u: &Value,
+        plan: &AggPlan,
+        fill: impl FnOnce(&mut GroupSet),
+    ) -> Result<Option<&(Value, Degree)>> {
+        if self.key.as_ref() != Some(u) {
+            self.set.clear();
+            fill(&mut self.set);
+            self.group = self.set.aggregate(plan.agg.0, plan.agg_degree)?;
+            self.key = Some(u.clone());
+        }
+        Ok(self.group.as_ref())
+    }
 }
 
-/// Declaration of the pipelined merge-grouping aggregate over ⪯-sorted
-/// inputs (correlation predicate `R.U = S.V`).
-pub(crate) fn declared_properties_merge(
+/// Declaration of the aggregate in `access` mode over `inputs` (outer,
+/// inner), each ⪯-sorted on its `sorted` column where it has one. The
+/// uncorrelated scan is the type-A constant, `agg-const`.
+pub(crate) fn declared_properties(
     plan: &AggPlan,
-    ucol: &PlanCol,
-    vcol: &PlanCol,
-    sort_o: usize,
-    sort_i: usize,
+    access: Access,
+    inputs: [usize; 2],
+    sorted: [Option<&PlanCol>; 2],
 ) -> PhysOp {
-    let z = Degree::ZERO;
-    PhysOp::declare(
-        format!("agg-merge {} x {}", plan.outer.binding, plan.inner.binding),
-        vec![sort_o, sort_i],
-        vec![
-            (0, Prop::Sorted { col: ucol.clone(), alpha: z }),
-            (1, Prop::Sorted { col: vcol.clone(), alpha: z }),
-            (0, Prop::Binding(plan.outer.binding.clone())),
-            (1, Prop::Binding(plan.inner.binding.clone())),
-        ],
-        vec![Prop::Binding(plan.outer.binding.clone()), Prop::MinDegree(z)],
-    )
-}
-
-/// Declaration of the scan-mode aggregate: sorted outer, full inner set.
-pub(crate) fn declared_properties_scan(
-    plan: &AggPlan,
-    ucol: &PlanCol,
-    sort_o: usize,
-    scan_i: usize,
-) -> PhysOp {
-    let z = Degree::ZERO;
-    PhysOp::declare(
-        format!("agg-scan {} x {}", plan.outer.binding, plan.inner.binding),
-        vec![sort_o, scan_i],
-        vec![
-            (0, Prop::Sorted { col: ucol.clone(), alpha: z }),
-            (0, Prop::Binding(plan.outer.binding.clone())),
-            (1, Prop::Binding(plan.inner.binding.clone())),
-        ],
-        vec![Prop::Binding(plan.outer.binding.clone()), Prop::MinDegree(z)],
-    )
+    let name = match (access, &plan.corr) {
+        (Access::Merge, _) => "agg-merge",
+        (Access::Scan, Some(_)) => "agg-scan",
+        (Access::Scan, None) => "agg-const",
+        (Access::NestedLoop, _) => "nested-loop-agg",
+    };
+    declare_two_input(name, [&plan.outer, &plan.inner], inputs, sorted)
 }
 
 impl Executor {
     /// The aggregate operator: evaluates `R.Y op1 AGG(...)` per outer tuple
-    /// (constant, merge grouping, scanned inner set, or block nested loop by
-    /// `mode`) and returns the answer rows.
+    /// (merge grouping, scanned inner set, or block nested loop by `access`)
+    /// and returns the answer rows.
     pub(crate) fn aggregate(
         &mut self,
         outer_t: &StoredTable,
         inner_t: &StoredTable,
         plan: &AggPlan,
-        mode: AggMode,
+        access: Access,
         label: String,
     ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let outer_layout = Layout::of_table(&plan.outer);
@@ -200,28 +173,8 @@ impl Executor {
             }
         };
 
-        match mode {
-            AggMode::Const => {
-                // Type A: the inner block is a constant; compute it once.
-                let g = self.begin_op(OpKind::Aggregate, label);
-                let mut set = GroupSet::default();
-                let mut m = OperatorMetrics::default();
-                for s in inner_t.scan() {
-                    let s = s?;
-                    m.tuples_in += 1;
-                    m.pairs_examined += 1;
-                    set.add(s.values[agg_idx].clone(), s.degree);
-                }
-                let group = set.aggregate(agg, plan.agg_degree)?;
-                for r in outer_t.scan() {
-                    let r = r?;
-                    m.tuples_in += 1;
-                    emit_outer(&r, r.degree, group.as_ref(), &mut rows, &mut m);
-                }
-                self.absorb_op(&g, &m);
-                self.end_op(g);
-            }
-            AggMode::Merge => {
+        match access {
+            Access::Merge => {
                 let Some((ucol, _, vcol)) = plan.corr.as_ref() else {
                     return Err(EngineError::Verify(
                         "agg-merge lowered without a correlation".into(),
@@ -230,13 +183,9 @@ impl Executor {
                 // Pipelined merge grouping (Section 6): outer sorted on U,
                 // inner sorted on V; identical U values are adjacent, so
                 // each distinct u computes T'(u) from its window once.
-                let mut cache: Option<(Value, Option<(Value, Degree)>)> = None;
-                let mut set = GroupSet::default();
-                let uattr = ucol.attr;
-                let vattr = vcol.attr;
-                let agg_degree = plan.agg_degree;
-                let mut agg_err: Option<EngineError> = None;
-                let merge_res = self.merge_window(
+                let mut groups = GroupCache::default();
+                let (uattr, vattr) = (ucol.attr, vcol.attr);
+                self.merge_window(
                     outer_t,
                     uattr,
                     inner_t,
@@ -246,9 +195,7 @@ impl Executor {
                     label,
                     |r, rng, m| {
                         let u = &r.values[uattr];
-                        let hit = matches!(&cache, Some((cu, _)) if cu == u);
-                        if !hit {
-                            set.clear();
+                        let group = groups.get(u, plan, |set| {
                             for s in rng {
                                 // μ_T'(u)(z) = max min(μ_S∧p₂, d(s.V = u));
                                 // op2 = Eq here.
@@ -258,62 +205,51 @@ impl Executor {
                                     set.add(s.values[agg_idx].clone(), d);
                                 }
                             }
-                            match set.aggregate(agg, agg_degree) {
-                                Ok(g) => cache = Some((u.clone(), g)),
-                                Err(e) => {
-                                    agg_err = Some(e.clone());
-                                    return Err(e);
-                                }
-                            }
-                        }
-                        let group = cache.as_ref().expect("just set").1.as_ref();
+                        })?;
                         emit_outer(r, r.degree, group, &mut rows, m);
                         Ok(())
                     },
-                );
-                if let Some(e) = agg_err {
-                    return Err(e);
-                }
-                merge_res?;
+                )?;
             }
-            AggMode::Scan => {
-                let Some((ucol, op2, vcol)) = plan.corr.as_ref() else {
-                    return Err(EngineError::Verify(
-                        "agg-scan lowered without a correlation".into(),
-                    ));
-                };
-                // Non-equality op2: T'(u) cannot be window-scanned; build
-                // the reduced inner set once and scan it per distinct u.
+            Access::Scan => {
+                // The reduced inner set is built once and scanned per
+                // distinct u: a non-equality op2 cannot window it. The
+                // uncorrelated type A has one group, the inner block's
+                // constant, built before the outer loop.
                 let g = self.begin_op(OpKind::Aggregate, label);
                 let inner_all: Vec<Tuple> = inner_t.scan().collect::<fuzzy_storage::Result<_>>()?;
-                let mut cache: Option<(Value, Option<(Value, Degree)>)> = None;
-                let mut set = GroupSet::default();
                 let mut m = OperatorMetrics::default();
                 m.tuples_in += inner_all.len() as u64;
+                let fill = |set: &mut GroupSet, u: &Value, m: &mut OperatorMetrics| {
+                    for s in &inner_all {
+                        m.pairs_examined += 1;
+                        let mut d = s.degree;
+                        if let Some((_, op2, vcol)) = &plan.corr {
+                            m.fuzzy_comparisons += 1;
+                            d = d.and(s.values[vcol.attr].compare(*op2, u));
+                        }
+                        if d.is_positive() {
+                            set.add(s.values[agg_idx].clone(), d);
+                        }
+                    }
+                };
+                let mut groups = GroupCache::default();
+                // The key of every outer tuple when there is no correlation.
+                let shared = Value::Null;
+                if plan.corr.is_none() {
+                    groups.get(&shared, plan, |set| fill(set, &shared, &mut m))?;
+                }
                 for r in outer_t.scan() {
                     let r = r?;
                     m.tuples_in += 1;
-                    let u = &r.values[ucol.attr];
-                    let hit = matches!(&cache, Some((cu, _)) if cu == u);
-                    if !hit {
-                        set.clear();
-                        for s in &inner_all {
-                            m.pairs_examined += 1;
-                            m.fuzzy_comparisons += 1;
-                            let d = s.degree.and(s.values[vcol.attr].compare(*op2, u));
-                            if d.is_positive() {
-                                set.add(s.values[agg_idx].clone(), d);
-                            }
-                        }
-                        cache = Some((u.clone(), set.aggregate(agg, plan.agg_degree)?));
-                    }
-                    let group = cache.as_ref().expect("just set").1.as_ref();
+                    let u = plan.corr.as_ref().map_or(&shared, |(ucol, _, _)| &r.values[ucol.attr]);
+                    let group = groups.get(u, plan, |set| fill(set, u, &mut m))?;
                     emit_outer(&r, r.degree, group, &mut rows, &mut m);
                 }
                 self.absorb_op(&g, &m);
                 self.end_op(g);
             }
-            AggMode::NestedLoop => {
+            Access::NestedLoop => {
                 // μ_T(r)(z) = max min(μ_S ∧ p₂, d(s.V op₂ r.U)) over every
                 // inner tuple, then R.Y op1 A at μ_R ∧ p₁.
                 let outer_local = outer_layout.bind_all(&plan.outer.local_preds)?;

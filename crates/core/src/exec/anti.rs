@@ -7,89 +7,40 @@
 //! same accumulation runs over a block nested loop of the two scans.
 
 use crate::error::{EngineError, Result};
+use crate::exec::lower::{declare_two_input, Access};
 use crate::exec::{fold_preds, BoundCompare, Executor, Layout};
 use crate::metrics::{OpKind, OperatorMetrics};
 use crate::plan::{AntiKind, AntiPlan, PlanCol, PlanCompare};
-use crate::verify::{PhysOp, Prop};
+use crate::verify::PhysOp;
 use fuzzy_core::{Degree, Value};
 use fuzzy_rel::{StoredTable, Tuple};
 
-/// Declaration of the merge-window anti operator over ⪯-sorted inputs.
-pub(crate) fn declared_properties_merge(
+/// Declaration of the anti operator in `access` mode over `inputs` (outer,
+/// inner), each ⪯-sorted on its `sorted` column where it has one.
+pub(crate) fn declared_properties(
     plan: &AntiPlan,
-    ocol: &PlanCol,
-    icol: &PlanCol,
-    sort_o: usize,
-    sort_i: usize,
+    access: Access,
+    inputs: [usize; 2],
+    sorted: [Option<&PlanCol>; 2],
 ) -> PhysOp {
-    let z = Degree::ZERO;
-    PhysOp::declare(
-        format!("anti-merge {} x {}", plan.outer.binding, plan.inner.binding),
-        vec![sort_o, sort_i],
-        vec![
-            (0, Prop::Sorted { col: ocol.clone(), alpha: z }),
-            (1, Prop::Sorted { col: icol.clone(), alpha: z }),
-            (0, Prop::Binding(plan.outer.binding.clone())),
-            (1, Prop::Binding(plan.inner.binding.clone())),
-        ],
-        vec![Prop::Binding(plan.outer.binding.clone()), Prop::MinDegree(z)],
-    )
-}
-
-/// Declaration of an anti operator over two unsorted scans: the scan
-/// fallback (`anti-scan`, uncorrelated NOT IN/ALL) or the baselines' block
-/// nested loop (`nested-loop-anti`).
-pub(crate) fn declared_properties_unsorted(
-    name: &str,
-    plan: &AntiPlan,
-    scan_o: usize,
-    scan_i: usize,
-) -> PhysOp {
-    let z = Degree::ZERO;
-    PhysOp::declare(
-        format!("{name} {} x {}", plan.outer.binding, plan.inner.binding),
-        vec![scan_o, scan_i],
-        vec![
-            (0, Prop::Binding(plan.outer.binding.clone())),
-            (1, Prop::Binding(plan.inner.binding.clone())),
-        ],
-        vec![Prop::Binding(plan.outer.binding.clone()), Prop::MinDegree(z)],
-    )
-}
-
-/// How the anti operator consumes its inputs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AntiMode {
-    /// Merge window over ⪯-sorted inputs (correlated on a window predicate).
-    Merge,
-    /// The inner set built once, the outer streamed against it.
-    Scan,
-    /// Block nested loop (the baselines); evaluates the local predicates its
-    /// plan's tables still carry, p₁ per outer tuple and p₂ per pair.
-    NestedLoop,
-}
-
-impl AntiMode {
-    /// The method tag of the plan label.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            AntiMode::Merge => "merge",
-            AntiMode::Scan => "scan",
-            AntiMode::NestedLoop => "nested-loop",
-        }
-    }
+    let name = match access {
+        Access::Merge => "anti-merge",
+        Access::Scan => "anti-scan",
+        Access::NestedLoop => "nested-loop-anti",
+    };
+    declare_two_input(name, [&plan.outer, &plan.inner], inputs, sorted)
 }
 
 impl Executor {
     /// The anti operator: accumulates, per outer tuple, the negated
     /// contributions of its inner tuples (merge window, scanned inner set,
-    /// or block nested loop by `mode`) and returns the answer rows.
+    /// or block nested loop by `access`) and returns the answer rows.
     pub(crate) fn anti(
         &mut self,
         outer_t: &StoredTable,
         inner_t: &StoredTable,
         plan: &AntiPlan,
-        mode: AntiMode,
+        access: Access,
         label: String,
     ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let mut pair_layout = Layout::of_table(&plan.outer);
@@ -126,8 +77,8 @@ impl Executor {
         let (_, select_idx) = outer_layout.projection(&plan.select)?;
         let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
 
-        match mode {
-            AntiMode::Merge => {
+        match access {
+            Access::Merge => {
                 let Some((ocol, icol)) = plan.window.as_ref() else {
                     return Err(EngineError::Verify("anti-merge lowered without a window".into()));
                 };
@@ -160,7 +111,7 @@ impl Executor {
                     },
                 )?;
             }
-            AntiMode::Scan => {
+            Access::Scan => {
                 // Scan fallback (uncorrelated NOT IN / ALL): the inner set is
                 // built once — the unnesting benefit — then the outer streams
                 // against it.
@@ -187,7 +138,7 @@ impl Executor {
                 self.absorb_op(&g, &m);
                 self.end_op(g);
             }
-            AntiMode::NestedLoop => {
+            Access::NestedLoop => {
                 // The accumulator of each outer tuple starts at μ_R ∧ p₁;
                 // every inner tuple lowers it by its negated contribution.
                 let outer_local = outer_layout.bind_all(&plan.outer.local_preds)?;

@@ -18,19 +18,24 @@
 //! predicate is applied exactly once: by its table's filter scan, except
 //! under plain [`Strategy::NestedLoop`], whose scans pass the base tables
 //! through and whose operators evaluate p₁ per outer tuple and p₂ per pair.
+//!
+//! The anti forms (Theorems 5.1, 7.1) and the aggregate form (Theorem 6.1)
+//! share one two-input lowering: an outer and an inner scan, a ⪯-sort of
+//! each side that has a sort column, and the operator over them in one
+//! [`Access`] mode — `Merge`, `Scan` or `NestedLoop`. The uncorrelated
+//! aggregate (type A) is the `Scan` mode with no correlation. The node's
+//! mode is the only record of that choice: the executor, the plan label
+//! and `EXPLAIN` all read it.
 
 use crate::engine::Strategy;
 use crate::exec::{agg, anti, block_nl, filter_scan, flat, merge_join, output, partitioned, sort};
 use crate::exec::{ExecConfig, JoinMethod, Layout};
 use crate::plan::{AggPlan, AntiPlan, FlatPlan, PlanCol, PlanCompare, PlanTable, UnnestPlan};
 use crate::stats_histogram::StatsRegistry;
-use crate::verify::{Outline, PhysOp};
+use crate::verify::{Outline, PhysOp, Prop};
 use fuzzy_core::{CmpOp, Degree};
 use fuzzy_rel::Catalog;
 use fuzzy_sql::Threshold;
-
-pub(crate) use crate::exec::agg::AggMode;
-pub(crate) use crate::exec::anti::AntiMode;
 
 /// A lowered plan: the plan as the executor actually runs it (join reorder
 /// applied), the pushed-down pruning bound, the verifier-checkable operator
@@ -88,6 +93,54 @@ pub(crate) enum StepMethod {
     NestedLoop,
 }
 
+/// How a two-input operator — anti or aggregate — reads its outer and inner
+/// inputs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Access {
+    /// Merge window over ⪯-sorted inputs (correlated on an equality).
+    Merge,
+    /// The inner set built once, the outer streamed against it: sorted on
+    /// the correlation column when there is one, so equal values arrive
+    /// together; the uncorrelated aggregate shares one group.
+    Scan,
+    /// Block nested loop (the baselines); evaluates the local predicates its
+    /// plan's tables still carry, p₁ per outer tuple and p₂ per pair.
+    NestedLoop,
+}
+
+impl Access {
+    /// The method tag of an anti plan's label.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Access::Merge => "merge",
+            Access::Scan => "scan",
+            Access::NestedLoop => "nested-loop",
+        }
+    }
+}
+
+/// The declaration of a two-input operator named `name` over `inputs`
+/// (outer, inner): each input ⪯-sorted on its `sorted` column where it has
+/// one, then both inputs' bindings; it delivers the outer binding.
+pub(crate) fn declare_two_input(
+    name: &str,
+    [outer, inner]: [&PlanTable; 2],
+    inputs: [usize; 2],
+    sorted: [Option<&PlanCol>; 2],
+) -> PhysOp {
+    let z = Degree::ZERO;
+    let sorts =
+        (0..2).filter_map(|k| Some((k, Prop::Sorted { col: sorted[k]?.clone(), alpha: z })));
+    let bindings =
+        [outer, inner].into_iter().enumerate().map(|(k, t)| (k, Prop::Binding(t.binding.clone())));
+    PhysOp::declare(
+        format!("{name} {} x {}", outer.binding, inner.binding),
+        inputs.to_vec(),
+        sorts.chain(bindings).collect(),
+        vec![Prop::Binding(outer.binding.clone()), Prop::MinDegree(z)],
+    )
+}
+
 /// Everything one flat join step needs when it runs.
 pub(crate) struct JoinStep {
     /// The step's physical method.
@@ -142,15 +195,15 @@ pub(crate) enum Node {
     Anti {
         /// The anti plan.
         plan: AntiPlan,
-        /// How the inputs are consumed.
-        mode: AntiMode,
+        /// How the inputs are read.
+        access: Access,
     },
     /// Nested aggregate evaluation.
     Agg {
         /// The aggregate plan.
         plan: AggPlan,
-        /// How the inputs are consumed.
-        mode: AggMode,
+        /// How the inputs are read.
+        access: Access,
     },
     /// Project/emit: fuzzy-OR dedup + final threshold.
     Output {
@@ -188,8 +241,33 @@ pub(crate) fn lower(
     };
     let (ops, nodes) = match &plan {
         UnnestPlan::Flat(p) => lower_flat(p, strategy, config, alpha),
-        UnnestPlan::Anti(p) => lower_anti(p, strategy),
-        UnnestPlan::Agg(p) => lower_agg(p, strategy),
+        UnnestPlan::Anti(p) => {
+            let (access, sorted) = match &p.window {
+                _ if strategy.is_baseline() => (Access::NestedLoop, [None, None]),
+                Some((o, i)) => (Access::Merge, [Some(o), Some(i)]),
+                None => (Access::Scan, [None, None]),
+            };
+            let op = |inputs, [outer, inner]: [PlanTable; 2]| {
+                let plan = AntiPlan { outer, inner, ..p.clone() };
+                (anti::declared_properties(p, access, inputs, sorted), Node::Anti { plan, access })
+            };
+            lower_two_input([&p.outer, &p.inner], sorted, strategy, op, &p.select, p.threshold)
+        }
+        UnnestPlan::Agg(p) => {
+            let (access, sorted) = match &p.corr {
+                _ if strategy.is_baseline() => (Access::NestedLoop, [None, None]),
+                Some((u, CmpOp::Eq, v)) => (Access::Merge, [Some(u), Some(v)]),
+                // A non-equality correlation cannot window the inner; the
+                // outer is sorted so that equal values share one group.
+                Some((u, _, _)) => (Access::Scan, [Some(u), None]),
+                None => (Access::Scan, [None, None]),
+            };
+            let op = |inputs, [outer, inner]: [PlanTable; 2]| {
+                let plan = AggPlan { outer, inner, ..p.clone() };
+                (agg::declared_properties(p, access, inputs, sorted), Node::Agg { plan, access })
+            };
+            lower_two_input([&p.outer, &p.inner], sorted, strategy, op, &p.select, p.threshold)
+        }
     };
     Lowered { plan, written_order, join_sizes, alpha, outline: Outline { ops }, nodes }
 }
@@ -496,143 +574,50 @@ fn lower_flat(
     (ops, nodes)
 }
 
-/// Emits the scans of an anti or aggregate operator's two tables and returns
-/// their slots. Each table is left carrying the local predicates the
-/// operator evaluates inline.
-fn lower_scans(
-    tables: [&mut PlanTable; 2],
+/// Lowers a two-input (anti or aggregate) operator over `tables` (outer,
+/// inner): a scan of each, a ⪯-sort of each side that has a `sorted`
+/// column, the operator, and the output. `op` declares the operator over
+/// its input slots and builds its node from the two tables, which are left
+/// carrying the local predicates the operator evaluates inline.
+fn lower_two_input(
+    tables: [&PlanTable; 2],
+    sorted: [Option<&PlanCol>; 2],
     strategy: Strategy,
-    ops: &mut Vec<PhysOp>,
-    nodes: &mut Vec<Node>,
-) -> [usize; 2] {
-    tables.map(|t| {
-        let (scanned, inline) = split_local(t, strategy);
-        t.local_preds = inline;
+    op: impl FnOnce([usize; 2], [PlanTable; 2]) -> (PhysOp, Node),
+    select: &[PlanCol],
+    threshold: Option<Threshold>,
+) -> (Vec<PhysOp>, Vec<Node>) {
+    let z = Degree::ZERO;
+    let mut ops: Vec<PhysOp> = Vec::new();
+    let mut nodes: Vec<Node> = Vec::new();
+    let split = tables.map(|t| split_local(t, strategy));
+    let scans = split.each_ref().map(|(scanned, _)| {
         push(
-            ops,
-            nodes,
-            filter_scan::declared_properties(&t.binding, Degree::ZERO),
-            Node::Scan { table: scanned, min_degree: Degree::ZERO },
+            &mut ops,
+            &mut nodes,
+            filter_scan::declared_properties(&scanned.binding, z),
+            Node::Scan { table: scanned.clone(), min_degree: z },
         )
-    })
-}
-
-fn lower_anti(p: &AntiPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
-    let z = Degree::ZERO;
-    let mut ops: Vec<PhysOp> = Vec::new();
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut op_plan = p.clone();
-    let [scan_o, scan_i] =
-        lower_scans([&mut op_plan.outer, &mut op_plan.inner], strategy, &mut ops, &mut nodes);
-    let anti = match &p.window {
-        _ if strategy.is_baseline() => push(
-            &mut ops,
-            &mut nodes,
-            anti::declared_properties_unsorted("nested-loop-anti", p, scan_o, scan_i),
-            Node::Anti { plan: op_plan, mode: AntiMode::NestedLoop },
-        ),
-        Some((ocol, icol)) => {
-            let sort_o = push(
+    });
+    let mut inputs = scans;
+    for (k, t) in tables.into_iter().enumerate() {
+        if let Some(col) = sorted[k] {
+            inputs[k] = push(
                 &mut ops,
                 &mut nodes,
-                sort::declared_properties_base(scan_o, &p.outer.binding, ocol, z),
-                Node::Sort { layout: Layout::of_table(&p.outer), col: ocol.clone(), alpha: z },
+                sort::declared_properties_base(scans[k], &t.binding, col, z),
+                Node::Sort { layout: Layout::of_table(t), col: col.clone(), alpha: z },
             );
-            let sort_i = push(
-                &mut ops,
-                &mut nodes,
-                sort::declared_properties_base(scan_i, &p.inner.binding, icol, z),
-                Node::Sort { layout: Layout::of_table(&p.inner), col: icol.clone(), alpha: z },
-            );
-            push(
-                &mut ops,
-                &mut nodes,
-                anti::declared_properties_merge(p, ocol, icol, sort_o, sort_i),
-                Node::Anti { plan: op_plan, mode: AntiMode::Merge },
-            )
         }
-        None => push(
-            &mut ops,
-            &mut nodes,
-            anti::declared_properties_unsorted("anti-scan", p, scan_o, scan_i),
-            Node::Anti { plan: op_plan, mode: AntiMode::Scan },
-        ),
-    };
+    }
+    let (declared, node) =
+        op(inputs, split.map(|(scanned, inline)| PlanTable { local_preds: inline, ..scanned }));
+    let root = push(&mut ops, &mut nodes, declared, node);
     push(
         &mut ops,
         &mut nodes,
-        output::declared_properties(anti, &p.select),
-        Node::Output {
-            layout: Layout::of_table(&p.outer),
-            select: p.select.clone(),
-            threshold: p.threshold,
-        },
-    );
-    (ops, nodes)
-}
-
-fn lower_agg(p: &AggPlan, strategy: Strategy) -> (Vec<PhysOp>, Vec<Node>) {
-    let z = Degree::ZERO;
-    let mut ops: Vec<PhysOp> = Vec::new();
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut op_plan = p.clone();
-    let [scan_o, scan_i] =
-        lower_scans([&mut op_plan.outer, &mut op_plan.inner], strategy, &mut ops, &mut nodes);
-    let agg_node = match &p.corr {
-        _ if strategy.is_baseline() => push(
-            &mut ops,
-            &mut nodes,
-            agg::declared_properties_unsorted("nested-loop-agg", p, scan_o, scan_i),
-            Node::Agg { plan: op_plan, mode: AggMode::NestedLoop },
-        ),
-        None => push(
-            &mut ops,
-            &mut nodes,
-            agg::declared_properties_unsorted("agg-const", p, scan_o, scan_i),
-            Node::Agg { plan: op_plan, mode: AggMode::Const },
-        ),
-        Some((ucol, op2, vcol)) => {
-            let sort_o = push(
-                &mut ops,
-                &mut nodes,
-                sort::declared_properties_base(scan_o, &p.outer.binding, ucol, z),
-                Node::Sort { layout: Layout::of_table(&p.outer), col: ucol.clone(), alpha: z },
-            );
-            if *op2 == CmpOp::Eq {
-                // Pipelined merge grouping: both sides sorted, windowed.
-                let sort_i = push(
-                    &mut ops,
-                    &mut nodes,
-                    sort::declared_properties_base(scan_i, &p.inner.binding, vcol, z),
-                    Node::Sort { layout: Layout::of_table(&p.inner), col: vcol.clone(), alpha: z },
-                );
-                push(
-                    &mut ops,
-                    &mut nodes,
-                    agg::declared_properties_merge(p, ucol, vcol, sort_o, sort_i),
-                    Node::Agg { plan: op_plan, mode: AggMode::Merge },
-                )
-            } else {
-                // Non-equality correlation: outer sorted (distinct-U groups
-                // adjacent for the cache), inner set scanned per group.
-                push(
-                    &mut ops,
-                    &mut nodes,
-                    agg::declared_properties_scan(p, ucol, sort_o, scan_i),
-                    Node::Agg { plan: op_plan, mode: AggMode::Scan },
-                )
-            }
-        }
-    };
-    push(
-        &mut ops,
-        &mut nodes,
-        output::declared_properties(agg_node, &p.select),
-        Node::Output {
-            layout: Layout::of_table(&p.outer),
-            select: p.select.clone(),
-            threshold: p.threshold,
-        },
+        output::declared_properties(root, select),
+        Node::Output { layout: Layout::of_table(tables[0]), select: select.to_vec(), threshold },
     );
     (ops, nodes)
 }
@@ -641,14 +626,19 @@ impl Lowered {
     /// The plan's shape label ([`UnnestPlan::label`]), with an anti plan
     /// tagged by the method its anti node runs.
     pub(crate) fn label(&self) -> String {
-        let anti = self.nodes.iter().find_map(|n| match n {
-            Node::Anti { mode, .. } => Some(*mode),
-            _ => None,
-        });
-        match (&self.plan, anti) {
-            (UnnestPlan::Anti(p), Some(mode)) => p.label(mode.name()),
+        match (&self.plan, self.access()) {
+            (UnnestPlan::Anti(p), Some(access)) => p.label(access.name()),
             (plan, _) => plan.label(),
         }
+    }
+
+    /// How the tree's anti or aggregate operator reads its inputs (`None`
+    /// for a flat plan).
+    pub(crate) fn access(&self) -> Option<Access> {
+        self.nodes.iter().find_map(|n| match n {
+            Node::Anti { access, .. } | Node::Agg { access, .. } => Some(*access),
+            _ => None,
+        })
     }
 
     /// `EXPLAIN` annotation for a join node: what its output feeds.

@@ -2,7 +2,9 @@
 //!
 //! A logical [`crate::plan::UnnestPlan`] is *lowered* (`lower`) once, when
 //! its [`VerifiedPlan`] is built, into an explicit tree of physical
-//! operators — one module per operator:
+//! operators. Lowering decides every physical method; the anti and
+//! aggregate operators read their two inputs in one shared `lower::Access`
+//! mode (`Merge`, `Scan` or `NestedLoop`). One module per operator:
 //!
 //! * `filter_scan` — folds a table's local predicates (the paper's p_i)
 //!   into tuple degrees, materializing only the positive survivors ("only
@@ -12,13 +14,14 @@
 //! * `merge_join` — the `Rng(r)` cursor: streams the sorted outer relation
 //!   and, for each outer tuple `r`, presents exactly `Rng(r)`, the
 //!   contiguous inner range whose support intervals can intersect `r`'s.
-//!   The serial and parallel merge-joins, the anti and aggregate merge
-//!   modes, and the partitioned join's per-partition scans all advance it;
+//!   The serial and parallel merge-joins, the anti and aggregate `Merge`
+//!   access, and the partitioned join's per-partition scans all advance it;
 //! * `partitioned` — the sampling-based partitioned join alternative;
 //! * `block_nl` — the block nested loop: the join step without a merge
 //!   driver, and every join, anti, and aggregate step of the baselines;
 //! * `anti` — the grouped `MIN(D)` accumulation of Queries JX′/JALL′;
-//! * `agg` — the pipelined T1/T2/JA′ (COUNT′) aggregate evaluation;
+//! * `agg` — the pipelined T1/T2/JA′ (COUNT′) aggregate evaluation; the
+//!   type-A constant is its uncorrelated `Scan` access (`agg-const`);
 //! * `flat` — the flat join step: one pair evaluation (the optional
 //!   equality driver, the residual predicates, the threshold prune) shared
 //!   by every join method, and the output sink;

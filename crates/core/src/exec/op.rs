@@ -105,13 +105,13 @@ pub(crate) fn drive(ex: &mut Executor, lowered: &Lowered, catalog: &Catalog) -> 
                 let (left, right) = (state.table(op, 0)?, state.table(op, 1)?);
                 ex.join_step(&left, &right, step, label)?
             }
-            Node::Anti { plan, mode } => {
+            Node::Anti { plan, access } => {
                 let (outer, inner) = (state.table(op, 0)?, state.table(op, 1)?);
-                Slot::Answer(ex.anti(&outer, &inner, plan, *mode, label)?)
+                Slot::Answer(ex.anti(&outer, &inner, plan, *access, label)?)
             }
-            Node::Agg { plan, mode } => {
+            Node::Agg { plan, access } => {
                 let (outer, inner) = (state.table(op, 0)?, state.table(op, 1)?);
-                Slot::Answer(ex.aggregate(&outer, &inner, plan, *mode, label)?)
+                Slot::Answer(ex.aggregate(&outer, &inner, plan, *access, label)?)
             }
             Node::Output { layout, select, threshold } => {
                 let (schema, _) = layout.projection(select)?;

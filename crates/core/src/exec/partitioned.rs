@@ -99,8 +99,11 @@ impl Executor {
             if op.num_tuples() == 0 || ip.num_tuples() == 0 {
                 continue;
             }
-            let os = sort_tuples(op.scan().collect::<fuzzy_storage::Result<_>>()?, oattr, alpha);
-            let is = sort_tuples(ip.scan().collect::<fuzzy_storage::Result<_>>()?, iattr, alpha);
+            let cmps = &mut m.sort_comparisons;
+            let os =
+                sort_tuples(op.scan().collect::<fuzzy_storage::Result<_>>()?, oattr, alpha, cmps);
+            let is =
+                sort_tuples(ip.scan().collect::<fuzzy_storage::Result<_>>()?, iattr, alpha, cmps);
             m.tuples_in += os.len() as u64 + is.len() as u64;
             // This join charges both partitions whole and counts only the
             // pairs whose intervals meet, so the cursor's own window

@@ -33,11 +33,17 @@ fn record_key(rec: &[u8], attr: usize, alpha: Degree) -> fuzzy_storage::Result<(
 
 /// Stable in-memory sort of `tuples` by `⪯` on `attr` at α-cut `alpha`: the
 /// partitioned join's partition sort. It keys each tuple once and sorts with
-/// the external sort's run-generation routine, uncounted.
-pub(crate) fn sort_tuples(tuples: Vec<Tuple>, attr: usize, alpha: Degree) -> Vec<Tuple> {
+/// the external sort's run-generation routine, adding its comparisons to
+/// `comparisons`.
+pub(crate) fn sort_tuples(
+    tuples: Vec<Tuple>,
+    attr: usize,
+    alpha: Degree,
+    comparisons: &mut u64,
+) -> Vec<Tuple> {
     let keys: Vec<_> = tuples.iter().map(|t| order_key(&t.values[attr], alpha)).collect();
     let mut slots: Vec<Option<Tuple>> = tuples.into_iter().map(Some).collect();
-    sort_keys(&keys, |k| k.0, |a, b| a.1.cmp_key(&b.1), &mut 0)
+    sort_keys(&keys, |k| k.0, |a, b| a.1.cmp_key(&b.1), comparisons)
         .filter_map(|i| slots[i].take())
         .collect()
 }

@@ -19,10 +19,11 @@
 //! counts) and its wall time (not deterministic — which is why golden tests
 //! cover only the `EXPLAIN` half).
 
-use crate::engine::{QueryOutcome, Strategy};
+use crate::engine::QueryOutcome;
+use crate::exec::lower::{Lowered, Node};
 use crate::exec::ExecConfig;
 use crate::metrics::OpKind;
-use crate::plan::{PlanTable, UnnestPlan};
+use crate::plan::UnnestPlan;
 use crate::plan_cache::Planned;
 use crate::verify::{Outline, VerifiedPlan, Violation};
 use fuzzy_core::Degree;
@@ -45,7 +46,7 @@ const NOTHING_TO_VERIFY: &str =
 
 /// Renders the deterministic text of an `EXPLAIN` (`mode` Plan or Analyze)
 /// or `EXPLAIN VERIFY` statement from its planned form: `None` is
-/// [`Strategy::Naive`], which has no tree to show. Both forms name the join
+/// [`crate::Strategy::Naive`], which has no tree to show. Both forms name the join
 /// order when the optimizer reordered the written one, with the estimated
 /// cardinalities it was ranked on when the plan was made. Every other
 /// cardinality is read from `catalog`, the statement's snapshot.
@@ -112,10 +113,9 @@ pub(crate) fn render(
 /// and the cost estimates.
 fn render_tree(plan: &VerifiedPlan, catalog: &Catalog, config: &ExecConfig, out: &mut String) {
     let lowered = plan.lowered();
-    let strategy = plan.strategy();
-    out.push_str(&lowered.plan.explain(strategy, catalog));
+    out.push_str(&lowered.plan.explain(lowered.access(), catalog));
     out.push_str(&render_operators(lowered));
-    out.push_str(&render_estimates(&lowered.plan, strategy, config, catalog));
+    out.push_str(&render_estimates(lowered, config, catalog));
 }
 
 /// The `EXPLAIN` body of a naive-fallback statement: why it falls back, how
@@ -165,7 +165,7 @@ fn render_nested_blocks(q: &fuzzy_sql::Query, catalog: &Catalog, depth: usize, o
 /// (`-> answer` streamed into the result, `-> pipelined` kept in memory for
 /// the next sort boundary, `-> temp table` materialized to the simulated
 /// disk). A pipelined chain shows zero `-> temp table` lines.
-fn render_operators(lowered: &crate::exec::lower::Lowered) -> String {
+fn render_operators(lowered: &Lowered) -> String {
     let mut out = String::from("operators:\n");
     for (i, op) in lowered.outline.ops.iter().enumerate() {
         out.push_str(&format!("  #{i} {}", op.name));
@@ -188,26 +188,25 @@ fn arena_bytes(table: &StoredTable) -> u64 {
     }
 }
 
-/// Closed-form cost estimates for a plan: the external-sort work on each
-/// base relation the plan sorts and the nested-loop pair bound the unnesting
-/// avoids (Section 3's `O(n log n)` vs `n_R × n_S` argument, per query).
-/// The baselines sort nothing, so they show only the pair bound. Every
+/// Closed-form cost estimates for a lowered tree: the external-sort work of
+/// each sort whose input is a base-table scan, and the nested-loop pair
+/// bound over the scanned tables that the unnesting avoids (Section 3's
+/// `O(n log n)` vs `n_R × n_S` argument, per query). A sort of a joined
+/// intermediate gets no line, and a tree without sorts (the baselines, a
+/// partitioned or nested-loop join) shows only the pair bound. Every
 /// cardinality is read from `catalog`, the statement's snapshot. The run
 /// count follows run generation's arena rule (a run is cut when its record
 /// bytes fill `sort_pages` pages), so for a padded table without local
 /// predicates it is the count the sort reports.
-fn render_estimates(
-    plan: &UnnestPlan,
-    strategy: Strategy,
-    config: &ExecConfig,
-    catalog: &Catalog,
-) -> String {
+fn render_estimates(lowered: &Lowered, config: &ExecConfig, catalog: &Catalog) -> String {
     let mut out = String::new();
-    let tuples = |t: &PlanTable| t.stored(catalog).map_or(0, StoredTable::num_tuples);
-    let sort_line = |t: &PlanTable, out: &mut String| {
-        if strategy != Strategy::Unnest {
-            return;
-        }
+    let scanned = |i: usize| match &lowered.nodes[i] {
+        Node::Scan { table, .. } => Some(table),
+        _ => None,
+    };
+    for (node, op) in lowered.nodes.iter().zip(&lowered.outline.ops) {
+        let Node::Sort { .. } = node else { continue };
+        let Some(t) = op.inputs.first().and_then(|&i| scanned(i)) else { continue };
         let (n, runs) = t.stored(catalog).map_or((0, 0), |s| {
             let page_size = s.file().disk().page_size();
             let runs = estimated_initial_runs(
@@ -223,31 +222,10 @@ fn render_estimates(
             t.binding,
             n * log2_ceil(n)
         ));
-    };
-    let bound = match plan {
-        UnnestPlan::Flat(p) => {
-            if p.tables.len() > 1 {
-                p.tables.iter().for_each(|t| sort_line(t, &mut out));
-            }
-            p.tables.iter().fold(1u64, |acc, t| acc.saturating_mul(tuples(t)))
-        }
-        UnnestPlan::Anti(p) => {
-            if p.window.is_some() {
-                sort_line(&p.outer, &mut out);
-                sort_line(&p.inner, &mut out);
-            }
-            tuples(&p.outer).saturating_mul(tuples(&p.inner))
-        }
-        UnnestPlan::Agg(p) => {
-            if let Some((_, op2, _)) = &p.corr {
-                sort_line(&p.outer, &mut out);
-                if *op2 == fuzzy_core::CmpOp::Eq {
-                    sort_line(&p.inner, &mut out);
-                }
-            }
-            tuples(&p.outer).saturating_mul(tuples(&p.inner))
-        }
-    };
+    }
+    let bound = (0..lowered.nodes.len()).filter_map(scanned).fold(1u64, |acc, t| {
+        acc.saturating_mul(t.stored(catalog).map_or(0, StoredTable::num_tuples))
+    });
     out.push_str(&format!("est: nested-loop pair bound: {bound}\n"));
     out
 }
@@ -353,7 +331,7 @@ pub(crate) fn render_actual(outcome: &QueryOutcome) -> String {
 /// Renders the serving section of `EXPLAIN ANALYZE`: the plan-cache verdict
 /// for this statement, the registry totals, and the concurrency snapshot.
 /// Every engine plans through a plan cache, so the section is empty only
-/// under [`Strategy::Naive`], which plans nothing.
+/// under [`crate::Strategy::Naive`], which plans nothing.
 fn render_serving(s: &crate::metrics::ServingInfo) -> String {
     let hit = match s.cache_hit {
         Some(true) => "hit",

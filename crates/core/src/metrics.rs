@@ -17,6 +17,14 @@
 //! field, which is why it lives on [`OperatorNode::wall`] (and, for sorts,
 //! the phase split [`OperatorNode::sort_phases`]), outside
 //! [`OperatorMetrics`], and is excluded from [`QueryMetrics::deterministic`].
+//!
+//! The page counters hold that contract only while the statement runs
+//! alone. `page_reads` and `page_writes` are deltas of the disk-wide
+//! `SimDisk::io()` counter, taken between an operator's `Executor::begin_op`
+//! and `end_op` (the statement's own I/O total is taken the same way), so
+//! the page I/O that concurrent sessions do on the same disk in that
+//! interval is added to them. Every other counter stays exact under
+//! concurrency.
 
 use fuzzy_storage::IoSnapshot;
 use std::time::Duration;
@@ -50,9 +58,12 @@ pub struct OperatorMetrics {
     pub buffer_requests: u64,
     /// Always 0, like `buffer_requests`, and goes with it.
     pub buffer_hits: u64,
-    /// Simulated physical page reads charged to this operator.
+    /// Simulated physical page reads charged to this operator: the disk's
+    /// reads while it ran, so exact only when no other session reads the
+    /// same disk meanwhile (see the determinism contract).
     pub page_reads: u64,
-    /// Simulated physical page writes charged to this operator.
+    /// Simulated physical page writes charged to this operator, exact under
+    /// the same condition as `page_reads`.
     pub page_writes: u64,
 }
 

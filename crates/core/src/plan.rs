@@ -16,8 +16,8 @@
 //! Plans reference columns as `(binding, attribute index)`; physical
 //! executors map them onto concatenated tuple layouts.
 
-use crate::engine::Strategy;
 use crate::error::{EngineError, Result};
+use crate::exec::lower::Access;
 use crate::unnest::lookup_table;
 use fuzzy_core::{CmpOp, Degree, Value};
 use fuzzy_rel::{Catalog, Schema, StoredTable};
@@ -427,11 +427,11 @@ impl std::fmt::Display for PlanCompare {
 }
 
 impl UnnestPlan {
-    /// A multi-line EXPLAIN rendering of the plan as `strategy` runs it: the
-    /// nested-loop baselines use no merge window. Table sizes are read from
-    /// `catalog`, the statement's snapshot.
-    pub fn explain(&self, strategy: Strategy, catalog: &Catalog) -> String {
-        let nested_loop = strategy.is_baseline();
+    /// A multi-line EXPLAIN rendering of the plan with its anti or aggregate
+    /// operator reading its inputs by `access`, the mode its lowered node
+    /// holds (`None` for a flat plan). Table sizes are read from `catalog`,
+    /// the statement's snapshot.
+    pub(crate) fn explain(&self, access: Option<Access>, catalog: &Catalog) -> String {
         let mut out = String::new();
         let table_line = |t: &PlanTable, role: &str, out: &mut String| {
             let (tuples, pages) =
@@ -472,12 +472,14 @@ impl UnnestPlan {
                 out.push_str(&format!("Anti [{kind}]\n"));
                 table_line(&p.outer, "outer", &mut out);
                 table_line(&p.inner, "inner", &mut out);
-                match &p.window {
-                    _ if nested_loop => out.push_str(
+                match (access, &p.window) {
+                    (Some(Access::NestedLoop), _) => out.push_str(
                         "  block nested loop (every outer tuple against every inner tuple)\n",
                     ),
-                    Some((o, i)) => out.push_str(&format!("  merge window on {o} = {i}\n")),
-                    None => out.push_str("  scan (inner set built once, no merge window)\n"),
+                    (Some(Access::Merge), Some((o, i))) => {
+                        out.push_str(&format!("  merge window on {o} = {i}\n"))
+                    }
+                    _ => out.push_str("  scan (inner set built once, no merge window)\n"),
                 }
                 if !p.pair_preds.is_empty() {
                     out.push_str(&format!(
@@ -499,18 +501,22 @@ impl UnnestPlan {
                 ));
                 table_line(&p.outer, "outer", &mut out);
                 table_line(&p.inner, "inner", &mut out);
-                match &p.corr {
-                    Some((u, op, v)) if nested_loop => out.push_str(&format!(
+                match (access, &p.corr) {
+                    (Some(Access::NestedLoop), Some((u, op, v))) => out.push_str(&format!(
                         "  T1/T2 groups per outer tuple: {v} {op} {u} (block nested loop)\n"
                     )),
-                    None if nested_loop => out.push_str(
+                    (Some(Access::NestedLoop), None) => out.push_str(
                         "  uncorrelated: inner aggregate per outer tuple (block nested loop)\n",
                     ),
-                    Some((u, op, v)) => out.push_str(&format!(
+                    (_, Some((u, op, v))) => out.push_str(&format!(
                         "  pipelined T1/T2 groups: {v} {op} {u}{}\n",
-                        if *op == CmpOp::Eq { " (merge window)" } else { " (scan fallback)" }
+                        if access == Some(Access::Merge) {
+                            " (merge window)"
+                        } else {
+                            " (scan fallback)"
+                        }
                     )),
-                    None => out.push_str("  uncorrelated: constant inner aggregate\n"),
+                    (_, None) => out.push_str("  uncorrelated: constant inner aggregate\n"),
                 }
                 if p.agg.0 == AggFunc::Count {
                     out.push_str("  COUNT': left outer join with [Y op A : Y op 0]\n");

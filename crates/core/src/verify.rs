@@ -309,7 +309,6 @@ impl std::fmt::Display for Violation {
 /// runs is the tree that was verified by construction.
 pub struct VerifiedPlan {
     lowered: Lowered,
-    strategy: Strategy,
     label: String,
     checks: usize,
 }
@@ -340,17 +339,12 @@ impl VerifiedPlan {
             )));
         }
         let label = format!("{}:{}", strategy.name(), lowered.label());
-        Ok(VerifiedPlan { lowered, strategy, label, checks })
+        Ok(VerifiedPlan { lowered, label, checks })
     }
 
     /// `strategy:plan` — the outcome's `plan_label`.
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The strategy the tree was lowered for.
-    pub(crate) fn strategy(&self) -> Strategy {
-        self.strategy
     }
 
     /// How many individual checks the verification ran.

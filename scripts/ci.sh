@@ -141,6 +141,24 @@ if [[ -n "$relowered" ]]; then
   exit 1
 fi
 
+echo "==> physical methods decided once (in lowering; the plan and EXPLAIN read the tree)"
+# Lowering (exec/lower.rs) is the single source of physical decisions: it
+# turns the strategy into each node's method, and everything else reads the
+# lowered tree. A non-test `is_baseline(` call outside lower.rs, or a
+# `crate::engine` import in plan.rs (the logical plan knows no strategy),
+# would work a method out a second time.
+second_guess=$({
+  non_test $(find crates/core/src -name '*.rs' | sort) | grep -E '(^|[^_[:alnum:]])is_baseline\(' \
+    | grep -vE '^crates/core/src/exec/lower\.rs:|^[^:]+:[0-9]+: *//|fn is_baseline\('
+  non_test crates/core/src/plan.rs | grep -E 'crate::engine' | grep -vE '^[^:]+:[0-9]+: *//'
+} || true)
+if [[ -n "$second_guess" ]]; then
+  echo "error: a physical method worked out outside exec/lower.rs — read the lowered" >&2
+  echo "tree (Lowered::access, its Node::Sort and Node::Scan nodes) instead:" >&2
+  echo "$second_guess" >&2
+  exit 1
+fi
+
 echo "==> one ⪯ sort key (every engine sort compares the normalized prefix first)"
 # The executor's ⪯ sorts key each value once with its normalized prefix and
 # full OrderKey (`order_key` in exec/sort.rs) and sort through

@@ -14,6 +14,7 @@
 //! ```
 
 use fuzzy_db::core::Value;
+use fuzzy_db::engine::{ExecConfig, JoinMethod};
 use fuzzy_db::rel::{AttrType, Schema, Tuple};
 use fuzzy_db::{Database, StatementResult, Strategy};
 
@@ -179,6 +180,21 @@ fn golden_materialized_nested_loop_local_preds() {
          (SELECT S.X FROM S WHERE S.V < 104)",
         Strategy::MaterializedNestedLoop,
     );
+}
+
+/// A join step with no equality driver runs as a nested loop, which sorts
+/// nothing: the estimates show only the pair bound.
+#[test]
+fn golden_flat_non_equi() {
+    check("flat_non_equi", "SELECT R.ID FROM R, S WHERE R.X < S.X");
+}
+
+/// The partitioned join replaces the sort boundary: no sort estimates.
+#[test]
+fn golden_flat_partitioned() {
+    let config = ExecConfig { join_method: JoinMethod::Partitioned, ..ExecConfig::default() };
+    let sql = "SELECT R.ID FROM R, S WHERE R.X = S.X";
+    check_text("flat_partitioned", fixture().query(sql).config(config).explain().unwrap());
 }
 
 /// The chain3 golden's statement: the optimizer orders its joins by the

@@ -274,3 +274,52 @@ fn threshold_applies_before_limit_on_every_strategy() {
     }
     assert_eq!(degrees_of(fallback, Strategy::Unnest).0, "naive-fallback");
 }
+
+/// An aggregate over a text column fails with the oracle's typed error in
+/// every access mode of the aggregate operator: the uncorrelated scan
+/// (`agg-const`), the merge grouping, the correlated scan and the nested
+/// loop. The type-A group is built before the outer loop, so over an empty
+/// outer it still reads every inner tuple once.
+#[test]
+fn text_aggregate_operand_fails_alike_in_every_aggregate_mode() {
+    let db = Database::with_paper_vocabulary();
+    for name in ["R", "S", "E"] {
+        let schema = Schema::of(&[
+            ("ID", AttrType::Number),
+            ("X", AttrType::Number),
+            ("NAME", AttrType::Text),
+        ]);
+        db.create_table(name, schema).unwrap();
+    }
+    for name in ["R", "S"] {
+        db.load(
+            name,
+            (0..5).map(|i| {
+                let x = Value::number(f64::from(i % 2));
+                Tuple::full(vec![Value::number(f64::from(i)), x, Value::text(format!("n{i}"))])
+            }),
+        )
+        .unwrap();
+    }
+    for (corr, operator) in [
+        ("", "agg-const R x S"),
+        (" WHERE S.X = R.X", "agg-merge R x S"),
+        (" WHERE S.X < R.X", "agg-scan R x S"),
+    ] {
+        let sql = format!("SELECT R.ID FROM R WHERE R.X > (SELECT SUM(S.NAME) FROM S{corr})");
+        let explained = db.query(&sql).explain().unwrap();
+        assert!(explained.contains(operator), "{explained}");
+        for strategy in [Strategy::Unnest, Strategy::NestedLoop, Strategy::Naive] {
+            let err = db.query(&sql).strategy(strategy).run().map(|o| o.plan_label);
+            assert!(
+                matches!(&err, Err(fuzzy_db::EngineError::Unsupported(m)) if m.contains("SUM")),
+                "{strategy:?} {sql}: {err:?}"
+            );
+        }
+    }
+    let out =
+        db.query("SELECT E.ID FROM E WHERE E.X > (SELECT COUNT(S.NAME) FROM S)").run().unwrap();
+    let agg = out.metrics.ops().iter().find(|n| n.label == "agg-const E x S").unwrap();
+    assert_eq!((agg.metrics.tuples_in, agg.metrics.pairs_examined), (5, 5));
+    assert!(out.answer.is_empty());
+}
