@@ -30,7 +30,9 @@
 use crate::engine::Strategy;
 use crate::exec::{agg, anti, block_nl, filter_scan, flat, merge_join, output, partitioned, sort};
 use crate::exec::{ExecConfig, JoinMethod, Layout};
-use crate::plan::{AggPlan, AntiPlan, FlatPlan, PlanCol, PlanCompare, PlanTable, UnnestPlan};
+use crate::plan::{
+    AggPlan, AntiKind, AntiPlan, FlatPlan, PlanCol, PlanCompare, PlanTable, UnnestPlan,
+};
 use crate::stats_histogram::StatsRegistry;
 use crate::verify::{Outline, PhysOp, Prop};
 use fuzzy_core::{CmpOp, Degree};
@@ -623,12 +625,22 @@ fn lower_two_input(
 }
 
 impl Lowered {
-    /// The plan's shape label ([`UnnestPlan::label`]), with an anti plan
-    /// tagged by the method its anti node runs.
+    /// A short label of the plan shape (for EXPLAIN and experiment logs);
+    /// an anti plan is tagged with the method its anti node runs.
     pub(crate) fn label(&self) -> String {
-        match (&self.plan, self.access()) {
-            (UnnestPlan::Anti(p), Some(access)) => p.label(access.name()),
-            (plan, _) => plan.label(),
+        match &self.plan {
+            UnnestPlan::Flat(p) => format!("flat-join[{} tables]", p.tables.len()),
+            UnnestPlan::Anti(p) => {
+                let method = self.access().map_or("?", Access::name);
+                match p.kind {
+                    AntiKind::Exclusion => format!("anti-exclusion[{method}]"),
+                    AntiKind::All { op, .. } => format!("anti-all[{op} {method}]"),
+                }
+            }
+            UnnestPlan::Agg(p) => match &p.corr {
+                Some((_, op, _)) => format!("agg[{} corr {}]", p.agg.0.name(), op),
+                None => format!("agg[{} const]", p.agg.0.name()),
+            },
         }
     }
 

@@ -361,17 +361,6 @@ pub enum UnnestPlan {
     Agg(AggPlan),
 }
 
-impl AntiPlan {
-    /// The plan's shape label, tagged with the anti operator's method
-    /// (`merge`, `scan` or `nested-loop`).
-    pub(crate) fn label(&self, method: &str) -> String {
-        match self.kind {
-            AntiKind::Exclusion => format!("anti-exclusion[{method}]"),
-            AntiKind::All { op, .. } => format!("anti-all[{op} {method}]"),
-        }
-    }
-}
-
 impl UnnestPlan {
     /// The equivalence rule the plan was produced by.
     pub fn rule(&self) -> &RewriteRule {
@@ -388,19 +377,6 @@ impl UnnestPlan {
             UnnestPlan::Flat(p) => p.threshold,
             UnnestPlan::Anti(p) => p.threshold,
             UnnestPlan::Agg(p) => p.threshold,
-        }
-    }
-
-    /// A short human-readable label of the plan shape (for EXPLAIN-style
-    /// output and experiment logs).
-    pub fn label(&self) -> String {
-        match self {
-            UnnestPlan::Flat(p) => format!("flat-join[{} tables]", p.tables.len()),
-            UnnestPlan::Anti(p) => p.label(if p.window.is_some() { "merge" } else { "scan" }),
-            UnnestPlan::Agg(p) => match &p.corr {
-                Some((_, op, _)) => format!("agg[{} corr {}]", p.agg.0.name(), op),
-                None => format!("agg[{} const]", p.agg.0.name()),
-            },
         }
     }
 }

@@ -3,7 +3,7 @@
 
 use fuzzy_core::CmpOp;
 use fuzzy_engine::plan::{AntiKind, UnnestPlan};
-use fuzzy_engine::{build_plan, EngineError};
+use fuzzy_engine::{build_plan, EngineError, ExecConfig, Strategy, VerifiedPlan};
 use fuzzy_rel::{AttrType, Catalog, Schema, StoredTable};
 use fuzzy_sql::parse;
 use fuzzy_storage::SimDisk;
@@ -44,7 +44,7 @@ fn type_n_becomes_two_table_flat_join() {
             assert_eq!(f.join_preds.len(), 1);
             assert_eq!(f.join_preds[0].op, CmpOp::Eq);
         }
-        other => panic!("expected flat, got {}", other.label()),
+        other => panic!("expected flat, got {other:?}"),
     }
 }
 
@@ -55,7 +55,7 @@ fn type_j_adds_the_correlation_join() {
         UnnestPlan::Flat(f) => {
             assert_eq!(f.join_preds.len(), 2, "IN link + correlation");
         }
-        other => panic!("expected flat, got {}", other.label()),
+        other => panic!("expected flat, got {other:?}"),
     }
 }
 
@@ -68,7 +68,7 @@ fn jx_becomes_anti_exclusion_with_window() {
             assert!(a.window.is_some(), "correlated JX merges on an equality");
             assert_eq!(a.pair_preds.len(), 2, "correlation + the NOT IN pair");
         }
-        other => panic!("expected anti, got {}", other.label()),
+        other => panic!("expected anti, got {other:?}"),
     }
 }
 
@@ -81,7 +81,7 @@ fn uncorrelated_nx_uses_scan_window_on_the_in_pair() {
             // The NOT IN pair itself is an equality, so it can drive a merge.
             assert!(a.window.is_some());
         }
-        other => panic!("expected anti, got {}", other.label()),
+        other => panic!("expected anti, got {other:?}"),
     }
 }
 
@@ -97,7 +97,7 @@ fn jall_becomes_anti_all_with_quantified_pair_in_kind() {
             assert!(a.window.is_some());
             assert_eq!(a.pair_preds.len(), 1, "only the correlation");
         }
-        other => panic!("expected anti, got {}", other.label()),
+        other => panic!("expected anti, got {other:?}"),
     }
 }
 
@@ -106,7 +106,7 @@ fn uncorrelated_all_has_no_window() {
     let p = plan("SELECT R.X FROM R WHERE R.Y < ALL (SELECT S.Y FROM S)");
     match p {
         UnnestPlan::Anti(a) => assert!(a.window.is_none()),
-        other => panic!("expected anti, got {}", other.label()),
+        other => panic!("expected anti, got {other:?}"),
     }
 }
 
@@ -122,7 +122,7 @@ fn ja_plan_carries_aggregate_and_correlation() {
             assert_eq!(v.binding, "S");
             assert_eq!(a.compare.1, CmpOp::Gt);
         }
-        other => panic!("expected agg, got {}", other.label()),
+        other => panic!("expected agg, got {other:?}"),
     }
 }
 
@@ -135,7 +135,7 @@ fn ja_correlation_direction_is_normalized() {
             let (_, op2, _) = a.corr.expect("correlated");
             assert_eq!(op2, CmpOp::Ge);
         }
-        other => panic!("expected agg, got {}", other.label()),
+        other => panic!("expected agg, got {other:?}"),
     }
 }
 
@@ -144,7 +144,7 @@ fn type_a_has_no_correlation() {
     let p = plan("SELECT R.X FROM R WHERE R.Y > (SELECT AVG(S.Y) FROM S)");
     match p {
         UnnestPlan::Agg(a) => assert!(a.corr.is_none()),
-        other => panic!("expected agg, got {}", other.label()),
+        other => panic!("expected agg, got {other:?}"),
     }
 }
 
@@ -161,7 +161,7 @@ fn chain_3_builds_three_table_flat_join() {
             // 2 IN links + 3 correlation predicates.
             assert_eq!(f.join_preds.len(), 5);
         }
-        other => panic!("expected flat, got {}", other.label()),
+        other => panic!("expected flat, got {other:?}"),
     }
 }
 
@@ -196,29 +196,39 @@ fn unknown_tables_and_columns_error_cleanly() {
     assert!(err.to_string().contains("NOPE"));
 }
 
+/// The label of the verified plan `strategy` runs for `sql`.
+fn label(sql: &str, strategy: Strategy) -> String {
+    let config = ExecConfig::default();
+    VerifiedPlan::new(&plan(sql), strategy, &config, &catalog(), None).unwrap().label().to_string()
+}
+
 #[test]
 fn plan_labels_are_descriptive() {
-    assert!(plan("SELECT R.X FROM R").label().contains("flat-join[1"));
-    assert!(plan("SELECT R.X FROM R WHERE R.Y NOT IN (SELECT S.Y FROM S WHERE S.U = R.U)")
-        .label()
-        .contains("anti-exclusion[merge]"));
-    assert!(plan("SELECT R.X FROM R WHERE R.Y < ALL (SELECT S.Y FROM S)").label().contains("scan"));
-    assert!(plan("SELECT R.X FROM R WHERE R.Y > (SELECT COUNT(S.Y) FROM S WHERE S.U = R.U)")
-        .label()
-        .contains("COUNT"));
+    let jx = "SELECT R.X FROM R WHERE R.Y NOT IN (SELECT S.Y FROM S WHERE S.U = R.U)";
+    assert!(label("SELECT R.X FROM R", Strategy::Unnest).contains("flat-join[1"));
+    assert!(label(jx, Strategy::Unnest).contains("anti-exclusion[merge]"));
+    assert!(label("SELECT R.X FROM R WHERE R.Y < ALL (SELECT S.Y FROM S)", Strategy::Unnest)
+        .contains("scan"));
+    assert!(label(
+        "SELECT R.X FROM R WHERE R.Y > (SELECT COUNT(S.Y) FROM S WHERE S.U = R.U)",
+        Strategy::Unnest
+    )
+    .contains("COUNT"));
+    // The baselines run the same anti plan as a nested loop, and say so.
+    assert_eq!(label(jx, Strategy::NestedLoop), "nested-loop:anti-exclusion[nested-loop]");
 }
 
 #[test]
 fn exists_unnests_to_flat_and_not_exists_to_anti() {
     let p = plan("SELECT R.X FROM R WHERE EXISTS (SELECT S.Y FROM S WHERE S.U = R.U)");
-    assert!(matches!(p, UnnestPlan::Flat(_)), "{}", p.label());
+    assert!(matches!(p, UnnestPlan::Flat(_)), "{p:?}");
     let p = plan("SELECT R.X FROM R WHERE NOT EXISTS (SELECT S.Y FROM S WHERE S.U = R.U)");
     match p {
         UnnestPlan::Anti(a) => {
             assert_eq!(a.kind, AntiKind::Exclusion);
             assert!(a.window.is_some());
         }
-        other => panic!("expected anti, got {}", other.label()),
+        other => panic!("expected anti, got {other:?}"),
     }
 }
 

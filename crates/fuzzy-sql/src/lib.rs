@@ -5,6 +5,12 @@
 //! the classifier that maps nested queries onto the paper's type catalogue
 //! (N, J, JX, JA, JALL, chains — Sections 4–8).
 //!
+//! One parser reads the whole language: [`parse`] (a SELECT) and
+//! [`parse_statement`] (SELECT, EXPLAIN, CREATE TABLE, DEFINE TERM, INSERT,
+//! DELETE, UPDATE, ANALYZE) each tokenize their input once and run every
+//! production on that one token cursor. The grammar is in the [`parser`]
+//! module doc.
+//!
 //! ## Example
 //!
 //! ```

@@ -1,21 +1,44 @@
-//! Recursive-descent parser for Fuzzy SQL.
+//! Recursive-descent parser for Fuzzy SQL: every statement form is parsed on
+//! one token cursor, over the tokens of one `tokenize` call.
 //!
-//! Grammar (conjunctive WHERE, per the paper's Section 2.2 assumption):
+//! Grammar (conjunctive WHERE, per the paper's Section 2.2 assumption).
+//! Reserved words and statement words match case-insensitively; every
+//! statement ends at the end of its input.
 //!
 //! ```text
+//! statement := query
+//!            | EXPLAIN [ANALYZE | VERIFY] query
+//!            | CREATE TABLE ident '(' coldef (',' coldef)* ')'
+//!            | DEFINE TERM string AS fuzzy
+//!            | INSERT INTO ident VALUES '(' value (',' value)* ')' [WITH D '=' number]
+//!            | DELETE FROM ident [where] [with]
+//!            | UPDATE ident SET col '=' value (',' col '=' value)* [where] [with]
+//!            | ANALYZE [ident]
+//! coldef    := ident (TEXT | NUMBER) [KEY]          -- at most one KEY
 //! query     := SELECT [DISTINCT] item (',' item)* FROM table (',' table)*
-//!              [WHERE pred (AND pred)*] [GROUP BY col (',' col)*]
-//!              [WITH col ('>'|'>=') number]
+//!              [where] [GROUP BY col (',' col)*] [HAVING hpred (AND hpred)*]
+//!              [with] [ORDER BY col [ASC | DESC]] [LIMIT integer]
+//! where     := WHERE pred (AND pred)*
+//! with      := WITH D ('>' | '>=') number           -- number in [0, 1]
 //! item      := col | AGG '(' col ')' | COUNT '(' '*' ')' | MIN '(' D ')'
 //! table     := ident [[AS] ident]
 //! pred      := operand cmp operand
+//!            | operand '~' operand WITHIN number    -- tolerance > 0
 //!            | operand cmp (ALL | SOME | ANY) '(' query ')'
 //!            | operand cmp '(' query ')'
 //!            | operand [IS] [NOT] IN '(' query ')'
 //!            | [NOT] EXISTS '(' query ')'
-//! operand   := col | number | string
-//! col       := ident ['.' ident]
+//! hpred     := hoperand cmp hoperand
+//! hoperand  := AGG '(' col ')' | COUNT '(' '*' ')' | col | number | string
+//! operand   := col | number | string | fuzzy
+//! value     := number | string | fuzzy              -- an operand that is no column
+//! fuzzy     := TRAP '(' a, b, c, d ')' | TRI '(' a, b, c ')' | ABOUT '(' v, w ')'
+//! col       := ident ['.' ident]                    -- unqualified D: the degree
+//! cmp       := '=' | '<>' | '!=' | '<' | '<=' | '>' | '>='
 //! ```
+//!
+//! A string is a linguistic term (or a text value); AGG is `COUNT`, `SUM`,
+//! `AVG`, `MIN` or `MAX`.
 
 use crate::ast::{
     AggFunc, ColumnRef, HavingOperand, HavingPredicate, Operand, OrderBy, OrderKey, Predicate,
@@ -23,24 +46,33 @@ use crate::ast::{
 };
 use crate::error::{ParseError, Result};
 use crate::lexer::tokenize;
+use crate::statement::{ColumnDef, ExplainMode, Statement};
 use crate::token::{Token, TokenKind};
 use fuzzy_core::CmpOp;
 
 /// Parses one Fuzzy SQL SELECT statement.
 pub fn parse(src: &str) -> Result<Query> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(src)?;
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
 }
 
-struct Parser {
+/// A cursor over the tokens of one statement.
+pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
 }
 
+/// The fuzzy literal forms and how many numbers each takes.
+const FUZZY_LITERALS: [(&str, usize); 3] = [("TRAP", 4), ("TRI", 3), ("ABOUT", 2)];
+
 impl Parser {
+    /// Tokenizes `src`, the only lexing pass a statement gets.
+    pub(crate) fn new(src: &str) -> Result<Parser> {
+        Ok(Parser { tokens: tokenize(src)?, pos: 0 })
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -53,28 +85,34 @@ impl Parser {
         self.tokens[self.pos].offset
     }
 
-    fn bump(&mut self) -> TokenKind {
-        let k = self.tokens[self.pos].kind.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        k
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), TokenKind::Keyword(k) if k == kw) {
+    fn error<T>(&self, message: impl Into<String>) -> Result<T> {
+        Err(ParseError::at(self.offset(), message))
+    }
+
+    /// Consumes `word` (uppercase) if it is next: a reserved keyword or an
+    /// identifier spelt the same in any case (`TABLE`, `VALUES`, `D`, …).
+    fn eat_word(&mut self, word: &str) -> bool {
+        let hit = match self.peek() {
+            TokenKind::Keyword(w) | TokenKind::Ident(w) => w.eq_ignore_ascii_case(word),
+            _ => false,
+        };
+        if hit {
             self.bump();
-            true
-        } else {
-            false
         }
+        hit
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<()> {
-        if self.eat_keyword(kw) {
+    fn expect_word(&mut self, word: &str) -> Result<()> {
+        if self.eat_word(word) {
             Ok(())
         } else {
-            Err(ParseError::at(self.offset(), format!("expected {kw}, found {}", self.peek())))
+            self.error(format!("expected {word}, found {}", self.peek()))
         }
     }
 
@@ -91,7 +129,7 @@ impl Parser {
         if self.eat(&kind) {
             Ok(())
         } else {
-            Err(ParseError::at(self.offset(), format!("expected {kind}, found {}", self.peek())))
+            self.error(format!("expected {kind}, found {}", self.peek()))
         }
     }
 
@@ -99,10 +137,7 @@ impl Parser {
         if matches!(self.peek(), TokenKind::Eof) {
             Ok(())
         } else {
-            Err(ParseError::at(
-                self.offset(),
-                format!("unexpected trailing input: {}", self.peek()),
-            ))
+            self.error(format!("unexpected trailing input: {}", self.peek()))
         }
     }
 
@@ -112,72 +147,181 @@ impl Parser {
                 self.bump();
                 Ok(s)
             }
-            other => {
-                Err(ParseError::at(self.offset(), format!("expected an identifier, found {other}")))
-            }
+            other => self.error(format!("expected an identifier, found {other}")),
         }
     }
 
+    /// A numeric literal; `what` names it in the error.
+    fn number(&mut self, what: &str) -> Result<f64> {
+        match *self.peek() {
+            TokenKind::Number(n) => {
+                self.bump();
+                Ok(n)
+            }
+            ref other => self.error(format!("expected {what}, found {other}")),
+        }
+    }
+
+    /// `item (',' item)*`.
+    fn commas<T>(&mut self, item: fn(&mut Parser) -> Result<T>) -> Result<Vec<T>> {
+        let mut items = vec![item(self)?];
+        while self.eat(&TokenKind::Comma) {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// `item (AND item)*`.
+    fn conjunction<T>(&mut self, item: fn(&mut Parser) -> Result<T>) -> Result<Vec<T>> {
+        let mut items = vec![item(self)?];
+        while self.eat_word("AND") {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    /// `statement`, through the end of input.
+    pub(crate) fn statement(&mut self) -> Result<Statement> {
+        let stmt = if matches!(self.peek(), TokenKind::Keyword(k) if k == "SELECT") {
+            Statement::Select(self.query()?)
+        } else if self.eat_word("EXPLAIN") {
+            let mode = if self.eat_word("ANALYZE") {
+                ExplainMode::Analyze
+            } else if self.eat_word("VERIFY") {
+                ExplainMode::Verify
+            } else {
+                ExplainMode::Plan
+            };
+            Statement::Explain { mode, query: self.query()? }
+        } else if self.eat_word("CREATE") {
+            self.create_table()?
+        } else if self.eat_word("DEFINE") {
+            self.expect_word("TERM")?;
+            let name = match self.peek().clone() {
+                TokenKind::Str(s) => s,
+                other => return self.error(format!("expected a quoted term name, found {other}")),
+            };
+            self.bump();
+            self.expect_word("AS")?;
+            Statement::DefineTerm { name, shape: self.fuzzy_literal()? }
+        } else if self.eat_word("INSERT") {
+            self.insert()?
+        } else if self.eat_word("DELETE") {
+            self.expect_word("FROM")?;
+            let table = self.ident()?;
+            let (predicates, threshold) = (self.where_clause()?, self.with_clause()?);
+            Statement::Delete { table, predicates, threshold }
+        } else if self.eat_word("UPDATE") {
+            let table = self.ident()?;
+            self.expect_word("SET")?;
+            let assignments = self.commas(|p| {
+                let col = p.column_ref()?;
+                p.expect(TokenKind::Eq)?;
+                Ok((col, p.value()?))
+            })?;
+            let (predicates, threshold) = (self.where_clause()?, self.with_clause()?);
+            Statement::Update { table, assignments, predicates, threshold }
+        } else if self.eat_word("ANALYZE") {
+            let table =
+                if matches!(self.peek(), TokenKind::Eof) { None } else { Some(self.ident()?) };
+            Statement::Analyze { table }
+        } else {
+            return self.error(
+                "expected SELECT, CREATE TABLE, DEFINE TERM, INSERT, DELETE, UPDATE, ANALYZE, \
+                 or EXPLAIN",
+            );
+        };
+        self.expect_eof()?;
+        Ok(stmt)
+    }
+
+    fn create_table(&mut self) -> Result<Statement> {
+        self.expect_word("TABLE")?;
+        let name = self.ident()?;
+        self.expect(TokenKind::LParen)?;
+        let columns = self.commas(|p| {
+            let name = p.ident()?;
+            let is_text = if p.eat_word("TEXT") {
+                true
+            } else if p.eat_word("NUMBER") {
+                false
+            } else {
+                return p.error(format!("expected TEXT or NUMBER after column {name}"));
+            };
+            Ok(ColumnDef { name, is_text, key: p.eat_word("KEY") })
+        })?;
+        self.expect(TokenKind::RParen)?;
+        if columns.iter().filter(|c| c.key).count() > 1 {
+            return Err(ParseError::at(0, "at most one KEY column"));
+        }
+        Ok(Statement::CreateTable { name, columns })
+    }
+
+    fn insert(&mut self) -> Result<Statement> {
+        self.expect_word("INTO")?;
+        let table = self.ident()?;
+        self.expect_word("VALUES")?;
+        self.expect(TokenKind::LParen)?;
+        let values = self.commas(Parser::value)?;
+        self.expect(TokenKind::RParen)?;
+        let mut degree = 1.0;
+        if self.eat_word("WITH") {
+            self.expect_word("D")?;
+            self.expect(TokenKind::Eq)?;
+            let at = self.offset();
+            degree = self.number("a degree number")?;
+            if !(0.0..=1.0).contains(&degree) {
+                return Err(ParseError::at(at, format!("degree {degree} outside [0, 1]")));
+            }
+        }
+        Ok(Statement::Insert { table, values, degree })
+    }
+
     fn query(&mut self) -> Result<Query> {
-        self.expect_keyword("SELECT")?;
-        let distinct = self.eat_keyword("DISTINCT");
-        let mut select = vec![self.select_item()?];
-        while self.eat(&TokenKind::Comma) {
-            select.push(self.select_item()?);
-        }
-        self.expect_keyword("FROM")?;
-        let mut from = vec![self.table_ref()?];
-        while self.eat(&TokenKind::Comma) {
-            from.push(self.table_ref()?);
-        }
-        let mut predicates = Vec::new();
-        if self.eat_keyword("WHERE") {
-            predicates.push(self.predicate()?);
-            while self.eat_keyword("AND") {
-                predicates.push(self.predicate()?);
-            }
-        }
-        let mut group_by = Vec::new();
-        if self.eat_keyword("GROUP") {
-            self.expect_keyword("BY")?;
-            group_by.push(self.column_ref()?);
-            while self.eat(&TokenKind::Comma) {
-                group_by.push(self.column_ref()?);
-            }
-        }
-        let mut having = Vec::new();
-        if self.eat_keyword("HAVING") {
-            having.push(self.having_predicate()?);
-            while self.eat_keyword("AND") {
-                having.push(self.having_predicate()?);
-            }
-        }
-        let with_threshold = if self.eat_keyword("WITH") { Some(self.threshold()?) } else { None };
-        let order_by = if self.eat_keyword("ORDER") {
-            self.expect_keyword("BY")?;
+        self.expect_word("SELECT")?;
+        let distinct = self.eat_word("DISTINCT");
+        let select = self.commas(Parser::select_item)?;
+        self.expect_word("FROM")?;
+        let from = self.commas(Parser::table_ref)?;
+        let predicates = self.where_clause()?;
+        let group_by = if self.eat_word("GROUP") {
+            self.expect_word("BY")?;
+            self.commas(Parser::column_ref)?
+        } else {
+            Vec::new()
+        };
+        let having = if self.eat_word("HAVING") {
+            self.conjunction(Parser::having_predicate)?
+        } else {
+            Vec::new()
+        };
+        let with_threshold = self.with_clause()?;
+        let order_by = if self.eat_word("ORDER") {
+            self.expect_word("BY")?;
             let col = self.column_ref()?;
             let key = if col.is_degree() && col.table.is_none() {
                 OrderKey::Degree
             } else {
                 OrderKey::Column(col)
             };
-            let descending = if self.eat_keyword("DESC") {
+            let descending = if self.eat_word("DESC") {
                 true
             } else {
-                let _ = self.eat_keyword("ASC");
+                let _ = self.eat_word("ASC");
                 false
             };
             Some(OrderBy { key, descending })
         } else {
             None
         };
-        let limit = if self.eat_keyword("LIMIT") {
-            match self.bump() {
-                TokenKind::Number(n) if n >= 0.0 && n.fract() == 0.0 => Some(n as usize),
-                other => {
+        let limit = if self.eat_word("LIMIT") {
+            let at = self.offset();
+            match self.number("a non-negative integer after LIMIT")? {
+                n if n >= 0.0 && n.fract() == 0.0 => Some(n as usize),
+                n => {
                     return Err(ParseError::at(
-                        self.offset(),
-                        format!("expected a non-negative integer after LIMIT, found {other}"),
+                        at,
+                        format!("expected a non-negative integer after LIMIT, found {n}"),
                     ))
                 }
             }
@@ -197,31 +341,78 @@ impl Parser {
         })
     }
 
-    fn having_operand(&mut self) -> Result<HavingOperand> {
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if matches!(self.peek2(), TokenKind::LParen) {
-                if let Some(agg) = AggFunc::from_name(&name) {
-                    self.bump();
-                    self.bump();
-                    if agg == AggFunc::Count && self.eat(&TokenKind::Star) {
-                        self.expect(TokenKind::RParen)?;
-                        return Ok(HavingOperand::CountStar);
-                    }
-                    let col = self.column_ref()?;
-                    self.expect(TokenKind::RParen)?;
-                    return Ok(HavingOperand::Aggregate(agg, col));
-                }
+    /// `[WHERE pred (AND pred)*]`: a SELECT's, DELETE's or UPDATE's matching
+    /// conjunction (empty when absent).
+    fn where_clause(&mut self) -> Result<Vec<Predicate>> {
+        if self.eat_word("WHERE") {
+            self.conjunction(Parser::predicate)
+        } else {
+            Ok(Vec::new())
+        }
+    }
+
+    /// `[WITH D ('>' | '>=') z]`, z in [0, 1]: a SELECT's, DELETE's or
+    /// UPDATE's threshold.
+    fn with_clause(&mut self) -> Result<Option<Threshold>> {
+        if !self.eat_word("WITH") {
+            return Ok(None);
+        }
+        let at = self.offset();
+        let col = self.column_ref()?;
+        if !col.is_degree() {
+            return Err(ParseError::at(
+                at,
+                format!("WITH clause must threshold the degree attribute D, found {col}"),
+            ));
+        }
+        let strict = match self.peek() {
+            TokenKind::Gt => true,
+            TokenKind::Ge => false,
+            other => return self.error(format!("expected > or >= after WITH D, found {other}")),
+        };
+        self.bump();
+        let at = self.offset();
+        let z = self.number("a threshold number")?;
+        if !(0.0..=1.0).contains(&z) {
+            return Err(ParseError::at(at, format!("WITH threshold {z} outside [0, 1]")));
+        }
+        Ok(Some(Threshold { z, strict }))
+    }
+
+    /// `AGG '(' col ')'` or `COUNT '(' '*' ')'` (column `None`) if one is
+    /// next; `None` consumes nothing.
+    fn aggregate(&mut self) -> Result<Option<(AggFunc, Option<ColumnRef>)>> {
+        let agg = match self.peek() {
+            TokenKind::Ident(name) if matches!(self.peek2(), TokenKind::LParen) => {
+                AggFunc::from_name(name)
             }
+            _ => None,
+        };
+        let Some(agg) = agg else { return Ok(None) };
+        self.bump(); // name
+        self.bump(); // (
+        if agg == AggFunc::Count && self.eat(&TokenKind::Star) {
+            self.expect(TokenKind::RParen)?;
+            return Ok(Some((agg, None)));
+        }
+        let col = self.column_ref()?;
+        self.expect(TokenKind::RParen)?;
+        Ok(Some((agg, Some(col))))
+    }
+
+    fn having_operand(&mut self) -> Result<HavingOperand> {
+        match self.aggregate()? {
+            Some((agg, Some(col))) => return Ok(HavingOperand::Aggregate(agg, col)),
+            Some((_, None)) => return Ok(HavingOperand::CountStar),
+            None => {}
         }
         Ok(match self.operand()? {
             Operand::Column(c) => HavingOperand::Column(c),
             Operand::Number(n) => HavingOperand::Number(n),
             Operand::Term(t) => HavingOperand::Term(t),
             Operand::FuzzyLiteral(..) => {
-                return Err(ParseError::at(
-                    self.offset(),
-                    "fuzzy literals are not supported in HAVING; define a term instead",
-                ))
+                return self
+                    .error("fuzzy literals are not supported in HAVING; define a term instead")
             }
         })
     }
@@ -233,62 +424,18 @@ impl Parser {
         Ok(HavingPredicate { lhs, op, rhs })
     }
 
-    fn threshold(&mut self) -> Result<Threshold> {
-        let col = self.column_ref()?;
-        if !col.is_degree() {
-            return Err(ParseError::at(
-                self.offset(),
-                format!("WITH clause must threshold the degree attribute D, found {col}"),
-            ));
-        }
-        let strict = match self.bump() {
-            TokenKind::Gt => true,
-            TokenKind::Ge => false,
-            other => {
-                return Err(ParseError::at(
-                    self.offset(),
-                    format!("expected > or >= after WITH D, found {other}"),
-                ))
-            }
-        };
-        match self.bump() {
-            TokenKind::Number(z) if (0.0..=1.0).contains(&z) => Ok(Threshold { z, strict }),
-            TokenKind::Number(z) => {
-                Err(ParseError::at(self.offset(), format!("WITH threshold {z} outside [0, 1]")))
-            }
-            other => Err(ParseError::at(
-                self.offset(),
-                format!("expected a threshold number, found {other}"),
-            )),
-        }
-    }
-
     fn select_item(&mut self) -> Result<SelectItem> {
-        // Aggregate: IDENT '(' …
-        if let TokenKind::Ident(name) = self.peek().clone() {
-            if matches!(self.peek2(), TokenKind::LParen) {
-                if let Some(agg) = AggFunc::from_name(&name) {
-                    self.bump(); // name
-                    self.bump(); // (
-                    if agg == AggFunc::Count && self.eat(&TokenKind::Star) {
-                        self.expect(TokenKind::RParen)?;
-                        return Ok(SelectItem::CountStar);
-                    }
-                    let col = self.column_ref()?;
-                    self.expect(TokenKind::RParen)?;
-                    if agg == AggFunc::Min && col.is_degree() {
-                        return Ok(SelectItem::MinDegree);
-                    }
-                    return Ok(SelectItem::Aggregate(agg, col));
-                }
-            }
-        }
-        Ok(SelectItem::Column(self.column_ref()?))
+        Ok(match self.aggregate()? {
+            Some((AggFunc::Min, Some(col))) if col.is_degree() => SelectItem::MinDegree,
+            Some((agg, Some(col))) => SelectItem::Aggregate(agg, col),
+            Some((_, None)) => SelectItem::CountStar,
+            None => SelectItem::Column(self.column_ref()?),
+        })
     }
 
     fn table_ref(&mut self) -> Result<TableRef> {
         let table = self.ident()?;
-        let _ = self.eat_keyword("AS");
+        let _ = self.eat_word("AS");
         let alias = match self.peek() {
             TokenKind::Ident(_) => Some(self.ident()?),
             _ => None,
@@ -316,66 +463,62 @@ impl Parser {
                 self.bump();
                 Ok(Operand::Term(s))
             }
-            // Inline fuzzy literals: TRAP(a,b,c,d) / TRI(a,b,c) / ABOUT(v,w).
-            TokenKind::Ident(w)
-                if matches!(self.peek2(), TokenKind::LParen)
-                    && ["TRAP", "TRI", "ABOUT"].iter().any(|k| w.eq_ignore_ascii_case(k)) =>
-            {
-                self.fuzzy_literal(&w)
+            TokenKind::Ident(_) if self.fuzzy_arity().is_some() => {
+                let (a, b, c, d) = self.fuzzy_literal()?;
+                Ok(Operand::FuzzyLiteral(a, b, c, d))
             }
             TokenKind::Ident(_) => Ok(Operand::Column(self.column_ref()?)),
-            other => Err(ParseError::at(
-                self.offset(),
-                format!("expected a column, number, or quoted term, found {other}"),
-            )),
+            other => {
+                self.error(format!("expected a column, number, or quoted term, found {other}"))
+            }
         }
     }
 
-    fn fuzzy_literal(&mut self, kind: &str) -> Result<Operand> {
+    /// An INSERT or UPDATE value: an operand that is not a column.
+    fn value(&mut self) -> Result<Operand> {
+        let at = self.offset();
+        match self.operand()? {
+            Operand::Column(c) => Err(ParseError::at(
+                at,
+                format!(
+                    "expected a value (number, quoted text/term, or TRAP/TRI/ABOUT), found {c}"
+                ),
+            )),
+            v => Ok(v),
+        }
+    }
+
+    /// The name and arity of the fuzzy literal that starts here, if one does.
+    fn fuzzy_arity(&self) -> Option<(&'static str, usize)> {
+        match (self.peek(), self.peek2()) {
+            (TokenKind::Ident(w), TokenKind::LParen) => {
+                FUZZY_LITERALS.into_iter().find(|(k, _)| w.eq_ignore_ascii_case(k))
+            }
+            _ => None,
+        }
+    }
+
+    /// `TRAP(a, b, c, d)`, `TRI(a, b, c)` or `ABOUT(v, w)`, as the trapezoid
+    /// `(a, b, c, d)` it denotes.
+    fn fuzzy_literal(&mut self) -> Result<(f64, f64, f64, f64)> {
+        let Some((kind, arity)) = self.fuzzy_arity() else {
+            return self
+                .error(format!("expected TRAP(…), TRI(…), or ABOUT(…), found {}", self.peek()));
+        };
         self.bump(); // name
         self.bump(); // (
-        let mut nums = Vec::new();
-        loop {
-            match self.bump() {
-                TokenKind::Number(n) => nums.push(n),
-                other => {
-                    return Err(ParseError::at(
-                        self.offset(),
-                        format!("expected a number in {kind}(…), found {other}"),
-                    ))
-                }
-            }
-            match self.bump() {
-                TokenKind::Comma => continue,
-                TokenKind::RParen => break,
-                other => {
-                    return Err(ParseError::at(
-                        self.offset(),
-                        format!("expected , or ) in {kind}(…), found {other}"),
-                    ))
-                }
-            }
+        let mut nums = vec![self.number("a number")?];
+        while self.eat(&TokenKind::Comma) {
+            nums.push(self.number("a number")?);
         }
-        let shape = match (kind.to_ascii_uppercase().as_str(), nums.as_slice()) {
-            ("TRAP", [a, b, c, d]) => (*a, *b, *c, *d),
-            ("TRI", [a, b, c]) => (*a, *b, *b, *c),
-            ("ABOUT", [v, w]) => (*v - *w, *v, *v, *v + *w),
-            (k, args) => {
-                return Err(ParseError::at(
-                    self.offset(),
-                    format!(
-                        "{k}(…) takes {} numbers, got {}",
-                        match k {
-                            "TRAP" => 4,
-                            "TRI" => 3,
-                            _ => 2,
-                        },
-                        args.len()
-                    ),
-                ))
-            }
+        let shape = match nums[..] {
+            [a, b, c, d] if arity == 4 => (a, b, c, d),
+            [a, b, c] if arity == 3 => (a, b, b, c),
+            [v, w] if arity == 2 => (v - w, v, v, v + w),
+            _ => return self.error(format!("{kind}(…) takes {arity} numbers, got {}", nums.len())),
         };
-        Ok(Operand::FuzzyLiteral(shape.0, shape.1, shape.2, shape.3))
+        self.expect(TokenKind::RParen)?;
+        Ok(shape)
     }
 
     fn cmp_op(&mut self) -> Result<CmpOp> {
@@ -386,64 +529,54 @@ impl Parser {
             TokenKind::Le => CmpOp::Le,
             TokenKind::Gt => CmpOp::Gt,
             TokenKind::Ge => CmpOp::Ge,
-            other => {
-                return Err(ParseError::at(
-                    self.offset(),
-                    format!("expected a comparison operator, found {other}"),
-                ))
-            }
+            other => return self.error(format!("expected a comparison operator, found {other}")),
         };
         self.bump();
         Ok(op)
     }
 
+    /// `'(' query ')'`.
+    fn subquery(&mut self) -> Result<Box<Query>> {
+        self.expect(TokenKind::LParen)?;
+        let query = Box::new(self.query()?);
+        self.expect(TokenKind::RParen)?;
+        Ok(query)
+    }
+
     fn predicate(&mut self) -> Result<Predicate> {
         // [NOT] EXISTS ( query )
-        if self.eat_keyword("EXISTS") {
-            return self.exists(false);
+        if self.eat_word("EXISTS") {
+            return Ok(Predicate::Exists { negated: false, query: self.subquery()? });
         }
         if matches!(self.peek(), TokenKind::Keyword(k) if k == "NOT")
             && matches!(self.peek2(), TokenKind::Keyword(k) if k == "EXISTS")
         {
             self.bump();
             self.bump();
-            return self.exists(true);
+            return Ok(Predicate::Exists { negated: true, query: self.subquery()? });
         }
         let lhs = self.operand()?;
         // [IS] [NOT] IN ( query )
-        let had_is = self.eat_keyword("IS");
-        let negated = self.eat_keyword("NOT");
-        if self.eat_keyword("IN") {
-            self.expect(TokenKind::LParen)?;
-            let query = Box::new(self.query()?);
-            self.expect(TokenKind::RParen)?;
-            return Ok(Predicate::In { lhs, negated, query });
+        let had_is = self.eat_word("IS");
+        let negated = self.eat_word("NOT");
+        if self.eat_word("IN") {
+            return Ok(Predicate::In { lhs, negated, query: self.subquery()? });
         }
         if had_is || negated {
-            return Err(ParseError::at(
-                self.offset(),
-                format!("expected IN after IS/NOT, found {}", self.peek()),
-            ));
+            return self.error(format!("expected IN after IS/NOT, found {}", self.peek()));
         }
         // Similarity: X ~ Y WITHIN t.
         if self.eat(&TokenKind::Tilde) {
             let rhs = self.operand()?;
-            self.expect_keyword("WITHIN")?;
-            let tolerance = match self.bump() {
-                TokenKind::Number(t) if t > 0.0 => t,
-                TokenKind::Number(t) => {
-                    return Err(ParseError::at(
-                        self.offset(),
-                        format!("similarity tolerance must be positive, got {t}"),
-                    ))
-                }
-                other => {
-                    return Err(ParseError::at(
-                        self.offset(),
-                        format!("expected a tolerance number after WITHIN, found {other}"),
-                    ))
-                }
-            };
+            self.expect_word("WITHIN")?;
+            let at = self.offset();
+            let tolerance = self.number("a tolerance number after WITHIN")?;
+            if tolerance <= 0.0 {
+                return Err(ParseError::at(
+                    at,
+                    format!("similarity tolerance must be positive, got {tolerance}"),
+                ));
+            }
             return Ok(Predicate::Similar { lhs, rhs, tolerance });
         }
         let op = self.cmp_op()?;
@@ -451,31 +584,18 @@ impl Parser {
         for (kw, quantifier) in
             [("ALL", Quantifier::All), ("SOME", Quantifier::Some), ("ANY", Quantifier::Some)]
         {
-            if self.eat_keyword(kw) {
-                self.expect(TokenKind::LParen)?;
-                let query = Box::new(self.query()?);
-                self.expect(TokenKind::RParen)?;
-                return Ok(Predicate::Quantified { lhs, op, quantifier, query });
+            if self.eat_word(kw) {
+                return Ok(Predicate::Quantified { lhs, op, quantifier, query: self.subquery()? });
             }
         }
         // Aggregate sub-query: op ( SELECT … )
         if matches!(self.peek(), TokenKind::LParen)
             && matches!(self.peek2(), TokenKind::Keyword(k) if k == "SELECT")
         {
-            self.bump(); // (
-            let query = Box::new(self.query()?);
-            self.expect(TokenKind::RParen)?;
-            return Ok(Predicate::AggSubquery { lhs, op, query });
+            return Ok(Predicate::AggSubquery { lhs, op, query: self.subquery()? });
         }
         let rhs = self.operand()?;
         Ok(Predicate::Compare { lhs, op, rhs })
-    }
-
-    fn exists(&mut self, negated: bool) -> Result<Predicate> {
-        self.expect(TokenKind::LParen)?;
-        let query = Box::new(self.query()?);
-        self.expect(TokenKind::RParen)?;
-        Ok(Predicate::Exists { negated, query })
     }
 }
 

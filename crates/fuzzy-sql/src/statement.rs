@@ -1,7 +1,7 @@
 //! Statements beyond SELECT: the DDL/DML surface of the database.
 //!
 //! The paper's system (Omron's Fuzzy LUNA) is queried through SELECT; this
-//! module adds the statements a usable database needs, with fuzzy-aware
+//! module defines the statements a usable database needs, with fuzzy-aware
 //! semantics:
 //!
 //! * `CREATE TABLE t (col TEXT | NUMBER [KEY], …)`
@@ -10,15 +10,17 @@
 //!   the tuple a partial member of the relation;
 //! * `DELETE FROM t [WHERE …] [WITH D > z]` — removes the tuples satisfying
 //!   the condition with positive degree (or meeting the threshold);
-//! * `UPDATE t SET col = v, … [WHERE …] [WITH D > z]` — same matching rule.
+//! * `UPDATE t SET col = v, … [WHERE …] [WITH D > z]` — same matching rule;
+//! * `ANALYZE [t]` and `EXPLAIN [ANALYZE | VERIFY] <select>`.
 //!
-//! Fuzzy literals `TRAP(…)`, `TRI(…)`, and `ABOUT(v, w)` are also accepted
-//! wherever operands appear in WHERE clauses.
+//! [`parse_statement`] parses every form, SELECT included, on the one
+//! [`parser`](crate::parser) cursor: a DELETE or UPDATE tail is the WHERE and
+//! WITH productions of a SELECT, and nothing else, and EXPLAIN's query is
+//! parsed in place. The grammar is in the `parser` module doc.
 
 use crate::ast::{ColumnRef, Operand, Predicate, Query, Threshold};
-use crate::error::{ParseError, Result};
-use crate::lexer::tokenize;
-use crate::token::TokenKind;
+use crate::error::Result;
+use crate::parser::Parser;
 
 /// A column definition in `CREATE TABLE`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -119,367 +121,7 @@ pub enum ExplainMode {
 /// # Ok::<(), fuzzy_sql::ParseError>(())
 /// ```
 pub fn parse_statement(src: &str) -> Result<Statement> {
-    let tokens = tokenize(src)?;
-    match &tokens.first().map(|t| &t.kind) {
-        Some(TokenKind::Keyword(k)) if k == "SELECT" => {
-            Ok(Statement::Select(crate::parser::parse(src)?))
-        }
-        Some(TokenKind::Ident(w)) if w.eq_ignore_ascii_case("CREATE") => {
-            StatementParser::new(src)?.create_table()
-        }
-        Some(TokenKind::Ident(w)) if w.eq_ignore_ascii_case("DEFINE") => {
-            StatementParser::new(src)?.define_term()
-        }
-        Some(TokenKind::Ident(w)) if w.eq_ignore_ascii_case("INSERT") => {
-            StatementParser::new(src)?.insert()
-        }
-        Some(TokenKind::Ident(w)) if w.eq_ignore_ascii_case("DELETE") => {
-            StatementParser::new(src)?.delete()
-        }
-        Some(TokenKind::Ident(w)) if w.eq_ignore_ascii_case("UPDATE") => {
-            StatementParser::new(src)?.update()
-        }
-        Some(TokenKind::Ident(w)) if w.eq_ignore_ascii_case("ANALYZE") => {
-            StatementParser::new(src)?.analyze()
-        }
-        Some(TokenKind::Ident(w)) if w.eq_ignore_ascii_case("EXPLAIN") => {
-            StatementParser::new(src)?.explain()
-        }
-        _ => Err(ParseError::at(
-            0,
-            "expected SELECT, CREATE TABLE, DEFINE TERM, INSERT, DELETE, UPDATE, ANALYZE, \
-             or EXPLAIN",
-        )),
-    }
-}
-
-/// A small token cursor for the non-SELECT statements. WHERE clauses are
-/// delegated to the main SELECT parser by re-parsing a synthesized query.
-struct StatementParser {
-    tokens: Vec<crate::token::Token>,
-    pos: usize,
-    src: String,
-}
-
-impl StatementParser {
-    fn new(src: &str) -> Result<StatementParser> {
-        Ok(StatementParser { tokens: tokenize(src)?, pos: 0, src: src.to_string() })
-    }
-
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
-    }
-
-    fn offset(&self) -> usize {
-        self.tokens[self.pos].offset
-    }
-
-    fn bump(&mut self) -> TokenKind {
-        let k = self.tokens[self.pos].kind.clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        k
-    }
-
-    fn eat_word(&mut self, word: &str) -> bool {
-        let hit = match self.peek() {
-            TokenKind::Ident(w) => w.eq_ignore_ascii_case(word),
-            TokenKind::Keyword(k) => k.eq_ignore_ascii_case(word),
-            _ => false,
-        };
-        if hit {
-            self.bump();
-        }
-        hit
-    }
-
-    fn expect_word(&mut self, word: &str) -> Result<()> {
-        if self.eat_word(word) {
-            Ok(())
-        } else {
-            Err(ParseError::at(self.offset(), format!("expected {word}, found {}", self.peek())))
-        }
-    }
-
-    fn expect(&mut self, kind: TokenKind) -> Result<()> {
-        if *self.peek() == kind {
-            self.bump();
-            Ok(())
-        } else {
-            Err(ParseError::at(self.offset(), format!("expected {kind}, found {}", self.peek())))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String> {
-        match self.bump() {
-            TokenKind::Ident(s) => Ok(s),
-            other => Err(ParseError::at(self.offset(), format!("expected a name, found {other}"))),
-        }
-    }
-
-    fn number(&mut self) -> Result<f64> {
-        match self.bump() {
-            TokenKind::Number(n) => Ok(n),
-            other => {
-                Err(ParseError::at(self.offset(), format!("expected a number, found {other}")))
-            }
-        }
-    }
-
-    fn eof(&mut self) -> Result<()> {
-        if matches!(self.peek(), TokenKind::Eof) {
-            Ok(())
-        } else {
-            Err(ParseError::at(
-                self.offset(),
-                format!("unexpected trailing input: {}", self.peek()),
-            ))
-        }
-    }
-
-    fn create_table(&mut self) -> Result<Statement> {
-        self.expect_word("CREATE")?;
-        self.expect_word("TABLE")?;
-        let name = self.ident()?;
-        self.expect(TokenKind::LParen)?;
-        let mut columns = Vec::new();
-        loop {
-            let col = self.ident()?;
-            let is_text = if self.eat_word("TEXT") {
-                true
-            } else if self.eat_word("NUMBER") {
-                false
-            } else {
-                return Err(ParseError::at(
-                    self.offset(),
-                    format!("expected TEXT or NUMBER after column {col}"),
-                ));
-            };
-            let key = self.eat_word("KEY");
-            columns.push(ColumnDef { name: col, is_text, key });
-            if !matches!(self.peek(), TokenKind::Comma) {
-                break;
-            }
-            self.bump();
-        }
-        self.expect(TokenKind::RParen)?;
-        self.eof()?;
-        if columns.iter().filter(|c| c.key).count() > 1 {
-            return Err(ParseError::at(0, "at most one KEY column"));
-        }
-        Ok(Statement::CreateTable { name, columns })
-    }
-
-    fn fuzzy_shape(&mut self) -> Result<(f64, f64, f64, f64)> {
-        if self.eat_word("TRAP") {
-            self.expect(TokenKind::LParen)?;
-            let a = self.number()?;
-            self.expect(TokenKind::Comma)?;
-            let b = self.number()?;
-            self.expect(TokenKind::Comma)?;
-            let c = self.number()?;
-            self.expect(TokenKind::Comma)?;
-            let d = self.number()?;
-            self.expect(TokenKind::RParen)?;
-            Ok((a, b, c, d))
-        } else if self.eat_word("TRI") {
-            self.expect(TokenKind::LParen)?;
-            let a = self.number()?;
-            self.expect(TokenKind::Comma)?;
-            let b = self.number()?;
-            self.expect(TokenKind::Comma)?;
-            let c = self.number()?;
-            self.expect(TokenKind::RParen)?;
-            Ok((a, b, b, c))
-        } else if self.eat_word("ABOUT") {
-            self.expect(TokenKind::LParen)?;
-            let v = self.number()?;
-            self.expect(TokenKind::Comma)?;
-            let w = self.number()?;
-            self.expect(TokenKind::RParen)?;
-            Ok((v - w, v, v, v + w))
-        } else {
-            Err(ParseError::at(
-                self.offset(),
-                format!("expected TRAP(…), TRI(…), or ABOUT(…), found {}", self.peek()),
-            ))
-        }
-    }
-
-    fn define_term(&mut self) -> Result<Statement> {
-        self.expect_word("DEFINE")?;
-        self.expect_word("TERM")?;
-        let name = match self.bump() {
-            TokenKind::Str(s) => s,
-            other => {
-                return Err(ParseError::at(
-                    self.offset(),
-                    format!("expected a quoted term name, found {other}"),
-                ))
-            }
-        };
-        self.expect_word("AS")?;
-        let shape = self.fuzzy_shape()?;
-        self.eof()?;
-        Ok(Statement::DefineTerm { name, shape })
-    }
-
-    fn value_operand(&mut self) -> Result<Operand> {
-        match self.peek().clone() {
-            TokenKind::Number(n) => {
-                self.bump();
-                Ok(Operand::Number(n))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Operand::Term(s))
-            }
-            TokenKind::Ident(w)
-                if ["TRAP", "TRI", "ABOUT"].iter().any(|k| w.eq_ignore_ascii_case(k)) =>
-            {
-                let (a, b, c, d) = self.fuzzy_shape()?;
-                Ok(Operand::FuzzyLiteral(a, b, c, d))
-            }
-            other => Err(ParseError::at(
-                self.offset(),
-                format!(
-                    "expected a value (number, quoted text/term, or TRAP/TRI/ABOUT), found {other}"
-                ),
-            )),
-        }
-    }
-
-    fn insert(&mut self) -> Result<Statement> {
-        self.expect_word("INSERT")?;
-        self.expect_word("INTO")?;
-        let table = self.ident()?;
-        self.expect_word("VALUES")?;
-        self.expect(TokenKind::LParen)?;
-        let mut values = vec![self.value_operand()?];
-        while matches!(self.peek(), TokenKind::Comma) {
-            self.bump();
-            values.push(self.value_operand()?);
-        }
-        self.expect(TokenKind::RParen)?;
-        let mut degree = 1.0;
-        if self.eat_word("WITH") {
-            // WITH D = 0.8
-            let d = self.ident()?;
-            if !d.eq_ignore_ascii_case("D") {
-                return Err(ParseError::at(self.offset(), "expected D in the WITH clause"));
-            }
-            self.expect(TokenKind::Eq)?;
-            degree = self.number()?;
-            if !(0.0..=1.0).contains(&degree) {
-                return Err(ParseError::at(
-                    self.offset(),
-                    format!("degree {degree} outside [0, 1]"),
-                ));
-            }
-        }
-        self.eof()?;
-        Ok(Statement::Insert { table, values, degree })
-    }
-
-    /// Parses the `[WHERE …] [WITH D > z]` tail by synthesizing a SELECT over
-    /// the target table and reusing the main parser (one grammar, one set of
-    /// predicate forms).
-    fn matching_tail(&mut self, table: &str) -> Result<(Vec<Predicate>, Option<Threshold>)> {
-        let rest = &self.src[self.tokens[self.pos].offset..];
-        let synthesized = format!("SELECT {table}.{} FROM {table} {rest}", "__match");
-        // `__match` is a placeholder select column; only predicates and the
-        // threshold are taken from the parse, so it never needs to resolve.
-        let q = crate::parser::parse(&synthesized).map_err(|e| {
-            ParseError::at(
-                self.tokens[self.pos].offset,
-                format!("in matching clause: {}", e.message),
-            )
-        })?;
-        if q.order_by.is_some() || q.limit.is_some() || !q.group_by.is_empty() {
-            return Err(ParseError::at(
-                self.tokens[self.pos].offset,
-                "DELETE/UPDATE accept only WHERE and WITH clauses",
-            ));
-        }
-        Ok((q.predicates, q.with_threshold))
-    }
-
-    fn delete(&mut self) -> Result<Statement> {
-        self.expect_word("DELETE")?;
-        self.expect_word("FROM")?;
-        let table = self.ident()?;
-        if matches!(self.peek(), TokenKind::Eof) {
-            return Ok(Statement::Delete { table, predicates: Vec::new(), threshold: None });
-        }
-        let (predicates, threshold) = self.matching_tail(&table)?;
-        Ok(Statement::Delete { table, predicates, threshold })
-    }
-
-    fn analyze(&mut self) -> Result<Statement> {
-        self.expect_word("ANALYZE")?;
-        let table = match self.peek() {
-            TokenKind::Eof => None,
-            _ => Some(self.ident()?),
-        };
-        self.eof()?;
-        Ok(Statement::Analyze { table })
-    }
-
-    /// `EXPLAIN [ANALYZE | VERIFY] <select>`: the tail after the prefix
-    /// keywords is re-parsed as a full query by the main parser.
-    fn explain(&mut self) -> Result<Statement> {
-        self.expect_word("EXPLAIN")?;
-        let mode = if self.eat_word("ANALYZE") {
-            ExplainMode::Analyze
-        } else if self.eat_word("VERIFY") {
-            ExplainMode::Verify
-        } else {
-            ExplainMode::Plan
-        };
-        if matches!(self.peek(), TokenKind::Eof) {
-            return Err(ParseError::at(self.offset(), "expected a SELECT query after EXPLAIN"));
-        }
-        let base = self.tokens[self.pos].offset;
-        let rest = &self.src[base..];
-        let query = crate::parser::parse(rest)
-            .map_err(|e| ParseError::at(base + e.offset, e.message.clone()))?;
-        Ok(Statement::Explain { mode, query })
-    }
-
-    fn update(&mut self) -> Result<Statement> {
-        self.expect_word("UPDATE")?;
-        let table = self.ident()?;
-        self.expect_word("SET")?;
-        let mut assignments = Vec::new();
-        loop {
-            let col = self.ident()?;
-            let col = if matches!(self.peek(), TokenKind::Dot) {
-                self.bump();
-                let c = self.ident()?;
-                ColumnRef::qualified(col, c)
-            } else {
-                ColumnRef::new(col)
-            };
-            self.expect(TokenKind::Eq)?;
-            let v = self.value_operand()?;
-            assignments.push((col, v));
-            if !matches!(self.peek(), TokenKind::Comma) {
-                break;
-            }
-            self.bump();
-        }
-        if matches!(self.peek(), TokenKind::Eof) {
-            return Ok(Statement::Update {
-                table,
-                assignments,
-                predicates: Vec::new(),
-                threshold: None,
-            });
-        }
-        let (predicates, threshold) = self.matching_tail(&table)?;
-        Ok(Statement::Update { table, assignments, predicates, threshold })
-    }
+    Parser::new(src)?.statement()
 }
 
 #[cfg(test)]
@@ -564,6 +206,15 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+
+        // An error inside the tail points at the bad token (the second `=`),
+        // as the same clause does inside a SELECT.
+        let sql = "DELETE FROM F WHERE F.X = = 1";
+        assert_eq!(parse_statement(sql).unwrap_err().offset, 26);
+        let sql = "UPDATE F SET X = 1 WHERE F.X = = 1";
+        assert_eq!(parse_statement(sql).unwrap_err().offset, sql.rfind('=').unwrap());
+        let sql = "SELECT F.X FROM F WHERE F.X = = 1";
+        assert_eq!(crate::parse(sql).unwrap_err().offset, sql.rfind('=').unwrap());
     }
 
     #[test]

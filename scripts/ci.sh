@@ -179,6 +179,25 @@ if [[ -n "$unprefixed" ]]; then
   exit 1
 fi
 
+echo "==> one parser (every statement form parses on one token cursor)"
+# `Parser::new` in fuzzy-sql's parser.rs is the one place a statement is
+# lexed: `parse` and `parse_statement` tokenize once, and every production
+# (SELECT, EXPLAIN, DDL, DML) runs on that cursor. A second non-test
+# `tokenize(` call, or statement.rs calling back into `parse` (re-parsing a
+# slice or a synthesized SELECT), would be a second path through the grammar.
+lexes=$(non_test $(find crates/fuzzy-sql/src -name '*.rs' | sort) \
+  | grep -E '(^|[^_[:alnum:]])tokenize\(' \
+  | grep -vE '^crates/fuzzy-sql/src/lexer\.rs:|^[^:]+:[0-9]+: *//' || true)
+reparsed=$(non_test crates/fuzzy-sql/src/statement.rs | grep -E '(^|[^_.[:alnum:]])parse\(' \
+  | grep -vE '^[^:]+:[0-9]+: *//' || true)
+if [[ $(grep -c . <<<"$lexes") -ne 1 || "$lexes" != crates/fuzzy-sql/src/parser.rs:* \
+    || -n "$reparsed" ]]; then
+  echo "error: fuzzy-sql must tokenize once, in parser.rs's Parser::new, and statement.rs" >&2
+  echo "must not call parse — add the production to parser::Parser instead:" >&2
+  echo "${lexes}${reparsed:+$'\n'$reparsed}" >&2
+  exit 1
+fi
+
 echo "==> one engine context (no optional handles on Engine)"
 # Every Engine runs in an EngineContext (statistics, plan cache, serving
 # counters); the per-handle builders it replaced must not come back.

@@ -364,6 +364,11 @@ impl Session {
                         .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
                     let mut resolved: Vec<(usize, fuzzy_core::Value)> = Vec::new();
                     for (col, op) in &assignments {
+                        if col.table.as_ref().is_some_and(|t| !t.eq_ignore_ascii_case(&table)) {
+                            return Err(EngineError::Bind(format!(
+                                "assignment target {col} is not a column of {table}"
+                            )));
+                        }
                         let idx = stored.schema().index_of(&col.column).ok_or_else(|| {
                             EngineError::Bind(format!("no attribute {} in {}", col.column, table))
                         })?;

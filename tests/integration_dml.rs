@@ -5,7 +5,7 @@
 use fuzzy_db::core::Value;
 use fuzzy_db::engine::ExecConfig;
 use fuzzy_db::rel::Tuple;
-use fuzzy_db::{Database, StatementResult, Strategy};
+use fuzzy_db::{Database, EngineError, StatementResult, Strategy};
 
 fn rows(r: &StatementResult) -> &fuzzy_db::rel::Relation {
     match r {
@@ -115,6 +115,71 @@ fn delete_with_subquery_condition() {
         .unwrap();
     assert_eq!(affected(&r), 1, "only Dee is exactly 70");
     assert_eq!(rows(&db.execute("SELECT PEOPLE.ID FROM PEOPLE").unwrap()).len(), 3);
+}
+
+/// The `(ID, X)` rows of `F`, with their degrees, in ID order.
+fn f_rows(db: &Database) -> Vec<(Vec<Value>, f64)> {
+    let out = db.execute("SELECT F.ID, F.X FROM F ORDER BY F.ID").unwrap();
+    rows(&out).tuples().iter().map(|t| (t.values.clone(), t.degree.value())).collect()
+}
+
+fn f_and_g() -> Database {
+    let db = Database::new();
+    for stmt in [
+        "CREATE TABLE F (ID NUMBER KEY, X NUMBER)",
+        "CREATE TABLE G (X NUMBER)",
+        "INSERT INTO F VALUES (1, 50)",
+        "INSERT INTO F VALUES (2, 150)",
+        "INSERT INTO F VALUES (3, 250) WITH D = 0.5",
+        "INSERT INTO G VALUES (1)",
+    ] {
+        db.execute(stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+    }
+    db
+}
+
+#[test]
+fn delete_and_update_tails_accept_only_where_and_with() {
+    let db = f_and_g();
+    let before = f_rows(&db);
+    for stmt in [
+        "DELETE FROM F HAVING F.X > 100",
+        "UPDATE F SET X = 1 HAVING F.X > 100",
+        "DELETE FROM F, G WHERE F.X = 1",
+        "UPDATE F, G SET X = 1 WHERE F.X = 1",
+        "DELETE FROM F AS G",
+        "DELETE FROM F G WHERE G.X = 50",
+        "DELETE FROM F WHERE F.X = 50 GROUP BY F.X",
+        "UPDATE F SET X = 1 WHERE F.X = 50 ORDER BY D",
+        "DELETE FROM F WITH D > 0.5 LIMIT 1",
+    ] {
+        match db.execute(stmt) {
+            Err(EngineError::Parse(_)) => {}
+            other => panic!("{stmt}: expected a parse error, got {other:?}"),
+        }
+        assert_eq!(f_rows(&db), before, "{stmt} changed F");
+    }
+    // The accepted tail still matches as before.
+    let r = db.execute("DELETE FROM F WHERE F.X > 100 WITH D > 0.6").unwrap();
+    assert_eq!(affected(&r), 2, "IDs 2 and 3");
+}
+
+#[test]
+fn update_target_qualifier_must_name_the_updated_table() {
+    let db = f_and_g();
+    let before = f_rows(&db);
+    match db.execute("UPDATE F SET G.X = 42 WHERE F.ID = 1") {
+        Err(EngineError::Bind(_)) => {}
+        other => panic!("expected a binding error, got {other:?}"),
+    }
+    assert_eq!(f_rows(&db), before);
+    // Qualified by the target table's own name (in any case), it updates.
+    let r = db.execute("UPDATE F SET F.X = 42 WHERE F.ID = 1").unwrap();
+    assert_eq!(affected(&r), 1);
+    let r = db.execute("UPDATE F SET f.X = 43 WHERE F.ID = 2").unwrap();
+    assert_eq!(affected(&r), 1);
+    let after: Vec<Value> = f_rows(&db).into_iter().map(|(v, _)| v[1].clone()).collect();
+    assert_eq!(after, vec![Value::number(42.0), Value::number(43.0), Value::number(250.0)]);
 }
 
 #[test]
