@@ -694,8 +694,7 @@ fn ablation_agg_degree(args: &Args) {
         // is lowered and verified here: the executor runs only verified trees.
         let verified = VerifiedPlan::new(&plan, Strategy::Unnest, &paper_config(), &catalog, None)
             .unwrap_or_else(|e| panic!("edited plan fails verification: {e}"));
-        let mut ex = Executor::new(&disk, paper_config());
-        let answer = ex.run(&verified, &catalog).unwrap();
+        let (answer, _) = Executor::new(&disk, paper_config()).run(&verified, &catalog).unwrap();
         let mean: f64 = answer.tuples().iter().map(|t| t.degree.value()).sum::<f64>()
             / answer.len().max(1) as f64;
         (answer.len(), mean)

@@ -302,9 +302,9 @@ impl Engine {
     ) -> Result<QueryOutcome> {
         self.measured(q, info, || match planned {
             Planned::Plan(plan) => {
-                let mut ex = Executor::new(&self.ctx.disk, self.config);
-                let answer = ex.run(plan, &self.catalog)?;
-                Ok((answer, ex.take_metrics(), plan.label().to_string()))
+                let (answer, metrics) =
+                    Executor::new(&self.ctx.disk, self.config).run(plan, &self.catalog)?;
+                Ok((answer, metrics, plan.label().to_string()))
             }
             Planned::NaiveFallback(_) => {
                 let (answer, metrics) =

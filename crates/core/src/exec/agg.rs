@@ -6,8 +6,9 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::lower::{declare_two_input, Access};
+use crate::exec::merge_join::merge_window;
 use crate::exec::{fold_preds, BoundOperand, Executor, Layout};
-use crate::metrics::{OpKind, OperatorMetrics};
+use crate::metrics::OperatorMetrics;
 use crate::naive::apply_aggregate;
 use crate::plan::{AggPlan, PlanCol, PlanCompare, PlanOperand};
 use crate::verify::PhysOp;
@@ -124,7 +125,7 @@ impl Executor {
         inner_t: &StoredTable,
         plan: &AggPlan,
         access: Access,
-        label: String,
+        m: &mut OperatorMetrics,
     ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let outer_layout = Layout::of_table(&plan.outer);
         let (_, select_idx) = outer_layout.projection(&plan.select)?;
@@ -185,40 +186,31 @@ impl Executor {
                 // each distinct u computes T'(u) from its window once.
                 let mut groups = GroupCache::default();
                 let (uattr, vattr) = (ucol.attr, vcol.attr);
-                self.merge_window(
-                    outer_t,
-                    uattr,
-                    inner_t,
-                    vattr,
-                    Degree::ZERO,
-                    OpKind::Aggregate,
-                    label,
-                    |r, rng, m| {
-                        let u = &r.values[uattr];
-                        let group = groups.get(u, plan, |set| {
-                            for s in rng {
-                                // μ_T'(u)(z) = max min(μ_S∧p₂, d(s.V = u));
-                                // op2 = Eq here.
-                                m.fuzzy_comparisons += 1;
-                                let d = s.degree.and(s.values[vattr].compare(CmpOp::Eq, u));
-                                if d.is_positive() {
-                                    set.add(s.values[agg_idx].clone(), d);
-                                }
+                merge_window(outer_t, uattr, inner_t, vattr, Degree::ZERO, m, |r, rng, m| {
+                    let u = &r.values[uattr];
+                    let group = groups.get(u, plan, |set| {
+                        for s in rng {
+                            // μ_T'(u)(z) = max min(μ_S∧p₂, d(s.V = u));
+                            // op2 = Eq here.
+                            m.fuzzy_comparisons += 1;
+                            let d = s.degree.and(s.values[vattr].compare(CmpOp::Eq, u));
+                            if d.is_positive() {
+                                set.add(s.values[agg_idx].clone(), d);
                             }
-                        })?;
-                        emit_outer(r, r.degree, group, &mut rows, m);
-                        Ok(())
-                    },
-                )?;
+                        }
+                    })?;
+                    emit_outer(r, r.degree, group, &mut rows, m);
+                    Ok(())
+                })?;
             }
             Access::Scan => {
                 // The reduced inner set is built once and scanned per
                 // distinct u: a non-equality op2 cannot window it. The
                 // uncorrelated type A has one group, the inner block's
-                // constant, built before the outer loop.
-                let g = self.begin_op(OpKind::Aggregate, label);
+                // constant, built at the first outer tuple like any other:
+                // an empty outer forms no group, so it never applies the
+                // aggregate.
                 let inner_all: Vec<Tuple> = inner_t.scan().collect::<fuzzy_storage::Result<_>>()?;
-                let mut m = OperatorMetrics::default();
                 m.tuples_in += inner_all.len() as u64;
                 let fill = |set: &mut GroupSet, u: &Value, m: &mut OperatorMetrics| {
                     for s in &inner_all {
@@ -236,18 +228,13 @@ impl Executor {
                 let mut groups = GroupCache::default();
                 // The key of every outer tuple when there is no correlation.
                 let shared = Value::Null;
-                if plan.corr.is_none() {
-                    groups.get(&shared, plan, |set| fill(set, &shared, &mut m))?;
-                }
                 for r in outer_t.scan() {
                     let r = r?;
                     m.tuples_in += 1;
                     let u = plan.corr.as_ref().map_or(&shared, |(ucol, _, _)| &r.values[ucol.attr]);
-                    let group = groups.get(u, plan, |set| fill(set, u, &mut m))?;
-                    emit_outer(&r, r.degree, group, &mut rows, &mut m);
+                    let group = groups.get(u, plan, |set| fill(set, u, m))?;
+                    emit_outer(&r, r.degree, group, &mut rows, m);
                 }
-                self.absorb_op(&g, &m);
-                self.end_op(g);
             }
             Access::NestedLoop => {
                 // μ_T(r)(z) = max min(μ_S ∧ p₂, d(s.V op₂ r.U)) over every
@@ -263,8 +250,7 @@ impl Executor {
                 self.block_nested_loop(
                     outer_t,
                     inner_t,
-                    OpKind::Aggregate,
-                    label,
+                    m,
                     |_, _| GroupSet::default(),
                     |set, r, s, m| {
                         let mut d = fold_preds(s.degree, &inner_local, &s.values, m);

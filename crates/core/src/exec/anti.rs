@@ -8,8 +8,9 @@
 
 use crate::error::{EngineError, Result};
 use crate::exec::lower::{declare_two_input, Access};
+use crate::exec::merge_join::merge_window;
 use crate::exec::{fold_preds, BoundCompare, Executor, Layout};
-use crate::metrics::{OpKind, OperatorMetrics};
+use crate::metrics::OperatorMetrics;
 use crate::plan::{AntiKind, AntiPlan, PlanCol, PlanCompare};
 use crate::verify::PhysOp;
 use fuzzy_core::{Degree, Value};
@@ -41,7 +42,7 @@ impl Executor {
         inner_t: &StoredTable,
         plan: &AntiPlan,
         access: Access,
-        label: String,
+        m: &mut OperatorMetrics,
     ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let mut pair_layout = Layout::of_table(&plan.outer);
         pair_layout.push(&plan.inner);
@@ -87,14 +88,13 @@ impl Executor {
                 // is exact (this is what makes JX'/JALL' merge-joinable).
                 // No threshold push-down here: low-degree pairs still lower
                 // the MIN(D) group degree.
-                self.merge_window(
+                merge_window(
                     outer_t,
                     ocol.attr,
                     inner_t,
                     icol.attr,
                     Degree::ZERO,
-                    OpKind::Anti,
-                    label,
+                    m,
                     |r, rng, m| {
                         let mut acc = r.degree;
                         for s in rng {
@@ -115,9 +115,7 @@ impl Executor {
                 // Scan fallback (uncorrelated NOT IN / ALL): the inner set is
                 // built once — the unnesting benefit — then the outer streams
                 // against it.
-                let g = self.begin_op(OpKind::Anti, label);
                 let inner_all: Vec<Tuple> = inner_t.scan().collect::<fuzzy_storage::Result<_>>()?;
-                let mut m = OperatorMetrics::default();
                 m.tuples_in += inner_all.len() as u64;
                 for r in outer_t.scan() {
                     let r = r?;
@@ -125,7 +123,7 @@ impl Executor {
                     let mut acc = r.degree;
                     for s in &inner_all {
                         m.pairs_examined += 1;
-                        acc = acc.and(contribution(&r, s, s.degree, &mut m));
+                        acc = acc.and(contribution(&r, s, s.degree, m));
                         if !acc.is_positive() {
                             break;
                         }
@@ -135,8 +133,6 @@ impl Executor {
                         rows.push((crate::exec::project(&r, &select_idx), acc));
                     }
                 }
-                self.absorb_op(&g, &m);
-                self.end_op(g);
             }
             Access::NestedLoop => {
                 // The accumulator of each outer tuple starts at μ_R ∧ p₁;
@@ -147,8 +143,7 @@ impl Executor {
                 self.block_nested_loop(
                     outer_t,
                     inner_t,
-                    OpKind::Anti,
-                    label,
+                    m,
                     |r, m| fold_preds(r.degree, &outer_local, &r.values, m),
                     |acc, r, s, m| {
                         if acc.is_positive() {

@@ -7,7 +7,7 @@
 
 use crate::error::Result;
 use crate::exec::Executor;
-use crate::metrics::{OpKind, OperatorMetrics};
+use crate::metrics::OperatorMetrics;
 use crate::verify::{PhysOp, Prop};
 use fuzzy_rel::{StoredTable, Tuple};
 use fuzzy_storage::PageView;
@@ -29,22 +29,19 @@ impl Executor {
     /// pair, and `finalize` fires once per outer tuple after its block's
     /// inner scan — which is what lets this one operator evaluate *nested*
     /// queries (the per-tuple temporary relation T(r) accumulates in `A`).
-    /// The operator registers under `kind` (join, anti, or aggregate).
-    #[allow(clippy::too_many_arguments)]
+    /// `m` is the counter set of the join, anti, or aggregate operator
+    /// that runs it.
     pub(crate) fn block_nested_loop<A>(
         &mut self,
         outer: &StoredTable,
         inner: &StoredTable,
-        kind: OpKind,
-        label: String,
+        m: &mut OperatorMetrics,
         mut init: impl FnMut(&Tuple, &mut OperatorMetrics) -> A,
         mut observe: impl FnMut(&mut A, &Tuple, &Tuple, &mut OperatorMetrics) -> Result<()>,
         mut finalize: impl FnMut(Tuple, A, &mut OperatorMetrics) -> Result<()>,
     ) -> Result<()> {
-        let g = self.begin_op(kind, label);
         let block_pages = self.config.buffer_pages.saturating_sub(1).max(1) as u64;
         let n_pages = outer.num_pages();
-        let mut m = OperatorMetrics::default();
         let mut block_start = 0u64;
         while block_start < n_pages {
             let block_end = (block_start + block_pages).min(n_pages);
@@ -57,7 +54,7 @@ impl Executor {
                 for rec in PageView::new(&image)?.records() {
                     let t = Tuple::decode(rec?)?;
                     m.tuples_in += 1;
-                    let a = init(&t, &mut m);
+                    let a = init(&t, m);
                     block.push((t, a));
                 }
             }
@@ -67,16 +64,14 @@ impl Executor {
                 m.tuples_in += 1;
                 for (r, a) in &mut block {
                     m.pairs_examined += 1;
-                    observe(a, r, &s, &mut m)?;
+                    observe(a, r, &s, m)?;
                 }
             }
             for (r, a) in block {
-                finalize(r, a, &mut m)?;
+                finalize(r, a, m)?;
             }
             block_start = block_end;
         }
-        self.absorb_op(&g, &m);
-        self.end_op(g);
         Ok(())
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::error::Result;
 use crate::exec::{Executor, Layout};
-use crate::metrics::{OpKind, OperatorMetrics};
+use crate::metrics::OperatorMetrics;
 use crate::plan::PlanTable;
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::Degree;
@@ -37,15 +37,12 @@ impl Executor {
         t: &PlanTable,
         catalog: &Catalog,
         min_degree: Degree,
-        label: String,
+        m: &mut OperatorMetrics,
     ) -> Result<StoredTable> {
         let table = t.stored(catalog)?;
-        let g = self.begin_op(OpKind::Scan, label);
         if t.local_preds.is_empty() && !min_degree.is_positive() {
-            let m = self.metrics.op_mut(g.id);
             m.tuples_in = table.num_tuples();
             m.tuples_out = table.num_tuples();
-            self.end_op(g);
             return Ok(table.clone());
         }
         let layout = Layout::of_table(t);
@@ -58,7 +55,6 @@ impl Executor {
             table.min_record_bytes(),
         );
         let mut w = out.file().bulk_writer();
-        let mut m = OperatorMetrics::default();
         for tuple in table.scan() {
             let mut tuple = tuple?;
             m.tuples_in += 1;
@@ -79,8 +75,6 @@ impl Executor {
             }
         }
         w.finish()?;
-        self.absorb_op(&g, &m);
-        self.end_op(g);
         Ok(out)
     }
 }

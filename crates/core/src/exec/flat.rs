@@ -14,10 +14,10 @@
 
 use crate::error::Result;
 use crate::exec::lower::{JoinStep, SinkMode, StepMethod};
-use crate::exec::merge_join::walk_window;
+use crate::exec::merge_join::{merge_window, walk_window};
 use crate::exec::op::Slot;
 use crate::exec::{BoundCompare, Executor, Layout, PairOutcome};
-use crate::metrics::{OpKind, OperatorMetrics};
+use crate::metrics::OperatorMetrics;
 use crate::plan::{PlanCol, PlanCompare, PlanTable};
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::{CmpOp, Degree, Value};
@@ -114,14 +114,12 @@ impl Executor {
         table: &PlanTable,
         preds: &[PlanCompare],
         select: &[PlanCol],
-        label: String,
+        m: &mut OperatorMetrics,
     ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let layout = Layout::of_table(table);
         let bound = layout.bind_all(preds)?;
         let (_, select_idx) = layout.projection(select)?;
         let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
-        let g = self.begin_op(OpKind::Scan, label);
-        let mut m = OperatorMetrics::default();
         for t in input.scan() {
             let t = t?;
             m.tuples_in += 1;
@@ -135,8 +133,6 @@ impl Executor {
                 rows.push((crate::exec::project(&t, &select_idx), d));
             }
         }
-        self.absorb_op(&g, &m);
-        self.end_op(g);
         Ok(rows)
     }
 
@@ -148,7 +144,7 @@ impl Executor {
         left: &StoredTable,
         right: &StoredTable,
         step: &JoinStep,
-        label: String,
+        m: &mut OperatorMetrics,
     ) -> Result<Slot> {
         let alpha = step.alpha;
         let mut sink = match &step.sink {
@@ -221,34 +217,16 @@ impl Executor {
         match (&step.method, driver) {
             (StepMethod::Merge { .. }, Some((cur_idx, next_idx))) if self.config.threads > 1 => {
                 self.merge_join_parallel(
-                    left,
-                    cur_idx,
-                    right,
-                    next_idx,
-                    alpha,
-                    OpKind::Join,
-                    label,
-                    &pair_eval,
-                    capped,
-                    &mut sink,
+                    left, cur_idx, right, next_idx, alpha, &pair_eval, capped, &mut sink, m,
                 )?;
             }
             (StepMethod::Merge { .. }, Some((cur_idx, next_idx))) => {
-                self.merge_window(
-                    left,
-                    cur_idx,
-                    right,
-                    next_idx,
-                    alpha,
-                    OpKind::Join,
-                    label,
-                    |r, rng, m| {
-                        walk_window(r, rng, &pair_eval, capped, m, |j, d| sink.emit(r, &rng[j], d))
-                    },
-                )?;
+                merge_window(left, cur_idx, right, next_idx, alpha, m, |r, rng, m| {
+                    walk_window(r, rng, &pair_eval, capped, m, |j, d| sink.emit(r, &rng[j], d))
+                })?;
             }
             (StepMethod::Partitioned { .. }, Some((cur_idx, next_idx))) => {
-                self.partitioned_join(left, cur_idx, right, next_idx, alpha, label, |r, s, m| {
+                self.partitioned_join(left, cur_idx, right, next_idx, alpha, m, |r, s, m| {
                     handle(&mut sink, r, s, m)
                 })?;
             }
@@ -257,8 +235,7 @@ impl Executor {
                 self.block_nested_loop(
                     left,
                     right,
-                    OpKind::Join,
-                    label,
+                    m,
                     |_, _| (),
                     |_, r, s, m| handle(&mut sink, r, s, m),
                     |_, _, _| Ok(()),

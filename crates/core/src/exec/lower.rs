@@ -236,11 +236,7 @@ pub(crate) fn lower(
         _ => Vec::new(),
     };
     let (plan, join_sizes) = effective_plan(plan, config, catalog, stats);
-    let alpha = if strategy.is_baseline() {
-        Degree::ZERO
-    } else {
-        crate::exec::pushdown_alpha(config, &plan)
-    };
+    let alpha = if strategy.is_baseline() { Degree::ZERO } else { pushdown_alpha(config, &plan) };
     let (ops, nodes) = match &plan {
         UnnestPlan::Flat(p) => lower_flat(p, strategy, config, alpha),
         UnnestPlan::Anti(p) => {
@@ -272,6 +268,22 @@ pub(crate) fn lower(
         }
     };
     Lowered { plan, written_order, join_sizes, alpha, outline: Outline { ops }, nodes }
+}
+
+/// The degree bound a pushed-down `WITH D > z` threshold lets the plan's
+/// operators prune at: z for a flat plan when push-down is enabled and a
+/// threshold exists, else 0. Sound for flat plans only — every conjunct of
+/// their final min must reach the threshold, so pairs below it can never
+/// contribute an answer row. The anti and aggregate forms accumulate MIN
+/// over *negated* degrees — a low-degree pair still lowers its group's
+/// degree — so they never prune; the verifier checks the bound stored in
+/// [`Lowered::alpha`] against both rules (`V-THRESH-WIDEN` /
+/// `V-THRESH-SCOPE`).
+fn pushdown_alpha(config: &ExecConfig, plan: &UnnestPlan) -> Degree {
+    match (plan, config.threshold_pushdown) {
+        (UnnestPlan::Flat(p), true) => p.threshold.map_or(Degree::ZERO, |t| Degree::clamped(t.z)),
+        _ => Degree::ZERO,
+    }
 }
 
 /// Splits a table's local predicates between its scan and the operator that

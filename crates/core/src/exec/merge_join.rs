@@ -16,7 +16,7 @@
 use crate::error::{EngineError, Result};
 use crate::exec::flat::JoinSink;
 use crate::exec::{Executor, PairOutcome};
-use crate::metrics::{OpKind, OperatorMetrics};
+use crate::metrics::OperatorMetrics;
 use crate::plan::PlanCol;
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::{interval_order, Degree, Value};
@@ -159,42 +159,35 @@ where
     Ok(())
 }
 
-impl Executor {
-    /// Streams the sorted outer relation against the sorted inner one,
-    /// invoking `visit(r, Rng(r), m)` once per outer tuple (with an empty
-    /// slice when `Rng(r) = ∅`); `m` is the operator's counter set. The
-    /// window may include dangling tuples whose join degree against `r` is
-    /// 0 — Section 3's caveat; callers skip them via the predicate degree.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn merge_window<F>(
-        &mut self,
-        outer: &StoredTable,
-        oattr: usize,
-        inner: &StoredTable,
-        iattr: usize,
-        alpha: Degree,
-        kind: OpKind,
-        label: String,
-        mut visit: F,
-    ) -> Result<()>
-    where
-        F: FnMut(&Tuple, &[Tuple], &mut OperatorMetrics) -> Result<()>,
-    {
-        let g = self.begin_op(kind, label);
-        // One page for the outer scan; the window holds inner tuples.
-        let mut cursor = RngCursor::new(inner.scan().map(|s| Ok(s?)), iattr, alpha);
-        let mut m = OperatorMetrics::default();
-        for r in outer.scan() {
-            let r = r?;
-            m.tuples_in += 1;
-            cursor.advance(&r.values[oattr], &mut m, drop)?;
-            visit(&r, cursor.window(), &mut m)?;
-        }
-        self.absorb_op(&g, &m);
-        self.end_op(g);
-        Ok(())
+/// Streams the sorted outer relation against the sorted inner one, invoking
+/// `visit(r, Rng(r), m)` once per outer tuple (with an empty slice when
+/// `Rng(r) = ∅`); `m` is the operator's counter set. The window may include
+/// dangling tuples whose join degree against `r` is 0 — Section 3's caveat;
+/// callers skip them via the predicate degree.
+pub(crate) fn merge_window<F>(
+    outer: &StoredTable,
+    oattr: usize,
+    inner: &StoredTable,
+    iattr: usize,
+    alpha: Degree,
+    m: &mut OperatorMetrics,
+    mut visit: F,
+) -> Result<()>
+where
+    F: FnMut(&Tuple, &[Tuple], &mut OperatorMetrics) -> Result<()>,
+{
+    // One page for the outer scan; the window holds inner tuples.
+    let mut cursor = RngCursor::new(inner.scan().map(|s| Ok(s?)), iattr, alpha);
+    for r in outer.scan() {
+        let r = r?;
+        m.tuples_in += 1;
+        cursor.advance(&r.values[oattr], m, drop)?;
+        visit(&r, cursor.window(), m)?;
     }
+    Ok(())
+}
 
+impl Executor {
     /// Interval-partitioned parallel flat merge-join (the `threads > 1` path
     /// of [`JoinMethod::Merge`]).
     ///
@@ -232,26 +225,23 @@ impl Executor {
         inner: &StoredTable,
         iattr: usize,
         alpha: Degree,
-        kind: OpKind,
-        label: String,
         pair_eval: &D,
         capped: bool,
         sink: &mut JoinSink,
+        m: &mut OperatorMetrics,
     ) -> Result<()>
     where
         D: Fn(&Tuple, &Tuple) -> PairOutcome + Sync,
     {
-        let g = self.begin_op(kind, label);
         // Phase 1: serial I/O and window maintenance, as in merge_window.
         let mut cursor = RngCursor::new(inner.scan().map(|s| Ok(s?)), iattr, alpha);
         let mut kept: Vec<Tuple> = Vec::new();
         let mut outer_vec: Vec<Tuple> = Vec::new();
         let mut windows: Vec<Range<u32>> = Vec::new();
-        let mut m = OperatorMetrics::default();
         for r in outer.scan() {
             let r = r?;
             m.tuples_in += 1;
-            cursor.advance(&r.values[oattr], &mut m, |s| kept.push(s))?;
+            cursor.advance(&r.values[oattr], m, |s| kept.push(s))?;
             let start = kept.len();
             let end = u32::try_from(start + cursor.window().len())
                 .map_err(|_| EngineError::Unsupported("inner relation too large".into()))?;
@@ -326,8 +316,6 @@ impl Executor {
                 sink.emit(&outer_vec[i as usize], &kept[j as usize], d)?;
             }
         }
-        self.absorb_op(&g, &m);
-        self.end_op(g);
         Ok(())
     }
 }
@@ -355,11 +343,10 @@ mod tests {
                 &s,
                 1,
                 Degree::ZERO,
-                OpKind::Join,
-                "test".to_string(),
                 &eval,
                 false,
                 &mut sink,
+                &mut OperatorMetrics::default(),
             );
             res.map(|()| match sink {
                 JoinSink::Buffer(rows) => rows,

@@ -36,18 +36,21 @@
 //! sort boundary as in-memory rows (`op::Slot::Rows`) instead of a
 //! temp-table round trip (see DESIGN.md §11).
 //!
-//! Every operator registers in the executor's [`QueryMetrics`] registry
-//! under its declaration's name and accumulates exact counters there (see [`crate::metrics`] for
-//! the determinism contract); the registry is the executor's only counter
-//! surface.
+//! `op::drive` is also the one place an operator is metered: for each node
+//! it registers one [`QueryMetrics`] entry under the declaration's name,
+//! hands the operator a counter set to fill, and charges the node's whole
+//! run — setup, the operator's work and the publishing of its slot — with
+//! its wall time and page I/O (see [`crate::metrics`] for the determinism
+//! contract). Operators only compute; the registry, which
+//! [`Executor::run`] returns with the answer, is the executor's only
+//! counter surface.
 
 use crate::error::Result;
-use crate::metrics::{OpKind, OperatorMetrics, QueryMetrics};
+use crate::metrics::QueryMetrics;
 use crate::verify::VerifiedPlan;
 use fuzzy_core::Degree;
 use fuzzy_rel::{Catalog, Relation, StoredTable};
-use fuzzy_storage::{IoSnapshot, SimDisk};
-use std::time::Instant;
+use fuzzy_storage::SimDisk;
 
 pub(crate) mod agg;
 pub(crate) mod anti;
@@ -61,9 +64,6 @@ pub(crate) mod op;
 pub(crate) mod output;
 pub(crate) mod partitioned;
 pub(crate) mod sort;
-pub(crate) mod threshold;
-
-pub use threshold::{flat_pushdown_alpha, pushdown_alpha};
 
 pub(crate) use bind::{fold_preds, BoundCompare, BoundOperand, Layout};
 pub(crate) use output::project;
@@ -140,63 +140,18 @@ pub(crate) struct PairOutcome {
     pub(crate) pruned: bool,
 }
 
-/// An open operator in the metrics registry: remembers the I/O level and the
-/// clock at `begin_op` so `end_op` can charge the deltas.
-pub(crate) struct OpGuard {
-    pub(crate) id: usize,
-    io0: IoSnapshot,
-    t0: Instant,
-}
-
 /// The physical executor. Temporary files live on the same simulated disk as
 /// the base tables, so every spill and materialization is charged.
 pub struct Executor {
     disk: SimDisk,
     config: ExecConfig,
-    metrics: QueryMetrics,
     temp_counter: u64,
 }
 
 impl Executor {
     /// Creates an executor over the given disk.
     pub fn new(disk: &SimDisk, config: ExecConfig) -> Executor {
-        Executor { disk: disk.clone(), config, metrics: QueryMetrics::default(), temp_counter: 0 }
-    }
-
-    /// The configuration in effect.
-    pub(crate) fn config(&self) -> ExecConfig {
-        self.config
-    }
-
-    /// The per-operator metrics registry of the current/last run.
-    pub fn metrics(&self) -> &QueryMetrics {
-        &self.metrics
-    }
-
-    /// Takes ownership of the registry, leaving an empty one behind.
-    pub fn take_metrics(&mut self) -> QueryMetrics {
-        std::mem::take(&mut self.metrics)
-    }
-
-    /// Clears the registry for a fresh run.
-    pub(crate) fn metrics_reset(&mut self) {
-        self.metrics.reset();
-    }
-
-    /// Opens an operator node; close it with [`Executor::end_op`].
-    pub(crate) fn begin_op(&mut self, kind: OpKind, label: String) -> OpGuard {
-        OpGuard { id: self.metrics.begin(kind, label), io0: self.disk.io(), t0: Instant::now() }
-    }
-
-    /// Folds locally accumulated counters into an open operator node.
-    pub(crate) fn absorb_op(&mut self, g: &OpGuard, m: &OperatorMetrics) {
-        self.metrics.op_mut(g.id).absorb(m);
-    }
-
-    /// Closes an operator node, charging its wall time and I/O delta.
-    pub(crate) fn end_op(&mut self, g: OpGuard) {
-        let io = self.disk.io().since(&g.io0);
-        self.metrics.finish(g.id, g.t0.elapsed(), io);
+        Executor { disk: disk.clone(), config, temp_counter: 0 }
     }
 
     /// A fresh temp table with the same schema/padding as `like`.
@@ -210,13 +165,17 @@ impl Executor {
         format!("__tmp_{tag}_{}", self.temp_counter)
     }
 
-    /// Drives a verified operator tree to completion (see `op::drive`),
-    /// resetting the metrics registry. The tree was lowered and verified
-    /// when the [`VerifiedPlan`] was built; nothing is lowered again here.
-    /// Its scans bind their tables by name through `catalog`, the
-    /// statement's snapshot, so a cached plan reads the data of this run.
-    pub fn run(&mut self, plan: &VerifiedPlan, catalog: &Catalog) -> Result<Relation> {
-        self.metrics_reset();
+    /// Drives a verified operator tree to completion (see `op::drive`) and
+    /// returns the answer with the run's per-operator metrics. The tree was
+    /// lowered and verified when the [`VerifiedPlan`] was built; nothing is
+    /// lowered again here. Its scans bind their tables by name through
+    /// `catalog`, the statement's snapshot, so a cached plan reads the data
+    /// of this run.
+    pub fn run(
+        &mut self,
+        plan: &VerifiedPlan,
+        catalog: &Catalog,
+    ) -> Result<(Relation, QueryMetrics)> {
         op::drive(self, plan.lowered(), catalog)
     }
 }
@@ -225,6 +184,8 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::exec::agg::GroupSet;
+    use crate::exec::merge_join::merge_window;
+    use crate::metrics::{OpKind, OperatorMetrics};
     use crate::plan::{PlanCol, PlanCompare, PlanOperand, PlanTable};
     use fuzzy_core::{CmpOp, Trapezoid, Value};
     use fuzzy_rel::{AttrType, Attribute, Schema, StoredTable, Tuple};
@@ -248,6 +209,11 @@ mod tests {
         }))
         .unwrap();
         t
+    }
+
+    /// `t` ⪯-sorted on X (attribute 1), through the sort operator.
+    fn sorted(ex: &mut Executor, t: &StoredTable) -> StoredTable {
+        ex.sort_table(t, 1, Degree::ZERO, &mut OperatorMetrics::default()).unwrap().0
     }
 
     #[test]
@@ -300,27 +266,18 @@ mod tests {
         let r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0), (20.0, 21.0)]);
         let s = table(&disk, "S", &[(0.0, 2.0), (9.0, 12.0), (15.0, 30.0), (40.0, 41.0)]);
         let mut ex = Executor::new(&disk, ExecConfig::default());
-        let sorted_r = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
-        let sorted_s = ex.sort_table(&s, 1, Degree::ZERO, "sort S by #1".to_string()).unwrap();
+        let (sorted_r, sorted_s) = (sorted(&mut ex, &r), sorted(&mut ex, &s));
         let mut windows: Vec<(f64, Vec<f64>)> = Vec::new();
-        ex.merge_window(
-            &sorted_r,
-            1,
-            &sorted_s,
-            1,
-            Degree::ZERO,
-            OpKind::Join,
-            "test".to_string(),
-            |r, rng, _| {
-                let key = r.values[1].interval().unwrap().0;
-                let ws = rng.iter().map(|s| s.values[1].interval().unwrap().0).collect();
-                windows.push((key, ws));
-                Ok(())
-            },
-        )
+        let mut m = OperatorMetrics::default();
+        merge_window(&sorted_r, 1, &sorted_s, 1, Degree::ZERO, &mut m, |r, rng, _| {
+            let key = r.values[1].interval().unwrap().0;
+            let ws = rng.iter().map(|s| s.values[1].interval().unwrap().0).collect();
+            windows.push((key, ws));
+            Ok(())
+        })
         .unwrap();
         assert_eq!(windows, vec![(0.0, vec![0.0]), (10.0, vec![9.0]), (20.0, vec![15.0]),]);
-        assert_eq!(ex.metrics().totals().pairs_examined, 3);
+        assert_eq!(m.pairs_examined, 3);
     }
 
     #[test]
@@ -332,14 +289,14 @@ mod tests {
         r.file().load([[0u8; 3]]).unwrap();
         for threads in [1, 2] {
             let mut ex = Executor::new(&disk, ExecConfig { threads, ..ExecConfig::default() });
-            let err = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string());
+            let err = ex.sort_table(&r, 1, Degree::ZERO, &mut OperatorMetrics::default());
             assert!(
                 matches!(
                     err,
                     Err(crate::EngineError::Storage(fuzzy_storage::StorageError::Corrupt(_)))
                 ),
                 "threads={threads}: {:?}",
-                err.map(|t| t.num_tuples())
+                err.map(|(t, _)| t.num_tuples())
             );
         }
     }
@@ -355,31 +312,18 @@ mod tests {
         let corrupt = |res: Result<()>| {
             matches!(res, Err(crate::EngineError::Storage(fuzzy_storage::StorageError::Corrupt(_))))
         };
-        let label = || "test".to_string();
-        let mut ex = Executor::new(&disk, ExecConfig::default());
-        let serial =
-            ex.merge_window(&r, 1, &s, 1, Degree::ZERO, OpKind::Join, label(), |_, _, _| Ok(()));
+        let m = &mut OperatorMetrics::default();
+        let serial = merge_window(&r, 1, &s, 1, Degree::ZERO, m, |_, _, _| Ok(()));
         assert!(corrupt(serial), "merge_window");
         let mut ex = Executor::new(&disk, ExecConfig { threads: 2, ..ExecConfig::default() });
         let none =
             |_: &Tuple, _: &Tuple| PairOutcome { degree: None, comparisons: 0, pruned: false };
         let mut sink = flat::JoinSink::Buffer(Vec::new());
-        let parallel = ex.merge_join_parallel(
-            &r,
-            1,
-            &s,
-            1,
-            Degree::ZERO,
-            OpKind::Join,
-            label(),
-            &none,
-            false,
-            &mut sink,
-        );
+        let parallel =
+            ex.merge_join_parallel(&r, 1, &s, 1, Degree::ZERO, &none, false, &mut sink, m);
         assert!(corrupt(parallel), "merge_join_parallel");
         let mut ex = Executor::new(&disk, ExecConfig::default());
-        let partitioned =
-            ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, label(), |_, _, _| Ok(()));
+        let partitioned = ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, m, |_, _, _| Ok(()));
         assert!(corrupt(partitioned), "partitioned_join");
     }
 
@@ -390,22 +334,13 @@ mod tests {
         let r = table(&disk, "R", &[(0.0, 1.0), (50.0, 51.0), (99.0, 100.0)]);
         let s = table(&disk, "S", &[(0.0, 100.0)]);
         let mut ex = Executor::new(&disk, ExecConfig::default());
-        let sorted_r = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
-        let sorted_s = ex.sort_table(&s, 1, Degree::ZERO, "sort S by #1".to_string()).unwrap();
+        let (sorted_r, sorted_s) = (sorted(&mut ex, &r), sorted(&mut ex, &s));
         let mut count = 0;
-        ex.merge_window(
-            &sorted_r,
-            1,
-            &sorted_s,
-            1,
-            Degree::ZERO,
-            OpKind::Join,
-            "test".to_string(),
-            |_, rng, _| {
-                count += rng.len();
-                Ok(())
-            },
-        )
+        let m = &mut OperatorMetrics::default();
+        merge_window(&sorted_r, 1, &sorted_s, 1, Degree::ZERO, m, |_, rng, _| {
+            count += rng.len();
+            Ok(())
+        })
         .unwrap();
         assert_eq!(count, 3, "the wide tuple belongs to all three ranges");
     }
@@ -423,41 +358,71 @@ mod tests {
         let r = table(&disk, "R", &[(10.0, 100.0), (12.0, 20.0)]);
         let s = table(&disk, "S", &[(50.0, 60.0)]);
         let mut ex = Executor::new(&disk, ExecConfig::default());
-        let sorted_r = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
-        let sorted_s = ex.sort_table(&s, 1, Degree::ZERO, "sort S by #1".to_string()).unwrap();
+        let (sorted_r, sorted_s) = (sorted(&mut ex, &r), sorted(&mut ex, &s));
         let mut seen = Vec::new();
-        ex.merge_window(
-            &sorted_r,
-            1,
-            &sorted_s,
-            1,
-            Degree::ZERO,
-            OpKind::Join,
-            "test".to_string(),
-            |r, rng, _| {
-                for s in rng {
-                    seen.push(r.values[1].compare(CmpOp::Eq, &s.values[1]).is_positive());
-                }
-                Ok(())
-            },
-        )
+        let m = &mut OperatorMetrics::default();
+        merge_window(&sorted_r, 1, &sorted_s, 1, Degree::ZERO, m, |r, rng, _| {
+            for s in rng {
+                seen.push(r.values[1].compare(CmpOp::Eq, &s.values[1]).is_positive());
+            }
+            Ok(())
+        })
         .unwrap();
         assert_eq!(seen, vec![true, false], "join for [10,100], dangling for [12,20]");
     }
 
+    /// The driver meters every tree node: one registry node per outline op,
+    /// in outline order, under the op's name and with the kind its name
+    /// implies (a select is a scan); the operators' page I/O adds up to the
+    /// disk's.
     #[test]
-    fn operators_register_in_the_metrics_registry() {
+    fn the_driver_registers_one_node_per_outline_op() {
         let disk = SimDisk::with_default_page_size();
-        let r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0)]);
-        let mut ex = Executor::new(&disk, ExecConfig::default());
-        let sorted = ex.sort_table(&r, 1, Degree::ZERO, "sort R by #1".to_string()).unwrap();
-        let _ = sorted;
-        let ops = ex.metrics().ops();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].kind, OpKind::Sort);
-        assert_eq!(ops[0].label, "sort R by #1");
-        assert_eq!(ops[0].metrics.tuples_in, 2);
-        assert_eq!(ex.metrics().totals().sort_runs, ops[0].metrics.sort_runs);
+        let mut catalog = Catalog::new();
+        catalog.register(table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0), (20.0, 21.0)]));
+        catalog.register(table(&disk, "S", &[(0.0, 2.0), (9.0, 12.0), (40.0, 41.0)]));
+        let kind = |name: &str| match name.split(' ').next().unwrap_or_default() {
+            "scan" | "select" => OpKind::Scan,
+            "sort" => OpKind::Sort,
+            "merge-join" | "partitioned-join" | "nested-loop" => OpKind::Join,
+            "anti-merge" | "anti-scan" | "nested-loop-anti" => OpKind::Anti,
+            "agg-merge" | "agg-scan" | "agg-const" | "nested-loop-agg" => OpKind::Aggregate,
+            "output" => OpKind::Output,
+            other => panic!("no kind for operator {other:?}"),
+        };
+        let queries = [
+            "SELECT R.ID FROM R WHERE R.X > 5",
+            "SELECT R.ID, S.ID FROM R, S WHERE R.X = S.X",
+            "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S WHERE S.ID = R.ID)",
+            "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S)",
+            "SELECT R.ID FROM R WHERE R.X <= (SELECT MAX(S.X) FROM S WHERE S.ID = R.ID)",
+            "SELECT R.ID FROM R WHERE R.X > (SELECT MAX(S.X) FROM S)",
+        ];
+        let partitioned = ExecConfig { join_method: JoinMethod::Partitioned, ..Default::default() };
+        let runs = [
+            (crate::Strategy::Unnest, ExecConfig::default()),
+            (crate::Strategy::Unnest, partitioned),
+            (crate::Strategy::NestedLoop, ExecConfig::default()),
+        ];
+        for sql in queries {
+            let plan = crate::build_plan(&fuzzy_sql::parse(sql).unwrap(), &catalog).unwrap();
+            for (strategy, config) in runs {
+                let verified = VerifiedPlan::new(&plan, strategy, &config, &catalog, None).unwrap();
+                let io0 = disk.io();
+                let (_, metrics) = Executor::new(&disk, config).run(&verified, &catalog).unwrap();
+                let io = disk.io().since(&io0);
+                let ops = metrics.ops();
+                let outline = &verified.lowered().outline.ops;
+                let what = format!("{sql} under {strategy:?}");
+                assert_eq!(ops.len(), outline.len(), "{what}");
+                for (node, declared) in ops.iter().zip(outline) {
+                    assert_eq!(node.label, declared.name, "{what}");
+                    assert_eq!(node.kind, kind(&declared.name), "{what}: {}", declared.name);
+                }
+                let t = metrics.totals();
+                assert_eq!((t.page_reads, t.page_writes), (io.reads, io.writes), "{what}");
+            }
+        }
     }
 
     #[test]
@@ -533,7 +498,8 @@ mod tests {
         catalog.register(stored.clone());
         let mut ex = Executor::new(&disk, ExecConfig::default());
         // No predicates: the very same file is reused.
-        let same = ex.filter_scan(&r, &catalog, Degree::ZERO, "scan R".to_string()).unwrap();
+        let m = &mut OperatorMetrics::default();
+        let same = ex.filter_scan(&r, &catalog, Degree::ZERO, m).unwrap();
         assert_eq!(same.num_pages(), stored.num_pages());
         // With a predicate, only survivors are materialized.
         r.local_preds.push(PlanCompare::new(
@@ -541,7 +507,7 @@ mod tests {
             CmpOp::Ge,
             PlanOperand::Const(Value::number(1.0)),
         ));
-        let reduced = ex.filter_scan(&r, &catalog, Degree::ZERO, "scan R".to_string()).unwrap();
+        let reduced = ex.filter_scan(&r, &catalog, Degree::ZERO, m).unwrap();
         assert_eq!(reduced.num_tuples(), 1);
     }
 
@@ -556,12 +522,13 @@ mod tests {
         // A rewrite swaps R's file: the same plan table reads the new one.
         let fresh = table(&disk, "R", &[(5.0, 6.0)]);
         catalog.replace_file("R", fresh.file().clone());
-        let scanned = ex.filter_scan(&r, &catalog, Degree::ZERO, "scan R".to_string()).unwrap();
+        let m = &mut OperatorMetrics::default();
+        let scanned = ex.filter_scan(&r, &catalog, Degree::ZERO, m).unwrap();
         assert_eq!(scanned.num_tuples(), 1);
         // A table the snapshot lacks, or whose schema moved, is a bind error.
         let bind_err = |catalog: &Catalog, ex: &mut Executor| {
             matches!(
-                ex.filter_scan(&r, catalog, Degree::ZERO, "scan R".to_string()),
+                ex.filter_scan(&r, catalog, Degree::ZERO, &mut OperatorMetrics::default()),
                 Err(crate::EngineError::Bind(_))
             )
         };

@@ -3,8 +3,7 @@
 //! semantics every plan root must deliver (`V-DUP-MAX`) — and applies the
 //! final `WITH D > z` threshold exactly.
 
-use crate::exec::{threshold, Executor};
-use crate::metrics::OpKind;
+use crate::metrics::OperatorMetrics;
 use crate::plan::PlanCol;
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::{Degree, Value};
@@ -29,35 +28,24 @@ pub(crate) fn project(t: &Tuple, idx: &[usize]) -> Vec<Value> {
     idx.iter().map(|&i| t.values[i].clone()).collect()
 }
 
-/// Dedups rows by fuzzy OR and applies the final threshold.
+/// Final answer assembly: fuzzy-OR dedup plus the `WITH` threshold.
+/// `tuples_in` is the number of rows the upstream operator delivered, after
+/// a join's answer sink folded consecutive equal rows; `tuples_out` the
+/// deduplicated, thresholded answer cardinality.
 pub(crate) fn finish(
     schema: Schema,
     rows: Vec<(Vec<Value>, Degree)>,
     threshold: Option<Threshold>,
+    m: &mut OperatorMetrics,
 ) -> Relation {
-    threshold::apply_threshold(Relation::from_dedup_rows(schema, rows), threshold)
-}
-
-impl Executor {
-    /// Final answer assembly as a registered operator: fuzzy-OR dedup plus
-    /// the `WITH` threshold. `tuples_in` is the number of rows the upstream
-    /// operator delivered, after a join's answer sink folded consecutive
-    /// equal rows; `tuples_out` the deduplicated, thresholded answer
-    /// cardinality.
-    pub(crate) fn finish_op(
-        &mut self,
-        schema: Schema,
-        rows: Vec<(Vec<Value>, Degree)>,
-        threshold: Option<Threshold>,
-        label: String,
-    ) -> Relation {
-        let g = self.begin_op(OpKind::Output, label);
-        let emitted = rows.len() as u64;
-        let rel = finish(schema, rows, threshold);
-        let m = self.metrics.op_mut(g.id);
-        m.tuples_in = emitted;
-        m.tuples_out = rel.len() as u64;
-        self.end_op(g);
-        rel
-    }
+    m.tuples_in = rows.len() as u64;
+    let rel = Relation::from_dedup_rows(schema, rows);
+    // The exact filter at the plan root: a pushed-down bound inside the
+    // pipeline only ever pre-prunes rows this filter rejects anyway.
+    let rel = match threshold {
+        Some(t) => rel.with_threshold(Degree::clamped(t.z), t.strict),
+        None => rel,
+    };
+    m.tuples_out = rel.len() as u64;
+    rel
 }

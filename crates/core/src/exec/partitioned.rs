@@ -35,7 +35,7 @@ use crate::error::Result;
 use crate::exec::merge_join::RngCursor;
 use crate::exec::sort::sort_tuples;
 use crate::exec::Executor;
-use crate::metrics::{OpKind, OperatorMetrics};
+use crate::metrics::OperatorMetrics;
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::Degree;
 use fuzzy_rel::{StoredTable, Tuple};
@@ -56,10 +56,10 @@ impl Executor {
     /// Streams the joining pairs of `outer ⋈ inner` on the given attributes
     /// via partitioning. `visit` receives every pair whose α-cut intervals
     /// intersect (possibly more than once, across shared partitions), plus
-    /// the operator's counter set. The whole join — sampling, partitioning,
-    /// and the per-partition window scans — registers as one operator node
-    /// and runs serially regardless of `ExecConfig::threads` (see the
-    /// module docs).
+    /// the operator's counter set `m`. The whole join — sampling,
+    /// partitioning, and the per-partition window scans — is one operator
+    /// and runs serially regardless of `ExecConfig::threads` (see the module
+    /// docs).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn partitioned_join<F>(
         &mut self,
@@ -68,18 +68,16 @@ impl Executor {
         inner: &StoredTable,
         iattr: usize,
         alpha: Degree,
-        label: String,
+        m: &mut OperatorMetrics,
         mut visit: F,
     ) -> Result<()>
     where
         F: FnMut(&Tuple, &Tuple, &mut OperatorMetrics) -> Result<()>,
     {
-        let g = self.begin_op(OpKind::Join, label);
-        let mut m = OperatorMetrics::default();
         // --- 1. Sample the inner relation's value distribution. -------------
         // Partition count: each inner partition should fit in roughly half
         // the buffer, leaving room for the outer side.
-        let budget = (self.config().buffer_pages / 2).max(1) as u64;
+        let budget = (self.config.buffer_pages / 2).max(1) as u64;
         let parts = inner.num_pages().div_ceil(budget).max(1) as usize;
         let boundaries = if parts > 1 {
             self.sample_boundaries(inner, iattr, alpha, parts)?
@@ -117,13 +115,11 @@ impl Executor {
                 for s in cursor.meeting(rv) {
                     m.pairs_examined += 1;
                     window += 1;
-                    visit(r, s, &mut m)?;
+                    visit(r, s, m)?;
                 }
                 m.max_window = m.max_window.max(window);
             }
         }
-        self.absorb_op(&g, &m);
-        self.end_op(g);
         Ok(())
     }
 
@@ -244,12 +240,13 @@ mod tests {
         let r = table(&disk, "R", 300, 1);
         let s = table(&disk, "S", 300, 2);
         // A small buffer forces several partitions.
+        let m = &mut OperatorMetrics::default();
         let mut ex = Executor::new(
             &disk,
             ExecConfig { buffer_pages: 4, sort_pages: 4, ..Default::default() },
         );
         let mut seen = std::collections::HashSet::new();
-        ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, "test".to_string(), |rt, st, _| {
+        ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, m, |rt, st, _| {
             seen.insert((
                 rt.values[0].as_number().unwrap() as u64,
                 st.values[0].as_number().unwrap() as u64,
@@ -281,11 +278,12 @@ mod tests {
         let disk = SimDisk::with_default_page_size();
         let r = table(&disk, "R", 120, 3);
         let s = table(&disk, "S", 120, 4);
+        let m = &mut OperatorMetrics::default();
         let mut ex = Executor::new(
             &disk,
             ExecConfig { buffer_pages: 4, sort_pages: 4, ..Default::default() },
         );
-        ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, "test".to_string(), |rt, st, _| {
+        ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, m, |rt, st, _| {
             let d = rt.values[1].compare(CmpOp::Eq, &st.values[1]);
             // Window pairs intersect at alpha 0, but the exact degree may
             // still be anything in [0, 1].
@@ -300,9 +298,10 @@ mod tests {
         let disk = SimDisk::with_default_page_size();
         let r = table(&disk, "R", 50, 5);
         let s = table(&disk, "S", 50, 6);
+        let m = &mut OperatorMetrics::default();
         let mut ex = Executor::new(&disk, ExecConfig::default()); // huge buffer: 1 partition
         let mut pairs = 0usize;
-        ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, "test".to_string(), |_, _, _| {
+        ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, m, |_, _, _| {
             pairs += 1;
             Ok(())
         })
@@ -315,9 +314,10 @@ mod tests {
         let disk = SimDisk::with_default_page_size();
         let r = table(&disk, "R", 0, 7);
         let s = table(&disk, "S", 40, 8);
+        let m = &mut OperatorMetrics::default();
         let mut ex = Executor::new(&disk, ExecConfig::default());
         let mut pairs = 0usize;
-        ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, "test".to_string(), |_, _, _| {
+        ex.partitioned_join(&r, 1, &s, 1, Degree::ZERO, m, |_, _, _| {
             pairs += 1;
             Ok(())
         })

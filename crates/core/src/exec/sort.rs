@@ -8,13 +8,13 @@
 use crate::error::{EngineError, Result};
 use crate::exec::op::Slot;
 use crate::exec::{Executor, Layout};
-use crate::metrics::OpKind;
+use crate::metrics::{OperatorMetrics, SortPhases};
 use crate::plan::PlanCol;
 use crate::verify::{PhysOp, Prop};
 use fuzzy_core::interval_order::OrderKey;
 use fuzzy_core::{Degree, Value};
 use fuzzy_rel::{Schema, StoredTable, Tuple};
-use fuzzy_storage::{external_sort_parallel, external_sort_records, sort_keys, Prefix};
+use fuzzy_storage::{external_sort_parallel, external_sort_records, sort_keys, Prefix, SortStats};
 
 /// The `⪯` sort key of `v` at the α-cut `alpha`: its normalized prefix,
 /// which decides most comparisons with two integer compares, and the full
@@ -88,43 +88,54 @@ pub(crate) fn declared_properties_bound(
     )
 }
 
+/// Charges an external sort of `n` tuples to `m` and returns its phase
+/// times.
+fn charge(m: &mut OperatorMetrics, n: u64, stats: &SortStats) -> SortPhases {
+    m.tuples_in = n;
+    m.tuples_out = n;
+    m.sort_runs = stats.initial_runs as u64;
+    m.sort_comparisons = stats.comparisons;
+    SortPhases { generation: stats.gen_time, merge: stats.merge_time }
+}
+
 impl Executor {
     /// The sort operator: sorts its input — a stored table or a pipelined
-    /// row buffer laid out as `layout` — by `col` at the α-cut `alpha`.
+    /// row buffer laid out as `layout` — by `col` at the α-cut `alpha`, and
+    /// returns the sorted table with the sort's phase times.
     pub(crate) fn sort_input(
         &mut self,
         input: Slot,
         layout: &Layout,
         col: &PlanCol,
         alpha: Degree,
-        label: String,
-    ) -> Result<StoredTable> {
+        m: &mut OperatorMetrics,
+    ) -> Result<(StoredTable, SortPhases)> {
         let attr = layout.resolve(col)?;
         match input {
-            Slot::Rows(rows) => self.sort_rows(rows, layout.to_schema(), attr, alpha, label),
-            Slot::Table(t) => self.sort_table(&t, attr, alpha, label),
-            _ => Err(EngineError::Verify(format!("input of {label} is neither a table nor rows"))),
+            Slot::Rows(rows) => self.sort_rows(rows, layout.to_schema(), attr, alpha, m),
+            Slot::Table(t) => self.sort_table(&t, attr, alpha, m),
+            _ => Err(EngineError::Verify(format!(
+                "input of sort by {col} is neither a table nor rows"
+            ))),
         }
     }
 
     /// Sorts a table by the interval order `⪯` of the α-cut intervals on
-    /// attribute `attr` (α = 0 is the paper's support order), attributing
-    /// run counts, comparisons, and spill I/O to a registered sort operator.
-    /// The sort key is the attribute's [`order_key`] at `alpha` (the α-cut
-    /// endpoints as a normalized prefix, then the full [`OrderKey`]),
-    /// extracted once per record read, so no comparison recomputes an α-cut;
-    /// a record whose attribute does not decode fails the sort with
-    /// `StorageError::Corrupt`. Run generation parallelizes across
-    /// `ExecConfig::threads` with bit-identical batch cuts and counters (see
-    /// `external_sort_parallel`).
+    /// attribute `attr` (α = 0 is the paper's support order), counting its
+    /// runs and comparisons in `m`. The sort key is the attribute's
+    /// [`order_key`] at `alpha` (the α-cut endpoints as a normalized prefix,
+    /// then the full [`OrderKey`]), extracted once per record read, so no
+    /// comparison recomputes an α-cut; a record whose attribute does not
+    /// decode fails the sort with `StorageError::Corrupt`. Run generation
+    /// parallelizes across `ExecConfig::threads` with bit-identical batch
+    /// cuts and counters (see `external_sort_parallel`).
     pub(crate) fn sort_table(
         &mut self,
         table: &StoredTable,
         attr: usize,
         alpha: Degree,
-        label: String,
-    ) -> Result<StoredTable> {
-        let g = self.begin_op(OpKind::Sort, label);
+        m: &mut OperatorMetrics,
+    ) -> Result<(StoredTable, SortPhases)> {
         let (file, stats) = external_sort_parallel(
             &self.disk,
             table.file(),
@@ -133,14 +144,8 @@ impl Executor {
             |r| record_key(r, attr, alpha),
             OrderKey::cmp_key,
         )?;
-        let m = self.metrics.op_mut(g.id);
-        m.tuples_in = table.num_tuples();
-        m.tuples_out = table.num_tuples();
-        m.sort_runs = stats.initial_runs as u64;
-        m.sort_comparisons = stats.comparisons;
-        self.metrics.add_sort_phases(g.id, stats.gen_time, stats.merge_time);
-        self.end_op(g);
-        Ok(table.with_file(self.temp_name("sorted"), file))
+        let phases = charge(m, table.num_tuples(), &stats);
+        Ok((table.with_file(self.temp_name("sorted"), file), phases))
     }
 
     /// Sorts an in-memory pipelined row buffer — the output of an upstream
@@ -159,9 +164,8 @@ impl Executor {
         schema: Schema,
         attr: usize,
         alpha: Degree,
-        label: String,
-    ) -> Result<StoredTable> {
-        let g = self.begin_op(OpKind::Sort, label);
+        m: &mut OperatorMetrics,
+    ) -> Result<(StoredTable, SortPhases)> {
         let n = rows.len() as u64;
         let (file, stats) = external_sort_records(
             &self.disk,
@@ -170,15 +174,9 @@ impl Executor {
             |r| record_key(r, attr, alpha),
             OrderKey::cmp_key,
         )?;
-        let m = self.metrics.op_mut(g.id);
-        m.tuples_in = n;
-        m.tuples_out = n;
-        m.sort_runs = stats.initial_runs as u64;
-        m.sort_comparisons = stats.comparisons;
-        self.metrics.add_sort_phases(g.id, stats.gen_time, stats.merge_time);
-        self.end_op(g);
+        let phases = charge(m, n, &stats);
         let shell_name = self.temp_name("pipe");
         let shell = StoredTable::create(&self.disk, shell_name, schema);
-        Ok(shell.with_file(self.temp_name("sorted"), file))
+        Ok((shell.with_file(self.temp_name("sorted"), file), phases))
     }
 }

@@ -18,13 +18,20 @@
 //! the phase split [`OperatorNode::sort_phases`]), outside
 //! [`OperatorMetrics`], and is excluded from [`QueryMetrics::deterministic`].
 //!
+//! The executor's operators never touch the registry: the tree driver
+//! (`exec::op::drive`) registers each node, hands its operator a fresh
+//! [`OperatorMetrics`] to fill, and charges the node's whole run — setup,
+//! the operator's work and the publishing of its output slot — with its
+//! wall time and page I/O. So the operators' page counters add up to the
+//! statement's I/O.
+//!
 //! The page counters hold that contract only while the statement runs
 //! alone. `page_reads` and `page_writes` are deltas of the disk-wide
-//! `SimDisk::io()` counter, taken between an operator's `Executor::begin_op`
-//! and `end_op` (the statement's own I/O total is taken the same way), so
-//! the page I/O that concurrent sessions do on the same disk in that
-//! interval is added to them. Every other counter stays exact under
-//! concurrency.
+//! `SimDisk::io()` counter, taken by the driver before a node's operator
+//! starts and after its slot is published (the statement's own I/O total is
+//! taken the same way), so the page I/O that concurrent sessions do on the
+//! same disk in that interval is added to them. Every other counter stays
+//! exact under concurrency.
 
 use fuzzy_storage::IoSnapshot;
 use std::time::Duration;

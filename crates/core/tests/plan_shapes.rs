@@ -367,14 +367,10 @@ fn statistics_aware_ordering_beats_the_blind_heuristic() {
     let config = ExecConfig { buffer_pages: 16, sort_pages: 16, ..Default::default() };
     // Blind: the plan lowered without statistics, driven directly.
     let plan = build_plan(&parse(sql).unwrap(), &catalog).unwrap();
-    let mut ex = Executor::new(&disk, config);
-    let blind_answer = ex
-        .run(
-            &VerifiedPlan::new(&plan, Strategy::Unnest, &config, &catalog, None).unwrap(),
-            &catalog,
-        )
-        .unwrap();
-    let blind_pairs = ex.take_metrics().totals().pairs_examined;
+    let verified = VerifiedPlan::new(&plan, Strategy::Unnest, &config, &catalog, None).unwrap();
+    let (blind_answer, blind_metrics) =
+        Executor::new(&disk, config).run(&verified, &catalog).unwrap();
+    let blind_pairs = blind_metrics.totals().pairs_examined;
     // Informed: an engine lowers with its context's histograms. Warm them so
     // the comparison isn't polluted by ANALYZE scans.
     let engine = Engine::over(catalog.into(), &disk).with_config(config);

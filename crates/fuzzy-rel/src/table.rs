@@ -59,17 +59,6 @@ impl StoredTable {
         w.finish()
     }
 
-    /// Materializes an in-memory relation into a stored table.
-    pub fn from_relation(
-        disk: &SimDisk,
-        name: impl Into<String>,
-        rel: &Relation,
-    ) -> Result<StoredTable> {
-        let t = StoredTable::create(disk, name, rel.schema().clone());
-        t.load(rel.tuples().iter().cloned())?;
-        Ok(t)
-    }
-
     /// The table name.
     pub fn name(&self) -> &str {
         &self.name
@@ -178,13 +167,12 @@ mod tests {
     }
 
     #[test]
-    fn from_relation_and_with_file() {
+    fn with_file_shares_the_file_under_a_new_name() {
         let disk = SimDisk::with_default_page_size();
-        let rel = Relation::from_tuples(schema(), [tup(1.0, "Ann", 0.9)]);
-        let t = StoredTable::from_relation(&disk, "ppl", &rel).unwrap();
-        assert_eq!(t.name(), "ppl");
-        assert_eq!(t.num_tuples(), 1);
+        let t = StoredTable::create(&disk, "ppl", schema());
+        t.load([tup(1.0, "Ann", 0.9)]).unwrap();
         let clone = t.with_file("ppl_sorted", t.file().clone());
+        assert_eq!(clone.name(), "ppl_sorted");
         assert_eq!(clone.num_tuples(), 1);
         assert_eq!(clone.schema(), t.schema());
     }

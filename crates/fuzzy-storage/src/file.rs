@@ -21,15 +21,6 @@ use crate::error::{Result, StorageError};
 use crate::page::{Page, PageView};
 use std::sync::{Arc, Mutex};
 
-/// Identifier of a record inside a heap file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RecordId {
-    /// Index into the file's page table (not the disk page id).
-    pub page_index: u32,
-    /// Slot within the page.
-    pub slot: u16,
-}
-
 #[derive(Debug)]
 struct FileInner {
     pages: Vec<PageId>,

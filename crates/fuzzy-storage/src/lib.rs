@@ -56,7 +56,7 @@ pub mod sort;
 pub use cost::{CostModel, Measurement};
 pub use disk::{IoSnapshot, PageId, SimDisk, DEFAULT_PAGE_SIZE};
 pub use error::{panic_message, Result, StorageError};
-pub use file::{HeapFile, RecordId, RecordScan};
+pub use file::{HeapFile, RecordScan};
 pub use page::{Page, PageView};
 pub use sort::{
     estimated_initial_runs, external_sort, external_sort_parallel, external_sort_records,

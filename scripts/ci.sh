@@ -210,18 +210,42 @@ if [[ -n "$handles" ]]; then
 fi
 
 echo "==> operator declarations (the verifier checks the tree that runs)"
-# Every exec/ operator module that opens a metered operator (begin_op, i.e.
-# constructs an OpGuard) must also carry its physical-property declaration;
-# mod.rs is the executor shell that *defines* begin_op.
+# Every exec/ module that implements an operator on the executor (an
+# `impl Executor` block) must also carry its physical-property declaration;
+# mod.rs is the executor shell that *defines* Executor.
 undeclared=$(for f in crates/core/src/exec/*.rs; do
   [[ "$f" == */mod.rs ]] && continue
-  if grep -q 'begin_op(' "$f" && ! grep -q 'declared_properties' "$f"; then
+  if grep -q '^impl Executor' "$f" && ! grep -q 'declared_properties' "$f"; then
     echo "$f"
   fi
 done)
 if [[ -n "$undeclared" ]]; then
-  echo "error: operator module(s) construct an OpGuard without a declared_properties impl:" >&2
+  echo "error: operator module(s) implement Executor without a declared_properties impl:" >&2
   echo "$undeclared" >&2
+  exit 1
+fi
+
+echo "==> one metering site (op::drive registers, times and charges every operator)"
+# `op::drive` in exec/op.rs opens and closes each tree node's registry entry
+# (`QueryMetrics::begin` / `finish`); operators only fill the counter set it
+# hands them. The naive evaluator, which has no operator tree, is metered by
+# engine.rs's `run_naive_metered`. Any other non-test call would charge an
+# operator's work outside the driver, or twice.
+metering=$(non_test $(find crates/core/src src -name '*.rs' | sort) | awk '
+  /^[^:]+:[0-9]+: *\/\// { next }
+  { file = $0; sub(/:.*/, "", file) }
+  file != last_file { fn_name = ""; last_file = file }
+  /(^|[^_[:alnum:]])fn [_[:alnum:]]+/ { fn_name = $0; sub(/.*fn /, "", fn_name); sub(/[^_[:alnum:]].*/, "", fn_name) }
+  /\.begin\(|\.finish\([^)]|QueryMetrics::(begin|finish)/ {
+    if (file == "crates/core/src/exec/op.rs") next
+    if (file == "crates/core/src/engine.rs" && fn_name == "run_naive_metered") next
+    print
+  }
+' || true)
+if [[ -n "$metering" ]]; then
+  echo "error: operator metered outside op::drive (and the naive path in engine.rs) —" >&2
+  echo "fill the OperatorMetrics the driver hands the operator instead:" >&2
+  echo "$metering" >&2
   exit 1
 fi
 

@@ -308,14 +308,7 @@ impl Session {
                     .table(&table)
                     .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?
                     .clone();
-                if values.len() != stored.schema().len() {
-                    return Err(EngineError::Bind(format!(
-                        "{} values for {} columns of {}",
-                        values.len(),
-                        stored.schema().len(),
-                        stored.name()
-                    )));
-                }
+                check_arity(&stored, values.len())?;
                 let vals = values
                     .iter()
                     .enumerate()
@@ -411,13 +404,15 @@ impl Session {
 
     /// Inserts one tuple (exclusive lock). Tuples with degree 0 are not
     /// members and are silently skipped, matching the membership criterion
-    /// of Section 2. A data write: the schema version stays, so cached plans
-    /// and prepared queries stay valid and read the new row.
+    /// of Section 2. A tuple whose arity or values do not fit the table's
+    /// schema is a bind error. A data write: the schema version stays, so
+    /// cached plans and prepared queries stay valid and read the new row.
     pub fn insert(&self, table: &str, tuple: Tuple) -> Result<(), EngineError> {
         self.write_locked(|_s, cat| {
             let t = cat
                 .table(table)
                 .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
+            check_tuple(t, &tuple)?;
             if tuple.degree.is_positive() {
                 t.file().append(&tuple.encode(t.min_record_bytes()))?;
             }
@@ -425,9 +420,11 @@ impl Session {
         })
     }
 
-    /// Bulk-loads tuples into a table (exclusive lock). A data write like
-    /// [`Session::insert`]: cached plans keep the join order they were
-    /// built with; run `ANALYZE` to re-plan after a large load.
+    /// Bulk-loads tuples into a table (exclusive lock). Every tuple is
+    /// checked against the schema, as [`Session::insert`] checks one, before
+    /// any is written. A data write like [`Session::insert`]: cached plans
+    /// keep the join order they were built with; run `ANALYZE` to re-plan
+    /// after a large load.
     pub fn load<I: IntoIterator<Item = Tuple>>(
         &self,
         table: &str,
@@ -437,6 +434,8 @@ impl Session {
             let t = cat
                 .table(table)
                 .ok_or_else(|| EngineError::Bind(format!("unknown table {table:?}")))?;
+            let tuples: Vec<Tuple> = tuples.into_iter().collect();
+            tuples.iter().try_for_each(|tuple| check_tuple(t, tuple))?;
             t.load(tuples)?;
             Ok(())
         })
@@ -526,6 +525,41 @@ impl Session {
             Ok(StatementResult::Affected(affected))
         })
     }
+}
+
+/// Checks that a row of `n` values has one value per column of `table`.
+fn check_arity(table: &StoredTable, n: usize) -> Result<(), EngineError> {
+    let columns = table.schema().len();
+    if n != columns {
+        return Err(EngineError::Bind(format!(
+            "{n} values for {columns} columns of {}",
+            table.name()
+        )));
+    }
+    Ok(())
+}
+
+/// Checks a tuple against `table`'s schema before it is written: one value
+/// per column ([`check_arity`], which the INSERT statement shares), each of
+/// its column's type. NULL fits any column.
+fn check_tuple(table: &StoredTable, tuple: &Tuple) -> Result<(), EngineError> {
+    use fuzzy_core::Value;
+    use fuzzy_rel::AttrType;
+    check_arity(table, tuple.values.len())?;
+    for (v, attr) in tuple.values.iter().zip(table.schema().attributes()) {
+        let fits = match v {
+            Value::Null => true,
+            Value::Text(_) => attr.ty == AttrType::Text,
+            Value::Number(_) | Value::Fuzzy(_) => attr.ty == AttrType::Number,
+        };
+        if !fits {
+            return Err(EngineError::Bind(format!(
+                "value {v:?} does not fit {:?} column {}",
+                attr.ty, attr.name
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Resolves an INSERT/UPDATE value operand against the target column.

@@ -276,3 +276,63 @@ fn analyze_scans_a_table_once() {
     assert_eq!(affected(&db.execute("ANALYZE WIDE").unwrap()), 2);
     assert_eq!(db.disk().io().reads, before);
 }
+
+/// A two-column R (ID, X) and an S holding one row.
+fn two_column_db() -> Database {
+    let db = Database::new();
+    for stmt in [
+        "CREATE TABLE R (ID NUMBER, X NUMBER)",
+        "CREATE TABLE S (NAME TEXT, X NUMBER)",
+        "INSERT INTO S VALUES ('s', 1)",
+    ] {
+        db.execute(stmt).unwrap_or_else(|e| panic!("{stmt}: {e}"));
+    }
+    db
+}
+
+/// `insert` checks a tuple against the table's schema before writing it: a
+/// wrong arity or a value of the wrong type is a bind error and writes
+/// nothing, so every strategy still reads the table. NULL fits any column.
+#[test]
+fn insert_rejects_a_tuple_that_does_not_fit_the_schema() {
+    let db = two_column_db();
+    let bad = [
+        Tuple::full(vec![Value::number(1.0)]),
+        Tuple::full(vec![Value::number(1.0), Value::number(2.0), Value::number(3.0)]),
+        Tuple::full(vec![Value::number(1.0), Value::text("one")]),
+    ];
+    for tuple in bad {
+        let err = db.insert("R", tuple.clone());
+        assert!(matches!(err, Err(EngineError::Bind(_))), "{tuple:?}: {err:?}");
+    }
+    let err = db.insert("S", Tuple::full(vec![Value::number(1.0), Value::number(1.0)]));
+    assert!(matches!(err, Err(EngineError::Bind(_))), "a number in a text column: {err:?}");
+    assert_eq!(db.catalog().table("R").unwrap().num_tuples(), 0);
+    db.insert("R", Tuple::full(vec![Value::number(1.0), Value::Null])).unwrap();
+    db.insert("R", Tuple::full(vec![Value::number(2.0), Value::number(1.0)])).unwrap();
+    let sql = "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S)";
+    for strategy in [Strategy::Naive, Strategy::Unnest, Strategy::NestedLoop] {
+        let out = db.query(sql).strategy(strategy).run().unwrap();
+        assert_eq!(out.answer.len(), 1, "{strategy:?}");
+    }
+}
+
+/// `load` checks every tuple before it writes any: one tuple that does not
+/// fit fails the whole load with a bind error and leaves the table empty.
+#[test]
+fn load_writes_nothing_when_a_tuple_does_not_fit() {
+    let db = two_column_db();
+    let rows = |bad: Tuple| {
+        (0..3).map(|i| Tuple::full(vec![Value::number(i as f64), Value::number(1.0)])).chain([bad])
+    };
+    for bad in [
+        Tuple::full(vec![Value::number(9.0)]),
+        Tuple::full(vec![Value::number(9.0), Value::text("nine")]),
+    ] {
+        let err = db.load("R", rows(bad.clone()));
+        assert!(matches!(err, Err(EngineError::Bind(_))), "{bad:?}: {err:?}");
+        assert_eq!(db.catalog().table("R").unwrap().num_tuples(), 0, "{bad:?}");
+    }
+    db.load("R", rows(Tuple::full(vec![Value::Null, Value::Null]))).unwrap();
+    assert_eq!(db.catalog().table("R").unwrap().num_tuples(), 4);
+}
