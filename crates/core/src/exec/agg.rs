@@ -1,27 +1,126 @@
 //! The aggregate operator: pipelined T1/T2/COUNT′ evaluation (Theorem 6.1
 //! and the type-A constant case) with the COUNT outer-join IF-THEN-ELSE for
-//! empty groups, plus [`GroupSet`], the fuzzy set `T(r)` an aggregate is
-//! applied to. Under the nested-loop baselines the same evaluation runs
-//! over a block nested loop that builds `T(r)` per outer tuple.
+//! empty groups, plus [`Accumulator`], what each group is folded into before
+//! the aggregate is applied. Under the nested-loop baselines the same
+//! evaluation runs over a block nested loop with one accumulator per outer
+//! tuple.
 
 use crate::error::{EngineError, Result};
 use crate::exec::lower::{declare_two_input, Access};
 use crate::exec::merge_join::merge_window;
 use crate::exec::{fold_preds, BoundOperand, Executor, Layout};
 use crate::metrics::OperatorMetrics;
-use crate::naive::apply_aggregate;
-use crate::plan::{AggPlan, PlanCol, PlanCompare, PlanOperand};
+use crate::naive::{apply_aggregate, non_numeric_operand};
+use crate::plan::{AggDegree, AggPlan, PlanCol, PlanCompare, PlanOperand};
 use crate::verify::PhysOp;
+use fuzzy_core::arith::defuzz_cmp;
 use fuzzy_core::hash::ValueHashBuilder;
-use fuzzy_core::{CmpOp, Degree, Value};
+use fuzzy_core::{CmpOp, Degree, Trapezoid, Value};
 use fuzzy_rel::{StoredTable, Tuple};
 use fuzzy_sql::AggFunc;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+
+/// One group of an aggregate, folded pair by pair: a running [`Extreme`]
+/// for MIN and MAX under `D(A(r)) = 1`, and the fuzzy set `T(r)` (a
+/// [`GroupSet`]) for every other aggregate or degree rule. NULL values and
+/// non-positive degrees are not members. An operator creates one
+/// accumulator and [`Accumulator::clear`]s it per group, so allocations are
+/// reused across groups.
+pub(crate) enum Accumulator {
+    Extreme(Extreme),
+    Set(GroupSet, AggFunc, AggDegree),
+}
+
+impl Accumulator {
+    pub(crate) fn new(agg: AggFunc, agg_degree: AggDegree) -> Self {
+        match (agg, agg_degree) {
+            (AggFunc::Min | AggFunc::Max, AggDegree::One) => {
+                Accumulator::Extreme(Extreme::new(agg))
+            }
+            _ => Accumulator::Set(GroupSet::default(), agg, agg_degree),
+        }
+    }
+
+    /// Adds the member `v` at degree `d`.
+    pub(crate) fn add(&mut self, v: &Value, d: Degree) {
+        if v.is_null() || !d.is_positive() {
+            return;
+        }
+        match self {
+            Accumulator::Extreme(e) => e.add(v),
+            Accumulator::Set(set, _, _) => set.add(v, d),
+        }
+    }
+
+    /// Empties the group, keeping its allocations for the next one.
+    pub(crate) fn clear(&mut self) {
+        match self {
+            Accumulator::Extreme(e) => *e = Extreme::new(e.agg),
+            Accumulator::Set(set, _, _) => set.clear(),
+        }
+    }
+
+    /// The aggregate and its degree; `None` means the NULL result of an
+    /// empty non-COUNT group (T2 "contains no tuple for u").
+    pub(crate) fn finish(&self) -> Result<Option<(Value, Degree)>> {
+        match self {
+            Accumulator::Extreme(e) => e.finish(),
+            Accumulator::Set(set, agg, agg_degree) => set.aggregate(*agg, *agg_degree),
+        }
+    }
+}
+
+/// The running MIN or MAX of a group, the aggregate `fuzzy_min`/`fuzzy_max`
+/// would pick from `T(r)`. Both scan `T(r)` under `defuzz_cmp`, a total
+/// order in which only values with equal breakpoints compare equal, so
+/// `T(r)` holds one member per class of that order: the class's first
+/// occurrence. Replacing the extreme only by a strictly smaller (MIN) or
+/// greater (MAX) value keeps that first occurrence, so dropping duplicates
+/// cannot change the result, down to the sign of a zero breakpoint.
+pub(crate) struct Extreme {
+    agg: AggFunc,
+    /// `Less` for MIN, `Greater` for MAX: the order a new value must have
+    /// against the kept one to replace it.
+    wins: Ordering,
+    best: Option<Trapezoid>,
+    /// The first non-numeric member, which is the one `apply_aggregate`
+    /// would report for `T(r)`; the group's result is then that error.
+    non_numeric: Option<Value>,
+}
+
+impl Extreme {
+    fn new(agg: AggFunc) -> Self {
+        let wins = if agg == AggFunc::Max { Ordering::Greater } else { Ordering::Less };
+        Extreme { agg, wins, best: None, non_numeric: None }
+    }
+
+    fn add(&mut self, v: &Value) {
+        match v.as_distribution() {
+            Some(t) => {
+                if self.best.is_none_or(|b| defuzz_cmp(&t, &b) == self.wins) {
+                    self.best = Some(t);
+                }
+            }
+            None => {
+                if self.non_numeric.is_none() {
+                    self.non_numeric = Some(v.clone());
+                }
+            }
+        }
+    }
+
+    fn finish(&self) -> Result<Option<(Value, Degree)>> {
+        if let Some(v) = &self.non_numeric {
+            return Err(non_numeric_operand(self.agg, v));
+        }
+        Ok(self.best.map(|t| (Value::fuzzy(t), Degree::ONE)))
+    }
+}
 
 /// The fuzzy set `T(r)` an aggregate is applied to: distinct values with
 /// fuzzy-OR (max) degrees, in first-occurrence order (the order `SUM`/`AVG`
-/// add members in). An operator creates one set and [`GroupSet::clear`]s it
-/// per group, so the index map's allocation is reused across groups.
+/// add members in).
 #[derive(Default)]
 pub(crate) struct GroupSet {
     members: Vec<(Value, Degree)>,
@@ -29,68 +128,65 @@ pub(crate) struct GroupSet {
 }
 
 impl GroupSet {
-    pub(crate) fn add(&mut self, v: Value, d: Degree) {
-        if v.is_null() || !d.is_positive() {
-            return;
-        }
-        match self.index.get(&v) {
+    /// Adds a member; only a value not seen before is cloned.
+    fn add(&mut self, v: &Value, d: Degree) {
+        match self.index.get(v) {
             Some(&i) => self.members[i].1 = self.members[i].1.or(d),
             None => {
                 self.index.insert(v.clone(), self.members.len());
-                self.members.push((v, d));
+                self.members.push((v.clone(), d));
             }
         }
     }
 
-    /// Empties the set, keeping its allocations for the next group.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.members.clear();
         self.index.clear();
     }
 
-    /// Applies the aggregate; `None` means the NULL result of an empty
-    /// non-COUNT group (T2 "contains no tuple for u").
-    pub(crate) fn aggregate(
-        &self,
-        agg: AggFunc,
-        agg_degree: crate::plan::AggDegree,
-    ) -> Result<Option<(Value, Degree)>> {
-        if self.members.is_empty() && agg != AggFunc::Count {
-            return Ok(None);
-        }
-        let refs: Vec<&Value> = self.members.iter().map(|(v, _)| v).collect();
-        let value = apply_aggregate(agg, &refs)?.expect("non-empty or COUNT");
+    fn aggregate(&self, agg: AggFunc, agg_degree: AggDegree) -> Result<Option<(Value, Degree)>> {
+        let value = if agg == AggFunc::Count {
+            Value::number(self.members.len() as f64)
+        } else {
+            let refs: Vec<&Value> = self.members.iter().map(|(v, _)| v).collect();
+            match apply_aggregate(agg, &refs)? {
+                Some(v) => v,
+                None => return Ok(None),
+            }
+        };
         let member_degrees: Vec<Degree> = self.members.iter().map(|&(_, d)| d).collect();
         Ok(Some((value, agg_degree.of_group(&member_degrees))))
     }
 }
 
 /// The aggregate of the last outer value seen: each distinct value's group
-/// `T'(u)` is built into one reused [`GroupSet`] and aggregated once, while
-/// outer tuples with an equal value follow each other (the outer is sorted
-/// on it, or the value is the one shared by every outer tuple).
-#[derive(Default)]
+/// `T'(u)` is folded into one reused [`Accumulator`] and finished once,
+/// while outer tuples with an equal value follow each other (the outer is
+/// sorted on it, or the value is the one shared by every outer tuple).
 struct GroupCache {
     /// The value whose aggregate `group` holds; `None` before the first.
     key: Option<Value>,
     /// The aggregate of `key`'s group (`None`: the NULL aggregate).
     group: Option<(Value, Degree)>,
-    set: GroupSet,
+    acc: Accumulator,
 }
 
 impl GroupCache {
-    /// The aggregate of `u`'s group, which `fill` adds to a cleared set
-    /// unless the last call asked for an equal value.
+    fn new(plan: &AggPlan) -> Self {
+        GroupCache { key: None, group: None, acc: Accumulator::new(plan.agg.0, plan.agg_degree) }
+    }
+
+    /// The aggregate of `u`'s group, which `fill` adds to a cleared
+    /// accumulator unless the last call asked for an equal value.
     fn get(
         &mut self,
         u: &Value,
-        plan: &AggPlan,
-        fill: impl FnOnce(&mut GroupSet),
+        fill: impl FnOnce(&mut Accumulator),
     ) -> Result<Option<&(Value, Degree)>> {
         if self.key.as_ref() != Some(u) {
-            self.set.clear();
-            fill(&mut self.set);
-            self.group = self.set.aggregate(plan.agg.0, plan.agg_degree)?;
+            self.acc.clear();
+            fill(&mut self.acc);
+            self.group = self.acc.finish()?;
             self.key = Some(u.clone());
         }
         Ok(self.group.as_ref())
@@ -184,19 +280,17 @@ impl Executor {
                 // Pipelined merge grouping (Section 6): outer sorted on U,
                 // inner sorted on V; identical U values are adjacent, so
                 // each distinct u computes T'(u) from its window once.
-                let mut groups = GroupCache::default();
+                let mut groups = GroupCache::new(plan);
                 let (uattr, vattr) = (ucol.attr, vcol.attr);
                 merge_window(outer_t, uattr, inner_t, vattr, Degree::ZERO, m, |r, rng, m| {
                     let u = &r.values[uattr];
-                    let group = groups.get(u, plan, |set| {
+                    let group = groups.get(u, |acc| {
                         for s in rng {
                             // μ_T'(u)(z) = max min(μ_S∧p₂, d(s.V = u));
                             // op2 = Eq here.
                             m.fuzzy_comparisons += 1;
                             let d = s.degree.and(s.values[vattr].compare(CmpOp::Eq, u));
-                            if d.is_positive() {
-                                set.add(s.values[agg_idx].clone(), d);
-                            }
+                            acc.add(&s.values[agg_idx], d);
                         }
                     })?;
                     emit_outer(r, r.degree, group, &mut rows, m);
@@ -212,7 +306,7 @@ impl Executor {
                 // aggregate.
                 let inner_all: Vec<Tuple> = inner_t.scan().collect::<fuzzy_storage::Result<_>>()?;
                 m.tuples_in += inner_all.len() as u64;
-                let fill = |set: &mut GroupSet, u: &Value, m: &mut OperatorMetrics| {
+                let fill = |acc: &mut Accumulator, u: &Value, m: &mut OperatorMetrics| {
                     for s in &inner_all {
                         m.pairs_examined += 1;
                         let mut d = s.degree;
@@ -220,19 +314,17 @@ impl Executor {
                             m.fuzzy_comparisons += 1;
                             d = d.and(s.values[vcol.attr].compare(*op2, u));
                         }
-                        if d.is_positive() {
-                            set.add(s.values[agg_idx].clone(), d);
-                        }
+                        acc.add(&s.values[agg_idx], d);
                     }
                 };
-                let mut groups = GroupCache::default();
+                let mut groups = GroupCache::new(plan);
                 // The key of every outer tuple when there is no correlation.
                 let shared = Value::Null;
                 for r in outer_t.scan() {
                     let r = r?;
                     m.tuples_in += 1;
                     let u = plan.corr.as_ref().map_or(&shared, |(ucol, _, _)| &r.values[ucol.attr]);
-                    let group = groups.get(u, plan, |set| fill(set, u, m))?;
+                    let group = groups.get(u, |acc| fill(acc, u, m))?;
                     emit_outer(&r, r.degree, group, &mut rows, m);
                 }
             }
@@ -251,8 +343,8 @@ impl Executor {
                     outer_t,
                     inner_t,
                     m,
-                    |_, _| GroupSet::default(),
-                    |set, r, s, m| {
+                    |_, _| Accumulator::new(agg, plan.agg_degree),
+                    |acc, r, s, m| {
                         let mut d = fold_preds(s.degree, &inner_local, &s.values, m);
                         if let Some((u, op2, v)) = corr {
                             if d.is_positive() {
@@ -260,15 +352,13 @@ impl Executor {
                                 d = d.and(s.values[v].compare(op2, &r.values[u]));
                             }
                         }
-                        if d.is_positive() {
-                            set.add(s.values[agg_idx].clone(), d);
-                        }
+                        acc.add(&s.values[agg_idx], d);
                         Ok(())
                     },
-                    |r, set, m| {
+                    |r, acc, m| {
                         let base = fold_preds(r.degree, &outer_local, &r.values, m);
                         if base.is_positive() {
-                            let group = set.aggregate(agg, plan.agg_degree)?;
+                            let group = acc.finish()?;
                             emit_outer(&r, base, group.as_ref(), &mut rows, m);
                         }
                         Ok(())

@@ -183,10 +183,10 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::agg::GroupSet;
+    use crate::exec::agg::{Accumulator, GroupSet};
     use crate::exec::merge_join::merge_window;
     use crate::metrics::{OpKind, OperatorMetrics};
-    use crate::plan::{PlanCol, PlanCompare, PlanOperand, PlanTable};
+    use crate::plan::{AggDegree, PlanCol, PlanCompare, PlanOperand, PlanTable};
     use fuzzy_core::{CmpOp, Trapezoid, Value};
     use fuzzy_rel::{AttrType, Attribute, Schema, StoredTable, Tuple};
     use fuzzy_sql::AggFunc;
@@ -425,67 +425,121 @@ mod tests {
         }
     }
 
+    /// Folds `members` into a fresh accumulator for `agg` and finishes it.
+    fn fold(agg: AggFunc, ad: AggDegree, members: &[(Value, f64)]) -> Option<(Value, Degree)> {
+        let mut acc = Accumulator::new(agg, ad);
+        for (v, d) in members {
+            acc.add(v, Degree::new(*d).unwrap());
+        }
+        acc.finish().unwrap()
+    }
+
     #[test]
     fn group_set_dedups_by_identity_with_max_degree() {
-        let mut g = GroupSet::default();
-        g.add(Value::number(5.0), Degree::new(0.3).unwrap());
-        g.add(Value::number(5.0), Degree::new(0.8).unwrap());
-        g.add(Value::number(7.0), Degree::new(0.5).unwrap());
-        g.add(Value::Null, Degree::ONE); // NULLs are ignored
-        g.add(Value::number(9.0), Degree::ZERO); // non-members are ignored
-        let (count, d) = g.aggregate(AggFunc::Count, crate::plan::AggDegree::One).unwrap().unwrap();
+        let members = [
+            (Value::number(5.0), 0.3),
+            (Value::number(5.0), 0.8),
+            (Value::number(7.0), 0.5),
+            (Value::Null, 1.0),        // NULLs are ignored
+            (Value::number(9.0), 0.0), // non-members are ignored
+        ];
+        let (count, d) = fold(AggFunc::Count, AggDegree::One, &members).unwrap();
         assert_eq!(count, Value::number(2.0));
         assert_eq!(d, Degree::ONE);
-        let (sum, _) = g.aggregate(AggFunc::Sum, crate::plan::AggDegree::One).unwrap().unwrap();
+        let (sum, _) = fold(AggFunc::Sum, AggDegree::One, &members).unwrap();
         assert_eq!(sum, Value::number(12.0));
         // Mean-membership degree: (0.8 + 0.5) / 2.
-        let (_, dm) =
-            g.aggregate(AggFunc::Sum, crate::plan::AggDegree::MeanMembership).unwrap().unwrap();
+        let (_, dm) = fold(AggFunc::Sum, AggDegree::MeanMembership, &members).unwrap();
         assert!((dm.value() - 0.65).abs() < 1e-12);
+        // The running extremes skip the same non-members.
+        assert_eq!(fold(AggFunc::Max, AggDegree::One, &members).unwrap().0, Value::number(7.0));
+        assert_eq!(fold(AggFunc::Min, AggDegree::One, &members).unwrap().0, Value::number(5.0));
     }
 
     #[test]
     fn reused_group_set_aggregates_bit_identically_to_a_fresh_one() {
         // Fuzzy members make SUM/AVG depend on addition order, so this also
-        // pins that a cleared set keeps first-occurrence member order.
+        // pins that a cleared accumulator keeps first-occurrence member
+        // order. MIN and MAX under D(A(r)) = 1 stream a running extreme
+        // instead of the set; both are checked against a fresh set.
         let fz = |a: f64, w: f64| {
             Value::fuzzy(Trapezoid::new(a, a + w * 0.1, a + w * 0.7, a + w).unwrap())
         };
+        let trap = |a, b, c, d| Value::fuzzy(Trapezoid::new(a, b, c, d).unwrap());
         let groups: Vec<Vec<(Value, f64)>> = vec![
             vec![(fz(0.1, 3.3), 0.4), (fz(1e16, 7.0), 0.9), (fz(-1e16, 0.3), 0.7)],
             vec![(Value::number(-0.0), 0.2), (Value::number(0.0), 0.6), (fz(2.2, 1.1), 0.5)],
             vec![],
             vec![(fz(0.3, 0.2), 0.1), (Value::Null, 1.0), (fz(0.3, 0.2), 0.8), (fz(7.5, 2.0), 1.0)],
             vec![(Value::number(3.0), 0.3)],
+            // Distinct trapezoids whose cores share the centre 2, the crisp
+            // 2, and repeats: every extreme is a defuzzified-centre tie.
+            vec![
+                (trap(0.0, 1.0, 3.0, 4.0), 0.5),
+                (Value::number(2.0), 0.7),
+                (trap(1.0, 1.5, 2.5, 5.0), 0.9),
+                (trap(0.0, 1.0, 3.0, 4.0), 1.0),
+                (trap(-1.0, 2.0, 2.0, 3.0), 0.3),
+                (Value::number(2.0), 0.2),
+            ],
+            // Zero breakpoints of both signs: equal values, distinct bits,
+            // so only the first occurrence is the set's member.
+            vec![
+                (trap(-0.0, 1.0, 2.0, 3.0), 0.4),
+                (trap(0.0, 1.0, 2.0, 3.0), 0.6),
+                (trap(-3.0, -2.0, -1.0, 0.0), 0.5),
+                (trap(-3.0, -2.0, -1.0, -0.0), 0.8),
+                (trap(-0.0, 1.0, 2.0, 3.0), 0.9),
+                (Value::Number(-0.0), 0.2),
+                (Value::Number(0.0), 0.3),
+            ],
+            // Text members: every aggregate but COUNT fails on the first.
+            vec![(Value::number(1.0), 0.5), (Value::text("a"), 0.5), (Value::text("b"), 1.0)],
+            vec![(Value::text("c"), 0.0), (Value::text("b"), 0.4), (Value::number(4.0), 0.5)],
         ];
         let aggs = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max];
-        let degrees = [crate::plan::AggDegree::One, crate::plan::AggDegree::MeanMembership];
-        let mut reused = GroupSet::default();
-        // Iterate twice so every group also follows a larger one.
-        for members in groups.iter().chain(&groups) {
-            let mut fresh = GroupSet::default();
-            reused.clear();
-            for (v, d) in members {
-                fresh.add(v.clone(), Degree::new(*d).unwrap());
-                reused.add(v.clone(), Degree::new(*d).unwrap());
-            }
-            for agg in aggs {
-                for ad in degrees {
+        for agg in aggs {
+            for ad in [AggDegree::One, AggDegree::MeanMembership] {
+                let mut reused = Accumulator::new(agg, ad);
+                let streams = matches!((agg, ad), (AggFunc::Min | AggFunc::Max, AggDegree::One));
+                assert_eq!(matches!(reused, Accumulator::Extreme(_)), streams, "{agg:?} {ad:?}");
+                // Iterate twice so every group also follows a larger one.
+                for members in groups.iter().chain(&groups) {
+                    let mut fresh = Accumulator::new(agg, ad);
+                    let mut set = Accumulator::Set(GroupSet::default(), agg, ad);
+                    reused.clear();
+                    for (v, d) in members {
+                        let d = Degree::new(*d).unwrap();
+                        fresh.add(v, d);
+                        reused.add(v, d);
+                        set.add(v, d);
+                    }
                     // Debug prints the shortest round-trip form of every
-                    // float (and the sign of zero), so equal text is equal bits.
-                    let want = format!("{:?}", fresh.aggregate(agg, ad).unwrap());
-                    let got = format!("{:?}", reused.aggregate(agg, ad).unwrap());
-                    assert_eq!(got, want, "{agg:?} {ad:?} over {members:?}");
+                    // float (and the sign of zero), so equal text is equal
+                    // bits; an error prints its message.
+                    let want = format!("{:?}", set.finish());
+                    assert_eq!(format!("{:?}", fresh.finish()), want, "{agg:?} {ad:?} {members:?}");
+                    assert_eq!(
+                        format!("{:?}", reused.finish()),
+                        want,
+                        "{agg:?} {ad:?} {members:?}"
+                    );
                 }
             }
         }
+        // The sign of a zero breakpoint survives: MAX of the tie group is
+        // its first occurrence, as the set keeps it.
+        let (max, _) = fold(AggFunc::Max, AggDegree::One, &groups[6]).unwrap();
+        assert_eq!(format!("{max:?}"), format!("{:?}", trap(-0.0, 1.0, 2.0, 3.0)));
+        assert!(format!("{max:?}").contains("-0.0"));
     }
 
     #[test]
     fn empty_group_set_aggregates() {
-        let g = GroupSet::default();
-        assert!(g.aggregate(AggFunc::Sum, crate::plan::AggDegree::One).unwrap().is_none());
-        let (count, _) = g.aggregate(AggFunc::Count, crate::plan::AggDegree::One).unwrap().unwrap();
+        for agg in [AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+            assert!(fold(agg, AggDegree::One, &[]).is_none());
+        }
+        let (count, _) = fold(AggFunc::Count, AggDegree::One, &[]).unwrap();
         assert_eq!(count, Value::number(0.0));
     }
 

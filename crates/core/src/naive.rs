@@ -609,14 +609,7 @@ pub(crate) fn apply_aggregate(agg: AggFunc, distinct: &[&Value]) -> Result<Optio
     }
     let dists: Vec<Trapezoid> = distinct
         .iter()
-        .map(|v| {
-            v.as_distribution().ok_or_else(|| {
-                EngineError::Unsupported(format!(
-                    "aggregate {} over non-numeric value {v}",
-                    agg.name()
-                ))
-            })
-        })
+        .map(|v| v.as_distribution().ok_or_else(|| non_numeric_operand(agg, v)))
         .collect::<Result<_>>()?;
     let out = match agg {
         AggFunc::Sum => arith::sum(&dists),
@@ -626,6 +619,11 @@ pub(crate) fn apply_aggregate(agg: AggFunc, distinct: &[&Value]) -> Result<Optio
         AggFunc::Count => unreachable!("handled above"),
     };
     Ok(out.map(Value::fuzzy))
+}
+
+/// The error of an aggregate other than COUNT over a non-numeric member.
+pub(crate) fn non_numeric_operand(agg: AggFunc, v: &Value) -> EngineError {
+    EngineError::Unsupported(format!("aggregate {} over non-numeric value {v}", agg.name()))
 }
 
 /// Resolves a column against the environment: innermost frame first; a

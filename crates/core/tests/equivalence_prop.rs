@@ -580,3 +580,103 @@ proptest! {
         check_threads(&sql, &r, &s)?;
     }
 }
+
+/// A value whose defuzzified centre (the core's midpoint) is 3 or 6: the
+/// crisp centre itself, or one of several distinct trapezoids whose cores
+/// share it. MIN and MAX over such values tie on the defuzzified key and
+/// are ordered by the breakpoint tie-break alone.
+fn arb_centre_tie() -> impl Strategy<Value = Value> {
+    let centre = || prop_oneof![Just(3.0), Just(6.0)];
+    prop_oneof![
+        centre().prop_map(Value::number),
+        (centre(), 0..3i32, 0..3i32, 1..3i32).prop_map(|(c, h, w1, w2)| {
+            let (h, w1, w2) = (f64::from(h) * 0.5, f64::from(w1), f64::from(w2));
+            Value::fuzzy(Trapezoid::new(c - h - w1, c - h, c + h, c + h + w2).expect("ordered"))
+        }),
+    ]
+}
+
+/// Rows whose `Y` is an [`arb_centre_tie`] value and whose `X` and `U` lie on
+/// a three-point grid, so correlated groups share members.
+fn arb_tie_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
+    let grid = || (0..3i32).prop_map(|v| Value::number(f64::from(v)));
+    prop::collection::vec(
+        (grid(), arb_centre_tie(), grid(), arb_degree()).prop_map(|(x, y, u, d)| Row {
+            x,
+            y,
+            u,
+            d,
+        }),
+        0..max,
+    )
+}
+
+/// Runs `sql` under `Strategy::Unnest` and `Strategy::NestedLoop` at 1 and 2
+/// threads and checks each answer against the literal naive evaluator: the
+/// same rows at bit-equal degrees. Under `Strategy::Unnest` the aggregate
+/// must run as `operator`.
+fn check_aggregate_strategies(
+    sql: &str,
+    operator: &str,
+    r: &[Row],
+    s: &[Row],
+) -> Result<(), TestCaseError> {
+    use fuzzy_engine::exec::ExecConfig;
+    let disk = SimDisk::with_default_page_size();
+    let catalog = build_catalog(&disk, r, s, &[]);
+    let naive = Engine::over(catalog.clone().into(), &disk)
+        .run_sql(sql, EvalStrategy::Naive)
+        .map_err(|e| TestCaseError::fail(format!("naive failed: {e}")))?;
+    let reference = degrees(&naive.answer);
+    for strategy in [EvalStrategy::Unnest, EvalStrategy::NestedLoop] {
+        for threads in [1usize, 2] {
+            let out = Engine::over(catalog.clone().into(), &disk)
+                .with_config(ExecConfig { threads, ..Default::default() })
+                .run_sql(sql, strategy)
+                .map_err(|e| TestCaseError::fail(format!("{strategy:?} failed: {e}")))?;
+            if strategy == EvalStrategy::Unnest {
+                let ran = out.metrics.ops().iter().any(|n| n.label.starts_with(operator));
+                prop_assert!(ran, "{} does not run {}", sql, operator);
+            }
+            prop_assert_eq!(
+                degrees(&out.answer),
+                reference.clone(),
+                "{:?} at {} threads: {}",
+                strategy,
+                threads,
+                sql
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// MIN and MAX keep a running extreme instead of building T(r); over
+    /// groups full of defuzzified-centre ties (distinct trapezoids sharing
+    /// a core centre, and the crisp centre) they pick what the naive
+    /// evaluator's set picks, in type JA (`agg-merge`), type A
+    /// (`agg-const`) and under a non-equality correlation (`agg-scan`).
+    #[test]
+    fn min_max_centre_ties(
+        r in arb_tie_rows(7),
+        s in arb_tie_rows(7),
+        max in proptest::bool::ANY,
+        op_idx in 0usize..3,
+    ) {
+        let agg = if max { "MAX" } else { "MIN" };
+        let op = ["=", "<", ">="][op_idx];
+        for (corr, operator) in [
+            ("S.X = R.U", "agg-merge"),
+            ("S.U >= 1", "agg-const"),
+            ("S.X <= R.U", "agg-scan"),
+        ] {
+            let sql = format!(
+                "SELECT R.ID FROM R WHERE R.Y {op} (SELECT {agg}(S.Y) FROM S WHERE {corr})"
+            );
+            check_aggregate_strategies(&sql, operator, &r, &s)?;
+        }
+    }
+}

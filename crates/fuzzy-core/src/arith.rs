@@ -95,8 +95,9 @@ pub fn defuzz_key(t: &Trapezoid) -> f64 {
 
 /// Total order used by `MIN`/`MAX`: defuzzified key first, then the full
 /// breakpoint tuple so ties resolve deterministically regardless of the
-/// input order (sorted streams and scan order must agree).
-fn defuzz_cmp(x: &Trapezoid, y: &Trapezoid) -> std::cmp::Ordering {
+/// input order (sorted streams and scan order must agree). Two trapezoids
+/// compare `Equal` only when all four breakpoints are equal.
+pub fn defuzz_cmp(x: &Trapezoid, y: &Trapezoid) -> std::cmp::Ordering {
     let kx = defuzz_key(x);
     let ky = defuzz_key(y);
     kx.partial_cmp(&ky).expect("finite").then_with(|| {

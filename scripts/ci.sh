@@ -249,6 +249,31 @@ if [[ -n "$metering" ]]; then
   exit 1
 fi
 
+echo "==> one aggregate accumulator (operators fold groups into exec/agg.rs's Accumulator)"
+# The aggregate operator folds every group into an `Accumulator`: a running
+# extreme for MIN/MAX under D(A(r)) = 1, and the set T(r) otherwise, whose
+# `impl GroupSet` is the one operator-side caller of `apply_aggregate`. The
+# naive evaluator (naive.rs), the oracle, builds T(r) and applies it itself.
+# Any other non-test call would be a second path that builds T(r) per group.
+aggregated=$(non_test $(find crates/core/src src -name '*.rs' | sort) | awk '
+  /^[^:]+:[0-9]+: *\/\// { next }
+  { file = $0; sub(/:.*/, "", file) }
+  file != last_file { impl_name = ""; last_file = file }
+  /^[^:]+:[0-9]+: impl/ { impl_name = $0; sub(/^[^:]+:[0-9]+: impl(<[^>]*>)? */, "", impl_name); sub(/[^_[:alnum:]].*/, "", impl_name) }
+  /^[^:]+:[0-9]+: }/ { impl_name = "" }
+  /(^|[^_[:alnum:]])apply_aggregate\(/ {
+    if (file == "crates/core/src/naive.rs") next
+    if (file == "crates/core/src/exec/agg.rs" && impl_name == "GroupSet") next
+    print
+  }
+' || true)
+if [[ -n "$aggregated" ]]; then
+  echo "error: apply_aggregate called outside the naive evaluator and exec/agg.rs's" >&2
+  echo "GroupSet — fold the group into an exec::agg::Accumulator instead:" >&2
+  echo "$aggregated" >&2
+  exit 1
+fi
+
 echo "==> no deprecated shims (delete superseded API instead of keeping it)"
 if grep -rn '#\[deprecated' src crates/*/src; then
   echo "error: #[deprecated] item(s) above — migrate the callers and delete the shim" >&2

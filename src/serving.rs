@@ -266,7 +266,12 @@ impl Session {
     /// DELETE and UPDATE match tuples whose WHERE-condition degree is
     /// positive (or meets the statement's `WITH D` threshold); matching is a
     /// fuzzy condition like any other, so a vague WHERE clause touches
-    /// precisely the tuples that *possibly* satisfy it above the bar.
+    /// precisely the tuples that *possibly* satisfy it above the bar. The
+    /// bar applies to the condition degree alone, not to the tuple's
+    /// membership: where a SELECT's `WITH D > z` compares `z` with
+    /// min(membership, condition), a tuple of membership 0.5 that fully
+    /// satisfies the condition is no answer of `SELECT … WITH D > 0.6` but
+    /// is matched by `DELETE … WITH D > 0.6`.
     pub fn execute(&self, sql: &str) -> Result<StatementResult, EngineError> {
         use fuzzy_sql::Statement;
         match fuzzy_sql::parse_statement(sql)? {
@@ -465,7 +470,10 @@ impl Session {
 
     /// Shared DELETE/UPDATE machinery: rewrites the table under the
     /// exclusive lock, applying `map` to matching tuples (`None` = delete).
-    /// Returns the number of matches. The condition is matched by the
+    /// Returns the number of matches. A tuple matches when its
+    /// WHERE-condition degree meets `threshold` (is positive without one);
+    /// its membership degree takes no part, unlike in a SELECT's
+    /// `WITH D > z`, which bars min(membership, condition). The condition is matched by the
     /// serving-mode naive evaluator: every row is matched against the
     /// pre-write catalog, so a closed sub-query is evaluated once for the
     /// whole table.

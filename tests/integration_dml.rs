@@ -164,6 +164,26 @@ fn delete_and_update_tails_accept_only_where_and_with() {
     assert_eq!(affected(&r), 2, "IDs 2 and 3");
 }
 
+/// A DELETE/UPDATE `WITH D > z` compares `z` with the WHERE-condition
+/// degree alone, while a SELECT compares it with min(membership,
+/// condition): F's row 3 (X = 250 at membership 0.5) satisfies `F.X > 100`
+/// fully, so it is no answer of the SELECT but is deleted.
+#[test]
+fn dml_threshold_compares_the_condition_degree_alone() {
+    let db = f_and_g();
+    let out = db.execute("SELECT F.ID FROM F WHERE F.X > 100 WITH D > 0.6").unwrap();
+    let ids: Vec<Value> = rows(&out).tuples().iter().map(|t| t.values[0].clone()).collect();
+    assert_eq!(ids, vec![Value::number(2.0)]);
+    let r = db.execute("DELETE FROM F WHERE F.X > 100 WITH D > 0.6").unwrap();
+    assert_eq!(affected(&r), 2, "IDs 2 and 3");
+    assert_eq!(f_rows(&db), vec![(vec![Value::number(1.0), Value::number(50.0)], 1.0)]);
+    // UPDATE matches the same rows and keeps their memberships.
+    let db = f_and_g();
+    let r = db.execute("UPDATE F SET X = 0 WHERE F.X > 100 WITH D > 0.6").unwrap();
+    assert_eq!(affected(&r), 2);
+    assert_eq!(f_rows(&db)[2], (vec![Value::number(3.0), Value::number(0.0)], 0.5));
+}
+
 #[test]
 fn update_target_qualifier_must_name_the_updated_table() {
     let db = f_and_g();
