@@ -5,14 +5,13 @@
 //! evaluation runs over a block nested loop with one accumulator per outer
 //! tuple.
 
-use crate::error::{EngineError, Result};
-use crate::exec::lower::{declare_two_input, Access};
+use crate::error::Result;
+use crate::exec::lower::Access;
 use crate::exec::merge_join::merge_window;
 use crate::exec::{fold_preds, BoundOperand, Executor, Layout};
 use crate::metrics::OperatorMetrics;
 use crate::naive::{apply_aggregate, non_numeric_operand};
-use crate::plan::{AggDegree, AggPlan, PlanCol, PlanCompare, PlanOperand};
-use crate::verify::PhysOp;
+use crate::plan::{AggDegree, AggPlan, PlanCompare, PlanOperand};
 use fuzzy_core::arith::defuzz_cmp;
 use fuzzy_core::hash::ValueHashBuilder;
 use fuzzy_core::{CmpOp, Degree, Trapezoid, Value};
@@ -154,8 +153,7 @@ impl GroupSet {
                 None => return Ok(None),
             }
         };
-        let member_degrees: Vec<Degree> = self.members.iter().map(|&(_, d)| d).collect();
-        Ok(Some((value, agg_degree.of_group(&member_degrees))))
+        Ok(Some((value, agg_degree.of_group(self.members.iter().map(|&(_, d)| d)))))
     }
 }
 
@@ -193,24 +191,6 @@ impl GroupCache {
     }
 }
 
-/// Declaration of the aggregate in `access` mode over `inputs` (outer,
-/// inner), each ⪯-sorted on its `sorted` column where it has one. The
-/// uncorrelated scan is the type-A constant, `agg-const`.
-pub(crate) fn declared_properties(
-    plan: &AggPlan,
-    access: Access,
-    inputs: [usize; 2],
-    sorted: [Option<&PlanCol>; 2],
-) -> PhysOp {
-    let name = match (access, &plan.corr) {
-        (Access::Merge, _) => "agg-merge",
-        (Access::Scan, Some(_)) => "agg-scan",
-        (Access::Scan, None) => "agg-const",
-        (Access::NestedLoop, _) => "nested-loop-agg",
-    };
-    declare_two_input(name, [&plan.outer, &plan.inner], inputs, sorted)
-}
-
 impl Executor {
     /// The aggregate operator: evaluates `R.Y op1 AGG(...)` per outer tuple
     /// (merge grouping, scanned inner set, or block nested loop by `access`)
@@ -220,7 +200,7 @@ impl Executor {
         outer_t: &StoredTable,
         inner_t: &StoredTable,
         plan: &AggPlan,
-        access: Access,
+        access: &Access,
         m: &mut OperatorMetrics,
     ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let outer_layout = Layout::of_table(&plan.outer);
@@ -271,12 +251,7 @@ impl Executor {
         };
 
         match access {
-            Access::Merge => {
-                let Some((ucol, _, vcol)) = plan.corr.as_ref() else {
-                    return Err(EngineError::Verify(
-                        "agg-merge lowered without a correlation".into(),
-                    ));
-                };
+            Access::Merge { outer: ucol, inner: vcol } => {
                 // Pipelined merge grouping (Section 6): outer sorted on U,
                 // inner sorted on V; identical U values are adjacent, so
                 // each distinct u computes T'(u) from its window once.

@@ -6,31 +6,14 @@
 //! the window contribute the neutral 1. Under the nested-loop baselines the
 //! same accumulation runs over a block nested loop of the two scans.
 
-use crate::error::{EngineError, Result};
-use crate::exec::lower::{declare_two_input, Access};
+use crate::error::Result;
+use crate::exec::lower::Access;
 use crate::exec::merge_join::merge_window;
 use crate::exec::{fold_preds, BoundCompare, Executor, Layout};
 use crate::metrics::OperatorMetrics;
-use crate::plan::{AntiKind, AntiPlan, PlanCol, PlanCompare};
-use crate::verify::PhysOp;
+use crate::plan::{AntiKind, AntiPlan, PlanCompare};
 use fuzzy_core::{Degree, Value};
 use fuzzy_rel::{StoredTable, Tuple};
-
-/// Declaration of the anti operator in `access` mode over `inputs` (outer,
-/// inner), each ⪯-sorted on its `sorted` column where it has one.
-pub(crate) fn declared_properties(
-    plan: &AntiPlan,
-    access: Access,
-    inputs: [usize; 2],
-    sorted: [Option<&PlanCol>; 2],
-) -> PhysOp {
-    let name = match access {
-        Access::Merge => "anti-merge",
-        Access::Scan => "anti-scan",
-        Access::NestedLoop => "nested-loop-anti",
-    };
-    declare_two_input(name, [&plan.outer, &plan.inner], inputs, sorted)
-}
 
 impl Executor {
     /// The anti operator: accumulates, per outer tuple, the negated
@@ -41,7 +24,7 @@ impl Executor {
         outer_t: &StoredTable,
         inner_t: &StoredTable,
         plan: &AntiPlan,
-        access: Access,
+        access: &Access,
         m: &mut OperatorMetrics,
     ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let mut pair_layout = Layout::of_table(&plan.outer);
@@ -79,10 +62,7 @@ impl Executor {
         let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
 
         match access {
-            Access::Merge => {
-                let Some((ocol, icol)) = plan.window.as_ref() else {
-                    return Err(EngineError::Verify("anti-merge lowered without a window".into()));
-                };
+            Access::Merge { outer: ocol, inner: icol } => {
                 // Inner tuples outside Rng(r) have window-predicate degree 0,
                 // so they contribute the neutral 1: scanning only the window
                 // is exact (this is what makes JX'/JALL' merge-joinable).

@@ -105,6 +105,11 @@ impl Layout {
         self.parts.iter().any(|(b, _)| b == binding)
     }
 
+    /// The bindings of the concatenation, in order.
+    pub(crate) fn bindings(&self) -> impl Iterator<Item = &str> {
+        self.parts.iter().map(|(b, _)| b.as_str())
+    }
+
     /// A storable schema for the concatenation, attribute names qualified.
     pub(crate) fn to_schema(&self) -> Schema {
         let mut attrs = Vec::new();

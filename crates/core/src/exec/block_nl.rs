@@ -8,20 +8,8 @@
 use crate::error::Result;
 use crate::exec::Executor;
 use crate::metrics::OperatorMetrics;
-use crate::verify::{PhysOp, Prop};
 use fuzzy_rel::{StoredTable, Tuple};
 use fuzzy_storage::PageView;
-
-/// Declaration of a flat nested-loop join step: no sort requirements — the
-/// step's binding/degree requirements come from the lowering pass.
-pub(crate) fn declared_properties(
-    t_binding: &str,
-    inputs: Vec<usize>,
-    requires: Vec<(usize, Prop)>,
-    delivers: Vec<Prop>,
-) -> PhysOp {
-    PhysOp::declare(format!("nested-loop +{t_binding}"), inputs, requires, delivers)
-}
 
 impl Executor {
     /// Block nested loop with per-outer-tuple accumulators: `init` seeds an

@@ -10,20 +10,8 @@ use crate::error::Result;
 use crate::exec::{Executor, Layout};
 use crate::metrics::OperatorMetrics;
 use crate::plan::PlanTable;
-use crate::verify::{PhysOp, Prop};
 use fuzzy_core::Degree;
 use fuzzy_rel::{Catalog, StoredTable};
-
-/// The scan's property declaration: no inputs, delivers the table binding's
-/// columns and the pushed-down degree bound.
-pub(crate) fn declared_properties(binding: &str, min_degree: Degree) -> PhysOp {
-    PhysOp::declare(
-        format!("scan {binding}"),
-        vec![],
-        vec![],
-        vec![Prop::Binding(binding.to_string()), Prop::MinDegree(min_degree)],
-    )
-}
 
 impl Executor {
     /// Applies a table's local predicates (p_i), materializing positive

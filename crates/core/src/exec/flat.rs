@@ -19,20 +19,8 @@ use crate::exec::op::Slot;
 use crate::exec::{BoundCompare, Executor, Layout, PairOutcome};
 use crate::metrics::OperatorMetrics;
 use crate::plan::{PlanCol, PlanCompare, PlanTable};
-use crate::verify::{PhysOp, Prop};
 use fuzzy_core::{CmpOp, Degree, Value};
 use fuzzy_rel::{StoredTable, Tuple};
-
-/// Declaration of the single-table select scan: applies the remaining
-/// predicates to the filtered stream and projects the answer rows.
-pub(crate) fn declared_properties_select(binding: &str, alpha: Degree, input: usize) -> PhysOp {
-    PhysOp::declare(
-        format!("select {binding}"),
-        vec![input],
-        vec![(0, Prop::Binding(binding.to_string())), (0, Prop::MinDegree(alpha))],
-        vec![Prop::Binding(binding.to_string()), Prop::MinDegree(alpha)],
-    )
-}
 
 /// Where one join step delivers its output: an intermediate temp table, an
 /// in-memory pipelined row buffer, or — on the final step — the projected
@@ -160,15 +148,13 @@ impl Executor {
                 JoinSink::Materialize { out, w }
             }
         };
-        let residuals: Vec<BoundCompare> = step.next_layout.bind_all(&step.residuals)?;
+        let residuals: Vec<BoundCompare> =
+            step.residuals().map(|p| step.next_layout.bind(p)).collect::<Result<_>>()?;
         // The exact-equality driver's outer and inner columns; the block
         // nested loop has none.
-        let driver = match &step.method {
-            StepMethod::Merge { cur_col, next_col }
-            | StepMethod::Partitioned { cur_col, next_col } => {
-                Some((step.layout.resolve(cur_col)?, next_col.attr))
-            }
-            StepMethod::NestedLoop => None,
+        let driver = match step.driver() {
+            Some(d) => Some((step.layout.resolve(&d.bound)?, d.joined.attr)),
+            None => None,
         };
         // The outcome a candidate pair contributes, the same for every
         // method. Pure (no captured mutable state), so the parallel join
@@ -215,17 +201,17 @@ impl Executor {
                 })
             };
         match (&step.method, driver) {
-            (StepMethod::Merge { .. }, Some((cur_idx, next_idx))) if self.config.threads > 1 => {
+            (StepMethod::Merge(_), Some((cur_idx, next_idx))) if self.config.threads > 1 => {
                 self.merge_join_parallel(
                     left, cur_idx, right, next_idx, alpha, &pair_eval, capped, &mut sink, m,
                 )?;
             }
-            (StepMethod::Merge { .. }, Some((cur_idx, next_idx))) => {
+            (StepMethod::Merge(_), Some((cur_idx, next_idx))) => {
                 merge_window(left, cur_idx, right, next_idx, alpha, m, |r, rng, m| {
                     walk_window(r, rng, &pair_eval, capped, m, |j, d| sink.emit(r, &rng[j], d))
                 })?;
             }
-            (StepMethod::Partitioned { .. }, Some((cur_idx, next_idx))) => {
+            (StepMethod::Partitioned(_), Some((cur_idx, next_idx))) => {
                 self.partitioned_join(left, cur_idx, right, next_idx, alpha, m, |r, s, m| {
                     handle(&mut sink, r, s, m)
                 })?;

@@ -1,9 +1,17 @@
 //! Lowering: turns a logical [`UnnestPlan`] into the physical operator tree
-//! the executor drives — and, because every node is emitted *together with*
-//! its property declaration, the [`crate::verify`] static analysis checks
-//! exactly the tree that runs. There is no separately mirrored outline: the
-//! verifier's [`Outline`] is the `ops` field of the [`Lowered`] plan, one
+//! the executor drives, and the one record of every physical decision. Each
+//! [`Node`] holds what its operator does — which method, which merge
+//! columns, which sink — and declares its own properties from that and its
+//! input slots ([`Node::declare`], one exhaustive match), so the
+//! [`crate::verify`] static analysis checks exactly the tree that runs: the
+//! verifier's [`Outline`] is derived from the nodes, one
 //! [`crate::verify::PhysOp`] per [`Node`], same indices, same edges.
+//!
+//! Every `Rng(r)` merge window is picked by one rule, [`merge_driver`]: the
+//! first exact equality, in predicate order, between a bound column and a
+//! column of the joined table. A flat join step applies it to its evaluable
+//! predicates, the anti form to its negated conjunction (the outer is the
+//! bound side), the aggregate to its correlation.
 //!
 //! Lowering is *infallible*: all name resolution and binding that can fail
 //! is deferred to when each operator runs, so `EXPLAIN`/`EXPLAIN VERIFY` can
@@ -28,20 +36,19 @@
 //! and `EXPLAIN` all read it.
 
 use crate::engine::Strategy;
-use crate::exec::{agg, anti, block_nl, filter_scan, flat, merge_join, output, partitioned, sort};
 use crate::exec::{ExecConfig, JoinMethod, Layout};
 use crate::plan::{
-    AggPlan, AntiKind, AntiPlan, FlatPlan, PlanCol, PlanCompare, PlanTable, UnnestPlan,
+    AggPlan, AntiKind, AntiPlan, FlatPlan, PlanCol, PlanCompare, PlanOperand, PlanTable, UnnestPlan,
 };
 use crate::stats_histogram::StatsRegistry;
 use crate::verify::{Outline, PhysOp, Prop};
-use fuzzy_core::{CmpOp, Degree};
+use fuzzy_core::Degree;
 use fuzzy_rel::Catalog;
 use fuzzy_sql::Threshold;
 
 /// A lowered plan: the plan as the executor actually runs it (join reorder
-/// applied), the pushed-down pruning bound, the verifier-checkable operator
-/// outline, and the physical node for each outline position.
+/// applied), the pushed-down pruning bound, the physical node for each
+/// outline position, and the verifier-checkable outline derived from them.
 pub(crate) struct Lowered {
     /// The plan after the same join reorder the executor applies.
     pub(crate) plan: UnnestPlan,
@@ -54,7 +61,8 @@ pub(crate) struct Lowered {
     pub(crate) join_sizes: Vec<f64>,
     /// The pruning bound pushed into the pipeline (flat plans only).
     pub(crate) alpha: Degree,
-    /// The property-carrying operator tree; `ops[i]` declares `nodes[i]`.
+    /// Each node's declaration: `ops[i]` is `nodes[i].declare` over the
+    /// node's input slots.
     pub(crate) outline: Outline,
     /// The physical node per outline position.
     pub(crate) nodes: Vec<Node>,
@@ -75,32 +83,39 @@ pub(crate) enum SinkMode {
     Materialize,
 }
 
+/// The exact equality that drives a flat join step's window or partitions.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Driver {
+    /// Its position among the step's evaluable predicates.
+    pub(crate) pos: usize,
+    /// The column on the bound side.
+    pub(crate) bound: PlanCol,
+    /// The column on the joined table.
+    pub(crate) joined: PlanCol,
+}
+
 /// The physical method of one flat join step.
 pub(crate) enum StepMethod {
     /// Extended merge-join on an exact-equality driver.
-    Merge {
-        /// Driver column on the bound side.
-        cur_col: PlanCol,
-        /// Driver column on the joined table.
-        next_col: PlanCol,
-    },
+    Merge(Driver),
     /// Partitioned join on an exact-equality driver.
-    Partitioned {
-        /// Driver column on the bound side.
-        cur_col: PlanCol,
-        /// Driver column on the joined table.
-        next_col: PlanCol,
-    },
+    Partitioned(Driver),
     /// Block nested-loop (no exact-equality driver).
     NestedLoop,
 }
 
 /// How a two-input operator — anti or aggregate — reads its outer and inner
 /// inputs.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, PartialEq)]
 pub(crate) enum Access {
-    /// Merge window over ⪯-sorted inputs (correlated on an equality).
-    Merge,
+    /// Merge window over inputs ⪯-sorted on these columns, correlated on
+    /// their exact equality.
+    Merge {
+        /// The outer's merge column.
+        outer: PlanCol,
+        /// The inner's merge column.
+        inner: PlanCol,
+    },
     /// The inner set built once, the outer streamed against it: sorted on
     /// the correlation column when there is one, so equal values arrive
     /// together; the uncorrelated aggregate shares one group.
@@ -112,43 +127,48 @@ pub(crate) enum Access {
 
 impl Access {
     /// The method tag of an anti plan's label.
-    pub(crate) fn name(self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
-            Access::Merge => "merge",
+            Access::Merge { .. } => "merge",
             Access::Scan => "scan",
             Access::NestedLoop => "nested-loop",
         }
     }
 }
 
-/// The declaration of a two-input operator named `name` over `inputs`
-/// (outer, inner): each input ⪯-sorted on its `sorted` column where it has
-/// one, then both inputs' bindings; it delivers the outer binding.
-pub(crate) fn declare_two_input(
-    name: &str,
-    [outer, inner]: [&PlanTable; 2],
-    inputs: [usize; 2],
-    sorted: [Option<&PlanCol>; 2],
-) -> PhysOp {
-    let z = Degree::ZERO;
-    let sorts =
-        (0..2).filter_map(|k| Some((k, Prop::Sorted { col: sorted[k]?.clone(), alpha: z })));
-    let bindings =
-        [outer, inner].into_iter().enumerate().map(|(k, t)| (k, Prop::Binding(t.binding.clone())));
-    PhysOp::declare(
-        format!("{name} {} x {}", outer.binding, inner.binding),
-        inputs.to_vec(),
-        sorts.chain(bindings).collect(),
-        vec![Prop::Binding(outer.binding.clone()), Prop::MinDegree(z)],
-    )
+/// The merge driver among `preds`: the first exact equality, in predicate
+/// order, between a column of a binding in `bound` and a column of
+/// `joined`, oriented (bound, joined). Exact means `=` with no tolerance: a
+/// similarity's tolerance-widened matches are not bounded by support
+/// intersection, so a window driven by it would miss pairs (a flat join) or
+/// over-report group minima (the anti form). Every merge window is picked
+/// here: a flat join step's over its bound layout, the anti form's over its
+/// negated conjunction with the outer as the bound side, and the
+/// aggregate's over its correlation.
+pub(crate) fn merge_driver(preds: &[PlanCompare], bound: &Layout, joined: &str) -> Option<Driver> {
+    preds.iter().enumerate().find_map(|(pos, pr)| {
+        if !pr.is_exact_eq() {
+            return None;
+        }
+        let (l, r) = (pr.lhs.as_col()?, pr.rhs.as_col()?);
+        let (b, j) = if bound.contains(&l.binding) && r.binding == joined {
+            (l, r)
+        } else if bound.contains(&r.binding) && l.binding == joined {
+            (r, l)
+        } else {
+            return None;
+        };
+        Some(Driver { pos, bound: b.clone(), joined: j.clone() })
+    })
 }
 
 /// Everything one flat join step needs when it runs.
 pub(crate) struct JoinStep {
     /// The step's physical method.
     pub(crate) method: StepMethod,
-    /// Evaluable predicates minus the driver, in plan order.
-    pub(crate) residuals: Vec<PlanCompare>,
+    /// Predicates evaluable at this step, in plan order, the driver among
+    /// them.
+    pub(crate) preds: Vec<PlanCompare>,
     /// Layout of the bound side (before this step).
     pub(crate) layout: Layout,
     /// Layout after this step joins its table.
@@ -159,6 +179,22 @@ pub(crate) struct JoinStep {
     pub(crate) sink: SinkMode,
 }
 
+impl JoinStep {
+    /// The driving equality (`None` for a block nested loop).
+    pub(crate) fn driver(&self) -> Option<&Driver> {
+        match &self.method {
+            StepMethod::Merge(d) | StepMethod::Partitioned(d) => Some(d),
+            StepMethod::NestedLoop => None,
+        }
+    }
+
+    /// The evaluable predicates other than the driver, in plan order.
+    pub(crate) fn residuals(&self) -> impl Iterator<Item = &PlanCompare> {
+        let driver = self.driver().map(|d| d.pos);
+        self.preds.iter().enumerate().filter(move |&(j, _)| Some(j) != driver).map(|(_, p)| p)
+    }
+}
+
 /// One physical node of a lowered tree: what `nodes[i]` computes. Its inputs
 /// are the outputs of the nodes `outline.ops[i].inputs` names, the edges the
 /// verifier checked; the node itself holds no edges.
@@ -166,18 +202,20 @@ pub(crate) enum Node {
     /// Filter scan of a base table at a degree bound.
     Scan {
         /// The table to scan.
-        table: crate::plan::PlanTable,
+        table: PlanTable,
         /// Tuples below this bound are dropped.
         min_degree: Degree,
     },
     /// Single-table select + project straight to answer rows.
     Select {
         /// The (only) plan table.
-        table: crate::plan::PlanTable,
+        table: PlanTable,
         /// Remaining predicates.
         preds: Vec<PlanCompare>,
         /// Projection columns.
         select: Vec<PlanCol>,
+        /// The degree bound its scan delivers.
+        min_degree: Degree,
     },
     /// External ⪯-sort of a table or a pipelined row buffer.
     Sort {
@@ -187,6 +225,9 @@ pub(crate) enum Node {
         col: PlanCol,
         /// The α-cut the interval order uses.
         alpha: Degree,
+        /// The input is a flat step's bound side, named by its bindings
+        /// (`sort [R×S] by …`), rather than one base table (`sort S by …`).
+        bound_side: bool,
     },
     /// One flat join step.
     Join {
@@ -218,12 +259,157 @@ pub(crate) enum Node {
     },
 }
 
+impl Node {
+    /// The columns an anti or aggregate node's outer and inner arrive
+    /// ⪯-sorted on: both merge columns, or under `Scan` an aggregate's outer
+    /// on its correlation column; none for any other node.
+    fn sorted_inputs(&self) -> [Option<&PlanCol>; 2] {
+        let (access, scan_outer) = match self {
+            Node::Anti { access, .. } => (access, None),
+            Node::Agg { plan, access } => (access, plan.corr.as_ref().map(|(u, _, _)| u)),
+            _ => return [None, None],
+        };
+        match access {
+            Access::Merge { outer, inner } => [Some(outer), Some(inner)],
+            Access::Scan => [scan_outer, None],
+            Access::NestedLoop => [None, None],
+        }
+    }
+
+    /// The node's property declaration over its input slots `inputs`: what
+    /// it requires of each input and what its output delivers.
+    fn declare(&self, inputs: Vec<usize>) -> PhysOp {
+        let binding = |b: &str| Prop::Binding(b.to_string());
+        // An anti or aggregate operator: each input ⪯-sorted on its
+        // `sorted` column where it has one, then both inputs' bindings; it
+        // delivers the outer binding.
+        let two_input = |name: &str, [outer, inner]: [&PlanTable; 2], inputs| {
+            let z = Degree::ZERO;
+            let sorted = self.sorted_inputs();
+            let sorts = (0..2)
+                .filter_map(|k| Some((k, Prop::Sorted { col: sorted[k]?.clone(), alpha: z })));
+            let bindings =
+                [outer, inner].into_iter().enumerate().map(|(k, t)| (k, binding(&t.binding)));
+            PhysOp::declare(
+                format!("{name} {} x {}", outer.binding, inner.binding),
+                inputs,
+                sorts.chain(bindings).collect(),
+                vec![binding(&outer.binding), Prop::MinDegree(z)],
+            )
+        };
+        match self {
+            Node::Scan { table, min_degree } => PhysOp::declare(
+                format!("scan {}", table.binding),
+                inputs,
+                vec![],
+                vec![binding(&table.binding), Prop::MinDegree(*min_degree)],
+            ),
+            Node::Select { table, min_degree, .. } => PhysOp::declare(
+                format!("select {}", table.binding),
+                inputs,
+                vec![(0, binding(&table.binding)), (0, Prop::MinDegree(*min_degree))],
+                vec![binding(&table.binding), Prop::MinDegree(*min_degree)],
+            ),
+            Node::Sort { layout, col, alpha, bound_side } => {
+                let sorted = layout.bindings().collect::<Vec<_>>().join("×");
+                let sorted = if *bound_side { format!("[{sorted}]") } else { sorted };
+                PhysOp::declare(
+                    format!("sort {sorted} by {col}"),
+                    inputs,
+                    vec![(0, binding(&col.binding)), (0, Prop::MinDegree(*alpha))],
+                    layout
+                        .bindings()
+                        .map(binding)
+                        .chain([
+                            Prop::Sorted { col: col.clone(), alpha: *alpha },
+                            Prop::MinDegree(*alpha),
+                        ])
+                        .collect(),
+                )
+            }
+            Node::Join { step } => {
+                let alpha = step.alpha;
+                let joined = step.next_layout.bindings().last().unwrap_or_default();
+                // Both inputs' degree bounds, then the binding provenance
+                // of the step's predicates, in plan order.
+                let provenance = step.preds.iter().flat_map(PlanCompare::bindings);
+                let mut requires = first_of_each(
+                    [(0, Prop::MinDegree(alpha)), (1, Prop::MinDegree(alpha))]
+                        .into_iter()
+                        .chain(provenance.map(|b| (usize::from(b == joined), binding(b)))),
+                );
+                let method = match &step.method {
+                    StepMethod::Merge(d) => {
+                        requires.push((0, Prop::Sorted { col: d.bound.clone(), alpha }));
+                        requires.push((1, Prop::Sorted { col: d.joined.clone(), alpha }));
+                        "merge-join"
+                    }
+                    StepMethod::Partitioned(_) => "partitioned-join",
+                    StepMethod::NestedLoop => "nested-loop",
+                };
+                PhysOp::declare(
+                    format!("{method} +{joined}"),
+                    inputs,
+                    requires,
+                    step.next_layout
+                        .bindings()
+                        .map(binding)
+                        .chain([Prop::MinDegree(alpha)])
+                        .collect(),
+                )
+            }
+            Node::Anti { plan, access } => {
+                let name = match access {
+                    Access::Merge { .. } => "anti-merge",
+                    Access::Scan => "anti-scan",
+                    Access::NestedLoop => "nested-loop-anti",
+                };
+                two_input(name, [&plan.outer, &plan.inner], inputs)
+            }
+            Node::Agg { plan, access } => {
+                let name = match (access, &plan.corr) {
+                    (Access::Merge { .. }, _) => "agg-merge",
+                    (Access::Scan, Some(_)) => "agg-scan",
+                    (Access::Scan, None) => "agg-const",
+                    (Access::NestedLoop, _) => "nested-loop-agg",
+                };
+                two_input(name, [&plan.outer, &plan.inner], inputs)
+            }
+            Node::Output { select, .. } => {
+                let requires = first_of_each(select.iter().map(|c| (0, binding(&c.binding))));
+                PhysOp::declare("output", inputs, requires, vec![Prop::DupMax])
+            }
+        }
+    }
+}
+
+/// `reqs` with each requirement kept once, where it first occurs.
+fn first_of_each(reqs: impl IntoIterator<Item = (usize, Prop)>) -> Vec<(usize, Prop)> {
+    let mut out = Vec::new();
+    for req in reqs {
+        if !out.contains(&req) {
+            out.push(req);
+        }
+    }
+    out
+}
+
+/// The nodes of a tree under construction, each with its input slots.
+type Tree = Vec<(Node, Vec<usize>)>;
+
+/// Appends `node` over `inputs`, returning its slot.
+fn add(tree: &mut Tree, node: Node, inputs: Vec<usize>) -> usize {
+    tree.push((node, inputs));
+    tree.len() - 1
+}
+
 /// Lowers a plan under a strategy and a configuration: applies the
 /// optimizer's join reorder, derives the push-down bound, and emits the
-/// operator tree with its property declarations. This is the single source
-/// of physical decisions — the executor runs the tree, the verifier checks
-/// it, and `EXPLAIN` renders it. [`Strategy::Naive`] has no operator tree;
-/// the engine never lowers it (it would lower like [`Strategy::Unnest`]).
+/// operator tree, whose outline each node declares. This is the single
+/// source of physical decisions — the executor runs the tree, the verifier
+/// checks it, and `EXPLAIN` renders it. [`Strategy::Naive`] has no operator
+/// tree; the engine never lowers it (it would lower like
+/// [`Strategy::Unnest`]).
 pub(crate) fn lower(
     plan: &UnnestPlan,
     strategy: Strategy,
@@ -237,37 +423,60 @@ pub(crate) fn lower(
     };
     let (plan, join_sizes) = effective_plan(plan, config, catalog, stats);
     let alpha = if strategy.is_baseline() { Degree::ZERO } else { pushdown_alpha(config, &plan) };
-    let (ops, nodes) = match &plan {
+    let tree = match &plan {
         UnnestPlan::Flat(p) => lower_flat(p, strategy, config, alpha),
         UnnestPlan::Anti(p) => {
-            let (access, sorted) = match &p.window {
-                _ if strategy.is_baseline() => (Access::NestedLoop, [None, None]),
-                Some((o, i)) => (Access::Merge, [Some(o), Some(i)]),
-                None => (Access::Scan, [None, None]),
+            let access = two_input_access(strategy, &p.pair_preds, &p.outer, &p.inner);
+            let node = |[outer, inner]: [PlanTable; 2]| Node::Anti {
+                plan: AntiPlan { outer, inner, ..p.clone() },
+                access,
             };
-            let op = |inputs, [outer, inner]: [PlanTable; 2]| {
-                let plan = AntiPlan { outer, inner, ..p.clone() };
-                (anti::declared_properties(p, access, inputs, sorted), Node::Anti { plan, access })
-            };
-            lower_two_input([&p.outer, &p.inner], sorted, strategy, op, &p.select, p.threshold)
+            lower_two_input([&p.outer, &p.inner], strategy, node, &p.select, p.threshold)
         }
         UnnestPlan::Agg(p) => {
-            let (access, sorted) = match &p.corr {
-                _ if strategy.is_baseline() => (Access::NestedLoop, [None, None]),
-                Some((u, CmpOp::Eq, v)) => (Access::Merge, [Some(u), Some(v)]),
-                // A non-equality correlation cannot window the inner; the
-                // outer is sorted so that equal values share one group.
-                Some((u, _, _)) => (Access::Scan, [Some(u), None]),
-                None => (Access::Scan, [None, None]),
+            // The correlation `S.V op₂ R.U`: only an exact equality windows
+            // the inner; otherwise the scan sorts the outer on U so that
+            // equal values share one group.
+            let corr: Vec<PlanCompare> = (p.corr.iter())
+                .map(|(u, op, v)| {
+                    PlanCompare::new(PlanOperand::Col(v.clone()), *op, PlanOperand::Col(u.clone()))
+                })
+                .collect();
+            let access = two_input_access(strategy, &corr, &p.outer, &p.inner);
+            let node = |[outer, inner]: [PlanTable; 2]| Node::Agg {
+                plan: AggPlan { outer, inner, ..p.clone() },
+                access,
             };
-            let op = |inputs, [outer, inner]: [PlanTable; 2]| {
-                let plan = AggPlan { outer, inner, ..p.clone() };
-                (agg::declared_properties(p, access, inputs, sorted), Node::Agg { plan, access })
-            };
-            lower_two_input([&p.outer, &p.inner], sorted, strategy, op, &p.select, p.threshold)
+            lower_two_input([&p.outer, &p.inner], strategy, node, &p.select, p.threshold)
         }
     };
+    let (nodes, ops) = tree
+        .into_iter()
+        .map(|(node, inputs)| {
+            let op = node.declare(inputs);
+            (node, op)
+        })
+        .unzip();
     Lowered { plan, written_order, join_sizes, alpha, outline: Outline { ops }, nodes }
+}
+
+/// How an anti or aggregate operator reads `outer` and `inner` under
+/// `strategy`: a block nested loop under the baselines, else a merge window
+/// on the [`merge_driver`] of `preds` (with the outer as the bound side),
+/// else a scan.
+fn two_input_access(
+    strategy: Strategy,
+    preds: &[PlanCompare],
+    outer: &PlanTable,
+    inner: &PlanTable,
+) -> Access {
+    if strategy.is_baseline() {
+        return Access::NestedLoop;
+    }
+    match merge_driver(preds, &Layout::of_table(outer), &inner.binding) {
+        Some(d) => Access::Merge { outer: d.bound, inner: d.joined },
+        None => Access::Scan,
+    }
 }
 
 /// The degree bound a pushed-down `WITH D > z` threshold lets the plan's
@@ -319,85 +528,42 @@ fn effective_plan(
     }
 }
 
-fn push(ops: &mut Vec<PhysOp>, nodes: &mut Vec<Node>, op: PhysOp, node: Node) -> usize {
-    ops.push(op);
-    nodes.push(node);
-    ops.len() - 1
-}
-
-/// One flat join step's decisions, computed for every step before any node
-/// is emitted so a step can see its *consumer* (the pipelining decision).
-struct StepPlan {
-    /// Predicates evaluable at this step, in plan order.
-    evaluable: Vec<PlanCompare>,
-    /// The merge driver, if an exact equality links the bound side and `t`:
-    /// (bound-side column, t's column, position within `evaluable`).
-    driver: Option<(PlanCol, PlanCol, usize)>,
-    /// Layout before this step.
-    layout: Layout,
-    /// Layout after this step.
-    next_layout: Layout,
-    /// Bound binding names before this step.
-    bound: Vec<String>,
-}
-
-fn lower_flat(
-    p: &FlatPlan,
-    strategy: Strategy,
-    config: &ExecConfig,
-    alpha: Degree,
-) -> (Vec<PhysOp>, Vec<Node>) {
-    let mut ops: Vec<PhysOp> = Vec::new();
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut scans: Vec<usize> = Vec::new();
+fn lower_flat(p: &FlatPlan, strategy: Strategy, config: &ExecConfig, alpha: Degree) -> Tree {
+    let mut tree = Tree::new();
     // The local predicates each table's consuming step evaluates inline.
     let mut inline: Vec<Vec<PlanCompare>> = Vec::new();
+    let mut scans: Vec<usize> = Vec::new();
     for t in &p.tables {
         let (scanned, preds) = split_local(t, strategy);
         inline.push(preds);
-        scans.push(push(
-            &mut ops,
-            &mut nodes,
-            filter_scan::declared_properties(&t.binding, alpha),
-            Node::Scan { table: scanned, min_degree: alpha },
-        ));
+        scans.push(add(&mut tree, Node::Scan { table: scanned, min_degree: alpha }, vec![]));
     }
-    let first = match scans.first().copied() {
-        Some(s) => s,
-        None => return (ops, nodes), // empty FROM: the driver errors out
+    let Some(&first) = scans.first() else {
+        return tree; // empty FROM: the driver errors out
     };
     if p.tables.len() == 1 {
         let t = &p.tables[0];
-        let sel = push(
-            &mut ops,
-            &mut nodes,
-            flat::declared_properties_select(&t.binding, alpha, first),
-            Node::Select {
-                table: t.clone(),
-                preds: inline[0].iter().chain(&p.join_preds).cloned().collect(),
-                select: p.select.clone(),
-            },
-        );
-        push(
-            &mut ops,
-            &mut nodes,
-            output::declared_properties(sel, &p.select),
-            Node::Output {
-                layout: Layout::of_table(t),
-                select: p.select.clone(),
-                threshold: p.threshold,
-            },
-        );
-        return (ops, nodes);
+        let select = Node::Select {
+            table: t.clone(),
+            preds: inline[0].iter().chain(&p.join_preds).cloned().collect(),
+            select: p.select.clone(),
+            min_degree: alpha,
+        };
+        let sel = add(&mut tree, select, vec![first]);
+        let output = Node::Output {
+            layout: Layout::of_table(t),
+            select: p.select.clone(),
+            threshold: p.threshold,
+        };
+        add(&mut tree, output, vec![sel]);
+        return tree;
     }
 
-    // Pass 1: per-step decisions (evaluable predicates, merge driver,
-    // layouts) — computed up front so pass 2 can consult a step's consumer
-    // when deciding whether its output pipelines or materializes.
+    // Pass 1: every step's predicates, method and layouts, decided before
+    // any node is emitted so that a step can see its *consumer*.
     let mut layout = Layout::of_table(&p.tables[0]);
-    let mut bound: Vec<String> = vec![p.tables[0].binding.clone()];
     let mut remaining: Vec<PlanCompare> = p.join_preds.clone();
-    let mut steps: Vec<StepPlan> = Vec::new();
+    let mut steps: Vec<JoinStep> = Vec::new();
     for (i, t) in p.tables.iter().enumerate().skip(1) {
         let last = i == p.tables.len() - 1;
         let mut next_layout = layout.clone();
@@ -412,228 +578,97 @@ fn lower_flat(
         // Inline local predicates go first: p₁ of the first table, then p₂
         // of the joined one, then the joins.
         let firsts = if i == 1 { inline[0].as_slice() } else { &[] };
-        let evaluable: Vec<PlanCompare> =
+        let preds: Vec<PlanCompare> =
             firsts.iter().chain(&inline[i]).cloned().chain(joins).collect();
-        // Pick an exact equality between the bound set and t as merge
-        // driver. Similarity predicates (op Eq with a tolerance) must
-        // not drive: their widened matches are not bounded by support
-        // intersection, so the merge window would miss pairs — they stay
-        // residuals, evaluated with their tolerance. The baselines take no
-        // driver: every step is a block nested loop.
-        let driver = evaluable.iter().enumerate().find_map(|(pos, pr)| {
-            if strategy.is_baseline() {
-                return None;
-            }
-            if pr.op != CmpOp::Eq || pr.tolerance.is_some() {
-                return None;
-            }
-            match (pr.lhs.as_col(), pr.rhs.as_col()) {
-                (Some(l), Some(r)) if layout.contains(&l.binding) && r.binding == t.binding => {
-                    Some((l.clone(), r.clone(), pos))
-                }
-                (Some(l), Some(r)) if layout.contains(&r.binding) && l.binding == t.binding => {
-                    Some((r.clone(), l.clone(), pos))
-                }
-                _ => None,
-            }
-        });
-        steps.push(StepPlan {
-            evaluable,
-            driver,
-            layout: layout.clone(),
-            next_layout: next_layout.clone(),
-            bound: bound.clone(),
-        });
-        layout = next_layout;
-        bound.push(t.binding.clone());
+        // The baselines take no driver: every step is a block nested loop.
+        let driver =
+            if strategy.is_baseline() { None } else { merge_driver(&preds, &layout, &t.binding) };
+        let method = match (driver, config.join_method) {
+            (Some(d), JoinMethod::Merge) => StepMethod::Merge(d),
+            (Some(d), JoinMethod::Partitioned) => StepMethod::Partitioned(d),
+            (None, _) => StepMethod::NestedLoop,
+        };
+        let next = next_layout.clone();
+        let sink = SinkMode::Materialize; // set below, once its consumer is known
+        steps.push(JoinStep { method, preds, layout, next_layout, alpha, sink });
+        layout = next;
     }
-    let final_layout = layout;
+    // Each step's sink, decided by its consumer: the last step streams into
+    // the answer; a step feeding a merge step's sort boundary pipelines in
+    // memory; anything else (partitioned or nested-loop consumers re-scan by
+    // page) materializes a temp table.
+    for k in 0..steps.len() {
+        steps[k].sink = match steps.get(k + 1) {
+            None => SinkMode::Answer { select: p.select.clone() },
+            Some(next) if matches!(next.method, StepMethod::Merge(_)) => SinkMode::Rows,
+            Some(_) => SinkMode::Materialize,
+        };
+    }
 
-    // Pass 2: emit the nodes.
+    // Pass 2: emit the nodes; a merge step sorts both its inputs.
     let mut cur = first;
-    for (k, sp) in steps.iter().enumerate() {
-        let t = &p.tables[k + 1];
-        let last = k == steps.len() - 1;
-        // Binding provenance required by this step's predicates.
-        let mut requires = vec![
-            (0, crate::verify::Prop::MinDegree(alpha)),
-            (1, crate::verify::Prop::MinDegree(alpha)),
-        ];
-        for pr in &sp.evaluable {
-            for b in pr.bindings() {
-                let slot = usize::from(b == t.binding);
-                let prop = crate::verify::Prop::Binding(b.to_string());
-                if !requires.iter().any(|(s, q)| *s == slot && *q == prop) {
-                    requires.push((slot, prop));
-                }
+    for ((step, &scan), t) in steps.into_iter().zip(&scans[1..]).zip(&p.tables[1..]) {
+        let inputs = match &step.method {
+            StepMethod::Merge(d) => {
+                let left = Node::Sort {
+                    layout: step.layout.clone(),
+                    col: d.bound.clone(),
+                    alpha,
+                    bound_side: true,
+                };
+                let right = Node::Sort {
+                    layout: Layout::of_table(t),
+                    col: d.joined.clone(),
+                    alpha,
+                    bound_side: false,
+                };
+                vec![add(&mut tree, left, vec![cur]), add(&mut tree, right, vec![scan])]
             }
-        }
-        let mut delivers: Vec<crate::verify::Prop> =
-            sp.bound.iter().map(|b| crate::verify::Prop::Binding(b.clone())).collect();
-        delivers.push(crate::verify::Prop::Binding(t.binding.clone()));
-        delivers.push(crate::verify::Prop::MinDegree(alpha));
-        // The step's sink, decided by its consumer: the last step streams
-        // into the answer; a step feeding a merge step's sort boundary
-        // pipelines in memory; anything else (partitioned or nested-loop
-        // consumers re-scan by page) materializes a temp table.
-        let sink = if last {
-            SinkMode::Answer { select: p.select.clone() }
-        } else if steps[k + 1].driver.is_some() && config.join_method == JoinMethod::Merge {
-            SinkMode::Rows
-        } else {
-            SinkMode::Materialize
+            StepMethod::Partitioned(_) | StepMethod::NestedLoop => vec![cur, scan],
         };
-        let residuals: Vec<PlanCompare> = match &sp.driver {
-            Some((_, _, pos)) => sp
-                .evaluable
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| j != pos)
-                .map(|(_, pr)| pr.clone())
-                .collect(),
-            None => sp.evaluable.clone(),
-        };
-        cur = match (&sp.driver, config.join_method) {
-            (Some((cur_col, next_col, _)), JoinMethod::Merge) => {
-                let sort_left = push(
-                    &mut ops,
-                    &mut nodes,
-                    sort::declared_properties_bound(cur, &sp.bound, cur_col, alpha),
-                    Node::Sort { layout: sp.layout.clone(), col: cur_col.clone(), alpha },
-                );
-                let sort_right = push(
-                    &mut ops,
-                    &mut nodes,
-                    sort::declared_properties_base(scans[k + 1], &t.binding, next_col, alpha),
-                    Node::Sort { layout: Layout::of_table(t), col: next_col.clone(), alpha },
-                );
-                push(
-                    &mut ops,
-                    &mut nodes,
-                    merge_join::declared_properties(
-                        &t.binding,
-                        vec![sort_left, sort_right],
-                        requires,
-                        delivers,
-                        cur_col,
-                        next_col,
-                        alpha,
-                    ),
-                    Node::Join {
-                        step: JoinStep {
-                            method: StepMethod::Merge {
-                                cur_col: cur_col.clone(),
-                                next_col: next_col.clone(),
-                            },
-                            residuals,
-                            layout: sp.layout.clone(),
-                            next_layout: sp.next_layout.clone(),
-                            alpha,
-                            sink,
-                        },
-                    },
-                )
-            }
-            (Some((cur_col, next_col, _)), JoinMethod::Partitioned) => push(
-                &mut ops,
-                &mut nodes,
-                partitioned::declared_properties(
-                    &t.binding,
-                    vec![cur, scans[k + 1]],
-                    requires,
-                    delivers,
-                ),
-                Node::Join {
-                    step: JoinStep {
-                        method: StepMethod::Partitioned {
-                            cur_col: cur_col.clone(),
-                            next_col: next_col.clone(),
-                        },
-                        residuals,
-                        layout: sp.layout.clone(),
-                        next_layout: sp.next_layout.clone(),
-                        alpha,
-                        sink,
-                    },
-                },
-            ),
-            (None, _) => push(
-                &mut ops,
-                &mut nodes,
-                block_nl::declared_properties(
-                    &t.binding,
-                    vec![cur, scans[k + 1]],
-                    requires,
-                    delivers,
-                ),
-                Node::Join {
-                    step: JoinStep {
-                        method: StepMethod::NestedLoop,
-                        residuals,
-                        layout: sp.layout.clone(),
-                        next_layout: sp.next_layout.clone(),
-                        alpha,
-                        sink,
-                    },
-                },
-            ),
-        };
+        cur = add(&mut tree, Node::Join { step }, inputs);
     }
-    push(
-        &mut ops,
-        &mut nodes,
-        output::declared_properties(cur, &p.select),
-        Node::Output { layout: final_layout, select: p.select.clone(), threshold: p.threshold },
-    );
-    (ops, nodes)
+    let output = Node::Output { layout, select: p.select.clone(), threshold: p.threshold };
+    add(&mut tree, output, vec![cur]);
+    tree
 }
 
 /// Lowers a two-input (anti or aggregate) operator over `tables` (outer,
-/// inner): a scan of each, a ⪯-sort of each side that has a `sorted`
-/// column, the operator, and the output. `op` declares the operator over
-/// its input slots and builds its node from the two tables, which are left
-/// carrying the local predicates the operator evaluates inline.
+/// inner): a scan of each, a ⪯-sort of each side the operator reads sorted,
+/// the operator, and the output. `node` builds the operator from the two
+/// tables, which are left carrying the local predicates it evaluates
+/// inline.
 fn lower_two_input(
     tables: [&PlanTable; 2],
-    sorted: [Option<&PlanCol>; 2],
     strategy: Strategy,
-    op: impl FnOnce([usize; 2], [PlanTable; 2]) -> (PhysOp, Node),
+    node: impl FnOnce([PlanTable; 2]) -> Node,
     select: &[PlanCol],
     threshold: Option<Threshold>,
-) -> (Vec<PhysOp>, Vec<Node>) {
+) -> Tree {
     let z = Degree::ZERO;
-    let mut ops: Vec<PhysOp> = Vec::new();
-    let mut nodes: Vec<Node> = Vec::new();
+    let mut tree = Tree::new();
     let split = tables.map(|t| split_local(t, strategy));
     let scans = split.each_ref().map(|(scanned, _)| {
-        push(
-            &mut ops,
-            &mut nodes,
-            filter_scan::declared_properties(&scanned.binding, z),
-            Node::Scan { table: scanned.clone(), min_degree: z },
-        )
+        add(&mut tree, Node::Scan { table: scanned.clone(), min_degree: z }, vec![])
     });
+    let op = node(split.map(|(scanned, inline)| PlanTable { local_preds: inline, ..scanned }));
     let mut inputs = scans;
-    for (k, t) in tables.into_iter().enumerate() {
-        if let Some(col) = sorted[k] {
-            inputs[k] = push(
-                &mut ops,
-                &mut nodes,
-                sort::declared_properties_base(scans[k], &t.binding, col, z),
-                Node::Sort { layout: Layout::of_table(t), col: col.clone(), alpha: z },
-            );
+    for (k, col) in op.sorted_inputs().into_iter().enumerate() {
+        if let Some(col) = col {
+            let sort = Node::Sort {
+                layout: Layout::of_table(tables[k]),
+                col: col.clone(),
+                alpha: z,
+                bound_side: false,
+            };
+            inputs[k] = add(&mut tree, sort, vec![scans[k]]);
         }
     }
-    let (declared, node) =
-        op(inputs, split.map(|(scanned, inline)| PlanTable { local_preds: inline, ..scanned }));
-    let root = push(&mut ops, &mut nodes, declared, node);
-    push(
-        &mut ops,
-        &mut nodes,
-        output::declared_properties(root, select),
-        Node::Output { layout: Layout::of_table(tables[0]), select: select.to_vec(), threshold },
-    );
-    (ops, nodes)
+    let root = add(&mut tree, op, inputs.to_vec());
+    let output =
+        Node::Output { layout: Layout::of_table(tables[0]), select: select.to_vec(), threshold };
+    add(&mut tree, output, vec![root]);
+    tree
 }
 
 impl Lowered {
@@ -658,9 +693,9 @@ impl Lowered {
 
     /// How the tree's anti or aggregate operator reads its inputs (`None`
     /// for a flat plan).
-    pub(crate) fn access(&self) -> Option<Access> {
+    pub(crate) fn access(&self) -> Option<&Access> {
         self.nodes.iter().find_map(|n| match n {
-            Node::Anti { access, .. } | Node::Agg { access, .. } => Some(*access),
+            Node::Anti { access, .. } | Node::Agg { access, .. } => Some(access),
             _ => None,
         })
     }
@@ -675,5 +710,72 @@ impl Lowered {
             }),
             _ => None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fuzzy_core::{CmpOp, Value};
+    use fuzzy_rel::{AttrType, Schema};
+
+    fn col(b: &str, attr: usize) -> PlanCol {
+        PlanCol { binding: b.into(), attr }
+    }
+
+    fn cmp(l: PlanCol, op: CmpOp, r: PlanOperand) -> PlanCompare {
+        PlanCompare::new(PlanOperand::Col(l), op, r)
+    }
+
+    /// The layout of the bound bindings, each a three-column table.
+    fn bound(bindings: &[&str]) -> Layout {
+        let schema = Schema::of(&[
+            ("A", AttrType::Number),
+            ("B", AttrType::Number),
+            ("C", AttrType::Number),
+        ]);
+        let mut layout = Layout::default();
+        for b in bindings {
+            let t = PlanTable {
+                binding: b.to_string(),
+                name: b.to_string(),
+                schema: schema.clone(),
+                local_preds: Vec::new(),
+            };
+            layout.push(&t);
+        }
+        layout
+    }
+
+    #[test]
+    fn the_first_exact_equality_in_predicate_order_drives() {
+        let c = |b, a| PlanOperand::Col(col(b, a));
+        let mut similar = cmp(col("R", 1), CmpOp::Eq, c("S", 1));
+        similar.tolerance = Some(5.0);
+        // None of these may drive a window over S.
+        let never = vec![
+            similar,
+            cmp(col("R", 1), CmpOp::Lt, c("S", 1)),
+            cmp(col("S", 1), CmpOp::Eq, PlanOperand::Const(Value::number(5.0))),
+            cmp(col("S", 0), CmpOp::Eq, c("S", 1)),
+            cmp(col("R", 0), CmpOp::Eq, c("R", 1)),
+        ];
+        let r = bound(&["R"]);
+        assert_eq!(merge_driver(&never, &r, "S"), None);
+        // After them, the first exact equality wins, in either orientation,
+        // and comes back as (bound, joined).
+        let mut preds = never.clone();
+        preds.push(cmp(col("S", 2), CmpOp::Eq, c("R", 2)));
+        preds.push(cmp(col("R", 1), CmpOp::Eq, c("S", 1)));
+        let want = Driver { pos: 5, bound: col("R", 2), joined: col("S", 2) };
+        assert_eq!(merge_driver(&preds, &r, "S"), Some(want));
+        let forward = [cmp(col("R", 1), CmpOp::Eq, c("S", 0))];
+        let want = Driver { pos: 0, bound: col("R", 1), joined: col("S", 0) };
+        assert_eq!(merge_driver(&forward, &r, "S"), Some(want));
+        // Any binding of a multi-table bound side may drive.
+        let chain = [cmp(col("S", 0), CmpOp::Eq, c("T", 1))];
+        let want = Driver { pos: 0, bound: col("T", 1), joined: col("S", 0) };
+        assert_eq!(merge_driver(&chain, &bound(&["R", "T"]), "S"), Some(want));
+        assert_eq!(merge_driver(&chain, &r, "S"), None);
     }
 }

@@ -17,29 +17,10 @@ use crate::error::{EngineError, Result};
 use crate::exec::flat::JoinSink;
 use crate::exec::{Executor, PairOutcome};
 use crate::metrics::OperatorMetrics;
-use crate::plan::PlanCol;
-use crate::verify::{PhysOp, Prop};
 use fuzzy_core::{interval_order, Degree, Value};
 use fuzzy_rel::{StoredTable, Tuple};
 use std::collections::VecDeque;
 use std::ops::Range;
-
-/// Declaration of a flat merge-join step: requires both inputs ⪯-sorted on
-/// the driver columns (plus the step's binding/degree requirements built by
-/// the lowering pass), delivers the concatenated bindings.
-pub(crate) fn declared_properties(
-    t_binding: &str,
-    inputs: Vec<usize>,
-    mut requires: Vec<(usize, Prop)>,
-    delivers: Vec<Prop>,
-    cur_col: &PlanCol,
-    next_col: &PlanCol,
-    alpha: Degree,
-) -> PhysOp {
-    requires.push((0, Prop::Sorted { col: cur_col.clone(), alpha }));
-    requires.push((1, Prop::Sorted { col: next_col.clone(), alpha }));
-    PhysOp::declare(format!("merge-join +{t_binding}"), inputs, requires, delivers)
-}
 
 /// The `Rng(r)` window over a ⪯-sorted inner stream, advanced through the
 /// ⪯-sorted outer values. The window is a FIFO: tuples enter at the back in

@@ -2,9 +2,12 @@
 //!
 //! A logical [`crate::plan::UnnestPlan`] is *lowered* (`lower`) once, when
 //! its [`VerifiedPlan`] is built, into an explicit tree of physical
-//! operators. Lowering decides every physical method; the anti and
-//! aggregate operators read their two inputs in one shared `lower::Access`
-//! mode (`Merge`, `Scan` or `NestedLoop`). One module per operator:
+//! operators. The lowered nodes are the one record of every physical
+//! method: each merge window is picked by one rule (`lower::merge_driver`),
+//! the anti and aggregate operators read their two inputs in one shared
+//! `lower::Access` mode (`Merge` with its columns, `Scan` or `NestedLoop`),
+//! and each node declares its own properties (`lower::Node::declare`).
+//! The operator modules only compute. One module per operator:
 //!
 //! * `filter_scan` — folds a table's local predicates (the paper's p_i)
 //!   into tuple degrees, materializing only the positive survivors ("only
@@ -29,9 +32,9 @@
 //!
 //! `op::drive` runs the cached tree by borrow: one match over its nodes, in
 //! outline order, each operator run to completion on the inputs its
-//! physical-property declaration ([`crate::verify::PhysOp`]) names, the
-//! edges the static verifier checked — so the tree that is verified is the
-//! tree that runs.
+//! physical-property declaration ([`crate::verify::PhysOp`], derived from
+//! the node) names, the edges the static verifier checked — so the tree
+//! that is verified is the tree that runs.
 //! Chain joins pipeline left-deep: intermediate join output feeds the next
 //! sort boundary as in-memory rows (`op::Slot::Rows`) instead of a
 //! temp-table round trip (see DESIGN.md §11).

@@ -127,11 +127,11 @@ pub(crate) fn drive(
             Node::Scan { table, min_degree } => {
                 Slot::Table(ex.filter_scan(table, catalog, *min_degree, &mut m)?)
             }
-            Node::Select { table, preds, select } => {
+            Node::Select { table, preds, select, .. } => {
                 let input = state.table(op, 0)?;
                 Slot::Answer(ex.select(&input, table, preds, select, &mut m)?)
             }
-            Node::Sort { layout, col, alpha } => {
+            Node::Sort { layout, col, alpha, .. } => {
                 let input = state.input(op, 0)?;
                 let (sorted, p) = ex.sort_input(input, layout, col, *alpha, &mut m)?;
                 phases = p;
@@ -143,11 +143,11 @@ pub(crate) fn drive(
             }
             Node::Anti { plan, access } => {
                 let (outer, inner) = (state.table(op, 0)?, state.table(op, 1)?);
-                Slot::Answer(ex.anti(&outer, &inner, plan, *access, &mut m)?)
+                Slot::Answer(ex.anti(&outer, &inner, plan, access, &mut m)?)
             }
             Node::Agg { plan, access } => {
                 let (outer, inner) = (state.table(op, 0)?, state.table(op, 1)?);
-                Slot::Answer(ex.aggregate(&outer, &inner, plan, *access, &mut m)?)
+                Slot::Answer(ex.aggregate(&outer, &inner, plan, access, &mut m)?)
             }
             Node::Output { layout, select, threshold } => {
                 let (schema, _) = layout.projection(select)?;

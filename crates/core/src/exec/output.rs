@@ -4,24 +4,9 @@
 //! final `WITH D > z` threshold exactly.
 
 use crate::metrics::OperatorMetrics;
-use crate::plan::PlanCol;
-use crate::verify::{PhysOp, Prop};
 use fuzzy_core::{Degree, Value};
 use fuzzy_rel::{Relation, Schema, Tuple};
 use fuzzy_sql::Threshold;
-
-/// The output operator's declaration: requires every projected binding from
-/// the stream, delivers fuzzy-OR duplicate elimination.
-pub(crate) fn declared_properties(input: usize, select: &[PlanCol]) -> PhysOp {
-    let mut requires: Vec<(usize, Prop)> = Vec::new();
-    for c in select {
-        let prop = Prop::Binding(c.binding.clone());
-        if !requires.iter().any(|(_, q)| *q == prop) {
-            requires.push((0, prop));
-        }
-    }
-    PhysOp::declare("output", vec![input], requires, vec![Prop::DupMax])
-}
 
 /// Projects a tuple's values through resolved indices.
 pub(crate) fn project(t: &Tuple, idx: &[usize]) -> Vec<Value> {

@@ -36,21 +36,8 @@ use crate::exec::merge_join::RngCursor;
 use crate::exec::sort::sort_tuples;
 use crate::exec::Executor;
 use crate::metrics::OperatorMetrics;
-use crate::verify::{PhysOp, Prop};
 use fuzzy_core::Degree;
 use fuzzy_rel::{StoredTable, Tuple};
-
-/// Declaration of a flat partitioned-join step: consumes the unsorted bound
-/// side and the scan directly (no sort boundary — partitioning replaces it);
-/// the binding/degree requirements come from the lowering pass.
-pub(crate) fn declared_properties(
-    t_binding: &str,
-    inputs: Vec<usize>,
-    requires: Vec<(usize, Prop)>,
-    delivers: Vec<Prop>,
-) -> PhysOp {
-    PhysOp::declare(format!("partitioned-join +{t_binding}"), inputs, requires, delivers)
-}
 
 impl Executor {
     /// Streams the joining pairs of `outer ⋈ inner` on the given attributes

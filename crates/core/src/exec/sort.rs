@@ -10,7 +10,6 @@ use crate::exec::op::Slot;
 use crate::exec::{Executor, Layout};
 use crate::metrics::{OperatorMetrics, SortPhases};
 use crate::plan::PlanCol;
-use crate::verify::{PhysOp, Prop};
 use fuzzy_core::interval_order::OrderKey;
 use fuzzy_core::{Degree, Value};
 use fuzzy_rel::{Schema, StoredTable, Tuple};
@@ -46,46 +45,6 @@ pub(crate) fn sort_tuples(
     sort_keys(&keys, |k| k.0, |a, b| a.1.cmp_key(&b.1), comparisons)
         .filter_map(|i| slots[i].take())
         .collect()
-}
-
-/// Declaration of a sort over one base relation's stream (anti/agg pipelines
-/// and flat right-hand sides sort at the step's α-cut).
-pub(crate) fn declared_properties_base(
-    input: usize,
-    binding: &str,
-    col: &PlanCol,
-    alpha: Degree,
-) -> PhysOp {
-    PhysOp::declare(
-        format!("sort {binding} by {col}"),
-        vec![input],
-        vec![(0, Prop::Binding(col.binding.clone())), (0, Prop::MinDegree(alpha))],
-        vec![
-            Prop::Binding(binding.to_string()),
-            Prop::Sorted { col: col.clone(), alpha },
-            Prop::MinDegree(alpha),
-        ],
-    )
-}
-
-/// Declaration of a sort over the bound (already-joined) side of a flat join
-/// step: delivers every bound binding plus the ⪯ order on the driver column.
-pub(crate) fn declared_properties_bound(
-    input: usize,
-    bound: &[String],
-    col: &PlanCol,
-    alpha: Degree,
-) -> PhysOp {
-    PhysOp::declare(
-        format!("sort [{}] by {col}", bound.join("×")),
-        vec![input],
-        vec![(0, Prop::Binding(col.binding.clone())), (0, Prop::MinDegree(alpha))],
-        bound
-            .iter()
-            .map(|b| Prop::Binding(b.clone()))
-            .chain([Prop::Sorted { col: col.clone(), alpha }, Prop::MinDegree(alpha)])
-            .collect(),
-    )
 }
 
 /// Charges an external sort of `n` tuples to `m` and returns its phase

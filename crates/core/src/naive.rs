@@ -582,15 +582,7 @@ fn resolve_having_terms(lhs: HavingValue, rhs: HavingValue, vocab: &Vocabulary) 
     let settle = |v: HavingValue, partner_is_text: bool| -> Value {
         match v {
             HavingValue::Val(v) => v,
-            HavingValue::Term(t) => {
-                if partner_is_text {
-                    Value::text(t)
-                } else if let Ok(shape) = vocab.resolve(&t) {
-                    Value::fuzzy(shape)
-                } else {
-                    Value::text(t)
-                }
-            }
+            HavingValue::Term(t) => term_value(&t, partner_is_text, vocab),
         }
     };
     let lhs_text = matches!(&lhs, HavingValue::Val(Value::Text(_)));
@@ -728,16 +720,18 @@ fn finish_resolve<'e>(
 ) -> Result<Cow<'e, Value>> {
     match p {
         Pre::Val(v) => Ok(v),
-        Pre::Term(t) => Ok(Cow::Owned(if partner_is_text {
-            Value::text(t)
-        } else if let Ok(shape) = vocab.resolve(t) {
-            Value::fuzzy(shape)
-        } else {
-            // Not in the vocabulary and not compared to text: treat as a
-            // plain string (e.g. comparing two term literals).
-            Value::text(t)
-        })),
+        Pre::Term(t) => Ok(Cow::Owned(term_value(t, partner_is_text, vocab))),
     }
+}
+
+/// The value a quoted term binds to: text when its partner is text,
+/// otherwise the vocabulary's shape of that name. A term the vocabulary
+/// does not know is a plain string (e.g. two term literals compared).
+fn term_value(term: &str, partner_is_text: bool, vocab: &Vocabulary) -> Value {
+    if partner_is_text {
+        return Value::text(term);
+    }
+    vocab.resolve(term).map_or_else(|_| Value::text(term), Value::fuzzy)
 }
 
 /// Resolves the LHS of a sub-query predicate, using the sub-query's column
@@ -754,13 +748,7 @@ fn resolve_operand_vs_relation<'e>(
         Operand::FuzzyLiteral(a, b, c, d) => Ok(Cow::Owned(fuzzy_literal_value(*a, *b, *c, *d)?)),
         Operand::Term(term) => {
             let text_col = t.schema().attr(0).ty == AttrType::Text;
-            Ok(Cow::Owned(if text_col {
-                Value::text(term.clone())
-            } else if let Ok(shape) = vocab.resolve(term) {
-                Value::fuzzy(shape)
-            } else {
-                Value::text(term.clone())
-            }))
+            Ok(Cow::Owned(term_value(term, text_col, vocab)))
         }
     }
 }

@@ -83,12 +83,18 @@ impl PlanCompare {
         out
     }
 
-    /// True iff this is an exact equality between two columns of the two
-    /// given bindings (in either orientation) — a merge-join driver
-    /// candidate. Similarity predicates are residuals, never drivers (their
+    /// True iff this is an exact equality: `=` with no similarity tolerance,
+    /// the only comparison that may drive a merge window (a similarity's
     /// widened intersection criterion is not the window's).
+    pub fn is_exact_eq(&self) -> bool {
+        self.op == CmpOp::Eq && self.tolerance.is_none()
+    }
+
+    /// True iff this is an exact equality between two columns of the two
+    /// given bindings (in either orientation): the optimizer's join-graph
+    /// edge.
     pub fn is_equi_between(&self, a: &str, b: &str) -> bool {
-        if self.op != CmpOp::Eq || self.tolerance.is_some() {
+        if !self.is_exact_eq() {
             return false;
         }
         match (self.lhs.as_col(), self.rhs.as_col()) {
@@ -267,7 +273,9 @@ pub enum AntiKind {
     },
 }
 
-/// The grouped-MIN(D) plan for `NOT IN` and `ALL` (JX′/JALL′).
+/// The grouped-MIN(D) plan for `NOT IN` and `ALL` (JX′/JALL′). A logical
+/// plan: how the operator reads its inputs, and the merge window it may
+/// scan, are decided when it is lowered (`exec::lower`'s `Access`).
 #[derive(Debug, Clone)]
 pub struct AntiPlan {
     /// Outer relation with p₁.
@@ -280,11 +288,6 @@ pub struct AntiPlan {
     pub pair_preds: Vec<PlanCompare>,
     /// Which degree the inner contribution accumulates.
     pub kind: AntiKind,
-    /// The equality in `pair_preds` that drives the merge window, as
-    /// `(outer column, inner column)`; `None` forces the scan fallback
-    /// (uncorrelated NX/ALL — the temporary relation is built once and
-    /// scanned per outer tuple).
-    pub window: Option<(PlanCol, PlanCol)>,
     /// Output columns from the outer relation.
     pub select: Vec<PlanCol>,
     /// Final `WITH` threshold.
@@ -333,16 +336,19 @@ pub enum AggDegree {
 }
 
 impl AggDegree {
-    /// Computes the degree from the member degrees of the group.
-    pub fn of_group(&self, member_degrees: &[Degree]) -> Degree {
+    /// Computes the degree from the member degrees of the group, which
+    /// only [`AggDegree::MeanMembership`] reads.
+    pub fn of_group(&self, member_degrees: impl IntoIterator<Item = Degree>) -> Degree {
         match self {
             AggDegree::One => Degree::ONE,
             AggDegree::MeanMembership => {
-                if member_degrees.is_empty() {
+                let mut n = 0usize;
+                let sum: f64 =
+                    member_degrees.into_iter().inspect(|_| n += 1).map(|d| d.value()).sum();
+                if n == 0 {
                     Degree::ONE
                 } else {
-                    let sum: f64 = member_degrees.iter().map(|d| d.value()).sum();
-                    Degree::clamped(sum / member_degrees.len() as f64)
+                    Degree::clamped(sum / n as f64)
                 }
             }
         }
@@ -407,7 +413,7 @@ impl UnnestPlan {
     /// operator reading its inputs by `access`, the mode its lowered node
     /// holds (`None` for a flat plan). Table sizes are read from `catalog`,
     /// the statement's snapshot.
-    pub(crate) fn explain(&self, access: Option<Access>, catalog: &Catalog) -> String {
+    pub(crate) fn explain(&self, access: Option<&Access>, catalog: &Catalog) -> String {
         let mut out = String::new();
         let table_line = |t: &PlanTable, role: &str, out: &mut String| {
             let (tuples, pages) =
@@ -448,12 +454,12 @@ impl UnnestPlan {
                 out.push_str(&format!("Anti [{kind}]\n"));
                 table_line(&p.outer, "outer", &mut out);
                 table_line(&p.inner, "inner", &mut out);
-                match (access, &p.window) {
-                    (Some(Access::NestedLoop), _) => out.push_str(
+                match access {
+                    Some(Access::NestedLoop) => out.push_str(
                         "  block nested loop (every outer tuple against every inner tuple)\n",
                     ),
-                    (Some(Access::Merge), Some((o, i))) => {
-                        out.push_str(&format!("  merge window on {o} = {i}\n"))
+                    Some(Access::Merge { outer, inner }) => {
+                        out.push_str(&format!("  merge window on {outer} = {inner}\n"))
                     }
                     _ => out.push_str("  scan (inner set built once, no merge window)\n"),
                 }
@@ -486,7 +492,7 @@ impl UnnestPlan {
                     ),
                     (_, Some((u, op, v))) => out.push_str(&format!(
                         "  pipelined T1/T2 groups: {v} {op} {u}{}\n",
-                        if access == Some(Access::Merge) {
+                        if matches!(access, Some(Access::Merge { .. })) {
                             " (merge window)"
                         } else {
                             " (scan fallback)"
@@ -527,9 +533,9 @@ mod tests {
     #[test]
     fn agg_degree_modes() {
         let ds = [Degree::new(0.2).unwrap(), Degree::new(0.8).unwrap()];
-        assert_eq!(AggDegree::One.of_group(&ds), Degree::ONE);
-        assert!((AggDegree::MeanMembership.of_group(&ds).value() - 0.5).abs() < 1e-12);
-        assert_eq!(AggDegree::MeanMembership.of_group(&[]), Degree::ONE);
+        assert_eq!(AggDegree::One.of_group(ds), Degree::ONE);
+        assert!((AggDegree::MeanMembership.of_group(ds).value() - 0.5).abs() < 1e-12);
+        assert_eq!(AggDegree::MeanMembership.of_group([]), Degree::ONE);
         assert_eq!(AggDegree::default(), AggDegree::One);
     }
 }

@@ -462,29 +462,6 @@ fn two_level(q: &Query, sub: &Query, catalog: &Catalog) -> Result<TwoLevel> {
     Ok(TwoLevel { outer, inner, scope, pair_preds })
 }
 
-/// Finds the merge-window equality among pair predicates: an *exact* `=`
-/// between an outer column and an inner column. Similarity predicates never
-/// qualify — their tolerance-widened matches are not bounded by support
-/// intersection, so inner tuples outside the ⪯ window could still have
-/// positive degree and window-scanning them would over-report group minima.
-fn find_window(pair_preds: &[PlanCompare], outer: &str, inner: &str) -> Option<(PlanCol, PlanCol)> {
-    for p in pair_preds {
-        if p.op != fuzzy_core::CmpOp::Eq || p.tolerance.is_some() {
-            continue;
-        }
-        match (p.lhs.as_col(), p.rhs.as_col()) {
-            (Some(l), Some(r)) if l.binding == outer && r.binding == inner => {
-                return Some((l.clone(), r.clone()))
-            }
-            (Some(l), Some(r)) if l.binding == inner && r.binding == outer => {
-                return Some((r.clone(), l.clone()))
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 // ---------------------------------------------------------------------------
 // JX' / NX' (Section 5)
 // ---------------------------------------------------------------------------
@@ -509,7 +486,6 @@ fn anti_exclusion_plan(q: &Query, catalog: &Catalog) -> Result<UnnestPlan> {
         rhs: PlanOperand::Col(rhs_col),
         tolerance: None,
     });
-    let window = find_window(&tl.pair_preds, &tl.outer.binding, &tl.inner.binding);
     let outer_scope = Scope { frames: tl.scope.frames[..1].to_vec() };
     let select = select_columns(q, &outer_scope)?;
     Ok(UnnestPlan::Anti(AntiPlan {
@@ -517,7 +493,6 @@ fn anti_exclusion_plan(q: &Query, catalog: &Catalog) -> Result<UnnestPlan> {
         inner: tl.inner,
         pair_preds: tl.pair_preds,
         kind: AntiKind::Exclusion,
-        window,
         select,
         threshold: q.with_threshold,
         rule: RewriteRule::Exclusion,
@@ -542,13 +517,11 @@ fn exists_plan(q: &Query, catalog: &Catalog) -> Result<UnnestPlan> {
     if negated {
         // d_r = min(μ_R∧p₁, min_s (1 − min(μ_S∧p₂, d(corr)))) — the
         // Section 5 anti form with the correlation joins alone.
-        let window = find_window(&tl.pair_preds, &tl.outer.binding, &tl.inner.binding);
         Ok(UnnestPlan::Anti(AntiPlan {
             outer: tl.outer,
             inner: tl.inner,
             pair_preds: tl.pair_preds,
             kind: AntiKind::Exclusion,
-            window,
             select,
             threshold: q.with_threshold,
             rule: RewriteRule::Exclusion,
@@ -585,7 +558,6 @@ fn anti_all_plan(q: &Query, catalog: &Catalog) -> Result<UnnestPlan> {
     let inner_col = block_select_column(sub)?;
     let (rhs_col, rhs_ty) = tl.scope.resolve(inner_col)?;
     let lhs_bound = bind_operand(lhs, Some(rhs_ty), &tl.scope, vocab)?;
-    let window = find_window(&tl.pair_preds, &tl.outer.binding, &tl.inner.binding);
     let outer_scope = Scope { frames: tl.scope.frames[..1].to_vec() };
     let select = select_columns(q, &outer_scope)?;
     Ok(UnnestPlan::Anti(AntiPlan {
@@ -593,7 +565,6 @@ fn anti_all_plan(q: &Query, catalog: &Catalog) -> Result<UnnestPlan> {
         inner: tl.inner,
         pair_preds: tl.pair_preds,
         kind: AntiKind::All { op, lhs: lhs_bound, rhs: PlanOperand::Col(rhs_col) },
-        window,
         select,
         threshold: q.with_threshold,
         rule: RewriteRule::All,

@@ -23,13 +23,14 @@
 //!
 //! This module checks all of that **statically**, before a single tuple
 //! flows. The lowering pass builds the physical operator tree the executor
-//! will run under a strategy — including the optimizer's join reorder —
-//! with every operator carrying its *required* and *delivered* properties
-//! ([`Prop`]) as its [`Outline`] entry; the verifier walks that outline
-//! checking required ⊆ delivered on every edge, then layers the plan-level
-//! rewrite-rule and threshold checks on top. Violations are structured
-//! diagnostics ([`Violation`]: rule id, operator path, expected vs.
-//! delivered). [`VerifiedPlan::new`] is the one place a plan is lowered: it
+//! will run under a strategy — including the optimizer's join reorder and
+//! every merge window — and derives each operator's [`Outline`] entry, its
+//! *required* and *delivered* properties ([`Prop`]), from the lowered node
+//! itself; the verifier walks that outline checking required ⊆ delivered on
+//! every edge, then layers the plan-level rewrite-rule and threshold checks
+//! on top, the anti form's window check reading the window its lowered node
+//! runs. Violations are structured diagnostics ([`Violation`]: rule id,
+//! operator path, expected vs. delivered). [`VerifiedPlan::new`] is the one place a plan is lowered: it
 //! runs every check on the tree it lowers and refuses a tree that fails
 //! them, naming each violation, so the executor, which drives only a
 //! [`VerifiedPlan`], never sees an unverified tree. The engine's planning
@@ -61,13 +62,13 @@
 
 use crate::engine::Strategy;
 use crate::error::{EngineError, Result};
-use crate::exec::lower::{lower, Lowered};
+use crate::exec::lower::{lower, Access, Lowered};
 use crate::exec::ExecConfig;
 use crate::plan::{
     AggPlan, AntiKind, AntiPlan, FlatPlan, PlanCol, PlanCompare, RewriteRule, UnnestPlan,
 };
 use crate::stats_histogram::StatsRegistry;
-use fuzzy_core::{CmpOp, Degree};
+use fuzzy_core::Degree;
 use fuzzy_rel::Catalog;
 use fuzzy_sql::Threshold;
 
@@ -370,7 +371,11 @@ impl std::fmt::Debug for VerifiedPlan {
 fn check_lowered(lowered: &Lowered) -> (usize, Vec<Violation>) {
     let Lowered { plan, alpha, outline, .. } = lowered;
     let mut violations = Vec::new();
-    let mut checks = check_rewrite(plan, &mut violations);
+    let mut checks = match plan {
+        UnnestPlan::Flat(p) => check_flat_rule(p, &mut violations),
+        UnnestPlan::Anti(p) => check_anti_rule(p, lowered.access(), &mut violations),
+        UnnestPlan::Agg(p) => check_agg_rule(p, &mut violations),
+    };
     checks += 1;
     if let Some(v) = check_threshold(plan.threshold(), *alpha) {
         violations.push(v);
@@ -413,14 +418,6 @@ pub fn check_threshold(threshold: Option<Threshold>, alpha: Degree) -> Option<Vi
             expected: "no push-down bound without a WITH threshold".into(),
             delivered: format!("α = {:.2}", alpha.value()),
         }),
-    }
-}
-
-fn check_rewrite(plan: &UnnestPlan, out: &mut Vec<Violation>) -> usize {
-    match plan {
-        UnnestPlan::Flat(p) => check_flat_rule(p, out),
-        UnnestPlan::Anti(p) => check_anti_rule(p, out),
-        UnnestPlan::Agg(p) => check_agg_rule(p, out),
     }
 }
 
@@ -525,7 +522,7 @@ fn check_levels(
             continue; // intra-level predicate: always allowed
         }
         cross_total += 1;
-        let exact_eq = pred.op == CmpOp::Eq && pred.tolerance.is_none();
+        let exact_eq = pred.is_exact_eq();
         if exact_eq {
             cross_eq += 1;
         }
@@ -596,7 +593,9 @@ fn check_levels(
     checks
 }
 
-fn check_anti_rule(p: &AntiPlan, out: &mut Vec<Violation>) -> usize {
+/// Checks an anti plan's shape, and the merge window its lowered node
+/// reads by `access`.
+fn check_anti_rule(p: &AntiPlan, access: Option<&Access>, out: &mut Vec<Violation>) -> usize {
     let mut checks = 1usize;
     let (expected_rule, id) = match p.kind {
         AntiKind::Exclusion => (RewriteRule::Exclusion, "R-T5.1-ANTI"),
@@ -626,7 +625,7 @@ fn check_anti_rule(p: &AntiPlan, out: &mut Vec<Violation>) -> usize {
     // conjunction: similarity predicates widen matching past support
     // intersection, so window-scanning them is unsound.
     checks += 1;
-    if let Some((o, i)) = &p.window {
+    if let Some(Access::Merge { outer: o, inner: i }) = access {
         let backed = o.binding == p.outer.binding
             && i.binding == p.inner.binding
             && p.pair_preds.iter().any(|pr| window_backed(pr, o, i));
@@ -669,7 +668,7 @@ fn check_anti_rule(p: &AntiPlan, out: &mut Vec<Violation>) -> usize {
 /// True iff the predicate is the exact equality `(o, i)` (either
 /// orientation) that licenses the anti/agg merge window.
 fn window_backed(pred: &PlanCompare, o: &PlanCol, i: &PlanCol) -> bool {
-    if pred.op != CmpOp::Eq || pred.tolerance.is_some() {
+    if !pred.is_exact_eq() {
         return false;
     }
     match (pred.lhs.as_col(), pred.rhs.as_col()) {
@@ -735,6 +734,7 @@ fn render_cols(cols: &[PlanCol]) -> String {
 mod tests {
     use super::*;
     use crate::plan::{PlanOperand, PlanTable};
+    use fuzzy_core::CmpOp;
     use fuzzy_rel::{AttrType, Schema, StoredTable};
     use fuzzy_storage::SimDisk;
 
@@ -936,6 +936,36 @@ mod tests {
         );
         let msg = refusal(plan);
         assert!(msg.contains("[R-T4.2-LINK]"), "{msg}");
+    }
+
+    /// The anti node's merge window must be an outer/inner exact equality of
+    /// the negated conjunction: a window on a similarity is refused.
+    #[test]
+    fn anti_window_must_be_an_exact_equality_of_the_conjunction() {
+        let disk = SimDisk::with_default_page_size();
+        let mut similar = cmp(col("R", 1), CmpOp::Eq, col("S", 1));
+        similar.tolerance = Some(5.0);
+        let plan = |pred: PlanCompare| AntiPlan {
+            outer: table(&disk, "R"),
+            inner: table(&disk, "S"),
+            pair_preds: vec![pred],
+            kind: AntiKind::Exclusion,
+            select: vec![col("R", 0)],
+            threshold: None,
+            rule: RewriteRule::Exclusion,
+        };
+        let window = Access::Merge { outer: col("R", 1), inner: col("S", 1) };
+        let mut out = Vec::new();
+        check_anti_rule(&plan(similar), Some(&window), &mut out);
+        assert_eq!(
+            out.iter().map(|v| (v.rule, v.path.as_str())).collect::<Vec<_>>(),
+            [("R-T5.1-ANTI", "window")]
+        );
+        let exact = cmp(col("S", 1), CmpOp::Eq, col("R", 1));
+        let mut out = Vec::new();
+        check_anti_rule(&plan(exact.clone()), Some(&window), &mut out);
+        check_anti_rule(&plan(exact), Some(&Access::Scan), &mut out);
+        assert!(out.is_empty(), "{out:?}");
     }
 
     #[test]

@@ -61,11 +61,12 @@ fn type_j_adds_the_correlation_join() {
 
 #[test]
 fn jx_becomes_anti_exclusion_with_window() {
-    let p = plan("SELECT R.X FROM R WHERE R.Y NOT IN (SELECT S.Y FROM S WHERE S.U = R.U)");
-    match p {
+    let sql = "SELECT R.X FROM R WHERE R.Y NOT IN (SELECT S.Y FROM S WHERE S.U = R.U)";
+    let merges = label(sql, Strategy::Unnest).ends_with("[merge]");
+    assert!(merges, "correlated JX merges on an equality");
+    match plan(sql) {
         UnnestPlan::Anti(a) => {
             assert_eq!(a.kind, AntiKind::Exclusion);
-            assert!(a.window.is_some(), "correlated JX merges on an equality");
             assert_eq!(a.pair_preds.len(), 2, "correlation + the NOT IN pair");
         }
         other => panic!("expected anti, got {other:?}"),
@@ -74,12 +75,12 @@ fn jx_becomes_anti_exclusion_with_window() {
 
 #[test]
 fn uncorrelated_nx_uses_scan_window_on_the_in_pair() {
-    let p = plan("SELECT R.X FROM R WHERE R.Y NOT IN (SELECT S.Y FROM S)");
-    match p {
+    let sql = "SELECT R.X FROM R WHERE R.Y NOT IN (SELECT S.Y FROM S)";
+    match plan(sql) {
         UnnestPlan::Anti(a) => {
             assert_eq!(a.kind, AntiKind::Exclusion);
             // The NOT IN pair itself is an equality, so it can drive a merge.
-            assert!(a.window.is_some());
+            assert!(label(sql, Strategy::Unnest).ends_with("[merge]"));
         }
         other => panic!("expected anti, got {other:?}"),
     }
@@ -87,14 +88,14 @@ fn uncorrelated_nx_uses_scan_window_on_the_in_pair() {
 
 #[test]
 fn jall_becomes_anti_all_with_quantified_pair_in_kind() {
-    let p = plan("SELECT R.X FROM R WHERE R.Y < ALL (SELECT S.Y FROM S WHERE S.U = R.U)");
-    match p {
+    let sql = "SELECT R.X FROM R WHERE R.Y < ALL (SELECT S.Y FROM S WHERE S.U = R.U)";
+    match plan(sql) {
         UnnestPlan::Anti(a) => {
             match a.kind {
                 AntiKind::All { op, .. } => assert_eq!(op, CmpOp::Lt),
                 other => panic!("expected All kind, got {other:?}"),
             }
-            assert!(a.window.is_some());
+            assert!(label(sql, Strategy::Unnest).ends_with(" merge]"));
             assert_eq!(a.pair_preds.len(), 1, "only the correlation");
         }
         other => panic!("expected anti, got {other:?}"),
@@ -103,9 +104,9 @@ fn jall_becomes_anti_all_with_quantified_pair_in_kind() {
 
 #[test]
 fn uncorrelated_all_has_no_window() {
-    let p = plan("SELECT R.X FROM R WHERE R.Y < ALL (SELECT S.Y FROM S)");
-    match p {
-        UnnestPlan::Anti(a) => assert!(a.window.is_none()),
+    let sql = "SELECT R.X FROM R WHERE R.Y < ALL (SELECT S.Y FROM S)";
+    match plan(sql) {
+        UnnestPlan::Anti(_) => assert!(label(sql, Strategy::Unnest).ends_with(" scan]")),
         other => panic!("expected anti, got {other:?}"),
     }
 }
@@ -222,11 +223,11 @@ fn plan_labels_are_descriptive() {
 fn exists_unnests_to_flat_and_not_exists_to_anti() {
     let p = plan("SELECT R.X FROM R WHERE EXISTS (SELECT S.Y FROM S WHERE S.U = R.U)");
     assert!(matches!(p, UnnestPlan::Flat(_)), "{p:?}");
-    let p = plan("SELECT R.X FROM R WHERE NOT EXISTS (SELECT S.Y FROM S WHERE S.U = R.U)");
-    match p {
+    let sql = "SELECT R.X FROM R WHERE NOT EXISTS (SELECT S.Y FROM S WHERE S.U = R.U)";
+    match plan(sql) {
         UnnestPlan::Anti(a) => {
             assert_eq!(a.kind, AntiKind::Exclusion);
-            assert!(a.window.is_some());
+            assert!(label(sql, Strategy::Unnest).ends_with("[merge]"));
         }
         other => panic!("expected anti, got {other:?}"),
     }

@@ -209,19 +209,23 @@ if [[ -n "$handles" ]]; then
   exit 1
 fi
 
-echo "==> operator declarations (the verifier checks the tree that runs)"
-# Every exec/ module that implements an operator on the executor (an
-# `impl Executor` block) must also carry its physical-property declaration;
-# mod.rs is the executor shell that *defines* Executor.
-undeclared=$(for f in crates/core/src/exec/*.rs; do
-  [[ "$f" == */mod.rs ]] && continue
-  if grep -q '^impl Executor' "$f" && ! grep -q 'declared_properties' "$f"; then
-    echo "$f"
-  fi
-done)
-if [[ -n "$undeclared" ]]; then
-  echo "error: operator module(s) implement Executor without a declared_properties impl:" >&2
-  echo "$undeclared" >&2
+echo "==> one declaration site (each lowered node declares itself, in exec/lower.rs)"
+# `Node::declare` in exec/lower.rs derives every operator's required and
+# delivered properties from the node and its input slots, and lowering builds
+# the verifier's outline from it; a Node variant without a declaration does
+# not compile, because that match is exhaustive. Any other non-test
+# `PhysOp::declare(` would be a declaration written apart from its node.
+declared=$(non_test $(find src crates/*/src -name '*.rs' | sort) | awk '
+  /^[^:]+:[0-9]+: *\/\// { next }
+  /PhysOp::declare\(/ {
+    file = $0; sub(/:.*/, "", file)
+    if (file != "crates/core/src/exec/lower.rs") print
+  }
+' || true)
+if [[ -n "$declared" ]]; then
+  echo "error: PhysOp::declare called outside exec/lower.rs — derive the declaration" >&2
+  echo "in lower.rs's Node::declare instead:" >&2
+  echo "$declared" >&2
   exit 1
 fi
 

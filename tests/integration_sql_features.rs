@@ -160,6 +160,34 @@ fn similarity_predicate_end_to_end() {
         .is_empty());
 }
 
+/// A similarity correlation cannot drive the anti form's merge window (its
+/// tolerance-widened matches reach past support intersection): the NOT
+/// EXISTS lowers to the scan, and its graded answer is the naive one.
+#[test]
+fn similarity_not_exists_scans_and_matches_naive() {
+    let db = Database::new();
+    let schema = Schema::of(&[("ID", AttrType::Number), ("X", AttrType::Number)]);
+    for (name, xs) in [("R", &[0.0, 10.0, 20.0, 35.0, 60.0][..]), ("S", &[5.0, 22.0, 100.0])] {
+        db.create_table(name, schema.clone()).unwrap();
+        let rows = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| Tuple::full(vec![Value::number(i as f64), Value::number(x)]));
+        db.load(name, rows).unwrap();
+    }
+    let sql = "SELECT R.ID FROM R WHERE NOT EXISTS (SELECT S.ID FROM S WHERE S.X ~ R.X WITHIN 15)";
+    let unnest = db.query(sql).strategy(Strategy::Unnest).run().unwrap();
+    assert_eq!(unnest.plan_label, "unnest:anti-exclusion[scan]");
+    let naive = db.query(sql).strategy(Strategy::Naive).collect().unwrap();
+    assert_eq!(unnest.answer.canonicalized(), naive.canonicalized());
+    // The tolerance grades the answer: R.X = 10 is 5 from S.X = 5.
+    assert!(unnest
+        .answer
+        .tuples()
+        .iter()
+        .any(|t| t.degree.value() > 0.0 && t.degree.value() < 1.0));
+}
+
 #[test]
 fn limit_in_subquery_falls_back_to_naive() {
     let db = sales_db();
