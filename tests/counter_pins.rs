@@ -13,7 +13,11 @@
 //!   80 tuples under the two nested-loop baselines (without the fallback
 //!   shape and the chain, which they refuse);
 //! * a fixed script of reads with an INSERT, UPDATE or DELETE after every
-//!   three of them, like perfbench's `mixed` workload.
+//!   three of them, like perfbench's `mixed` workload;
+//! * anti and aggregate forms whose blocks both carry a local predicate,
+//!   plus the aggregate whose correlation is not an equality, at 80 tuples
+//!   under unnesting and the two nested-loop baselines (which evaluate the
+//!   local predicates inside the operator).
 //!
 //! Every read records, per operator in start order, its kind, label, and
 //! every deterministic counter (tuples in/out, pairs, fuzzy and sort
@@ -62,6 +66,31 @@ const CLASS_CORPUS: [(&str, &str); 11] = [
     (
         "General",
         "SELECT R.ID FROM R WHERE R.X IN (SELECT S.X FROM S) AND R.V IN (SELECT S.V FROM S)",
+    ),
+];
+
+/// Two-input forms the class corpus leaves out: an aggregate correlated by
+/// a non-equality (`agg-scan`), and NOT IN, `>= ALL`, MAX and COUNT with a
+/// local predicate on each block that keeps some of its table's tuples.
+const LOCAL_CORPUS: [(&str, &str); 5] = [
+    ("AggScan", "SELECT R.ID FROM R WHERE R.V >= (SELECT MAX(S.V) FROM S WHERE S.X > R.X)"),
+    (
+        "NotInLocal",
+        "SELECT R.ID FROM R WHERE R.V < 700 AND R.X NOT IN (SELECT S.X FROM S WHERE S.V > 800)",
+    ),
+    (
+        "AllLocal",
+        "SELECT R.ID FROM R WHERE R.X < 600 AND R.V >= ALL (SELECT S.V FROM S WHERE S.V < 200)",
+    ),
+    (
+        "MaxLocal",
+        "SELECT R.ID FROM R WHERE R.V > 300 AND R.V <= \
+         (SELECT MAX(S.V) FROM S WHERE S.X = R.X AND S.V < 800)",
+    ),
+    (
+        "CountLocal",
+        "SELECT R.ID FROM R WHERE R.V > 300 AND R.ID >= \
+         (SELECT COUNT(S.ID) FROM S WHERE S.X = R.X AND S.V < 500)",
     ),
 ];
 
@@ -207,6 +236,20 @@ fn corpus_under(
     out
 }
 
+/// The local-predicate corpus over the generated R and S of 80 tuples
+/// each, with 256 buffer and sort pages, run by `strategy`.
+fn locals(tag: &str, strategy: Strategy, threads: usize) -> String {
+    let spec = WorkloadSpec { n_outer: 80, n_inner: 80, fanout: 7, seed: 5, ..Default::default() };
+    let db = generated_db(spec, 256, threads);
+    let mut out = String::new();
+    for (case, sql) in LOCAL_CORPUS {
+        let outcome =
+            db.query(sql).strategy(strategy).run().unwrap_or_else(|e| panic!("{sql}: {e}"));
+        render_read(&mut out, &format!("{tag}/{case}"), sql, &outcome);
+    }
+    out
+}
+
 /// R, S and T of 24, 18 and 12 rows (`ID, X, V`): `X` on a grid of six
 /// points, every other value triangular, and `V` one of four values.
 fn mixed_db(threads: usize) -> Database {
@@ -282,6 +325,13 @@ fn render(threads: usize) -> String {
         ("corpus-80-materialized-nl", Strategy::MaterializedNestedLoop),
     ] {
         text.push_str(&corpus_under(tag, 80, 256, JoinMethod::Merge, strategy, threads));
+    }
+    for (tag, strategy) in [
+        ("locals-80", Strategy::Unnest),
+        ("locals-80-nested-loop", Strategy::NestedLoop),
+        ("locals-80-materialized-nl", Strategy::MaterializedNestedLoop),
+    ] {
+        text.push_str(&locals(tag, strategy, threads));
     }
     // A trailing entry keeps every line above comma-terminated.
     text.push_str("{\"case\": \"end\"}\n]\n");
