@@ -1,17 +1,19 @@
 //! The aggregate operator: pipelined T1/T2/COUNT′ evaluation (Theorem 6.1
-//! and the type-A constant case) with the COUNT outer-join IF-THEN-ELSE for
-//! empty groups, plus [`Accumulator`], what each group is folded into before
-//! the aggregate is applied. Under the nested-loop baselines the same
-//! evaluation runs over a block nested loop with one accumulator per outer
-//! tuple.
+//! and the type-A constant case), plus [`Accumulator`], what each group is
+//! folded into before the aggregate is applied. The operator is one
+//! [`OuterFold`]: each inner tuple the access mode presents adds its `S.Z`
+//! to `T(r)` at `μ_S ∧ p₂ ∧ d(S.V op₂ R.U)`, and the outer tuple is then
+//! answered at `μ_R ∧ p₁ ∧ D(A(r)) ∧ d(R.Y op₁ A)`. COUNT's outer-join
+//! IF-THEN-ELSE for empty groups is the same step, because an empty group
+//! counts 0.
 
 use crate::error::Result;
 use crate::exec::lower::Access;
-use crate::exec::merge_join::merge_window;
-use crate::exec::{fold_preds, BoundOperand, Executor, Layout};
+use crate::exec::outer_fold::OuterFold;
+use crate::exec::{fold_preds, BoundCompare, BoundOperand, Executor, Layout};
 use crate::metrics::OperatorMetrics;
 use crate::naive::{apply_aggregate, non_numeric_operand};
-use crate::plan::{AggDegree, AggPlan, PlanCompare, PlanOperand};
+use crate::plan::{AggDegree, AggPlan};
 use fuzzy_core::arith::defuzz_cmp;
 use fuzzy_core::hash::ValueHashBuilder;
 use fuzzy_core::{CmpOp, Degree, Trapezoid, Value};
@@ -23,9 +25,9 @@ use std::collections::HashMap;
 /// One group of an aggregate, folded pair by pair: a running [`Extreme`]
 /// for MIN and MAX under `D(A(r)) = 1`, and the fuzzy set `T(r)` (a
 /// [`GroupSet`]) for every other aggregate or degree rule. NULL values and
-/// non-positive degrees are not members. An operator creates one
-/// accumulator and [`Accumulator::clear`]s it per group, so allocations are
-/// reused across groups.
+/// non-positive degrees are not members. The aggregate fold
+/// [`Accumulator::clear`]s a finished accumulator for its next group, so
+/// allocations are reused across groups.
 pub(crate) enum Accumulator {
     Extreme(Extreme),
     Set(GroupSet, AggFunc, AggDegree),
@@ -157,44 +159,107 @@ impl GroupSet {
     }
 }
 
-/// The aggregate of the last outer value seen: each distinct value's group
-/// `T'(u)` is folded into one reused [`Accumulator`] and finished once,
-/// while outer tuples with an equal value follow each other (the outer is
-/// sorted on it, or the value is the one shared by every outer tuple).
-struct GroupCache {
-    /// The value whose aggregate `group` holds; `None` before the first.
+/// The aggregate's per-pair step. Under `Merge` and `Scan` it keeps the last
+/// finished group and its key, so each run of outer tuples with one key (the
+/// outer is sorted on it, or type A's tuples share one) folds its group once.
+struct AggFold {
+    /// p₁ and p₂, which only plain nested loop leaves to the operator.
+    outer_local: Vec<BoundCompare>,
+    inner_local: Vec<BoundCompare>,
+    /// `S.V op₂ R.U` as (outer U, op₂, inner V).
+    corr: Option<(usize, CmpOp, usize)>,
+    agg_idx: usize,
+    /// `R.Y` and op₁ of `R.Y op₁ A`.
+    compare: (BoundOperand, CmpOp),
+    select_idx: Vec<usize>,
+    /// Whether `key` and `group` carry over (not under `NestedLoop`).
+    memo: bool,
+    /// The key whose group `group` holds; `None` before the first.
     key: Option<Value>,
-    /// The aggregate of `key`'s group (`None`: the NULL aggregate).
+    /// The last finished group's aggregate (`None`: the NULL aggregate).
     group: Option<(Value, Degree)>,
-    acc: Accumulator,
+    /// The aggregate and its degree rule, which each new accumulator takes.
+    agg: (AggFunc, AggDegree),
+    /// A finished accumulator, cleared and reused by the next group.
+    spare: Option<Accumulator>,
+    rows: Vec<(Vec<Value>, Degree)>,
 }
 
-impl GroupCache {
-    fn new(plan: &AggPlan) -> Self {
-        GroupCache { key: None, group: None, acc: Accumulator::new(plan.agg.0, plan.agg_degree) }
+impl AggFold {
+    /// `r`'s group key: its correlation value, or the one key all share.
+    fn key_of<'a>(&self, r: &'a Tuple) -> &'a Value {
+        const SHARED: &Value = &Value::Null;
+        self.corr.map_or(SHARED, |(u, _, _)| &r.values[u])
+    }
+}
+
+impl OuterFold for AggFold {
+    /// `None`: `r`'s group is the memo's.
+    type Acc = Option<Accumulator>;
+
+    #[inline]
+    fn open(&mut self, r: &Tuple, _: &mut OperatorMetrics) -> (Self::Acc, bool) {
+        if self.memo && self.key.as_ref() == Some(self.key_of(r)) {
+            return (None, false);
+        }
+        let mut acc = self.spare.take().unwrap_or_else(|| Accumulator::new(self.agg.0, self.agg.1));
+        acc.clear();
+        (Some(acc), true)
     }
 
-    /// The aggregate of `u`'s group, which `fill` adds to a cleared
-    /// accumulator unless the last call asked for an equal value.
-    fn get(
+    /// μ_T(r)(z) = max min(μ_S ∧ p₂, d(s.V op₂ r.U)).
+    #[inline]
+    fn add(
         &mut self,
-        u: &Value,
-        fill: impl FnOnce(&mut Accumulator),
-    ) -> Result<Option<&(Value, Degree)>> {
-        if self.key.as_ref() != Some(u) {
-            self.acc.clear();
-            fill(&mut self.acc);
-            self.group = self.acc.finish()?;
-            self.key = Some(u.clone());
+        acc: &mut Self::Acc,
+        r: &Tuple,
+        s: &Tuple,
+        m: &mut OperatorMetrics,
+    ) -> Result<bool> {
+        let mut d = fold_preds(s.degree, &self.inner_local, &s.values, m);
+        if let Some((u, op2, v)) = self.corr {
+            if d.is_positive() {
+                m.fuzzy_comparisons += 1;
+                d = d.and(s.values[v].compare(op2, &r.values[u]));
+            }
         }
-        Ok(self.group.as_ref())
+        if let Some(acc) = acc {
+            acc.add(&s.values[self.agg_idx], d);
+        }
+        Ok(true)
+    }
+
+    /// `R.Y op₁ A` at μ_R ∧ p₁ ∧ D(A(r)); a NULL aggregate satisfies
+    /// nothing. COUNT of an empty group is 0, never NULL, so its outer-join
+    /// IF-THEN-ELSE `[R.Y op₁ T2.A : R.Y op₁ 0]` needs no branch of its own.
+    #[inline]
+    fn close(&mut self, r: &Tuple, acc: Self::Acc, m: &mut OperatorMetrics) -> Result<()> {
+        let base = fold_preds(r.degree, &self.outer_local, &r.values, m);
+        if !base.is_positive() {
+            return Ok(());
+        }
+        if let Some(acc) = acc {
+            self.group = acc.finish()?;
+            if self.memo {
+                self.key = Some(self.key_of(r).clone());
+            }
+            self.spare = Some(acc);
+        }
+        let Some((a, da)) = &self.group else { return Ok(()) };
+        let (lhs, op1) = &self.compare;
+        m.fuzzy_comparisons += 1;
+        let d = base.and(*da).and(lhs.value(&r.values).compare(*op1, a));
+        if d.is_positive() {
+            m.tuples_out += 1;
+            self.rows.push((crate::exec::project(r, &self.select_idx), d));
+        }
+        Ok(())
     }
 }
 
 impl Executor {
-    /// The aggregate operator: evaluates `R.Y op1 AGG(...)` per outer tuple
-    /// (merge grouping, scanned inner set, or block nested loop by `access`)
-    /// and returns the answer rows.
+    /// The aggregate operator: evaluates `R.Y op₁ AGG(...)` per outer tuple
+    /// over the inner tuples `access` presents, and returns the answer rows.
     pub(crate) fn aggregate(
         &mut self,
         outer_t: &StoredTable,
@@ -204,143 +269,26 @@ impl Executor {
         m: &mut OperatorMetrics,
     ) -> Result<Vec<(Vec<Value>, Degree)>> {
         let outer_layout = Layout::of_table(&plan.outer);
-        let (_, select_idx) = outer_layout.projection(&plan.select)?;
-        let (agg, agg_col) = (plan.agg.0, &plan.agg.1);
         let inner_layout = Layout::of_table(&plan.inner);
-        let agg_idx = inner_layout.resolve(agg_col)?;
-        let lhs_bound = outer_layout.bind(&PlanCompare {
-            lhs: plan.compare.0.clone(),
-            op: plan.compare.1,
-            rhs: PlanOperand::Const(Value::Null), // placeholder; rhs injected per group
-            tolerance: None,
-        })?;
-        let op1 = plan.compare.1;
-        let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
-
-        // Applies R.Y op1 A to one outer tuple of degree `base` (μ_R, or
-        // μ_R ∧ p₁ when p₁ is evaluated inline), honouring the COUNT
-        // outer-join IF-THEN-ELSE for empty groups.
-        let emit_outer = |r: &Tuple,
-                          base: Degree,
-                          group: Option<&(Value, Degree)>,
-                          rows: &mut Vec<(Vec<Value>, Degree)>,
-                          m: &mut OperatorMetrics| {
-            let lhs_val = match &lhs_bound.lhs {
-                BoundOperand::Col(i) => r.values[*i].clone(),
-                BoundOperand::Const(v) => v.clone(),
-            };
-            let d = match group {
-                Some((a, da)) => {
-                    m.fuzzy_comparisons += 1;
-                    base.and(*da).and(lhs_val.compare(op1, a))
-                }
-                None => {
-                    if agg == AggFunc::Count {
-                        // COUNT': [R.Y op1 T2.A : R.Y op1 0] — the ELSE branch.
-                        m.fuzzy_comparisons += 1;
-                        base.and(lhs_val.compare(op1, &Value::number(0.0)))
-                    } else {
-                        Degree::ZERO // NULL aggregate satisfies nothing
-                    }
-                }
-            };
-            if d.is_positive() {
-                m.tuples_out += 1;
-                rows.push((crate::exec::project(r, &select_idx), d));
-            }
+        let corr = match &plan.corr {
+            Some((u, op2, v)) => Some((outer_layout.resolve(u)?, *op2, inner_layout.resolve(v)?)),
+            None => None,
         };
-
-        match access {
-            Access::Merge { outer: ucol, inner: vcol } => {
-                // Pipelined merge grouping (Section 6): outer sorted on U,
-                // inner sorted on V; identical U values are adjacent, so
-                // each distinct u computes T'(u) from its window once.
-                let mut groups = GroupCache::new(plan);
-                let (uattr, vattr) = (ucol.attr, vcol.attr);
-                merge_window(outer_t, uattr, inner_t, vattr, Degree::ZERO, m, |r, rng, m| {
-                    let u = &r.values[uattr];
-                    let group = groups.get(u, |acc| {
-                        for s in rng {
-                            // μ_T'(u)(z) = max min(μ_S∧p₂, d(s.V = u));
-                            // op2 = Eq here.
-                            m.fuzzy_comparisons += 1;
-                            let d = s.degree.and(s.values[vattr].compare(CmpOp::Eq, u));
-                            acc.add(&s.values[agg_idx], d);
-                        }
-                    })?;
-                    emit_outer(r, r.degree, group, &mut rows, m);
-                    Ok(())
-                })?;
-            }
-            Access::Scan => {
-                // The reduced inner set is built once and scanned per
-                // distinct u: a non-equality op2 cannot window it. The
-                // uncorrelated type A has one group, the inner block's
-                // constant, built at the first outer tuple like any other:
-                // an empty outer forms no group, so it never applies the
-                // aggregate.
-                let inner_all: Vec<Tuple> = inner_t.scan().collect::<fuzzy_storage::Result<_>>()?;
-                m.tuples_in += inner_all.len() as u64;
-                let fill = |acc: &mut Accumulator, u: &Value, m: &mut OperatorMetrics| {
-                    for s in &inner_all {
-                        m.pairs_examined += 1;
-                        let mut d = s.degree;
-                        if let Some((_, op2, vcol)) = &plan.corr {
-                            m.fuzzy_comparisons += 1;
-                            d = d.and(s.values[vcol.attr].compare(*op2, u));
-                        }
-                        acc.add(&s.values[agg_idx], d);
-                    }
-                };
-                let mut groups = GroupCache::new(plan);
-                // The key of every outer tuple when there is no correlation.
-                let shared = Value::Null;
-                for r in outer_t.scan() {
-                    let r = r?;
-                    m.tuples_in += 1;
-                    let u = plan.corr.as_ref().map_or(&shared, |(ucol, _, _)| &r.values[ucol.attr]);
-                    let group = groups.get(u, |acc| fill(acc, u, m))?;
-                    emit_outer(&r, r.degree, group, &mut rows, m);
-                }
-            }
-            Access::NestedLoop => {
-                // μ_T(r)(z) = max min(μ_S ∧ p₂, d(s.V op₂ r.U)) over every
-                // inner tuple, then R.Y op1 A at μ_R ∧ p₁.
-                let outer_local = outer_layout.bind_all(&plan.outer.local_preds)?;
-                let inner_local = inner_layout.bind_all(&plan.inner.local_preds)?;
-                let corr = match &plan.corr {
-                    Some((u, op2, v)) => {
-                        Some((outer_layout.resolve(u)?, *op2, inner_layout.resolve(v)?))
-                    }
-                    None => None,
-                };
-                self.block_nested_loop(
-                    outer_t,
-                    inner_t,
-                    m,
-                    |_, _| Accumulator::new(agg, plan.agg_degree),
-                    |acc, r, s, m| {
-                        let mut d = fold_preds(s.degree, &inner_local, &s.values, m);
-                        if let Some((u, op2, v)) = corr {
-                            if d.is_positive() {
-                                m.fuzzy_comparisons += 1;
-                                d = d.and(s.values[v].compare(op2, &r.values[u]));
-                            }
-                        }
-                        acc.add(&s.values[agg_idx], d);
-                        Ok(())
-                    },
-                    |r, acc, m| {
-                        let base = fold_preds(r.degree, &outer_local, &r.values, m);
-                        if base.is_positive() {
-                            let group = acc.finish()?;
-                            emit_outer(&r, base, group.as_ref(), &mut rows, m);
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-        }
-        Ok(rows)
+        let mut fold = AggFold {
+            select_idx: outer_layout.projection(&plan.select)?.1,
+            agg_idx: inner_layout.resolve(&plan.agg.1)?,
+            compare: (outer_layout.bind_operand(&plan.compare.0)?, plan.compare.1),
+            outer_local: outer_layout.bind_all(&plan.outer.local_preds)?,
+            inner_local: inner_layout.bind_all(&plan.inner.local_preds)?,
+            corr,
+            memo: *access != Access::NestedLoop,
+            key: None,
+            group: None,
+            agg: (plan.agg.0, plan.agg_degree),
+            spare: None,
+            rows: Vec::new(),
+        };
+        self.fold_outer(access, outer_t, inner_t, m, &mut fold)?;
+        Ok(fold.rows)
     }
 }

@@ -1,24 +1,86 @@
 //! The anti operator: grouped `MIN(D)` accumulation for negated nesting
 //! (JX', NX', JALL', ALL' — Theorems 5.1 / 7.1). Each outer tuple's degree
 //! is the fuzzy AND of the negated contributions of its matching inner
-//! tuples; with a window predicate the inner scan is the same `Rng(r)`
+//! tuples. It is one [`OuterFold`]: the accumulator starts at `μ_R ∧ p₁`,
+//! each inner tuple lowers it, and the tuple is answered while it stays
+//! positive. With a window predicate the candidates are the same `Rng(r)`
 //! merge window the flat join uses, which is exact because tuples outside
-//! the window contribute the neutral 1. Under the nested-loop baselines the
-//! same accumulation runs over a block nested loop of the two scans.
+//! the window contribute the neutral 1; no threshold is pushed down, since
+//! low-degree pairs still lower the group's degree.
 
 use crate::error::Result;
 use crate::exec::lower::Access;
-use crate::exec::merge_join::merge_window;
+use crate::exec::outer_fold::OuterFold;
 use crate::exec::{fold_preds, BoundCompare, Executor, Layout};
 use crate::metrics::OperatorMetrics;
-use crate::plan::{AntiKind, AntiPlan, PlanCompare};
+use crate::plan::{AntiKind, AntiPlan};
 use fuzzy_core::{Degree, Value};
 use fuzzy_rel::{StoredTable, Tuple};
 
+/// The anti operator's per-pair step, bound to the plan's layouts.
+struct AntiFold {
+    /// p₁ and p₂, which only plain nested loop leaves to the operator.
+    outer_local: Vec<BoundCompare>,
+    inner_local: Vec<BoundCompare>,
+    /// The correlation predicates, over the outer ++ inner layout.
+    pair: Vec<BoundCompare>,
+    /// `Y op Z` of the ALL form.
+    all: Option<BoundCompare>,
+    select_idx: Vec<usize>,
+    rows: Vec<(Vec<Value>, Degree)>,
+}
+
+impl OuterFold for AntiFold {
+    type Acc = Degree;
+
+    #[inline]
+    fn open(&mut self, r: &Tuple, m: &mut OperatorMetrics) -> (Degree, bool) {
+        let acc = fold_preds(r.degree, &self.outer_local, &r.values, m);
+        (acc, acc.is_positive())
+    }
+
+    /// Lowers `acc` by the negated contribution of `s`,
+    /// 1 − min(μ_S ∧ p₂, d(pair preds) [, 1 − d(Y op Z)]); an inner tuple
+    /// whose degree reaches 0 first contributes the neutral 1.
+    #[inline]
+    fn add(
+        &mut self,
+        acc: &mut Degree,
+        r: &Tuple,
+        s: &Tuple,
+        m: &mut OperatorMetrics,
+    ) -> Result<bool> {
+        let mut d = fold_preds(s.degree, &self.inner_local, &s.values, m);
+        for p in &self.pair {
+            if !d.is_positive() {
+                break;
+            }
+            m.fuzzy_comparisons += 1;
+            d = d.and(p.eval_pair(&r.values, &s.values));
+        }
+        if d.is_positive() {
+            if let Some(b) = &self.all {
+                m.fuzzy_comparisons += 1;
+                d = d.and(b.eval_pair(&r.values, &s.values).not());
+            }
+            *acc = acc.and(d.not());
+        }
+        Ok(acc.is_positive())
+    }
+
+    #[inline]
+    fn close(&mut self, r: &Tuple, acc: Degree, m: &mut OperatorMetrics) -> Result<()> {
+        if acc.is_positive() {
+            m.tuples_out += 1;
+            self.rows.push((crate::exec::project(r, &self.select_idx), acc));
+        }
+        Ok(())
+    }
+}
+
 impl Executor {
-    /// The anti operator: accumulates, per outer tuple, the negated
-    /// contributions of its inner tuples (merge window, scanned inner set,
-    /// or block nested loop by `access`) and returns the answer rows.
+    /// The anti operator: folds, per outer tuple, the negated contributions
+    /// of the inner tuples `access` presents, and returns the answer rows.
     pub(crate) fn anti(
         &mut self,
         outer_t: &StoredTable,
@@ -27,123 +89,26 @@ impl Executor {
         access: &Access,
         m: &mut OperatorMetrics,
     ) -> Result<Vec<(Vec<Value>, Degree)>> {
-        let mut pair_layout = Layout::of_table(&plan.outer);
+        let outer_layout = Layout::of_table(&plan.outer);
+        let mut pair_layout = outer_layout.clone();
         pair_layout.push(&plan.inner);
         let pair = pair_layout.bind_all(&plan.pair_preds)?;
-        let kind_extra: Option<BoundCompare> = match &plan.kind {
+        let all = match &plan.kind {
             AntiKind::Exclusion => None,
-            AntiKind::All { op, lhs, rhs } => Some(pair_layout.bind(&PlanCompare {
-                lhs: lhs.clone(),
-                op: *op,
-                rhs: rhs.clone(),
-                tolerance: None,
-            })?),
+            AntiKind::All { op, lhs, rhs } => {
+                let (lhs, rhs) = (pair_layout.bind_operand(lhs)?, pair_layout.bind_operand(rhs)?);
+                Some(BoundCompare { lhs, op: *op, rhs, tolerance: None })
+            }
         };
-        // The negated contribution of one inner tuple to the MIN(D) group of
-        // one outer tuple: 1 − min(μ_S∧p₂, d(pair preds) [, 1 − d(Y op Z)]),
-        // where `inner_d` is the inner tuple's μ_S∧p₂.
-        let contribution = |r: &Tuple, s: &Tuple, mut inner_d: Degree, m: &mut OperatorMetrics| {
-            for p in &pair {
-                m.fuzzy_comparisons += 1;
-                inner_d = inner_d.and(p.eval_pair(&r.values, &s.values));
-                if !inner_d.is_positive() {
-                    return Degree::ONE; // neutral
-                }
-            }
-            if let Some(b) = &kind_extra {
-                m.fuzzy_comparisons += 1;
-                inner_d = inner_d.and(b.eval_pair(&r.values, &s.values).not());
-            }
-            inner_d.not()
+        let mut fold = AntiFold {
+            select_idx: outer_layout.projection(&plan.select)?.1,
+            outer_local: outer_layout.bind_all(&plan.outer.local_preds)?,
+            inner_local: Layout::of_table(&plan.inner).bind_all(&plan.inner.local_preds)?,
+            pair,
+            all,
+            rows: Vec::new(),
         };
-
-        let outer_layout = Layout::of_table(&plan.outer);
-        let (_, select_idx) = outer_layout.projection(&plan.select)?;
-        let mut rows: Vec<(Vec<Value>, Degree)> = Vec::new();
-
-        match access {
-            Access::Merge { outer: ocol, inner: icol } => {
-                // Inner tuples outside Rng(r) have window-predicate degree 0,
-                // so they contribute the neutral 1: scanning only the window
-                // is exact (this is what makes JX'/JALL' merge-joinable).
-                // No threshold push-down here: low-degree pairs still lower
-                // the MIN(D) group degree.
-                merge_window(
-                    outer_t,
-                    ocol.attr,
-                    inner_t,
-                    icol.attr,
-                    Degree::ZERO,
-                    m,
-                    |r, rng, m| {
-                        let mut acc = r.degree;
-                        for s in rng {
-                            acc = acc.and(contribution(r, s, s.degree, m));
-                            if !acc.is_positive() {
-                                break;
-                            }
-                        }
-                        if acc.is_positive() {
-                            m.tuples_out += 1;
-                            rows.push((crate::exec::project(r, &select_idx), acc));
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-            Access::Scan => {
-                // Scan fallback (uncorrelated NOT IN / ALL): the inner set is
-                // built once — the unnesting benefit — then the outer streams
-                // against it.
-                let inner_all: Vec<Tuple> = inner_t.scan().collect::<fuzzy_storage::Result<_>>()?;
-                m.tuples_in += inner_all.len() as u64;
-                for r in outer_t.scan() {
-                    let r = r?;
-                    m.tuples_in += 1;
-                    let mut acc = r.degree;
-                    for s in &inner_all {
-                        m.pairs_examined += 1;
-                        acc = acc.and(contribution(&r, s, s.degree, m));
-                        if !acc.is_positive() {
-                            break;
-                        }
-                    }
-                    if acc.is_positive() {
-                        m.tuples_out += 1;
-                        rows.push((crate::exec::project(&r, &select_idx), acc));
-                    }
-                }
-            }
-            Access::NestedLoop => {
-                // The accumulator of each outer tuple starts at μ_R ∧ p₁;
-                // every inner tuple lowers it by its negated contribution.
-                let outer_local = outer_layout.bind_all(&plan.outer.local_preds)?;
-                let inner_local =
-                    Layout::of_table(&plan.inner).bind_all(&plan.inner.local_preds)?;
-                self.block_nested_loop(
-                    outer_t,
-                    inner_t,
-                    m,
-                    |r, m| fold_preds(r.degree, &outer_local, &r.values, m),
-                    |acc, r, s, m| {
-                        if acc.is_positive() {
-                            let inner_d = fold_preds(s.degree, &inner_local, &s.values, m);
-                            if inner_d.is_positive() {
-                                *acc = acc.and(contribution(r, s, inner_d, m));
-                            }
-                        }
-                        Ok(())
-                    },
-                    |r, acc, m| {
-                        if acc.is_positive() {
-                            m.tuples_out += 1;
-                            rows.push((crate::exec::project(&r, &select_idx), acc));
-                        }
-                        Ok(())
-                    },
-                )?;
-            }
-        }
-        Ok(rows)
+        self.fold_outer(access, outer_t, inner_t, m, &mut fold)?;
+        Ok(fold.rows)
     }
 }

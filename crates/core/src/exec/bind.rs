@@ -15,6 +15,16 @@ pub(crate) enum BoundOperand {
     Const(Value),
 }
 
+impl BoundOperand {
+    /// The operand's value in the tuple `values`.
+    pub(crate) fn value<'a>(&'a self, values: &'a [Value]) -> &'a Value {
+        match self {
+            BoundOperand::Col(i) => &values[*i],
+            BoundOperand::Const(v) => v,
+        }
+    }
+}
+
 /// A comparison bound to a concrete (possibly concatenated) tuple layout.
 pub(crate) struct BoundCompare {
     pub(crate) lhs: BoundOperand,
@@ -25,14 +35,7 @@ pub(crate) struct BoundCompare {
 
 impl BoundCompare {
     pub(crate) fn eval(&self, values: &[Value]) -> Degree {
-        let l = match &self.lhs {
-            BoundOperand::Col(i) => &values[*i],
-            BoundOperand::Const(v) => v,
-        };
-        let r = match &self.rhs {
-            BoundOperand::Col(i) => &values[*i],
-            BoundOperand::Const(v) => v,
-        };
+        let (l, r) = (self.lhs.value(values), self.rhs.value(values));
         match self.tolerance {
             Some(t) => l.compare_similar(r, t),
             None => l.compare(self.op, r),
@@ -59,6 +62,7 @@ impl BoundCompare {
 
 /// Folds one tuple's predicates into its degree `d` in order, stopping at
 /// the first zero (each evaluated predicate counts one fuzzy comparison).
+#[inline]
 pub(crate) fn fold_preds(
     mut d: Degree,
     preds: &[BoundCompare],
@@ -121,19 +125,16 @@ impl Layout {
         Schema::new(attrs)
     }
 
-    pub(crate) fn bind(&self, p: &PlanCompare) -> Result<BoundCompare> {
-        let bind_op = |o: &PlanOperand| -> Result<BoundOperand> {
-            Ok(match o {
-                PlanOperand::Col(c) => BoundOperand::Col(self.resolve(c)?),
-                PlanOperand::Const(v) => BoundOperand::Const(v.clone()),
-            })
-        };
-        Ok(BoundCompare {
-            lhs: bind_op(&p.lhs)?,
-            op: p.op,
-            rhs: bind_op(&p.rhs)?,
-            tolerance: p.tolerance,
+    pub(crate) fn bind_operand(&self, o: &PlanOperand) -> Result<BoundOperand> {
+        Ok(match o {
+            PlanOperand::Col(c) => BoundOperand::Col(self.resolve(c)?),
+            PlanOperand::Const(v) => BoundOperand::Const(v.clone()),
         })
+    }
+
+    pub(crate) fn bind(&self, p: &PlanCompare) -> Result<BoundCompare> {
+        let (lhs, rhs) = (self.bind_operand(&p.lhs)?, self.bind_operand(&p.rhs)?);
+        Ok(BoundCompare { lhs, op: p.op, rhs, tolerance: p.tolerance })
     }
 
     pub(crate) fn bind_all(&self, ps: &[PlanCompare]) -> Result<Vec<BoundCompare>> {

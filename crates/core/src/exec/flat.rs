@@ -13,7 +13,7 @@
 //! still materializes.
 
 use crate::error::Result;
-use crate::exec::lower::{JoinStep, SinkMode, StepMethod};
+use crate::exec::lower::{Access, JoinStep, SinkMode, StepMethod};
 use crate::exec::merge_join::{merge_window, walk_window};
 use crate::exec::op::Slot;
 use crate::exec::{BoundCompare, Executor, Layout, PairOutcome};
@@ -217,15 +217,10 @@ impl Executor {
                 })?;
             }
             _ => {
-                // No equality driver: block-nested-loop fallback.
-                self.block_nested_loop(
-                    left,
-                    right,
-                    m,
-                    |_, _| (),
-                    |_, r, s, m| handle(&mut sink, r, s, m),
-                    |_, _, _| Ok(()),
-                )?;
+                // No equality driver: the block nested loop, every pair.
+                let mut each =
+                    |r: &Tuple, s: &Tuple, m: &mut OperatorMetrics| handle(&mut sink, r, s, m);
+                self.fold_outer(&Access::NestedLoop, left, right, m, &mut each)?;
             }
         }
         sink.into_slot()

@@ -104,8 +104,8 @@ pub(crate) enum StepMethod {
     NestedLoop,
 }
 
-/// How a two-input operator — anti or aggregate — reads its outer and inner
-/// inputs.
+/// How a two-input operator — anti or aggregate — reads its inputs: the
+/// candidates `Executor::fold_outer` presents to each outer tuple.
 #[derive(Clone, PartialEq)]
 pub(crate) enum Access {
     /// Merge window over inputs ⪯-sorted on these columns, correlated on

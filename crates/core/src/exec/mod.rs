@@ -20,11 +20,12 @@
 //!   The serial and parallel merge-joins, the anti and aggregate `Merge`
 //!   access, and the partitioned join's per-partition scans all advance it;
 //! * `partitioned` — the sampling-based partitioned join alternative;
-//! * `block_nl` — the block nested loop: the join step without a merge
-//!   driver, and every join, anti, and aggregate step of the baselines;
-//! * `anti` — the grouped `MIN(D)` accumulation of Queries JX′/JALL′;
-//! * `agg` — the pipelined T1/T2/JA′ (COUNT′) aggregate evaluation; the
-//!   type-A constant is its uncorrelated `Scan` access (`agg-const`);
+//! * `outer_fold` — the driver of the anti and aggregate folds, with each
+//!   `Access` mode's candidate loop written once; its block nested loop is
+//!   also the join step without a merge driver (every join of the baselines);
+//! * `anti` — the grouped `MIN(D)` fold of Queries JX′/JALL′;
+//! * `agg` — the pipelined T1/T2/JA′ (COUNT′) aggregate fold; the type-A
+//!   constant is its uncorrelated `Scan` access (`agg-const`);
 //! * `flat` — the flat join step: one pair evaluation (the optional
 //!   equality driver, the residual predicates, the threshold prune) shared
 //!   by every join method, and the output sink;
@@ -58,12 +59,12 @@ use fuzzy_storage::SimDisk;
 pub(crate) mod agg;
 pub(crate) mod anti;
 pub(crate) mod bind;
-pub(crate) mod block_nl;
 pub(crate) mod filter_scan;
 pub(crate) mod flat;
 pub(crate) mod lower;
 pub(crate) mod merge_join;
 pub(crate) mod op;
+pub(crate) mod outer_fold;
 pub(crate) mod output;
 pub(crate) mod partitioned;
 pub(crate) mod sort;

@@ -108,9 +108,8 @@ pub fn reorder_joins_with(
 
     // Start from the smallest table.
     let mut order: Vec<usize> = Vec::with_capacity(n);
-    let first = (0..n)
-        .min_by(|&a, &b| sizes[a].partial_cmp(&sizes[b]).expect("finite").then(a.cmp(&b)))
-        .expect("non-empty");
+    let first =
+        (0..n).min_by(|&a, &b| sizes[a].total_cmp(&sizes[b]).then(a.cmp(&b))).expect("non-empty");
     order.push(first);
     let mut remaining: Vec<usize> = (0..n).filter(|&i| i != first).collect();
 
@@ -120,11 +119,12 @@ pub fn reorder_joins_with(
             .iter()
             .copied()
             .filter(|&c| connected(&order, c))
-            .min_by(|&a, &b| sizes[a].partial_cmp(&sizes[b]).expect("finite").then(a.cmp(&b)))
+            .min_by(|&a, &b| sizes[a].total_cmp(&sizes[b]).then(a.cmp(&b)))
             .or_else(|| {
-                remaining.iter().copied().min_by(|&a, &b| {
-                    sizes[a].partial_cmp(&sizes[b]).expect("finite").then(a.cmp(&b))
-                })
+                remaining
+                    .iter()
+                    .copied()
+                    .min_by(|&a, &b| sizes[a].total_cmp(&sizes[b]).then(a.cmp(&b)))
             })
             .expect("remaining non-empty");
         order.push(pick);

@@ -124,7 +124,7 @@ struct ColumnSample {
 impl ColumnSample {
     fn histogram(self, buckets: usize) -> Histogram {
         let ColumnSample { mut lefts, max_width, other } = self;
-        lefts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        lefts.sort_by(f64::total_cmp);
         let buckets = buckets.max(1).min(lefts.len().max(1));
         let mut bounds = Vec::with_capacity(buckets + 1);
         let mut depths = Vec::with_capacity(buckets);

@@ -278,6 +278,23 @@ if [[ -n "$aggregated" ]]; then
   exit 1
 fi
 
+echo "==> one candidate loop per access mode (anti and aggregate are folds)"
+# The anti and aggregate operators each state their per-pair step once, as an
+# `OuterFold`, and `Executor::fold_outer` in exec/outer_fold.rs holds the one
+# candidate loop of each access mode: the merge window, the scanned inner set
+# and the block nested loop. A non-test `merge_window(`, `block_nested_loop(`
+# or `.scan()` in exec/anti.rs or exec/agg.rs would be an operator
+# enumerating its candidates itself.
+looped=$(non_test crates/core/src/exec/anti.rs crates/core/src/exec/agg.rs \
+  | grep -E '(^|[^_[:alnum:]])(merge_window|block_nested_loop)\(|\.scan\(\)' \
+  | grep -vE '^[^:]+:[0-9]+: *//' || true)
+if [[ -n "$looped" ]]; then
+  echo "error: a candidate loop in the anti or aggregate operator — state the per-pair" >&2
+  echo "step as an OuterFold and run it with Executor::fold_outer instead:" >&2
+  echo "$looped" >&2
+  exit 1
+fi
+
 echo "==> no deprecated shims (delete superseded API instead of keeping it)"
 if grep -rn '#\[deprecated' src crates/*/src; then
   echo "error: #[deprecated] item(s) above — migrate the callers and delete the shim" >&2

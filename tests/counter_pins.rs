@@ -16,8 +16,8 @@
 //!   three of them, like perfbench's `mixed` workload;
 //! * anti and aggregate forms whose blocks both carry a local predicate,
 //!   plus the aggregate whose correlation is not an equality, at 80 tuples
-//!   under unnesting and the two nested-loop baselines (which evaluate the
-//!   local predicates inside the operator).
+//!   under unnesting and the two nested-loop baselines (plain nested loop
+//!   evaluates the local predicates inside the operator).
 //!
 //! Every read records, per operator in start order, its kind, label, and
 //! every deterministic counter (tuples in/out, pairs, fuzzy and sort
