@@ -24,10 +24,11 @@ fn order_key(v: &Value, alpha: Degree) -> (Prefix, OrderKey) {
     (key.prefix(), key)
 }
 
-/// The [`order_key`] of attribute `attr` of an encoded tuple; a record whose
-/// attribute does not decode fails with `StorageError::Corrupt`.
+/// The [`order_key`] of attribute `attr` of an encoded tuple, keyed straight
+/// from its bytes ([`Tuple::order_key_at`]); a record whose attribute does
+/// not decode fails with `StorageError::Corrupt`.
 fn record_key(rec: &[u8], attr: usize, alpha: Degree) -> fuzzy_storage::Result<(Prefix, OrderKey)> {
-    Tuple::decode_value_at(rec, attr).map(|v| order_key(&v, alpha))
+    Tuple::order_key_at(rec, attr, alpha).map(|key| (key.prefix(), key))
 }
 
 /// Stable in-memory sort of `tuples` by `⪯` on `attr` at α-cut `alpha`: the

@@ -18,7 +18,8 @@
 //!    equal strings adjacent for crisp equi-joins on text.
 
 use crate::degree::Degree;
-use crate::value::Value;
+use crate::trapezoid::Trapezoid;
+use crate::value::{canon_f64, Value};
 use std::cmp::Ordering;
 
 /// Compares two values by `⪯` (with the refinements described above).
@@ -33,8 +34,8 @@ pub fn cmp_values(x: &Value, y: &Value) -> Ordering {
 pub fn cmp_values_at(x: &Value, y: &Value, alpha: Degree) -> Ordering {
     match (x, y) {
         (Value::Text(a), Value::Text(b)) => a.cmp(b),
-        _ => match (num_key(x, alpha), num_key(y, alpha)) {
-            (Some(kx), Some(ky)) => cmp_num(&kx, &ky),
+        _ => match (x.as_distribution(), y.as_distribution()) {
+            (Some(tx), Some(ty)) => cmp_num(&num_key(&tx, alpha), &num_key(&ty, alpha)),
             _ => rank(x).cmp(&rank(y)),
         },
     }
@@ -55,12 +56,33 @@ pub enum OrderKey {
 }
 
 impl OrderKey {
-    /// The key of `v` at α-cut level `alpha`.
+    /// The key of `v` at α-cut level `alpha`. Numeric values are keyed by
+    /// [`OrderKey::number`] and [`OrderKey::fuzzy`], the constructors a
+    /// record's bytes are keyed by too, so both paths agree bit for bit.
     pub fn at(v: &Value, alpha: Degree) -> OrderKey {
-        match (v, num_key(v, alpha)) {
-            (_, Some(k)) => OrderKey::Num(k),
-            (Value::Text(s), None) => OrderKey::Text(s.clone()),
-            _ => OrderKey::Null,
+        match v {
+            Value::Null => OrderKey::Null,
+            Value::Number(x) => OrderKey::number(*x, alpha),
+            Value::Fuzzy(t) => OrderKey::fuzzy(t, alpha),
+            Value::Text(s) => OrderKey::Text(s.clone()),
+        }
+    }
+
+    /// The key of `Value::number(x)` at α-cut level `alpha`, built without
+    /// the value: a non-finite `x` keys as `Null`, and `-0.0` as `+0.0`.
+    pub fn number(x: f64, alpha: Degree) -> OrderKey {
+        match Trapezoid::crisp(canon_f64(x)) {
+            Ok(t) => OrderKey::Num(num_key(&t, alpha)),
+            Err(_) => OrderKey::Null,
+        }
+    }
+
+    /// The key of `Value::fuzzy(t)` at α-cut level `alpha`, built without
+    /// the value: a crisp `t` keys as the number it collapses to.
+    pub fn fuzzy(t: &Trapezoid, alpha: Degree) -> OrderKey {
+        match t.as_crisp() {
+            Some(x) => OrderKey::number(x, alpha),
+            None => OrderKey::Num(num_key(t, alpha)),
         }
     }
 
@@ -103,11 +125,10 @@ impl OrderKey {
 
 /// The numeric key shared by [`cmp_values_at`] and [`OrderKey`]: the α-cut
 /// `[l, r]`, then the breakpoints in tie-break order `a, d, b, c`.
-fn num_key(v: &Value, alpha: Degree) -> Option<[f64; 6]> {
-    let t = v.as_distribution()?;
+fn num_key(t: &Trapezoid, alpha: Degree) -> [f64; 6] {
     let (l, r) = t.alpha_cut(alpha);
     let (a, b, c, d) = t.breakpoints();
-    Some([l, r, a, d, b, c])
+    [l, r, a, d, b, c]
 }
 
 /// Definition 3.1 on the α-cut: left endpoint, then right endpoint; then the
@@ -188,7 +209,6 @@ pub fn intervals_intersect(x: &Value, y: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trapezoid::Trapezoid;
 
     fn fv(a: f64, b: f64, c: f64, d: f64) -> Value {
         Value::fuzzy(Trapezoid::new(a, b, c, d).unwrap())

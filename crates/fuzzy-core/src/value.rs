@@ -141,7 +141,7 @@ impl Value {
 }
 
 /// Canonicalizes a float for hashing: collapses `-0.0` to `0.0`.
-fn canon_f64(v: f64) -> f64 {
+pub(crate) fn canon_f64(v: f64) -> f64 {
     if v == 0.0 {
         0.0
     } else {

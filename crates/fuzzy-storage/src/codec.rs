@@ -102,6 +102,18 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array (the fixed-width readers' one path).
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        match self.buf.get(self.pos..).and_then(<[u8]>::first_chunk::<N>) {
+            Some(s) => {
+                self.pos += N;
+                Ok(*s)
+            }
+            None => Err(self.underflow(N)),
+        }
+    }
+
     #[cold]
     fn underflow(&self, n: usize) -> StorageError {
         StorageError::Corrupt(format!(
@@ -120,25 +132,25 @@ impl<'a> ByteReader<'a> {
     /// Reads a little-endian u16.
     #[inline]
     pub fn get_u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u32.
     #[inline]
     pub fn get_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian u64.
     #[inline]
     pub fn get_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     /// Reads a little-endian f64.
     #[inline]
     pub fn get_f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     /// Reads a u32-length-prefixed byte string.

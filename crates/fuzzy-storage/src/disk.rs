@@ -16,7 +16,7 @@ use crate::error::{Result, StorageError};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identifier of a page on a disk.
 pub type PageId = u64;
@@ -26,14 +26,20 @@ pub const DEFAULT_PAGE_SIZE: usize = 8192;
 
 #[derive(Debug)]
 enum Backing {
-    Memory(Vec<Box<[u8]>>),
-    File { file: File, num_pages: u64 },
+    /// Page images shared with the readers holding them: a write replaces
+    /// an image some reader still holds instead of changing it.
+    Memory(Vec<Arc<[u8]>>),
+    File {
+        file: File,
+        num_pages: u64,
+    },
 }
 
 /// Shared disk state. The page store sits behind a mutex (parallel sort and
 /// join workers write runs concurrently); the I/O counters are atomics so
 /// accounting never extends the critical section and stays exact regardless
-/// of thread interleaving.
+/// of thread interleaving. Every lock is taken through [`lock`], so a panic
+/// elsewhere never makes the disk unusable.
 #[derive(Debug)]
 struct DiskInner {
     page_size: usize,
@@ -147,7 +153,7 @@ impl SimDisk {
 
     /// Number of allocated pages.
     pub fn num_pages(&self) -> u64 {
-        match &*self.inner.backing.lock().expect("disk lock") {
+        match &*lock(&self.inner.backing) {
             Backing::Memory(pages) => pages.len() as u64,
             Backing::File { num_pages, .. } => *num_pages,
         }
@@ -158,15 +164,18 @@ impl SimDisk {
     /// the subsequent write is.
     pub fn alloc_page(&self) -> PageId {
         let size = self.inner.page_size;
-        let reused = self.inner.free.lock().expect("disk lock").pop();
+        let reused = lock(&self.inner.free).pop();
         let id = match reused {
             Some(id) => {
                 // Scrub the recycled page (uncharged, like allocation) so
                 // the zeroed-page contract holds for reuse too.
-                match &mut *self.inner.backing.lock().expect("disk lock") {
+                match &mut *lock(&self.inner.backing) {
                     Backing::Memory(pages) => {
                         if let Some(p) = pages.get_mut(id as usize) {
-                            p.fill(0);
+                            match Arc::get_mut(p) {
+                                Some(image) => image.fill(0),
+                                None => *p = zeroed(size),
+                            }
                         }
                     }
                     Backing::File { file, .. } => {
@@ -177,10 +186,10 @@ impl SimDisk {
                 }
                 id
             }
-            None => match &mut *self.inner.backing.lock().expect("disk lock") {
+            None => match &mut *lock(&self.inner.backing) {
                 Backing::Memory(pages) => {
                     let id = pages.len() as PageId;
-                    pages.push(vec![0u8; size].into_boxed_slice());
+                    pages.push(zeroed(size));
                     id
                 }
                 Backing::File { file, num_pages } => {
@@ -192,7 +201,7 @@ impl SimDisk {
                 }
             },
         };
-        let mut log = self.inner.alloc_log.lock().expect("disk lock");
+        let mut log = lock(&self.inner.alloc_log);
         if log.depth > 0 {
             log.pages.push(id);
         }
@@ -204,14 +213,14 @@ impl SimDisk {
     /// re-allocated is a logic error (the simulator does not police it, just
     /// as a real disk would not).
     pub fn free_page(&self, id: PageId) {
-        self.inner.free.lock().expect("disk lock").push(id);
+        lock(&self.inner.free).push(id);
     }
 
     /// Number of allocated pages not currently on the free list — the disk
     /// footprint that is actually owned by live files.
     pub fn live_pages(&self) -> u64 {
         let total = self.num_pages();
-        let free = self.inner.free.lock().expect("disk lock").len() as u64;
+        let free = lock(&self.inner.free).len() as u64;
         total - free
     }
 
@@ -221,7 +230,7 @@ impl SimDisk {
     /// the shared log drains only when the last scope closes (see
     /// [`SimDisk::take_alloc_log`]).
     pub fn begin_alloc_log(&self) {
-        self.inner.alloc_log.lock().expect("disk lock").depth += 1;
+        lock(&self.inner.alloc_log).depth += 1;
     }
 
     /// Closes one statement scope. If it was the last open scope, returns
@@ -232,7 +241,7 @@ impl SimDisk {
     /// statement closes its scope, so no live temporary is ever recycled.
     /// A call without a matching [`SimDisk::begin_alloc_log`] is a no-op.
     pub fn take_alloc_log(&self) -> Vec<PageId> {
-        let mut log = self.inner.alloc_log.lock().expect("disk lock");
+        let mut log = lock(&self.inner.alloc_log);
         log.depth = log.depth.saturating_sub(1);
         if log.depth == 0 {
             std::mem::take(&mut log.pages)
@@ -242,13 +251,15 @@ impl SimDisk {
     }
 
     /// Reads a page, charging one physical read. The image comes back as a
-    /// shared buffer a scan can hold while it lends the page's records; the
-    /// in-memory backing copies it exactly once, straight into that buffer.
+    /// shared buffer a scan can hold while it lends the page's records. The
+    /// in-memory backing copies nothing: it hands out its own image, which
+    /// later writes to the page leave as it was read (see
+    /// [`SimDisk::write_page`]); the file backing reads it into a new buffer.
     pub fn read_page(&self, id: PageId) -> Result<Arc<[u8]>> {
         let size = self.inner.page_size;
-        let page: Arc<[u8]> = match &mut *self.inner.backing.lock().expect("disk lock") {
+        let page: Arc<[u8]> = match &mut *lock(&self.inner.backing) {
             Backing::Memory(pages) => {
-                Arc::from(&pages.get(id as usize).ok_or(StorageError::PageOutOfBounds(id))?[..])
+                Arc::clone(pages.get(id as usize).ok_or(StorageError::PageOutOfBounds(id))?)
             }
             Backing::File { file, num_pages } => {
                 if id >= *num_pages {
@@ -265,7 +276,10 @@ impl SimDisk {
         Ok(page)
     }
 
-    /// Writes a full page, charging one physical write.
+    /// Writes a full page, charging one physical write. On the in-memory
+    /// backing the page's image is overwritten in place when no reader holds
+    /// it, and replaced by a new image when one does, so every image
+    /// [`SimDisk::read_page`] returned keeps the bytes it was read with.
     pub fn write_page(&self, id: PageId, data: &[u8]) -> Result<()> {
         let size = self.inner.page_size;
         if data.len() != size {
@@ -274,13 +288,17 @@ impl SimDisk {
                 data.len(),
             )));
         }
-        match &mut *self.inner.backing.lock().expect("disk lock") {
+        match &mut *lock(&self.inner.backing) {
             Backing::Memory(pages) => {
                 let idx = id as usize;
                 if idx >= pages.len() {
                     return Err(StorageError::PageOutOfBounds(id));
                 }
-                pages[idx].copy_from_slice(data);
+                let page = &mut pages[idx];
+                match Arc::get_mut(page) {
+                    Some(image) => image.copy_from_slice(data),
+                    None => *page = Arc::from(data),
+                }
             }
             Backing::File { file, num_pages } => {
                 if id >= *num_pages {
@@ -308,6 +326,19 @@ impl SimDisk {
         self.inner.reads.store(0, Ordering::Relaxed);
         self.inner.writes.store(0, Ordering::Relaxed);
     }
+}
+
+/// Locks `m`, recovering the guard if a thread panicked while holding it.
+/// Every storage critical section leaves its state consistent — a
+/// length-checked copy, a `Vec` push or pop, an `Arc` clone — so a poisoned
+/// lock guards valid data, and the disk stays usable for other sessions.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A new zeroed page image of `size` bytes.
+fn zeroed(size: usize) -> Arc<[u8]> {
+    std::iter::repeat_n(0u8, size).collect()
 }
 
 #[cfg(test)]
@@ -363,6 +394,65 @@ mod tests {
         disk.write_page(p, &[1u8; 128]).unwrap();
         assert_eq!(other.read_page(p).unwrap()[0], 1);
         assert_eq!(disk.io().reads, 1);
+    }
+
+    /// An image held from `read_page` keeps the bytes it was read with: a
+    /// later write, and a free followed by the page's re-allocation (which
+    /// scrubs it), install new images instead of changing the held one. New
+    /// reads see the new bytes, and each read is charged once.
+    #[test]
+    fn held_images_keep_the_bytes_they_were_read_with() {
+        let disk = SimDisk::new(128);
+        let p = disk.alloc_page();
+        disk.write_page(p, &[1u8; 128]).unwrap();
+        let first = disk.read_page(p).unwrap();
+        disk.write_page(p, &[2u8; 128]).unwrap();
+        assert!(first.iter().all(|b| *b == 1), "a write leaves a held image alone");
+        let second = disk.read_page(p).unwrap();
+        assert!(second.iter().all(|b| *b == 2), "a new read sees the write");
+        disk.free_page(p);
+        assert_eq!(disk.alloc_page(), p);
+        assert!(second.iter().all(|b| *b == 2), "re-allocation leaves a held image alone");
+        assert!(disk.read_page(p).unwrap().iter().all(|b| *b == 0), "and scrubs the page");
+        // With no image held, a write lands in place and reads still see it.
+        disk.write_page(p, &[3u8; 128]).unwrap();
+        assert!(disk.read_page(p).unwrap().iter().all(|b| *b == 3));
+        assert!(first.iter().all(|b| *b == 1));
+        assert_eq!(disk.io(), IoSnapshot { reads: 4, writes: 3 });
+    }
+
+    /// A thread that panics while holding any of the disk's locks leaves the
+    /// disk usable: reads, writes, allocation, freeing and the statement
+    /// allocation log still work, and the I/O counters stay exact.
+    #[test]
+    fn poisoned_disk_locks_are_recovered() {
+        let disk = SimDisk::new(128);
+        let p0 = disk.alloc_page();
+        disk.write_page(p0, &[5u8; 128]).unwrap();
+        let held = disk.clone();
+        let panicked = std::thread::spawn(move || {
+            let _backing = held.inner.backing.lock();
+            let _free = held.inner.free.lock();
+            let _log = held.inner.alloc_log.lock();
+            panic!("poisoning the disk locks");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let inner = &disk.inner;
+        assert!(inner.backing.is_poisoned() && inner.free.is_poisoned());
+        assert!(inner.alloc_log.is_poisoned());
+        assert_eq!(disk.read_page(p0).unwrap()[0], 5);
+        disk.begin_alloc_log();
+        let p1 = disk.alloc_page();
+        disk.write_page(p1, &[6u8; 128]).unwrap();
+        assert_eq!(disk.read_page(p1).unwrap()[127], 6);
+        assert_eq!(disk.take_alloc_log(), vec![p1]);
+        disk.free_page(p1);
+        assert_eq!(disk.live_pages(), 1);
+        assert_eq!(disk.alloc_page(), p1, "the freed page is recycled");
+        assert!(disk.read_page(p1).unwrap().iter().all(|b| *b == 0));
+        assert_eq!(disk.num_pages(), 2);
+        assert_eq!(disk.io(), IoSnapshot { reads: 3, writes: 2 });
     }
 
     #[test]

@@ -6,20 +6,22 @@
 //! `n` records costs exactly `ceil(bytes / page)` physical writes.
 //!
 //! Scanning ([`HeapFile::scan`]) reads each page straight from the disk once,
-//! in storage order: one physical read, charged by [`SimDisk::read_page`], and
-//! one copy of the image out of the disk backing. No page cache sits between
-//! a scan and the disk — the paper's §9 I/O model gives the nested loop's
-//! outer block its pages explicitly and the merge-join's `Rng(r)` window holds
-//! tuples, so every page an operator needs is read exactly when it is charged.
+//! in storage order: one physical read, charged by [`SimDisk::read_page`],
+//! which shares the in-memory backing's page image with the scan instead of
+//! copying it (a later write to the page leaves that image as it was read).
+//! No page cache sits between a scan and the disk — the paper's §9 I/O model
+//! gives the nested loop's outer block its pages explicitly and the
+//! merge-join's `Rng(r)` window holds tuples, so every page an operator needs
+//! is read exactly when it is charged.
 //! [`RecordScan`] holds the current page image and lends each record as a
 //! slice of it ([`RecordScan::next_record`]), so a scan allocates nothing per
 //! record: callers decode in place, or copy the bytes themselves when they
 //! must outlive the next call.
 
-use crate::disk::{PageId, SimDisk};
+use crate::disk::{lock, PageId, SimDisk};
 use crate::error::{Result, StorageError};
 use crate::page::{Page, PageView};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 #[derive(Debug)]
 struct FileInner {
@@ -51,17 +53,17 @@ impl HeapFile {
 
     /// Number of pages in the file.
     pub fn num_pages(&self) -> u64 {
-        self.inner.lock().expect("file lock").pages.len() as u64
+        lock(&self.inner).pages.len() as u64
     }
 
     /// Number of records in the file.
     pub fn num_records(&self) -> u64 {
-        self.inner.lock().expect("file lock").record_count
+        lock(&self.inner).record_count
     }
 
     /// All disk page ids of the file, in order (for catalog manifests).
     pub fn page_ids(&self) -> Vec<PageId> {
-        self.inner.lock().expect("file lock").pages.clone()
+        lock(&self.inner).pages.clone()
     }
 
     /// Reconstructs a heap file from persisted parts (a manifest's page list
@@ -81,7 +83,7 @@ impl HeapFile {
     pub fn release(self) -> std::result::Result<(), HeapFile> {
         match Arc::try_unwrap(self.inner) {
             Ok(inner) => {
-                let inner = inner.into_inner().unwrap_or_else(|e| e.into_inner());
+                let inner = inner.into_inner().unwrap_or_else(PoisonError::into_inner);
                 for page in inner.pages {
                     self.disk.free_page(page);
                 }
@@ -93,9 +95,7 @@ impl HeapFile {
 
     /// The disk page id of the `index`-th page of the file.
     pub fn page_id(&self, index: u32) -> Result<PageId> {
-        self.inner
-            .lock()
-            .expect("file lock")
+        lock(&self.inner)
             .pages
             .get(index as usize)
             .copied()
@@ -132,14 +132,14 @@ impl HeapFile {
     /// loading should use [`HeapFile::bulk_writer`] instead.
     pub fn append(&self, record: &[u8]) -> Result<()> {
         let last = {
-            let inner = self.inner.lock().expect("file lock");
+            let inner = lock(&self.inner);
             inner.pages.last().copied()
         };
         if let Some(pid) = last {
             let mut page = Page::from_bytes(&self.disk.read_page(pid)?)?;
             if page.insert(record).is_ok() {
                 self.disk.write_page(pid, page.as_bytes())?;
-                self.inner.lock().expect("file lock").record_count += 1;
+                lock(&self.inner).record_count += 1;
                 return Ok(());
             }
         }
@@ -154,7 +154,7 @@ impl HeapFile {
     fn push_page(&self, page: &Page, records_in_page: u64) -> Result<()> {
         let pid = self.disk.alloc_page();
         self.disk.write_page(pid, page.as_bytes())?;
-        let mut inner = self.inner.lock().expect("file lock");
+        let mut inner = lock(&self.inner);
         inner.pages.push(pid);
         inner.record_count += records_in_page;
         Ok(())
@@ -253,6 +253,7 @@ impl RecordScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IoSnapshot;
 
     #[test]
     fn load_and_count() {
@@ -313,6 +314,36 @@ mod tests {
         let f = f.release().expect_err("a clone still holds the file");
         assert_eq!(disk.live_pages(), 4);
         drop(snapshot);
+        assert!(f.release().is_ok());
+        assert_eq!(disk.live_pages(), 0);
+    }
+
+    /// A thread that panics while holding the file's lock leaves the file
+    /// usable: appends, scans and counts still work, and the I/O is exact.
+    #[test]
+    fn a_poisoned_file_lock_is_recovered() {
+        let disk = SimDisk::new(128);
+        let f = HeapFile::create(&disk);
+        f.load((0..20u32).map(|i| i.to_le_bytes())).unwrap();
+        let held = f.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.inner.lock();
+            panic!("poisoning the file lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(f.inner.is_poisoned());
+        let before = disk.io();
+        f.append(&20u32.to_le_bytes()).unwrap();
+        assert_eq!(disk.io().since(&before), IoSnapshot { reads: 1, writes: 1 });
+        assert_eq!(f.num_records(), 21);
+        let mut scan = f.scan();
+        let mut n = 0u32;
+        while let Some(rec) = scan.next_record() {
+            assert_eq!(rec.unwrap(), n.to_le_bytes());
+            n += 1;
+        }
+        assert_eq!(n, 21);
         assert!(f.release().is_ok());
         assert_eq!(disk.live_pages(), 0);
     }

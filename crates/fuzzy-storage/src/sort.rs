@@ -24,14 +24,14 @@
 //! `fuzzy_core::interval_order::OrderKey` at the step's α-cut level:
 //!
 //! ```text
-//! key: |r| Tuple::decode_value_at(r, attr).map(|v| OrderKey::at(&v, alpha))
-//!          .map(|k| (k.prefix(), k))
+//! key: |r| Tuple::order_key_at(r, attr, alpha).map(|k| (k.prefix(), k))
 //! cmp: OrderKey::cmp_key
 //! ```
 //!
-//! so a comparison compares the α-cut endpoints as integers and falls back to
-//! the breakpoints (or text) only when they tie, with no decoding and no α-cut
-//! arithmetic.
+//! `Tuple::order_key_at` builds the key straight from the record's bytes,
+//! without decoding a value, so a comparison compares the α-cut endpoints as
+//! integers and falls back to the breakpoints (or text) only when they tie,
+//! with no decoding and no α-cut arithmetic.
 //!
 //! Records are never allocated one by one. Run generation reads each record
 //! in place from the scan's page image and appends its bytes to one byte

@@ -179,6 +179,25 @@ if [[ -n "$unprefixed" ]]; then
   exit 1
 fi
 
+echo "==> one key path from the bytes (sort records are keyed without decoding a value)"
+# `Tuple::order_key_at` in fuzzy-rel's tuple.rs builds a record's ⪯ key
+# straight from its bytes, through the `OrderKey` constructors that
+# `OrderKey::at` calls too. A non-test `decode_value_at(` (the decode-then-key
+# path it replaced, now only the test oracle), or exec/sort.rs keying a record
+# through `Tuple::decode(`, would be a second key path that builds a `Value`
+# per record read.
+decoded_keys=$({
+  non_test $(find src crates/*/src crates/*/benches -name '*.rs' | sort) \
+    | grep -E '(^|[^_[:alnum:]])decode_value_at\('
+  non_test crates/core/src/exec/sort.rs | grep -E 'Tuple::decode\('
+} | grep -vE '^[^:]+:[0-9]+: *//' || true)
+if [[ -n "$decoded_keys" ]]; then
+  echo "error: a sort record keyed by decoding a value — key it with" >&2
+  echo "Tuple::order_key_at instead:" >&2
+  echo "$decoded_keys" >&2
+  exit 1
+fi
+
 echo "==> one parser (every statement form parses on one token cursor)"
 # `Parser::new` in fuzzy-sql's parser.rs is the one place a statement is
 # lexed: `parse` and `parse_statement` tokenize once, and every production
