@@ -115,9 +115,10 @@ pub fn secs(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64())
 }
 
-/// The paper's buffer configuration: 2 MB of 8 KB pages for joins and sort.
+/// The paper's buffer configuration: 2 MB of 8 KB pages for joins and sort,
+/// and one worker thread, as the paper's machine had one CPU.
 pub fn paper_config() -> ExecConfig {
-    ExecConfig { buffer_pages: 256, sort_pages: 256, ..Default::default() }
+    ExecConfig { buffer_pages: 256, sort_pages: 256, threads: 1, ..Default::default() }
 }
 
 /// The analytic response-time model of Sections 3–8, used to extend tables

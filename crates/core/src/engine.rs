@@ -26,7 +26,7 @@ use crate::verify::VerifiedPlan;
 use fuzzy_core::Degree;
 use fuzzy_rel::{Catalog, Relation};
 use fuzzy_sql::ExplainMode;
-use fuzzy_storage::{CostModel, Measurement, SimDisk};
+use fuzzy_storage::{thread_io, CostModel, Measurement, SimDisk};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -314,16 +314,17 @@ impl Engine {
         })
     }
 
-    /// Measures `evaluate` (wall time and disk I/O), applies the
-    /// presentation steps (session default threshold, ORDER BY, LIMIT) to
-    /// the answer it returns, and assembles the outcome.
+    /// Measures `evaluate` (wall time, and the page I/O of this thread and
+    /// the helpers it credits, so concurrent sessions never count in),
+    /// applies the presentation steps (session default threshold, ORDER BY,
+    /// LIMIT) to the answer it returns, and assembles the outcome.
     fn measured(
         &self,
         q: &fuzzy_sql::Query,
         mut serving: ServingInfo,
         evaluate: impl FnOnce() -> Result<(Relation, QueryMetrics, String)>,
     ) -> Result<QueryOutcome> {
-        let io_before = self.ctx.disk.io();
+        let io_before = thread_io();
         let start = Instant::now();
         let (mut answer, metrics, plan_label) = evaluate()?;
         // The session-level `WITH D > z` default applies only when the
@@ -337,7 +338,7 @@ impl Engine {
         }
         let answer = order_and_limit(q, answer)?;
         let cpu = start.elapsed();
-        let io = self.ctx.disk.io().since(&io_before);
+        let io = thread_io().since(&io_before);
         serving.lock_wait = self.lock_wait;
         serving.sessions_in_flight = self.ctx.serving.in_flight();
         Ok(QueryOutcome {
@@ -410,15 +411,14 @@ impl Engine {
     ) -> Result<(Relation, QueryMetrics)> {
         let mut metrics = QueryMetrics::default();
         let id = metrics.begin(OpKind::Naive, "naive-eval");
-        let disk = &self.ctx.disk;
-        let io0 = disk.io();
+        let io0 = thread_io();
         let t0 = Instant::now();
         let ev = evaluator(&self.catalog);
         let answer = ev.eval(q)?;
         let m = metrics.op_mut(id);
         m.fuzzy_comparisons = ev.comparisons();
         m.tuples_out = answer.len() as u64;
-        metrics.finish(id, t0.elapsed(), disk.io().since(&io0));
+        metrics.finish(id, t0.elapsed(), thread_io().since(&io0));
         Ok((answer, metrics))
     }
 }

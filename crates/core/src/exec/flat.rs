@@ -200,8 +200,16 @@ impl Executor {
                     sink.emit(r, s, d)
                 })
             };
+        // The parallel pair walk runs only on an uncapped step whose outer
+        // exceeds the buffer. It measured slower than the serial walk on a
+        // capped step, where the serial walk stops each window at the degree
+        // cap, and on a small outer, where it starts threads for microseconds
+        // of work (DESIGN.md §7).
+        let parallel = self.config.threads > 1
+            && !capped
+            && left.num_pages() > self.config.buffer_pages as u64;
         match (&step.method, driver) {
-            (StepMethod::Merge(_), Some((cur_idx, next_idx))) if self.config.threads > 1 => {
+            (StepMethod::Merge(_), Some((cur_idx, next_idx))) if parallel => {
                 self.merge_join_parallel(
                     left, cur_idx, right, next_idx, alpha, &pair_eval, capped, &mut sink, m,
                 )?;

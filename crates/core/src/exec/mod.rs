@@ -55,6 +55,8 @@ use crate::verify::VerifiedPlan;
 use fuzzy_core::Degree;
 use fuzzy_rel::{Catalog, Relation, StoredTable};
 use fuzzy_storage::SimDisk;
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 pub(crate) mod agg;
 pub(crate) mod anti;
@@ -92,12 +94,20 @@ pub struct ExecConfig {
     pub threshold_pushdown: bool,
     /// Which physical algorithm drives flat equi-join steps.
     pub join_method: JoinMethod,
-    /// Worker threads for external-sort run generation and the flat
-    /// merge-join's per-pair degree computation. `1` (the default) is the
-    /// serial path; any value produces bit-identical answers and identical
-    /// I/O / comparison / pair counters, trading memory for wall time (see
-    /// DESIGN.md, "Parallel execution"). The partitioned join ignores this
-    /// knob and always runs serially (see `partitioned`).
+    /// Worker threads a statement may use: the default is the host's cores,
+    /// at most two (`std::thread::available_parallelism`, capped at the
+    /// overlapped pair's two, the one configuration measured to pay), and
+    /// `1` is the serial engine. The budget goes where it measurably pays:
+    /// the two sorts feeding one merge operator run at the same time when
+    /// both exceed the sort budget, each with half of it; any other sort
+    /// that spills generates its runs `threads` wide; and the flat
+    /// merge-join evaluates an uncapped step's pairs `threads` wide. A sort
+    /// holds up to `threads + 1` batches of `sort_pages` pages in memory, so
+    /// a statement holds at most about `threads + 2` (DESIGN.md §7). Any
+    /// value produces bit-identical answers and identical I/O / comparison /
+    /// pair counters, trading memory for wall time (see DESIGN.md,
+    /// "Parallel execution"). The partitioned join ignores this knob and
+    /// always runs serially (see `partitioned`).
     pub threads: usize,
     /// Session-level default for the answer threshold: statements that carry
     /// no explicit `WITH D > z` clause are post-filtered to degrees `> z`.
@@ -106,6 +116,15 @@ pub struct ExecConfig {
     /// plan-cache key. `None` (the default) keeps the paper's `D > 0`
     /// semantics.
     pub default_threshold: Option<f64>,
+}
+
+/// The default thread budget: the host's cores, at most two. Two are what
+/// the overlapped pair of sorts uses, and more were not measured to pay
+/// (DESIGN.md §7). The system is asked once per process: the uncached call
+/// costs enough to show in a statement's set-up.
+fn default_threads() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get).min(2))
 }
 
 /// Physical algorithms for a flat equi-join step.
@@ -127,7 +146,7 @@ impl Default for ExecConfig {
             reorder_joins: true,
             threshold_pushdown: true,
             join_method: JoinMethod::default(),
-            threads: 1,
+            threads: default_threads(),
             default_threshold: None,
         }
     }
@@ -216,8 +235,9 @@ mod tests {
     }
 
     /// `t` ⪯-sorted on X (attribute 1), through the sort operator.
-    fn sorted(ex: &mut Executor, t: &StoredTable) -> StoredTable {
-        ex.sort_table(t, 1, Degree::ZERO, &mut OperatorMetrics::default()).unwrap().0
+    fn sorted(ex: &Executor, t: &StoredTable) -> StoredTable {
+        let m = &mut OperatorMetrics::default();
+        ex.sort_table(t, 1, Degree::ZERO, ex.config.threads, "sorted".into(), m).unwrap().0
     }
 
     #[test]
@@ -269,8 +289,8 @@ mod tests {
         let disk = SimDisk::with_default_page_size();
         let r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0), (20.0, 21.0)]);
         let s = table(&disk, "S", &[(0.0, 2.0), (9.0, 12.0), (15.0, 30.0), (40.0, 41.0)]);
-        let mut ex = Executor::new(&disk, ExecConfig::default());
-        let (sorted_r, sorted_s) = (sorted(&mut ex, &r), sorted(&mut ex, &s));
+        let ex = Executor::new(&disk, ExecConfig::default());
+        let (sorted_r, sorted_s) = (sorted(&ex, &r), sorted(&ex, &s));
         let mut windows: Vec<(f64, Vec<f64>)> = Vec::new();
         let mut m = OperatorMetrics::default();
         merge_window(&sorted_r, 1, &sorted_s, 1, Degree::ZERO, &mut m, |r, rng, _| {
@@ -292,8 +312,9 @@ mod tests {
         let r = table(&disk, "R", &[(0.0, 1.0), (10.0, 11.0), (20.0, 21.0)]);
         r.file().load([[0u8; 3]]).unwrap();
         for threads in [1, 2] {
-            let mut ex = Executor::new(&disk, ExecConfig { threads, ..ExecConfig::default() });
-            let err = ex.sort_table(&r, 1, Degree::ZERO, &mut OperatorMetrics::default());
+            let ex = Executor::new(&disk, ExecConfig { threads, ..ExecConfig::default() });
+            let m = &mut OperatorMetrics::default();
+            let err = ex.sort_table(&r, 1, Degree::ZERO, threads, "sorted".into(), m);
             assert!(
                 matches!(
                     err,
@@ -337,8 +358,8 @@ mod tests {
         let disk = SimDisk::with_default_page_size();
         let r = table(&disk, "R", &[(0.0, 1.0), (50.0, 51.0), (99.0, 100.0)]);
         let s = table(&disk, "S", &[(0.0, 100.0)]);
-        let mut ex = Executor::new(&disk, ExecConfig::default());
-        let (sorted_r, sorted_s) = (sorted(&mut ex, &r), sorted(&mut ex, &s));
+        let ex = Executor::new(&disk, ExecConfig::default());
+        let (sorted_r, sorted_s) = (sorted(&ex, &r), sorted(&ex, &s));
         let mut count = 0;
         let m = &mut OperatorMetrics::default();
         merge_window(&sorted_r, 1, &sorted_s, 1, Degree::ZERO, m, |_, rng, _| {
@@ -361,8 +382,8 @@ mod tests {
         let disk = SimDisk::with_default_page_size();
         let r = table(&disk, "R", &[(10.0, 100.0), (12.0, 20.0)]);
         let s = table(&disk, "S", &[(50.0, 60.0)]);
-        let mut ex = Executor::new(&disk, ExecConfig::default());
-        let (sorted_r, sorted_s) = (sorted(&mut ex, &r), sorted(&mut ex, &s));
+        let ex = Executor::new(&disk, ExecConfig::default());
+        let (sorted_r, sorted_s) = (sorted(&ex, &r), sorted(&ex, &s));
         let mut seen = Vec::new();
         let m = &mut OperatorMetrics::default();
         merge_window(&sorted_r, 1, &sorted_s, 1, Degree::ZERO, m, |r, rng, _| {

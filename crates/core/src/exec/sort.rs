@@ -58,72 +58,110 @@ fn charge(m: &mut OperatorMetrics, n: u64, stats: &SortStats) -> SortPhases {
     SortPhases { generation: stats.gen_time, merge: stats.merge_time }
 }
 
+/// One sort node's work, taken out of the tree so that two sorts can run at
+/// once: its input, the input's layout, the sort column and α-cut, and the
+/// name of the table it produces (drawn in outline order, so names do not
+/// depend on which sorts overlap).
+pub(crate) struct SortJob<'a> {
+    pub(crate) input: Slot,
+    pub(crate) layout: &'a Layout,
+    pub(crate) col: &'a PlanCol,
+    pub(crate) alpha: Degree,
+    pub(crate) name: String,
+}
+
+impl Slot {
+    /// Whether this slot's content exceeds a sort budget of `pages` pages
+    /// of `page_size` bytes. Pipelined rows exceed it when their records'
+    /// bytes do, and then cut more than one run. A stored table exceeds it
+    /// when it has more pages than the budget: its records then take about
+    /// the budget's bytes or more (pages also hold slot overhead), so it cuts
+    /// two or more runs unless it is within a few pages of the budget.
+    /// Anything else (an empty slot) does not.
+    pub(crate) fn exceeds_sort_budget(&self, pages: usize, page_size: usize) -> bool {
+        match self {
+            Slot::Table(t) => t.num_pages() > pages as u64,
+            Slot::Rows(rows) => {
+                rows.iter().map(Tuple::encoded_len).sum::<usize>() > pages * page_size
+            }
+            _ => false,
+        }
+    }
+}
+
 impl Executor {
-    /// The sort operator: sorts its input — a stored table or a pipelined
-    /// row buffer laid out as `layout` — by `col` at the α-cut `alpha`, and
-    /// returns the sorted table with the sort's phase times.
+    /// The sort operator: sorts its job's input — a stored table or a
+    /// pipelined row buffer — by the job's column at its α-cut, generating
+    /// runs up to `threads` wide, and returns the sorted table with the
+    /// sort's phase times. It takes `&self`, so the driver may run two at
+    /// once.
     pub(crate) fn sort_input(
-        &mut self,
-        input: Slot,
-        layout: &Layout,
-        col: &PlanCol,
-        alpha: Degree,
+        &self,
+        job: SortJob<'_>,
+        threads: usize,
         m: &mut OperatorMetrics,
     ) -> Result<(StoredTable, SortPhases)> {
-        let attr = layout.resolve(col)?;
-        match input {
-            Slot::Rows(rows) => self.sort_rows(rows, layout.to_schema(), attr, alpha, m),
-            Slot::Table(t) => self.sort_table(&t, attr, alpha, m),
+        let attr = job.layout.resolve(job.col)?;
+        match job.input {
+            Slot::Rows(rows) => {
+                self.sort_rows(rows, job.layout.to_schema(), attr, job.alpha, job.name, m)
+            }
+            Slot::Table(t) => self.sort_table(&t, attr, job.alpha, threads, job.name, m),
             _ => Err(EngineError::Verify(format!(
-                "input of sort by {col} is neither a table nor rows"
+                "input of sort by {} is neither a table nor rows",
+                job.col
             ))),
         }
     }
 
     /// Sorts a table by the interval order `⪯` of the α-cut intervals on
-    /// attribute `attr` (α = 0 is the paper's support order), counting its
-    /// runs and comparisons in `m`. The sort key is the attribute's
-    /// [`order_key`] at `alpha` (the α-cut endpoints as a normalized prefix,
-    /// then the full [`OrderKey`]), extracted once per record read, so no
-    /// comparison recomputes an α-cut; a record whose attribute does not
-    /// decode fails the sort with `StorageError::Corrupt`. Run generation
-    /// parallelizes across `ExecConfig::threads` with bit-identical batch
-    /// cuts and counters (see `external_sort_parallel`).
+    /// attribute `attr` (α = 0 is the paper's support order) into a table
+    /// named `name`, counting its runs and comparisons in `m`. The sort key
+    /// is the attribute's [`order_key`] at `alpha` (the α-cut endpoints as a
+    /// normalized prefix, then the full [`OrderKey`]), extracted once per
+    /// record read, so no comparison recomputes an α-cut; a record whose
+    /// attribute does not decode fails the sort with
+    /// `StorageError::Corrupt`. Run generation parallelizes across `threads`
+    /// with bit-identical batch cuts and counters when the table spills
+    /// (see `external_sort_parallel`).
     pub(crate) fn sort_table(
-        &mut self,
+        &self,
         table: &StoredTable,
         attr: usize,
         alpha: Degree,
+        threads: usize,
+        name: String,
         m: &mut OperatorMetrics,
     ) -> Result<(StoredTable, SortPhases)> {
         let (file, stats) = external_sort_parallel(
             &self.disk,
             table.file(),
             self.config.sort_pages,
-            self.config.threads,
+            threads,
             |r| record_key(r, attr, alpha),
             OrderKey::cmp_key,
         )?;
         let phases = charge(m, table.num_tuples(), &stats);
-        Ok((table.with_file(self.temp_name("sorted"), file), phases))
+        Ok((table.with_file(name, file), phases))
     }
 
     /// Sorts an in-memory pipelined row buffer — the output of an upstream
-    /// join step that was never materialized — into a stored table. The rows
-    /// feed run generation directly (`external_sort_records`), so batch
-    /// cuts, run contents, and comparison counts are exactly what
+    /// join step that was never materialized — into a table named `name`.
+    /// The rows feed run generation directly (`external_sort_records`), so
+    /// batch cuts, run contents, and comparison counts are exactly what
     /// [`Executor::sort_table`] would have produced had the rows been
     /// written to a temp table and re-scanned, minus that write and re-scan.
-    /// Run generation is serial regardless of `ExecConfig::threads`: the
-    /// record stream arrives in the (deterministic) serial emission order,
-    /// and the counters stay bit-identical across thread counts because the
-    /// serial path is the only path.
+    /// Run generation is serial whatever the thread budget: the record
+    /// stream arrives in the (deterministic) serial emission order, and the
+    /// counters stay bit-identical across thread counts because the serial
+    /// path is the only path.
     pub(crate) fn sort_rows(
-        &mut self,
+        &self,
         rows: Vec<Tuple>,
         schema: Schema,
         attr: usize,
         alpha: Degree,
+        name: String,
         m: &mut OperatorMetrics,
     ) -> Result<(StoredTable, SortPhases)> {
         let n = rows.len() as u64;
@@ -135,8 +173,6 @@ impl Executor {
             OrderKey::cmp_key,
         )?;
         let phases = charge(m, n, &stats);
-        let shell_name = self.temp_name("pipe");
-        let shell = StoredTable::create(&self.disk, shell_name, schema);
-        Ok((shell.with_file(self.temp_name("sorted"), file), phases))
+        Ok((StoredTable::from_parts(name, schema, file, 0), phases))
     }
 }

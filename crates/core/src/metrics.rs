@@ -25,13 +25,15 @@
 //! wall time and page I/O. So the operators' page counters add up to the
 //! statement's I/O.
 //!
-//! The page counters hold that contract only while the statement runs
-//! alone. `page_reads` and `page_writes` are deltas of the disk-wide
-//! `SimDisk::io()` counter, taken by the driver before a node's operator
-//! starts and after its slot is published (the statement's own I/O total is
-//! taken the same way), so the page I/O that concurrent sessions do on the
-//! same disk in that interval is added to them. Every other counter stays
-//! exact under concurrency.
+//! The page counters hold that contract under concurrency too.
+//! `page_reads` and `page_writes` are deltas of the running thread's page
+//! tally (`fuzzy_storage::thread_io`), taken by the driver before a node's
+//! operator starts and after its slot is published (the statement's own I/O
+//! total is taken the same way). A thread's tally counts only the transfers
+//! it made, plus those of the helper threads that worked for it — parallel
+//! sort workers, the second of two overlapped sorts — which are credited
+//! back to it when they are joined. So sessions sharing a disk never add to
+//! each other's counts (`tests/concurrent_serving.rs` pins this).
 
 use fuzzy_storage::IoSnapshot;
 use std::time::Duration;
@@ -65,12 +67,12 @@ pub struct OperatorMetrics {
     pub buffer_requests: u64,
     /// Always 0, like `buffer_requests`, and goes with it.
     pub buffer_hits: u64,
-    /// Simulated physical page reads charged to this operator: the disk's
-    /// reads while it ran, so exact only when no other session reads the
-    /// same disk meanwhile (see the determinism contract).
+    /// Simulated physical page reads charged to this operator: the pages it
+    /// and its helper threads read, whatever other sessions read meanwhile
+    /// (see the determinism contract).
     pub page_reads: u64,
-    /// Simulated physical page writes charged to this operator, exact under
-    /// the same condition as `page_reads`.
+    /// Simulated physical page writes charged to this operator, counted as
+    /// `page_reads` is.
     pub page_writes: u64,
 }
 

@@ -77,6 +77,20 @@ impl Tuple {
         bytes
     }
 
+    /// The length of [`Tuple::encode`]'s record without padding, computed
+    /// without encoding.
+    pub fn encoded_len(&self) -> usize {
+        let values: usize = (self.values.iter())
+            .map(|v| match v {
+                Value::Null => 1,
+                Value::Text(s) => 1 + 4 + s.len(),
+                Value::Number(_) => 1 + 8,
+                Value::Fuzzy(_) => 1 + 4 * 8,
+            })
+            .sum();
+        8 + 2 + values
+    }
+
     /// Deserializes a tuple (ignoring any padding after the encoded values).
     pub fn decode(bytes: &[u8]) -> Result<Tuple> {
         let mut r = ByteReader::new(bytes);
@@ -374,6 +388,14 @@ mod tests {
         let bytes = t.encode(0);
         let back = Tuple::decode(&bytes).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn encoded_len_is_the_unpadded_record_length() {
+        let text = Tuple::full(vec![Value::text("héllo"), Value::Null, Value::number(1.0)]);
+        for t in [sample(), text, Tuple::full(vec![])] {
+            assert_eq!(t.encoded_len(), t.encode(0).len(), "{t:?}");
+        }
     }
 
     #[test]

@@ -11,8 +11,16 @@
 //! Two backings share the interface: the default in-memory vector (fast,
 //! reproducible — what the experiments use) and a real file
 //! ([`SimDisk::open_file`]) for persistence across processes.
+//!
+//! Every transfer is counted twice: on the disk ([`SimDisk::io`], what all
+//! threads did to it) and on the thread that made it ([`thread_io`]). A
+//! statement meters its operators with the thread tally, so sessions that
+//! share the disk never add to each other's counts; a thread that hands
+//! work to a helper thread takes the helper's tally back with
+//! [`credit_thread_io`].
 
 use crate::error::{Result, StorageError};
+use std::cell::Cell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,6 +89,25 @@ pub struct IoSnapshot {
     pub writes: u64,
 }
 
+thread_local! {
+    /// The page transfers this thread made, on any disk, plus those credited
+    /// to it ([`credit_thread_io`]).
+    static THREAD_IO: Cell<IoSnapshot> = const { Cell::new(IoSnapshot { reads: 0, writes: 0 }) };
+}
+
+/// The calling thread's page-transfer tally: every page it read or wrote on
+/// any disk, plus what helper threads' tallies were credited to it. Deltas of
+/// it are exact under concurrency, since no other thread changes it.
+pub fn thread_io() -> IoSnapshot {
+    THREAD_IO.get()
+}
+
+/// Adds `delta` to the calling thread's tally: a transfer it made, or a
+/// helper thread's transfers handed back to the thread it worked for.
+pub fn credit_thread_io(delta: IoSnapshot) {
+    THREAD_IO.set(THREAD_IO.get().plus(&delta));
+}
+
 impl IoSnapshot {
     /// Total physical page transfers.
     pub fn total(&self) -> u64 {
@@ -90,6 +117,11 @@ impl IoSnapshot {
     /// Counter deltas since an earlier snapshot.
     pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
         IoSnapshot { reads: self.reads - earlier.reads, writes: self.writes - earlier.writes }
+    }
+
+    /// The sum of two snapshots' counters.
+    pub fn plus(&self, other: &IoSnapshot) -> IoSnapshot {
+        IoSnapshot { reads: self.reads + other.reads, writes: self.writes + other.writes }
     }
 }
 
@@ -273,6 +305,7 @@ impl SimDisk {
             }
         };
         self.inner.reads.fetch_add(1, Ordering::Relaxed);
+        credit_thread_io(IoSnapshot { reads: 1, writes: 0 });
         Ok(page)
     }
 
@@ -310,10 +343,12 @@ impl SimDisk {
             }
         }
         self.inner.writes.fetch_add(1, Ordering::Relaxed);
+        credit_thread_io(IoSnapshot { reads: 0, writes: 1 });
         Ok(())
     }
 
-    /// Current I/O counters.
+    /// Current I/O counters: every thread's transfers on this disk (see
+    /// [`thread_io`] for one thread's).
     pub fn io(&self) -> IoSnapshot {
         IoSnapshot {
             reads: self.inner.reads.load(Ordering::Relaxed),
@@ -375,6 +410,34 @@ mod tests {
         assert_eq!(disk.io().since(&before), IoSnapshot { reads: 1, writes: 0 });
         disk.reset_io();
         assert_eq!(disk.io().total(), 0);
+    }
+
+    /// Each thread's tally counts its own transfers only, while the disk
+    /// counts everyone's; a credit hands a helper's tally back.
+    #[test]
+    fn thread_tallies_count_their_own_transfers() {
+        let disk = SimDisk::new(128);
+        let p = disk.alloc_page();
+        let mine = thread_io();
+        disk.write_page(p, &[1u8; 128]).unwrap();
+        let helper = {
+            let disk = disk.clone();
+            std::thread::spawn(move || {
+                let start = thread_io();
+                for _ in 0..3 {
+                    disk.read_page(p).unwrap();
+                }
+                thread_io().since(&start)
+            })
+            .join()
+            .unwrap()
+        };
+        assert_eq!(helper, IoSnapshot { reads: 3, writes: 0 });
+        disk.read_page(p).unwrap();
+        assert_eq!(thread_io().since(&mine), IoSnapshot { reads: 1, writes: 1 });
+        assert_eq!(disk.io(), IoSnapshot { reads: 4, writes: 1 });
+        credit_thread_io(helper);
+        assert_eq!(thread_io().since(&mine), disk.io());
     }
 
     #[test]

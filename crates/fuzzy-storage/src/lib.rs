@@ -6,7 +6,8 @@
 //! so every physical page transfer is counted and charged through a
 //! configurable cost model.
 //!
-//! * [`SimDisk`] — page-granular simulated disk with I/O counters;
+//! * [`SimDisk`] — page-granular simulated disk with I/O counters, kept per
+//!   disk and per thread ([`thread_io`]);
 //! * [`Page`] — slotted pages holding variable-length records, and
 //!   [`PageView`], the borrowed view that validates a page image and reads
 //!   its records in place;
@@ -54,7 +55,7 @@ pub mod page;
 pub mod sort;
 
 pub use cost::{CostModel, Measurement};
-pub use disk::{IoSnapshot, PageId, SimDisk, DEFAULT_PAGE_SIZE};
+pub use disk::{credit_thread_io, thread_io, IoSnapshot, PageId, SimDisk, DEFAULT_PAGE_SIZE};
 pub use error::{panic_message, Result, StorageError};
 pub use file::{HeapFile, RecordScan};
 pub use page::{Page, PageView};

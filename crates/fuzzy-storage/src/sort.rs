@@ -46,7 +46,7 @@
 //! is charged to the I/O counters. [`SortStats`] also carries the wall time
 //! of the two phases, run generation and merging, for `EXPLAIN ANALYZE`.
 
-use crate::disk::SimDisk;
+use crate::disk::{credit_thread_io, thread_io, IoSnapshot, SimDisk};
 use crate::error::{panic_message, Result, StorageError};
 use crate::file::{HeapFile, RecordScan};
 use std::cmp::Ordering;
@@ -326,6 +326,13 @@ where
 /// trade so parallel results and accounting stay bit-identical to serial
 /// (see DESIGN.md).
 ///
+/// Workers start as batches need them, up to `threads`: an input that fits
+/// one batch (certainly one of no more than `memory_pages` pages, which
+/// goes straight to [`external_sort`]) is sorted on the calling thread
+/// alone, exactly as [`external_sort`] sorts it. Each worker's page transfers are credited to
+/// the calling thread's tally ([`crate::thread_io`]), so the caller meters
+/// the whole sort as if it had run serially.
+///
 /// A worker that panics (in `key`, `cmp` or the sort) fails the sort with
 /// [`StorageError::WorkerPanic`]; the other workers finish their batches and
 /// are joined first, and the disk stays usable.
@@ -342,57 +349,61 @@ where
     KF: Fn(&[u8]) -> Result<(Prefix, K)> + Sync,
     CF: Fn(&K, &K) -> Ordering + Sync,
 {
-    if threads <= 1 {
+    let memory_pages = memory_pages.max(2);
+    // A file of no more pages than the budget holds fewer record bytes than
+    // the budget, so it is one batch: nothing to hand a worker.
+    if threads <= 1 || input.num_pages() <= memory_pages as u64 {
         return external_sort(disk, input, memory_pages, key, cmp);
     }
     let started = Instant::now();
-    let memory_pages = memory_pages.max(2);
     let budget_bytes = memory_pages * disk.page_size();
     let (key, cmp) = (&key, &cmp);
 
     // --- Parallel run generation -------------------------------------------
     // Rendezvous channel: the producer hands a full unkeyed arena batch
     // straight to an idle worker, so at most `threads` batches are being
-    // keyed and sorted while one more is being accumulated. Only the workers
-    // hold the receiver, so once every worker is gone a send fails instead
-    // of blocking.
-    let (tx, rx) = mpsc::sync_channel::<(usize, Batch<()>)>(0);
-    let rx = Arc::new(Mutex::new(rx));
-    let (scanned, joined) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                scope.spawn(move || {
-                    let mut runs: Vec<(usize, Result<HeapFile>)> = Vec::new();
-                    let mut comparisons: u64 = 0;
-                    loop {
-                        let msg = rx.lock().expect("sort channel lock").recv();
-                        let Ok((index, batch)) = msg else { break };
-                        let run = batch
-                            .keyed(key)
-                            .and_then(|mut keyed| keyed.write_run(disk, cmp, &mut comparisons));
-                        runs.push((index, run));
-                    }
-                    (runs, comparisons)
-                })
-            })
-            .collect();
-        drop(rx);
-        // This thread is the producer; it drops `tx` on return, which ends
-        // the workers' loops.
-        let scanned = produce_batches(input, budget_bytes, tx);
+    // keyed and sorted while one more is being accumulated. Workers start on
+    // demand, one per handed-off batch until there are `threads`: a sort
+    // starts no more workers than it has batches, and none when its input
+    // fits one batch. Until the last worker starts, every send follows the
+    // start of a fresh one; after that only the workers hold the receiver,
+    // so once every worker is gone a send fails instead of blocking.
+    let (tx, rx) = mpsc::sync_channel::<Indexed>(0);
+    let (produced, joined) = std::thread::scope(|scope| {
+        let mut workers = Vec::new();
+        let started_workers = &mut workers;
+        let mut rx = Some(Arc::new(Mutex::new(rx)));
+        // Owns `tx`, so the channel closes, ending the workers' loops, once
+        // the producer is done with it.
+        let hand_off = move |msg| {
+            if let Some(shared) = &rx {
+                let shared = Arc::clone(shared);
+                started_workers.push(scope.spawn(move || sort_worker(&shared, disk, key, cmp)));
+                if started_workers.len() == threads {
+                    rx = None;
+                }
+            }
+            tx.send(msg).is_ok()
+        };
+        let produced = produce_batches(input, budget_bytes, hand_off);
         // Join every worker before looking at any result, so a panic in one
         // never leaves another unjoined.
-        (scanned, handles.into_iter().map(|h| h.join()).collect::<Vec<_>>())
+        (produced, workers.into_iter().map(|h| h.join()).collect::<Vec<_>>())
     });
     let mut slots: Vec<(usize, Result<HeapFile>)> = Vec::new();
     let mut comparisons: u64 = 0;
     for worker in joined {
-        let (runs, n) = worker.map_err(|p| StorageError::WorkerPanic(panic_message(p.as_ref())))?;
+        let (runs, n, io) =
+            worker.map_err(|p| StorageError::WorkerPanic(panic_message(p.as_ref())))?;
+        credit_thread_io(io);
         slots.extend(runs);
         comparisons += n;
     }
-    scanned?;
+    if let Some(lone) = produced? {
+        let run =
+            lone.keyed(key).and_then(|mut keyed| keyed.write_run(disk, cmp, &mut comparisons));
+        slots.push((0, run));
+    }
     slots.sort_by_key(|(index, _)| *index);
     let runs = slots.into_iter().map(|(_, res)| res).collect::<Result<Vec<_>>>()?;
     let gen_time = started.elapsed();
@@ -400,32 +411,73 @@ where
     merge_runs(disk, runs, memory_pages, key, cmp, comparisons, gen_time)
 }
 
-/// The parallel sort's producer: scans `input` sequentially and sends each
-/// batch, cut at exactly the byte budget as in the serial path, with its
-/// index. A failed send means every worker is gone; the caller's join of the
-/// workers says why, so the producer just stops.
+/// One batch of the parallel sort's producer, with its index in input order.
+type Indexed = (usize, Batch<()>);
+
+/// A parallel sort worker: keys, sorts and spills every batch it receives
+/// until the channel closes. Returns its runs with their batch indices, its
+/// comparisons, and the page transfers it made, for the caller to credit.
+fn sort_worker<K, KF, CF>(
+    rx: &Mutex<mpsc::Receiver<Indexed>>,
+    disk: &SimDisk,
+    key: &KF,
+    cmp: &CF,
+) -> (Vec<(usize, Result<HeapFile>)>, u64, IoSnapshot)
+where
+    KF: Fn(&[u8]) -> Result<(Prefix, K)>,
+    CF: Fn(&K, &K) -> Ordering,
+{
+    let io0 = thread_io();
+    let mut runs = Vec::new();
+    let mut comparisons: u64 = 0;
+    loop {
+        let msg = rx.lock().expect("sort channel lock").recv();
+        let Ok((index, batch)) = msg else { break };
+        let run =
+            batch.keyed(key).and_then(|mut keyed| keyed.write_run(disk, cmp, &mut comparisons));
+        runs.push((index, run));
+    }
+    (runs, comparisons, thread_io().since(&io0))
+}
+
+/// The parallel sort's producer: scans `input` sequentially, cuts batches at
+/// exactly the byte budget as in the serial path, and hands each off with
+/// its index. A full batch waits until a record follows it, so an input that
+/// fits one batch hands nothing off: that batch comes back for the caller to
+/// sort itself. A failed hand-off means every worker is gone; the caller's
+/// join of the workers says why, so the producer just stops.
 fn produce_batches(
     input: &HeapFile,
     budget_bytes: usize,
-    tx: mpsc::SyncSender<(usize, Batch<()>)>,
-) -> Result<()> {
+    mut hand_off: impl FnMut(Indexed) -> bool,
+) -> Result<Option<Batch<()>>> {
     let mut scan = input.scan();
     let mut batch: Batch<()> = Batch::new();
-    let mut next_index = 0usize;
+    let mut full: Option<Batch<()>> = None;
+    let mut sent = 0usize;
     while let Some(rec) = scan.next_record() {
-        batch.push(rec?, ());
-        if batch.arena.len() >= budget_bytes {
-            if tx.send((next_index, std::mem::replace(&mut batch, Batch::new()))).is_err() {
-                return Ok(());
+        let rec = rec?;
+        if let Some(cut) = full.take() {
+            if !hand_off((sent, cut)) {
+                return Ok(None);
             }
-            next_index += 1;
+            sent += 1;
+        }
+        batch.push(rec, ());
+        if batch.arena.len() >= budget_bytes {
+            full = Some(std::mem::replace(&mut batch, Batch::new()));
         }
     }
-    if !batch.entries.is_empty() {
-        // As above: a failed send leaves the error to the join.
-        let _ = tx.send((next_index, batch));
+    let last = full.or_else(|| (!batch.entries.is_empty()).then_some(batch));
+    match last {
+        Some(lone) if sent == 0 => Ok(Some(lone)),
+        // As above: a failed hand-off leaves the error to the join.
+        Some(last) => {
+            hand_off((sent, last));
+            Ok(None)
+        }
+        None => Ok(None),
     }
-    Ok(())
 }
 
 /// Merges the initial runs, `memory_pages − 1` at a time, until one sorted
@@ -1016,11 +1068,14 @@ mod tests {
             let disk = SimDisk::new(128);
             let f = load_numbers(&disk, &nums);
             disk.reset_io();
+            let mine = crate::thread_io();
             let (sorted, stats) =
                 external_sort_parallel(&disk, &f, 4, threads, key, by_key).unwrap();
             let io = disk.io();
             assert_eq!(stats, serial_stats, "stats diverge at threads={threads}");
             assert_eq!(io, serial_io, "I/O counters diverge at threads={threads}");
+            // The workers' transfers are credited to the calling thread.
+            assert_eq!(crate::thread_io().since(&mine), io, "tally at threads={threads}");
             assert_eq!(read_all(&sorted), serial_out, "output diverges at threads={threads}");
         }
     }
@@ -1036,6 +1091,33 @@ mod tests {
         let single = load_numbers(&disk, &[9, 4]);
         let (sorted, _) = external_sort_parallel(&disk, &single, 4, 8, key, by_key).unwrap();
         assert_eq!(read_all(&sorted), vec![4, 9]);
+    }
+
+    /// Workers start only for batches: an input that fits one batch is
+    /// keyed on the calling thread alone, and a spilling one keys its
+    /// batches off it.
+    #[test]
+    fn parallel_sort_starts_workers_only_for_batches() {
+        let disk = SimDisk::new(128);
+        let keyed_on = Mutex::new(Vec::new());
+        let key = |rec: &[u8]| {
+            keyed_on.lock().unwrap().push(std::thread::current().id());
+            key(rec)
+        };
+        let me = std::thread::current().id();
+        // 400 record bytes, within the 512-byte budget, on more pages than
+        // the budget's four: the producer finds out it is one batch.
+        let fits = load_numbers(&disk, &(0..100).rev().collect::<Vec<_>>());
+        assert!(fits.num_pages() > 4);
+        let (sorted, stats) = external_sort_parallel(&disk, &fits, 4, 8, key, by_key).unwrap();
+        assert_eq!(stats.initial_runs, 1);
+        assert_eq!(read_all(&sorted), (0..100).collect::<Vec<_>>());
+        assert!(keyed_on.lock().unwrap().iter().all(|t| *t == me), "one batch, no worker");
+        keyed_on.lock().unwrap().clear();
+        let spills = load_numbers(&disk, &(0..400).rev().collect::<Vec<_>>());
+        let (_, stats) = external_sort_parallel(&disk, &spills, 4, 8, key, by_key).unwrap();
+        assert!(stats.initial_runs > 1);
+        assert!(keyed_on.lock().unwrap().iter().any(|t| *t != me), "batches go to workers");
     }
 
     #[test]

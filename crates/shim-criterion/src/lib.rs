@@ -8,7 +8,9 @@
 //! (each a batch of calls long enough to dwarf the clock's overhead) and
 //! prints the median time per call with the fastest and slowest sample —
 //! enough to compare runs, spread included, and to keep `cargo bench`
-//! working offline.
+//! working offline. Like criterion, the bench binary takes a name filter:
+//! `cargo bench --bench micro -- external_sort` runs only the benchmarks
+//! whose full names contain `external_sort`.
 
 #![forbid(unsafe_code)]
 
@@ -84,9 +86,20 @@ impl Bencher {
 pub struct Criterion {
     group: Option<String>,
     sample_size: usize,
+    /// Runs only the benchmarks whose full names contain it.
+    filter: Option<String>,
 }
 
-fn run_one(label: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
+/// The name filter of a bench binary's arguments: the first that is not a
+/// flag (`cargo bench` itself passes `--bench`).
+fn filter_of(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
+}
+
+fn run_one(filter: &Option<String>, label: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
+    if filter.as_ref().is_some_and(|wanted| !label.contains(wanted.as_str())) {
+        return;
+    }
     let mut b = Bencher { samples: samples.max(1), iters: 0, per_iter: Vec::new() };
     f(&mut b);
     let (median, min, max) = b.summary();
@@ -97,6 +110,13 @@ fn run_one(label: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
 }
 
 impl Criterion {
+    /// Takes the name filter from the process arguments, as criterion's
+    /// `configure_from_args` does; [`criterion_group!`] calls it.
+    pub fn configure_from_args(mut self) -> Criterion {
+        self.filter = filter_of(std::env::args().skip(1));
+        self
+    }
+
     fn label(&self, name: &str) -> String {
         match &self.group {
             Some(g) => format!("{g}/{name}"),
@@ -119,7 +139,7 @@ impl Criterion {
 
     /// Runs a single named benchmark.
     pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
-        run_one(&self.label(name), self.effective_samples(), f);
+        run_one(&self.filter, &self.label(name), self.effective_samples(), f);
         self
     }
 
@@ -130,7 +150,7 @@ impl Criterion {
         input: &I,
         f: impl FnOnce(&mut Bencher, &I),
     ) -> &mut Self {
-        run_one(&self.label(&id.0), self.effective_samples(), |b| f(b, input));
+        run_one(&self.filter, &self.label(&id.0), self.effective_samples(), |b| f(b, input));
         self
     }
 }
@@ -159,7 +179,7 @@ impl BenchmarkGroup<'_> {
 
     /// Runs a named benchmark inside the group.
     pub fn bench_function(&mut self, name: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
-        run_one(&format!("{}/{}", self.name, name), self.samples(), f);
+        run_one(&self.c.filter, &format!("{}/{}", self.name, name), self.samples(), f);
         self
     }
 
@@ -170,7 +190,8 @@ impl BenchmarkGroup<'_> {
         input: &I,
         f: impl FnOnce(&mut Bencher, &I),
     ) -> &mut Self {
-        run_one(&format!("{}/{}", self.name, id.0), self.samples(), |b| f(b, input));
+        let label = format!("{}/{}", self.name, id.0);
+        run_one(&self.c.filter, &label, self.samples(), |b| f(b, input));
         self
     }
 
@@ -183,7 +204,7 @@ impl BenchmarkGroup<'_> {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         fn $name() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::default().configure_from_args();
             $($target(&mut c);)+
         }
     };
@@ -224,6 +245,32 @@ mod tests {
         let (median, min, max) = b.summary();
         assert!(min <= median && median <= max);
         assert!(min >= Duration::from_micros(50), "per-call, not per-batch: {min:?}");
+    }
+
+    #[test]
+    fn the_name_filter_selects_benchmarks() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(filter_of(args(&["--bench"])), None);
+        assert_eq!(filter_of(args(&["external_sort", "--bench"])), Some("external_sort".into()));
+        assert_eq!(filter_of(args(&["--bench", "codec"])), Some("codec".into()));
+        let mut c = Criterion { filter: Some("sort/".into()), ..Criterion::default() };
+        let mut ran = Vec::new();
+        let mut group = c.benchmark_group("external_sort");
+        group.sample_size(1);
+        group.bench_function("pages", |b| {
+            ran.push("external_sort/pages");
+            b.iter(|| 1)
+        });
+        group.finish();
+        c.bench_function("codec", |b| {
+            ran.push("codec");
+            b.iter(|| 1)
+        });
+        c.bench_with_input(BenchmarkId::new("scan", 2), &2, |b, &x| {
+            ran.push("scan/2");
+            b.iter(|| x)
+        });
+        assert_eq!(ran, ["external_sort/pages"]);
     }
 
     #[test]

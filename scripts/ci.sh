@@ -272,6 +272,22 @@ if [[ -n "$metering" ]]; then
   exit 1
 fi
 
+echo "==> one I/O meter (statements and operators take page I/O from the thread tally)"
+# `op::drive`, `Engine::measured` and `run_naive_metered` charge page I/O as
+# deltas of `fuzzy_storage::thread_io()`, the calling thread's tally plus
+# what its helper threads credited back, so a statement counts only its own
+# transfers while other sessions share the disk. A non-test delta of the
+# disk-wide counter (`disk.io()`, `.io().since(`) in the engine or the
+# facade would count every session's transfers again.
+disk_wide=$(non_test $(find crates/core/src src -name '*.rs' | sort) \
+  | grep -E 'disk\.io\(\)|\.io\(\)\.since\(' | grep -vE '^[^:]+:[0-9]+: *//' || true)
+if [[ -n "$disk_wide" ]]; then
+  echo "error: page I/O metered with the disk-wide counter — take deltas of" >&2
+  echo "fuzzy_storage::thread_io() instead:" >&2
+  echo "$disk_wide" >&2
+  exit 1
+fi
+
 echo "==> one aggregate accumulator (operators fold groups into exec/agg.rs's Accumulator)"
 # The aggregate operator folds every group into an `Accumulator`: a running
 # extreme for MIN/MAX under D(A(r)) = 1, and the set T(r) otherwise, whose

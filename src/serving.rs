@@ -165,8 +165,9 @@ impl Session {
         self.config = config;
     }
 
-    /// Sets this session's worker-thread count for sorts and merge-joins.
-    /// Any value returns bit-identical answers; `1` is the serial path.
+    /// Sets this session's worker-thread budget for sorts and merge-joins
+    /// (the default is the host's cores, at most two). Any value returns
+    /// bit-identical answers and counters; `1` is the serial path.
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads.max(1);
     }

@@ -337,6 +337,52 @@ fn per_session_config_is_isolated() {
     );
 }
 
+/// Each statement's page I/O is its own: two sessions running the same
+/// anti-join at once each see exactly the solo run's reads and writes, in
+/// the statement's measurement and in its operators' counters.
+#[test]
+fn concurrent_statements_count_only_their_own_page_io() {
+    let db = Database::with_paper_vocabulary();
+    for name in ["R", "S"] {
+        let schema = Schema::of(&[
+            ("ID", AttrType::Number),
+            ("X", AttrType::Number),
+            ("V", AttrType::Number),
+        ]);
+        db.create_table(name, schema).unwrap();
+        db.load(
+            name,
+            (0..3000).map(|i| {
+                let x = Value::number((i % 50) as f64);
+                Tuple::full(vec![Value::number(i as f64), x, Value::number(100.0 + i as f64)])
+            }),
+        )
+        .unwrap();
+    }
+    let sql = "SELECT R.ID FROM R WHERE R.X NOT IN (SELECT S.X FROM S)";
+    let io = |out: &fuzzy_db::QueryOutcome| {
+        let t = out.metrics.totals();
+        (out.measurement.io.reads, out.measurement.io.writes, t.page_reads, t.page_writes)
+    };
+    let solo = io(&db.query(sql).run().unwrap());
+    assert_eq!(solo, (64, 32, 64, 32), "the solo run");
+    let start = Arc::new(Barrier::new(2));
+    let handles: Vec<_> = (0..2)
+        .map(|_| {
+            let (session, start) = (db.session(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                (0..5).map(|_| io(&session.query(sql).run().unwrap())).collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    for h in handles {
+        for run in h.join().unwrap() {
+            assert_eq!(run, solo, "a concurrent run counted another session's pages");
+        }
+    }
+}
+
 #[test]
 fn serving_handles_are_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
